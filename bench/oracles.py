@@ -15,10 +15,6 @@ import statistics
 Z_LIMIT = 5.0
 
 
-def median(values) -> float:
-    return statistics.median(values)
-
-
 def quartiles(values) -> tuple[float, float, float]:
     """First quartile, median and third quartile (statistics.quantiles, n=4)."""
     q1, q2, q3 = statistics.quantiles(values, n=4)

@@ -1,31 +1,35 @@
-"""Two sets of benchmark runs of the same code, to show the figures are steady.
+"""Two sets of ten benchmark runs of the same code, to show the figures are steady.
 
-    python3 bench/steady.py                      # 2 sets x 10 runs x 4 workloads
-    python3 bench/steady.py --workloads sample --runs 5 --sets 1
+    python3 bench/steady.py
 
-Each run is `bench/run.py --workload W --seed S --seconds T --trace 0` in a
-fresh process, with its own seed; within a set the workloads take turns, so
-that a slow spell of the machine falls on all of them.  For every
+Each run is `bench/run.py --workload W --seed S --seconds T --trace 0`, with
+T the `run_seconds` of BENCHMARK.json and seeds 1-10 in the first set and
+11-20 in the second; within a set the workloads of BENCHMARK.json take
+turns, so that a slow spell of the machine falls on all of them.  For every
 end-to-end metric and workload it prints each set's median and quartiles,
 the spread (interquartile distance over the median) and how far the second
-set's median moved from the first's, against the metric's bound in
-BENCHMARK.json.  It also compares the share of failed operations, and prints
+set's median moved from the first's, against the metric's bound.  The
+figures are steady when every spread and every move is within its bound and
+the share of failed operations is the same in every run.  It also prints
 each operation's median time per set (the median over runs of its median
-over the rounds after the first).  The runs and the summary are written to
+over the warm rounds).  The runs and the summary are written to
 bench/out/steady.json.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
 from pathlib import Path
+from statistics import median
 
 import oracles
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
+SETS = 2
+RUNS = 10
+FIRST_SEED = 1
 
 
 def run_once(workload: str, seed: int, seconds: int) -> dict:
@@ -38,8 +42,8 @@ def run_once(workload: str, seed: int, seconds: int) -> dict:
         raise RuntimeError(f"{workload} seed {seed} exited {proc.returncode}: {proc.stderr[-500:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     details = json.loads((BENCH / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
-    warm = [r["ops"] for r in details["rounds"][1:]]
-    result["ops"] = {op: oracles.median([r[op] for r in warm]) for op in warm[0]}
+    warm = [r["ops"] for r in details["rounds"] if not r["cold"]]
+    result["ops"] = {op: median(r[op] for r in warm) for op in warm[0]}
     return result
 
 
@@ -53,33 +57,22 @@ def summarize(sets: list[list[dict]], bounds: dict[str, dict]) -> dict:
             q1, q2, q3 = oracles.quartiles(values)
             per_set.append({"q1": q1, "median": q2, "q3": q3, "spread": oracles.spread(values),
                             "values": values})
-        entry = {"sets": per_set, "bound": spec["bound"]}
-        if len(per_set) > 1:
-            entry["shift"] = per_set[1]["median"] / per_set[0]["median"] - 1.0
-        out[name] = entry
+        shift = per_set[1]["median"] / per_set[0]["median"] - 1.0
+        out[name] = {"sets": per_set, "shift": shift, "bound": spec["bound"]}
     return out
 
 
-def main(argv=None) -> int:
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    args = ap.parse_args(argv)
-    names = args.workloads.split(",")
+    names = [w["name"] for w in spec["workloads"]]
     bounds = {m["name"]: m for m in spec["end_to_end"]}
 
-    runs: dict[str, list[list[dict]]] = {w: [] for w in names}
-    seed = args.first_seed
-    for s in range(args.sets):
-        for w in names:
-            runs[w].append([])
-        for _ in range(args.runs):
+    runs: dict[str, list[list[dict]]] = {w: [[] for _ in range(SETS)] for w in names}
+    seed = FIRST_SEED
+    for s in range(SETS):
+        for _ in range(RUNS):
             for w in names:
-                result = run_once(w, seed, args.seconds)
+                result = run_once(w, seed, spec["run_seconds"])
                 runs[w][s].append(dict(result, seed=seed))
                 print(f"set {s + 1} {w} seed {seed}: " + ", ".join(
                     f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()
@@ -99,22 +92,18 @@ def main(argv=None) -> int:
         steady &= len(shares) == 1 and correct
         for name, entry in metrics.items():
             for i, st in enumerate(entry["sets"]):
-                last = i == len(entry["sets"]) - 1 and "shift" in entry
+                shift = f"{entry['shift']:>+8.3f}" if i == SETS - 1 else f"{'':>8}"
                 print(f"{w:<12}{name:<14}{i + 1:>4}{st['q1']:>10.4g}{st['median']:>10.4g}"
-                      f"{st['q3']:>10.4g}{st['spread']:>8.3f}"
-                      + (f"{entry['shift']:>+8.3f}" if last else f"{'':>8}")
-                      + f"{entry['bound']:>7.2f}")
-                if name != "setup_s":  # set-up's spread has no bound, only its shift
-                    steady &= st["spread"] <= entry["bound"]
-            steady &= entry.get("shift", 0.0) <= entry["bound"]
+                      f"{st['q3']:>10.4g}{st['spread']:>8.3f}{shift}{entry['bound']:>7.2f}")
+                steady &= st["spread"] <= entry["bound"]
+            steady &= abs(entry["shift"]) <= entry["bound"]
         print(f"{w:<12}failed share of attempted: {shares}; all runs correct: {correct}")
         for op in every_run[0]["ops"]:
-            medians = [oracles.median([r["ops"][op] for r in set_runs]) for set_runs in runs[w]]
+            medians = [median(r["ops"][op] for r in set_runs) for set_runs in runs[w]]
             print(f"{'':<12}{op:<50}" + "".join(f"{m:>9.3f}" for m in medians) + " s")
     (BENCH / "out").mkdir(exist_ok=True)
     (BENCH / "out" / "steady.json").write_text(
-        json.dumps({"args": vars(args), "runs": runs, "summary": summary}, indent=1) + "\n",
-        encoding="utf-8",
+        json.dumps({"runs": runs, "summary": summary}, indent=1) + "\n", encoding="utf-8",
     )
     print("steady" if steady else "NOT steady: a spread or a shift exceeds its bound")
     return 0 if steady else 1

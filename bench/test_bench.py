@@ -5,12 +5,15 @@
 from __future__ import annotations
 
 import math
+import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import oracles
+import speed
 import workloads
 from tracing import Tracer, self_times
 
@@ -24,7 +27,6 @@ if str(SRC) not in sys.path:
 
 def test_median_quartiles_and_spread():
     values = [float(v) for v in range(1, 11)]
-    assert oracles.median(values) == 5.5
     # statistics.quantiles' default (exclusive) method: positions (n+1)p
     assert oracles.quartiles(values) == (2.75, 5.5, 8.25)
     assert oracles.spread(values) == pytest.approx((8.25 - 2.75) / 5.5)
@@ -98,6 +100,30 @@ def test_printed_tolerance_adds_the_rounding_of_six_figures():
     tol = oracles.printed_tolerance(0.986128, 1e-5, 1e-5)
     assert tol == pytest.approx(1e-5 + 0.986128e-5 + 5e-7)
     assert oracles.printed_tolerance(0.0667162, 0.0, 0.0) == pytest.approx(5e-8)
+
+
+# -- speed --------------------------------------------------------------------
+
+
+def test_reference_seconds_scale_by_the_median_probe():
+    ref = speed.PROBE_REFERENCE_S
+    probes = [2 * ref] * 6 + [100 * ref]  # one probe caught in a slow moment
+    assert speed.reference_seconds(3.0, probes) == pytest.approx(1.5)
+    assert speed.reference_seconds(3.0, [ref, 3 * ref] * 3) == pytest.approx(1.5)
+
+
+def test_speedometer_probes_during_the_work_and_leaves_their_time_out():
+    meter = speed.Speedometer()
+    t0 = time.perf_counter()
+    out, seconds, _reference = meter.measure(lambda: [_busy() for _ in range(300)][-1])
+    elapsed = time.perf_counter() - t0
+    assert out == _busy()
+    assert len(meter.probes) >= elapsed / speed.PERIOD_S - 2
+    assert seconds == pytest.approx(elapsed - sum(meter.probes), abs=0.01)
+    assert signal.getsignal(signal.SIGALRM) == signal.SIG_DFL
+    # work too short for the timer is probed after it
+    _, seconds, _reference = meter.measure(lambda: None)
+    assert len(meter.probes) == speed.MIN_PROBES and seconds < speed.PERIOD_S
 
 
 # -- spans --------------------------------------------------------------------
@@ -214,3 +240,21 @@ def test_adequacy_check_compares_rows_bit_for_bit(tmp_path, monkeypatch):
     check = workloads._check_adequacy(path)
     assert check(_result("index,value,weight\n1,0.1,1.0\n2,0.2,1.0\n")) == []
     assert check(_result("index,value,weight\n1,0.1,1.0\n2,0.20000000000000004,1.0\n")) != []
+
+
+def test_a_known_fault_is_matched_by_its_own_signature_only():
+    gamma = _result("fail: n=100000 K=1 worst discrepancy 0.08146 vs tol 0.02\n"
+                    "  discrepancy 0.08146 for 'x2' exceeds tol 0.02 at n=100000\n", rc=1)
+    assert workloads.GAMMA_FAULT.matches(gamma, ["expected exit 0 ..."])
+    for other in (_result("error: integrand failed\n", rc=1),
+                  _result("fail: n=1000 K=1 worst discrepancy 0.3 vs tol 0.02\n"
+                          "  discrepancy 0.3 for 'x' exceeds tol 0.02 at n=1000\n", rc=1),
+                  workloads.Result(None, "", "", 0.0, "Traceback ...")):
+        assert not workloads.GAMMA_FAULT.matches(other, ["expected exit 0 ..."])
+    replay = workloads.REPLAY_FAULT.matches
+    assert replay(_result("{}"), ["the returned proof does not replay"])
+    assert not replay(_result("{}"), ["the two sides of a proved equivalence differ under big-step"])
+    normal = workloads.NORMAL_FORM_FAULT.matches
+    assert normal(_result(""), ["the printed normal form does not parse: "
+                                "1:12: unexpected character \"'\""])
+    assert not normal(_result(""), ["the normal form differs from its program under big-step"])

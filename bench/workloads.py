@@ -19,6 +19,9 @@ import oracles
 
 BENCH = Path(__file__).resolve().parent
 INPUTS = BENCH / "inputs"
+CORPUS = BENCH.parent / "src" / "samplerlang" / "corpus"
+#: where the operations write their files, and the benchmark its records
+OUT = BENCH / "out"
 
 #: entries compared under big-step in the equiv checks
 BIGSTEP_CHECK_N = 16
@@ -40,18 +43,28 @@ class Result:
 
 
 @dataclass
+class Fault:
+    """A fault of the program that makes an operation fail in every round."""
+
+    why: str
+    #: whether a failure, given the result and its check's problems, is this fault
+    matches: Callable[[Result, list[str]], bool]
+
+
+@dataclass
 class Op:
     name: str
     argv: list[str]
     check: Callable[[Result], list[str]]
-    #: a fault of the program that makes this operation fail every round
-    known_fault: str = ""
+    fault: Fault | None = None
     inputs: list[Path] = field(default_factory=list)
 
 
 @dataclass
 class Workload:
     ops: list[Op]
+    #: fresh processes per run; each makes a cold round and warm rounds
+    processes: int
 
     def input_files(self) -> list[Path]:
         seen: dict[Path, None] = {}
@@ -84,12 +97,6 @@ def _big_step(program, seed: int, n: int = BIGSTEP_CHECK_N):
     return Interpreter(program, Config.load(None, {"seed": seed})).big_step(n)
 
 
-def _same_values(a, b) -> bool:
-    from samplerlang.runtime import value_equal
-
-    return value_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # verify: the bundled proofs, and one tampered proof
 # ---------------------------------------------------------------------------
@@ -117,19 +124,16 @@ def _check_verify(name: str, accept: bool) -> Callable[[Result], list[str]]:
     return check
 
 
-def verify(root: Path) -> list[Op]:
-    corpus = root / "src" / "samplerlang" / "corpus"
+def verify() -> list[Op]:
     ops = []
     for name in ("von_neumann", "importance", "rejection", "marsaglia", "piecewise"):
-        proof, axioms = corpus / "proofs" / f"{name}.json", corpus / f"{name}.smpl"
+        proof, axioms = CORPUS / "proofs" / f"{name}.json", CORPUS / f"{name}.smpl"
         ops.append(Op(f"verify {name}", ["verify", str(proof), "--axioms", str(axioms)],
                       _check_verify(name, True), inputs=[proof, axioms]))
-    # False targets: von_neumann's is rejected cheaply; marsaglia's only at
-    # the root, after every premise and its quadrature has been checked.
-    for name in ("von_neumann", "marsaglia"):
-        tampered, axioms = INPUTS / f"{name}_tampered.json", corpus / f"{name}.smpl"
-        ops.append(Op(f"verify {name}_tampered", ["verify", str(tampered), "--axioms", str(axioms)],
-                      _check_verify(f"{name}_tampered", False), inputs=[tampered, axioms]))
+    # von_neumann.json with its target changed to bernoulli(0.9)
+    tampered, axioms = INPUTS / "von_neumann_tampered.json", CORPUS / "von_neumann.smpl"
+    ops.append(Op("verify von_neumann_tampered", ["verify", str(tampered), "--axioms", str(axioms)],
+                  _check_verify("von_neumann_tampered", False), inputs=[tampered, axioms]))
     return ops
 
 
@@ -198,8 +202,7 @@ def _check_adequacy(path: Path):
     return check
 
 
-def sample(root: Path, seed: int, out_dir: Path) -> list[Op]:
-    corpus = root / "src" / "samplerlang" / "corpus"
+def sample(seed: int) -> list[Op]:
     gamma = lambda: (2.5, 2.5)  # noqa: E731  gamma(2.5, 1): mean = variance = 2.5
     checks = {
         "marsaglia": lambda p: _check_moments(p, gamma),
@@ -210,7 +213,7 @@ def sample(root: Path, seed: int, out_dir: Path) -> list[Op]:
     }
     ops, big_ops = [], []
     for name, make_check in checks.items():
-        program, dump = corpus / f"{name}.smpl", out_dir / f"{name}.csv"
+        program, dump = CORPUS / f"{name}.smpl", OUT / f"{name}.csv"
         ops.append(Op(
             f"run {name}",
             ["run", str(program), "--samples", str(STREAM_SAMPLES), "--seed", str(seed), "--dump", str(dump)],
@@ -231,31 +234,33 @@ def sample(root: Path, seed: int, out_dir: Path) -> list[Op]:
 #: the posterior both importance.smpl and rejection.smpl target
 POSTERIOR = "reweight(fun x : R => 1/sqrt(2*pi) * exp(-1/2*(3-x)*(3-x)), triangular(0, 2))"
 
-GAMMA_FAULT = (
+GAMMA_FAULT = Fault(
     "unbounded members are compared with an absolute tolerance: member x2 of "
-    "gamma(2.5, 1) misses it at n=100000 (ROADMAP item 5)"
+    "gamma(2.5, 1) misses it at n=100000 (ROADMAP item 5)",
+    lambda res, _problems: (res.rc == 1 and res.out.startswith("fail:")
+                            and re.search(r"^\s*discrepancy \S+ for 'x2' exceeds tol", res.out, re.M)
+                            is not None),
 )
 
 
-def test_target(root: Path, seed: int) -> list[Op]:
-    corpus = root / "src" / "samplerlang" / "corpus"
+def test_target(seed: int) -> list[Op]:
     seeded = ["--seed", str(seed)]
     # von_neumann against bernoulli(0.5) is left out: its verdict fails on
     # some seeds (a FOUND line in CHANGES.md)
     cases = [
         # (label, program, extra arguments, should pass, known fault)
         ("rand K=2 ~ uniform(0, 1)", INPUTS / "rand.smpl",
-         ["--measure", "uniform(0, 1)", "--K", "2"] + seeded, True, ""),
-        ("rejection ~ posterior", corpus / "rejection.smpl",
-         ["--measure", POSTERIOR] + seeded, True, ""),
+         ["--measure", "uniform(0, 1)", "--K", "2"] + seeded, True, None),
+        ("rejection ~ posterior", CORPUS / "rejection.smpl",
+         ["--measure", POSTERIOR] + seeded, True, None),
         # at the program's default seed, independent of --seed, so that the
         # fault shows in every run
-        ("marsaglia ~ gamma(2.5, 1)", corpus / "marsaglia.smpl",
+        ("marsaglia ~ gamma(2.5, 1)", CORPUS / "marsaglia.smpl",
          ["--measure", "gamma(2.5, 1)"], True, GAMMA_FAULT),
-        ("thinned_alternating !~ bernoulli(0.5)", corpus / "thinned_alternating.smpl",
-         ["--measure", "bernoulli(0.5)"] + seeded, False, ""),
-        ("marsaglia !~ gamma(2.0, 1)", corpus / "marsaglia.smpl",
-         ["--measure", "gamma(2.0, 1)"] + seeded, False, ""),
+        ("thinned_alternating !~ bernoulli(0.5)", CORPUS / "thinned_alternating.smpl",
+         ["--measure", "bernoulli(0.5)"] + seeded, False, None),
+        ("marsaglia !~ gamma(2.0, 1)", CORPUS / "marsaglia.smpl",
+         ["--measure", "gamma(2.0, 1)"] + seeded, False, None),
     ]
     ops = []
     for label, program, extra, passes, fault in cases:
@@ -263,7 +268,7 @@ def test_target(root: Path, seed: int) -> list[Op]:
             f"test-target {label}",
             ["test-target", str(program), "--n", "100000"] + extra,
             lambda res, _p=passes: _expect(res, 0 if _p else 1, "pass:" if _p else "fail:", 0),
-            known_fault=fault, inputs=[program],
+            fault=fault, inputs=[program],
         ))
     return ops
 
@@ -279,12 +284,13 @@ def _check_proof(left: Path, right: Path, seed: int):
         if problems:
             return problems
         from samplerlang.rewrite import EquivProof
+        from samplerlang.runtime import value_equal
 
         a, b = _program(left), _program(right)
         proof = EquivProof.from_json(json.loads(res.out), a.body, b.body)
         if not proof.replay():
             return ["the returned proof does not replay"]
-        if not _same_values(_big_step(a, seed), _big_step(b, seed)):
+        if not value_equal(_big_step(a, seed), _big_step(b, seed)):
             return ["the two sides of a proved equivalence differ under big-step"]
         return []
 
@@ -296,7 +302,9 @@ def _check_inconclusive(left: Path, right: Path, seed: int):
         problems = _expect(res, 1, "inconclusive")
         if problems:
             return problems
-        if _same_values(_big_step(_program(left), seed), _big_step(_program(right), seed)):
+        from samplerlang.runtime import value_equal
+
+        if value_equal(_big_step(_program(left), seed), _big_step(_program(right), seed)):
             return ["a pair that should differ agrees under big-step"]
         return []
 
@@ -308,6 +316,7 @@ def _check_normal_form(path: Path, seed: int):
         if res.error or res.rc != 0:
             return [res.error or f"exit {res.rc}"]
         from samplerlang.parser import ParseError, parse_program
+        from samplerlang.runtime import value_equal
 
         source = path.read_text(encoding="utf-8")
         decls = [line for line in source.splitlines() if line.startswith(("extern ", "axiom "))]
@@ -315,52 +324,56 @@ def _check_normal_form(path: Path, seed: int):
             normal = parse_program("\n".join(decls) + "\n\n" + res.out, f"normal form of {path.name}")
         except ParseError as err:
             return [f"the printed normal form does not parse: {err}"]
-        if not _same_values(_big_step(_program(path), seed), _big_step(normal, seed)):
+        if not value_equal(_big_step(_program(path), seed), _big_step(normal, seed)):
             return ["the normal form differs from its program under big-step"]
         return []
 
     return check
 
 
-def equiv(root: Path, seed: int) -> list[Op]:
-    corpus = root / "src" / "samplerlang" / "corpus"
+REPLAY_FAULT = Fault(
+    "rewrite.prove_equiv deduplicates states up to binder annotations, which "
+    "replay compares, so the proof it returns for map fusion does not replay",
+    lambda _res, problems: problems == ["the returned proof does not replay"],
+)
+
+NORMAL_FORM_FAULT = Fault(
+    "normalize prints the fresh binder x', which is not surface syntax, so "
+    "the normal form of thinned_alternating does not parse back",
+    lambda _res, problems: (len(problems) == 1
+                            and problems[0].startswith("the printed normal form does not parse")
+                            and "unexpected character \"'\"" in problems[0]),
+)
+
+
+def equiv(seed: int) -> list[Op]:
     ops = []
-    for left, right in (("thin_thin", "thin_four"), ("thin_tl_map", "map_thin_tl")):
+    for left, right, fault in (
+        ("thin_thin", "thin_four", None),
+        ("thin_tl_map", "map_thin_tl", None),
+        ("map_map_tl", "tl_map_fused", REPLAY_FAULT),
+    ):
         a, b = INPUTS / f"{left}.smpl", INPUTS / f"{right}.smpl"
         ops.append(Op(f"equiv {left} {right}", ["equiv", str(a), str(b)],
-                      _check_proof(a, b, seed), inputs=[a, b]))
+                      _check_proof(a, b, seed), fault=fault, inputs=[a, b]))
     for left, right, depth in (
         (INPUTS / "thin_map_tl.smpl", INPUTS / "map_tl_thin_tl.smpl", "8"),
-        (INPUTS / "thin_map_let_tl.smpl", INPUTS / "map_let_tl_thin_tl.smpl", "8"),
-        (corpus / "marsaglia.smpl", INPUTS / "marsaglia_alpha3.smpl", "3"),
+        (CORPUS / "marsaglia.smpl", INPUTS / "marsaglia_alpha3.smpl", "3"),
     ):
         ops.append(Op(f"equiv {left.stem} {right.stem} --depth {depth}",
                       ["equiv", str(left), str(right), "--depth", depth],
                       _check_inconclusive(left, right, seed), inputs=[left, right]))
-    # thinned_alternating is left out: its normal form prints the binder x',
-    # which the parser rejects (a FOUND line in CHANGES.md)
-    for path in sorted(corpus.glob("*.smpl")):
-        if path.stem != "thinned_alternating":
-            ops.append(Op(f"normalize {path.stem}", ["normalize", str(path)],
-                          _check_normal_form(path, seed), inputs=[path]))
+    for path in sorted(CORPUS.glob("*.smpl")):
+        fault = NORMAL_FORM_FAULT if path.stem == "thinned_alternating" else None
+        ops.append(Op(f"normalize {path.stem}", ["normalize", str(path)],
+                      _check_normal_form(path, seed), fault=fault, inputs=[path]))
     return ops
 
 
-def proofs(root: Path, seed: int, out_dir: Path) -> Workload:
-    """Verification by construction: quadrature, compiled integrands, rewriting."""
-    return Workload(verify(root) + equiv(root, seed))
-
-
-def streams(root: Path, seed: int, out_dir: Path) -> Workload:
-    """Samplers run as streams and tested against their targets."""
-    return Workload(sample(root, seed, out_dir) + test_target(root, seed))
-
-
-# Two workloads of about 15 s a round rather than four of about 7 s: on a
-# shared 2-core host, rounds that short spread too widely between runs.
-WORKLOADS = {"proofs": proofs, "streams": streams}
-
-
-def build(name: str, root: Path, seed: int, out_dir: Path) -> Workload:
-    """The workload's round; `out_dir` receives the files it writes."""
-    return WORKLOADS[name](root, seed, out_dir)
+# A proofs round takes about 8 s of pure-Python work, whose speed on a shared
+# host drifts by +-20 %: cold_round_s is the median over three processes.  A
+# streams round takes about 19 s, mostly numpy, and varies less.
+WORKLOADS = {
+    "proofs": lambda seed: Workload(verify() + equiv(seed), processes=3),
+    "streams": lambda seed: Workload(sample(seed) + test_target(seed), processes=1),
+}
