@@ -20,7 +20,12 @@ _BLOCK = 8192
 
 
 class ExternStream:
-    """Deterministic memoized value source for one extern sampler."""
+    """Deterministic memoized value source for one extern sampler.
+
+    `make` turns a (count, uniforms_per_value) array of uniforms into the
+    list of count values, with elementwise float64 arithmetic that rounds as
+    the same Python float expression would.
+    """
 
     def __init__(self, name: str, seed: int, uniforms_per_value: int, make: Callable):
         self.name = name
@@ -36,8 +41,7 @@ class ExternStream:
             return
         count = max(need, _BLOCK)
         u, self._state = lcg_uniforms_from(self._state, count * self.per)
-        chunks = u.reshape(count, self.per).tolist()
-        self._values.extend(self.make(chunk) for chunk in chunks)
+        self._values.extend(self.make(u.reshape(count, self.per)))
 
     def value(self, i: int):
         """1-based access."""
@@ -45,8 +49,10 @@ class ExternStream:
             self._extend(i)
         return self._values[i - 1]
 
-    def entry(self, i: int):
-        return self.value(i), WEIGHT_ONE
+    def column(self, upto: int) -> list:
+        """The memoized values, value i at position i - 1, at least upto of them."""
+        self._extend(upto)
+        return self._values
 
     def prefix(self, n: int) -> list:
         self._extend(n)
@@ -55,18 +61,18 @@ class ExternStream:
 
 def _uniform_builder(a: float, b: float) -> tuple[int, Callable]:
     if a == 0.0 and b == 1.0:
-        return 1, lambda u: float(u[0])
+        return 1, lambda u: u[:, 0].tolist()
     width = b - a
-    return 1, lambda u: a + width * float(u[0])
+    return 1, lambda u: (a + width * u[:, 0]).tolist()
 
 
 def _bernoulli_builder(p: float) -> tuple[int, Callable]:
-    return 1, lambda u: bool(u[0] < p)
+    return 1, lambda u: (u[:, 0] < p).tolist()
 
 
 def _triangular_builder(a: float, b: float) -> tuple[int, Callable]:
     half = (b - a) / 2.0
-    return 2, lambda u: a + half * (float(u[0]) + float(u[1]))
+    return 2, lambda u: (a + half * (u[:, 0] + u[:, 1])).tolist()
 
 
 def build_extern_stream(decl: ExternDecl, global_seed: int = DEFAULT_SEED) -> ExternStream:

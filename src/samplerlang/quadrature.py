@@ -595,7 +595,12 @@ def _probe_box(fn: Term, base: M.MeasureExpr) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class TestFn:
-    """A test function with its stated bound and Lipschitz constant."""
+    """A test function with its stated bound and Lipschitz constant.
+
+    cols_fn maps a list of coordinate arrays to an array; point_fn, when
+    given, computes the same floats from a list of scalar coordinates without
+    numpy, for the scalar calls inside iterated quadrature.
+    """
 
     __test__ = False  # not a pytest class
 
@@ -604,8 +609,11 @@ class TestFn:
     bound: float
     lip: float
     breakpoints: tuple[float, ...] = ()
+    point_fn: Optional[Callable] = None  # list of floats -> float
 
     def __call__(self, point):
+        if self.point_fn is not None:
+            return float(self.point_fn(_flatten_point(point)))
         cols = [np.asarray([x]) for x in _flatten_point(point)]
         return float(self.cols_fn(cols)[0])
 
@@ -629,40 +637,65 @@ class TestFunctionFamily:
         return [m for m in self.members if m.bound <= bound and m.lip <= lip]
 
 
-def _scalar_members(lo: float, hi: float) -> list[tuple[str, Callable, float, float, tuple]]:
+def _cos(x: float) -> float:
+    """math.cos, with np.cos's nan at the infinities."""
+    return math.cos(x) if math.isfinite(x) else math.nan
+
+
+def _scalar_members(lo: float, hi: float) -> list[tuple]:
+    """(name, array form, scalar form, bound, Lipschitz constant, breakpoints).
+
+    The two forms give the same floats: np.clip(v, lo, hi) is
+    min(max(v, lo), hi) and np.minimum(1, |x|) is min(|x|, 1), nan included.
+    """
     span = max(abs(lo), abs(hi), 1.0)
     out = [
-        ("one", lambda x: np.ones_like(x), 1.0, 0.0, ()),
-        ("x", lambda x: x, span, 1.0, ()),
-        ("x2", lambda x: x * x, span * span, 2 * span, ()),
+        ("one", lambda x: np.ones_like(x), lambda x: 1.0, 1.0, 0.0, ()),
+        ("x", lambda x: x, lambda x: x, span, 1.0, ()),
+        ("x2", lambda x: x * x, lambda x: x * x, span * span, 2 * span, ()),
     ]
     for k in (1, 2, 3):
-        out.append((f"cos{k}x", lambda x, _k=k: np.cos(_k * x), 1.0, float(k), ()))
-    for i, c in enumerate(np.linspace(lo, hi, 9)):
-        out.append(
-            (
-                f"ramp{i}",
-                lambda x, _c=c: np.clip(4.0 * (x - _c), 0.0, 1.0),
-                1.0,
-                4.0,
-                (float(c), float(c) + 0.25),
-            )
-        )
-    out.append(("clamp", lambda x: np.clip(x, -1.0, 1.0), 1.0, 1.0, (-1.0, 1.0)))
-    out.append(("vee", lambda x: np.minimum(1.0, np.abs(x)), 1.0, 1.0, (-1.0, 0.0, 1.0)))
+        out.append((
+            f"cos{k}x",
+            lambda x, _k=k: np.cos(_k * x),
+            lambda x, _k=k: _cos(_k * x),
+            1.0,
+            float(k),
+            (),
+        ))
+    for i, c in enumerate(np.linspace(lo, hi, 9).tolist()):
+        out.append((
+            f"ramp{i}",
+            lambda x, _c=c: np.clip(4.0 * (x - _c), 0.0, 1.0),
+            lambda x, _c=c: min(max(4.0 * (x - _c), 0.0), 1.0),
+            1.0,
+            4.0,
+            (c, c + 0.25),
+        ))
+    out.append((
+        "clamp",
+        lambda x: np.clip(x, -1.0, 1.0),
+        lambda x: min(max(x, -1.0), 1.0),
+        1.0,
+        1.0,
+        (-1.0, 1.0),
+    ))
+    out.append((
+        "vee",
+        lambda x: np.minimum(1.0, np.abs(x)),
+        lambda x: min(abs(x), 1.0),
+        1.0,
+        1.0,
+        (-1.0, 0.0, 1.0),
+    ))
     return out
 
 
+_SLIM = ("one", "x", "x2", "cos1x", "cos2x", "clamp")
+
+
 def _slim_members(lo: float, hi: float):
-    span = max(abs(lo), abs(hi), 1.0)
-    return [
-        ("one", lambda x: np.ones_like(x), 1.0, 0.0, ()),
-        ("x", lambda x: x, span, 1.0, ()),
-        ("x2", lambda x: x * x, span * span, 2 * span, ()),
-        ("cos1x", lambda x: np.cos(x), 1.0, 1.0, ()),
-        ("cos2x", lambda x: np.cos(2 * x), 1.0, 2.0, ()),
-        ("clamp", lambda x: np.clip(x, -1.0, 1.0), 1.0, 1.0, (-1.0, 1.0)),
-    ]
+    return [m for m in _scalar_members(lo, hi) if m[0] in _SLIM]
 
 
 def build_family(m: M.MeasureExpr, slim: bool = False) -> TestFunctionFamily:
@@ -680,51 +713,55 @@ def build_family(m: M.MeasureExpr, slim: bool = False) -> TestFunctionFamily:
     members: list[TestFn] = []
     if dims == 1:
         lo, hi = box[0]
-        for name, fn, bound, lip, brk in mk_members(lo, hi):
-            members.append(TestFn(name, lambda cols, _f=fn: _f(cols[0]), bound, lip, brk))
+        for name, fn, sfn, bound, lip, brk in mk_members(lo, hi):
+            members.append(TestFn(
+                name, lambda cols, _f=fn: _f(cols[0]), bound, lip, brk,
+                lambda xs, _f=sfn: _f(xs[0]),
+            ))
         return TestFunctionFamily(members)
 
     lo = min(b[0] for b in box)
     hi = max(b[1] for b in box)
     scalars = mk_members(lo, hi)
-    for name, fn, bound, lip, brk in scalars:
+    for name, fn, sfn, bound, lip, brk in scalars:
         if name == "one" and dims > 1:
-            members.append(TestFn("one", lambda cols: np.ones_like(cols[0]), 1.0, 0.0, ()))
+            members.append(TestFn(
+                "one", lambda cols: np.ones_like(cols[0]), 1.0, 0.0, (), lambda xs: 1.0
+            ))
             continue
         for j in range(dims):
-            members.append(
-                TestFn(
-                    f"{name}[{j}]",
-                    lambda cols, _f=fn, _j=j: _f(cols[_j]),
-                    bound,
-                    lip,
-                    brk,
-                )
-            )
+            members.append(TestFn(
+                f"{name}[{j}]",
+                lambda cols, _f=fn, _j=j: _f(cols[_j]),
+                bound,
+                lip,
+                brk,
+                lambda xs, _f=sfn, _j=j: _f(xs[_j]),
+            ))
         if not slim:
-            members.append(
-                TestFn(
-                    f"{name}[sum]",
-                    lambda cols, _f=fn: sum(_f(c) for c in cols),
-                    bound * dims,
-                    lip,
-                    brk,
-                )
-            )
+            members.append(TestFn(
+                f"{name}[sum]",
+                lambda cols, _f=fn: sum(_f(c) for c in cols),
+                bound * dims,
+                lip,
+                brk,
+                lambda xs, _f=sfn: sum(_f(x) for x in xs),
+            ))
     # bounded pairwise products catch dependence between coordinates
-    bounded = [(n, f) for n, f, b, l, _ in scalars if b <= 1.0 and n.startswith(("cos", "clamp"))]
+    bounded = [
+        (n, f, sf) for n, f, sf, b, _, _ in scalars if b <= 1.0 and n.startswith(("cos", "clamp"))
+    ]
     for i in range(dims):
         for j in range(i + 1, dims):
-            for (n1, f1), (n2, f2) in zip(bounded[:2], bounded[1:3]):
-                members.append(
-                    TestFn(
-                        f"{n1}[{i}]*{n2}[{j}]",
-                        lambda cols, _f1=f1, _f2=f2, _i=i, _j=j: _f1(cols[_i]) * _f2(cols[_j]),
-                        1.0,
-                        max(2.0, 3.0),
-                        (),
-                    )
-                )
+            for (n1, f1, sf1), (n2, f2, sf2) in zip(bounded[:2], bounded[1:3]):
+                members.append(TestFn(
+                    f"{n1}[{i}]*{n2}[{j}]",
+                    lambda cols, _f1=f1, _f2=f2, _i=i, _j=j: _f1(cols[_i]) * _f2(cols[_j]),
+                    1.0,
+                    3.0,
+                    (),
+                    lambda xs, _f1=sf1, _f2=sf2, _i=i, _j=j: _f1(xs[_i]) * _f2(xs[_j]),
+                ))
     return TestFunctionFamily(members)
 
 

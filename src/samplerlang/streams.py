@@ -4,6 +4,16 @@ A sampler evaluates to an RStream: an affine index view (i -> a*i + b) over a
 memoized core, so `tl` and `thin` are O(1) shifts sharing their parent's memo
 instead of recomputations.  `truncate` projects any result onto length-N
 weighted lists, which must agree bit-exactly with big-step evaluation.
+
+Cores are pulled a block at a time, as the big-step semantics reduces a
+sampler layer by layer: `entries(idx)` takes the core indices a view demands
+(a `range`, which an affine view maps to a `range`, or an increasing list)
+and each layer makes one pass over its parent's block.  Only demanded
+indices are computed, so `thin` still skips entries.  A block that hits an
+error returns the entries before it together with the error, and callers
+cut to their shorter input, so the error raised is the one entry-wise
+evaluation would raise: the lowest index's, and at that index the innermost
+and then leftmost failing layer's.
 """
 from __future__ import annotations
 
@@ -44,21 +54,61 @@ from .terms import (
     Wt,
 )
 
+#: a block: (values, weights, error) for a prefix of the demanded indices;
+#: the prefix is all of them unless error is not None
+Block = tuple[list, list, Optional[EvalError]]
+
+
+def _gather(column: list, idx) -> list:
+    """column's entries at the 1-based indices idx."""
+    if type(idx) is range:
+        return column[idx.start - 1 : idx.stop - 1 : idx.step]
+    return [column[i - 1] for i in idx]
+
 
 class StreamCore:
-    """Memoized entry source; entry(i) is 1-based and stable across calls."""
+    """Memoized entry source over 1-based indices, stable across calls.
+
+    The memo is a pair of columns indexed by i - 1; a weight of None marks
+    an entry not computed yet (weights are always floats).
+    """
 
     def __init__(self):
-        self._memo: dict[int, tuple] = {}
+        self._values: list = []
+        self._weights: list = []
 
-    def entry(self, i: int) -> tuple:
-        hit = self._memo.get(i)
-        if hit is None:
-            hit = self._compute(i)
-            self._memo[i] = hit
-        return hit
+    def entries(self, idx) -> Block:
+        values, weights = self._values, self._weights
+        grow = idx[-1] - len(weights)
+        if grow > 0:
+            values.extend([None] * grow)
+            weights.extend([None] * grow)
+        known = _gather(weights, idx)
+        holes = known.count(None)
+        if not holes:
+            return _gather(values, idx), known, None
+        if holes == len(known):
+            missing = idx  # keeps a range a range for the parents
+        else:
+            missing = [i for i, w in zip(idx, known) if w is None]
+        new_values, new_weights, err = self._compute(missing)
+        done = missing[: len(new_weights)]
+        if type(done) is range:
+            cells = slice(done.start - 1, done.stop - 1, done.step)
+            values[cells] = new_values
+            weights[cells] = new_weights
+        else:
+            for i, v, w in zip(done, new_values, new_weights):
+                values[i - 1] = v
+                weights[i - 1] = w
+        if missing is idx:
+            return new_values, new_weights, err
+        if err is not None:
+            # memo hits cannot fail: the block ends at the first failed index
+            idx = idx[: idx.index(missing[len(done)])]
+        return _gather(values, idx), _gather(weights, idx), err
 
-    def _compute(self, i: int) -> tuple:
+    def _compute(self, idx) -> Block:
         raise NotImplementedError
 
 
@@ -67,8 +117,9 @@ class ExternCore(StreamCore):
         super().__init__()
         self.stream = stream
 
-    def entry(self, i: int) -> tuple:  # extern memoizes internally
-        return self.stream.entry(i)
+    def entries(self, idx) -> Block:  # extern memoizes internally
+        values = _gather(self.stream.column(idx[-1]), idx)
+        return values, [WEIGHT_ONE] * len(values), None
 
 
 class PrngCore(StreamCore):
@@ -79,10 +130,18 @@ class PrngCore(StreamCore):
         self.apply_fn = apply_fn
         self.values = [seed_value]
 
-    def entry(self, i: int) -> tuple:
-        while len(self.values) < i:
-            self.values.append(self.apply_fn(self.values[-1]))
-        return self.values[i - 1], WEIGHT_ONE
+    def entries(self, idx) -> Block:
+        values, err = self.values, None
+        if idx[-1] > len(values):
+            step = self.apply_fn
+            try:
+                for _ in range(idx[-1] - len(values)):
+                    values.append(step(values[-1]))
+            except EvalError as e:
+                err = e
+                idx = [i for i in idx if i <= len(values)]
+        out = _gather(values, idx)
+        return out, [WEIGHT_ONE] * len(out), err
 
 
 class MapCore(StreamCore):
@@ -91,9 +150,16 @@ class MapCore(StreamCore):
         self.apply_fn = apply_fn
         self.parent = parent
 
-    def _compute(self, i: int) -> tuple:
-        v, w = self.parent.entry(i)
-        return self.apply_fn(v), w
+    def _compute(self, idx) -> Block:
+        values, weights, err = self.parent.entries(idx)
+        fn = self.apply_fn
+        out: list = []
+        try:
+            for v in values:
+                out.append(fn(v))
+        except EvalError as e:
+            return out, weights[: len(out)], e
+        return out, weights, err
 
 
 class ReweightCore(StreamCore):
@@ -102,12 +168,19 @@ class ReweightCore(StreamCore):
         self.apply_fn = apply_fn
         self.parent = parent
 
-    def _compute(self, i: int) -> tuple:
-        v, w = self.parent.entry(i)
-        factor = self.apply_fn(v)
-        if factor < 0:
-            raise EvalError(f"negative weight {factor} from reweight")
-        return v, factor * w
+    def _compute(self, idx) -> Block:
+        values, weights, err = self.parent.entries(idx)
+        fn = self.apply_fn
+        out: list = []
+        try:
+            for v, w in zip(values, weights):
+                factor = fn(v)
+                if factor < 0:
+                    raise EvalError(f"negative weight {factor} from reweight")
+                out.append(factor * w)
+        except EvalError as e:
+            return values[: len(out)], out, e
+        return values, out, err
 
 
 class ProdCore(StreamCore):
@@ -116,10 +189,13 @@ class ProdCore(StreamCore):
         self.left = left
         self.right = right
 
-    def _compute(self, i: int) -> tuple:
-        lv, lw = self.left.entry(i)
-        rv, rw = self.right.entry(i)
-        return (lv, rv), lw * rw
+    def _compute(self, idx) -> Block:
+        lvalues, lweights, lerr = self.left.entries(idx)
+        # the right side is evaluated only where the left one succeeded
+        rvalues, rweights, rerr = self.right.entries(idx[: len(lvalues)])
+        values = list(zip(lvalues, rvalues))
+        weights = [lw * rw for lw, rw in zip(lweights, rweights)]
+        return values, weights, lerr if rerr is None else rerr
 
 
 @dataclass(frozen=True)
@@ -130,10 +206,22 @@ class RStream:
     a: int = 1
     b: int = 0
 
+    def entries(self, idx) -> Block:
+        """The block at the view indices idx (a range or an increasing list)."""
+        if not idx:
+            return [], [], None
+        a, b = self.a, self.b
+        if type(idx) is range:
+            return self.core.entries(range(a * idx.start + b, a * idx.stop + b, a * idx.step))
+        return self.core.entries([a * i + b for i in idx])
+
     def entry(self, i: int) -> tuple:
         if i < 1:
             raise EvalError(f"stream index {i} out of range (1-based)")
-        return self.core.entry(self.a * i + self.b)
+        values, weights, err = self.entries(range(i, i + 1))
+        if err is not None:
+            raise err
+        return values[0], weights[0]
 
     def tail(self) -> "RStream":
         return RStream(self.core, self.a, self.b + self.a)
@@ -142,7 +230,10 @@ class RStream:
         return RStream(self.core, self.a * k, self.b + self.a * (1 - k))
 
     def prefix(self, n: int) -> list[tuple]:
-        return [self.entry(i) for i in range(1, n + 1)]
+        values, weights, err = self.entries(range(1, n + 1))
+        if err is not None:
+            raise err
+        return list(zip(values, weights))
 
 
 class StreamEvaluator:
@@ -285,10 +376,16 @@ def eval_stream(term: Term, externs: Externs):
     return StreamEvaluator(externs).eval(term)
 
 
+#: values that embed no stream, left as they are without a call
+_SCALARS = (float, int, bool)
+
+
 def truncate(value, n: int):
     """Replace every embedded stream by its length-n weighted list."""
     if isinstance(value, RStream):
-        return WeightedList([(truncate(v, n), w) for v, w in value.prefix(n)])
+        return WeightedList([
+            (v if type(v) in _SCALARS else truncate(v, n), w) for v, w in value.prefix(n)
+        ])
     if isinstance(value, WeightedList):
         return WeightedList([(truncate(v, n), w) for v, w in value.entries])
     if isinstance(value, tuple):

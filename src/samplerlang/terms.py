@@ -414,10 +414,15 @@ def free_vars(t: Term) -> frozenset[str]:
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
-    candidate = base + "'"
-    while candidate in avoid:
-        candidate += "'"
-    return candidate
+    """The first of stem_1, stem_2, ... not in avoid, where stem is base
+    without a `_<digits>` suffix; these are identifiers the parser reads."""
+    stem, _, suffix = base.rpartition("_")
+    if not (stem and suffix.isdigit()):
+        stem = base
+    k = 1
+    while f"{stem}_{k}" in avoid:
+        k += 1
+    return f"{stem}_{k}"
 
 
 def rename_bound(t: Term, old: str, new: str) -> Term:

@@ -9,7 +9,7 @@ from samplerlang.interpreter import Interpreter
 from samplerlang.parser import parse_program, parse_term
 from samplerlang.runtime import WeightedList, value_equal
 from samplerlang.quadrature import term_fn
-from samplerlang.streams import truncate
+from samplerlang.streams import StreamEvaluator, truncate
 from samplerlang.terms import (
     COMPARISONS,
     App,
@@ -17,13 +17,14 @@ from samplerlang.terms import (
     Case,
     Const,
     Fst,
+    Hd,
     Inj,
     Lam,
     Let,
     Pair,
     Var,
+    Wt,
     ite,
-    self_product,
 )
 from samplerlang.typecheck import check_program
 
@@ -87,8 +88,6 @@ def test_box_muller_formula():
     # matches sqrt(-2*log(u1)) * cos(2*pi*u2)
     box = parse_term("fun u : R+ * R+ => sqrt(-2*log(fst(u))) * cos(2*pi*snd(u))")
     it = Interpreter(parse_program("prng(fun x : R => x, 0)"))
-    from samplerlang.streams import StreamEvaluator
-
     ev = StreamEvaluator(it.externs)
     clo = ev.eval(box, {})
     got = ev.apply(clo, (0.5, 0.25))
@@ -253,12 +252,124 @@ def test_tl_shares_parent_memo():
     tail = stream.tail()
     assert tail.core is stream.core
     assert tail.entry(1) == stream.entry(2)
-    k = self_product(Var("s"), 4)
-    # entry computation through the shared core stays linear: prefix of 100
-    # on the 4-fold product demands 403 underlying entries, not 4*400
+    # s^4 is thin(4, s <*> tl(s) <*> tl(tl(s)) <*> tl(tl(tl(s)))): entry 100
+    # reads s at 397..400, so a prefix of 100 demands the 400 entries of the
+    # shared core, the seed and 399 steps, not 4 * 400
     it2 = interp("let s = prng(fun x : R => x/2, 1) in s^4")
     prod_stream = it2.stream()
+    prng_core = prod_stream.core.left.core
+    step = prng_core.apply_fn
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return step(v)
+
+    prng_core.apply_fn = counted
     prod_stream.prefix(100)
+    assert len(calls) == 399
+
+
+# -- block pulls --------------------------------------------------------------
+
+_F = "fun x : R+ => x * 3"
+_COMPOSITIONS = [
+    f"thin(3, tl(map({_F}, rand)))",
+    "let s = map(fun x : R+ => x + 1, rand) in s <*> tl(s)",
+    f"let s = map({_F}, rand) in thin(2, tl(s)) <*> thin(3, s)",
+    "let s = reweight(fun x : R+ => x, rand) in map(fun p : R+ * R+ => fst(p), s <*> thin(2, s))",
+    "thin(2, tl(thin(3, rand)))",
+    "let t = prng(fun x : R => x/2, 1) in tl(t) <*> thin(2, t)",
+]
+
+
+def _same_entries(got, want):
+    return len(got) == len(want) and all(value_equal(g, w) for g, w in zip(got, want))
+
+
+def _programs(corpus):
+    yield from ((name, item.program) for name, item in corpus.items())
+    yield from ((body, parse_program(_RAND + body)) for body in _COMPOSITIONS)
+
+
+def test_prefix_equals_entrywise(corpus):
+    n = 40
+    for name, program in _programs(corpus):
+        block = Interpreter(program).stream().prefix(n)
+        single = Interpreter(program).stream()
+        assert _same_entries(block, [single.entry(i) for i in range(1, n + 1)]), name
+        # entries read out of order first leave holes in the memos that a
+        # later prefix fills
+        mixed = Interpreter(program).stream()
+        scattered = [mixed.entry(i) for i in (17, 3, 30, 4, 5, 29)]
+        assert _same_entries(scattered, [block[i - 1] for i in (17, 3, 30, 4, 5, 29)]), name
+        assert _same_entries(mixed.prefix(n), block), name
+        assert _same_entries(mixed.prefix(n + 7), Interpreter(program).stream().prefix(n + 7)), name
+
+
+def test_hd_wt_after_prefix():
+    src = _RAND + "reweight(fun x : R+ => x + 1, map(fun x : R+ => x * x, rand))"
+    it = interp(src)
+    stream = it.stream()
+    entries = stream.prefix(10)
+    ev = StreamEvaluator(it.externs)
+    env = {"s": stream}
+    for k in range(4):
+        view = parse_term("tl(" * k + "s" + ")" * k, {"s"})
+        assert ev.eval(Hd(view), env) == entries[k][0]
+        assert ev.eval(Wt(view), env) == entries[k][1]
+    assert ev.eval(Hd(parse_term("thin(3, tl(s))", {"s"})), env) == entries[1][0]
+
+
+def _errors(src, n):
+    """The errors of a prefix and of entry-wise reads, from fresh interpreters."""
+    with pytest.raises(EvalError) as block:
+        interp(src).stream().prefix(n)
+    stream = interp(src).stream()
+    with pytest.raises(EvalError) as single:
+        for i in range(1, n + 1):
+            stream.entry(i)
+    assert str(block.value) == str(single.value)
+    assert block.value.pos == single.value.pos
+    return block.value
+
+
+_HALVING = "prng(fun x : R => x/2, 1)"  # 1, 0.5, 0.25, 0.125, ...
+
+
+@pytest.mark.parametrize(
+    "body, failing",
+    [
+        # the outer map fails at index 2, the inner reweight at index 4
+        ("map(fun x : R => log(x - 0.5), reweight(fun x : R => sqrt(x - 0.2), H))",
+         "log(x - 0.5)"),
+        # the outer map fails at index 4, the inner reweight at index 3
+        ("map(fun x : R => log(x - 0.2), reweight(fun x : R => sqrt(x - 0.3), H))",
+         "sqrt(x - 0.3)"),
+        # both factors of a product fail at index 3: the left one is raised
+        ("map(fun x : R => log(x - 0.25), H) <*> map(fun x : R => log(x - 0.25), H)",
+         "log(x - 0.25)"),
+        # the right factor fails first, at index 2 against the left's 4
+        ("map(fun x : R => log(x - 0.125), H) <*> map(fun x : R => sqrt(x - 0.3), tl(H))",
+         "sqrt(x - 0.3)"),
+        # the step function fails computing entry 4 (2, log 2, log log 2, ...)
+        ("thin(2, prng(fun x : R => log(x), 2))", "log(x)"),
+        ("prng(fun x : R => log(x), 2) <*> map(fun x : R => log(x - 0.25), H)",
+         "log(x - 0.25)"),
+    ],
+)
+def test_prefix_raises_the_lowest_index_error(body, failing):
+    src = body.replace("H", _HALVING)
+    err = _errors(src, 10)
+    assert err.pos == (1, src.index(failing) + 1)
+    assert err.message.startswith(("log of", "sqrt of")[failing.startswith("sqrt")])
+
+
+def test_negative_reweight_factor_raises():
+    src = "reweight(fun x : R => x - 0.3, " + _HALVING + ")"
+    assert len(interp(src).stream().prefix(2)) == 2
+    err = _errors(src, 3)
+    assert "negative weight" in err.message
 
 
 # -- adequacy (the cross-engine oracle, small n; acceptance runs the ladder) --

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -160,6 +161,39 @@ def test_family_members_carry_bounds():
     assert all(m.bound > 0 or m.name == "one" for m in fam)
     one_lip = fam.lipschitz_bounded(1.0, 1.0)
     assert all(m.lip <= 1.0 and m.bound <= 1.0 for m in one_lip)
+
+
+def _same_float(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        M.UniformM(0, 1),
+        M.TriangularM(0, 2),
+        M.GaussianM(0, 1),
+        M.ProductM(M.UniformM(0, 1), M.GaussianM(0, 1)),
+        M.PowerM(M.UniformM(-1, 2), 3),
+    ],
+)
+@pytest.mark.parametrize("slim", [False, True])
+def test_family_scalar_form_matches_array_form(measure, slim):
+    rng = np.random.default_rng(3)
+    family = build_family(measure, slim=slim)
+    dims = len(support_box(measure))
+    edges = [0.0, -0.0, 1.0, -1.0, 0.25, 2.0, math.inf, -math.inf, math.nan]
+    edges += [b for m in family for b in m.breakpoints]
+    coords = [[x] * dims for x in edges] + rng.uniform(-3, 3, (200, dims)).tolist()
+    with np.errstate(invalid="ignore"):
+        for member in family:
+            assert member.point_fn is not None, member.name
+            for xs in coords:
+                point = xs[0] if dims == 1 else tuple(xs)
+                want = float(member.on_cols([np.asarray([x]) for x in xs])[0])
+                assert _same_float(member(point), want), (member.name, xs)
 
 
 def test_support_boxes():

@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from samplerlang.corpus import load_corpus
+from samplerlang.interpreter import Interpreter
 from samplerlang.parser import ParseError, parse_measure, parse_program, parse_term
 from samplerlang.pretty import pretty, pretty_measure, pretty_type
+from samplerlang.rewrite import normalize
+from samplerlang.runtime import value_equal
 from samplerlang.terms import (
     Map,
     Prng,
@@ -13,6 +16,7 @@ from samplerlang.terms import (
     Tl,
     Var,
     alpha_equal,
+    fresh_name,
 )
 
 
@@ -81,6 +85,26 @@ def test_corpus_roundtrip():
         assert alpha_equal(reparsed, body), item.name
         # and a second trip is stable
         assert alpha_equal(parse_term(pretty(reparsed), samplerish), reparsed)
+
+
+def test_corpus_normal_forms_parse_back():
+    # fresh binders introduced by normalization must be surface syntax
+    for item in load_corpus():
+        samplerish = {e.name for e in item.program.externs}
+        normal, _ = normalize(item.program.body)
+        reparsed = parse_term(pretty(normal), samplerish)
+        assert alpha_equal(reparsed, normal), item.name
+        want = Interpreter(item.program).big_step(7)
+        assert value_equal(Interpreter(item.program).big_step(7, reparsed), want), item.name
+
+
+def test_fresh_names_are_identifiers():
+    assert fresh_name("x", {"x"}) == "x_1"
+    assert fresh_name("x", {"x", "x_1", "x_2"}) == "x_3"
+    assert fresh_name("x_1", {"x", "x_1"}) == "x_2"
+    assert fresh_name("y_", {"y_"}) == "y__1"
+    t = parse_term(f"fun {fresh_name('x', set())} : R => 1")
+    assert t.params[0][0] == "x_1"
 
 
 def test_pretty_product_right_associates_without_parens():
