@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .terms import (
-    BOOL,
     COMPARISONS,
     NAT,
     POSREAL,
-    PredInv,
     ProdT,
     REAL,
     SumT,
@@ -143,10 +141,6 @@ for _cmp in COMPARISONS:
     _register(_cmp, 1, None, "comparison", _CMP_FN[_cmp])
 
 
-def comparison_domain(cmp: str) -> SumT:
-    return SumT((PredInv(cmp, 0), PredInv(cmp, 1)))
-
-
 def signature(name: str) -> BuiltinSig:
     sig = _TABLE.get(name)
     if sig is None:
@@ -160,10 +154,6 @@ def is_builtin(name: str) -> bool:
 
 def is_comparison(name: str) -> bool:
     return name in COMPARISONS
-
-
-def comparison_result_type() -> Type:
-    return BOOL
 
 
 # What evaluating a builtin may raise; each is reported by `located_error`.
@@ -192,13 +182,6 @@ def apply_builtin(name: str, args: list, pos=None):
         return sig.fn(*args)
     except BUILTIN_ERRORS as err:
         raise located_error(err, name, pos) from None
-
-
-def declared_type(name: str) -> Optional[tuple[Type, Type]]:
-    """Fixed (dom, cod) for comparisons; arithmetic is promotion-typed instead."""
-    if is_comparison(name):
-        return comparison_domain(name), BOOL
-    return None
 
 
 def fits(actual: Type, expected: Type) -> bool:

@@ -50,14 +50,39 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _flatten_value(v, out):
-    if isinstance(v, tuple):
-        for x in v:
-            _flatten_value(x, out)
-    elif isinstance(v, bool):
-        out.append(1 if v else 0)
+def _csv_rows(values: list, weights: list):
+    """The CSV header and rows of a run: index, flattened value, weight.
+
+    Values are flattened with `value_columns`; booleans are written as 1/0
+    and every other field with repr.  Values of one shape are written column
+    by column; values of different shapes are flattened one by one, and the
+    header is as wide as the widest.
+    """
+    from .runtime import value_columns
+
+    cols = value_columns(values)
+    if cols is None:
+        flats = [[c[0] for c in value_columns([v])] for v in values]
+        width = max(map(len, flats))
+        fields = ([repr(int(x) if type(x) is bool else x) for x in flat] for flat in flats)
+        rows = [
+            ",".join([str(i), *fs, repr(w)])
+            for i, fs, w in zip(range(1, len(values) + 1), fields, weights)
+        ]
     else:
-        out.append(v)
+        width = len(cols)
+        cols = [
+            [int(x) if type(x) is bool else x for x in col] if bool in set(map(type, col)) else col
+            for col in cols
+        ]
+        columns = [map(str, range(1, len(values) + 1))]
+        columns += [map(repr, col) for col in cols]
+        columns.append(map(repr, weights))
+        rows = list(map(",".join, zip(*columns)))
+    header = ["index"] + [f"value_{j}" for j in range(width)] + ["weight"]
+    if width == 1:
+        header = ["index", "value", "weight"]
+    return ",".join(header), rows
 
 
 def cmd_run(args) -> int:
@@ -75,19 +100,9 @@ def cmd_run(args) -> int:
     if not isinstance(result, WeightedList):
         print(result)
         return 0
-    rows = []
-    for i, (v, w) in enumerate(result.entries, start=1):
-        flat: list = []
-        _flatten_value(v, flat)
-        rows.append((i, flat, w))
-    width = max(len(flat) for _, flat, _ in rows)
-    header = ["index"] + [f"value_{j}" for j in range(width)] + ["weight"]
-    if width == 1:
-        header = ["index", "value", "weight"]
-    lines = [",".join(header)]
-    for i, flat, w in rows:
-        lines.append(",".join([str(i)] + [repr(x) for x in flat] + [repr(w)]))
-    text = "\n".join(lines) + "\n"
+    entries = result.entries
+    header, rows = _csv_rows([e[0] for e in entries], [e[1] for e in entries])
+    text = "\n".join([header, *rows]) + "\n"
     if args.dump:
         Path(args.dump).write_text(text)
         print(f"wrote {len(rows)} samples to {args.dump}")
@@ -226,6 +241,13 @@ def cmd_examples(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="samplerlang",
@@ -245,7 +267,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="evaluate a program to weighted samples")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--engine", choices=("bigstep", "stream"), default="stream")
     p.add_argument("--seed", dest="seed")
     p.add_argument("--dump", metavar="OUT.csv")

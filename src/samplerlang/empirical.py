@@ -24,7 +24,7 @@ from .quadrature import (
     integrate,
     _value_key,
 )
-from .runtime import value_to_point
+from .runtime import value_columns, value_to_point
 from .streams import RStream
 from .terms import Term, self_product
 
@@ -40,9 +40,6 @@ class EmpiricalMeasure:
 
     def total_mass(self) -> float:
         return math.fsum(w for _, w in self.atoms)
-
-    def as_dict(self) -> dict:
-        return {_value_key(v): w for v, w in self.atoms}
 
     def integrate(self, g: Callable) -> float:
         return math.fsum(w * float(g(value_to_point(v))) for v, w in self.atoms)
@@ -77,39 +74,27 @@ def empirical_measure(stream, n: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(atoms, n)
 
 
-def _flatten_value(v, out: list) -> None:
-    p = value_to_point(v)
-    if isinstance(p, tuple):
-        _flat_rec(p, out)
-    else:
-        out.append(p)
-
-
-def _flat_rec(p, acc):
-    if isinstance(p, tuple):
-        for x in p:
-            _flat_rec(x, acc)
-    else:
-        acc.append(p)
-
-
 def columns_of(entries: Sequence[tuple]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Coordinate arrays plus the weight array for a list of entries."""
+    """Coordinate arrays plus the weight array for a list of entries.
+
+    Booleans become 1.0/0.0, as in `value_to_point`.  Values of one shape
+    are converted column by column; values of different shapes, or with
+    leaves that are not numbers, entry by entry, with the first value's
+    coordinate count.
+    """
     if not entries:
         return [], np.empty(0)
-    first: list = []
-    _flatten_value(entries[0][0], first)
-    dims = len(first)
-    cols = [np.empty(len(entries)) for _ in range(dims)]
-    weights = np.empty(len(entries))
-    scratch: list = []
-    for i, (v, w) in enumerate(entries):
-        scratch.clear()
-        _flatten_value(v, scratch)
-        for j in range(dims):
-            cols[j][i] = scratch[j]
-        weights[i] = w
-    return cols, weights
+    values = [e[0] for e in entries]
+    weights = np.array([e[1] for e in entries], dtype=float)
+    cols = value_columns(values)
+    if cols is not None:
+        try:
+            return [np.array(col, dtype=float) for col in cols], weights
+        except TypeError:
+            pass  # value_to_point below raises the error that names the value
+    flats = [[c[0] for c in value_columns([value_to_point(v)])] for v in values]
+    dims = len(flats[0])
+    return [np.array([flat[j] for flat in flats]) for j in range(dims)], weights
 
 
 @dataclass
@@ -166,8 +151,11 @@ def weak_convergence_test(
         tol_schedule = lambda n: max(5e-3, 3.0 / math.sqrt(n))
 
     expected = {}
+    normalizers: dict = {}
     for member in family:
-        expected[member.name] = integrate(target, member, settings, member.breakpoints)
+        expected[member.name] = integrate(
+            target, member, settings, member.breakpoints, normalizers
+        )
 
     try:
         entries = _entries(stream, ladder[-1])

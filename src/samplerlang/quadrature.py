@@ -358,31 +358,35 @@ def integrate(
     g: Callable,
     settings: QuadSettings = DEFAULT_SETTINGS,
     g_breakpoints: Sequence[float] = (),
+    normalizers: Optional[dict] = None,
 ) -> float:
     """The pairing of the measure with a test function on points.
 
     `g` takes a point (float or nested pair of floats).  Booleans integrate
-    as 1.0/0.0.
+    as 1.0/0.0.  Callers that integrate one measure against many functions
+    pass the same `normalizers` dict (empty at first) to each call, so that
+    each reweight normalizer is integrated once.
     """
     disc = reduce_discrete(m)
     if disc is not None:
         return math.fsum(mass * float(g(value_to_point(v))) for v, mass in disc.atoms)
-    return _cont(m, [], g, settings, g_breakpoints)
+    return _cont(m, [], g, settings, g_breakpoints, normalizers)
 
 
-def _cont(m, transforms: list, g, settings, g_breakpoints=()) -> float:
+def _cont(m, transforms: list, g, settings, g_breakpoints=(), normalizers=None) -> float:
     """Continuous integration with the pushforward stack kept symbolic."""
     match m:
         case M.PushforwardM(fn, base):
-            return _cont(base, [fn] + transforms, g, settings)
+            return _cont(base, [fn] + transforms, g, settings, normalizers=normalizers)
         case M.ReweightM(fn, base):
             f = term_fn(fn)
-            denom = integrate(base, lambda p, _f=f: float(_f(p)), settings)
+            denom = _normalizer(fn, base, f, settings, normalizers)
             if not (denom > 0.0 and math.isfinite(denom)):
                 raise SideConditionError(denom)
             gs = _compose_scalar(transforms, g)
             num = integrate(
-                base, lambda p, _f=f, _g=gs: float(_f(p)) * float(_g(p)), settings
+                base, lambda p, _f=f, _g=gs: float(_f(p)) * float(_g(p)), settings,
+                normalizers=normalizers,
             )
             return num / denom
         case _:
@@ -392,10 +396,26 @@ def _cont(m, transforms: list, g, settings, g_breakpoints=()) -> float:
     if dim > 3:
         raise UnsupportedDimension(f"continuous dimension {dim} exceeds 3")
     if dim == 3:
-        return _integrate_grid(m, transforms, g, settings)
+        return _integrate_grid(m, transforms, g, settings, normalizers)
     gs = _compose_scalar(transforms, g)
     breaks = g_breakpoints if not transforms else ()
-    return _integrate_iterated(m, gs, settings, breaks)
+    return _integrate_iterated(m, gs, settings, breaks, normalizers)
+
+
+def _normalizer(fn: Term, base: M.MeasureExpr, f: Callable, settings, normalizers) -> float:
+    """The integral of the reweight function f (the term fn) over base,
+    looked up in and added to `normalizers` unless that is None.
+
+    The key is the identities of fn, base and settings; the entry keeps those
+    objects alive, so that no other object can take their ids.
+    """
+    key = (id(fn), id(base), id(settings))
+    if normalizers is not None and key in normalizers:
+        return normalizers[key][0]
+    denom = integrate(base, lambda p: float(f(p)), settings, normalizers=normalizers)
+    if normalizers is not None:
+        normalizers[key] = (denom, fn, base, settings)
+    return denom
 
 
 def _compose_scalar(transforms: list, g) -> Callable:
@@ -412,7 +432,7 @@ def _compose_scalar(transforms: list, g) -> Callable:
     return run
 
 
-def _integrate_iterated(m, g, settings, g_breakpoints=()) -> float:
+def _integrate_iterated(m, g, settings, g_breakpoints=(), normalizers=None) -> float:
     density = _density_of(m, settings)
     if density is not None:
         points = [p for p in (*density.breakpoints, *g_breakpoints) if density.lo < p < density.hi]
@@ -431,26 +451,27 @@ def _integrate_iterated(m, g, settings, g_breakpoints=()) -> float:
             return _integrate_iterated(
                 left,
                 lambda x: _integrate_iterated(
-                    right, lambda y: g((x, y)), settings
+                    right, lambda y: g((x, y)), settings, normalizers=normalizers
                 ),
                 settings,
+                normalizers=normalizers,
             )
         case M.PowerM():
-            return _integrate_iterated(M.expand_power(m), g, settings)
+            return _integrate_iterated(M.expand_power(m), g, settings, normalizers=normalizers)
         case M.Dirac() | M.Bernoulli() | M.FiniteDiscrete():
             disc = reduce_discrete(m)
             return math.fsum(mass * float(g(value_to_point(v))) for v, mass in disc.atoms)
         case M.PushforwardM(fn, base):
             f = term_fn(fn)
             return _integrate_iterated(
-                base, lambda p: g(value_to_point(f(p))), settings
+                base, lambda p: g(value_to_point(f(p))), settings, normalizers=normalizers
             )
         case M.ReweightM():
-            return integrate(m, g, settings)
+            return integrate(m, g, settings, normalizers=normalizers)
     raise IntegrationError(f"cannot integrate {m!r}")
 
 
-def _integrate_grid(m, transforms, g, settings) -> float:
+def _integrate_grid(m, transforms, g, settings, normalizers=None) -> float:
     """Tensor Gauss-Legendre over exactly three continuous dimensions."""
     factors = _factors(m)
     densities = []
@@ -458,7 +479,9 @@ def _integrate_grid(m, transforms, g, settings) -> float:
         d = _density_of(f, settings)
         if d is None:
             # a discrete factor inside the product: fall back to iterated
-            return _integrate_iterated(m, _compose_scalar(transforms, g), settings)
+            return _integrate_iterated(
+                m, _compose_scalar(transforms, g), settings, normalizers=normalizers
+            )
         densities.append(d)
 
     vec_transforms = [vector_term_fn(f) for f in transforms]
@@ -805,9 +828,10 @@ def measure_equal(
         family = build_family(nu if db is not None or da is None else mu)
     details = []
     worst = 0.0
+    normalizers: dict = {}
     for member in family:
-        va = integrate(mu, member, settings, member.breakpoints)
-        vb = integrate(nu, member, settings, member.breakpoints)
+        va = integrate(mu, member, settings, member.breakpoints, normalizers)
+        vb = integrate(nu, member, settings, member.breakpoints, normalizers)
         d = abs(va - vb)
         details.append((member.name, d))
         worst = max(worst, d)

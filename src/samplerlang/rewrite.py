@@ -102,10 +102,6 @@ def ptwise_same(g: Term, f: Term) -> Lam:
     return Lam(((x, None),), Builtin("times", (App(f, Var(x)), App(g, Var(x)))))
 
 
-def _is_id(t: Term) -> bool:
-    return alpha_equal(t, id_fn())
-
-
 def _match_cart(t: Term) -> Optional[tuple[Term, Term]]:
     match t:
         case Lam(((p, _),), Pair(App(f, Fst(Var(p1))), App(g, Snd(Var(p2))))) if (
@@ -131,9 +127,13 @@ def _match_ptwise_pair(t: Term) -> Optional[tuple[Term, Term]]:
 
 @dataclass(frozen=True)
 class Rule:
+    """A rule's orientations; each matches only terms of its head class."""
+
     name: str
     fwd: Callable[[Term], Optional[Term]]
     bwd: Optional[Callable[[Term], Optional[Term]]]
+    fwd_head: type
+    bwd_head: Optional[type] = None
     note: str = ""
 
 
@@ -206,24 +206,21 @@ def _snd_pair_fwd(t: Term) -> Optional[Term]:
     return None
 
 
-def _mk(name, fwd, bwd=None, note=""):
-    return Rule(name, fwd, bwd, note)
-
-
-def _simple(pattern_fwd, pattern_bwd):
-    return pattern_fwd, pattern_bwd
+def _mk(name, fwd, bwd=(None, None), note=""):
+    """A rule from (head class, function) pairs, one per orientation."""
+    return Rule(name, fwd[1], bwd[1], fwd[0], bwd[0], note)
 
 
 def _rules() -> dict[str, Rule]:
     rules: list[Rule] = []
 
-    rules.append(_mk("beta", _beta_fwd, None))
-    rules.append(_mk("eta", _eta_fwd, None))
-    rules.append(_mk("let", _let_fwd, _let_bwd))
-    rules.append(_mk("ite_true", _ite_true_fwd, None))
-    rules.append(_mk("ite_false", _ite_false_fwd, None))
-    rules.append(_mk("fst_pair", _fst_pair_fwd, None))
-    rules.append(_mk("snd_pair", _snd_pair_fwd, None))
+    rules.append(_mk("beta", (App, _beta_fwd)))
+    rules.append(_mk("eta", (Lam, _eta_fwd)))
+    rules.append(_mk("let", (Let, _let_fwd), (App, _let_bwd)))
+    rules.append(_mk("ite_true", (Case, _ite_true_fwd)))
+    rules.append(_mk("ite_false", (Case, _ite_false_fwd)))
+    rules.append(_mk("fst_pair", (Fst, _fst_pair_fwd)))
+    rules.append(_mk("snd_pair", (Snd, _snd_pair_fwd)))
 
     # head/weight/tail of each constructor
     def hd_map_f(t):
@@ -238,7 +235,7 @@ def _rules() -> dict[str, Rule]:
                 return Hd(Map(f, s))
         return None
 
-    rules.append(_mk("hd_map", hd_map_f, hd_map_b))
+    rules.append(_mk("hd_map", (Hd, hd_map_f), (App, hd_map_b)))
 
     def wt_map_f(t):
         match t:
@@ -246,7 +243,7 @@ def _rules() -> dict[str, Rule]:
                 return Wt(s)
         return None
 
-    rules.append(_mk("wt_map", wt_map_f, None))
+    rules.append(_mk("wt_map", (Wt, wt_map_f)))
 
     def tl_map_f(t):
         match t:
@@ -260,7 +257,7 @@ def _rules() -> dict[str, Rule]:
                 return Tl(Map(f, s))
         return None
 
-    rules.append(_mk("tl_map", tl_map_f, tl_map_b))
+    rules.append(_mk("tl_map", (Tl, tl_map_f), (Map, tl_map_b)))
 
     def hd_prod_f(t):
         match t:
@@ -274,7 +271,7 @@ def _rules() -> dict[str, Rule]:
                 return Hd(Prod(s, u))
         return None
 
-    rules.append(_mk("hd_prod", hd_prod_f, hd_prod_b))
+    rules.append(_mk("hd_prod", (Hd, hd_prod_f), (Pair, hd_prod_b)))
 
     def wt_prod_f(t):
         match t:
@@ -288,7 +285,7 @@ def _rules() -> dict[str, Rule]:
                 return Wt(Prod(s, u))
         return None
 
-    rules.append(_mk("wt_prod", wt_prod_f, wt_prod_b))
+    rules.append(_mk("wt_prod", (Wt, wt_prod_f), (Builtin, wt_prod_b)))
 
     def tl_prod_f(t):
         match t:
@@ -302,7 +299,7 @@ def _rules() -> dict[str, Rule]:
                 return Tl(Prod(s, u))
         return None
 
-    rules.append(_mk("tl_prod", tl_prod_f, tl_prod_b))
+    rules.append(_mk("tl_prod", (Tl, tl_prod_f), (Prod, tl_prod_b)))
 
     def hd_thin_f(t):
         match t:
@@ -310,7 +307,7 @@ def _rules() -> dict[str, Rule]:
                 return Hd(s)
         return None
 
-    rules.append(_mk("hd_thin", hd_thin_f, None))
+    rules.append(_mk("hd_thin", (Hd, hd_thin_f)))
 
     def wt_thin_f(t):
         match t:
@@ -318,7 +315,7 @@ def _rules() -> dict[str, Rule]:
                 return Wt(s)
         return None
 
-    rules.append(_mk("wt_thin", wt_thin_f, None))
+    rules.append(_mk("wt_thin", (Wt, wt_thin_f)))
 
     def tl_thin_f(t):
         match t:
@@ -340,7 +337,7 @@ def _rules() -> dict[str, Rule]:
                 return Tl(Thin(n, inner))
         return None
 
-    rules.append(_mk("tl_thin", tl_thin_f, tl_thin_b))
+    rules.append(_mk("tl_thin", (Tl, tl_thin_f), (Thin, tl_thin_b)))
 
     def thin_one_f(t):
         match t:
@@ -350,7 +347,7 @@ def _rules() -> dict[str, Rule]:
 
     # no backward orientation: wrapping arbitrary terms in thin(1, .) would
     # make every position a redex during search
-    rules.append(_mk("thin_one", thin_one_f, None))
+    rules.append(_mk("thin_one", (Thin, thin_one_f)))
 
     def hd_prng_f(t):
         match t:
@@ -358,7 +355,7 @@ def _rules() -> dict[str, Rule]:
                 return seed
         return None
 
-    rules.append(_mk("hd_prng", hd_prng_f, None))
+    rules.append(_mk("hd_prng", (Hd, hd_prng_f)))
 
     def wt_prng_f(t):
         match t:
@@ -366,7 +363,7 @@ def _rules() -> dict[str, Rule]:
                 return Const(1.0)  # weights are doubles
         return None
 
-    rules.append(_mk("wt_prng", wt_prng_f, None))
+    rules.append(_mk("wt_prng", (Wt, wt_prng_f)))
 
     def tl_prng_f(t):
         match t:
@@ -380,7 +377,7 @@ def _rules() -> dict[str, Rule]:
                 return Tl(Prng(s, seed))
         return None
 
-    rules.append(_mk("tl_prng", tl_prng_f, tl_prng_b))
+    rules.append(_mk("tl_prng", (Tl, tl_prng_f), (Prng, tl_prng_b)))
 
     def hd_reweight_f(t):
         match t:
@@ -388,7 +385,7 @@ def _rules() -> dict[str, Rule]:
                 return Hd(s)
         return None
 
-    rules.append(_mk("hd_reweight", hd_reweight_f, None))
+    rules.append(_mk("hd_reweight", (Hd, hd_reweight_f)))
 
     def wt_reweight_f(t):
         match t:
@@ -396,7 +393,7 @@ def _rules() -> dict[str, Rule]:
                 return Builtin("times", (App(f, Hd(s)), Wt(s)))
         return None
 
-    rules.append(_mk("wt_reweight", wt_reweight_f, None))
+    rules.append(_mk("wt_reweight", (Wt, wt_reweight_f)))
 
     def tl_reweight_f(t):
         match t:
@@ -410,7 +407,7 @@ def _rules() -> dict[str, Rule]:
                 return Tl(Reweight(f, s))
         return None
 
-    rules.append(_mk("tl_reweight", tl_reweight_f, tl_reweight_b))
+    rules.append(_mk("tl_reweight", (Tl, tl_reweight_f), (Reweight, tl_reweight_b)))
 
     # composition rules
     def thin_thin_f(t):
@@ -419,7 +416,7 @@ def _rules() -> dict[str, Rule]:
                 return Thin(n * m, s)
         return None
 
-    rules.append(_mk("thin_thin", thin_thin_f, None))
+    rules.append(_mk("thin_thin", (Thin, thin_thin_f)))
 
     def map_map_f(t):
         match t:
@@ -435,7 +432,7 @@ def _rules() -> dict[str, Rule]:
                 return Map(g, Map(f, s))
         return None
 
-    rules.append(_mk("map_map", map_map_f, map_map_b))
+    rules.append(_mk("map_map", (Map, map_map_f), (Map, map_map_b)))
 
     def rw_rw_f(t):
         match t:
@@ -443,7 +440,7 @@ def _rules() -> dict[str, Rule]:
                 return Reweight(ptwise_same(g, f), s)
         return None
 
-    rules.append(_mk("reweight_reweight", rw_rw_f, None))
+    rules.append(_mk("reweight_reweight", (Reweight, rw_rw_f)))
 
     def thin_prng_f(t):
         match t:
@@ -451,7 +448,7 @@ def _rules() -> dict[str, Rule]:
                 return Prng(iterate_fn(s, n), seed)
         return None
 
-    rules.append(_mk("thin_prng", thin_prng_f, None))
+    rules.append(_mk("thin_prng", (Thin, thin_prng_f)))
 
     def thin_map_f(t):
         match t:
@@ -465,7 +462,7 @@ def _rules() -> dict[str, Rule]:
                 return Thin(n, Map(f, s))
         return None
 
-    rules.append(_mk("thin_map", thin_map_f, thin_map_b))
+    rules.append(_mk("thin_map", (Thin, thin_map_f), (Map, thin_map_b)))
 
     def thin_reweight_f(t):
         match t:
@@ -482,8 +479,8 @@ def _rules() -> dict[str, Rule]:
     rules.append(
         _mk(
             "thin_reweight",
-            thin_reweight_f,
-            thin_reweight_b,
+            (Thin, thin_reweight_f),
+            (Reweight, thin_reweight_b),
             note="companion of thin_map used by the reweight self-product lemma",
         )
     )
@@ -495,7 +492,7 @@ def _rules() -> dict[str, Rule]:
                 return Map(cart(id_fn(), g), Prod(s, u))
         return None
 
-    rules.append(_mk("prod_map_r", prod_map_r_f, None))
+    rules.append(_mk("prod_map_r", (Prod, prod_map_r_f)))
 
     def prod_map_l_f(t):
         match t:
@@ -503,7 +500,7 @@ def _rules() -> dict[str, Rule]:
                 return Map(cart(f, id_fn()), Prod(s, u))
         return None
 
-    rules.append(_mk("prod_map_l", prod_map_l_f, None))
+    rules.append(_mk("prod_map_l", (Prod, prod_map_l_f)))
 
     def prod_map_both_f(t):
         match t:
@@ -522,8 +519,8 @@ def _rules() -> dict[str, Rule]:
     rules.append(
         _mk(
             "prod_map_both",
-            prod_map_both_f,
-            prod_map_both_b,
+            (Prod, prod_map_both_f),
+            (Map, prod_map_both_b),
             note="derived: both-sided product/map exchange",
         )
     )
@@ -534,7 +531,7 @@ def _rules() -> dict[str, Rule]:
                 return Reweight(ptwise_pair(one_fn(), g), Prod(s, u))
         return None
 
-    rules.append(_mk("prod_reweight_r", prod_rw_r_f, None))
+    rules.append(_mk("prod_reweight_r", (Prod, prod_rw_r_f)))
 
     def prod_rw_l_f(t):
         match t:
@@ -542,7 +539,7 @@ def _rules() -> dict[str, Rule]:
                 return Reweight(ptwise_pair(f, one_fn()), Prod(s, u))
         return None
 
-    rules.append(_mk("prod_reweight_l", prod_rw_l_f, None))
+    rules.append(_mk("prod_reweight_l", (Prod, prod_rw_l_f)))
 
     def prod_rw_both_f(t):
         match t:
@@ -561,8 +558,8 @@ def _rules() -> dict[str, Rule]:
     rules.append(
         _mk(
             "prod_reweight_both",
-            prod_rw_both_f,
-            prod_rw_both_b,
+            (Prod, prod_rw_both_f),
+            (Reweight, prod_rw_both_b),
             note="derived: both-sided product/reweight exchange",
         )
     )
@@ -581,7 +578,7 @@ def _rules() -> dict[str, Rule]:
                     return Prod(Prng(pair[0], a), Prng(pair[1], b))
         return None
 
-    rules.append(_mk("prod_prng", prod_prng_f, prod_prng_b))
+    rules.append(_mk("prod_prng", (Prod, prod_prng_f), (Prng, prod_prng_b)))
 
     def prod_thin_f(t):
         match t:
@@ -595,12 +592,25 @@ def _rules() -> dict[str, Rule]:
                 return Prod(Thin(n, s), Thin(n, u))
         return None
 
-    rules.append(_mk("prod_thin", prod_thin_f, prod_thin_b))
+    rules.append(_mk("prod_thin", (Prod, prod_thin_f), (Thin, prod_thin_b)))
 
     return {r.name: r for r in rules}
 
 
 RULES: dict[str, Rule] = _rules()
+
+
+def _orientations_by_head() -> dict[type, list[tuple[str, bool, Callable]]]:
+    """For each head class, its orientations: RULES order, forward first."""
+    table: dict[type, list] = {}
+    for rule in RULES.values():
+        table.setdefault(rule.fwd_head, []).append((rule.name, True, rule.fwd))
+        if rule.bwd is not None:
+            table.setdefault(rule.bwd_head, []).append((rule.name, False, rule.bwd))
+    return table
+
+
+_BY_HEAD = _orientations_by_head()
 
 TABLE_RULES = [
     name
@@ -732,18 +742,38 @@ def _canon(t: Term) -> str:
     return "".join(out)
 
 
+def _subterm_sizes(term: Term) -> dict[int, int]:
+    """The size of every subterm of term, by id: valid while term is alive,
+    since no other live object has the id of one of its subterms."""
+    sizes: dict[int, int] = {}
+
+    def go(t: Term) -> int:
+        n = sizes[id(t)] = 1 + sum(go(kid) for kid in children(t))
+        return n
+
+    go(term)
+    return sizes
+
+
+def _size_with(t: Term, sizes: dict[int, int]) -> int:
+    """term_size(t), looking up the subterms whose sizes are known."""
+    n = sizes.get(id(t))
+    return n if n is not None else 1 + sum(_size_with(kid, sizes) for kid in children(t))
+
+
 def _neighbors(term: Term, size_cap: int):
+    """One-step rewrites within the size cap: positions x RULES order, each
+    rule forward before backward.  A rewrite's replacement mostly reuses
+    subterms of the redex, so its size is counted from the known sizes."""
+    sizes = _subterm_sizes(term)
+    size = sizes[id(term)]
     for path, sub in positions(term):
-        for rule in RULES.values():
-            for forward, fn in ((True, rule.fwd), (False, rule.bwd)):
-                if fn is None:
-                    continue
-                replacement = fn(sub)
-                if replacement is None:
-                    continue
-                out = replace_at(term, path, replacement)
-                if term_size(out) <= size_cap:
-                    yield Step(rule.name, path, forward), out
+        for name, forward, fn in _BY_HEAD.get(type(sub), ()):
+            replacement = fn(sub)
+            if replacement is None:
+                continue
+            if size - sizes[id(sub)] + _size_with(replacement, sizes) <= size_cap:
+                yield Step(name, path, forward), replace_at(term, path, replacement)
 
 
 def prove_equiv(s: Term, t: Term, depth: int = 8, size_factor: int = 4) -> Optional[EquivProof]:
@@ -751,10 +781,13 @@ def prove_equiv(s: Term, t: Term, depth: int = 8, size_factor: int = 4) -> Optio
     if alpha_equal(s, t):
         return EquivProof(s, t)
     size_cap = size_factor * max(term_size(s), term_size(t))
-    seen: dict[str, tuple[str, list[Step]]] = {}
+    # states are deduplicated modulo alpha but not binder annotations, which
+    # alpha_equal (and so replay) compares: the sides meet only where their
+    # terms are alpha-equal
+    seen: dict[str, tuple[str, list[Step], Term]] = {}
     frontier = deque([(s, [], "L", 0), (t, [], "R", 0)])
-    seen[_canon(s)] = ("L", [])
-    seen[_canon(t)] = ("R", [])
+    seen[_canon(s)] = ("L", [], s)
+    seen[_canon(t)] = ("R", [], t)
     while frontier:
         term, steps, side, d = frontier.popleft()
         if d >= depth:
@@ -762,13 +795,13 @@ def prove_equiv(s: Term, t: Term, depth: int = 8, size_factor: int = 4) -> Optio
         for step, nxt in _neighbors(term, size_cap):
             key = _canon(nxt)
             if key in seen:
-                other_side, other_steps = seen[key]
-                if other_side != side:
+                other_side, other_steps, other = seen[key]
+                if other_side != side and alpha_equal(nxt, other):
                     left = steps + [step] if side == "L" else other_steps
                     right = other_steps if side == "L" else steps + [step]
                     return EquivProof(s, t, list(left), list(right))
                 continue
-            seen[key] = (side, steps + [step])
+            seen[key] = (side, steps + [step], nxt)
             frontier.append((nxt, steps + [step], side, d + 1))
     return None
 
@@ -794,7 +827,8 @@ def _first_redex(term: Term, rule_names) -> Optional[Step]:
     best: Optional[Step] = None
     for path, sub in sorted(positions(term), key=lambda pair: pair[0]):
         for name in rule_names:
-            if RULES[name].fwd(sub) is not None:
+            rule = RULES[name]
+            if type(sub) is rule.fwd_head and rule.fwd(sub) is not None:
                 return Step(name, path, True)
     return best
 

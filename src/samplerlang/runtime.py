@@ -131,6 +131,33 @@ def value_to_point(v):
     raise EvalError(f"value {v!r} has no point representation")
 
 
+def value_columns(values: list) -> Optional[list[list]]:
+    """Split non-empty, uniformly shaped values into one list per leaf.
+
+    Tuples split componentwise and injections into their payloads, as in
+    `value_to_point`; anything else is a leaf, kept as it is.  Returns None
+    when the values do not all have the first one's shape; one value alone
+    always has it, so `value_columns([v])` lists v's leaves.
+    """
+    kinds = set(map(type, values))
+    if kinds == {tuple}:
+        width = len(values[0])
+        if set(map(len, values)) != {width}:
+            return None
+        cols: list[list] = []
+        for i in range(width):
+            sub = value_columns([v[i] for v in values])
+            if sub is None:
+                return None
+            cols += sub
+        return cols
+    if kinds == {VInj}:
+        return value_columns([v.value for v in values])
+    if tuple in kinds or VInj in kinds:
+        return None
+    return [values]
+
+
 def value_to_term(v) -> Term:
     if isinstance(v, (bool, int, float)):
         return Const(v)

@@ -628,15 +628,6 @@ def pullback_member(t_term: Term, over: Type, carrier: Type, member: Type, index
     return PullbackT(witness, t_term, over, carrier, member)
 
 
-def restriction_sum(t_term: Term, over: Type, carrier: Type, members: tuple[Type, ...]) -> SumT:
-    """The collapsed context type sum_i t^-1(member_i)."""
-    return SumT(
-        tuple(
-            pullback_member(t_term, over, carrier, m, i) for i, m in enumerate(members)
-        )
-    )
-
-
 def intersect_sums(a: SumT, b: SumT) -> SumT:
     """Refine two restriction sums into the sum of pairwise intersections."""
     return SumT(

@@ -1,8 +1,12 @@
 import json
 import pytest
 
-from samplerlang.cli import main
-from samplerlang.corpus import corpus_dir
+from samplerlang.cli import _csv_rows, main
+from samplerlang.config import Config
+from samplerlang.corpus import corpus_dir, load_corpus
+from samplerlang.interpreter import Interpreter
+from samplerlang.runtime import VInj
+from samplerlang.streams import truncate
 
 
 C = corpus_dir()
@@ -178,3 +182,87 @@ def test_examples_report_byte_deterministic(tmp_path):
     assert report.read_bytes() == first
     data = json.loads(first)
     assert data["passed"] == data["total"] == 8
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_run_rejects_sample_counts_below_one(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(C / "importance.smpl"), "--samples", count])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The CSV of `run`, against the entry-by-entry writer it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_flatten(v, out):
+    if isinstance(v, tuple):
+        for x in v:
+            _oracle_flatten(x, out)
+    elif isinstance(v, VInj):
+        # the entry-wise writer wrote the injection's repr, whose comma
+        # split the field; the columns carry the payload, as value_to_point
+        _oracle_flatten(v.value, out)
+    elif isinstance(v, bool):
+        out.append(1 if v else 0)
+    else:
+        out.append(v)
+
+
+def _oracle_csv(entries) -> str:
+    rows = []
+    for i, (v, w) in enumerate(entries, start=1):
+        flat: list = []
+        _oracle_flatten(v, flat)
+        rows.append((i, flat, w))
+    width = max(len(flat) for _, flat, _ in rows)
+    header = ["index"] + [f"value_{j}" for j in range(width)] + ["weight"]
+    if width == 1:
+        header = ["index", "value", "weight"]
+    lines = [",".join(header)]
+    for i, flat, w in rows:
+        lines.append(",".join([str(i)] + [repr(x) for x in flat] + [repr(w)]))
+    return "\n".join(lines) + "\n"
+
+
+def _csv(entries) -> str:
+    header, rows = _csv_rows([v for v, _ in entries], [w for _, w in entries])
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("engine,n", [("stream", 300), ("bigstep", 12)])
+def test_run_csv_matches_entrywise_writer_on_corpus(engine, n, tmp_path):
+    for item in load_corpus():
+        it = Interpreter(item.program, Config.load(None, {"seed": 3}))
+        result = it.big_step(n) if engine == "bigstep" else truncate(it.stream(), n)
+        out = tmp_path / f"{item.name}.csv"
+        argv = ["run", str(C / f"{item.name}.smpl"), "--samples", str(n),
+                "--engine", engine, "--seed", "3", "--dump", str(out)]
+        assert main(argv) == 0
+        assert out.read_text() == _oracle_csv(result.entries), item.name
+
+
+_SPECIALS = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-310, 0.1]
+
+SYNTHETIC = {
+    "float": [(x, 1.0) for x in _SPECIALS],
+    "int": [(i, 0.5) for i in (0, -1, 7, 2**60)],
+    "bool": [(b, 1.0) for b in (True, False, True)],
+    "nested pair": [((i, (float(i) / 3, i % 2 == 0)), 2.0) for i in range(5)],
+    "pairs of specials": [((x, y), w) for x, y, w in zip(_SPECIALS, reversed(_SPECIALS), _SPECIALS)],
+    "injections": [(VInj(i % 2, (float(i), i)), 1.0) for i in range(4)],
+    "injected bools and floats": [(VInj(0, True), 1.0), (VInj(1, 2.5), 1.0)],
+    "unit": [((), 1.0), ((), 0.0)],
+    "mixed widths": [(VInj(0, 1.0), 1.0), (VInj(1, (2.0, 3.0)), 1.0), (4.0, 0.5)],
+    "mixed nesting": [((1.0, 2.0), 1.0), ((1.0, (2.0, 3.0)), 1.0)],
+    "mixed unit": [((), 1.0), (True, 1.0)],
+    "unit and pairs": [((), 1.0), ((1.0, 2.0), 1.0)],
+}
+
+
+@pytest.mark.parametrize("name", list(SYNTHETIC))
+def test_run_csv_matches_entrywise_writer_on_synthetic_values(name):
+    entries = SYNTHETIC[name]
+    assert _csv(entries) == _oracle_csv(entries)

@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
 
 from samplerlang import measures as M
+from samplerlang import quadrature
+from samplerlang.builtins import EvalError
 from samplerlang.corpus import load_corpus
 from samplerlang.empirical import (
     DegeneratePrefixError,
+    columns_of,
     empirical_measure,
     k_equidistribution_test,
     visit_count,
@@ -11,7 +15,13 @@ from samplerlang.empirical import (
 )
 from samplerlang.interpreter import Interpreter
 from samplerlang.parser import parse_measure, parse_program, parse_term
-from samplerlang.quadrature import build_family
+from samplerlang.quadrature import (
+    DEFAULT_SETTINGS,
+    build_family,
+    integrate,
+    measure_equal,
+)
+from samplerlang.runtime import VClosure, VInj, value_to_point
 from samplerlang.terms import Var, self_product
 
 
@@ -171,3 +181,117 @@ def test_report_json_shape(corpus):
     assert data["passed"] is True
     assert [pt["n"] for pt in data["ladder"]] == [100, 1000]
     assert all("worst" in pt and "tol" in pt for pt in data["ladder"])
+
+
+# ---------------------------------------------------------------------------
+# columns_of, against the entry-by-entry builder it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_columns(entries):
+    def flatten(v, out):
+        p = value_to_point(v)
+        stack = [p]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, tuple):
+                stack.extend(reversed(x))
+            else:
+                out.append(x)
+
+    first: list = []
+    flatten(entries[0][0], first)
+    cols = [np.empty(len(entries)) for _ in first]
+    weights = np.empty(len(entries))
+    for i, (v, w) in enumerate(entries):
+        flat: list = []
+        flatten(v, flat)
+        for j in range(len(cols)):
+            cols[j][i] = flat[j]
+        weights[i] = w
+    return cols, weights
+
+
+def _assert_same_columns(entries):
+    cols, weights = columns_of(entries)
+    want_cols, want_weights = _oracle_columns(entries)
+    assert len(cols) == len(want_cols)
+    for got, want in zip(cols + [weights], want_cols + [want_weights]):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True)
+        # -0.0 and 0.0 compare equal; their signs must agree too
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("engine,n", [("stream", 500), ("bigstep", 12)])
+def test_columns_match_entrywise_builder_on_corpus(corpus, engine, n):
+    for name, item in corpus.items():
+        it = Interpreter(item.program)
+        entries = it.big_step(n).entries if engine == "bigstep" else it.stream().prefix(n)
+        _assert_same_columns(entries)
+    pairs = Interpreter(parse_program(
+        "extern sampler rand : S R+ targets uniform(0, 1)\nrand^3"
+    )).stream().prefix(n)
+    _assert_same_columns(pairs)
+
+
+_SPECIALS = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-310, 0.1]
+
+SYNTHETIC = {
+    "float": [(x, 1.0) for x in _SPECIALS],
+    "int": [(i, 0.5) for i in (0, -1, 7, 2**60 + 1)],
+    "bool": [(b, 1.0) for b in (True, False, True)],
+    "nested pair": [((i, (float(i) / 3, i % 2 == 0)), 2.0) for i in range(5)],
+    "pairs of specials": [((x, y), w) for x, y, w in zip(_SPECIALS, reversed(_SPECIALS), _SPECIALS)],
+    "injections": [(VInj(i % 2, (float(i), i)), 1.0) for i in range(4)],
+    "injected bools and floats": [(VInj(0, True), 1.0), (VInj(1, 2.5), 1.0)],
+    "unit": [((), 1.0), ((), 0.0)],
+    "mixed widths": [(VInj(0, 1.0), 1.0), (VInj(1, (2.0, 3.0)), 1.0), (4.0, 0.5)],
+    "mixed nesting": [((1.0, 2.0), 1.0), ((1.0, (2.0, 3.0)), 1.0)],
+    "mixed unit": [((), 1.0), (True, 1.0)],
+    "unit and pairs": [((), 1.0), ((1.0, 2.0), 1.0)],
+}
+
+
+@pytest.mark.parametrize("name", list(SYNTHETIC))
+def test_columns_match_entrywise_builder_on_synthetic_values(name):
+    _assert_same_columns(SYNTHETIC[name])
+
+
+def test_columns_of_a_value_without_a_point_raises():
+    clo = VClosure((("x", None),), Var("x"), {})
+    for entries in ([(clo, 1.0), (clo, 1.0)], [((1.0, clo), 1.0)]):
+        with pytest.raises(EvalError, match="no point representation"):
+            columns_of(entries)
+
+
+# the posterior that rejection.smpl and importance.smpl target
+POSTERIOR = "reweight(fun x : R => 1/sqrt(2*pi) * exp(-1/2*(3-x)*(3-x)), triangular(0, 2))"
+
+
+def test_reweight_normalizer_integrated_once_per_test(corpus, monkeypatch):
+    target = parse_measure(POSTERIOR)
+    family = build_family(target)
+    uncached = [integrate(target, m, DEFAULT_SETTINGS, m.breakpoints) for m in family]
+    normalizers: dict = {}
+    cached = [integrate(target, m, DEFAULT_SETTINGS, m.breakpoints, normalizers) for m in family]
+    assert len(normalizers) == 1
+    assert [float.hex(v) for v in cached] == [float.hex(v) for v in uncached]
+
+    over_base = []
+    integrate_inner = quadrature.integrate
+
+    def counting(m, g, *args, **kwargs):
+        if m is target.base:
+            over_base.append(g)
+        return integrate_inner(m, g, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    it = Interpreter(corpus["rejection"].program)
+    weak_convergence_test(it.stream(), target, (100,), family)
+    # one numerator per member, and a single normalizer
+    assert len(family) == 17
+    assert len(over_base) == len(family) + 1
+    over_base.clear()
+    measure_equal(target, target, family)
+    assert len(over_base) == 2 * len(family) + 1

@@ -4,6 +4,7 @@ Every rule instance is evaluated on both sides under concrete externs and
 must agree bit-exactly; rule outputs must typecheck at the original type.
 """
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from samplerlang.rewrite import (
     RULES,
     TABLE_RULES,
     RewriteError,
+    Step,
+    _neighbors,
     apply_rule,
     measure,
     normal_form_spine,
@@ -29,7 +32,10 @@ from samplerlang.terms import (
     FunT,
     Var,
     alpha_equal,
+    positions,
+    replace_at,
     self_product,
+    term_size,
 )
 from samplerlang.typecheck import check_term
 from samplerlang.terms import SamplerT, POSREAL
@@ -266,3 +272,73 @@ def test_table_rule_count():
     # the full inventory: standard, coinductive triples, compositions, products
     assert len(TABLE_RULES) == 34
     assert "prod_map_both" in RULES and "prod_map_both" not in TABLE_RULES
+
+
+# -- the search's neighbour generator --------------------------------------------
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+
+
+def _search_terms(corpus):
+    """Corpus and benchmark programs, every rule instance, and the terms one
+    rewrite away from each of them."""
+    starts = [item.program.body for item in corpus.values()]
+    for path in sorted(BENCH_INPUTS.glob("*.smpl")):
+        starts.append(parse_program(path.read_text(encoding="utf-8"), str(path)).body)
+    starts += [_t(src) for src in RULE_INSTANCES.values()]
+    terms = list(starts)
+    for t in starts:
+        terms += [out for _, out in _neighbors(t, 4 * term_size(t))]
+    return terms
+
+
+def _brute_neighbors(term, size_cap):
+    for path, sub in positions(term):
+        for rule in RULES.values():
+            for forward, fn in ((True, rule.fwd), (False, rule.bwd)):
+                if fn is None:
+                    continue
+                replacement = fn(sub)
+                if replacement is None:
+                    continue
+                out = replace_at(term, path, replacement)
+                if term_size(out) <= size_cap:
+                    yield Step(rule.name, path, forward), out
+
+
+def test_neighbors_match_a_loop_over_all_rules(corpus):
+    terms = _search_terms(corpus)
+    assert len(terms) > 100
+    for term in terms:
+        # the search's cap, and a cap that cuts rewrites that grow the term
+        for cap in (4 * term_size(term), term_size(term)):
+            got = list(_neighbors(term, cap))
+            want = list(_brute_neighbors(term, cap))
+            assert [s for s, _ in got] == [s for s, _ in want]
+            assert [t for _, t in got] == [t for _, t in want]
+
+
+def test_rules_match_only_their_declared_heads(corpus):
+    for name, src in RULE_INSTANCES.items():
+        assert type(_t(src)) is RULES[name].fwd_head, name
+    subterms = [sub for term in _search_terms(corpus) for _, sub in positions(term)]
+    for rule in RULES.values():
+        for fn, head in ((rule.fwd, rule.fwd_head), (rule.bwd, rule.bwd_head)):
+            if fn is None:
+                assert head is None, rule.name
+                continue
+            assert isinstance(head, type), rule.name
+            for sub in subterms:
+                if type(sub) is not head:
+                    assert fn(sub) is None, (rule.name, sub)
+
+
+def test_equiv_proof_of_map_fusion_replays(env):
+    # the two sides meet at terms whose binder annotations differ, which
+    # replay rejects: the search must keep looking
+    left = _t("map(fun y : R => y + 1, map(fun x : R => x * x, tl(rand)))")
+    right = _t("tl(map(fun x : R => (fun y : R => y + 1)((fun x : R => x * x)(x)), rand))")
+    proof = prove_equiv(left, right)
+    assert proof is not None and proof.replay()
+    assert (len(proof.left_steps), len(proof.right_steps)) == (2, 1)
+    assert value_equal(env.fresh().big_step(16, left), env.fresh().big_step(16, right))
