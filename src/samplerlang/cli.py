@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--engine", choices=("bigstep", "stream"), default="stream")
-    p.add_argument("--seed", dest="seed")
+    p.add_argument("--seed", default=argparse.SUPPRESS, help="as the global --seed")
     p.add_argument("--dump", metavar="OUT.csv")
     p.set_defaults(fn=cmd_run)
 
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--K", type=int, default=1)
     p.add_argument("--tol", type=float)
-    p.add_argument("--seed", dest="seed")
+    p.add_argument("--seed", default=argparse.SUPPRESS, help="as the global --seed")
     p.add_argument("--report", metavar="OUT.json")
     p.set_defaults(fn=cmd_test_target)
 

@@ -1,7 +1,7 @@
 """Run configuration: seeds, ladders, tolerances, quadrature settings.
 
-Values load from an optional flat key=value file, may be overridden by CLI
-flags, and the SAMPLERLANG_SEED environment variable overrides the seed.
+Values load from an optional flat key=value file; the SAMPLERLANG_SEED
+environment variable overrides the file's seed, and CLI flags override both.
 """
 from __future__ import annotations
 
@@ -43,11 +43,11 @@ class Config:
         values: dict = {}
         if path:
             values.update(_read_config_file(path))
-        if overrides:
-            values.update({k: v for k, v in overrides.items() if v is not None})
         env_seed = os.environ.get("SAMPLERLANG_SEED")
         if env_seed is not None:
             values["seed"] = int(env_seed, 0)
+        if overrides:
+            values.update({k: v for k, v in overrides.items() if v is not None})
         known = {f.name for f in fields(cls)}
         unknown = set(values) - known
         if unknown:

@@ -151,11 +151,9 @@ def weak_convergence_test(
         tol_schedule = lambda n: max(5e-3, 3.0 / math.sqrt(n))
 
     expected = {}
-    normalizers: dict = {}
+    cache: dict = {}
     for member in family:
-        expected[member.name] = integrate(
-            target, member, settings, member.breakpoints, normalizers
-        )
+        expected[member.name] = integrate(target, member, settings, member.breakpoints, cache)
 
     try:
         entries = _entries(stream, ladder[-1])

@@ -1,14 +1,10 @@
-"""Hot numeric kernels: the linear-congruential state sequence and weighted
-prefix statistics.
+"""Numeric kernels: the linear-congruential state sequence behind every
+extern sampler, and the seed derivation for each extern.
 
-Each kernel has a numba-jitted fast path and a pure-numpy fallback; the
-fallback is forced by setting SAMPLERLANG_PURE_NUMPY=1 in the environment.
-Both paths are bit-identical: the fallback generates LCG states by doubling
-affine blocks instead of looping.
+LCG states are generated in numpy by doubling affine blocks instead of
+looping over the states one by one.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -16,25 +12,6 @@ LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
 DEFAULT_SEED = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
-
-PURE_NUMPY = os.environ.get("SAMPLERLANG_PURE_NUMPY", "") == "1"
-
-try:  # pragma: no cover - exercised indirectly
-    if PURE_NUMPY:
-        raise ImportError("numpy fallback forced")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 def splitmix64(x: int) -> int:
@@ -56,18 +33,6 @@ def fnv1a64(data: str) -> int:
 
 def derive_seed(global_seed: int, name: str) -> int:
     return splitmix64((global_seed ^ fnv1a64(name)) & _MASK)
-
-
-@njit(cache=True)
-def _lcg_states_numba(seed: np.uint64, n: np.int64) -> np.ndarray:  # pragma: no cover
-    out = np.empty(n, dtype=np.uint64)
-    state = seed
-    a = np.uint64(LCG_MULT)
-    c = np.uint64(LCG_INC)
-    for i in range(n):
-        state = a * state + c
-        out[i] = state
-    return out
 
 
 def _lcg_states_numpy(seed: int, n: int) -> np.ndarray:
@@ -95,8 +60,6 @@ def _lcg_states_numpy(seed: int, n: int) -> np.ndarray:
 
 
 def lcg_states(seed: int, n: int) -> np.ndarray:
-    if HAS_NUMBA and not PURE_NUMPY:
-        return _lcg_states_numba(np.uint64(seed & _MASK), np.int64(n))
     return _lcg_states_numpy(seed & _MASK, n)
 
 
@@ -115,31 +78,3 @@ def lcg_uniforms_from(state: int, n: int) -> tuple[np.ndarray, int]:
     states = lcg_states(state, n)
     last = int(states[-1]) if n > 0 else state & _MASK
     return (states >> np.uint64(11)).astype(np.float64) * (2.0 ** -53), last
-
-
-@njit(cache=True)
-def _weighted_sums_numba(values, weights):  # pragma: no cover
-    n = values.shape[0]
-    sw = np.empty(n, dtype=np.float64)
-    swx = np.empty(n, dtype=np.float64)
-    tw = 0.0
-    tx = 0.0
-    for i in range(n):
-        tw += weights[i]
-        tx += weights[i] * values[i]
-        sw[i] = tw
-        swx[i] = tx
-    return sw, swx
-
-
-def _weighted_sums_numpy(values, weights):
-    return np.cumsum(weights), np.cumsum(weights * values)
-
-
-def weighted_prefix_sums(values: np.ndarray, weights: np.ndarray):
-    """Running total weight and running weighted sum, for ladder statistics."""
-    values = np.asarray(values, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if HAS_NUMBA and not PURE_NUMPY:
-        return _weighted_sums_numba(values, weights)
-    return _weighted_sums_numpy(values, weights)

@@ -6,6 +6,13 @@ three use a tensorized Gauss-Legendre grid with vectorized integrands
 (documented accuracy around 1e-4 on smooth-but-singular transforms, which is
 why the numeric measure-equality checks run at looser tolerances).  More
 than three continuous dimensions is unsupported.
+
+Scalar integrands call the functions that `runtime.compile_fn` generates
+directly, with no wrapper around each call.  One comparison integrates many
+test functions against the same measures, so `measure_equal` threads one
+cache dict through its integrals: each reweight normalizer is integrated
+once, and each 3-D grid, with its coordinates pushed through the measure's
+transforms, is built once per measure.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from scipy import integrate as sci
 
 from . import measures as M
 from .builtins import EvalError
-from .runtime import apply_value, VClosure, value_to_point
+from .runtime import apply_value, compile_fn, VClosure, value_to_point
 from .terms import (
     App,
     Builtin,
@@ -69,11 +76,15 @@ DEFAULT_SETTINGS = QuadSettings()
 
 
 def term_fn(fn: Term) -> Callable:
-    """Scalar application of a closed function term to a runtime value."""
+    """Scalar application of a closed function term to a runtime value.
+
+    This is the generated function itself; a body that does not compile
+    gets a function that raises `apply_value`'s EvalError when applied.
+    """
     if not isinstance(fn, Lam):
         raise IntegrationError(f"measure function {fn!r} is not a lambda")
     clo = VClosure(fn.params, fn.body, {})
-    return lambda v: apply_value(clo, v)
+    return compile_fn(clo) or (lambda v: apply_value(clo, v))
 
 
 _NP_BUILTINS = {
@@ -162,7 +173,7 @@ def vector_term_fn(fn: Term) -> Optional[Callable]:
             return None
 
     # probe with scalars to detect vectorizability once
-    probe = _shape_like_probe(fn)
+    probe = _shape_like_probe()
     try:
         env = _bind_params(fn.params, probe)
         _np_compile(fn.body, env)
@@ -173,16 +184,13 @@ def vector_term_fn(fn: Term) -> Optional[Callable]:
     return run
 
 
-def _shape_like_probe(fn: Lam):
+def _shape_like_probe():
     # a nested tuple of 0.5s deep enough for corpus functions
     def deep(k):
         if k == 0:
             return 0.5
         return (deep(k - 1), deep(k - 1))
 
-    if len(fn.params) > 1:
-        out = deep(3)
-        return out
     return deep(3)
 
 
@@ -358,35 +366,35 @@ def integrate(
     g: Callable,
     settings: QuadSettings = DEFAULT_SETTINGS,
     g_breakpoints: Sequence[float] = (),
-    normalizers: Optional[dict] = None,
+    cache: Optional[dict] = None,
 ) -> float:
     """The pairing of the measure with a test function on points.
 
     `g` takes a point (float or nested pair of floats).  Booleans integrate
     as 1.0/0.0.  Callers that integrate one measure against many functions
-    pass the same `normalizers` dict (empty at first) to each call, so that
-    each reweight normalizer is integrated once.
+    pass the same `cache` dict (empty at first) to each call, so that each
+    reweight normalizer is integrated once and each 3-D grid built once.
     """
     disc = reduce_discrete(m)
     if disc is not None:
         return math.fsum(mass * float(g(value_to_point(v))) for v, mass in disc.atoms)
-    return _cont(m, [], g, settings, g_breakpoints, normalizers)
+    return _cont(m, [], g, settings, g_breakpoints, cache)
 
 
-def _cont(m, transforms: list, g, settings, g_breakpoints=(), normalizers=None) -> float:
+def _cont(m, transforms: list, g, settings, g_breakpoints=(), cache=None) -> float:
     """Continuous integration with the pushforward stack kept symbolic."""
     match m:
         case M.PushforwardM(fn, base):
-            return _cont(base, [fn] + transforms, g, settings, normalizers=normalizers)
+            return _cont(base, [fn] + transforms, g, settings, cache=cache)
         case M.ReweightM(fn, base):
             f = term_fn(fn)
-            denom = _normalizer(fn, base, f, settings, normalizers)
+            denom = _normalizer(fn, base, f, settings, cache)
             if not (denom > 0.0 and math.isfinite(denom)):
                 raise SideConditionError(denom)
             gs = _compose_scalar(transforms, g)
             num = integrate(
                 base, lambda p, _f=f, _g=gs: float(_f(p)) * float(_g(p)), settings,
-                normalizers=normalizers,
+                cache=cache,
             )
             return num / denom
         case _:
@@ -396,25 +404,25 @@ def _cont(m, transforms: list, g, settings, g_breakpoints=(), normalizers=None) 
     if dim > 3:
         raise UnsupportedDimension(f"continuous dimension {dim} exceeds 3")
     if dim == 3:
-        return _integrate_grid(m, transforms, g, settings, normalizers)
+        return _integrate_grid(m, transforms, g, settings, cache)
     gs = _compose_scalar(transforms, g)
     breaks = g_breakpoints if not transforms else ()
-    return _integrate_iterated(m, gs, settings, breaks, normalizers)
+    return _integrate_iterated(m, gs, settings, breaks, cache)
 
 
-def _normalizer(fn: Term, base: M.MeasureExpr, f: Callable, settings, normalizers) -> float:
+def _normalizer(fn: Term, base: M.MeasureExpr, f: Callable, settings, cache) -> float:
     """The integral of the reweight function f (the term fn) over base,
-    looked up in and added to `normalizers` unless that is None.
+    looked up in and added to `cache` unless that is None.
 
     The key is the identities of fn, base and settings; the entry keeps those
     objects alive, so that no other object can take their ids.
     """
     key = (id(fn), id(base), id(settings))
-    if normalizers is not None and key in normalizers:
-        return normalizers[key][0]
-    denom = integrate(base, lambda p: float(f(p)), settings, normalizers=normalizers)
-    if normalizers is not None:
-        normalizers[key] = (denom, fn, base, settings)
+    if cache is not None and key in cache:
+        return cache[key][0]
+    denom = integrate(base, f, settings, cache=cache)
+    if cache is not None:
+        cache[key] = (denom, fn, base, settings)
     return denom
 
 
@@ -432,7 +440,7 @@ def _compose_scalar(transforms: list, g) -> Callable:
     return run
 
 
-def _integrate_iterated(m, g, settings, g_breakpoints=(), normalizers=None) -> float:
+def _integrate_iterated(m, g, settings, g_breakpoints=(), cache=None) -> float:
     density = _density_of(m, settings)
     if density is not None:
         points = [p for p in (*density.breakpoints, *g_breakpoints) if density.lo < p < density.hi]
@@ -451,43 +459,90 @@ def _integrate_iterated(m, g, settings, g_breakpoints=(), normalizers=None) -> f
             return _integrate_iterated(
                 left,
                 lambda x: _integrate_iterated(
-                    right, lambda y: g((x, y)), settings, normalizers=normalizers
+                    right, lambda y: g((x, y)), settings, cache=cache
                 ),
                 settings,
-                normalizers=normalizers,
+                cache=cache,
             )
         case M.PowerM():
-            return _integrate_iterated(M.expand_power(m), g, settings, normalizers=normalizers)
+            return _integrate_iterated(M.expand_power(m), g, settings, cache=cache)
         case M.Dirac() | M.Bernoulli() | M.FiniteDiscrete():
             disc = reduce_discrete(m)
             return math.fsum(mass * float(g(value_to_point(v))) for v, mass in disc.atoms)
         case M.PushforwardM(fn, base):
             f = term_fn(fn)
             return _integrate_iterated(
-                base, lambda p: g(value_to_point(f(p))), settings, normalizers=normalizers
+                base, lambda p: g(value_to_point(f(p))), settings, cache=cache
             )
         case M.ReweightM():
-            return integrate(m, g, settings, normalizers=normalizers)
+            return integrate(m, g, settings, cache=cache)
     raise IntegrationError(f"cannot integrate {m!r}")
 
 
-def _integrate_grid(m, transforms, g, settings, normalizers=None) -> float:
-    """Tensor Gauss-Legendre over exactly three continuous dimensions."""
-    factors = _factors(m)
+def _integrate_grid(m, transforms, g, settings, cache=None) -> float:
+    """Tensor Gauss-Legendre over exactly three continuous dimensions.
+
+    A test function whose transforms all vectorize is integrated in numpy
+    on `settings.grid_nodes_3d` nodes per axis (see `_pushed_grid`); any
+    other integrand is called once per node of a scalar grid.
+    """
     densities = []
-    for f in factors:
+    for f in _factors(m):
         d = _density_of(f, settings)
         if d is None:
             # a discrete factor inside the product: fall back to iterated
             return _integrate_iterated(
-                m, _compose_scalar(transforms, g), settings, normalizers=normalizers
+                m, _compose_scalar(transforms, g), settings, cache=cache
             )
         densities.append(d)
 
-    vec_transforms = [vector_term_fn(f) for f in transforms]
-    vectorized = all(v is not None for v in vec_transforms) and isinstance(g, TestFn)
-    nodes_per_dim = settings.grid_nodes_3d if vectorized else 32
+    nodes_per_dim = 32
+    if isinstance(g, TestFn):
+        cols, weights, nodes_per_dim = _pushed_grid(m, transforms, densities, settings, cache)
+        if cols is not None:
+            return float(np.dot(np.asarray(g.on_cols(cols)).ravel(), weights))
 
+    cols, weights = _tensor_grid(densities, nodes_per_dim)
+    gs = _compose_scalar(transforms, g)
+    vals = np.empty(cols[0].shape[0])
+    for i in range(cols[0].shape[0]):
+        vals[i] = float(gs(_nest_scalars([c[i] for c in cols])))
+    return float(np.dot(vals, weights))
+
+
+def _pushed_grid(m, transforms, densities, settings, cache=None) -> tuple:
+    """(coordinate columns, weights, nodes per axis) of the grid on which
+    test functions integrate over the image of m under the transforms.
+
+    The columns are the grid's points pushed through the transforms, or
+    None when a transform does not vectorize; the scalar grid then takes
+    the node count given.  The result is looked up in and added to `cache`,
+    keyed by the identities of m, the transforms and settings, which the
+    entry keeps alive.
+    """
+    key = ("grid", id(m), *map(id, transforms), id(settings))
+    if cache is not None and key in cache:
+        return cache[key][0]
+    vec_transforms = [vector_term_fn(f) for f in transforms]
+    if any(v is None for v in vec_transforms):
+        grid = (None, None, 32)
+    else:
+        cols, weights = _tensor_grid(densities, settings.grid_nodes_3d)
+        point = _nest_arrays(cols)
+        for fv in reversed(vec_transforms):
+            point = fv(point)
+            if point is None:
+                break
+        pushed = None if point is None else _flatten_array_point(point)
+        grid = (pushed, weights, settings.grid_nodes_3d)
+    if cache is not None:
+        cache[key] = (grid, m, transforms, settings)
+    return grid
+
+
+def _tensor_grid(densities, nodes_per_dim: int):
+    """Raveled coordinate columns and weights of the Gauss-Legendre tensor
+    grid over three densities."""
     nodes, weights = np.polynomial.legendre.leggauss(nodes_per_dim)
     u = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
@@ -501,26 +556,9 @@ def _integrate_grid(m, transforms, g, settings, normalizers=None) -> float:
             ws[i] = w[i] * jac_pdf
         axes.append((xs, ws))
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgrid = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    total_w = wgrid[0] * wgrid[1] * wgrid[2]
-    cols = [grid.ravel() for grid in grids]
-
-    if vectorized:
-        point = _nest_arrays(cols)
-        for fv in reversed(vec_transforms):
-            point = fv(point)
-            if point is None:
-                vectorized = False
-                break
-        if vectorized:
-            gv = g.on_cols(_flatten_array_point(point))
-            return float(np.dot(np.asarray(gv).ravel(), total_w.ravel()))
-
-    gs = _compose_scalar(transforms, g)
-    vals = np.empty(cols[0].shape[0])
-    for i in range(cols[0].shape[0]):
-        vals[i] = float(gs(_nest_scalars([c[i] for c in cols])))
-    return float(np.dot(vals, total_w.ravel()))
+    (_, w0), (_, w1), (_, w2) = axes
+    total_w = w0[:, None, None] * w1[None, :, None] * w2[None, None, :]
+    return [grid.ravel() for grid in grids], total_w.ravel()
 
 
 def _flatten_array_point(point) -> list:
@@ -828,10 +866,10 @@ def measure_equal(
         family = build_family(nu if db is not None or da is None else mu)
     details = []
     worst = 0.0
-    normalizers: dict = {}
+    cache: dict = {}
     for member in family:
-        va = integrate(mu, member, settings, member.breakpoints, normalizers)
-        vb = integrate(nu, member, settings, member.breakpoints, normalizers)
+        va = integrate(mu, member, settings, member.breakpoints, cache)
+        vb = integrate(nu, member, settings, member.breakpoints, cache)
         d = abs(va - vb)
         details.append((member.name, d))
         worst = max(worst, d)

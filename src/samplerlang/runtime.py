@@ -11,14 +11,23 @@ constants, case and if become if/else, and plus/minus/times/neg and the
 comparisons are spelled as the Python operators they are.  The other
 builtins are called through the same `builtins` functions, in call-by-value
 order, so a value computed this way is bit-identical to big-step's, and a
-domain error is an EvalError at the failing builtin's position.  The stream
-engine and quadrature reach these functions through `compile_fn` and
-`apply_value`.
+domain error is an EvalError at the failing builtin's position.
+
+Builtins are pure, so the generator numbers their values: a builtin call
+with the same op and operand sources as one already emitted in the same or
+an enclosing block reuses that call's local.  The earlier call runs first,
+so it raises first if either would; calls inside a case/if branch or a
+nested function are forgotten when that block ends.  A `let` substituted
+into a stated target thus costs one evaluation, not one per occurrence.
+
+The stream engine and quadrature reach these functions through
+`compile_fn` and `apply_value`.
 """
 from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -256,10 +265,12 @@ class _CodeGen:
     Let-bound names and lambda parameters become locals; every builtin,
     projection and application is one statement, in call-by-value order,
     and a builtin's statement re-raises its failure through `located_error`
-    with the builtin's position; case and if become if/else.  A subterm whose operands are all known is
-    evaluated here, once, with the same builtin functions, and only when
-    that evaluation succeeds; one that raises stays in the code, so it
-    raises when (and only if) it is reached.
+    with the builtin's position; case and if become if/else.  A subterm
+    whose operands are all known is evaluated here, once, with the same
+    builtin functions, and only when that evaluation succeeds; one that
+    raises stays in the code, so it raises when (and only if) it is reached.
+    A builtin or comparison already computed from the same operand sources
+    in the same or an enclosing block is not emitted again (`calls`).
     """
 
     def __init__(self, env: dict):
@@ -275,6 +286,9 @@ class _CodeGen:
             "_ERRORS": BUILTIN_ERRORS,
         }
         self.count = 0
+        # (op, operand sources) -> the local holding that call's value, for
+        # the calls emitted in the current block and the blocks around it
+        self.calls: dict = {}
 
     # -- output ---------------------------------------------------------------
 
@@ -306,6 +320,16 @@ class _CodeGen:
         self.emit(depth, f"{name} = {rhs}")
         return _Code(name, **flags)
 
+    @contextmanager
+    def block(self):
+        """A nested block: the calls emitted in it are not reused after it."""
+        outer = self.calls
+        self.calls = dict(outer)
+        try:
+            yield
+        finally:
+            self.calls = outer
+
     def local(self, operand, depth: int):
         """The operand as a known value or a local name (for reuse)."""
         if isinstance(operand, _Known) or operand.expr.isidentifier():
@@ -319,9 +343,10 @@ class _CodeGen:
     def function(self, name: str, params, body: Term, scope: dict, depth: int) -> None:
         arg = self.fresh("a")
         self.emit(depth, f"def {name}({arg}):")
-        inner = self.bind(params, _Code(arg), scope, depth + 1)
-        result = self.term(body, inner, depth + 1)
-        self.emit(depth + 1, f"return {self.code(result)}")
+        with self.block():
+            inner = self.bind(params, _Code(arg), scope, depth + 1)
+            result = self.term(body, inner, depth + 1)
+            self.emit(depth + 1, f"return {self.code(result)}")
 
     def bind(self, params, operand, scope: dict, depth: int) -> dict:
         """Scope extended by a parameter group bound to a right-nested tuple."""
@@ -406,6 +431,9 @@ class _CodeGen:
             except (TypeError, *BUILTIN_ERRORS):
                 pass  # left in place: it raises when it is reached
         args = [self.code(o) for o in ops]
+        key = (op, *args)
+        if key in self.calls:
+            return self.calls[key]
         if op in _INFIX:
             rhs = f"{args[0]} {_INFIX[op]} {args[1]}"
         elif op == "neg":
@@ -418,7 +446,8 @@ class _CodeGen:
         self.emit(depth + 1, f"{name} = {rhs}")
         self.emit(depth, "except _ERRORS as err:")
         self.emit(depth + 1, f"raise _located(err, {op!r}, {pos!r}) from None")
-        return _Code(name)
+        self.calls[key] = _Code(name)
+        return self.calls[key]
 
     def comparison(self, sig, operand, pos, depth: int):
         op = sig.name
@@ -433,8 +462,11 @@ class _CodeGen:
         else:
             checked = self.assign(depth, f"_pair({self.code(operand)}, {op!r}, {pos!r})")
             left, right = _Code(f"{checked.expr}[0]"), _Code(f"{checked.expr}[1]")
-        rhs = f"{self.code(left)} {_CMP_INFIX[op]} {self.code(right)}"
-        return self.assign(depth, rhs, is_bool=True)
+        key = (op, self.code(left), self.code(right))
+        if key not in self.calls:
+            rhs = f"{key[1]} {_CMP_INFIX[op]} {key[2]}"
+            self.calls[key] = self.assign(depth, rhs, is_bool=True)
+        return self.calls[key]
 
     def project(self, operand, index: int, depth: int):
         if _is_known_pair(operand):
@@ -475,7 +507,8 @@ class _CodeGen:
             payload = _Code(payload_name)
         for test, (binder, body) in zip(tests, branches):
             self.emit(depth, test)
-            out = self.term(body, _with(scope, binder, payload), depth + 1)
+            with self.block():
+                out = self.term(body, _with(scope, binder, payload), depth + 1)
             self.emit(depth + 1, f"{result} = {self.code(out)}")
             bools.append(_is_bool(out))
         return _Code(result, is_bool=all(bools))

@@ -205,7 +205,7 @@ def integrate_weight(measure: M.MeasureExpr, fn: Term, settings: QuadSettings) -
     f = term_fn(fn)
     if disc is not None:
         return math.fsum(mass * float(f(v)) for v, mass in disc.atoms)
-    return integrate(measure, lambda p: float(f(p)), settings)
+    return integrate(measure, f, settings)
 
 
 #: numeric "=" checks inside proofs run at loose tolerance; the quadrature

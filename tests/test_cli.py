@@ -168,6 +168,41 @@ def test_seed_env_override(monkeypatch, capsys):
     assert "seed = 4660" in capsys.readouterr().out
 
 
+def _printed_seed(argv, capsys) -> str:
+    assert main(["--print-config", *argv]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("seed = ")]
+    return line
+
+
+SEEDED_COMMANDS = [
+    ["run", str(C / "importance.smpl"), "--samples", "2"],
+    ["test-target", str(C / "importance.smpl"), "--measure", "uniform(0, 1)"],
+]
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS, ids=["run", "test-target"])
+def test_seed_flag_in_either_position_beats_env(command, monkeypatch, capsys):
+    monkeypatch.setenv("SAMPLERLANG_SEED", "5")
+    assert _printed_seed(command, capsys) == "seed = 5"
+    assert _printed_seed(["--seed", "3", *command], capsys) == "seed = 3"
+    assert _printed_seed([*command, "--seed", "3"], capsys) == "seed = 3"
+
+
+def test_global_seed_reaches_run(monkeypatch, capsys):
+    monkeypatch.delenv("SAMPLERLANG_SEED", raising=False)
+    command = SEEDED_COMMANDS[0]
+
+    def rows(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    unseeded = rows(command)
+    before = rows(["--seed", "3", *command])
+    after = rows([*command, "--seed", "3"])
+    monkeypatch.setenv("SAMPLERLANG_SEED", "3")
+    assert before == after == rows(command) != unseeded
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # missing required --samples

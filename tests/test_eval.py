@@ -1,13 +1,14 @@
+import json
 import math
 import random
 
 import pytest
 
 from samplerlang.builtins import EvalError, apply_builtin
-from samplerlang.corpus import load_corpus
+from samplerlang.corpus import load_corpus, proof_path
 from samplerlang.interpreter import Interpreter
-from samplerlang.parser import parse_program, parse_term
-from samplerlang.runtime import WeightedList, value_equal
+from samplerlang.parser import parse_measure, parse_program, parse_term
+from samplerlang.runtime import WeightedList, _CodeGen, value_equal
 from samplerlang.quadrature import term_fn
 from samplerlang.streams import StreamEvaluator, truncate
 from samplerlang.terms import (
@@ -145,6 +146,55 @@ def test_erroring_closed_subterm_in_untaken_branch():
         f(-1.0)
     assert err.value.pos == (1, 36)
     assert err.value.message == "division by zero"
+
+
+def _outcome(run):
+    """('value', v) or ('error', message, position) of run()."""
+    try:
+        return ("value", run())
+    except EvalError as err:
+        return ("error", str(err), err.pos)
+
+
+@pytest.mark.parametrize(
+    "src, xs",
+    [
+        # a repeated call that fails: the first one raises
+        ("fun x : R => log(x - 1) + log(x - 1)", (0.5, 3.0)),
+        # computed in a branch only: the call after the if computes it again
+        ("fun x : R => (if x > 0 then log(x) else 0) + log(x)", (-1.0, 2.0)),
+        ("fun x : R => let a = log(x + 2) in if x > 0 then log(x + 2) else a * log(x + 2)",
+         (-3.0, -1.0, 2.0)),
+        # inside a nested function that uses the outer parameter
+        ("fun x : R => let g = fun y : R => log(x - 1) + y in g(1) + log(x - 1)", (0.5, 3.0)),
+        ("fun x : R => let a = log(x - 1) in let g = fun y : R => log(x - 1) * y in a + g(2)",
+         (0.5, 3.0)),
+    ],
+)
+def test_repeated_builtin_calls_match_big_step(src, xs):
+    lam = parse_term(src)
+    it = interp("prng(fun x : R => x, 0)")
+    fn = term_fn(lam)
+    kinds = set()
+    for x in xs:
+        big = _outcome(lambda: it.big_step(1, App(lam, Const(x))))
+        got = _outcome(lambda: fn(x))
+        kinds.add(got[0])
+        if big[0] == "value":
+            assert got[0] == "value" and value_equal(big[1], got[1]), (src, x)
+        else:
+            assert got == big, (src, x)
+    assert kinds == {"value", "error"}
+
+
+def test_stated_marsaglia_accept_computes_its_cube_once():
+    # the stated target has marsaglia's `let v = (1 + c*x)^3` substituted:
+    # 0.22645540682891918 * x occurs nine times in the accept function
+    stated = parse_measure(json.loads(proof_path("marsaglia").read_text())["judgment"]["target"])
+    accept = stated.base.fn
+    gen = _CodeGen({})
+    gen.function("_fn", accept.params, accept.body, {}, 0)
+    assert sum("= 0.22645540682891918 * " in line for line in gen.lines) == 1
 
 
 def _random_body(rng, scope, depth):

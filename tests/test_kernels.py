@@ -31,14 +31,6 @@ def test_derived_seeds_differ_per_name():
     assert kernels.derive_seed(kernels.DEFAULT_SEED, "rand") == s1
 
 
-def test_weighted_prefix_sums_match():
-    values = np.linspace(0, 1, 1000)
-    weights = np.linspace(1, 2, 1000)
-    a = kernels._weighted_sums_numpy(values, weights)
-    b = kernels.weighted_prefix_sums(values, weights)
-    assert np.allclose(a[0], b[0]) and np.allclose(a[1], b[1])
-
-
 def test_documented_constants():
     assert kernels.LCG_MULT == 6364136223846793005
     assert kernels.LCG_INC == 1442695040888963407

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from samplerlang import measures as M
-from samplerlang.parser import parse_term
+from samplerlang.builtins import EvalError
+from samplerlang.parser import parse_measure, parse_term
 from samplerlang.quadrature import (
     SideConditionError,
     UnsupportedDimension,
@@ -14,7 +15,10 @@ from samplerlang.quadrature import (
     measure_equal,
     reduce_discrete,
     support_box,
+    term_fn,
 )
+from samplerlang.runtime import VClosure, apply_value
+from samplerlang.target import CHECK_SETTINGS
 
 
 CHOICE = parse_term(
@@ -137,6 +141,33 @@ def test_zero_reweight_signals_side_condition():
     zero = parse_term("fun x : R => 0")
     with pytest.raises(SideConditionError):
         integrate(M.ReweightM(zero, M.UniformM(0, 1)), lambda x: 1.0)
+
+
+def test_shared_grid_gives_the_same_integrals():
+    # the comparison at marsaglia's map node: Box-Muller over uniform(0, 1)^3
+    # against the stated uniform(0, 1) * gaussian(0, 1)
+    box = parse_term(
+        "fun w : R+ * R+ * R+ => (fst(w), sqrt(-2 * log(fst(snd(w)))) * cos(2 * pi * snd(snd(w))))"
+    )
+    computed = M.PushforwardM(box, M.PowerM(M.UniformM(0, 1), 3))
+    family = build_family(parse_measure("uniform(0, 1) * gaussian(0, 1)"), slim=True)
+    assert len(family) == 13
+    shared: dict = {}
+    for member in family:
+        alone = integrate(computed, member, CHECK_SETTINGS, member.breakpoints, {})
+        cached = integrate(computed, member, CHECK_SETTINGS, member.breakpoints, shared)
+        assert cached.hex() == alone.hex(), member.name
+    assert [key[0] for key in shared] == ["grid"]
+
+
+def test_term_fn_of_a_body_that_does_not_compile():
+    lam = parse_term("fun x : R => prng(fun y : R => y / 2, x)")
+    with pytest.raises(EvalError) as want:
+        apply_value(VClosure(lam.params, lam.body, {}), 1.0)
+    with pytest.raises(EvalError) as got:
+        term_fn(lam)(1.0)
+    assert str(got.value) == str(want.value)
+    assert "closure body builds samplers" in str(got.value)
 
 
 def test_dimension_cap():
