@@ -8,7 +8,9 @@ why the numeric measure-equality checks run at looser tolerances).  More
 than three continuous dimensions is unsupported.
 
 Scalar integrands call the functions that `runtime.compile_fn` generates
-directly, with no wrapper around each call.  One comparison integrates many
+directly, with no wrapper around each call; the 3-D grid pushes its points
+through the measure's transforms with the functions that
+`runtime.compile_array_fn` generates.  One comparison integrates many
 test functions against the same measures, so `measure_equal` threads one
 cache dict through its integrals: each reweight normalizer is integrated
 once, and each 3-D grid, with its coordinates pushed through the measure's
@@ -16,6 +18,7 @@ transforms, is built once per measure.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -25,21 +28,8 @@ from scipy import integrate as sci
 
 from . import measures as M
 from .builtins import EvalError
-from .runtime import apply_value, compile_fn, VClosure, value_to_point
-from .terms import (
-    App,
-    Builtin,
-    Case,
-    Cast,
-    Const,
-    Fst,
-    Lam,
-    Let,
-    Pair,
-    Snd,
-    Term,
-    Var,
-)
+from .runtime import apply_value, compile_array_fn, compile_fn, VClosure, value_to_point
+from .terms import Lam, Term
 
 
 class IntegrationError(Exception):
@@ -71,7 +61,7 @@ DEFAULT_SETTINGS = QuadSettings()
 
 
 # ---------------------------------------------------------------------------
-# Term functions on values and on numpy coordinate arrays
+# Term functions on values
 # ---------------------------------------------------------------------------
 
 
@@ -85,113 +75,6 @@ def term_fn(fn: Term) -> Callable:
         raise IntegrationError(f"measure function {fn!r} is not a lambda")
     clo = VClosure(fn.params, fn.body, {})
     return compile_fn(clo) or (lambda v: apply_value(clo, v))
-
-
-_NP_BUILTINS = {
-    "plus": lambda a, b: a + b,
-    "minus": lambda a, b: a - b,
-    "times": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "neg": lambda a: -a,
-    "sqrt": np.sqrt,
-    "exp": np.exp,
-    "log": np.log,
-    "cos": np.cos,
-    "sin": np.sin,
-    "abs": np.abs,
-}
-
-
-class _NotVectorizable(Exception):
-    pass
-
-
-def _np_compile(term: Term, env: dict):
-    match term:
-        case Var(name):
-            if name in env:
-                return env[name]
-            raise _NotVectorizable(name)
-        case Const(value):
-            if isinstance(value, bool) or isinstance(value, tuple):
-                raise _NotVectorizable(value)
-            return float(value)
-        case Builtin("pi", ()):
-            return math.pi
-        case Builtin(op, args):
-            fn = _NP_BUILTINS.get(op)
-            if fn is None:
-                raise _NotVectorizable(op)
-            return fn(*[_np_compile(a, env) for a in args])
-        case Pair(left, right):
-            return (_np_compile(left, env), _np_compile(right, env))
-        case Fst(body):
-            return _np_compile(body, env)[0]
-        case Snd(body):
-            return _np_compile(body, env)[1]
-        case Cast(_, body):
-            return _np_compile(body, env)
-        case Let(name, bound, body):
-            env2 = dict(env)
-            env2[name] = _np_compile(bound, env)
-            return _np_compile(body, env2)
-        case App(fn_term, arg):
-            arg_v = _np_compile(arg, env)
-            if isinstance(fn_term, Lam):
-                env2 = dict(env)
-                env2.update(_bind_params(fn_term.params, arg_v))
-                return _np_compile(fn_term.body, env2)
-            raise _NotVectorizable(fn_term)
-        case Lam():
-            raise _NotVectorizable(term)
-        case Case():
-            raise _NotVectorizable(term)
-    raise _NotVectorizable(term)
-
-
-def _bind_params(params, value):
-    out = {}
-    names = [n for n, _ in params]
-    cur = value
-    for name in names[:-1]:
-        out[name] = cur[0]
-        cur = cur[1]
-    out[names[-1]] = cur
-    return out
-
-
-def vector_term_fn(fn: Term) -> Optional[Callable]:
-    """Vectorized application over nested tuples of numpy arrays, or None."""
-    if not isinstance(fn, Lam):
-        return None
-
-    def run(arg):
-        try:
-            env = _bind_params(fn.params, arg)
-            return _np_compile(fn.body, env)
-        except _NotVectorizable:
-            return None
-
-    # probe with scalars to detect vectorizability once
-    probe = _shape_like_probe()
-    try:
-        env = _bind_params(fn.params, probe)
-        _np_compile(fn.body, env)
-    except _NotVectorizable:
-        return None
-    except Exception:
-        pass  # numeric issues on the probe are fine; structure is compilable
-    return run
-
-
-def _shape_like_probe():
-    # a nested tuple of 0.5s deep enough for corpus functions
-    def deep(k):
-        if k == 0:
-            return 0.5
-        return (deep(k - 1), deep(k - 1))
-
-    return deep(3)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +155,13 @@ class _Density1D:
     hi: float
     pdf: Callable[[float], float]
     breakpoints: tuple[float, ...] = ()
-    gl_transform: Optional[Callable] = None  # maps [0,1] nodes to (x, jacobian*pdf)
 
 
 def _density_of(m: M.MeasureExpr, settings: QuadSettings) -> Optional[_Density1D]:
     match m:
         case M.UniformM(a, b):
             h = 1.0 / (b - a)
-            return _Density1D(a, b, lambda x: h, (), lambda u: (a + (b - a) * u, (b - a) * h))
+            return _Density1D(a, b, lambda x: h)
         case M.TriangularM(a, b):
             mid = (a + b) / 2.0
             peak = 2.0 / (b - a)
@@ -290,7 +172,7 @@ def _density_of(m: M.MeasureExpr, settings: QuadSettings) -> Optional[_Density1D
                 half = (_b - _a) / 2.0
                 return _peak * (1.0 - abs(x - _mid) / half)
 
-            return _Density1D(a, b, pdf, (mid,), lambda u: (a + (b - a) * u, (b - a) * pdf(a + (b - a) * u)))
+            return _Density1D(a, b, pdf, (mid,))
         case M.GaussianM(mean, std):
             lo = mean - settings.gaussian_cut * std
             hi = mean + settings.gaussian_cut * std
@@ -300,7 +182,7 @@ def _density_of(m: M.MeasureExpr, settings: QuadSettings) -> Optional[_Density1D
                 z = (x - _m) / _s
                 return _n * math.exp(-0.5 * z * z)
 
-            return _Density1D(lo, hi, pdf, (), lambda u: (lo + (hi - lo) * u, (hi - lo) * pdf(lo + (hi - lo) * u)))
+            return _Density1D(lo, hi, pdf)
         case M.GammaM(shape, scale):
             from scipy import stats
 
@@ -312,7 +194,7 @@ def _density_of(m: M.MeasureExpr, settings: QuadSettings) -> Optional[_Density1D
                     return 0.0
                 return math.exp((_k - 1.0) * math.log(x) - x / _s - _ln)
 
-            return _Density1D(0.0, hi, pdf, (), lambda u: (hi * u, hi * pdf(hi * u)))
+            return _Density1D(0.0, hi, pdf)
         case _:
             return None
 
@@ -482,9 +364,10 @@ def _integrate_iterated(m, g, settings, g_breakpoints=(), cache=None) -> float:
 def _integrate_grid(m, transforms, g, settings, cache=None) -> float:
     """Tensor Gauss-Legendre over exactly three continuous dimensions.
 
-    A test function whose transforms all vectorize is integrated in numpy
-    on `settings.grid_nodes_3d` nodes per axis (see `_pushed_grid`); any
-    other integrand is called once per node of a scalar grid.
+    A test function whose transforms all compile in array mode is
+    integrated in numpy on `settings.grid_nodes_3d` nodes per axis (see
+    `_pushed_grid`); any other integrand is called once per node of a
+    scalar grid with 32 nodes per axis.
     """
     densities = []
     for f in _factors(m):
@@ -496,69 +379,61 @@ def _integrate_grid(m, transforms, g, settings, cache=None) -> float:
             )
         densities.append(d)
 
-    nodes_per_dim = 32
     if isinstance(g, TestFn):
-        cols, weights, nodes_per_dim = _pushed_grid(m, transforms, densities, settings, cache)
-        if cols is not None:
+        grid = _pushed_grid(m, transforms, densities, settings, cache)
+        if grid is not None:
+            cols, weights = grid
             return float(np.dot(np.asarray(g.on_cols(cols)).ravel(), weights))
 
-    cols, weights = _tensor_grid(densities, nodes_per_dim)
+    axes, weights = _tensor_grid(densities, 32)
     gs = _compose_scalar(transforms, g)
-    vals = np.empty(cols[0].shape[0])
-    for i in range(cols[0].shape[0]):
-        vals[i] = float(gs(_nest_scalars([c[i] for c in cols])))
-    return float(np.dot(vals, weights))
+    vals = [float(gs(_nest_scalars(p))) for p in itertools.product(*axes)]
+    return float(np.dot(vals, weights.ravel()))
 
 
-def _pushed_grid(m, transforms, densities, settings, cache=None) -> tuple:
-    """(coordinate columns, weights, nodes per axis) of the grid on which
-    test functions integrate over the image of m under the transforms.
+def _pushed_grid(m, transforms, densities, settings, cache=None) -> Optional[tuple]:
+    """(coordinate columns, weights) of the grid on which test functions
+    integrate over the image of m under the transforms, or None when a
+    transform does not compile in array mode.
 
-    The columns are the grid's points pushed through the transforms, or
-    None when a transform does not vectorize; the scalar grid then takes
-    the node count given.  The result is looked up in and added to `cache`,
-    keyed by the identities of m, the transforms and settings, which the
-    entry keeps alive.
+    The transforms run on the grid's three axes as broadcastable arrays
+    (`np.ix_`), so a coordinate computed from fewer than three axes takes
+    fewer nodes, and no intermediate array is larger than the grid.  Each
+    pushed column is a read-only view with the grid's shape, also where a
+    transform gives a constant; the weights are raveled in the same order.
+    The result is looked up in and added to `cache`, keyed by the identities
+    of m, the transforms and settings, which the entry keeps alive.
     """
     key = ("grid", id(m), *map(id, transforms), id(settings))
     if cache is not None and key in cache:
         return cache[key][0]
-    vec_transforms = [vector_term_fn(f) for f in transforms]
-    if any(v is None for v in vec_transforms):
-        grid = (None, None, 32)
-    else:
-        cols, weights = _tensor_grid(densities, settings.grid_nodes_3d)
-        point = _nest_arrays(cols)
-        for fv in reversed(vec_transforms):
-            point = fv(point)
-            if point is None:
-                break
-        pushed = None if point is None else _flatten_array_point(point)
-        grid = (pushed, weights, settings.grid_nodes_3d)
+    fns = [compile_array_fn(f) for f in transforms]
+    grid = None
+    if None not in fns:
+        axes, weights = _tensor_grid(densities, settings.grid_nodes_3d)
+        point = _nest_arrays(np.ix_(*axes))
+        for f in reversed(fns):
+            point = f(point)
+        pushed = [np.broadcast_to(c, weights.shape) for c in _flatten_array_point(point)]
+        grid = (pushed, weights.ravel())
     if cache is not None:
         cache[key] = (grid, m, transforms, settings)
     return grid
 
 
 def _tensor_grid(densities, nodes_per_dim: int):
-    """Raveled coordinate columns and weights of the Gauss-Legendre tensor
-    grid over three densities."""
+    """The nodes on each axis and the weights, one 3-D array, of the
+    Gauss-Legendre tensor grid over three densities."""
     nodes, weights = np.polynomial.legendre.leggauss(nodes_per_dim)
     u = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
-    axes = []
+    axes, axis_weights = [], []
     for d in densities:
-        xs = np.empty_like(u)
-        ws = np.empty_like(u)
-        for i, ui in enumerate(u):
-            x, jac_pdf = d.gl_transform(ui)
-            xs[i] = x
-            ws[i] = w[i] * jac_pdf
-        axes.append((xs, ws))
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    (_, w0), (_, w1), (_, w2) = axes
-    total_w = w0[:, None, None] * w1[None, :, None] * w2[None, None, :]
-    return [grid.ravel() for grid in grids], total_w.ravel()
+        xs = d.lo + (d.hi - d.lo) * u
+        axes.append(xs)
+        axis_weights.append(w * [(d.hi - d.lo) * d.pdf(x) for x in xs])
+    w0, w1, w2 = np.ix_(*axis_weights)
+    return axes, w0 * w1 * w2
 
 
 def _flatten_array_point(point) -> list:
@@ -865,12 +740,13 @@ def measure_equal(
     if family is None:
         family = build_family(nu if db is not None or da is None else mu)
     details = []
-    worst = 0.0
     cache: dict = {}
     for member in family:
         va = integrate(mu, member, settings, member.breakpoints, cache)
         vb = integrate(nu, member, settings, member.breakpoints, cache)
-        d = abs(va - vb)
-        details.append((member.name, d))
-        worst = max(worst, d)
-    return MeasureEqualReport(worst <= tol, "numeric", worst, details)
+        details.append((member.name, abs(va - vb)))
+    # a nan discrepancy fails the comparison and is the worst one shown
+    ds = [d for _, d in details]
+    return MeasureEqualReport(
+        all(d <= tol for d in ds), "numeric", float(np.max(ds, initial=0.0)), details
+    )

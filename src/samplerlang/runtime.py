@@ -22,6 +22,18 @@ into a stated target thus costs one evaluation, not one per occurrence.
 
 The stream engine and quadrature reach these functions through
 `compile_fn` and `apply_value`.
+
+`compile_array_fn` runs the same generator in array mode, for the 3-D
+quadrature grid, whose functions take nested tuples of numpy arrays and
+compute a whole grid per call.  Value numbering and constant folding are the
+same; numeric constants enter as floats, and the builtins other than
+plus/minus/times/neg are the numpy functions of `_ARRAY_BUILTINS`, which
+both fold constants and run in the code, so a domain error gives nan or inf
+instead of raising, and no statement is wrapped to locate a failure.  Array
+mode refuses (returns None for) a body with a case or if, a comparison, an
+injection, a bool or unit constant, a builtin outside that table, or an
+application of anything but a lambda defined in the body: a tensor grid
+cannot integrate across the jump of a comparison.
 """
 from __future__ import annotations
 
@@ -30,6 +42,8 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from .builtins import BUILTIN_ERRORS, EvalError, located_error, signature
 from .terms import (
@@ -190,6 +204,17 @@ def value_to_term(v) -> Term:
 # builtins._CMP_FN), so the generated code spells them inline.
 _INFIX = {"plus": "+", "minus": "-", "times": "*"}
 _CMP_INFIX = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}
+# The other builtins in array mode: numpy functions that do not raise.
+_ARRAY_BUILTINS = {
+    "div": np.divide,
+    "sqrt": np.sqrt,
+    "exp": np.exp,
+    "log": np.log,
+    "cos": np.cos,
+    "sin": np.sin,
+    "abs": np.abs,
+    "pi": lambda: np.pi,
+}
 
 
 class _NotCompilable(Exception):
@@ -271,10 +296,12 @@ class _CodeGen:
     raises stays in the code, so it raises when (and only if) it is reached.
     A builtin or comparison already computed from the same operand sources
     in the same or an enclosing block is not emitted again (`calls`).
+    With `array` set it emits array mode (see the module docstring).
     """
 
-    def __init__(self, env: dict):
+    def __init__(self, env: dict, array: bool = False):
         self.env = env
+        self.array = array
         self.lines: list[str] = []
         self.namespace: dict = {
             "_VInj": VInj,
@@ -378,6 +405,10 @@ class _CodeGen:
                     return _Known(self.env[name])
                 raise _NotCompilable(term)
             case Const(value):
+                if self.array:
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise _NotCompilable(term)
+                    value = float(value)
                 return _Known(value)
             case Cast(_, body):
                 return self.term(body, scope, depth)
@@ -397,7 +428,7 @@ class _CodeGen:
                 return self.project(self.term(body, scope, depth), 0, depth)
             case Snd(body):
                 return self.project(self.term(body, scope, depth), 1, depth)
-            case Inj(index, body):
+            case Inj(index, body) if not self.array:
                 inner = self.term(body, scope, depth)
                 if isinstance(inner, _Known):
                     return _Known(VInj(index, inner.value))
@@ -405,7 +436,7 @@ class _CodeGen:
             case Let(name, bound, body):
                 value = self.local(self.term(bound, scope, depth), depth)
                 return self.term(body, {**scope, name: value}, depth)
-            case Case(scrutinee, branches):
+            case Case(scrutinee, branches) if not self.array:
                 return self.case(term, self.term(scrutinee, scope, depth), scope, depth)
             case Lam(params, body):
                 name = self.fresh("f")
@@ -420,14 +451,22 @@ class _CodeGen:
                 direct = self.direct_callee(fo)
                 if direct is not None:
                     return self.assign(depth, f"{direct}({ao})")
+                if self.array:
+                    raise _NotCompilable(term)
                 return self.assign(depth, f"_apply_value({self.code(fo)}, {ao})")
         raise _NotCompilable(term)
 
     def builtin(self, sig, ops: list, pos, depth: int):
         op = sig.name
+        fn = sig.fn
+        if self.array and op not in _INFIX and op != "neg":
+            fn = _ARRAY_BUILTINS.get(op)
+            if fn is None:
+                raise _NotCompilable(op)
         if all(isinstance(o, _Known) for o in ops):
             try:
-                return _Known(sig.fn(*(o.value for o in ops)))
+                value = fn(*(o.value for o in ops))
+                return _Known(float(value) if self.array else value)
             except (TypeError, *BUILTIN_ERRORS):
                 pass  # left in place: it raises when it is reached
         args = [self.code(o) for o in ops]
@@ -439,8 +478,11 @@ class _CodeGen:
         elif op == "neg":
             rhs = f"-{args[0]}"
         else:
-            self.namespace[f"_{op}"] = sig.fn
+            self.namespace[f"_{op}"] = fn
             rhs = f"_{op}({', '.join(args)})"
+        if self.array:
+            self.calls[key] = self.assign(depth, rhs)
+            return self.calls[key]
         name = self.fresh("t")
         self.emit(depth, "try:")
         self.emit(depth + 1, f"{name} = {rhs}")
@@ -451,6 +493,8 @@ class _CodeGen:
 
     def comparison(self, sig, operand, pos, depth: int):
         op = sig.name
+        if self.array:
+            raise _NotCompilable(op)
         if _is_known_pair(operand):
             left, right = map(_Known, operand.value)
             try:
@@ -479,6 +523,8 @@ class _CodeGen:
         """Source naming a Python function for the operand, if it has one."""
         if isinstance(operand, _Code):
             return operand.expr if operand.is_fn else None
+        if self.array:
+            return None
         fn = operand.value
         if isinstance(fn, VClosure):
             fn = compile_fn(fn)
@@ -522,18 +568,32 @@ def compile_fn(clo: VClosure) -> Optional[Callable]:
     known constants of that source.  Bodies that build samplers, or name
     variables the environment does not bind, are not compiled.
     """
-    if clo._compiled is not None:
-        return clo._compiled or None
-    gen = _CodeGen(clo.env)
+    if clo._compiled is None:
+        clo._compiled = _generate(_CodeGen(clo.env), clo.params, clo.body) or False
+    return clo._compiled or None
+
+
+def compile_array_fn(fn: Term) -> Optional[Callable]:
+    """A numpy function for a closed lambda term, or None.
+
+    The function maps nested tuples of arrays to nested tuples of arrays
+    (or floats, for constant components); see the module docstring for what
+    array mode refuses.
+    """
+    if not isinstance(fn, Lam):
+        return None
+    return _generate(_CodeGen({}, array=True), fn.params, fn.body)
+
+
+def _generate(gen: _CodeGen, params, body: Term) -> Optional[Callable]:
+    """The function gen generates for the body, or None if it refuses."""
     try:
-        gen.function("_fn", clo.params, clo.body, {}, 0)
+        gen.function("_fn", params, body, {}, 0)
     except _NotCompilable:
-        clo._compiled = False
         return None
     source = "\n".join(gen.lines) + "\n"
     exec(compile(source, "<samplerlang>", "exec"), gen.namespace)
-    clo._compiled = gen.namespace["_fn"]
-    return clo._compiled
+    return gen.namespace["_fn"]
 
 
 def apply_value(fn, arg):

@@ -2,13 +2,14 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from samplerlang.builtins import EvalError, apply_builtin
 from samplerlang.corpus import load_corpus, proof_path
 from samplerlang.interpreter import Interpreter
 from samplerlang.parser import parse_measure, parse_program, parse_term
-from samplerlang.runtime import WeightedList, _CodeGen, value_equal
+from samplerlang.runtime import WeightedList, _CodeGen, compile_array_fn, value_equal
 from samplerlang.quadrature import term_fn
 from samplerlang.streams import StreamEvaluator, truncate
 from samplerlang.terms import (
@@ -26,6 +27,7 @@ from samplerlang.terms import (
     Var,
     Wt,
     ite,
+    positions,
 )
 from samplerlang.typecheck import check_program
 
@@ -242,6 +244,63 @@ def test_compiled_functions_match_big_step():
             assert value_equal(it.big_step(1, App(lam, Const(x))), got), lam
             compared += 1
     assert compared > 500
+
+
+# -- the array backend ----------------------------------------------------------
+
+
+def test_array_backend_refuses_exactly_the_terms_with_a_case():
+    # comparisons and injections occur in _random_body only under a case
+    rng = random.Random(7)
+    lams = [Lam((("x", None),), _random_body(rng, ["x"], 4)) for _ in range(300)]
+    with np.errstate(all="ignore"):  # constants folded to nan or inf
+        refused = [compile_array_fn(lam) is None for lam in lams]
+    assert refused == [any(isinstance(t, Case) for _, t in positions(lam)) for lam in lams]
+    assert 0 < sum(refused) < len(lams)
+    # a case whose scrutinee is a parameter, not a comparison or injection
+    by_param = Case(Var("x"), (("a", Var("a")), ("b", Var("b"))))
+    assert compile_array_fn(Lam((("x", None),), by_param)) is None
+
+
+def test_array_backend_matches_the_scalar_backend():
+    # numpy's log, exp and cos may differ from math's in the last bit, so
+    # only the correctly rounded builtins are compared
+    exact = {"plus", "minus", "times", "div", "neg", "sqrt", "abs"}
+    xs = np.array([0.5, -1.0, 3.0, 0.0, 2.0])
+    rng = random.Random(7)
+    compared = 0
+    for _ in range(3000):
+        lam = Lam((("x", None),), _random_body(rng, ["x"], 4))
+        ops = {t.op for _, t in positions(lam) if isinstance(t, Builtin)}
+        if not ops <= exact:
+            continue
+        with np.errstate(all="ignore"):
+            array_fn = compile_array_fn(lam)
+            if array_fn is None:
+                continue
+            got = np.broadcast_to(array_fn(xs), xs.shape)
+        scalar_fn = term_fn(lam)
+        for x, value in zip(xs.tolist(), got.tolist()):
+            try:
+                want = scalar_fn(x)
+            except EvalError:
+                continue
+            assert value == want or (math.isnan(value) and math.isnan(want)), (lam, x)
+            compared += 1
+    assert compared > 4000
+
+
+def test_box_muller_compiles_to_one_call_per_builtin_without_try():
+    # the transform of test_shared_grid_gives_the_same_integrals
+    box = parse_term(
+        "fun w : R+ * R+ * R+ => (fst(w), sqrt(-2 * log(fst(snd(w)))) * cos(2 * pi * snd(snd(w))))"
+    )
+    assert compile_array_fn(box) is not None
+    gen = _CodeGen({}, array=True)
+    gen.function("_fn", box.params, box.body, {}, 0)
+    source = "\n".join(gen.lines)
+    assert "try:" not in source
+    assert [source.count(f"_{op}(") for op in ("log", "sqrt", "cos")] == [1, 1, 1]
 
 
 # -- invariants ---------------------------------------------------------------

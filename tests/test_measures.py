@@ -160,6 +160,29 @@ def test_shared_grid_gives_the_same_integrals():
     assert [key[0] for key in shared] == ["grid"]
 
 
+def test_constant_coordinate_of_a_3d_pushforward():
+    mu = parse_measure(
+        "pushforward(fun w : R * (R * R) => (fst(w), (fst(snd(w)), 1.0)), uniform(0, 1)^3)"
+    )
+    values = {member.name: integrate(mu, member) for member in build_family(mu, slim=True)}
+    assert abs(values["x[2]"] - 1.0) <= 1e-12
+    assert abs(values["cos1x[2]"] - math.cos(1)) <= 1e-12
+
+
+def test_nan_discrepancy_makes_measures_unequal():
+    # log(u - 2) is nan on the whole 3-D grid, so x[0] integrates to nan
+    computed = parse_measure(
+        "pushforward(fun w : R * (R * R) => (log(fst(w) - 2), (fst(snd(w)), snd(snd(w)))),"
+        " uniform(0, 1)^3)"
+    )
+    stated = parse_measure("gaussian(5, 1) * (uniform(0, 1) * uniform(0, 1))")
+    with np.errstate(invalid="ignore"):
+        report = measure_equal(computed, stated)
+    assert math.isnan(dict(report.details)["x[0]"])
+    assert not report.equal
+    assert math.isnan(report.max_discrepancy)
+
+
 def test_term_fn_of_a_body_that_does_not_compile():
     lam = parse_term("fun x : R => prng(fun y : R => y / 2, x)")
     with pytest.raises(EvalError) as want:
