@@ -34,6 +34,7 @@ from .terms import (
     Tl,
     Var,
     Wt,
+    beta,
     substitute,
 )
 
@@ -100,7 +101,7 @@ class BigStep:
                 fv = self.eval(fn, n)
                 if not isinstance(fv, Lam):
                     raise EvalError(f"application of non-function {fv!r}", term.pos)
-                return self.eval(self._beta(fv, arg), n)
+                return self.eval(beta(fv, arg), n)
 
             case Hd(body):
                 lst = self._sampler(body, max(n, 1), term)
@@ -163,30 +164,7 @@ class BigStep:
     def apply(self, fn, value, n: int):
         if not isinstance(fn, Lam):
             raise EvalError(f"application of non-function {fn!r}")
-        return self.eval(self._beta(fn, value_to_term(value)), n)
-
-    def _beta(self, lam: Lam, arg: Term) -> Term:
-        params = lam.params
-        body = lam.body
-        if len(params) == 1:
-            return substitute(body, params[0][0], arg)
-        # group lambda: bind components of the right-nested tuple; rename the
-        # parameters apart first so sequential substitution cannot capture
-        # variables free in `arg`
-        from .terms import fresh_name, free_vars
-
-        avoid = set(free_vars(arg) | free_vars(body))
-        renamed = []
-        for name, _ in params:
-            fresh = fresh_name(name, avoid)
-            avoid.add(fresh)
-            body = substitute(body, name, Var(fresh))
-            renamed.append(fresh)
-        access = arg
-        for fresh in renamed[:-1]:
-            body = substitute(body, fresh, Fst(access))
-            access = Snd(access)
-        return substitute(body, renamed[-1], access)
+        return self.eval(beta(fn, value_to_term(value)), n)
 
     def _sampler(self, term: Term, n: int, site: Term) -> WeightedList:
         v = self.eval(term, n)

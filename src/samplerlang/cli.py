@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .builtins import EvalError
-from .config import Config
+from .config import Config, ConfigError
 from .corpus import corpus_dir, load_corpus, proof_path
 from .empirical import weak_convergence_test, k_equidistribution_test
 from .interpreter import Interpreter
@@ -31,7 +31,7 @@ def _load_program(path: str):
 def _config_from(args) -> Config:
     overrides = {}
     if getattr(args, "seed", None) is not None:
-        overrides["seed"] = int(args.seed, 0) if isinstance(args.seed, str) else args.seed
+        overrides["seed"] = args.seed
     return Config.load(getattr(args, "config", None), overrides)
 
 
@@ -307,18 +307,18 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_examples)
 
     args = parser.parse_args(argv)
-    if args.print_config:
-        print(_config_from(args).dump())
-        return 0
-    if not getattr(args, "fn", None):
+    if not (args.print_config or getattr(args, "fn", None)):
         parser.print_help()
         return 2
     try:
+        if args.print_config:
+            print(_config_from(args).dump())
+            return 0
         return args.fn(args)
     except (ParseError, TypeCheckError, EvalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except FileNotFoundError as err:
+    except (ConfigError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Run configuration: seeds, ladders, tolerances, quadrature settings.
+"""Run configuration: the seed, the test-target tolerance, quadrature settings.
 
 Values load from an optional flat key=value file; the SAMPLERLANG_SEED
 environment variable overrides the file's seed, and CLI flags override both.
@@ -6,28 +6,22 @@ environment variable overrides the file's seed, and CLI flags override both.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .kernels import DEFAULT_SEED
+
+
+class ConfigError(ValueError):
+    """A configuration file or SAMPLERLANG_SEED that cannot be read."""
 
 
 @dataclass
 class Config:
     seed: int = DEFAULT_SEED
-    n_ladder: tuple[int, ...] = (1000, 10000, 100000)
     tol_final: float = 0.02
-    tol_floor: float = 5e-3
     quad_abs_tol: float = 1e-9
     quad_rel_tol: float = 1e-9
     grid_nodes_3d: int = 96
-    subtype_depth: int = 32
-    equiv_depth: int = 8
-    equiv_size_factor: int = 4
-    ladder_slack: float = 2.0
-
-    def tol_schedule(self, n: int) -> float:
-        """Default tolerance at ladder rung n: max(floor, 3/sqrt(n))."""
-        return max(self.tol_floor, 3.0 / (n ** 0.5))
 
     def quad_settings(self):
         from .quadrature import QuadSettings
@@ -45,23 +39,20 @@ class Config:
             values.update(_read_config_file(path))
         env_seed = os.environ.get("SAMPLERLANG_SEED")
         if env_seed is not None:
-            values["seed"] = int(env_seed, 0)
-        if overrides:
-            values.update({k: v for k, v in overrides.items() if v is not None})
+            values["seed"] = _coerce("seed", env_seed, "SAMPLERLANG_SEED")
+        for key, value in (overrides or {}).items():
+            if isinstance(value, str):  # a command-line flag
+                value = _coerce(key, value, f"--{key}")
+            if value is not None:
+                values[key] = value
         known = {f.name for f in fields(cls)}
         unknown = set(values) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**values)
 
     def dump(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(map(str, v))
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines)
+        return "\n".join(f"{f.name} = {getattr(self, f.name)}" for f in fields(self))
 
 
 def _read_config_file(path: str) -> dict:
@@ -72,15 +63,14 @@ def _read_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
+                raise ConfigError(f"{path}: bad config line: {raw.rstrip()}")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = _coerce(key, value)
+            out[key] = _coerce(key, value, path)
     return out
 
 
-def _coerce(key: str, value: str):
-    if key == "n_ladder":
-        return tuple(int(x) for x in value.split(","))
-    if key in ("seed", "grid_nodes_3d", "subtype_depth", "equiv_depth", "equiv_size_factor"):
-        return int(value, 0)
-    return float(value)
+def _coerce(key: str, value: str, where: str):
+    try:
+        return int(value, 0) if key in ("seed", "grid_nodes_3d") else float(value)
+    except ValueError:
+        raise ConfigError(f"{where}: bad value for {key}: {value!r}") from None

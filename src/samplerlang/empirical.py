@@ -132,13 +132,16 @@ class ConvergenceReport:
         }
 
 
+#: how far the worst discrepancy may grow from one ladder rung to the next
+LADDER_SLACK = 2.0
+
+
 def weak_convergence_test(
     stream,
     target: M.MeasureExpr,
     n_ladder: Sequence[int] = (1000, 10000, 100000),
     family: Optional[TestFunctionFamily] = None,
     tol_schedule: Optional[Callable[[int], float]] = None,
-    slack: float = 2.0,
     settings: QuadSettings = DEFAULT_SETTINGS,
 ) -> ConvergenceReport:
     """Family discrepancies of empirical prefixes against the target."""
@@ -194,11 +197,11 @@ def weak_convergence_test(
         # member-wise comparison would flag ordinary statistical noise when a
         # member happens to be lucky-small at a small rung
         for prev, nxt in zip(points, points[1:]):
-            if nxt.worst() > slack * prev.worst() + 1e-9:
+            if nxt.worst() > LADDER_SLACK * prev.worst() + 1e-9:
                 passed = False
                 reason = (
                     f"worst discrepancy grew from {prev.worst():.4g} (n={prev.n}) "
-                    f"to {nxt.worst():.4g} (n={nxt.n}) beyond slack {slack}"
+                    f"to {nxt.worst():.4g} (n={nxt.n}) beyond slack {LADDER_SLACK}"
                 )
                 break
     return ConvergenceReport(pretty_measure(target), points, passed, reason)

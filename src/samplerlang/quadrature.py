@@ -28,7 +28,7 @@ from scipy import integrate as sci
 
 from . import measures as M
 from .builtins import EvalError
-from .runtime import apply_value, compile_array_fn, compile_fn, VClosure, value_to_point
+from .runtime import apply_value, compile_array_fn, compile_fn, VClosure, VInj, value_to_point
 from .terms import Lam, Term
 
 
@@ -252,14 +252,17 @@ def integrate(
 ) -> float:
     """The pairing of the measure with a test function on points.
 
-    `g` takes a point (float or nested pair of floats).  Booleans integrate
-    as 1.0/0.0.  Callers that integrate one measure against many functions
-    pass the same `cache` dict (empty at first) to each call, so that each
-    reweight normalizer is integrated once and each 3-D grid built once.
+    `g` takes a runtime value of the measure's payload: a float, a Boolean,
+    an injection or a nested pair of these, so a term function gets the
+    values it was typed for.  Test functions read a value as a point, with
+    Booleans as 1.0/0.0 (`_flatten_point`).  Callers that integrate one
+    measure against many functions pass the same `cache` dict (empty at
+    first) to each call, so that each reweight normalizer is integrated once
+    and each 3-D grid built once.
     """
     disc = reduce_discrete(m)
     if disc is not None:
-        return math.fsum(mass * float(g(value_to_point(v))) for v, mass in disc.atoms)
+        return math.fsum(mass * float(g(v)) for v, mass in disc.atoms)
     return _cont(m, [], g, settings, g_breakpoints, cache)
 
 
@@ -317,7 +320,7 @@ def _compose_scalar(transforms: list, g) -> Callable:
         v = p
         for f in reversed(fns):
             v = f(v)
-        return g(value_to_point(v))
+        return g(v)
 
     return run
 
@@ -350,12 +353,10 @@ def _integrate_iterated(m, g, settings, g_breakpoints=(), cache=None) -> float:
             return _integrate_iterated(M.expand_power(m), g, settings, cache=cache)
         case M.Dirac() | M.Bernoulli() | M.FiniteDiscrete():
             disc = reduce_discrete(m)
-            return math.fsum(mass * float(g(value_to_point(v))) for v, mass in disc.atoms)
+            return math.fsum(mass * float(g(v)) for v, mass in disc.atoms)
         case M.PushforwardM(fn, base):
             f = term_fn(fn)
-            return _integrate_iterated(
-                base, lambda p: g(value_to_point(f(p))), settings, cache=cache
-            )
+            return _integrate_iterated(base, lambda p: g(f(p)), settings, cache=cache)
         case M.ReweightM():
             return integrate(m, g, settings, cache=cache)
     raise IntegrationError(f"cannot integrate {m!r}")
@@ -498,11 +499,15 @@ def support_box(m: M.MeasureExpr) -> list[tuple[float, float]]:
 
 
 def _flatten_point(p) -> list[float]:
+    """The coordinates of a point or runtime value: pairs flatten, an
+    injection is its payload, and Booleans are 1.0/0.0."""
     if isinstance(p, tuple):
         out = []
         for x in p:
             out.extend(_flatten_point(x))
         return out
+    if isinstance(p, VInj):
+        return _flatten_point(p.value)
     return [float(p)]
 
 

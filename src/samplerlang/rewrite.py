@@ -1,5 +1,24 @@
 """Sampler equivalence: rewrite rules, bounded proving, and normalization.
 
+The calculus is a list of equations `lhs = rhs` between patterns.  A name
+that starts with `?` is a metavariable: a free `?f` stands for any term, a
+fun/let binder `?x` for that binder's name, and a thin count `?n` for any
+count.  One matcher and one builder derive each orientation from the pair,
+and its head class is the root class of the side it matches:
+
+- a repeated metavariable matches only alpha-equal terms or equal counts,
+  bound left to right, so the first occurrence's term is the one reused;
+- a binder that only the built side has gets a fresh name that avoids the
+  free variables of the parts under it;
+- a part under a matched binder on one side but not on the other must not
+  mention that binder (the side conditions `x not in fv(f)`);
+- a constant matches only a literal of its own type, and a subterm without
+  metavariables, such as the identity `fun x : _ => x`, is built as it
+  stands.
+
+beta, tl_thin, thin_thin and thin_prng are functions, because their shape
+depends on substitution or on a count.
+
 Each rule rewrites at a position, in either orientation; a proof is two
 oriented step chains from both endpoints meeting at a common term, so
 one-way rules (beta, let inlining) never need inverting during replay.
@@ -11,7 +30,7 @@ count, term size) decreasing lexicographically.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 from .terms import (
@@ -35,14 +54,14 @@ from .terms import (
     Var,
     Wt,
     alpha_equal,
-    as_ite,
+    beta,
     children,
     free_vars,
     fresh_name,
+    ite,
     positions,
     replace_at,
     subterm_at,
-    substitute,
     term_size,
 )
 
@@ -52,7 +71,7 @@ class RewriteError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Combinator builders (identity, constant-1, composition, products)
+# Combinator builders (iteration, products)
 # ---------------------------------------------------------------------------
 
 
@@ -63,19 +82,6 @@ def _fresh(avoid_terms, base="x"):
     return fresh_name(base, avoid)
 
 
-def id_fn() -> Lam:
-    return Lam((("x", None),), Var("x"))
-
-
-def one_fn() -> Lam:
-    return Lam((("x", None),), Const(1))
-
-
-def compose(g: Term, f: Term) -> Lam:
-    x = _fresh([g, f])
-    return Lam(((x, None),), App(g, App(f, Var(x))))
-
-
 def iterate_fn(f: Term, n: int) -> Lam:
     x = _fresh([f])
     body: Term = Var(x)
@@ -84,40 +90,183 @@ def iterate_fn(f: Term, n: int) -> Lam:
     return Lam(((x, None),), body)
 
 
-def cart(f: Term, g: Term) -> Lam:
-    p = _fresh([f, g], "p")
+def _cart_at(p: str, f: Term, g: Term) -> Lam:
     return Lam(((p, None),), Pair(App(f, Fst(Var(p))), App(g, Snd(Var(p)))))
 
 
+def _ptwise_at(p: str, f: Term, g: Term) -> Lam:
+    return Lam(((p, None),), Builtin("times", (App(f, Fst(Var(p))), App(g, Snd(Var(p))))))
+
+
+def cart(f: Term, g: Term) -> Lam:
+    """fun p => (f(fst(p)), g(snd(p)))"""
+    return _cart_at(_fresh([f, g], "p"), f, g)
+
+
 def ptwise_pair(f: Term, g: Term) -> Lam:
-    p = _fresh([f, g], "p")
-    return Lam(
-        ((p, None),),
-        Builtin("times", (App(f, Fst(Var(p))), App(g, Snd(Var(p))))),
-    )
+    """fun p => f(fst(p)) * g(snd(p))"""
+    return _ptwise_at(_fresh([f, g], "p"), f, g)
 
 
-def ptwise_same(g: Term, f: Term) -> Lam:
-    x = _fresh([f, g])
-    return Lam(((x, None),), Builtin("times", (App(f, Var(x)), App(g, Var(x)))))
+# ---------------------------------------------------------------------------
+# Patterns: one matcher and one builder for every equation
+# ---------------------------------------------------------------------------
+
+# the fields of each term class that a pattern spells out, in constructor order
+_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.name != "pos") for cls in Term.__subclasses__()
+}
 
 
-def _match_cart(t: Term) -> Optional[tuple[Term, Term]]:
-    match t:
-        case Lam(((p, _),), Pair(App(f, Fst(Var(p1))), App(g, Snd(Var(p2))))) if (
-            p1 == p and p2 == p and p not in free_vars(f) and p not in free_vars(g)
-        ):
-            return f, g
+def _is_meta(x) -> bool:
+    return isinstance(x, str) and x.startswith("?")
+
+
+def _parts(p) -> list:
+    """The parts of a pattern value: a term's fields or a tuple's items."""
+    if isinstance(p, Term):
+        return [getattr(p, f) for f in _FIELDS[type(p)]]
+    return list(p) if isinstance(p, tuple) else []
+
+
+def _var_metas(p) -> set[str]:
+    """The metavariables that p uses as terms or as bound variables."""
+    if isinstance(p, Var):
+        return {p.name} if _is_meta(p.name) else set()
+    return set().union(*map(_var_metas, _parts(p)))
+
+
+def _binder(p) -> Optional[str]:
+    """The metavariable that names p's own binder, if p is a fun or a let."""
+    if isinstance(p, Lam) and len(p.params) == 1 and _is_meta(p.params[0][0]):
+        return p.params[0][0]
+    if isinstance(p, Let) and _is_meta(p.name):
+        return p.name
     return None
 
 
-def _match_ptwise_pair(t: Term) -> Optional[tuple[Term, Term]]:
-    match t:
-        case Lam(
-            ((p, _),), Builtin("times", (App(f, Fst(Var(p1))), App(g, Snd(Var(p2)))))
-        ) if p1 == p and p2 == p and p not in free_vars(f) and p not in free_vars(g):
-            return f, g
-    return None
+def _scopes(p, out: dict[str, set[str]]) -> dict[str, set[str]]:
+    """The metavariables used under each binder metavariable of p."""
+    binder = _binder(p)
+    if binder is not None:
+        out[binder] = _var_metas(p.body)
+    for part in _parts(p):
+        _scopes(part, out)
+    return out
+
+
+def _matcher(p, binders) -> Callable[[object, dict], bool]:
+    """A test of a term, or of a field of one, against pattern value p; it
+    binds p's metavariables in env, left to right."""
+    if isinstance(p, Const):  # literals of different types differ
+        return lambda t, env: alpha_equal(p, t)
+    if isinstance(p, Var) and p.name in binders:
+        name = p.name
+        return lambda t, env: type(t) is Var and t.name == env[name]
+    if isinstance(p, Var) and _is_meta(p.name):
+        name = p.name
+
+        def term_meta(t, env):
+            seen = env.setdefault(name, t)
+            return seen is t or alpha_equal(seen, t)
+
+        return term_meta
+    if _is_meta(p):  # a binder's name or a count
+        return lambda v, env: env.setdefault(p, v) == v
+    if isinstance(p, Term):
+        cls = type(p)
+        subs = [(attr, _matcher(getattr(p, attr), binders)) for attr in _FIELDS[cls]]
+
+        def node(t, env):
+            if type(t) is not cls:
+                return False
+            for attr, sub in subs:
+                if not sub(getattr(t, attr), env):
+                    return False
+            return True
+
+        return node
+    if isinstance(p, tuple):
+        items = [_matcher(x, binders) for x in p]
+
+        def items_match(t, env):
+            if len(t) != len(items):
+                return False
+            for sub, x in zip(items, t):
+                if not sub(x, env):
+                    return False
+            return True
+
+        return items_match
+    if p is None:  # a binder's type annotation: any
+        return lambda t, env: True
+    return lambda v, env: v == p
+
+
+def _builder(p, binders, scopes, matched) -> Callable[[dict], object]:
+    """The instance of pattern value p under the bindings in env.  A binder
+    that the match did not bind gets a name that avoids the free variables
+    of the parts under it."""
+    if isinstance(p, Var) and p.name in binders:
+        name = p.name
+        return lambda env: Var(env[name])
+    if isinstance(p, Var) and _is_meta(p.name):
+        name = p.name
+        return lambda env: env[name]
+    if _is_meta(p):
+        return lambda env: env[p]
+    if isinstance(p, tuple):
+        items = [_builder(x, binders, scopes, matched) for x in p]
+        return lambda env: tuple([b(env) for b in items])
+    if not isinstance(p, Term):
+        return lambda env: p
+    cls = type(p)
+    subs = [_builder(part, binders, scopes, matched) for part in _parts(p)]
+
+    def node(env):
+        return cls(*[b(env) for b in subs])
+
+    binder = _binder(p)
+    if binder is None or binder in matched:
+        return node
+    base, under = binder[1:], sorted(scopes[binder] - binders)
+
+    def fresh(env):
+        avoid: set[str] = set()
+        for m in under:
+            avoid |= free_vars(env[m])
+        env[binder] = fresh_name(base, avoid)
+        return node(env)
+
+    return fresh
+
+
+def _orientation(lhs: Term, rhs: Term) -> Callable[[Term], Optional[Term]]:
+    """The rewrite of instances of lhs to the same instances of rhs."""
+    lhs_scopes, rhs_scopes = _scopes(lhs, {}), _scopes(rhs, {})
+    binders = lhs_scopes.keys() | rhs_scopes.keys()
+    match = _matcher(lhs, binders)
+    build = _builder(rhs, binders, rhs_scopes, lhs_scopes.keys())
+    # the parts that leave a matched binder's scope must not mention it
+    kept = _var_metas(rhs) - binders
+    conditions = [
+        (x, sorted((under & kept) - rhs_scopes.get(x, set())))
+        for x, under in lhs_scopes.items()
+    ]
+    conditions = [(x, parts) for x, parts in conditions if parts]
+
+    def rewrite(t: Term) -> Optional[Term]:
+        env: dict = {}
+        if not match(t, env):
+            return None
+        for x, parts in conditions:
+            name = env[x]
+            for m in parts:
+                if name in free_vars(env[m]):
+                    return None
+        return build(env)
+
+    return rewrite
 
 
 # ---------------------------------------------------------------------------
@@ -137,467 +286,157 @@ class Rule:
     note: str = ""
 
 
+@dataclass(frozen=True)
+class Equation:
+    """A rule stated as `lhs arrow rhs`: "<->" rewrites both ways, "->" only
+    left to right.  The head classes are the two sides' root classes."""
+
+    name: str
+    lhs: Term
+    arrow: str
+    rhs: Term
+    note: str = ""
+
+    def rule(self) -> Rule:
+        both = self.arrow == "<->"
+        return Rule(
+            self.name,
+            _orientation(self.lhs, self.rhs),
+            _orientation(self.rhs, self.lhs) if both else None,
+            type(self.lhs),
+            type(self.rhs) if both else None,
+            self.note,
+        )
+
+
 def _beta_fwd(t: Term) -> Optional[Term]:
     match t:
-        case App(Lam(params, body), arg):
-            if len(params) == 1:
-                return substitute(body, params[0][0], arg)
-            avoid = set(free_vars(arg) | free_vars(body))
-            renamed = []
-            for name, _ in params:
-                nm = fresh_name(name, avoid)
-                avoid.add(nm)
-                body = substitute(body, name, Var(nm))
-                renamed.append(nm)
-            access: Term = arg
-            for nm in renamed[:-1]:
-                body = substitute(body, nm, Fst(access))
-                access = Snd(access)
-            return substitute(body, renamed[-1], access)
+        case App(Lam() as lam, arg):
+            return beta(lam, arg)
     return None
 
 
-def _eta_fwd(t: Term) -> Optional[Term]:
+def _tl_thin_fwd(t: Term) -> Optional[Term]:
     match t:
-        case Lam(((x, _),), App(f, Var(x1))) if x1 == x and x not in free_vars(f):
-            return f
+        case Tl(Thin(n, s)):
+            inner = s
+            for _ in range(n):
+                inner = Tl(inner)
+            return Thin(n, inner)
     return None
 
 
-def _let_fwd(t: Term) -> Optional[Term]:
+def _tl_thin_bwd(t: Term) -> Optional[Term]:
     match t:
-        case Let(name, bound, body):
-            return App(Lam(((name, None),), body), bound)
+        case Thin(n, s):
+            inner = s
+            for _ in range(n):
+                if not isinstance(inner, Tl):
+                    return None
+                inner = inner.body
+            return Tl(Thin(n, inner))
     return None
 
 
-def _let_bwd(t: Term) -> Optional[Term]:
+def _thin_thin_fwd(t: Term) -> Optional[Term]:
     match t:
-        case App(Lam(((name, _),), body), bound):
-            return Let(name, bound, body)
+        case Thin(n, Thin(m, s)):
+            return Thin(n * m, s)
     return None
 
 
-def _ite_true_fwd(t: Term) -> Optional[Term]:
-    sugar = as_ite(t)
-    if sugar is not None and alpha_equal(sugar[0], Const(True)):
-        return sugar[1]
-    return None
-
-
-def _ite_false_fwd(t: Term) -> Optional[Term]:
-    sugar = as_ite(t)
-    if sugar is not None and alpha_equal(sugar[0], Const(False)):
-        return sugar[2]
-    return None
-
-
-def _fst_pair_fwd(t: Term) -> Optional[Term]:
+def _thin_prng_fwd(t: Term) -> Optional[Term]:
     match t:
-        case Fst(Pair(a, _)):
-            return a
+        case Thin(n, Prng(s, seed)):
+            return Prng(iterate_fn(s, n), seed)
     return None
 
 
-def _snd_pair_fwd(t: Term) -> Optional[Term]:
-    match t:
-        case Snd(Pair(_, b)):
-            return b
-    return None
+# pattern metavariables: terms, binders and a count
+A, B, E, F, G, S, U = (Var(f"?{c}") for c in "abefgsu")
+X, P, N = "?x", "?p", "?n"
 
 
-def _mk(name, fwd, bwd=(None, None), note=""):
-    """A rule from (head class, function) pairs, one per orientation."""
-    return Rule(name, fwd[1], bwd[1], fwd[0], bwd[0], note)
+def _fun(x: str, body: Term) -> Lam:
+    return Lam(((x, None),), body)
 
 
-def _rules() -> dict[str, Rule]:
-    rules: list[Rule] = []
+def _times(a: Term, b: Term) -> Builtin:
+    return Builtin("times", (a, b))
 
-    rules.append(_mk("beta", (App, _beta_fwd)))
-    rules.append(_mk("eta", (Lam, _eta_fwd)))
-    rules.append(_mk("let", (Let, _let_fwd), (App, _let_bwd)))
-    rules.append(_mk("ite_true", (Case, _ite_true_fwd)))
-    rules.append(_mk("ite_false", (Case, _ite_false_fwd)))
-    rules.append(_mk("fst_pair", (Fst, _fst_pair_fwd)))
-    rules.append(_mk("snd_pair", (Snd, _snd_pair_fwd)))
 
+_ID = _fun("x", Var("x"))
+_ONE = _fun("x", Const(1))
+
+_CALCULUS: list = [
+    Rule("beta", _beta_fwd, None, App),
+    Equation("eta", _fun(X, App(F, Var(X))), "->", F),
+    Equation("let", Let(X, B, E), "<->", App(_fun(X, E), B)),
+    Equation("ite_true", ite(Const(True), A, B), "->", A),
+    Equation("ite_false", ite(Const(False), A, B), "->", B),
+    Equation("fst_pair", Fst(Pair(A, B)), "->", A),
+    Equation("snd_pair", Snd(Pair(A, B)), "->", B),
     # head/weight/tail of each constructor
-    def hd_map_f(t):
-        match t:
-            case Hd(Map(f, s)):
-                return App(f, Hd(s))
-        return None
-
-    def hd_map_b(t):
-        match t:
-            case App(f, Hd(s)):
-                return Hd(Map(f, s))
-        return None
-
-    rules.append(_mk("hd_map", (Hd, hd_map_f), (App, hd_map_b)))
-
-    def wt_map_f(t):
-        match t:
-            case Wt(Map(_, s)):
-                return Wt(s)
-        return None
-
-    rules.append(_mk("wt_map", (Wt, wt_map_f)))
-
-    def tl_map_f(t):
-        match t:
-            case Tl(Map(f, s)):
-                return Map(f, Tl(s))
-        return None
-
-    def tl_map_b(t):
-        match t:
-            case Map(f, Tl(s)):
-                return Tl(Map(f, s))
-        return None
-
-    rules.append(_mk("tl_map", (Tl, tl_map_f), (Map, tl_map_b)))
-
-    def hd_prod_f(t):
-        match t:
-            case Hd(Prod(s, u)):
-                return Pair(Hd(s), Hd(u))
-        return None
-
-    def hd_prod_b(t):
-        match t:
-            case Pair(Hd(s), Hd(u)):
-                return Hd(Prod(s, u))
-        return None
-
-    rules.append(_mk("hd_prod", (Hd, hd_prod_f), (Pair, hd_prod_b)))
-
-    def wt_prod_f(t):
-        match t:
-            case Wt(Prod(s, u)):
-                return Builtin("times", (Wt(s), Wt(u)))
-        return None
-
-    def wt_prod_b(t):
-        match t:
-            case Builtin("times", (Wt(s), Wt(u))):
-                return Wt(Prod(s, u))
-        return None
-
-    rules.append(_mk("wt_prod", (Wt, wt_prod_f), (Builtin, wt_prod_b)))
-
-    def tl_prod_f(t):
-        match t:
-            case Tl(Prod(s, u)):
-                return Prod(Tl(s), Tl(u))
-        return None
-
-    def tl_prod_b(t):
-        match t:
-            case Prod(Tl(s), Tl(u)):
-                return Tl(Prod(s, u))
-        return None
-
-    rules.append(_mk("tl_prod", (Tl, tl_prod_f), (Prod, tl_prod_b)))
-
-    def hd_thin_f(t):
-        match t:
-            case Hd(Thin(_, s)):
-                return Hd(s)
-        return None
-
-    rules.append(_mk("hd_thin", (Hd, hd_thin_f)))
-
-    def wt_thin_f(t):
-        match t:
-            case Wt(Thin(_, s)):
-                return Wt(s)
-        return None
-
-    rules.append(_mk("wt_thin", (Wt, wt_thin_f)))
-
-    def tl_thin_f(t):
-        match t:
-            case Tl(Thin(n, s)):
-                inner = s
-                for _ in range(n):
-                    inner = Tl(inner)
-                return Thin(n, inner)
-        return None
-
-    def tl_thin_b(t):
-        match t:
-            case Thin(n, s):
-                inner = s
-                for _ in range(n):
-                    if not isinstance(inner, Tl):
-                        return None
-                    inner = inner.body
-                return Tl(Thin(n, inner))
-        return None
-
-    rules.append(_mk("tl_thin", (Tl, tl_thin_f), (Thin, tl_thin_b)))
-
-    def thin_one_f(t):
-        match t:
-            case Thin(1, s):
-                return s
-        return None
-
+    Equation("hd_map", Hd(Map(F, S)), "<->", App(F, Hd(S))),
+    Equation("wt_map", Wt(Map(F, S)), "->", Wt(S)),
+    Equation("tl_map", Tl(Map(F, S)), "<->", Map(F, Tl(S))),
+    Equation("hd_prod", Hd(Prod(S, U)), "<->", Pair(Hd(S), Hd(U))),
+    Equation("wt_prod", Wt(Prod(S, U)), "<->", _times(Wt(S), Wt(U))),
+    Equation("tl_prod", Tl(Prod(S, U)), "<->", Prod(Tl(S), Tl(U))),
+    Equation("hd_thin", Hd(Thin(N, S)), "->", Hd(S)),
+    Equation("wt_thin", Wt(Thin(N, S)), "->", Wt(S)),
+    Rule("tl_thin", _tl_thin_fwd, _tl_thin_bwd, Tl, Thin),
     # no backward orientation: wrapping arbitrary terms in thin(1, .) would
     # make every position a redex during search
-    rules.append(_mk("thin_one", (Thin, thin_one_f)))
-
-    def hd_prng_f(t):
-        match t:
-            case Hd(Prng(_, seed)):
-                return seed
-        return None
-
-    rules.append(_mk("hd_prng", (Hd, hd_prng_f)))
-
-    def wt_prng_f(t):
-        match t:
-            case Wt(Prng(_, _)):
-                return Const(1.0)  # weights are doubles
-        return None
-
-    rules.append(_mk("wt_prng", (Wt, wt_prng_f)))
-
-    def tl_prng_f(t):
-        match t:
-            case Tl(Prng(s, seed)):
-                return Prng(s, App(s, seed))
-        return None
-
-    def tl_prng_b(t):
-        match t:
-            case Prng(s, App(s2, seed)) if alpha_equal(s, s2):
-                return Tl(Prng(s, seed))
-        return None
-
-    rules.append(_mk("tl_prng", (Tl, tl_prng_f), (Prng, tl_prng_b)))
-
-    def hd_reweight_f(t):
-        match t:
-            case Hd(Reweight(_, s)):
-                return Hd(s)
-        return None
-
-    rules.append(_mk("hd_reweight", (Hd, hd_reweight_f)))
-
-    def wt_reweight_f(t):
-        match t:
-            case Wt(Reweight(f, s)):
-                return Builtin("times", (App(f, Hd(s)), Wt(s)))
-        return None
-
-    rules.append(_mk("wt_reweight", (Wt, wt_reweight_f)))
-
-    def tl_reweight_f(t):
-        match t:
-            case Tl(Reweight(f, s)):
-                return Reweight(f, Tl(s))
-        return None
-
-    def tl_reweight_b(t):
-        match t:
-            case Reweight(f, Tl(s)):
-                return Tl(Reweight(f, s))
-        return None
-
-    rules.append(_mk("tl_reweight", (Tl, tl_reweight_f), (Reweight, tl_reweight_b)))
-
+    Equation("thin_one", Thin(1, S), "->", S),
+    Equation("hd_prng", Hd(Prng(F, A)), "->", A),
+    Equation("wt_prng", Wt(Prng(F, A)), "->", Const(1.0)),  # weights are doubles
+    Equation("tl_prng", Tl(Prng(F, A)), "<->", Prng(F, App(F, A))),
+    Equation("hd_reweight", Hd(Reweight(F, S)), "->", Hd(S)),
+    Equation("wt_reweight", Wt(Reweight(F, S)), "->", _times(App(F, Hd(S)), Wt(S))),
+    Equation("tl_reweight", Tl(Reweight(F, S)), "<->", Reweight(F, Tl(S))),
     # composition rules
-    def thin_thin_f(t):
-        match t:
-            case Thin(n, Thin(m, s)):
-                return Thin(n * m, s)
-        return None
-
-    rules.append(_mk("thin_thin", (Thin, thin_thin_f)))
-
-    def map_map_f(t):
-        match t:
-            case Map(g, Map(f, s)):
-                return Map(compose(g, f), s)
-        return None
-
-    def map_map_b(t):
-        match t:
-            case Map(Lam(((x, _),), App(g, App(f, Var(x1)))), s) if (
-                x1 == x and x not in free_vars(g) and x not in free_vars(f)
-            ):
-                return Map(g, Map(f, s))
-        return None
-
-    rules.append(_mk("map_map", (Map, map_map_f), (Map, map_map_b)))
-
-    def rw_rw_f(t):
-        match t:
-            case Reweight(g, Reweight(f, s)):
-                return Reweight(ptwise_same(g, f), s)
-        return None
-
-    rules.append(_mk("reweight_reweight", (Reweight, rw_rw_f)))
-
-    def thin_prng_f(t):
-        match t:
-            case Thin(n, Prng(s, seed)):
-                return Prng(iterate_fn(s, n), seed)
-        return None
-
-    rules.append(_mk("thin_prng", (Thin, thin_prng_f)))
-
-    def thin_map_f(t):
-        match t:
-            case Thin(n, Map(f, s)):
-                return Map(f, Thin(n, s))
-        return None
-
-    def thin_map_b(t):
-        match t:
-            case Map(f, Thin(n, s)):
-                return Thin(n, Map(f, s))
-        return None
-
-    rules.append(_mk("thin_map", (Thin, thin_map_f), (Map, thin_map_b)))
-
-    def thin_reweight_f(t):
-        match t:
-            case Thin(n, Reweight(f, s)):
-                return Reweight(f, Thin(n, s))
-        return None
-
-    def thin_reweight_b(t):
-        match t:
-            case Reweight(f, Thin(n, s)):
-                return Thin(n, Reweight(f, s))
-        return None
-
-    rules.append(
-        _mk(
-            "thin_reweight",
-            (Thin, thin_reweight_f),
-            (Reweight, thin_reweight_b),
-            note="companion of thin_map used by the reweight self-product lemma",
-        )
-    )
-
+    Rule("thin_thin", _thin_thin_fwd, None, Thin),
+    Equation("map_map", Map(G, Map(F, S)), "<->", Map(_fun(X, App(G, App(F, Var(X)))), S)),
+    Equation(
+        "reweight_reweight", Reweight(G, Reweight(F, S)), "->",
+        Reweight(_fun(X, _times(App(F, Var(X)), App(G, Var(X)))), S),
+    ),
+    Rule("thin_prng", _thin_prng_fwd, None, Thin),
+    Equation("thin_map", Thin(N, Map(F, S)), "<->", Map(F, Thin(N, S))),
+    Equation(
+        "thin_reweight", Thin(N, Reweight(F, S)), "<->", Reweight(F, Thin(N, S)),
+        note="companion of thin_map used by the reweight self-product lemma",
+    ),
     # product rules
-    def prod_map_r_f(t):
-        match t:
-            case Prod(s, Map(g, u)):
-                return Map(cart(id_fn(), g), Prod(s, u))
-        return None
+    Equation("prod_map_r", Prod(S, Map(G, U)), "->", Map(_cart_at(P, _ID, G), Prod(S, U))),
+    Equation("prod_map_l", Prod(Map(F, S), U), "->", Map(_cart_at(P, F, _ID), Prod(S, U))),
+    Equation(
+        "prod_map_both", Prod(Map(F, S), Map(G, U)), "<->",
+        Map(_cart_at(P, F, G), Prod(S, U)),
+        note="derived: both-sided product/map exchange",
+    ),
+    Equation(
+        "prod_reweight_r", Prod(S, Reweight(G, U)), "->",
+        Reweight(_ptwise_at(P, _ONE, G), Prod(S, U)),
+    ),
+    Equation(
+        "prod_reweight_l", Prod(Reweight(F, S), U), "->",
+        Reweight(_ptwise_at(P, F, _ONE), Prod(S, U)),
+    ),
+    Equation(
+        "prod_reweight_both", Prod(Reweight(F, S), Reweight(G, U)), "<->",
+        Reweight(_ptwise_at(P, F, G), Prod(S, U)),
+        note="derived: both-sided product/reweight exchange",
+    ),
+    Equation("prod_prng", Prod(Prng(F, A), Prng(G, B)), "<->", Prng(_cart_at(P, F, G), Pair(A, B))),
+    Equation("prod_thin", Prod(Thin(N, S), Thin(N, U)), "<->", Thin(N, Prod(S, U))),
+]
 
-    rules.append(_mk("prod_map_r", (Prod, prod_map_r_f)))
-
-    def prod_map_l_f(t):
-        match t:
-            case Prod(Map(f, s), u):
-                return Map(cart(f, id_fn()), Prod(s, u))
-        return None
-
-    rules.append(_mk("prod_map_l", (Prod, prod_map_l_f)))
-
-    def prod_map_both_f(t):
-        match t:
-            case Prod(Map(f, s), Map(g, u)):
-                return Map(cart(f, g), Prod(s, u))
-        return None
-
-    def prod_map_both_b(t):
-        match t:
-            case Map(fn, Prod(s, u)):
-                pair = _match_cart(fn)
-                if pair is not None:
-                    return Prod(Map(pair[0], s), Map(pair[1], u))
-        return None
-
-    rules.append(
-        _mk(
-            "prod_map_both",
-            (Prod, prod_map_both_f),
-            (Map, prod_map_both_b),
-            note="derived: both-sided product/map exchange",
-        )
-    )
-
-    def prod_rw_r_f(t):
-        match t:
-            case Prod(s, Reweight(g, u)):
-                return Reweight(ptwise_pair(one_fn(), g), Prod(s, u))
-        return None
-
-    rules.append(_mk("prod_reweight_r", (Prod, prod_rw_r_f)))
-
-    def prod_rw_l_f(t):
-        match t:
-            case Prod(Reweight(f, s), u):
-                return Reweight(ptwise_pair(f, one_fn()), Prod(s, u))
-        return None
-
-    rules.append(_mk("prod_reweight_l", (Prod, prod_rw_l_f)))
-
-    def prod_rw_both_f(t):
-        match t:
-            case Prod(Reweight(f, s), Reweight(g, u)):
-                return Reweight(ptwise_pair(f, g), Prod(s, u))
-        return None
-
-    def prod_rw_both_b(t):
-        match t:
-            case Reweight(fn, Prod(s, u)):
-                pair = _match_ptwise_pair(fn)
-                if pair is not None:
-                    return Prod(Reweight(pair[0], s), Reweight(pair[1], u))
-        return None
-
-    rules.append(
-        _mk(
-            "prod_reweight_both",
-            (Prod, prod_rw_both_f),
-            (Reweight, prod_rw_both_b),
-            note="derived: both-sided product/reweight exchange",
-        )
-    )
-
-    def prod_prng_f(t):
-        match t:
-            case Prod(Prng(f, a), Prng(g, b)):
-                return Prng(cart(f, g), Pair(a, b))
-        return None
-
-    def prod_prng_b(t):
-        match t:
-            case Prng(fn, Pair(a, b)):
-                pair = _match_cart(fn)
-                if pair is not None:
-                    return Prod(Prng(pair[0], a), Prng(pair[1], b))
-        return None
-
-    rules.append(_mk("prod_prng", (Prod, prod_prng_f), (Prng, prod_prng_b)))
-
-    def prod_thin_f(t):
-        match t:
-            case Prod(Thin(n, s), Thin(m, u)) if n == m:
-                return Thin(n, Prod(s, u))
-        return None
-
-    def prod_thin_b(t):
-        match t:
-            case Thin(n, Prod(s, u)):
-                return Prod(Thin(n, s), Thin(n, u))
-        return None
-
-    rules.append(_mk("prod_thin", (Prod, prod_thin_f), (Thin, prod_thin_b)))
-
-    return {r.name: r for r in rules}
-
-
-RULES: dict[str, Rule] = _rules()
+EQUATIONS: dict[str, Equation] = {e.name: e for e in _CALCULUS if isinstance(e, Equation)}
+RULES: dict[str, Rule] = {
+    r.name: r for r in (e.rule() if isinstance(e, Equation) else e for e in _CALCULUS)
+}
 
 
 def _orientations_by_head() -> dict[type, list[tuple[str, bool, Callable]]]:
@@ -776,11 +615,14 @@ def _neighbors(term: Term, size_cap: int):
                 yield Step(name, path, forward), replace_at(term, path, replacement)
 
 
-def prove_equiv(s: Term, t: Term, depth: int = 8, size_factor: int = 4) -> Optional[EquivProof]:
+_SIZE_FACTOR = 4  # the search visits terms up to this multiple of the larger side
+
+
+def prove_equiv(s: Term, t: Term, depth: int = 8) -> Optional[EquivProof]:
     """Bidirectional bounded search; None means inconclusive, not refuted."""
     if alpha_equal(s, t):
         return EquivProof(s, t)
-    size_cap = size_factor * max(term_size(s), term_size(t))
+    size_cap = _SIZE_FACTOR * max(term_size(s), term_size(t))
     # states are deduplicated modulo alpha but not binder annotations, which
     # alpha_equal (and so replay) compares: the sides meet only where their
     # terms are alpha-equal

@@ -23,7 +23,6 @@ from .quadrature import (
     build_family,
     integrate,
     measure_equal,
-    reduce_discrete,
     term_fn,
 )
 from .rewrite import EquivProof, normalize
@@ -195,36 +194,16 @@ class Rejection(Exception):
         self.reason = reason
 
 
-def integrate_weight(measure: M.MeasureExpr, fn: Term, settings: QuadSettings) -> float:
-    """The reweight normalizer: the weight function paired with the measure.
-
-    The function applies to runtime values (so booleans stay booleans);
-    continuous payloads are plain floats either way.
-    """
-    disc = reduce_discrete(measure)
-    f = term_fn(fn)
-    if disc is not None:
-        return math.fsum(mass * float(f(v)) for v, mass in disc.atoms)
-    return integrate(measure, f, settings)
-
-
 #: numeric "=" checks inside proofs run at loose tolerance; the quadrature
 #: behind them does not need the tight defaults
 CHECK_SETTINGS = QuadSettings(abs_tol=1e-5, rel_tol=1e-5)
+#: the discrepancy a stated "=" may show, unless its evidence gives a `tol`
+NUMERIC_TOL = 5e-3
 
 
 class DerivationChecker:
-    def __init__(
-        self,
-        axioms: AxiomSet,
-        settings: QuadSettings = CHECK_SETTINGS,
-        numeric_tol: float = 5e-3,
-        subtype_depth: int = 32,
-    ):
+    def __init__(self, axioms: AxiomSet):
         self.axioms = axioms
-        self.settings = settings
-        self.numeric_tol = numeric_tol
-        self.subtype_depth = subtype_depth
 
     # -- public ---------------------------------------------------------------
 
@@ -260,10 +239,10 @@ class DerivationChecker:
         stated = node.judgment.target
         if M.measure_expr_equal(computed, stated):
             return "target stated in computed form"
-        tol = float(node.evidence.get("tol", self.numeric_tol))
+        tol = float(node.evidence.get("tol", NUMERIC_TOL))
         family = build_family(stated, slim=True)
         try:
-            report = measure_equal(computed, stated, family, tol, self.settings)
+            report = measure_equal(computed, stated, family, tol, CHECK_SETTINGS)
         except SideConditionError as err:
             raise Rejection(path, f"measure comparison failed: {err}")
         if not report.equal:
@@ -337,7 +316,7 @@ class DerivationChecker:
         """
         if isinstance(fn, Lam) and any(ty is None for _, ty in fn.params):
             return None
-        checker = Checker(self.axioms.externs, self.subtype_depth)
+        checker = Checker(self.axioms.externs)
         try:
             ty, _ = checker.infer(fn)
         except Exception as err:
@@ -408,7 +387,7 @@ class DerivationChecker:
         fn = subject.fn
         self._typed_transform_fn(fn, path)
         try:
-            normalizer = integrate_weight(premise.judgment.target, fn, self.settings)
+            normalizer = integrate(premise.judgment.target, term_fn(fn), CHECK_SETTINGS)
         except SideConditionError as err:
             raise Rejection(path, f"∫ f dμ = {err.value:g} ∉ (0, ∞)")
         if not (normalizer > 0.0 and math.isfinite(normalizer)):
@@ -451,7 +430,7 @@ class DerivationChecker:
                     raise Rejection(path, "cast subject does not wrap the premise subject")
                 if ann is None:
                     raise Rejection(path, "cast lambda must annotate its domain")
-                witness = check_subtype(ann, target_ty, self.subtype_depth)
+                witness = check_subtype(ann, target_ty)
                 if witness is None:
                     raise Rejection(
                         path,

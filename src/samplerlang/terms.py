@@ -480,6 +480,30 @@ def substitute(t: Term, x: str, s: Term) -> Term:
     return go(t)
 
 
+def beta(lam: Lam, arg: Term) -> Term:
+    """The body of `lam` with its parameters bound to `arg`.
+
+    A group lambda binds the components of the right-nested tuple `arg`; its
+    parameters are renamed apart first, so that the sequential substitutions
+    cannot capture variables free in `arg`.
+    """
+    params, body = lam.params, lam.body
+    if len(params) == 1:
+        return substitute(body, params[0][0], arg)
+    avoid = set(free_vars(arg) | free_vars(body))
+    renamed = []
+    for name, _ in params:
+        fresh = fresh_name(name, avoid)
+        avoid.add(fresh)
+        body = substitute(body, name, Var(fresh))
+        renamed.append(fresh)
+    access = arg
+    for fresh in renamed[:-1]:
+        body = substitute(body, fresh, Fst(access))
+        access = Snd(access)
+    return substitute(body, renamed[-1], access)
+
+
 def _consts_equal(a, b) -> bool:
     # bools are ints in Python; keep B, N and R literals apart
     if isinstance(a, bool) != isinstance(b, bool):

@@ -346,9 +346,8 @@ class CheckResult:
 
 
 class Checker:
-    def __init__(self, externs: dict[str, Type], subtype_depth: int = 32):
+    def __init__(self, externs: dict[str, Type]):
         self.ctx = Context(externs)
-        self.subtype_depth = subtype_depth
         self.let_types: dict[str, Type] = {}
 
     # -- helpers -------------------------------------------------------------
@@ -415,7 +414,7 @@ class Checker:
         inner.restrictions.append(Restriction(t_star, cmp))
 
     def _subtype(self, s: Type, t: Type) -> Optional[SubtypeWitness]:
-        return check_subtype(s, t, self.subtype_depth)
+        return check_subtype(s, t)
 
     def _join(self, a: Type, b: Type, pos) -> Type:
         if type_equal(a, b):
@@ -699,7 +698,7 @@ class Checker:
         pending = self._resolve_pending(fn, dom)
         if pending is not None:
             lam, frame = pending
-            sub = Checker(self.ctx.externs, self.subtype_depth)
+            sub = Checker(self.ctx.externs)
             sub.ctx.frames = self.ctx.frames[: frame.ctx_depth]
             ft, fd = sub._infer_lambda_with_dom(lam, dom)
             frame.ty = ft
@@ -838,17 +837,15 @@ def externs_of(prog: Program) -> dict[str, Type]:
     return {ext.name: ext.ty for ext in prog.externs}
 
 
-def check_program(prog: Program, subtype_depth: int = 32) -> CheckResult:
+def check_program(prog: Program) -> CheckResult:
     if prog.body is None:
         raise TypeCheckError("program has no body")
-    checker = Checker(externs_of(prog), subtype_depth)
+    checker = Checker(externs_of(prog))
     ty, deriv = checker.infer(prog.body)
     return CheckResult(ty, deriv, dict(checker.let_types))
 
 
-def check_term(
-    term: Term, externs: Optional[dict[str, Type]] = None, subtype_depth: int = 32
-) -> CheckResult:
-    checker = Checker(externs or {}, subtype_depth)
+def check_term(term: Term, externs: Optional[dict[str, Type]] = None) -> CheckResult:
+    checker = Checker(externs or {})
     ty, deriv = checker.infer(term)
     return CheckResult(ty, deriv, dict(checker.let_types))

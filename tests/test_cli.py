@@ -158,8 +158,25 @@ def test_test_target_fail_exit_code(capsys):
 
 def test_print_config(capsys):
     assert main(["--print-config"]) == 0
-    out = capsys.readouterr().out
-    assert "seed = " in out and "n_ladder" in out
+    keys = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+    assert keys == ["seed", "tol_final", "quad_abs_tol", "quad_rel_tol", "grid_nodes_3d"]
+
+
+@pytest.mark.parametrize("text", ["foo = 3\n", "equiv_depth = 3\n", "seed = x\n", "seed\n"])
+@pytest.mark.parametrize("command", [["--print-config"], ["run", "--samples", "3"]])
+def test_bad_config_is_a_usage_error(tmp_path, capsys, text, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    if command[0] == "run":
+        command = ["run", str(corpus_dir() / "geometric.smpl"), *command[1:]]
+    assert main(["--config", str(cfg), *command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_bad_seed_flag_is_a_usage_error(capsys):
+    assert main(["--seed", "abc", "--print-config"]) == 2
+    assert capsys.readouterr().err == "error: --seed: bad value for seed: 'abc'\n"
 
 
 def test_seed_env_override(monkeypatch, capsys):

@@ -500,3 +500,37 @@ def test_adequacy_small(corpus):
             big = Interpreter(item.program).big_step(n)
             st = truncate(Interpreter(item.program).stream(), n)
             assert value_equal(big, st), (name, n)
+
+
+# programs that the stream engine evaluates by interpretation, not through
+# compiled functions: an application of a closure that builds a sampler,
+# pairs and their projections, a case on a non-constant condition, and a
+# mapped closure that builds a sampler of its own
+_INTERPRETED = [
+    "let twice = fun s : S R+ => map(fun x : R => 2 * x, s) in twice(rand)",
+    "let p = (rand, tl(rand)) in snd(p) <*> fst(p)",
+    "if 1 < 2 then rand else tl(rand)",
+    "map(fun x : R => hd(map(fun y : R => log(y + x), rand)), rand)",
+]
+
+
+@pytest.mark.parametrize("body", _INTERPRETED)
+def test_interpreted_stream_paths_match_big_step(body):
+    program = parse_program(_RAND + body)
+    check_program(program)
+    for n in (1, 7, 30):
+        big = Interpreter(program).big_step(n)
+        st = truncate(Interpreter(program).stream(), n)
+        assert value_equal(big, st), n
+
+
+def test_interpreted_stream_error_matches_big_step():
+    body = "map(fun x : R => hd(map(fun y : R => log(y - x), rand)), rand)"
+    program = parse_program(_RAND + body)
+    check_program(program)
+    with pytest.raises(EvalError) as big:
+        Interpreter(program).big_step(5)
+    with pytest.raises(EvalError) as st:
+        truncate(Interpreter(program).stream(), 5)
+    assert str(st.value) == str(big.value)
+    assert big.value.pos == st.value.pos == (2, body.index("log(") + 1)

@@ -17,7 +17,7 @@ from samplerlang.quadrature import (
     support_box,
     term_fn,
 )
-from samplerlang.runtime import VClosure, apply_value
+from samplerlang.runtime import VClosure, VInj, apply_value
 from samplerlang.target import CHECK_SETTINGS
 
 
@@ -267,3 +267,26 @@ def test_measure_parse_validation():
         M.UniformM(2, 1)
     with pytest.raises(M.MeasureError):
         M.FiniteDiscrete(((0.0, 0.6), (1.0, 0.6)))
+
+
+# -- term functions get runtime values -------------------------------------------
+
+BOOL_REAL = "bernoulli(0.5) * uniform(0, 1)"
+
+
+def test_reweight_branching_on_a_boolean_integrates():
+    m = parse_measure(f"reweight(fun p : B * R => if fst(p) then 2.0 else 1.0, {BOOL_REAL})")
+    family = {member.name: member for member in build_family(m)}
+    assert abs(integrate(m, family["x[0]"]) - 2 / 3) <= 1e-12
+    assert abs(integrate(m, family["x[1]"]) - 0.5) <= 1e-9
+
+
+def test_pushforward_branching_on_a_boolean_integrates():
+    m = parse_measure(f"pushforward(fun p : B * R => if fst(p) then snd(p) else 0.0, {BOOL_REAL})")
+    assert abs(integrate(m, lambda v: v) - 0.25) <= 1e-12
+
+
+def test_test_functions_read_an_injection_as_its_payload():
+    for member in build_family(M.UniformM(0, 1)):
+        assert member(VInj(1, 0.25)) == member(0.25)
+        assert member(True) == member(1.0)

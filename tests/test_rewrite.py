@@ -11,7 +11,9 @@ import pytest
 from samplerlang.corpus import load_corpus
 from samplerlang.interpreter import Interpreter
 from samplerlang.parser import parse_program, parse_term
+from samplerlang.pretty import pretty
 from samplerlang.rewrite import (
+    EQUATIONS,
     EquivProof,
     RULES,
     TABLE_RULES,
@@ -342,3 +344,88 @@ def test_equiv_proof_of_map_fusion_replays(env):
     assert proof is not None and proof.replay()
     assert (len(proof.left_steps), len(proof.right_steps)) == (2, 1)
     assert value_equal(env.fresh().big_step(16, left), env.fresh().big_step(16, right))
+
+
+# -- the calculus as equations ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rule_name", sorted(name for name, rule in RULES.items() if rule.bwd is not None)
+)
+def test_backward_orientation_undoes_forward(env, rule_name):
+    lhs = _t(RULE_INSTANCES[rule_name])
+    rhs = apply_rule(rule_name, lhs)
+    back = apply_rule(rule_name, rhs, (), False)
+    assert alpha_equal(back, lhs)
+    ty = check_term(lhs, {"rand": SamplerT(POSREAL)}).ty
+    n = 12 if rule_name in ("prod_thin", "tl_thin") else 100
+    _operationally_equal(env, lhs, rhs, ty, n=n)
+    _operationally_equal(env, back, rhs, ty, n=n)
+
+
+@pytest.mark.parametrize("rule_name,forward,refused,accepted", [
+    # a part that leaves its binder's scope must not mention the binder
+    ("eta", True,
+     "fun x : R => (fun y : R => x * y)(x)",
+     "fun x : R => (fun y : R => 2 * y)(x)"),
+    ("map_map", False,
+     "map(fun x : R => (fun y : R => y + x)((fun z : R => z * 2)(x)), rand)",
+     "map(fun x : R => (fun y : R => y + 1)((fun z : R => z * 2)(x)), rand)"),
+    ("map_map", False,
+     "map(fun x : R => (fun y : R => y + 1)((fun z : R => z * x)(x)), rand)",
+     "map(fun x : R => (fun y : R => y + 1)((fun z : R => z * 2)(x)), rand)"),
+    ("prod_map_both", False,
+     "map(fun p : R * R => ((fun y : R => y + fst(p))(fst(p)), (fun z : R => z)(snd(p))),"
+     " rand <*> rand)",
+     "map(fun p : R * R => ((fun y : R => y + 1)(fst(p)), (fun z : R => z)(snd(p))),"
+     " rand <*> rand)"),
+    ("prod_map_both", False,
+     "map(fun p : R * R => ((fun y : R => y)(fst(p)), (fun z : R => z * fst(p))(snd(p))),"
+     " rand <*> rand)",
+     "map(fun p : R * R => ((fun y : R => y)(fst(p)), (fun z : R => z * 2)(snd(p))),"
+     " rand <*> rand)"),
+    # a repeated metavariable matches only alpha-equal terms or equal counts
+    ("tl_prng", False,
+     "prng(fun x : R => x / 2, (fun x : R => x / 3)(1))",
+     "prng(fun x : R => x / 2, (fun y : R => y / 2)(1))"),
+    ("prod_thin", True, "thin(2, rand) <*> thin(3, rand)", "thin(3, rand) <*> thin(3, rand)"),
+    # a constant matches only a literal of its own type
+    ("ite_true", True, "if 1 then 2 else 3", "if True then 2 else 3"),
+])
+def test_orientations_fire_only_where_the_pattern_allows(rule_name, forward, refused, accepted):
+    rule = RULES[rule_name]
+    orientation = rule.fwd if forward else rule.bwd
+    assert orientation(_t(refused)) is None
+    assert orientation(_t(accepted)) is not None
+
+
+def test_fresh_binders_avoid_the_parts_under_them():
+    out = apply_rule("map_map", _t("map(fun y : R => y * x_1, map(fun y : R => y + x, rand))"))
+    assert alpha_equal(out.fn, _t("fun x_2 : _ => (fun y : R => y * x_1)((fun y : R => y + x)(x_2))"))
+    assert out.fn.params[0][0] == "x_2"
+
+
+def test_equations_derive_head_classes():
+    for name, eq in EQUATIONS.items():
+        rule = RULES[name]
+        assert rule.fwd_head is type(eq.lhs)
+        assert rule.bwd_head is (type(eq.rhs) if eq.arrow == "<->" else None)
+    assert len(EQUATIONS) == 33
+    assert set(RULES) - set(EQUATIONS) == {"beta", "tl_thin", "thin_thin", "thin_prng"}
+
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "language.md"
+
+
+def test_docs_list_every_rule():
+    text = DOCS.read_text(encoding="utf-8")
+    section = text.split("## Equivalence rules", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in section.split("```")[1].strip().splitlines():
+        name, statement = line.split(None, 1)
+        listed[name] = statement
+    assert list(listed) == list(RULES)
+    for name, eq in EQUATIONS.items():
+        assert listed[name] == f"{pretty(eq.lhs)} {eq.arrow} {pretty(eq.rhs)}", name
+    for name, rule in RULES.items():
+        assert (" <-> " in listed[name]) == (rule.bwd is not None), name
