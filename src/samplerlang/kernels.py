@@ -35,7 +35,7 @@ def derive_seed(global_seed: int, name: str) -> int:
     return splitmix64((global_seed ^ fnv1a64(name)) & _MASK)
 
 
-def _lcg_states_numpy(seed: int, n: int) -> np.ndarray:
+def lcg_states(seed: int, n: int) -> np.ndarray:
     """States s_1..s_n of s_{i+1} = a*s_i + c mod 2^64, without a Python loop.
 
     Blocks double in size: given states[0:m] and the affine map (A, C) with
@@ -46,7 +46,7 @@ def _lcg_states_numpy(seed: int, n: int) -> np.ndarray:
     out = np.empty(n, dtype=np.uint64)
     a = np.uint64(LCG_MULT)
     c = np.uint64(LCG_INC)
-    out[0] = (LCG_MULT * seed + LCG_INC) & _MASK
+    out[0] = (LCG_MULT * (seed & _MASK) + LCG_INC) & _MASK
     m = 1
     block_a, block_c = a, c
     with np.errstate(over="ignore"):
@@ -57,10 +57,6 @@ def _lcg_states_numpy(seed: int, n: int) -> np.ndarray:
             block_a = block_a * block_a
             m += take
     return out
-
-
-def lcg_states(seed: int, n: int) -> np.ndarray:
-    return _lcg_states_numpy(seed & _MASK, n)
 
 
 def lcg_uniforms(seed: int, n: int) -> np.ndarray:

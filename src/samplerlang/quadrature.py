@@ -1,24 +1,25 @@
 """Numeric integration of measure expressions against test functions.
 
 Discrete parts are summed exactly; one continuous dimension uses adaptive
-quadrature (abs tol 1e-9 by default); two dimensions are iterated adaptive;
-three use a tensorized Gauss-Legendre grid with vectorized integrands
-(documented accuracy around 1e-4 on smooth-but-singular transforms, which is
-why the numeric measure-equality checks run at looser tolerances).  More
-than three continuous dimensions is unsupported.
+quadrature (abs tol 1e-9 by default); two dimensions are iterated adaptive.
+Three use one walk over the measure's stack (`_grid`): a tensorized
+Gauss-Legendre grid, whose point each pushforward pushes through its array
+function and whose weights each reweight multiplies by its array function
+and divides by its normalizer (documented accuracy around 1e-4 on
+smooth-but-singular transforms, which is why the numeric measure-equality
+checks run at looser tolerances).  A 3-D integral whose functions
+`runtime.compile_array_fn` refuses, whose product has a discrete factor, or
+whose integrand is not a test function is iterated adaptive quadrature
+instead.  More than three continuous dimensions is unsupported.
 
 Scalar integrands call the functions that `runtime.compile_fn` generates
-directly, with no wrapper around each call; the 3-D grid pushes its points
-through the measure's transforms with the functions that
-`runtime.compile_array_fn` generates.  One comparison integrates many
+directly, with no wrapper around each call.  One comparison integrates many
 test functions against the same measures, so `measure_equal` threads one
 cache dict through its integrals: each reweight normalizer is integrated
-once, and each 3-D grid, with its coordinates pushed through the measure's
-transforms, is built once per measure.
+once, and each 3-D grid is built once per measure.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -53,11 +54,13 @@ class QuadSettings:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     grid_nodes_3d: int = 96
-    gaussian_cut: float = 10.0  # tail truncation in stddevs
-    gamma_tail: float = 1e-12  # truncated upper tail mass
 
 
 DEFAULT_SETTINGS = QuadSettings()
+#: a gaussian is integrated over its mean ± this many standard deviations
+GAUSSIAN_CUT = 10.0
+#: a gamma is integrated up to the quantile that leaves this upper tail mass
+GAMMA_TAIL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +160,7 @@ class _Density1D:
     breakpoints: tuple[float, ...] = ()
 
 
-def _density_of(m: M.MeasureExpr, settings: QuadSettings) -> Optional[_Density1D]:
+def _density_of(m: M.MeasureExpr) -> Optional[_Density1D]:
     match m:
         case M.UniformM(a, b):
             h = 1.0 / (b - a)
@@ -174,8 +177,8 @@ def _density_of(m: M.MeasureExpr, settings: QuadSettings) -> Optional[_Density1D
 
             return _Density1D(a, b, pdf, (mid,))
         case M.GaussianM(mean, std):
-            lo = mean - settings.gaussian_cut * std
-            hi = mean + settings.gaussian_cut * std
+            lo = mean - GAUSSIAN_CUT * std
+            hi = mean + GAUSSIAN_CUT * std
             norm = 1.0 / (std * math.sqrt(2.0 * math.pi))
 
             def pdf(x, _m=mean, _s=std, _n=norm):
@@ -186,7 +189,7 @@ def _density_of(m: M.MeasureExpr, settings: QuadSettings) -> Optional[_Density1D
         case M.GammaM(shape, scale):
             from scipy import stats
 
-            hi = float(stats.gamma.ppf(1.0 - settings.gamma_tail, shape, scale=scale))
+            hi = float(stats.gamma.ppf(1.0 - GAMMA_TAIL, shape, scale=scale))
             lognorm = shape * math.log(scale) + math.lgamma(shape)
 
             def pdf(x, _k=shape, _s=scale, _ln=lognorm):
@@ -263,19 +266,51 @@ def integrate(
     disc = reduce_discrete(m)
     if disc is not None:
         return math.fsum(mass * float(g(v)) for v, mass in disc.atoms)
+    if isinstance(g, TestFn) and cont_dim(m) == 3:
+        grid = _grid(m, settings, cache)
+        if grid is not None:
+            point, weights = grid
+            cols = [np.broadcast_to(c, weights.shape) for c in _flatten_array_point(point)]
+            return float(np.dot(np.asarray(g.on_cols(cols)).ravel(), weights.ravel()))
     return _cont(m, [], g, settings, g_breakpoints, cache)
 
 
+def normalizer(
+    fn: Term, base: M.MeasureExpr, settings: QuadSettings = DEFAULT_SETTINGS, cache=None
+) -> float:
+    """The integral of fn over base, the normalizer of reweight(fn, base):
+    the grid sum of fn's array function where base has a 3-D grid, and
+    `integrate` otherwise.  Raises SideConditionError unless it is in
+    (0, inf).  It is looked up in and added to `cache` unless that is None,
+    keyed by the identities of fn, base and settings, which the entry keeps
+    alive so that no other object can take their ids.
+    """
+    key = (id(fn), id(base), id(settings))
+    if cache is not None and key in cache:
+        return cache[key][0]
+    f = compile_array_fn(fn) if cont_dim(base) == 3 else None
+    grid = _grid(base, settings, cache) if f is not None else None
+    if grid is not None:
+        point, weights = grid
+        with np.errstate(all="ignore"):
+            value = float(np.sum(weights * f(point)))
+    else:
+        value = integrate(base, term_fn(fn), settings, cache=cache)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise SideConditionError(value)
+    if cache is not None:
+        cache[key] = (value, fn, base, settings)
+    return value
+
+
 def _cont(m, transforms: list, g, settings, g_breakpoints=(), cache=None) -> float:
-    """Continuous integration with the pushforward stack kept symbolic."""
+    """Iterated integration with the pushforward stack kept symbolic."""
     match m:
         case M.PushforwardM(fn, base):
             return _cont(base, [fn] + transforms, g, settings, cache=cache)
         case M.ReweightM(fn, base):
+            denom = normalizer(fn, base, settings, cache)
             f = term_fn(fn)
-            denom = _normalizer(fn, base, f, settings, cache)
-            if not (denom > 0.0 and math.isfinite(denom)):
-                raise SideConditionError(denom)
             gs = _compose_scalar(transforms, g)
             num = integrate(
                 base, lambda p, _f=f, _g=gs: float(_f(p)) * float(_g(p)), settings,
@@ -288,27 +323,9 @@ def _cont(m, transforms: list, g, settings, g_breakpoints=(), cache=None) -> flo
     dim = cont_dim(m)
     if dim > 3:
         raise UnsupportedDimension(f"continuous dimension {dim} exceeds 3")
-    if dim == 3:
-        return _integrate_grid(m, transforms, g, settings, cache)
     gs = _compose_scalar(transforms, g)
     breaks = g_breakpoints if not transforms else ()
     return _integrate_iterated(m, gs, settings, breaks, cache)
-
-
-def _normalizer(fn: Term, base: M.MeasureExpr, f: Callable, settings, cache) -> float:
-    """The integral of the reweight function f (the term fn) over base,
-    looked up in and added to `cache` unless that is None.
-
-    The key is the identities of fn, base and settings; the entry keeps those
-    objects alive, so that no other object can take their ids.
-    """
-    key = (id(fn), id(base), id(settings))
-    if cache is not None and key in cache:
-        return cache[key][0]
-    denom = integrate(base, f, settings, cache=cache)
-    if cache is not None:
-        cache[key] = (denom, fn, base, settings)
-    return denom
 
 
 def _compose_scalar(transforms: list, g) -> Callable:
@@ -326,7 +343,7 @@ def _compose_scalar(transforms: list, g) -> Callable:
 
 
 def _integrate_iterated(m, g, settings, g_breakpoints=(), cache=None) -> float:
-    density = _density_of(m, settings)
+    density = _density_of(m)
     if density is not None:
         points = [p for p in (*density.breakpoints, *g_breakpoints) if density.lo < p < density.hi]
         val, _err = sci.quad(
@@ -362,64 +379,50 @@ def _integrate_iterated(m, g, settings, g_breakpoints=(), cache=None) -> float:
     raise IntegrationError(f"cannot integrate {m!r}")
 
 
-def _integrate_grid(m, transforms, g, settings, cache=None) -> float:
-    """Tensor Gauss-Legendre over exactly three continuous dimensions.
+def _grid(m, settings, cache=None) -> Optional[tuple]:
+    """(point, weights) of m's Gauss-Legendre tensor grid, with
+    `settings.grid_nodes_3d` nodes per axis; None when a factor of m's
+    product is discrete or a function of its stack does not compile in
+    array mode.
 
-    A test function whose transforms all compile in array mode is
-    integrated in numpy on `settings.grid_nodes_3d` nodes per axis (see
-    `_pushed_grid`); any other integrand is called once per node of a
-    scalar grid with 32 nodes per axis.
+    The point is the three axes as broadcastable arrays (`np.ix_`), pushed
+    through each pushforward's array function, so a coordinate computed
+    from fewer axes takes fewer nodes.  The weights, one 3-D array, are
+    multiplied by each reweight's array function and divided by its
+    normalizer.  numpy's warnings are off: an `if` computes both branches,
+    and a domain error in the one not taken is no fault.  The result is
+    cached under the identities of m and settings, which the entry keeps
+    alive.
     """
-    densities = []
-    for f in _factors(m):
-        d = _density_of(f, settings)
-        if d is None:
-            # a discrete factor inside the product: fall back to iterated
-            return _integrate_iterated(
-                m, _compose_scalar(transforms, g), settings, cache=cache
-            )
-        densities.append(d)
-
-    if isinstance(g, TestFn):
-        grid = _pushed_grid(m, transforms, densities, settings, cache)
-        if grid is not None:
-            cols, weights = grid
-            return float(np.dot(np.asarray(g.on_cols(cols)).ravel(), weights))
-
-    axes, weights = _tensor_grid(densities, 32)
-    gs = _compose_scalar(transforms, g)
-    vals = [float(gs(_nest_scalars(p))) for p in itertools.product(*axes)]
-    return float(np.dot(vals, weights.ravel()))
-
-
-def _pushed_grid(m, transforms, densities, settings, cache=None) -> Optional[tuple]:
-    """(coordinate columns, weights) of the grid on which test functions
-    integrate over the image of m under the transforms, or None when a
-    transform does not compile in array mode.
-
-    The transforms run on the grid's three axes as broadcastable arrays
-    (`np.ix_`), so a coordinate computed from fewer than three axes takes
-    fewer nodes, and no intermediate array is larger than the grid.  Each
-    pushed column is a read-only view with the grid's shape, also where a
-    transform gives a constant; the weights are raveled in the same order.
-    The result is looked up in and added to `cache`, keyed by the identities
-    of m, the transforms and settings, which the entry keeps alive.
-    """
-    key = ("grid", id(m), *map(id, transforms), id(settings))
+    key = ("grid", id(m), id(settings))
     if cache is not None and key in cache:
         return cache[key][0]
-    fns = [compile_array_fn(f) for f in transforms]
-    grid = None
-    if None not in fns:
-        axes, weights = _tensor_grid(densities, settings.grid_nodes_3d)
-        point = _nest_arrays(np.ix_(*axes))
-        for f in reversed(fns):
-            point = f(point)
-        pushed = [np.broadcast_to(c, weights.shape) for c in _flatten_array_point(point)]
-        grid = (pushed, weights.ravel())
+    with np.errstate(all="ignore"):
+        grid = _walk(m, settings, cache)
     if cache is not None:
-        cache[key] = (grid, m, transforms, settings)
+        cache[key] = (grid, m, settings)
     return grid
+
+
+def _walk(m, settings, cache) -> Optional[tuple]:
+    match m:
+        case M.PushforwardM(fn, base):
+            f = compile_array_fn(fn)
+            inner = _walk(base, settings, cache) if f is not None else None
+            return None if inner is None else (f(inner[0]), inner[1])
+        case M.ReweightM(fn, base):
+            # base is integrated for the normalizer too, so its grid is cached
+            f = compile_array_fn(fn)
+            inner = _grid(base, settings, cache) if f is not None else None
+            if inner is None:
+                return None
+            point, weights = inner
+            return point, weights * f(point) / normalizer(fn, base, settings, cache)
+    densities = [_density_of(f) for f in _factors(m)]
+    if any(d is None for d in densities):
+        return None
+    axes, weights = _tensor_grid(densities, settings.grid_nodes_3d)
+    return _nest_arrays(np.ix_(*axes)), weights
 
 
 def _tensor_grid(densities, nodes_per_dim: int):
@@ -450,12 +453,6 @@ def _nest_arrays(cols):
     if len(cols) == 1:
         return cols[0]
     return (cols[0], _nest_arrays(cols[1:]))
-
-
-def _nest_scalars(vals):
-    if len(vals) == 1:
-        return float(vals[0])
-    return (float(vals[0]), _nest_scalars(vals[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +509,22 @@ def _flatten_point(p) -> list[float]:
 
 
 def _probe_box(fn: Term, base: M.MeasureExpr) -> list[tuple[float, float]]:
-    box = support_box(base)
+    """The box around the images of probe points of base under fn.
+
+    A discrete factor of base is probed with its runtime values, as
+    `integrate` passes them; each coordinate of a continuous factor with 5
+    evenly spaced floats across its support box.
+    """
+    axes = []
+    for factor in _factors(base):
+        disc = reduce_discrete(factor)
+        if disc is not None:
+            axes.append([v for v, _ in disc.atoms])
+        else:
+            axes.extend(np.linspace(lo, hi, 5).tolist() for lo, hi in support_box(factor))
     f = term_fn(fn)
-    grid = [np.linspace(lo, hi, 5) for lo, hi in box]
-    mesh = np.meshgrid(*grid, indexing="ij")
-    cols = [g.ravel() for g in mesh]
     images = []
-    for i in range(cols[0].shape[0]):
-        point = _nest_scalars([c[i] for c in cols])
+    for point in _probe_points(axes):
         try:
             images.append(_flatten_point(value_to_point(f(point))))
         except (EvalError, IntegrationError, ValueError, OverflowError):
@@ -532,6 +537,14 @@ def _probe_box(fn: Term, base: M.MeasureExpr) -> list[tuple[float, float]]:
         xs = [img[j] for img in images]
         out.append((min(xs), max(xs)))
     return out
+
+
+def _probe_points(axes: list) -> list:
+    """Every right-nested tuple that takes one value from each axis."""
+    if len(axes) == 1:
+        return list(axes[0])
+    rests = _probe_points(axes[1:])
+    return [(v, rest) for v in axes[0] for rest in rests]
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,15 @@ compute a whole grid per call.  Value numbering and constant folding are the
 same; numeric constants enter as floats, and the builtins other than
 plus/minus/times/neg are the numpy functions of `_ARRAY_BUILTINS`, which
 both fold constants and run in the code, so a domain error gives nan or inf
-instead of raising, and no statement is wrapped to locate a failure.  Array
-mode refuses (returns None for) a body with a case or if, a comparison, an
-injection, a bool or unit constant, a builtin outside that table, or an
-application of anything but a lambda defined in the body: a tensor grid
-cannot integrate across the jump of a comparison.
+instead of raising, and no statement is wrapped to locate a failure.
+Comparisons are numpy comparisons, and a case (if) on a comparison result
+computes both branches at every point, so the calls in a branch stay
+reusable after it, and selects one with np.where, componentwise for pairs;
+a domain error in the branch not taken is masked.
+Array mode refuses (returns None for) a body that reaches an injection, a
+case on any other scrutinee (an injection, a Boolean parameter), a unit
+constant, a builtin outside that table, or an application of anything but
+a lambda defined in the body.
 """
 from __future__ import annotations
 
@@ -235,8 +239,9 @@ class _Code:
     `expr` is a Python expression that cannot raise: a local name, a tuple
     display or a VInj construction over such operands.  `parts` keeps the
     two operands of a pair built in this function, so projections need no
-    indexing; `is_bool` marks values known to be Python bools (comparison
-    results), which case analysis may test directly; `is_fn` marks functions
+    indexing; `is_bool` marks values known to be Booleans (comparison
+    results: Python bools, or bool arrays in array mode), which case
+    analysis may test directly; `is_fn` marks functions
     defined in the generated code, which are called directly.
     """
 
@@ -309,6 +314,7 @@ class _CodeGen:
             "_located": located_error,
             "_pair": _pair,
             "_scrutinee": _scrutinee,
+            "_where": _where,
             "_need_pair": _need_pair,
             "_ERRORS": BUILTIN_ERRORS,
         }
@@ -405,8 +411,8 @@ class _CodeGen:
                     return _Known(self.env[name])
                 raise _NotCompilable(term)
             case Const(value):
-                if self.array:
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                if self.array and not isinstance(value, bool):
+                    if not isinstance(value, (int, float)):
                         raise _NotCompilable(term)
                     value = float(value)
                 return _Known(value)
@@ -436,7 +442,7 @@ class _CodeGen:
             case Let(name, bound, body):
                 value = self.local(self.term(bound, scope, depth), depth)
                 return self.term(body, {**scope, name: value}, depth)
-            case Case(scrutinee, branches) if not self.array:
+            case Case(scrutinee, branches):
                 return self.case(term, self.term(scrutinee, scope, depth), scope, depth)
             case Lam(params, body):
                 name = self.fresh("f")
@@ -493,8 +499,6 @@ class _CodeGen:
 
     def comparison(self, sig, operand, pos, depth: int):
         op = sig.name
-        if self.array:
-            raise _NotCompilable(op)
         if _is_known_pair(operand):
             left, right = map(_Known, operand.value)
             try:
@@ -536,6 +540,8 @@ class _CodeGen:
             index, payload = _scrutinee(scrut.value, term.pos)
             binder, body = branches[index]
             return self.term(body, _with(scope, binder, _Known(payload)), depth)
+        if self.array:
+            return self.where(scrut, branches, scope, depth)
         result = self.fresh("r")
         bools = []
         if isinstance(scrut, _Code) and scrut.is_bool:
@@ -558,6 +564,25 @@ class _CodeGen:
             self.emit(depth + 1, f"{result} = {self.code(out)}")
             bools.append(_is_bool(out))
         return _Code(result, is_bool=all(bools))
+
+    def where(self, scrut, branches, scope: dict, depth: int):
+        """Array mode: a case on a comparison result computes both branches
+        at every point and selects per point (`_where`).  Both branches run
+        unconditionally, so a call in either stays reusable after it."""
+        if not (isinstance(scrut, _Code) and scrut.is_bool):
+            raise _NotCompilable(scrut)
+        outs = [
+            self.term(body, _with(scope, binder, _Known(())), depth) for binder, body in branches
+        ]
+        rhs = f"_where({scrut.expr}, {', '.join(self.code(o) for o in outs)})"
+        return self.assign(depth, rhs, is_bool=all(map(_is_bool, outs)))
+
+
+def _where(cond, if_true, if_false):
+    """np.where, componentwise over pairs."""
+    if isinstance(if_true, tuple):
+        return tuple(_where(cond, a, b) for a, b in zip(if_true, if_false))
+    return np.where(cond, if_true, if_false)
 
 
 def compile_fn(clo: VClosure) -> Optional[Callable]:

@@ -10,7 +10,6 @@ to finite atoms and numerically otherwise; the verdict records which.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,9 +20,8 @@ from .quadrature import (
     QuadSettings,
     SideConditionError,
     build_family,
-    integrate,
     measure_equal,
-    term_fn,
+    normalizer,
 )
 from .rewrite import EquivProof, normalize
 from .terms import (
@@ -387,14 +385,12 @@ class DerivationChecker:
         fn = subject.fn
         self._typed_transform_fn(fn, path)
         try:
-            normalizer = integrate(premise.judgment.target, term_fn(fn), CHECK_SETTINGS)
+            value = normalizer(fn, premise.judgment.target, CHECK_SETTINGS)
         except SideConditionError as err:
             raise Rejection(path, f"∫ f dμ = {err.value:g} ∉ (0, ∞)")
-        if not (normalizer > 0.0 and math.isfinite(normalizer)):
-            raise Rejection(path, f"∫ f dμ = {normalizer:g} ∉ (0, ∞)")
         computed = M.ReweightM(fn, premise.judgment.target)
         note = self._match_target(computed, node, path)
-        return f"∫ f dμ = {normalizer:.6g} ∈ (0, ∞); {note}"
+        return f"∫ f dμ = {value:.6g} ∈ (0, ∞); {note}"
 
     def _rule_prng(self, node: DerivNode, path: str) -> str:
         self._expect_premises(node, path, 0)

@@ -26,6 +26,7 @@ from samplerlang.terms import (
     Pair,
     Var,
     Wt,
+    children,
     ite,
     positions,
 )
@@ -249,17 +250,47 @@ def test_compiled_functions_match_big_step():
 # -- the array backend ----------------------------------------------------------
 
 
-def test_array_backend_refuses_exactly_the_terms_with_a_case():
-    # comparisons and injections occur in _random_body only under a case
+def _reaches_an_injection(t) -> bool:
+    """Whether t has an injection outside every case branch, which every
+    evaluation of t reaches."""
+    if isinstance(t, Inj):
+        return True
+    if isinstance(t, Case):
+        return _reaches_an_injection(t.scrutinee)
+    return any(_reaches_an_injection(kid) for kid in children(t))
+
+
+def test_array_backend_refuses_the_terms_that_reach_an_injection():
+    # of what _random_body builds, array mode refuses only an injection; one
+    # inside a case branch is not reached when a known scrutinee folds the
+    # case to the other branch
     rng = random.Random(7)
     lams = [Lam((("x", None),), _random_body(rng, ["x"], 4)) for _ in range(300)]
     with np.errstate(all="ignore"):  # constants folded to nan or inf
         refused = [compile_array_fn(lam) is None for lam in lams]
-    assert refused == [any(isinstance(t, Case) for _, t in positions(lam)) for lam in lams]
-    assert 0 < sum(refused) < len(lams)
-    # a case whose scrutinee is a parameter, not a comparison or injection
+    has_inj = [any(isinstance(t, Inj) for _, t in positions(lam)) for lam in lams]
+    reached = [_reaches_an_injection(lam.body) for lam in lams]
+    assert all(h for r, h in zip(refused, has_inj) if r)
+    assert all(r for r, must in zip(refused, reached) if must)
+    assert 0 < sum(reached) <= sum(refused) < len(lams)
+    with_comparison = [
+        lam for lam in lams
+        if any(isinstance(t, Builtin) and t.op in COMPARISONS for _, t in positions(lam))
+    ]
+    with np.errstate(all="ignore"):
+        assert sum(compile_array_fn(lam) is not None for lam in with_comparison) > 30
+    # a case on a parameter, on a Boolean parameter or on an injection; a
+    # unit constant; an application of a function that is not a lambda of
+    # the body
     by_param = Case(Var("x"), (("a", Var("a")), ("b", Var("b"))))
     assert compile_array_fn(Lam((("x", None),), by_param)) is None
+    for src in (
+        "fun p : B * R => if fst(p) then snd(p) else 0",
+        "fun x : R => case inj(0, x) of { a => a | b => b }",
+        "fun x : R => (x, ())",
+        "fun p : (R -> R) * R => fst(p)(snd(p))",
+    ):
+        assert compile_array_fn(parse_term(src)) is None, src
 
 
 def test_array_backend_matches_the_scalar_backend():
@@ -288,6 +319,37 @@ def test_array_backend_matches_the_scalar_backend():
             assert value == want or (math.isnan(value) and math.isnan(want)), (lam, x)
             compared += 1
     assert compared > 4000
+
+
+def test_array_backend_matches_the_scalar_backend_across_comparisons():
+    # both branches run at every point and np.where selects one; where the
+    # scalar function returns, the selected branch gives the same float
+    exact = {"plus", "minus", "times", "div", "neg", "sqrt", "abs"}
+    xs = np.array([0.5, -1.0, 3.0, 0.0, 2.0, -0.0, 0.25])
+    rng = random.Random(11)
+    compared = 0
+    for _ in range(6000):
+        lam = Lam((("x", None),), _random_body(rng, ["x"], 4))
+        subterms = [t for _, t in positions(lam)]
+        scrutinees = [t.scrutinee for t in subterms if isinstance(t, Case)]
+        if not any(isinstance(t, Builtin) and t.op in COMPARISONS for t in scrutinees):
+            continue
+        if not {t.op for t in subterms if isinstance(t, Builtin)} <= exact | set(COMPARISONS):
+            continue
+        with np.errstate(all="ignore"):
+            array_fn = compile_array_fn(lam)
+            if array_fn is None:
+                continue
+            got = np.broadcast_to(array_fn(xs), xs.shape)
+        scalar_fn = term_fn(lam)
+        for x, value in zip(xs.tolist(), got.tolist()):
+            try:
+                want = scalar_fn(x)
+            except EvalError:
+                continue
+            assert value == want or (math.isnan(value) and math.isnan(want)), (lam, x)
+            compared += 1
+    assert compared > 1200
 
 
 def test_box_muller_compiles_to_one_call_per_builtin_without_try():

@@ -3,13 +3,6 @@ import numpy as np
 from samplerlang import kernels
 
 
-def test_numpy_and_jit_paths_bit_identical():
-    seed = kernels.derive_seed(kernels.DEFAULT_SEED, "rand")
-    a = kernels._lcg_states_numpy(seed, 12345)
-    b = kernels.lcg_states(seed, 12345)
-    assert np.array_equal(a, b)
-
-
 def test_uniforms_in_unit_interval():
     u = kernels.lcg_uniforms(kernels.DEFAULT_SEED, 50000)
     assert u.min() >= 0.0 and u.max() < 1.0

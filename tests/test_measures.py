@@ -13,11 +13,12 @@ from samplerlang.quadrature import (
     build_family,
     integrate,
     measure_equal,
+    normalizer,
     reduce_discrete,
     support_box,
     term_fn,
 )
-from samplerlang.runtime import VClosure, VInj, apply_value
+from samplerlang.runtime import VClosure, VInj, apply_value, compile_array_fn
 from samplerlang.target import CHECK_SETTINGS
 
 
@@ -183,6 +184,54 @@ def test_nan_discrepancy_makes_measures_unequal():
     assert math.isnan(report.max_discrepancy)
 
 
+# -- the 3-D grid: comparisons, reweights and the fallback to iterated quadrature
+
+U3 = "uniform(0, 1)^3"
+
+
+def test_3d_reweight_by_an_indicator_integrates_on_the_grid():
+    m = parse_measure(f"reweight(fun w : R * (R * R) => if fst(w) < 0.5 then 1 else 0, {U3})")
+    family = {member.name: member for member in build_family(m, slim=True)}
+    cache: dict = {}
+    assert abs(integrate(m, family["x[0]"], cache=cache) - 0.25) <= 1e-4
+    assert abs(integrate(m, family["x[1]"], cache=cache) - 0.5) <= 1e-9
+    assert abs(normalizer(m.fn, m.base) - 0.5) <= 1e-4
+    # the measure's grid, its base's grid and the normalizer, once each
+    assert len(cache) == 3 and [key[0] for key in cache].count("grid") == 2
+
+
+def test_3d_pushforward_with_an_if_integrates_on_the_grid():
+    # the smaller of two uniform coordinates has mean 1/3
+    smaller = "fun w : R * (R * R) => if fst(w) < fst(snd(w)) then fst(w) else fst(snd(w))"
+    m = parse_measure(f"pushforward({smaller}, {U3})")
+    family = {member.name: member for member in build_family(m, slim=True)}
+    assert abs(integrate(m, family["x"]) - 1 / 3) <= 1e-4
+
+
+def test_3d_branch_not_taken_may_fail_its_domain_check():
+    # sqrt of a negative number in the untaken branch is no warning and no nan
+    m = parse_measure(
+        f"pushforward(fun w : R * (R * R) => if fst(w) > 0.5 then sqrt(fst(w) - 0.5) else 0, {U3})"
+    )
+    x = {member.name: member for member in build_family(m, slim=True)}["x"]
+    assert abs(integrate(m, x) - 2 / 3 * 0.5 ** 1.5) <= 1e-3
+
+
+def test_3d_transform_refused_by_the_array_backend_integrates_iterated():
+    fn = "fun w : R * (R * R) => inj(0, fst(w) + fst(snd(w)) * snd(snd(w)))"
+    assert compile_array_fn(parse_term(fn)) is None
+    m = parse_measure(f"pushforward({fn}, {U3})")
+    x = {member.name: member for member in build_family(m, slim=True)}["x"]
+    assert abs(integrate(m, x) - 0.75) <= 1e-9
+
+
+def test_3d_product_with_a_discrete_factor_integrates_iterated():
+    m = parse_measure(f"bernoulli(0.25) * {U3}")
+    family = {member.name: member for member in build_family(m)}
+    assert abs(integrate(m, family["x[0]"]) - 0.25) <= 1e-12
+    assert abs(integrate(m, family["x[1]"]) - 0.5) <= 1e-9
+
+
 def test_term_fn_of_a_body_that_does_not_compile():
     lam = parse_term("fun x : R => prng(fun y : R => y / 2, x)")
     with pytest.raises(EvalError) as want:
@@ -284,6 +333,14 @@ def test_reweight_branching_on_a_boolean_integrates():
 def test_pushforward_branching_on_a_boolean_integrates():
     m = parse_measure(f"pushforward(fun p : B * R => if fst(p) then snd(p) else 0.0, {BOOL_REAL})")
     assert abs(integrate(m, lambda v: v) - 0.25) <= 1e-12
+
+
+def test_family_of_a_pushforward_branching_on_a_boolean():
+    # the Bernoulli factor is probed with False and True, not with floats
+    m = parse_measure(f"pushforward(fun p : B * R => if fst(p) then snd(p) else 0.0, {BOOL_REAL})")
+    assert support_box(m) == [(0.0, 1.0)]
+    family = {member.name: member for member in build_family(m)}
+    assert abs(integrate(m, family["x"]) - 0.25) <= 1e-12
 
 
 def test_test_functions_read_an_injection_as_its_payload():

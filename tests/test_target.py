@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from samplerlang.target import (
     derivation_from_json,
     elaborate_goal,
 )
-from samplerlang.terms import Map, Tl, Var
+from samplerlang.terms import Map, Reweight, Tl, Var
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,26 @@ def test_zero_weight_reweight_rejected():
     out = DerivationChecker(axioms).check(deriv)
     assert not out.accepted
     assert "∫ f dμ = 0 ∉ (0, ∞)" in out.failure
+
+
+def test_reweight_rule_over_a_3d_indicator():
+    src = (
+        "extern sampler rand : S R targets uniform(0, 1) equidistributed 3\n"
+        "reweight(fun w : R * (R * R) => if fst(w) < 0.5 then 1 else 0, rand^3)"
+    )
+    prog = parse_program(src)
+    axioms = AxiomSet.from_program(prog)
+    leaf = axioms.find_named("rand_equidistributed_3")
+    premise = DerivNode("axiom", Judgment(leaf.subject, leaf.measure), [], {"axiom": leaf.name})
+    node = DerivNode(
+        "reweight",
+        Judgment(Reweight(prog.body.fn, leaf.subject), M.ReweightM(prog.body.fn, leaf.measure)),
+        [premise],
+    )
+    out = DerivationChecker(axioms).check(node)
+    assert out.accepted, out.failure
+    note = out.reports[-1].note
+    assert abs(float(re.search(r"∫ f dμ = (\S+) ∈", note).group(1)) - 0.5) <= 1e-4
 
 
 def test_tl_rule(corpus):
