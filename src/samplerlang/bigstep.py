@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .builtins import EvalError, apply_builtin
 from .externs import Externs
-from .runtime import WEIGHT_ONE, VInj, WeightedList, value_to_term
+from .runtime import WEIGHT_ONE, VInj, WeightedList, scrutinee, value_to_term
 from .terms import (
     App,
     Builtin,
@@ -66,16 +66,8 @@ class BigStep:
             case Inj(index, body):
                 return VInj(index, self.eval(body, n))
 
-            case Case(scrutinee, branches):
-                sv = self.eval(scrutinee, n)
-                if isinstance(sv, bool):
-                    index, payload = (0, ()) if sv else (1, ())
-                elif isinstance(sv, VInj):
-                    index, payload = sv.index, sv.value
-                else:
-                    raise EvalError(
-                        f"case scrutinee {sv!r} is not a sum value", term.pos
-                    )
+            case Case(scrut, branches):
+                index, payload = scrutinee(self.eval(scrut, n), term.pos)
                 binder, body = branches[index]
                 if binder != "_":
                     body = substitute(body, binder, value_to_term(payload))

@@ -167,17 +167,13 @@ def cmd_test_target(args) -> int:
     tol = args.tol if args.tol is not None else cfg.tol_final
     ladder = [max(args.n // 100, 1), max(args.n // 10, 1), args.n]
     if args.K > 1:
-        report = k_equidistribution_test(
-            prog.body, measure, args.K, interp, n=args.n, tol=tol,
-            settings=cfg.quad_settings(),
-        )
+        report = k_equidistribution_test(prog.body, measure, args.K, interp, n=args.n, tol=tol)
     else:
         report = weak_convergence_test(
             interp.stream(),
             measure,
             ladder,
             tol_schedule=lambda m: max(tol, 3.0 / (m ** 0.5)),
-            settings=cfg.quad_settings(),
         )
     if args.report:
         Path(args.report).write_text(json.dumps(report.to_json(), indent=2) + "\n")

@@ -1,4 +1,4 @@
-"""Run configuration: the seed, the test-target tolerance, quadrature settings.
+"""Run configuration: the seed and the test-target tolerance.
 
 Values load from an optional flat key=value file; the SAMPLERLANG_SEED
 environment variable overrides the file's seed, and CLI flags override both.
@@ -19,18 +19,6 @@ class ConfigError(ValueError):
 class Config:
     seed: int = DEFAULT_SEED
     tol_final: float = 0.02
-    quad_abs_tol: float = 1e-9
-    quad_rel_tol: float = 1e-9
-    grid_nodes_3d: int = 96
-
-    def quad_settings(self):
-        from .quadrature import QuadSettings
-
-        return QuadSettings(
-            abs_tol=self.quad_abs_tol,
-            rel_tol=self.quad_rel_tol,
-            grid_nodes_3d=self.grid_nodes_3d,
-        )
 
     @classmethod
     def load(cls, path: str | None = None, overrides: dict | None = None) -> "Config":
@@ -71,6 +59,6 @@ def _read_config_file(path: str) -> dict:
 
 def _coerce(key: str, value: str, where: str):
     try:
-        return int(value, 0) if key in ("seed", "grid_nodes_3d") else float(value)
+        return int(value, 0) if key == "seed" else float(value)
     except ValueError:
         raise ConfigError(f"{where}: bad value for {key}: {value!r}") from None

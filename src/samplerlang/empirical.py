@@ -17,8 +17,6 @@ import numpy as np
 
 from . import measures as M
 from .quadrature import (
-    QuadSettings,
-    DEFAULT_SETTINGS,
     TestFunctionFamily,
     build_family,
     integrate,
@@ -142,7 +140,6 @@ def weak_convergence_test(
     n_ladder: Sequence[int] = (1000, 10000, 100000),
     family: Optional[TestFunctionFamily] = None,
     tol_schedule: Optional[Callable[[int], float]] = None,
-    settings: QuadSettings = DEFAULT_SETTINGS,
 ) -> ConvergenceReport:
     """Family discrepancies of empirical prefixes against the target."""
     from .pretty import pretty_measure
@@ -156,7 +153,9 @@ def weak_convergence_test(
     expected = {}
     cache: dict = {}
     for member in family:
-        expected[member.name] = integrate(target, member, settings, member.breakpoints, cache)
+        expected[member.name] = integrate(
+            target, member, g_breakpoints=member.breakpoints, cache=cache
+        )
 
     try:
         entries = _entries(stream, ladder[-1])
@@ -216,7 +215,6 @@ def k_equidistribution_test(
     family: Optional[TestFunctionFamily] = None,
     tol: Optional[float] = None,
     n_ladder: Optional[Sequence[int]] = None,
-    settings: QuadSettings = DEFAULT_SETTINGS,
 ) -> ConvergenceReport:
     """Whether the K-fold self-product targets the K-fold product measure."""
     subject = self_product(term, k) if k > 1 else term
@@ -226,9 +224,7 @@ def k_equidistribution_test(
     schedule = None
     if tol is not None:
         schedule = lambda m: max(tol, 3.0 / math.sqrt(m))
-    return weak_convergence_test(
-        stream, powered, ladder, family, schedule, settings=settings
-    )
+    return weak_convergence_test(stream, powered, ladder, family, schedule)
 
 
 def visit_count(stream, predicate: Callable, n: int) -> int:

@@ -226,7 +226,6 @@ class Program:
 # Parser
 # ---------------------------------------------------------------------------
 
-_TYPE_KEYWORDS = {"S", "R", "N", "B", "Unit"}
 _CMP_TOKENS = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "=": "eq", "!=": "ne"}
 _UNARY_FUNS = {"sqrt", "exp", "log", "cos", "sin", "abs"}
 

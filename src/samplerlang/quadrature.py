@@ -2,7 +2,11 @@
 
 Discrete parts are summed exactly; one continuous dimension uses adaptive
 quadrature (abs tol 1e-9 by default); two dimensions are iterated adaptive.
-Three use one walk over the measure's stack (`_grid`): a tensorized
+Iterated integration (`_integrate_iterated`) walks the whole stack of the
+measure: each pushforward composes its function under the integrand, so a
+stack of them applies the innermost first, and each reweight integrates its
+function times the integrand over its base and divides by its normalizer.
+Three dimensions use one walk over the measure's stack (`_grid`): a tensorized
 Gauss-Legendre grid, whose point each pushforward pushes through its array
 function and whose weights each reweight multiplies by its array function
 and divides by its normalizer (documented accuracy around 1e-4 on
@@ -53,10 +57,11 @@ class SideConditionError(IntegrationError):
 class QuadSettings:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    grid_nodes_3d: int = 96
 
 
 DEFAULT_SETTINGS = QuadSettings()
+#: Gauss-Legendre nodes per axis of the 3-D grid
+GRID_NODES_3D = 96
 #: a gaussian is integrated over its mean ± this many standard deviations
 GAUSSIAN_CUT = 10.0
 #: a gamma is integrated up to the quantile that leaves this upper tail mass
@@ -92,6 +97,8 @@ def _value_key(v):
         return ("f", float(v))
     if isinstance(v, tuple):
         return ("t",) + tuple(_value_key(x) for x in v)
+    if isinstance(v, VInj):
+        return ("i", v.index, _value_key(v.value))
     raise IntegrationError(f"atom {v!r} has no key")
 
 
@@ -214,9 +221,9 @@ def _factors(m: M.MeasureExpr) -> list[M.MeasureExpr]:
 
 def cont_dim(m: M.MeasureExpr) -> int:
     """Continuous coordinates to be integrated numerically."""
-    if reduce_discrete_cheap(m):
-        return 0
     match m:
+        case M.Dirac() | M.Bernoulli() | M.FiniteDiscrete():
+            return 0
         case M.ProductM(left, right):
             return cont_dim(left) + cont_dim(right)
         case M.PowerM(base, k):
@@ -225,20 +232,6 @@ def cont_dim(m: M.MeasureExpr) -> int:
             return cont_dim(base)
         case _:
             return M.measure_dim(m)
-
-
-def reduce_discrete_cheap(m: M.MeasureExpr) -> bool:
-    match m:
-        case M.Dirac() | M.Bernoulli() | M.FiniteDiscrete():
-            return True
-        case M.ProductM(left, right):
-            return reduce_discrete_cheap(left) and reduce_discrete_cheap(right)
-        case M.PowerM(base, _):
-            return reduce_discrete_cheap(base)
-        case M.PushforwardM(_, base) | M.ReweightM(_, base):
-            return reduce_discrete_cheap(base)
-        case _:
-            return False
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +259,16 @@ def integrate(
     disc = reduce_discrete(m)
     if disc is not None:
         return math.fsum(mass * float(g(v)) for v, mass in disc.atoms)
-    if isinstance(g, TestFn) and cont_dim(m) == 3:
+    dim = cont_dim(m)
+    if dim > 3:
+        raise UnsupportedDimension(f"continuous dimension {dim} exceeds 3")
+    if isinstance(g, TestFn) and dim == 3:
         grid = _grid(m, settings, cache)
         if grid is not None:
             point, weights = grid
             cols = [np.broadcast_to(c, weights.shape) for c in _flatten_array_point(point)]
             return float(np.dot(np.asarray(g.on_cols(cols)).ravel(), weights.ravel()))
-    return _cont(m, [], g, settings, g_breakpoints, cache)
+    return _integrate_iterated(m, g, settings, g_breakpoints, cache)
 
 
 def normalizer(
@@ -303,46 +299,12 @@ def normalizer(
     return value
 
 
-def _cont(m, transforms: list, g, settings, g_breakpoints=(), cache=None) -> float:
-    """Iterated integration with the pushforward stack kept symbolic."""
-    match m:
-        case M.PushforwardM(fn, base):
-            return _cont(base, [fn] + transforms, g, settings, cache=cache)
-        case M.ReweightM(fn, base):
-            denom = normalizer(fn, base, settings, cache)
-            f = term_fn(fn)
-            gs = _compose_scalar(transforms, g)
-            num = integrate(
-                base, lambda p, _f=f, _g=gs: float(_f(p)) * float(_g(p)), settings,
-                cache=cache,
-            )
-            return num / denom
-        case _:
-            pass
-
-    dim = cont_dim(m)
-    if dim > 3:
-        raise UnsupportedDimension(f"continuous dimension {dim} exceeds 3")
-    gs = _compose_scalar(transforms, g)
-    breaks = g_breakpoints if not transforms else ()
-    return _integrate_iterated(m, gs, settings, breaks, cache)
-
-
-def _compose_scalar(transforms: list, g) -> Callable:
-    if not transforms:
-        return g
-    fns = [term_fn(f) for f in transforms]
-
-    def run(p):
-        v = p
-        for f in reversed(fns):
-            v = f(v)
-        return g(v)
-
-    return run
-
-
 def _integrate_iterated(m, g, settings, g_breakpoints=(), cache=None) -> float:
+    """Iterated integration of g over m, walking m's whole stack: a
+    pushforward composes its function under g, and a reweight integrates
+    its function times g over its base and divides by its normalizer.  The
+    breakpoints of g reach only a density at the top of m.
+    """
     density = _density_of(m)
     if density is not None:
         points = [p for p in (*density.breakpoints, *g_breakpoints) if density.lo < p < density.hi]
@@ -374,14 +336,19 @@ def _integrate_iterated(m, g, settings, g_breakpoints=(), cache=None) -> float:
         case M.PushforwardM(fn, base):
             f = term_fn(fn)
             return _integrate_iterated(base, lambda p: g(f(p)), settings, cache=cache)
-        case M.ReweightM():
-            return integrate(m, g, settings, cache=cache)
+        case M.ReweightM(fn, base):
+            denom = normalizer(fn, base, settings, cache)
+            f = term_fn(fn)
+            num = integrate(
+                base, lambda p: float(f(p)) * float(g(p)), settings, cache=cache
+            )
+            return num / denom
     raise IntegrationError(f"cannot integrate {m!r}")
 
 
 def _grid(m, settings, cache=None) -> Optional[tuple]:
     """(point, weights) of m's Gauss-Legendre tensor grid, with
-    `settings.grid_nodes_3d` nodes per axis; None when a factor of m's
+    `GRID_NODES_3D` nodes per axis; None when a factor of m's
     product is discrete or a function of its stack does not compile in
     array mode.
 
@@ -421,14 +388,14 @@ def _walk(m, settings, cache) -> Optional[tuple]:
     densities = [_density_of(f) for f in _factors(m)]
     if any(d is None for d in densities):
         return None
-    axes, weights = _tensor_grid(densities, settings.grid_nodes_3d)
+    axes, weights = _tensor_grid(densities)
     return _nest_arrays(np.ix_(*axes)), weights
 
 
-def _tensor_grid(densities, nodes_per_dim: int):
+def _tensor_grid(densities):
     """The nodes on each axis and the weights, one 3-D array, of the
     Gauss-Legendre tensor grid over three densities."""
-    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_dim)
+    nodes, weights = np.polynomial.legendre.leggauss(GRID_NODES_3D)
     u = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     axes, axis_weights = [], []

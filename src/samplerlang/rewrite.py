@@ -666,13 +666,12 @@ _MAX_STEPS = 10000
 
 
 def _first_redex(term: Term, rule_names) -> Optional[Step]:
-    best: Optional[Step] = None
     for path, sub in sorted(positions(term), key=lambda pair: pair[0]):
         for name in rule_names:
             rule = RULES[name]
             if type(sub) is rule.fwd_head and rule.fwd(sub) is not None:
                 return Step(name, path, True)
-    return best
+    return None
 
 
 def measure(t: Term) -> tuple[int, int, int, int]:

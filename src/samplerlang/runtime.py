@@ -257,7 +257,7 @@ def _pair(v, op, pos):
     return v
 
 
-def _scrutinee(v, pos):
+def scrutinee(v, pos):
     """(summand index, payload) of a case scrutinee; Bool is Unit + Unit."""
     if isinstance(v, bool):
         return (0, ()) if v else (1, ())
@@ -313,7 +313,7 @@ class _CodeGen:
             "_apply_value": apply_value,
             "_located": located_error,
             "_pair": _pair,
-            "_scrutinee": _scrutinee,
+            "_scrutinee": scrutinee,
             "_where": _where,
             "_need_pair": _need_pair,
             "_ERRORS": BUILTIN_ERRORS,
@@ -442,8 +442,8 @@ class _CodeGen:
             case Let(name, bound, body):
                 value = self.local(self.term(bound, scope, depth), depth)
                 return self.term(body, {**scope, name: value}, depth)
-            case Case(scrutinee, branches):
-                return self.case(term, self.term(scrutinee, scope, depth), scope, depth)
+            case Case(scrut, branches):
+                return self.case(term, self.term(scrut, scope, depth), scope, depth)
             case Lam(params, body):
                 name = self.fresh("f")
                 self.function(name, params, body, scope, depth)
@@ -537,7 +537,7 @@ class _CodeGen:
     def case(self, term: Case, scrut, scope: dict, depth: int):
         branches = term.branches
         if isinstance(scrut, _Known) and isinstance(scrut.value, (bool, VInj)):
-            index, payload = _scrutinee(scrut.value, term.pos)
+            index, payload = scrutinee(scrut.value, term.pos)
             binder, body = branches[index]
             return self.term(body, _with(scope, binder, _Known(payload)), depth)
         if self.array:

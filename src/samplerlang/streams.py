@@ -29,6 +29,7 @@ from .runtime import (
     WeightedList,
     compile_fn,
     destructure,
+    scrutinee,
 )
 from .terms import (
     App,
@@ -268,16 +269,8 @@ class StreamEvaluator:
             case Inj(index, body):
                 return VInj(index, self.eval(body, env))
 
-            case Case(scrutinee, branches):
-                sv = self.eval(scrutinee, env)
-                if isinstance(sv, bool):
-                    index, payload = (0, ()) if sv else (1, ())
-                elif isinstance(sv, VInj):
-                    index, payload = sv.index, sv.value
-                else:
-                    raise EvalError(
-                        f"case scrutinee {sv!r} is not a sum value", term.pos
-                    )
+            case Case(scrut, branches):
+                index, payload = scrutinee(self.eval(scrut, env), term.pos)
                 binder, body = branches[index]
                 if binder == "_":
                     return self.eval(body, env)

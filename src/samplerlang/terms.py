@@ -16,7 +16,6 @@ Pos = tuple[int, int]  # (line, column), 1-based
 # ---------------------------------------------------------------------------
 
 COMPARISONS = ("lt", "le", "gt", "ge", "eq", "ne")
-CMP_SYMBOL = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "=", "ne": "!="}
 
 
 class Type:
@@ -385,7 +384,13 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 
 
 def positions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
-    """All (path, subterm) pairs in preorder."""
+    """All (path, subterm) pairs, each node before its subterms.
+
+    The stack visits the rightmost child first, so this is not the
+    lexicographic order of the paths: `rewrite._first_redex` sorts the
+    paths, and the order in which `rewrite.prove_equiv` tries its
+    neighbours depends on this one.
+    """
     stack = [((), t)]
     while stack:
         path, cur = stack.pop()

@@ -156,10 +156,27 @@ def test_test_target_fail_exit_code(capsys):
     assert code == 1
 
 
+def test_test_target_of_stacked_maps_against_the_nested_and_the_fused_measure(tmp_path, capsys):
+    # map(g, map(f, s)) targets g_*(f_*μ) = (g∘f)_*μ: both targets give the same verdict
+    prog = tmp_path / "stacked.smpl"
+    prog.write_text(
+        "extern sampler rand : S R+ targets uniform(0, 1)\n\n"
+        "map(fun x : R => x * 2, map(fun x : R => x + 1, rand))\n"
+    )
+    outs = []
+    for measure in (
+        "pushforward(fun x : R => x * 2, pushforward(fun x : R => x + 1, uniform(0, 1)))",
+        "pushforward(fun x : R => (x + 1) * 2, uniform(0, 1))",
+    ):
+        assert main(["test-target", str(prog), "--measure", measure, "--n", "100000"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_print_config(capsys):
     assert main(["--print-config"]) == 0
     keys = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
-    assert keys == ["seed", "tol_final", "quad_abs_tol", "quad_rel_tol", "grid_nodes_3d"]
+    assert keys == ["seed", "tol_final"]
 
 
 @pytest.mark.parametrize("text", ["foo = 3\n", "equiv_depth = 3\n", "seed = x\n", "seed\n"])

@@ -347,3 +347,51 @@ def test_test_functions_read_an_injection_as_its_payload():
     for member in build_family(M.UniformM(0, 1)):
         assert member(VInj(1, 0.25)) == member(0.25)
         assert member(True) == member(1.0)
+
+
+# -- stacked transforms ------------------------------------------------------------
+
+STACKED = "pushforward(fun x : R => x * 2, pushforward(fun x : R => x + 1, {}))"
+
+
+def test_stacked_pushforwards_apply_the_inner_one_first():
+    assert integrate(parse_measure(STACKED.format("uniform(0, 1)")), lambda v: v) == 3.0
+    assert integrate(parse_measure(STACKED.format("bernoulli(0.5)")), lambda v: v) == 3.0
+
+
+def test_pushforward_of_a_2d_pushforward():
+    m = parse_measure(
+        "pushforward(fun x : R => x * x, pushforward(fun p : R * R => fst(p) + snd(p), uniform(0, 1)^2))"
+    )
+    assert abs(integrate(m, lambda v: v) - 7 / 6) <= 1e-9
+
+
+def test_reweight_under_two_pushforwards():
+    m = parse_measure(STACKED.format("reweight(fun x : R => x, uniform(0, 1))"))
+    assert abs(integrate(m, lambda v: v) - 10 / 3) <= 1e-9
+
+
+def test_map_map_sides_are_equal():
+    nested = parse_measure(STACKED.format("uniform(0, 1)"))
+    fused = parse_measure("pushforward(fun x : R => (x + 1) * 2, uniform(0, 1))")
+    report = measure_equal(nested, fused)
+    assert report.equal and report.max_discrepancy == 0.0
+
+
+# -- sum types -------------------------------------------------------------------
+
+INJ = "pushforward(fun b : B => if b then inj({}, 1.0) else inj(1, 2.0), bernoulli(0.5))"
+
+
+def test_finitely_supported_measure_over_a_sum_type():
+    m = parse_measure(INJ.format(0))
+    assert reduce_discrete(m).atoms == ((VInj(0, 1.0), 0.5), (VInj(1, 2.0), 0.5))
+    assert integrate(m, lambda v: v.value) == 1.5
+    report = measure_equal(m, parse_measure(INJ.format(0)))
+    assert report.equal and report.mode == "exact"
+
+
+def test_injections_that_differ_only_in_their_index_are_two_atoms():
+    report = measure_equal(parse_measure(INJ.format(0)), parse_measure(INJ.format(1)))
+    assert not report.equal and report.mode == "exact"
+    assert report.max_discrepancy == 0.5
