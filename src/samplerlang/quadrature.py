@@ -1,26 +1,40 @@
 """Numeric integration of measure expressions against test functions.
 
-Discrete parts are summed exactly; one continuous dimension uses adaptive
-quadrature (abs tol 1e-9 by default); two dimensions are iterated adaptive.
-Iterated integration (`_integrate_iterated`) walks the whole stack of the
-measure: each pushforward composes its function under the integrand, so a
-stack of them applies the innermost first, and each reweight integrates its
-function times the integrand over its base and divides by its normalizer.
-Three dimensions use one walk over the measure's stack (`_grid`): a tensorized
-Gauss-Legendre grid, whose point each pushforward pushes through its array
-function and whose weights each reweight multiplies by its array function
-and divides by its normalizer (documented accuracy around 1e-4 on
-smooth-but-singular transforms, which is why the numeric measure-equality
-checks run at looser tolerances).  A 3-D integral whose functions
-`runtime.compile_array_fn` refuses, whose product has a discrete factor, or
-whose integrand is not a test function is iterated adaptive quadrature
-instead.  More than three continuous dimensions is unsupported.
+Discrete parts are summed exactly.  A continuous measure that is a stack of
+pushforwards and reweights over a product of densities, every function of
+which `runtime.compile_array_fn` compiles, is integrated on an array path
+against a test function (`TestFn`) or a reweight's function term
+(`normalizer`).  Both array paths share one walk over the stack (`_walk`):
+each pushforward pushes the points through its array function, innermost
+first, and each reweight multiplies the weights by its array function and
+divides by its normalizer.
+
+- One and two dimensions: batched adaptive Gauss-Kronrod (`_gk21`,
+  QUADPACK's G10/K21 bisection with global error control per integral, abs
+  and rel tol 1e-9 by default), vectorized over every open interval.  In 2-D
+  the inner integrals at each batch of outer nodes are the rows of one
+  batched run, each converging on its own.  The functions carry fault
+  masks: where a scalar function would raise (a domain error on the branch
+  taken), where a value is not finite, or where a row needs more than
+  `QUAD_LIMIT` intervals, the integral is recomputed on the scalar path, which
+  raises the EvalError with its position, or warns, as it does.
+- Three dimensions: a tensorized Gauss-Legendre grid (`_grid`, documented
+  accuracy around 1e-4 on smooth-but-singular transforms, which is why the
+  numeric measure-equality checks run at looser tolerances), without fault
+  masks: a domain error there gives nan or a masked value.
+
+Everything else is iterated scalar `scipy.quad` (`_integrate_iterated`),
+which walks the stack with scalar functions: a function that array mode
+refuses (an injection, a case on a Boolean parameter), a discrete factor in
+a continuous product, a product of stacks, and an integrand that is a plain
+callable.  More than three continuous dimensions is unsupported.
 
 Scalar integrands call the functions that `runtime.compile_fn` generates
 directly, with no wrapper around each call.  One comparison integrates many
 test functions against the same measures, so `measure_equal` threads one
-cache dict through its integrals: each reweight normalizer is integrated
-once, and each 3-D grid is built once per measure.
+cache dict through its integrals, and `integrate` opens one for its call
+tree when given none: each reweight normalizer is integrated once, each
+stack compiled once, and each 3-D grid built once per measure.
 """
 from __future__ import annotations
 
@@ -66,6 +80,8 @@ GRID_NODES_3D = 96
 GAUSSIAN_CUT = 10.0
 #: a gamma is integrated up to the quantile that leaves this upper tail mass
 GAMMA_TAIL = 1e-12
+#: subintervals one adaptive integral may use (scipy's quad `limit`)
+QUAD_LIMIT = 400
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +180,8 @@ class _Density1D:
     lo: float
     hi: float
     pdf: Callable[[float], float]
+    #: the same density on an array of points inside (lo, hi)
+    pdfs: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...] = ()
 
 
@@ -171,7 +189,7 @@ def _density_of(m: M.MeasureExpr) -> Optional[_Density1D]:
     match m:
         case M.UniformM(a, b):
             h = 1.0 / (b - a)
-            return _Density1D(a, b, lambda x: h)
+            return _Density1D(a, b, lambda x: h, lambda x: np.full(np.shape(x), h))
         case M.TriangularM(a, b):
             mid = (a + b) / 2.0
             peak = 2.0 / (b - a)
@@ -182,7 +200,10 @@ def _density_of(m: M.MeasureExpr) -> Optional[_Density1D]:
                 half = (_b - _a) / 2.0
                 return _peak * (1.0 - abs(x - _mid) / half)
 
-            return _Density1D(a, b, pdf, (mid,))
+            def pdfs(x):
+                return peak * (1.0 - np.abs(x - mid) / ((b - a) / 2.0))
+
+            return _Density1D(a, b, pdf, pdfs, (mid,))
         case M.GaussianM(mean, std):
             lo = mean - GAUSSIAN_CUT * std
             hi = mean + GAUSSIAN_CUT * std
@@ -192,7 +213,11 @@ def _density_of(m: M.MeasureExpr) -> Optional[_Density1D]:
                 z = (x - _m) / _s
                 return _n * math.exp(-0.5 * z * z)
 
-            return _Density1D(lo, hi, pdf)
+            def pdfs(x):
+                z = (x - mean) / std
+                return norm * np.exp(-0.5 * z * z)
+
+            return _Density1D(lo, hi, pdf, pdfs)
         case M.GammaM(shape, scale):
             from scipy import stats
 
@@ -204,7 +229,9 @@ def _density_of(m: M.MeasureExpr) -> Optional[_Density1D]:
                     return 0.0
                 return math.exp((_k - 1.0) * math.log(x) - x / _s - _ln)
 
-            return _Density1D(0.0, hi, pdf)
+            return _Density1D(
+                0.0, hi, pdf, lambda x: np.exp((shape - 1.0) * np.log(x) - x / scale - lognorm)
+            )
         case _:
             return None
 
@@ -251,10 +278,11 @@ def integrate(
     `g` takes a runtime value of the measure's payload: a float, a Boolean,
     an injection or a nested pair of these, so a term function gets the
     values it was typed for.  Test functions read a value as a point, with
-    Booleans as 1.0/0.0 (`_flatten_point`).  Callers that integrate one
-    measure against many functions pass the same `cache` dict (empty at
-    first) to each call, so that each reweight normalizer is integrated once
-    and each 3-D grid built once.
+    Booleans as 1.0/0.0 (`_flatten_point`), and take an array path where m
+    has one (`_array_integral`).  Callers that integrate one measure against
+    many functions pass the same `cache` dict (empty at first) to each call,
+    so that each reweight normalizer is integrated once and each 3-D grid
+    built once; without one, the call opens one for its own call tree.
     """
     disc = reduce_discrete(m)
     if disc is not None:
@@ -262,12 +290,12 @@ def integrate(
     dim = cont_dim(m)
     if dim > 3:
         raise UnsupportedDimension(f"continuous dimension {dim} exceeds 3")
-    if isinstance(g, TestFn) and dim == 3:
-        grid = _grid(m, settings, cache)
-        if grid is not None:
-            point, weights = grid
-            cols = [np.broadcast_to(c, weights.shape) for c in _flatten_array_point(point)]
-            return float(np.dot(np.asarray(g.on_cols(cols)).ravel(), weights.ravel()))
+    if cache is None:
+        cache = {}
+    if isinstance(g, TestFn):
+        value = _array_integral(m, g, settings, g_breakpoints, cache)
+        if value is not None:
+            return value
     return _integrate_iterated(m, g, settings, g_breakpoints, cache)
 
 
@@ -275,27 +303,33 @@ def normalizer(
     fn: Term, base: M.MeasureExpr, settings: QuadSettings = DEFAULT_SETTINGS, cache=None
 ) -> float:
     """The integral of fn over base, the normalizer of reweight(fn, base):
-    the grid sum of fn's array function where base has a 3-D grid, and
-    `integrate` otherwise.  Raises SideConditionError unless it is in
-    (0, inf).  It is looked up in and added to `cache` unless that is None,
-    keyed by the identities of fn, base and settings, which the entry keeps
-    alive so that no other object can take their ids.
+    fn's array function on an array path where base has one
+    (`_array_integral`), and `integrate` of its scalar function otherwise.
+    Raises SideConditionError unless it is in (0, inf).  It is looked up in
+    and added to `cache` (`_normalized`).
     """
+    if cache is None:
+        cache = {}
+
+    def compute():
+        value = _array_integral(base, fn, settings, (), cache)
+        return integrate(base, term_fn(fn), settings, cache=cache) if value is None else value
+
+    return _normalized(fn, base, settings, cache, compute)
+
+
+def _normalized(fn, base, settings, cache: dict, compute: Callable[[], float]) -> float:
+    """The normalizer of reweight(fn, base) from `cache`, or computed and
+    checked to be in (0, inf), then cached under the identities of fn, base
+    and settings, which the entry keeps alive so that no other object can
+    take their ids."""
     key = (id(fn), id(base), id(settings))
-    if cache is not None and key in cache:
+    if key in cache:
         return cache[key][0]
-    f = compile_array_fn(fn) if cont_dim(base) == 3 else None
-    grid = _grid(base, settings, cache) if f is not None else None
-    if grid is not None:
-        point, weights = grid
-        with np.errstate(all="ignore"):
-            value = float(np.sum(weights * f(point)))
-    else:
-        value = integrate(base, term_fn(fn), settings, cache=cache)
+    value = compute()
     if not (value > 0.0 and math.isfinite(value)):
         raise SideConditionError(value)
-    if cache is not None:
-        cache[key] = (value, fn, base, settings)
+    cache[key] = (value, fn, base, settings)
     return value
 
 
@@ -315,7 +349,7 @@ def _integrate_iterated(m, g, settings, g_breakpoints=(), cache=None) -> float:
             points=points or None,
             epsabs=settings.abs_tol,
             epsrel=settings.rel_tol,
-            limit=400,
+            limit=QUAD_LIMIT,
         )
         return val
     match m:
@@ -346,50 +380,128 @@ def _integrate_iterated(m, g, settings, g_breakpoints=(), cache=None) -> float:
     raise IntegrationError(f"cannot integrate {m!r}")
 
 
-def _grid(m, settings, cache=None) -> Optional[tuple]:
-    """(point, weights) of m's Gauss-Legendre tensor grid, with
-    `GRID_NODES_3D` nodes per axis; None when a factor of m's
-    product is discrete or a function of its stack does not compile in
-    array mode.
+# ---------------------------------------------------------------------------
+# Array paths: the measure stack, the 3-D grid and batched Gauss-Kronrod
+# ---------------------------------------------------------------------------
 
-    The point is the three axes as broadcastable arrays (`np.ix_`), pushed
-    through each pushforward's array function, so a coordinate computed
-    from fewer axes takes fewer nodes.  The weights, one 3-D array, are
-    multiplied by each reweight's array function and divided by its
-    normalizer.  numpy's warnings are off: an `if` computes both branches,
-    and a domain error in the one not taken is no fault.  The result is
-    cached under the identities of m and settings, which the entry keeps
-    alive.
+
+@dataclass
+class _Stack:
+    """A measure as a product of densities under its stack: each
+    pushforward and reweight, innermost first, with its array function."""
+
+    densities: list[_Density1D]
+    layers: list[tuple[Callable, M.MeasureExpr]]
+
+
+def _stack(m, cache: dict, faults: bool) -> Optional[_Stack]:
+    """m's stack, or None when a factor of its product is not a density or
+    a function of its stack does not compile in array mode (with fault
+    masks if `faults` is set).  Cached under the identity of m, which the
+    entry keeps alive."""
+    key = ("stack", id(m), faults)
+    if key not in cache:
+        top, layers, stack = m, [], None
+        while isinstance(m, (M.PushforwardM, M.ReweightM)):
+            f = compile_array_fn(m.fn, faults=faults)
+            if f is None:
+                break
+            layers.append((f, m))
+            m = m.base
+        else:
+            densities = [_density_of(f) for f in _factors(m)]
+            if all(d is not None for d in densities):
+                stack = _Stack(densities, layers[::-1])
+        cache[key] = (stack, top)
+    return cache[key][0]
+
+
+def _walk(stack: _Stack, point, weights, normalize: Callable):
+    """(point, weights) of a base point and its weights pushed through the
+    stack: each pushforward maps the point by its array function, and each
+    reweight multiplies the weights by its array function's values and
+    divides by `normalize(layer, weights, values)`.  Each function is
+    evaluated once."""
+    for f, layer in stack.layers:
+        values = f(point)
+        if isinstance(layer, M.PushforwardM):
+            point = values
+        else:
+            weights = weights * values / normalize(layer, weights, values)
+    return point, weights
+
+
+def _array_integral(m, g, settings, breakpoints, cache) -> Optional[float]:
+    """The integral over m of g, a test function or a function term, on an
+    array path, or None where m or g has none.
+
+    Three dimensions are the tensor grid (`_grid`), paired with a test
+    function by np.dot and with a term's array function by np.sum.  One and
+    two are batched adaptive Gauss-Kronrod (`_adaptive`), whose functions
+    carry fault masks; it gives None where the scalar functions would fail
+    or a row does not converge, so that the caller integrates on the scalar
+    path, which raises or warns as it does.
+    """
+    grid = cont_dim(m) == 3
+    at = _grid(m, settings, cache) if grid else _stack(m, cache, faults=True)
+    values = None if at is None else _array_values(g, faults=not grid)
+    if values is None:
+        return None
+    with np.errstate(all="ignore"):
+        if not grid:
+            # the breakpoints of g reach only a density at the top of m
+            if at.layers or len(at.densities) > 1:
+                breakpoints = ()
+            return _adaptive(at, values, settings, breakpoints, cache)
+        point, weights = at
+        v = values(point, weights.shape)
+        if isinstance(g, TestFn):
+            return float(np.dot(np.asarray(v).ravel(), weights.ravel()))
+        return float(np.sum(weights * v))
+
+
+def _array_values(g, faults: bool) -> Optional[Callable]:
+    """`values(point, shape)`: g, a test function or a function term, on
+    nested coordinate arrays that broadcast to `shape`; None where array
+    mode refuses the term."""
+    if isinstance(g, TestFn):
+        return lambda point, shape: g.on_cols(
+            [np.broadcast_to(c, shape) for c in _flatten_array_point(point)]
+        )
+    f = compile_array_fn(g, faults=faults)
+    return None if f is None else lambda point, _shape: f(point)
+
+
+def _grid(m, settings, cache: dict) -> Optional[tuple]:
+    """(point, weights) of m's Gauss-Legendre tensor grid, with
+    `GRID_NODES_3D` nodes per axis, pushed through m's stack (`_walk`); a
+    reweight's normalizer is the sum of the weights times its values there.
+    None when m has no stack.
+
+    The point is the three axes as broadcastable arrays (`np.ix_`), so a
+    coordinate computed from fewer axes takes fewer nodes; the weights are
+    one 3-D array.  numpy's warnings are off: an `if` computes both
+    branches, and a domain error in the one not taken is no fault.  The
+    result is cached under the identities of m and settings, which the
+    entry keeps alive.
     """
     key = ("grid", id(m), id(settings))
-    if cache is not None and key in cache:
-        return cache[key][0]
-    with np.errstate(all="ignore"):
-        grid = _walk(m, settings, cache)
-    if cache is not None:
+    if key not in cache:
+        stack = _stack(m, cache, faults=False)
+        grid = None
+        if stack is not None:
+            axes, weights = _tensor_grid(stack.densities)
+
+            def normalize(layer, weights, values):
+                return _normalized(
+                    layer.fn, layer.base, settings, cache,
+                    lambda: float(np.sum(weights * values)),
+                )
+
+            with np.errstate(all="ignore"):
+                grid = _walk(stack, _nest_arrays(np.ix_(*axes)), weights, normalize)
         cache[key] = (grid, m, settings)
-    return grid
-
-
-def _walk(m, settings, cache) -> Optional[tuple]:
-    match m:
-        case M.PushforwardM(fn, base):
-            f = compile_array_fn(fn)
-            inner = _walk(base, settings, cache) if f is not None else None
-            return None if inner is None else (f(inner[0]), inner[1])
-        case M.ReweightM(fn, base):
-            # base is integrated for the normalizer too, so its grid is cached
-            f = compile_array_fn(fn)
-            inner = _grid(base, settings, cache) if f is not None else None
-            if inner is None:
-                return None
-            point, weights = inner
-            return point, weights * f(point) / normalizer(fn, base, settings, cache)
-    densities = [_density_of(f) for f in _factors(m)]
-    if any(d is None for d in densities):
-        return None
-    axes, weights = _tensor_grid(densities)
-    return _nest_arrays(np.ix_(*axes)), weights
+    return cache[key][0]
 
 
 def _tensor_grid(densities):
@@ -405,6 +517,140 @@ def _tensor_grid(densities):
         axis_weights.append(w * [(d.hi - d.lo) * d.pdf(x) for x in xs])
     w0, w1, w2 = np.ix_(*axis_weights)
     return axes, w0 * w1 * w2
+
+
+def _adaptive(stack: _Stack, values, settings, breakpoints, cache) -> Optional[float]:
+    """The integral of `values` over the stack's measure, iterated over its
+    densities with batched adaptive Gauss-Kronrod (`_gk21`), or None.
+
+    The outer axis is one integral.  Each batch of its nodes is a batch of
+    rows of the next axis's run, one row per node, and the innermost axis
+    evaluates the stack (`_walk`) and the integrand once per batch for all
+    of its rows.  Its weights start as the innermost density; each outer
+    density multiplies the row integrals at its nodes.  A reweight divides
+    by its `normalizer`.  A point coordinate or integrand value that is not
+    finite gives None.
+    """
+    densities = stack.densities
+    last = len(densities) - 1
+
+    def normalize(layer, _weights, _values):
+        return normalizer(layer.fn, layer.base, settings, cache)
+
+    def axis(i: int, outer: list) -> Optional[np.ndarray]:
+        d = densities[i]
+        rows = len(outer[0]) if outer else 1
+
+        def f(row, x):
+            cols = [c[row][:, None] for c in outer] + [x]
+            if i < last:
+                inner = axis(i + 1, [np.broadcast_to(c, x.shape).ravel() for c in cols])
+                return None if inner is None else d.pdfs(x) * inner.reshape(x.shape)
+            point, weights = _walk(stack, _nest_arrays(cols), d.pdfs(x), normalize)
+            if not all(np.isfinite(c).all() for c in _flatten_array_point(point)):
+                return None
+            return values(point, weights.shape) * weights
+
+        points = (*d.breakpoints, *breakpoints)
+        return _gk21(f, rows, d.lo, d.hi, points, settings)
+
+    result = axis(0, [])
+    return None if result is None else float(result[0])
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21): the nonnegative Kronrod
+# nodes on [-1, 1] in descending order, their weights, and the weights of
+# the 10-point Gauss rule, whose nodes are every other Kronrod node
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208292238300, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+#: the 21 nodes in ascending order, and the Kronrod and Gauss weights on them
+_GK_NODES = np.array([-x for x in _XGK[:10]] + list(_XGK[::-1]))
+_GK_KRONROD = np.array(_WGK[:10] + _WGK[::-1])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _WG
+_GK_GAUSS[19:10:-2] = _WG
+_EPS = np.finfo(float).eps
+
+
+def _gk21(f, rows: int, lo: float, hi: float, points, settings) -> Optional[np.ndarray]:
+    """The integrals over [lo, hi] of `rows` integrands, by QUADPACK's
+    adaptive G10/K21 bisection vectorized over every open interval.
+
+    `f(row, x)` gets the row of each interval and its 21 nodes, shape
+    (intervals, 21), and returns the values there, or None.  Each row
+    starts from [lo, hi] split at `points`, and converges on its own: its
+    error estimate (qk21's) summed over its intervals must reach
+    max(abs_tol, rel_tol * |integral|).  Until it does, each iteration
+    bisects every interval of the row whose error exceeds the row's
+    tolerance shared evenly among its intervals.  None when f gives None,
+    when a value or an interval's integral or error is not finite, or when
+    a row would need more than `QUAD_LIMIT` intervals.
+    """
+    edges = np.array([lo, *sorted({p for p in points if lo < p < hi}), hi], dtype=float)
+    row = np.repeat(np.arange(rows), len(edges) - 1)
+    a, b = np.tile(edges[:-1], rows), np.tile(edges[1:], rows)
+    result = np.zeros(rows)
+    old = (np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0), np.empty(0))
+    while True:
+        centre, half = 0.5 * (a + b), 0.5 * (b - a)
+        fx = f(row, centre[:, None] + half[:, None] * _GK_NODES)
+        if fx is None:
+            return None
+        val, err = _qk21_sums(fx, half)
+        # a value or a sum that is not finite would never converge
+        if not (np.isfinite(val).all() and np.isfinite(err).all()):
+            return None
+        row, a, b, val, err = (np.concatenate(p) for p in zip(old, (row, a, b, val, err)))
+        total = np.bincount(row, val, rows)
+        error = np.bincount(row, err, rows)
+        count = np.bincount(row, minlength=rows)
+        tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(total))
+        done = (count > 0) & (error <= tol)
+        result[done] = total[done]
+        open_ = ~done[row]
+        if not open_.any():
+            return result
+        row, a, b, val, err = row[open_], a[open_], b[open_], val[open_], err[open_]
+        split = err > tol[row] / count[row]
+        if np.any(count + np.bincount(row[split], minlength=rows) > QUAD_LIMIT):
+            return None
+        keep = ~split
+        old = (row[keep], a[keep], b[keep], val[keep], err[keep])
+        mid = 0.5 * (a[split] + b[split])
+        row = np.tile(row[split], 2)
+        a, b = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
+
+
+def _qk21_sums(fx: np.ndarray, half: np.ndarray) -> tuple:
+    """The G10/K21 integrals of each row of fx, the values at the nodes of
+    intervals of half-width `half`, with QUADPACK's error estimate."""
+    resk = fx @ _GK_KRONROD
+    resg = fx @ _GK_GAUSS
+    resabs = np.abs(fx) @ _GK_KRONROD * np.abs(half)
+    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _GK_KRONROD * np.abs(half)
+    err = np.abs((resk - resg) * half)
+    scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return resk * half, np.maximum(50.0 * _EPS * resabs, err)
 
 
 def _flatten_array_point(point) -> list:

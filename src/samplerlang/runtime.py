@@ -23,10 +23,11 @@ into a stated target thus costs one evaluation, not one per occurrence.
 The stream engine and quadrature reach these functions through
 `compile_fn` and `apply_value`.
 
-`compile_array_fn` runs the same generator in array mode, for the 3-D
-quadrature grid, whose functions take nested tuples of numpy arrays and
-compute a whole grid per call.  Value numbering and constant folding are the
-same; numeric constants enter as floats, and the builtins other than
+`compile_array_fn` runs the same generator in array mode, for quadrature's
+array paths, whose functions take nested tuples of numpy arrays and
+compute a whole grid, or a batch of quadrature nodes, per call.  Value
+numbering and constant folding are the same; numeric constants enter as
+floats (folded with numpy's warnings off), and the builtins other than
 plus/minus/times/neg are the numpy functions of `_ARRAY_BUILTINS`, which
 both fold constants and run in the code, so a domain error gives nan or inf
 instead of raising, and no statement is wrapped to locate a failure.
@@ -34,6 +35,17 @@ Comparisons are numpy comparisons, and a case (if) on a comparison result
 computes both branches at every point, so the calls in a branch stay
 reusable after it, and selects one with np.where, componentwise for pairs;
 a domain error in the branch not taken is masked.
+
+With fault masks (`faults`), each generated function also computes where
+it would fail: a builtin other than plus/minus/times/neg whose value is not
+finite counts at the points where the code that calls it runs (the
+conjunction of the enclosing branch conditions, in a nested function that
+of its call site), and the compiled function puts nan in every component
+there.  So a domain error that the scalar function raises shows as nan,
+even where its value is discarded or only compared, and one in a branch not
+taken does not.  A constant that folds to a non-finite value stays in the
+code then, so that it counts where it is reached.
+
 Array mode refuses (returns None for) a body that reaches an injection, a
 case on any other scrutinee (an injection, a Boolean parameter), a unit
 constant, a builtin outside that table, or an application of anything but
@@ -301,12 +313,14 @@ class _CodeGen:
     raises stays in the code, so it raises when (and only if) it is reached.
     A builtin or comparison already computed from the same operand sources
     in the same or an enclosing block is not emitted again (`calls`).
-    With `array` set it emits array mode (see the module docstring).
+    With `array` set it emits array mode, and with `faults` also its
+    fault masks (see the module docstring).
     """
 
-    def __init__(self, env: dict, array: bool = False):
+    def __init__(self, env: dict, array: bool = False, faults: bool = False):
         self.env = env
         self.array = array
+        self.faults = faults
         self.lines: list[str] = []
         self.namespace: dict = {
             "_VInj": VInj,
@@ -317,11 +331,18 @@ class _CodeGen:
             "_where": _where,
             "_need_pair": _need_pair,
             "_ERRORS": BUILTIN_ERRORS,
+            "_isfinite": np.isfinite,
+            "_not": np.logical_not,
         }
         self.count = 0
         # (op, operand sources) -> the local holding that call's value, for
         # the calls emitted in the current block and the blocks around it
         self.calls: dict = {}
+        # fault masks: the local holding the condition under which the code
+        # being emitted runs (None: always), and the (local, path) pairs
+        # whose failures the current function has recorded
+        self.path: Optional[str] = None
+        self.checked: set = set()
 
     # -- output ---------------------------------------------------------------
 
@@ -374,12 +395,31 @@ class _CodeGen:
     # -- terms ----------------------------------------------------------------
 
     def function(self, name: str, params, body: Term, scope: dict, depth: int) -> None:
+        """A def of the function; with fault masks it returns (value, mask)."""
         arg = self.fresh("a")
         self.emit(depth, f"def {name}({arg}):")
+        outer = self.path, self.checked
+        self.path, self.checked = None, set()
         with self.block():
+            if self.faults:
+                self.emit(depth + 1, "_bad = False")
             inner = self.bind(params, _Code(arg), scope, depth + 1)
-            result = self.term(body, inner, depth + 1)
-            self.emit(depth + 1, f"return {self.code(result)}")
+            result = self.code(self.term(body, inner, depth + 1))
+            self.emit(depth + 1, f"return {result}, _bad" if self.faults else f"return {result}")
+        self.path, self.checked = outer
+
+    def fault(self, mask: str, depth: int) -> None:
+        """Record that the points in `mask` fail, where the current code runs."""
+        where = mask if self.path is None else f"{mask} & {self.path}"
+        self.emit(depth, f"_bad = _bad | {where}")
+
+    def check(self, operand: _Code, depth: int) -> _Code:
+        """Record a builtin's non-finite values as failures where the
+        current code runs (once per path)."""
+        if (operand.expr, self.path) not in self.checked:
+            self.checked.add((operand.expr, self.path))
+            self.fault(f"_not(_isfinite({operand.expr}))", depth)
+        return operand
 
     def bind(self, params, operand, scope: dict, depth: int) -> dict:
         """Scope extended by a parameter group bound to a right-nested tuple."""
@@ -455,6 +495,11 @@ class _CodeGen:
                 fo = self.term(fn, scope, depth)
                 ao = self.code(self.term(arg, scope, depth))
                 direct = self.direct_callee(fo)
+                if direct is not None and self.faults:
+                    out, mask = self.fresh("t"), self.fresh("b")
+                    self.emit(depth, f"{out}, {mask} = {direct}({ao})")
+                    self.fault(mask, depth)
+                    return _Code(out)
                 if direct is not None:
                     return self.assign(depth, f"{direct}({ao})")
                 if self.array:
@@ -471,14 +516,20 @@ class _CodeGen:
                 raise _NotCompilable(op)
         if all(isinstance(o, _Known) for o in ops):
             try:
-                value = fn(*(o.value for o in ops))
-                return _Known(float(value) if self.array else value)
+                with np.errstate(all="ignore"):
+                    value = fn(*(o.value for o in ops))
+                if not self.array:
+                    return _Known(value)
+                # with fault masks a failing constant stays in the code too
+                if not self.faults or math.isfinite(value):
+                    return _Known(float(value))
             except (TypeError, *BUILTIN_ERRORS):
                 pass  # left in place: it raises when it is reached
         args = [self.code(o) for o in ops]
         key = (op, *args)
+        can_fail = self.faults and op not in _INFIX and op != "neg"
         if key in self.calls:
-            return self.calls[key]
+            return self.check(self.calls[key], depth) if can_fail else self.calls[key]
         if op in _INFIX:
             rhs = f"{args[0]} {_INFIX[op]} {args[1]}"
         elif op == "neg":
@@ -488,7 +539,7 @@ class _CodeGen:
             rhs = f"_{op}({', '.join(args)})"
         if self.array:
             self.calls[key] = self.assign(depth, rhs)
-            return self.calls[key]
+            return self.check(self.calls[key], depth) if can_fail else self.calls[key]
         name = self.fresh("t")
         self.emit(depth, "try:")
         self.emit(depth + 1, f"{name} = {rhs}")
@@ -571,9 +622,13 @@ class _CodeGen:
         unconditionally, so a call in either stays reusable after it."""
         if not (isinstance(scrut, _Code) and scrut.is_bool):
             raise _NotCompilable(scrut)
-        outs = [
-            self.term(body, _with(scope, binder, _Known(())), depth) for binder, body in branches
-        ]
+        outer, outs = self.path, []
+        for (binder, body), test in zip(branches, (scrut.expr, f"_not({scrut.expr})")):
+            if self.faults:
+                # a branch's failures count where it is taken
+                self.path = self.assign(depth, test if outer is None else f"{outer} & {test}").expr
+            outs.append(self.term(body, _with(scope, binder, _Known(())), depth))
+        self.path = outer
         rhs = f"_where({scrut.expr}, {', '.join(self.code(o) for o in outs)})"
         return self.assign(depth, rhs, is_bool=all(map(_is_bool, outs)))
 
@@ -598,16 +653,31 @@ def compile_fn(clo: VClosure) -> Optional[Callable]:
     return clo._compiled or None
 
 
-def compile_array_fn(fn: Term) -> Optional[Callable]:
+def compile_array_fn(fn: Term, faults: bool = False) -> Optional[Callable]:
     """A numpy function for a closed lambda term, or None.
 
     The function maps nested tuples of arrays to nested tuples of arrays
     (or floats, for constant components); see the module docstring for what
-    array mode refuses.
+    array mode refuses.  With `faults` set, every component is nan at the
+    points where the scalar function would fail (`_poison`).
     """
     if not isinstance(fn, Lam):
         return None
-    return _generate(_CodeGen({}, array=True), fn.params, fn.body)
+    gen = _CodeGen({}, array=True, faults=faults)
+    f = _generate(gen, fn.params, fn.body)
+    if f is None or not faults:
+        return f
+    return lambda point: _poison(*f(point))
+
+
+def _poison(value, bad):
+    """value with nan at the points in the mask `bad`, componentwise for
+    pairs; a Boolean component becomes floats, 1.0 and 0.0 elsewhere."""
+    if not np.any(bad):
+        return value
+    if isinstance(value, tuple):
+        return tuple(_poison(v, bad) for v in value)
+    return np.where(bad, np.nan, value)
 
 
 def _generate(gen: _CodeGen, params, body: Term) -> Optional[Callable]:

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import samplerlang
 
 from samplerlang.cli import _csv_rows, main
 from samplerlang.config import Config
@@ -251,6 +258,19 @@ def test_examples_report_byte_deterministic(tmp_path):
     assert report.read_bytes() == first
     data = json.loads(first)
     assert data["passed"] == data["total"] == 8
+
+
+def test_examples_with_proofs_leak_no_warning():
+    # every warning is an error: a numpy RuntimeWarning or a scipy
+    # IntegrationWarning that reaches the user fails the command
+    src = str(Path(samplerlang.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "samplerlang.cli", "examples"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

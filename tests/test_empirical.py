@@ -273,25 +273,31 @@ def test_reweight_normalizer_integrated_once_per_test(corpus, monkeypatch):
     target = parse_measure(POSTERIOR)
     family = build_family(target)
     uncached = [integrate(target, m, DEFAULT_SETTINGS, m.breakpoints) for m in family]
-    normalizers: dict = {}
-    cached = [integrate(target, m, DEFAULT_SETTINGS, m.breakpoints, normalizers) for m in family]
-    assert len(normalizers) == 1
+    shared: dict = {}
+    cached = [integrate(target, m, DEFAULT_SETTINGS, m.breakpoints, shared) for m in family]
+    # one normalizer, and the stacks of the target and of its base
+    assert sorted(k[0] if isinstance(k[0], str) else "normalizer" for k in shared) == [
+        "normalizer", "stack", "stack"
+    ]
     assert [float.hex(v) for v in cached] == [float.hex(v) for v in uncached]
 
-    over_base = []
-    integrate_inner = quadrature.integrate
+    over_target, over_base = [], []
+    array_integral = quadrature._array_integral
 
-    def counting(m, g, *args, **kwargs):
+    def counting(m, *args, **kwargs):
+        if m is target:
+            over_target.append(m)
         if m is target.base:
-            over_base.append(g)
-        return integrate_inner(m, g, *args, **kwargs)
+            over_base.append(m)
+        return array_integral(m, *args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "integrate", counting)
+    monkeypatch.setattr(quadrature, "_array_integral", counting)
     it = Interpreter(corpus["rejection"].program)
     weak_convergence_test(it.stream(), target, (100,), family)
-    # one numerator per member, and a single normalizer
+    # one integral per member, and a single normalizer
     assert len(family) == 17
-    assert len(over_base) == len(family) + 1
+    assert (len(over_target), len(over_base)) == (len(family), 1)
+    over_target.clear()
     over_base.clear()
     measure_equal(target, target, family)
-    assert len(over_base) == 2 * len(family) + 1
+    assert (len(over_target), len(over_base)) == (2 * len(family), 1)

@@ -352,6 +352,48 @@ def test_array_backend_matches_the_scalar_backend_across_comparisons():
     assert compared > 1200
 
 
+def test_array_fault_masks_mark_the_points_where_the_scalar_function_fails():
+    # with fault masks, array mode gives nan wherever the scalar function
+    # raises, taken branches and values that never reach the result included,
+    # and the scalar function's value wherever it returns a finite one
+    exact = {"plus", "minus", "times", "div", "neg", "sqrt", "abs"}
+    xs = np.array([0.5, -1.0, 3.0, 0.0, 2.0, -0.0, 0.25, 800.0])
+    rng = random.Random(13)
+    failed = returned = 0
+    for _ in range(3000):
+        lam = Lam((("x", None),), _random_body(rng, ["x"], 4))
+        array_fn = compile_array_fn(lam, faults=True)
+        if array_fn is None:
+            continue
+        with np.errstate(all="ignore"):
+            got = np.broadcast_to(array_fn(xs), xs.shape)
+        scalar_fn = term_fn(lam)
+        ops = {t.op for _, t in positions(lam) if isinstance(t, Builtin)}
+        for x, value in zip(xs.tolist(), got.tolist()):
+            try:
+                want = scalar_fn(x)
+            except EvalError:
+                assert math.isnan(value), (lam, x)
+                failed += 1
+                continue
+            if math.isfinite(want):
+                assert value == want if ops <= exact else math.isfinite(value), (lam, x)
+                returned += 1
+    assert failed > 800 and returned > 4000
+    # failures that do not reach the value: a log only compared, and one
+    # first computed in a branch, then reused after it
+    for src in (
+        "fun x : R => if log(x) < 0 then 1 else 2",
+        "fun x : R => let a = (if x > 0 then log(x) else 0) in if log(x) < 0 then a else 2",
+    ):
+        hidden = parse_term(src)
+        with pytest.raises(EvalError):
+            term_fn(hidden)(-1.0)
+        with np.errstate(all="ignore"):
+            assert compile_array_fn(hidden)(np.array([-1.0])).tolist() == [2.0]
+            assert np.isnan(compile_array_fn(hidden, faults=True)(np.array([-1.0]))).all()
+
+
 def test_box_muller_compiles_to_one_call_per_builtin_without_try():
     # the transform of test_shared_grid_gives_the_same_integrals
     box = parse_term(

@@ -1,14 +1,22 @@
+import json
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from samplerlang import measures as M
+from samplerlang import quadrature
 from samplerlang.builtins import EvalError
+from samplerlang.cli import main
+from samplerlang.corpus import corpus_dir, proof_path
 from samplerlang.parser import parse_measure, parse_term
 from samplerlang.quadrature import (
+    DEFAULT_SETTINGS,
     SideConditionError,
+    TestFn,
     UnsupportedDimension,
     build_family,
     integrate,
@@ -20,6 +28,7 @@ from samplerlang.quadrature import (
 )
 from samplerlang.runtime import VClosure, VInj, apply_value, compile_array_fn
 from samplerlang.target import CHECK_SETTINGS
+from samplerlang.terms import COMPARISONS, Builtin, Case, Lam, Let, Var, positions
 
 
 CHOICE = parse_term(
@@ -158,7 +167,7 @@ def test_shared_grid_gives_the_same_integrals():
         alone = integrate(computed, member, CHECK_SETTINGS, member.breakpoints, {})
         cached = integrate(computed, member, CHECK_SETTINGS, member.breakpoints, shared)
         assert cached.hex() == alone.hex(), member.name
-    assert [key[0] for key in shared] == ["grid"]
+    assert [key[0] for key in shared] == ["stack", "grid"]
 
 
 def test_constant_coordinate_of_a_3d_pushforward():
@@ -189,15 +198,25 @@ def test_nan_discrepancy_makes_measures_unequal():
 U3 = "uniform(0, 1)^3"
 
 
-def test_3d_reweight_by_an_indicator_integrates_on_the_grid():
+def test_3d_reweight_by_an_indicator_integrates_on_the_grid(monkeypatch):
     m = parse_measure(f"reweight(fun w : R * (R * R) => if fst(w) < 0.5 then 1 else 0, {U3})")
     family = {member.name: member for member in build_family(m, slim=True)}
+    calls = []
+
+    def counting(fn, **kwargs):
+        f = compile_array_fn(fn, **kwargs)
+        return lambda point: calls.append(fn) or f(point)
+
+    monkeypatch.setattr(quadrature, "compile_array_fn", counting)
     cache: dict = {}
     assert abs(integrate(m, family["x[0]"], cache=cache) - 0.25) <= 1e-4
     assert abs(integrate(m, family["x[1]"], cache=cache) - 0.5) <= 1e-9
+    # the measure's stack, its grid and the normalizer, once each; the
+    # normalizer is the grid sum of the values that weight the grid
+    kinds = sorted(k[0] if isinstance(k[0], str) else "normalizer" for k in cache)
+    assert kinds == ["grid", "normalizer", "stack"]
+    assert len(calls) == 1
     assert abs(normalizer(m.fn, m.base) - 0.5) <= 1e-4
-    # the measure's grid, its base's grid and the normalizer, once each
-    assert len(cache) == 3 and [key[0] for key in cache].count("grid") == 2
 
 
 def test_3d_pushforward_with_an_if_integrates_on_the_grid():
@@ -395,3 +414,203 @@ def test_injections_that_differ_only_in_their_index_are_two_atoms():
     report = measure_equal(parse_measure(INJ.format(0)), parse_measure(INJ.format(1)))
     assert not report.equal and report.mode == "exact"
     assert report.max_discrepancy == 0.5
+
+
+# -- batched adaptive quadrature of 1-D and 2-D integrals ---------------------------
+
+
+def _stated_reweight(name: str) -> M.ReweightM:
+    """The reweighted measure of a bundled proof's stated target."""
+    m = parse_measure(json.loads(proof_path(name).read_text())["judgment"]["target"])
+    while not isinstance(m, M.ReweightM):
+        m = m.base
+    return m
+
+
+def test_marsaglia_normalizer_matches_its_closed_form():
+    # P(accept) of the squeeze test: e^d Γ(α) / (√(2π) d^(α - 1/2)), d = α - 1/3
+    alpha = 2.5
+    d = alpha - 1 / 3
+    want = math.exp(d) * math.gamma(alpha) / (math.sqrt(2 * math.pi) * d ** (alpha - 0.5))
+    m = _stated_reweight("marsaglia")
+    assert abs(normalizer(m.fn, m.base, CHECK_SETTINGS) - want) <= 2e-6
+
+
+def test_rejection_normalizer_matches_a_scalar_quad():
+    # triangular(0, 2) times the acceptance probability φ(x)·√(2π) of y ~ uniform(0, 1)
+    tri = lambda x: x if x < 1 else 2 - x  # noqa: E731
+    want, _ = quad(lambda x: tri(x) * math.exp(-0.5 * (3 - x) ** 2), 0, 2, points=[1.0],
+                   epsabs=1e-13, epsrel=1e-13)
+    m = _stated_reweight("rejection")
+    assert abs(normalizer(m.fn, m.base, CHECK_SETTINGS) - want) <= 2e-6
+
+
+@pytest.mark.parametrize("measure", [
+    "uniform(0, 1) * gaussian(0, 1)",
+    "triangular(0, 2) * uniform(0, 1)",
+    "gamma(2.5, 1)",
+    "reweight(fun x : R => 1/sqrt(2*pi) * exp(-1/2*(3-x)*(3-x)), triangular(0, 2))",
+])
+def test_default_family_agrees_with_the_scalar_path(measure):
+    # a plain callable takes iterated scipy.quad, a test function the batched rule
+    m = parse_measure(measure)
+    for member in build_family(m):
+        batched = integrate(m, member, g_breakpoints=member.breakpoints)
+        scalar = integrate(m, lambda v, _g=member: _g(v), g_breakpoints=member.breakpoints)
+        assert abs(batched - scalar) <= 1e-7, member.name
+
+
+def _outcome(compute):
+    """('value', v), ('error', message) or ('warning', class name)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            return "value", compute()
+        except EvalError as err:
+            return "error", str(err)
+        except IntegrationWarning as w:
+            return "warning", type(w).__name__
+
+
+def test_random_terms_with_a_comparison_integrate_as_on_the_scalar_path():
+    # tests/test_eval.py's random bodies, as 1-D and 2-D pushforwards: where
+    # the scalar path returns, the batched rule agrees within the tolerance,
+    # and where it raises, the batched path raises the same error
+    from test_eval import _random_body
+
+    rng = random.Random(5)
+    x, cos = (m for m in build_family(M.UniformM(0, 1)) if m.name in ("x", "cos1x"))
+    diff = Builtin("minus", (Var("u"), Var("v")), pos=(9, 9))
+    kinds: dict = {}
+    terms = 0
+    while terms < 60:
+        body = _random_body(rng, ["x"], 4)
+        lam = Lam((("x", None),), body)
+        scrutinees = [t.scrutinee for _, t in positions(lam) if isinstance(t, Case)]
+        if not any(isinstance(t, Builtin) and t.op in COMPARISONS for t in scrutinees):
+            continue
+        with np.errstate(all="ignore"):
+            if compile_array_fn(lam) is None:
+                continue
+        terms += 1
+        lam2 = Lam((("u", None), ("v", None)), Let("x", diff, body))
+        for fn, base in ((lam, M.UniformM(-1.0, 3.0)),
+                         (lam2, M.ProductM(M.UniformM(0, 1), M.GaussianM(0.5, 1.0)))):
+            m = M.PushforwardM(fn, base)
+            for member in (x, cos):
+                batched = _outcome(lambda: integrate(m, member, CHECK_SETTINGS))
+                scalar = _outcome(lambda: integrate(m, lambda v: member(v), CHECK_SETTINGS))
+                kinds[batched[0], scalar[0]] = kinds.get((batched[0], scalar[0]), 0) + 1
+                if scalar[0] == "value":
+                    assert batched[0] == "value", (fn, member.name)
+                    assert abs(batched[1] - scalar[1]) <= 1e-4 * max(1.0, abs(scalar[1])), fn
+                else:
+                    assert batched == scalar, (fn, member.name)
+    assert kinds[("value", "value")] > 100 and kinds[("error", "error")] > 50
+
+
+def test_domain_error_on_the_batched_path_raises_as_on_the_scalar_path():
+    fn = parse_term("fun x : R => log(x - 1)")
+    base = parse_measure("uniform(0, 2)")
+    with pytest.raises(EvalError) as scalar:
+        integrate(base, term_fn(fn))
+    with pytest.raises(EvalError) as batched:
+        normalizer(fn, base)
+    assert str(batched.value) == str(scalar.value)
+    assert batched.value.pos == (1, 14) and "log of non-positive" in str(batched.value)
+    # the test function `one` is 1 at a nan point, so the point is checked too
+    pushed = M.PushforwardM(fn, base)
+    one = {member.name: member for member in build_family(M.UniformM(0, 1))}["one"]
+    with pytest.raises(EvalError) as batched:
+        integrate(pushed, one)
+    with pytest.raises(EvalError) as scalar:
+        integrate(pushed, lambda v: one(v))
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_domain_error_that_does_not_reach_the_value_still_raises():
+    # log(x) < 0 is False where log fails in array mode; the fault mask
+    # sends the integral to the scalar path, which raises
+    fn = parse_term("fun x : R => if log(x) < 0 then 1 else 2")
+    base = parse_measure("uniform(-1, 2)")
+    with pytest.raises(EvalError, match="log of non-positive") as batched:
+        normalizer(fn, base)
+    with pytest.raises(EvalError) as scalar:
+        integrate(base, term_fn(fn))
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_branch_not_taken_neither_warns_nor_falls_back(monkeypatch):
+    def scalar_path(*args):
+        raise AssertionError("fell back to the scalar path")
+
+    monkeypatch.setattr(quadrature, "_integrate_iterated", scalar_path)
+    m = parse_measure(
+        "pushforward(fun x : R => if x > 0.5 then sqrt(x - 0.5) else 0, uniform(0, 1))"
+    )
+    x = {member.name: member for member in build_family(m)}["x"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(integrate(m, x) - 2 / 3 * 0.5 ** 1.5) <= 1e-9
+        value = normalizer(parse_term("fun x : R => if x > 0.5 then sqrt(x - 0.5) else 1"),
+                           parse_measure("uniform(0, 1)"))
+    assert abs(value - (0.5 + 2 / 3 * 0.5 ** 1.5)) <= 1e-9
+
+
+def test_row_that_does_not_converge_is_not_silent(monkeypatch):
+    # with too few intervals allowed, the batched rule gives up and the
+    # scalar path warns
+    monkeypatch.setattr(quadrature, "QUAD_LIMIT", 3)
+    m = parse_measure("pushforward(fun x : R => if x < 1/3 then 1 else 0, uniform(0, 1))")
+    one = {member.name: member for member in build_family(m)}["x"]
+    with pytest.warns(IntegrationWarning):
+        integrate(m, one)
+
+
+def test_integrate_without_a_cache_integrates_a_normalizer_once(monkeypatch):
+    m = parse_measure("uniform(0, 1) * reweight(fun x : R => x, uniform(0, 1))")
+    calls, over_base = [], []
+    inner, array_integral = quadrature.integrate, quadrature._array_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    def counting_array(m_, *args):
+        if m_ is m.right.base:
+            over_base.append(m_)
+        return array_integral(m_, *args)
+
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    monkeypatch.setattr(quadrature, "_array_integral", counting_array)
+    snd = lambda p: p[1]  # noqa: E731
+    values, counts = [], []
+    for cache in (None, {}):
+        calls.clear()
+        over_base.clear()
+        values.append(quadrature.integrate(m, snd, cache=cache))
+        counts.append((len(calls), len(over_base)))
+    assert values[0] == values[1] and abs(values[0] - 2 / 3) <= 1e-9
+    # the normalizer is one array integral over the reweight's base either way
+    assert counts[0] == counts[1] and counts[0][0] <= 23 and counts[0][1] == 1
+
+
+def test_bundled_normalizer_proofs_make_few_scalar_evaluations(monkeypatch, capsys):
+    # the scalar calls that bench/tracing.py counts as quadrature.scalar_evals
+    count = [0]
+
+    def counted(fn):
+        def scalar(*args):
+            count[0] += 1
+            return fn(*args)
+
+        return scalar
+
+    term_fn_inner = quadrature.term_fn
+    monkeypatch.setattr(quadrature, "term_fn", lambda fn: counted(term_fn_inner(fn)))
+    monkeypatch.setattr(TestFn, "__call__", counted(TestFn.__call__))
+    for name in ("marsaglia", "rejection"):
+        argv = ["verify", str(proof_path(name)), "--axioms", str(corpus_dir() / f"{name}.smpl")]
+        assert main(argv) == 0
+    assert "accept:" in capsys.readouterr().out
+    assert count[0] < 10_000
