@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, Optional
 
 from .builtins import EvalError
 from .config import Config, ConfigError
@@ -17,8 +18,10 @@ from .empirical import weak_convergence_test, k_equidistribution_test
 from .interpreter import Interpreter
 from .parser import ParseError, parse_measure, parse_program
 from .pretty import pretty, pretty_type
-from .rewrite import normalize, prove_equiv
+from .rewrite import SearchStats, normalize, prove_equiv
+from .runtime import VInj
 from .streams import truncate
+from .terms import ProdT, SamplerT, SumT, Type
 from .target import AxiomSet, DerivationChecker, derivation_from_json
 from .typecheck import TypeCheckError, check_program
 
@@ -85,9 +88,40 @@ def _csv_rows(values: list, weights: list):
     return ",".join(header), rows
 
 
+def _sum_tagger(ty: Type) -> Optional[Callable]:
+    """The function that writes each injection at a sum-typed position of ty
+    as the pair (summand index, payload), so that its CSV row gets a tag
+    column before the payload's; None where ty has no sum.  B is not a sum
+    here: a Boolean stays one 1/0 column.  A value without the type's shape
+    is written as it is."""
+    if isinstance(ty, SumT):
+        subs = [_sum_tagger(s) for s in ty.summands]
+
+        def tag(v):
+            if type(v) is not VInj:
+                return v
+            sub = subs[v.index]
+            return (v.index, v.value if sub is None else sub(v.value))
+
+        return tag
+    if isinstance(ty, ProdT):
+        left, right = _sum_tagger(ty.left), _sum_tagger(ty.right)
+        if left is None and right is None:
+            return None
+
+        def pair(v):
+            if type(v) is not tuple or len(v) != 2:
+                return v
+            a, b = v
+            return (a if left is None else left(a), b if right is None else right(b))
+
+        return pair
+    return None
+
+
 def cmd_run(args) -> int:
     prog = _load_program(args.file)
-    check_program(prog)
+    ty = check_program(prog).ty
     cfg = _config_from(args)
     interp = Interpreter(prog, cfg)
     n = args.samples
@@ -101,7 +135,11 @@ def cmd_run(args) -> int:
         print(result)
         return 0
     entries = result.entries
-    header, rows = _csv_rows([e[0] for e in entries], [e[1] for e in entries])
+    values = [e[0] for e in entries]
+    tag = _sum_tagger(ty.payload) if isinstance(ty, SamplerT) else None
+    if tag is not None:
+        values = list(map(tag, values))
+    header, rows = _csv_rows(values, [e[1] for e in entries])
     text = "\n".join([header, *rows]) + "\n"
     if args.dump:
         Path(args.dump).write_text(text)
@@ -127,9 +165,16 @@ def cmd_equiv(args) -> int:
     prog_b = _load_program(args.right)
     check_program(prog_a)
     check_program(prog_b)
-    proof = prove_equiv(prog_a.body, prog_b.body, depth=args.depth)
+    stats = SearchStats()
+    proof = prove_equiv(prog_a.body, prog_b.body, depth=args.depth, stats=stats)
     if proof is None:
         print("inconclusive")
+        print(
+            f"inconclusive: searched to depth {stats.depth} from each side over terms of "
+            f"size at most {stats.size_cap}; distinct states reached: {stats.left} from "
+            f"the left, {stats.right} from the right",
+            file=sys.stderr,
+        )
         return 1
     print(json.dumps(proof.to_json(), indent=2))
     return 0
@@ -237,11 +282,19 @@ def cmd_examples(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def main(argv=None) -> int:
@@ -277,7 +330,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("equiv", help="search for an equivalence proof")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_nonnegative_int, default=8)
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("verify", help="check a targeting derivation")

@@ -22,6 +22,21 @@ depends on substitution or on a count.
 Each rule rewrites at a position, in either orientation; a proof is two
 oriented step chains from both endpoints meeting at a common term, so
 one-way rules (beta, let inlining) never need inverting during replay.
+
+`prove_equiv` searches breadth-first from both sides and deduplicates its
+states by alpha-keys, which are hash-consed: a node's key is an int, interned
+in the search's table from the node's kind, its own data (a constant's repr,
+a builtin's op, a thin count, a fun's arity) and its children's keys.  A
+bound variable is its binder's distance and slot, a free one its name.  Two
+terms thus have one key exactly when they are alpha-equal up to binder
+annotations (and injection indices and cast types), with constants compared
+by repr: 0.0 and -0.0 differ, and nan equals nan.  A node caches its key in
+its memo (`terms.Memo`) with the search's tag and the binding of its free
+variables, each one's binder distance and slot or free; the key is reused
+only under the same tag and binding.  So a closed subterm keeps its key in
+every context of a search, no search reads another's keys, and the cache
+dies with the node.  A rewrite shares every subterm off its spine with its
+source, so a neighbour's key costs work for the nodes the rewrite built.
 Normalization pulls map/reweight outward into the alternating spine over a
 core free of them; termination is by the documented measure (checked in
 tests): (destructors above map/reweight, map+reweight count, thin+product
@@ -59,8 +74,11 @@ from .terms import (
     free_vars,
     fresh_name,
     ite,
+    Memo,
+    memo,
     positions,
     replace_at,
+    store_memo,
     subterm_at,
     term_size,
 )
@@ -527,115 +545,114 @@ class EquivProof:
         )
 
 
-def _canon(t: Term) -> str:
-    """Canonical string modulo alpha, for search deduplication."""
-    out: list[str] = []
+class _AlphaKeys:
+    """The interned alpha-keys of one search: two terms have the same key
+    exactly when they are alpha-equal up to binder annotations, with
+    constants compared by repr (see the module docstring)."""
 
-    def go(term: Term, env: dict[str, str], depth: int):
-        match term:
-            case Var(name):
-                out.append(env.get(name, f"${name}"))
-            case Const(value):
-                out.append(f"#{value!r}")
-            case Lam(params, body):
-                out.append(f"lam{len(params)}(")
-                env2 = dict(env)
-                for i, (n, _) in enumerate(params):
-                    env2[n] = f"b{depth}.{i}"
-                go(body, env2, depth + 1)
-                out.append(")")
-            case Let(name, bound, body):
-                out.append("let(")
-                go(bound, env, depth)
-                env2 = dict(env)
-                env2[name] = f"b{depth}.0"
-                go(body, env2, depth + 1)
-                out.append(")")
-            case Case(scrutinee, branches):
-                out.append("case(")
-                go(scrutinee, env, depth)
-                for binder, body in branches:
-                    env2 = dict(env)
-                    env2[binder] = f"b{depth}.0"
-                    out.append("|")
-                    go(body, env2, depth + 1)
-                out.append(")")
-            case Builtin(op, args):
-                out.append(f"{op}(")
-                for a in args:
-                    go(a, env, depth)
-                    out.append(",")
-                out.append(")")
-            case Thin(count, sampler):
-                out.append(f"thin{count}(")
-                go(sampler, env, depth)
-                out.append(")")
-            case _:
-                out.append(type(term).__name__ + "(")
-                for kid in children(term):
-                    go(kid, env, depth)
-                    out.append(",")
-                out.append(")")
+    def __init__(self):
+        self._table: dict[tuple, int] = {}
+        self._tag = object()  # marks the keys this search left in node memos
 
-    go(t, {}, 0)
-    return "".join(out)
+    def key(self, t: Term) -> int:
+        return self._key(t, {}, 0)
 
+    def _intern(self, shape: tuple) -> int:
+        key = self._table.get(shape)
+        if key is None:
+            key = self._table[shape] = len(self._table)
+        return key
 
-def _subterm_sizes(term: Term) -> dict[int, int]:
-    """The size of every subterm of term, by id: valid while term is alive,
-    since no other live object has the id of one of its subterms."""
-    sizes: dict[int, int] = {}
-
-    def go(t: Term) -> int:
-        n = sizes[id(t)] = 1 + sum(go(kid) for kid in children(t))
-        return n
-
-    go(term)
-    return sizes
-
-
-def _size_with(t: Term, sizes: dict[int, int]) -> int:
-    """term_size(t), looking up the subterms whose sizes are known."""
-    n = sizes.get(id(t))
-    return n if n is not None else 1 + sum(_size_with(kid, sizes) for kid in children(t))
+    def _key(self, t: Term, env: dict[str, tuple[int, int]], depth: int) -> int:
+        """t's key, where depth counts the binders above t and env maps each
+        bound name to its binder's slot and the depth of its binder's body."""
+        cls = type(t)
+        if cls is Var:
+            bound = env.get(t.name)
+            return self._intern((Var, t.name) if bound is None else (depth - bound[0], bound[1]))
+        m = t._memo or memo(t)
+        free = m.free
+        binding = () if free.isdisjoint(env) else tuple([
+            None if (bound := env.get(x)) is None else (depth - bound[0], bound[1]) for x in free
+        ])
+        if m.tag is self._tag and m.binding == binding:
+            return m.key
+        if cls is Const:
+            shape: tuple = (Const, repr(t.value))
+        elif cls is Lam:
+            inner = dict(env)
+            for i, (name, _) in enumerate(t.params):
+                inner[name] = (depth + 1, i)
+            shape = (Lam, len(t.params), self._key(t.body, inner, depth + 1))
+        elif cls is Let:
+            shape = (Let, self._key(t.bound, env, depth),
+                     self._key(t.body, {**env, t.name: (depth + 1, 0)}, depth + 1))
+        elif cls is Case:
+            shape = (Case, self._key(t.scrutinee, env, depth), *[
+                self._key(body, {**env, binder: (depth + 1, 0)}, depth + 1)
+                for binder, body in t.branches
+            ])
+        elif cls is Builtin:
+            shape = (Builtin, t.op, *[self._key(a, env, depth) for a in t.args])
+        elif cls is Thin:
+            shape = (Thin, t.count, self._key(t.sampler, env, depth))
+        else:  # an injection's index and a cast's type are not part of the key
+            shape = (cls, *[self._key(kid, env, depth) for kid in children(t)])
+        key = self._intern(shape)
+        store_memo(t, Memo(m.size, free, self._tag, binding, key))
+        return key
 
 
 def _neighbors(term: Term, size_cap: int):
     """One-step rewrites within the size cap: positions x RULES order, each
-    rule forward before backward.  A rewrite's replacement mostly reuses
-    subterms of the redex, so its size is counted from the known sizes."""
-    sizes = _subterm_sizes(term)
-    size = sizes[id(term)]
+    rule forward before backward.  Node memos price a rewrite without
+    building it."""
+    size = term_size(term)
     for path, sub in positions(term):
         for name, forward, fn in _BY_HEAD.get(type(sub), ()):
             replacement = fn(sub)
             if replacement is None:
                 continue
-            if size - sizes[id(sub)] + _size_with(replacement, sizes) <= size_cap:
+            if size - term_size(sub) + term_size(replacement) <= size_cap:
                 yield Step(name, path, forward), replace_at(term, path, replacement)
 
 
 _SIZE_FACTOR = 4  # the search visits terms up to this multiple of the larger side
 
 
-def prove_equiv(s: Term, t: Term, depth: int = 8) -> Optional[EquivProof]:
-    """Bidirectional bounded search; None means inconclusive, not refuted."""
+@dataclass
+class SearchStats:
+    """How far an equivalence search went: the distinct states it reached
+    from each side, and its bounds."""
+
+    left: int = 0
+    right: int = 0
+    depth: int = 0
+    size_cap: int = 0
+
+
+def prove_equiv(
+    s: Term, t: Term, depth: int = 8, stats: Optional[SearchStats] = None
+) -> Optional[EquivProof]:
+    """Bidirectional bounded search; None means inconclusive, not refuted.
+    When stats is given, it receives the search's extent."""
     if alpha_equal(s, t):
         return EquivProof(s, t)
     size_cap = _SIZE_FACTOR * max(term_size(s), term_size(t))
     # states are deduplicated modulo alpha but not binder annotations, which
     # alpha_equal (and so replay) compares: the sides meet only where their
     # terms are alpha-equal
-    seen: dict[str, tuple[str, list[Step], Term]] = {}
+    keys = _AlphaKeys()
+    seen: dict[int, tuple[str, list[Step], Term]] = {}
     frontier = deque([(s, [], "L", 0), (t, [], "R", 0)])
-    seen[_canon(s)] = ("L", [], s)
-    seen[_canon(t)] = ("R", [], t)
+    seen[keys.key(s)] = ("L", [], s)
+    seen[keys.key(t)] = ("R", [], t)
     while frontier:
         term, steps, side, d = frontier.popleft()
         if d >= depth:
             continue
         for step, nxt in _neighbors(term, size_cap):
-            key = _canon(nxt)
+            key = keys.key(nxt)
             if key in seen:
                 other_side, other_steps, other = seen[key]
                 if other_side != side and alpha_equal(nxt, other):
@@ -645,6 +662,10 @@ def prove_equiv(s: Term, t: Term, depth: int = 8) -> Optional[EquivProof]:
                 continue
             seen[key] = (side, steps + [step], nxt)
             frontier.append((nxt, steps + [step], side, d + 1))
+    if stats is not None:
+        stats.left = sum(1 for side, _, _ in seen.values() if side == "L")
+        stats.right = len(seen) - stats.left
+        stats.depth, stats.size_cap = depth, size_cap
     return None
 
 

@@ -2,12 +2,15 @@
 
 Types, terms, alpha-equivalence, capture-avoiding substitution, and the
 syntactic sugar (self-product, if-then-else) shared by every other module.
-All nodes are immutable after construction and safe to share across threads.
+All nodes are immutable after construction and safe to share across threads;
+each caches its size and free variables, and the rewriter's alpha-key, in one
+memo that is replaced whole (see Memo).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 Pos = tuple[int, int]  # (line, column), 1-based
 
@@ -126,6 +129,7 @@ class Term:
     """Base class for terms."""
 
     __slots__ = ()
+    _memo = None  # the node's Memo, once asked for (see memo)
 
 
 def _pos_field():
@@ -279,94 +283,61 @@ class Thin(Term):
 # Structure access (shared by the rewriter and the printers)
 # ---------------------------------------------------------------------------
 
+_NO_VARS: frozenset[str] = frozenset()
+_UNARY = (Fst, Snd, Hd, Wt, Tl)
+_BINARY = (App, Pair, Prod, Prng, Map, Reweight)
+
+# the direct subterms of each term class, and its rebuild from new ones
+_CHILDREN: dict[type, Callable[[Term], list[Term]]] = {
+    Var: lambda t: [],
+    Const: lambda t: [],
+    Builtin: lambda t: list(t.args),
+    Case: lambda t: [t.scrutinee] + [b for (_, b) in t.branches],
+    App: lambda t: [t.fn, t.arg],
+    Let: lambda t: [t.bound, t.body],
+    Prng: lambda t: [t.step, t.seed],
+    Thin: lambda t: [t.sampler],
+    **{cls: (lambda t: [t.body]) for cls in (Cast, Inj, Lam, *_UNARY)},
+    **{cls: (lambda t: [t.left, t.right]) for cls in (Pair, Prod)},
+    **{cls: (lambda t: [t.fn, t.sampler]) for cls in (Map, Reweight)},
+}
+_REBUILD: dict[type, Callable[[Term, list[Term]], Term]] = {
+    Var: lambda t, kids: t,
+    Const: lambda t, kids: t,
+    Builtin: lambda t, kids: Builtin(t.op, tuple(kids), pos=t.pos),
+    Cast: lambda t, kids: Cast(t.ty, kids[0], pos=t.pos),
+    Case: lambda t, kids: Case(
+        kids[0], tuple((binder, body) for (binder, _), body in zip(t.branches, kids[1:])), pos=t.pos
+    ),
+    Inj: lambda t, kids: Inj(t.index, kids[0], pos=t.pos),
+    Lam: lambda t, kids: Lam(t.params, kids[0], pos=t.pos),
+    Let: lambda t, kids: Let(t.name, kids[0], kids[1], pos=t.pos),
+    Thin: lambda t, kids: Thin(t.count, kids[0], pos=t.pos),
+    **{cls: (lambda t, kids, cls=cls: cls(kids[0], pos=t.pos)) for cls in _UNARY},
+    **{cls: (lambda t, kids, cls=cls: cls(kids[0], kids[1], pos=t.pos)) for cls in _BINARY},
+}
+# the names bound in each child position of the classes that bind any
+_BINDERS: dict[type, Callable[[Term], list[frozenset[str]]]] = {
+    Lam: lambda t: [frozenset(name for name, _ in t.params)],
+    Let: lambda t: [_NO_VARS, frozenset((t.name,))],
+    Case: lambda t: [_NO_VARS] + [frozenset((binder,)) for binder, _ in t.branches],
+}
+
+
 def children(t: Term) -> list[Term]:
     """The term's direct subterms, in a fixed order used by positions."""
-    match t:
-        case Var() | Const():
-            return []
-        case Builtin(_, args):
-            return list(args)
-        case Cast(_, body):
-            return [body]
-        case Case(scrutinee, branches):
-            return [scrutinee] + [b for (_, b) in branches]
-        case Inj(_, body) | Fst(body) | Snd(body) | Hd(body) | Wt(body) | Tl(body):
-            return [body]
-        case Lam(_, body):
-            return [body]
-        case App(fn, arg):
-            return [fn, arg]
-        case Let(_, bound, body):
-            return [bound, body]
-        case Pair(left, right) | Prod(left, right):
-            return [left, right]
-        case Prng(step, seed):
-            return [step, seed]
-        case Map(fn, sampler) | Reweight(fn, sampler):
-            return [fn, sampler]
-        case Thin(_, sampler):
-            return [sampler]
-    raise TypeError(f"unknown term {t!r}")
+    get = _CHILDREN.get(type(t))
+    if get is None:
+        raise TypeError(f"unknown term {t!r}")
+    return get(t)
 
 
 def with_children(t: Term, kids: list[Term]) -> Term:
     """Rebuild `t` with replaced subterms (same order as `children`)."""
-    match t:
-        case Var() | Const():
-            return t
-        case Builtin(op, _):
-            return Builtin(op, tuple(kids), pos=t.pos)
-        case Cast(ty, _):
-            return Cast(ty, kids[0], pos=t.pos)
-        case Case(_, branches):
-            new_branches = tuple(
-                (binder, body) for (binder, _), body in zip(branches, kids[1:])
-            )
-            return Case(kids[0], new_branches, pos=t.pos)
-        case Inj(index, _):
-            return Inj(index, kids[0], pos=t.pos)
-        case Fst(_):
-            return Fst(kids[0], pos=t.pos)
-        case Snd(_):
-            return Snd(kids[0], pos=t.pos)
-        case Hd(_):
-            return Hd(kids[0], pos=t.pos)
-        case Wt(_):
-            return Wt(kids[0], pos=t.pos)
-        case Tl(_):
-            return Tl(kids[0], pos=t.pos)
-        case Lam(params, _):
-            return Lam(params, kids[0], pos=t.pos)
-        case App(_, _):
-            return App(kids[0], kids[1], pos=t.pos)
-        case Let(name, _, _):
-            return Let(name, kids[0], kids[1], pos=t.pos)
-        case Pair(_, _):
-            return Pair(kids[0], kids[1], pos=t.pos)
-        case Prod(_, _):
-            return Prod(kids[0], kids[1], pos=t.pos)
-        case Prng(_, _):
-            return Prng(kids[0], kids[1], pos=t.pos)
-        case Map(_, _):
-            return Map(kids[0], kids[1], pos=t.pos)
-        case Reweight(_, _):
-            return Reweight(kids[0], kids[1], pos=t.pos)
-        case Thin(count, _):
-            return Thin(count, kids[0], pos=t.pos)
-    raise TypeError(f"unknown term {t!r}")
-
-
-def binders_of(t: Term) -> list[set[str]]:
-    """Variables bound in each child position (parallel to `children`)."""
-    match t:
-        case Case(_, branches):
-            return [set()] + [{binder} for (binder, _) in branches]
-        case Lam(params, _):
-            return [{name for name, _ in params}]
-        case Let(name, _, _):
-            return [set(), {name}]
-        case _:
-            return [set() for _ in children(t)]
+    rebuild = _REBUILD.get(type(t))
+    if rebuild is None:
+        raise TypeError(f"unknown term {t!r}")
+    return rebuild(t, kids)
 
 
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
@@ -399,8 +370,50 @@ def positions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
             stack.append((path + (i,), kid))
 
 
+class Memo(NamedTuple):
+    """What a node caches about itself, in its one spare attribute: its size
+    and free variables, which never change, and the alpha-key that the
+    search `tag` last computed for it under `binding` (see rewrite.py)."""
+
+    size: int
+    free: frozenset[str]
+    tag: object = None
+    binding: tuple = ()
+    key: int = -1
+
+
+def memo(t: Term) -> Memo:
+    """The node's memo, made on first use from its children's.  A variable's
+    is made afresh each time: keeping it would cost every variable node a
+    set and a tuple."""
+    m = t._memo
+    if m is not None:
+        return m
+    if type(t) is Var:
+        return Memo(1, frozenset((t.name,)))
+    binders = _BINDERS.get(type(t))
+    size, free = 1, _NO_VARS
+    for kid, bound in zip(children(t), binders(t) if binders is not None else repeat(_NO_VARS)):
+        kid_memo = memo(kid)
+        size += kid_memo.size
+        fv = kid_memo.free
+        if bound and not fv.isdisjoint(bound):
+            fv = fv - bound
+        if not fv <= free:  # reuse a child's set where the union is one of them
+            free = fv if free <= fv else free | fv
+    m = Memo(size, free)
+    store_memo(t, m)
+    return m
+
+
+def store_memo(t: Term, m: Memo) -> None:
+    """Make m the node's memo.  Nodes are frozen, and one attribute beyond
+    their fields still fits in place: a second would give each a dict."""
+    object.__setattr__(t, "_memo", m)
+
+
 def term_size(t: Term) -> int:
-    return 1 + sum(term_size(k) for k in children(t))
+    return memo(t).size
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +421,7 @@ def term_size(t: Term) -> int:
 # ---------------------------------------------------------------------------
 
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case _:
-            out: frozenset[str] = frozenset()
-            for kid, bound in zip(children(t), binders_of(t)):
-                out |= free_vars(kid) - frozenset(bound)
-            return out
+    return memo(t).free
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -436,10 +442,13 @@ def rename_bound(t: Term, old: str, new: str) -> Term:
 
 
 def substitute(t: Term, x: str, s: Term) -> Term:
-    """Capture-avoiding substitution t[x <- s]."""
+    """Capture-avoiding substitution t[x <- s].  A subterm that comes out
+    unchanged is returned itself, so the result shares it with t."""
     fv_s = free_vars(s)
 
     def go(term: Term) -> Term:
+        if not fv_s and x not in free_vars(term):  # nothing to replace or rename
+            return term
         match term:
             case Var(name):
                 return s if name == x else term
@@ -457,16 +466,23 @@ def substitute(t: Term, x: str, s: Term) -> Term:
                         n2 = fresh_name(n, set(avoid))
                         new_body = rename_bound(new_body, n, n2)
                         new_params[i] = (n2, ty)
-                return Lam(tuple(new_params), go(new_body), pos=term.pos)
+                out = go(new_body)
+                if new_body is body and out is body:  # nothing renamed or replaced
+                    return term
+                return Lam(tuple(new_params), out, pos=term.pos)
             case Let(name, bound, body):
                 new_bound = go(bound)
                 if name == x:
-                    return Let(name, new_bound, body, pos=term.pos)
-                if name in fv_s and name in free_vars(body):
-                    n2 = fresh_name(name, set(fv_s | free_vars(body)))
-                    body = rename_bound(body, name, n2)
-                    name = n2
-                return Let(name, new_bound, go(body), pos=term.pos)
+                    out = body
+                else:
+                    if name in fv_s and name in free_vars(body):
+                        n2 = fresh_name(name, set(fv_s | free_vars(body)))
+                        body = rename_bound(body, name, n2)
+                        name = n2
+                    out = go(body)
+                if new_bound is term.bound and out is term.body:
+                    return term
+                return Let(name, new_bound, out, pos=term.pos)
             case Case(scrutinee, branches):
                 new_branches = []
                 for binder, body in branches:
@@ -478,9 +494,18 @@ def substitute(t: Term, x: str, s: Term) -> Term:
                         body = rename_bound(body, binder, b2)
                         binder = b2
                     new_branches.append((binder, go(body)))
-                return Case(go(scrutinee), tuple(new_branches), pos=term.pos)
+                new_scrutinee = go(scrutinee)
+                if new_scrutinee is scrutinee and all(
+                    new is old for (_, new), (_, old) in zip(new_branches, branches)
+                ):
+                    return term
+                return Case(new_scrutinee, tuple(new_branches), pos=term.pos)
             case _:
-                return with_children(term, [go(k) for k in children(term)])
+                kids = children(term)
+                new_kids = [go(k) for k in kids]
+                if all(new is old for new, old in zip(new_kids, kids)):
+                    return term
+                return with_children(term, new_kids)
 
     return go(t)
 

@@ -8,12 +8,13 @@ import pytest
 
 import samplerlang
 
-from samplerlang.cli import _csv_rows, main
+from samplerlang.cli import _csv_rows, _sum_tagger, main
 from samplerlang.config import Config
 from samplerlang.corpus import corpus_dir, load_corpus
 from samplerlang.interpreter import Interpreter
 from samplerlang.runtime import VInj
 from samplerlang.streams import truncate
+from samplerlang.terms import BOOL, REAL, UNIT, ProdT, SumT
 
 
 C = corpus_dir()
@@ -85,7 +86,22 @@ def test_equiv_inconclusive(tmp_path, capsys):
     a.write_text("prng(fun x : R => x/2, 1)")
     b.write_text("tl(prng(fun x : R => 1 - x, 0))")
     assert main(["equiv", str(a), str(b), "--depth", "3"]) == 1
-    assert "inconclusive" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == "inconclusive\n"
+    # the search's extent goes to stderr: its bounds and the states per side
+    assert captured.err == (
+        "inconclusive: searched to depth 3 from each side over terms of size at most 28; "
+        "distinct states reached: 1 from the left, 4 from the right\n"
+    )
+
+
+@pytest.mark.parametrize("depth", ["-1", "-3"])
+def test_equiv_rejects_negative_depths(depth, capsys):
+    a = str(C / "geometric.smpl")
+    with pytest.raises(SystemExit) as exc:
+        main(["equiv", a, a, "--depth", depth])
+    assert exc.value.code == 2
+    assert "--depth" in capsys.readouterr().err
 
 
 def test_verify_accepts_bundled_proof(capsys):
@@ -355,3 +371,31 @@ SYNTHETIC = {
 def test_run_csv_matches_entrywise_writer_on_synthetic_values(name):
     entries = SYNTHETIC[name]
     assert _csv(entries) == _oracle_csv(entries)
+
+
+def test_run_csv_tags_the_injections_at_sum_positions():
+    tag = _sum_tagger(SumT((REAL, REAL)))
+    header, rows = _csv_rows([tag(VInj(0, 1.0)), tag(VInj(1, 1.0))], [1.0, 1.0])
+    assert header == "index,value_0,value_1,weight"
+    assert rows == ["1,0,1.0,1.0", "2,1,1.0,1.0"]
+    # a tag column per sum position, before its payload; B stays one column
+    tag = _sum_tagger(ProdT(BOOL, SumT((REAL, ProdT(REAL, SumT((UNIT, REAL)))))))
+    _, rows = _csv_rows([(True, VInj(1, (2.0, VInj(0, ()))))], [0.5])
+    assert rows == ["1,1,2.0,0.5"]
+    _, rows = _csv_rows([tag((True, VInj(1, (2.0, VInj(0, ())))))], [0.5])
+    assert rows == ["1,1,1,2.0,0,0.5"]
+    for ty in (REAL, BOOL, ProdT(REAL, ProdT(BOOL, UNIT))):
+        assert _sum_tagger(ty) is None
+
+
+def test_run_csv_of_a_sum_typed_boolean_extern_is_unchanged(tmp_path):
+    # B is 1 + 1: a bernoulli extern declared at Unit + Unit yields Booleans,
+    # which are written as they are
+    rows = []
+    for ty in ("B", "(Unit + Unit)"):
+        src = tmp_path / "coin.smpl"
+        src.write_text(f"extern sampler coin : S {ty} targets bernoulli(0.5)\n\ncoin\n")
+        out = tmp_path / "coin.csv"
+        assert main(["run", str(src), "--samples", "20", "--dump", str(out)]) == 0
+        rows.append(out.read_text())
+    assert rows[0] == rows[1] and rows[0].startswith("index,value,weight\n")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from samplerlang.corpus import load_corpus
+from samplerlang.corpus import corpus_dir, load_corpus
 from samplerlang.interpreter import Interpreter
 from samplerlang.parser import parse_program, parse_term
 from samplerlang.pretty import pretty
@@ -19,6 +19,8 @@ from samplerlang.rewrite import (
     TABLE_RULES,
     RewriteError,
     Step,
+    _AlphaKeys,
+    _SIZE_FACTOR,
     _neighbors,
     apply_rule,
     measure,
@@ -31,9 +33,19 @@ from samplerlang.rewrite import (
 from samplerlang.runtime import value_equal
 from samplerlang.terms import (
     App,
+    Builtin,
+    Case,
+    Const,
     FunT,
+    Lam,
+    Let,
+    Map,
+    REAL,
+    Thin,
+    Tl,
     Var,
     alpha_equal,
+    children,
     positions,
     replace_at,
     self_product,
@@ -281,12 +293,16 @@ def test_table_rule_count():
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
+def _program(path):
+    return parse_program(path.read_text(encoding="utf-8"), str(path))
+
+
 def _search_terms(corpus):
     """Corpus and benchmark programs, every rule instance, and the terms one
     rewrite away from each of them."""
     starts = [item.program.body for item in corpus.values()]
     for path in sorted(BENCH_INPUTS.glob("*.smpl")):
-        starts.append(parse_program(path.read_text(encoding="utf-8"), str(path)).body)
+        starts.append(_program(path).body)
     starts += [_t(src) for src in RULE_INSTANCES.values()]
     terms = list(starts)
     for t in starts:
@@ -429,3 +445,189 @@ def test_docs_list_every_rule():
         assert listed[name] == f"{pretty(eq.lhs)} {eq.arrow} {pretty(eq.rhs)}", name
     for name, rule in RULES.items():
         assert (" <-> " in listed[name]) == (rule.bwd is not None), name
+
+
+# -- the search: pinned outcomes, alpha-keys and their caches ---------------------
+
+CORPUS = corpus_dir()
+
+# the benchmark's equiv pairs: depth, proof (None: inconclusive), replace_at calls
+BENCH_EQUIV = [
+    (BENCH_INPUTS / "thin_thin.smpl", BENCH_INPUTS / "thin_four.smpl", 8,
+     {"left": [["thin_thin", [], "fwd"]], "right": []}, 1),
+    (BENCH_INPUTS / "thin_tl_map.smpl", BENCH_INPUTS / "map_thin_tl.smpl", 8,
+     {"left": [["tl_map", [0], "fwd"]], "right": [["thin_map", [], "bwd"]]}, 2),
+    (BENCH_INPUTS / "map_map_tl.smpl", BENCH_INPUTS / "tl_map_fused.smpl", 8,
+     {"left": [["tl_map", [1], "bwd"], ["tl_map", [], "bwd"]], "right": [["map_map", [0], "bwd"]]},
+     15),
+    (BENCH_INPUTS / "thin_map_tl.smpl", BENCH_INPUTS / "map_tl_thin_tl.smpl", 8, None, 4714),
+    (CORPUS / "marsaglia.smpl", BENCH_INPUTS / "marsaglia_alpha3.smpl", 3, None, 2286),
+]
+
+
+@pytest.mark.parametrize("left,right,depth,proof,built", BENCH_EQUIV,
+                         ids=[f"{a.stem}-{b.stem}" for a, b, *_ in BENCH_EQUIV])
+def test_bench_searches_are_pinned(left, right, depth, proof, built, monkeypatch):
+    # the search visits the same states in the same order: it builds the
+    # same number of neighbours and returns the same proof
+    import samplerlang.rewrite as rewrite
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return replace_at(*args)
+
+    monkeypatch.setattr(rewrite, "replace_at", counted)
+    got = prove_equiv(_program(left).body, _program(right).body, depth=depth)
+    assert (got.to_json() if got is not None else None) == proof
+    assert len(calls) == built
+
+
+def _canon(t) -> str:
+    """The search's string key before it was interned: canonical modulo
+    alpha, ignoring binder annotations, injection indices and cast types,
+    with constants compared by repr."""
+    out: list[str] = []
+
+    def go(term, env: dict[str, str], depth: int):
+        match term:
+            case Var(name):
+                out.append(env.get(name, f"${name}"))
+            case Const(value):
+                out.append(f"#{value!r}")
+            case Lam(params, body):
+                out.append(f"lam{len(params)}(")
+                env2 = dict(env)
+                for i, (n, _) in enumerate(params):
+                    env2[n] = f"b{depth}.{i}"
+                go(body, env2, depth + 1)
+                out.append(")")
+            case Let(name, bound, body):
+                out.append("let(")
+                go(bound, env, depth)
+                env2 = dict(env)
+                env2[name] = f"b{depth}.0"
+                go(body, env2, depth + 1)
+                out.append(")")
+            case Case(scrutinee, branches):
+                out.append("case(")
+                go(scrutinee, env, depth)
+                for binder, body in branches:
+                    env2 = dict(env)
+                    env2[binder] = f"b{depth}.0"
+                    out.append("|")
+                    go(body, env2, depth + 1)
+                out.append(")")
+            case Builtin(op, args):
+                out.append(f"{op}(")
+                for a in args:
+                    go(a, env, depth)
+                    out.append(",")
+                out.append(")")
+            case Thin(count, sampler):
+                out.append(f"thin{count}(")
+                go(sampler, env, depth)
+                out.append(")")
+            case _:
+                out.append(type(term).__name__ + "(")
+                for kid in children(term):
+                    go(kid, env, depth)
+                    out.append(",")
+                out.append(")")
+
+    go(t, {}, 0)
+    return "".join(out)
+
+
+# pairs whose keys must be equal (True) or differ (False)
+KEY_PAIRS = [
+    ("fun x : R => x + 1", "fun y : R+ => y + 1", True),  # annotations are ignored
+    ("fun (x : R, y : R) => x", "fun (y : R, x : _) => y", True),
+    ("fun (x : R, y : R) => x", "fun (x : R, y : R) => y", False),
+    ("0.0", "-0.0", False),  # constants compare by repr
+    ("1", "1.0", False),
+    ("True", "1", False),
+    ("fun x : R => fun x : R => x", "fun x : R => fun y : R => y", True),  # shadowing
+    ("fun x : R => fun x : R => x", "fun x : R => fun y : R => x", False),
+    ("fun x : R => fun y : R => x", "fun y : R => fun x : R => y", True),
+    ("fun y : R => x", "fun x : R => x", False),  # a free and a bound x
+    ("fun y : R => x", "fun z : R => x", True),
+    ("map(fun y : R => x, x)", "map(fun x : R => x, x)", False),
+    ("let a = x in a", "let b = x in b", True),
+    ("let x = x in x", "let a = x in x", False),
+    ("case inj(0, x) of { a => a | b => x }", "case inj(1, x) of { b => b | a => x }", True),
+    ("case inj(0, x) of { a => a | b => x }", "case inj(0, x) of { a => x | b => b }", False),
+    ("cast<R + R>(inj(0, x))", "cast<R * R>(inj(1, x))", True),
+    ("thin(2, rand)", "thin(3, rand)", False),
+]
+
+
+def _key_terms(corpus):
+    terms = _search_terms(corpus)
+    terms += [out for t in terms for _, out in _neighbors(t, 4 * term_size(t))]
+    for a, b, _ in KEY_PAIRS:
+        terms += [parse_term(a, {"rand", "x"}), parse_term(b, {"rand", "x"})]
+    terms += [Const(float("nan")), Const(float("nan")), Const(-float("nan"))]
+    # one node under different binders: its key follows its context
+    n = Builtin("plus", (Var("x"), Const(1)))
+    x, y = (("x", None),), (("y", None),)
+    terms += [Lam(x, Lam(y, n)), Lam(y, Lam(x, n)), Lam(x, n), n, Let("x", n, n), Lam(y, n)]
+    return terms
+
+
+def test_alpha_keys_are_equal_exactly_where_the_canonical_strings_are(corpus):
+    terms = _key_terms(corpus)
+    assert len(terms) > 800
+    canons = [_canon(t) for t in terms]
+    # one search's keys, twice: the second pass reads the node caches
+    keys = _AlphaKeys()
+    for _ in range(2):
+        ids = [keys.key(t) for t in terms]
+        assert len(set(ids)) == len(set(canons)) == len(set(zip(ids, canons)))
+    for a, b, equal in KEY_PAIRS:
+        ta, tb = parse_term(a, {"rand", "x"}), parse_term(b, {"rand", "x"})
+        assert (_canon(ta) == _canon(tb)) == equal, (a, b)
+        assert (keys.key(ta) == keys.key(tb)) == equal, (a, b)
+    assert keys.key(Const(float("nan"))) == keys.key(Const(float("nan")))
+
+
+def test_searches_over_shared_subterms_ignore_each_others_keys():
+    # each search tags the keys it caches in node memos: a search that meets
+    # a node another search keyed computes the node's key in its own table
+    f, g, rand = _t("fun x : R => x * x"), _t("fun y : R => y + 1"), Var("rand")
+    pairs = [
+        (Map(g, Map(f, Tl(rand))), Tl(Map(Lam((("x", REAL),), App(g, App(f, Var("x")))), rand))),
+        (Tl(Map(g, Map(f, rand))), Map(g, Tl(Map(f, rand)))),
+        (Thin(2, Map(f, Tl(rand))), Map(f, Thin(2, Tl(rand)))),
+    ]
+
+    def search(a, b):
+        proof = prove_equiv(a, b, depth=4)
+        return proof.to_json() if proof is not None else None
+
+    def fresh(t):  # the same term, built of new nodes
+        copy = _t(pretty(t))
+        assert alpha_equal(copy, t)
+        return copy
+
+    alone = [search(fresh(a), fresh(b)) for a, b in pairs]
+    assert alone[0] is not None and alone[2] is not None
+    for order in ([0, 1, 2], [2, 1, 0], [0, 1, 2, 0, 2, 1]):
+        for i in order:
+            assert search(*pairs[i]) == alone[i], i
+
+
+def test_one_step_rewrites_keep_big_step_prefixes(corpus):
+    # the premise of refuting an equivalence by a differing prefix: every
+    # rewrite within the search's size cap, of every corpus and benchmark
+    # program, keeps the 16-entry big-step prefix bit for bit
+    programs = [(name, item.program) for name, item in corpus.items()]
+    programs += [(path.stem, _program(path)) for path in sorted(BENCH_INPUTS.glob("*.smpl"))]
+    checked = 0
+    for name, prog in programs:
+        want = Interpreter(prog).big_step(16)
+        for step, out in _neighbors(prog.body, _SIZE_FACTOR * term_size(prog.body)):
+            assert value_equal(Interpreter(prog).big_step(16, out), want), (name, step)
+            checked += 1
+    assert checked == 53
