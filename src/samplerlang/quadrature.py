@@ -27,7 +27,9 @@ Everything else is iterated scalar `scipy.quad` (`_integrate_iterated`),
 which walks the stack with scalar functions: a function that array mode
 refuses (an injection, a case on a Boolean parameter), a discrete factor in
 a continuous product, a product of stacks, and an integrand that is a plain
-callable.  More than three continuous dimensions is unsupported.
+callable.  More than three continuous dimensions is unsupported.  Only
+this path imports `scipy.integrate`, on first use, so that a command that
+never takes it does not pay for the import.
 
 Scalar integrands call the functions that `runtime.compile_fn` generates
 directly, with no wrapper around each call.  One comparison integrates many
@@ -43,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate as sci
 
 from . import measures as M
 from .builtins import EvalError
@@ -185,6 +186,16 @@ class _Density1D:
     breakpoints: tuple[float, ...] = ()
 
 
+def gamma_cutoff(shape: float, scale: float) -> float:
+    """The upper end of a gamma density's integration range: its quantile
+    1 - GAMMA_TAIL, computed as scipy.stats.gamma.ppf computes it (the
+    inverse regularized incomplete gamma, times the scale), without
+    importing scipy.stats."""
+    from scipy import special
+
+    return float(special.gammaincinv(shape, 1.0 - GAMMA_TAIL)) * scale
+
+
 def _density_of(m: M.MeasureExpr) -> Optional[_Density1D]:
     match m:
         case M.UniformM(a, b):
@@ -219,9 +230,7 @@ def _density_of(m: M.MeasureExpr) -> Optional[_Density1D]:
 
             return _Density1D(lo, hi, pdf, pdfs)
         case M.GammaM(shape, scale):
-            from scipy import stats
-
-            hi = float(stats.gamma.ppf(1.0 - GAMMA_TAIL, shape, scale=scale))
+            hi = gamma_cutoff(shape, scale)
             lognorm = shape * math.log(scale) + math.lgamma(shape)
 
             def pdf(x, _k=shape, _s=scale, _ln=lognorm):
@@ -341,6 +350,8 @@ def _integrate_iterated(m, g, settings, g_breakpoints=(), cache=None) -> float:
     """
     density = _density_of(m)
     if density is not None:
+        from scipy import integrate as sci  # only this path needs it
+
         points = [p for p in (*density.breakpoints, *g_breakpoints) if density.lo < p < density.hi]
         val, _err = sci.quad(
             lambda x: float(g(x)) * density.pdf(x),

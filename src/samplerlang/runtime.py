@@ -14,14 +14,25 @@ order, so a value computed this way is bit-identical to big-step's, and a
 domain error is an EvalError at the failing builtin's position.
 
 Builtins are pure, so the generator numbers their values: a builtin call
-with the same op and operand sources as one already emitted in the same or
-an enclosing block reuses that call's local.  The earlier call runs first,
-so it raises first if either would; calls inside a case/if branch or a
-nested function are forgotten when that block ends.  A `let` substituted
-into a stated target thus costs one evaluation, not one per occurrence.
+or a projection with the same op and operand sources as one already emitted
+in the same or an enclosing block reuses that call's local.  The earlier
+call runs first, so it raises first if either would; calls inside a case/if
+branch or a nested function are forgotten when that block ends.  A `let`
+substituted into a stated target thus costs one evaluation, not one per
+occurrence.
+
+Without a call where the result is the same: an application of a closure
+known when the code is generated is its body, emitted in place (the
+argument is evaluated first, as the call would); `div`, `sqrt` and `log`
+apply their builtin's own domain test and call the builtin only where it
+fails, so that it raises its error; an `if` on a value not known to be a
+Boolean tests `is True`/`is False` before it falls back to `_scrutinee`;
+and a pair stays its parts until it is used whole.
 
 The stream engine and quadrature reach these functions through
-`compile_fn` and `apply_value`.
+`compile_fn` and `apply_value`.  `compile_pipeline` runs the generator in
+block mode for the stream engine: one loop over a block of entries with the
+bodies of a chain of map/reweight/product layers inline (see _PipeGen).
 
 `compile_array_fn` runs the same generator in array mode, for quadrature's
 array paths, whose functions take nested tuples of numpy arrays and
@@ -220,6 +231,14 @@ def value_to_term(v) -> Term:
 # builtins._CMP_FN), so the generated code spells them inline.
 _INFIX = {"plus": "+", "minus": "-", "times": "*"}
 _CMP_INFIX = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}
+# Builtins that raise outside their domain: (the test under which the
+# builtin function raises, the value elsewhere, the math function that
+# computes it), spelled exactly as in builtins._f_div, _f_sqrt and _f_log.
+_GUARDED = {
+    "div": ("{1} == 0", "{0} / {1}", None),
+    "sqrt": ("{0} < 0", "_msqrt({0})", math.sqrt),
+    "log": ("{0} <= 0", "_mlog({0})", math.log),
+}
 # The other builtins in array mode: numpy functions that do not raise.
 _ARRAY_BUILTINS = {
     "div": np.divide,
@@ -335,6 +354,7 @@ class _CodeGen:
             "_not": np.logical_not,
         }
         self.count = 0
+        self.defs = 0  # nested functions emitted
         # (op, operand sources) -> the local holding that call's value, for
         # the calls emitted in the current block and the blocks around it
         self.calls: dict = {}
@@ -385,8 +405,10 @@ class _CodeGen:
             self.calls = outer
 
     def local(self, operand, depth: int):
-        """The operand as a known value or a local name (for reuse)."""
-        if isinstance(operand, _Known) or operand.expr.isidentifier():
+        """The operand as a known value or a local name (for reuse).  A pair
+        built here stays its parts: the tuple is built only where it is
+        used whole."""
+        if isinstance(operand, _Known) or operand.expr.isidentifier() or operand.parts:
             return operand
         name = self.fresh("v")
         self.emit(depth, f"{name} = {operand.expr}")
@@ -397,6 +419,7 @@ class _CodeGen:
     def function(self, name: str, params, body: Term, scope: dict, depth: int) -> None:
         """A def of the function; with fault masks it returns (value, mask)."""
         arg = self.fresh("a")
+        self.defs += 1
         self.emit(depth, f"def {name}({arg}):")
         outer = self.path, self.checked
         self.path, self.checked = None, set()
@@ -465,11 +488,7 @@ class _CodeGen:
                     return self.comparison(sig, ops[0], term.pos, depth)
                 return self.builtin(sig, ops, term.pos, depth)
             case Pair(left, right):
-                lo = self.term(left, scope, depth)
-                ro = self.term(right, scope, depth)
-                if isinstance(lo, _Known) and isinstance(ro, _Known):
-                    return _Known((lo.value, ro.value))
-                return _Code(f"({self.code(lo)}, {self.code(ro)})", parts=(lo, ro))
+                return self.pair(self.term(left, scope, depth), self.term(right, scope, depth))
             case Fst(body):
                 return self.project(self.term(body, scope, depth), 0, depth)
             case Snd(body):
@@ -493,7 +512,12 @@ class _CodeGen:
                 return self.term(body, self.bind(params, value, scope, depth), depth)
             case App(fn, arg):
                 fo = self.term(fn, scope, depth)
-                ao = self.code(self.term(arg, scope, depth))
+                value = self.term(arg, scope, depth)
+                if not self.array and isinstance(fo, _Known) and isinstance(fo.value, VClosure):
+                    out = self.inline(fo.value, value, depth)
+                    if out is not None:
+                        return out
+                ao = self.code(value)
                 direct = self.direct_callee(fo)
                 if direct is not None and self.faults:
                     out, mask = self.fresh("t"), self.fresh("b")
@@ -506,6 +530,22 @@ class _CodeGen:
                     raise _NotCompilable(term)
                 return self.assign(depth, f"_apply_value({self.code(fo)}, {ao})")
         raise _NotCompilable(term)
+
+    def inline(self, clo: VClosure, value, depth: int):
+        """The closure's body applied to the value, emitted here with the
+        closure's environment as known values, as its compiled function
+        would run it; None, with nothing emitted, where the generator
+        refuses the body."""
+        mark, calls, env, defs = len(self.lines), self.calls, self.env, self.defs
+        self.env, self.calls = clo.env, dict(calls)
+        try:
+            return self.term(clo.body, self.bind(clo.params, value, {}, depth), depth)
+        except _NotCompilable:
+            del self.lines[mark:]
+            self.calls, self.defs = calls, defs
+            return None
+        finally:
+            self.env = env
 
     def builtin(self, sig, ops: list, pos, depth: int):
         op = sig.name
@@ -537,6 +577,13 @@ class _CodeGen:
         else:
             self.namespace[f"_{op}"] = fn
             rhs = f"_{op}({', '.join(args)})"
+            if not self.array and op in _GUARDED:
+                # the builtin's own domain test, and the builtin itself only
+                # where it fails (to raise its error)
+                test, fast, math_fn = _GUARDED[op]
+                if math_fn is not None:
+                    self.namespace[f"_m{op}"] = math_fn
+                rhs = f"{rhs} if {test.format(*args)} else {fast.format(*args)}"
         if self.array:
             self.calls[key] = self.assign(depth, rhs)
             return self.check(self.calls[key], depth) if can_fail else self.calls[key]
@@ -567,12 +614,20 @@ class _CodeGen:
             self.calls[key] = self.assign(depth, rhs, is_bool=True)
         return self.calls[key]
 
+    def pair(self, lo, ro):
+        if isinstance(lo, _Known) and isinstance(ro, _Known):
+            return _Known((lo.value, ro.value))
+        return _Code(f"({self.code(lo)}, {self.code(ro)})", parts=(lo, ro))
+
     def project(self, operand, index: int, depth: int):
         if _is_known_pair(operand):
             return _Known(operand.value[index])
         if isinstance(operand, _Code) and operand.parts is not None:
             return operand.parts[index]
-        return self.assign(depth, f"{self.code(operand)}[{index}]")
+        key = (("fst", "snd")[index], self.code(operand))
+        if key not in self.calls:
+            self.calls[key] = self.assign(depth, f"{key[1]}[{index}]")
+        return self.calls[key]
 
     def direct_callee(self, operand) -> Optional[str]:
         """Source naming a Python function for the operand, if it has one."""
@@ -597,6 +652,12 @@ class _CodeGen:
         bools = []
         if isinstance(scrut, _Code) and scrut.is_bool:
             tests = [f"if {scrut.expr}:", "else:"]
+            payload = _Known(())
+        elif isinstance(scrut, _Code) and len(branches) == 2 and all(b == "_" for b, _ in branches):
+            # an if: a Boolean is tested directly, anything else as a sum
+            x = self.local(scrut, depth).expr
+            test = f"{x} is True or ({x} is not False and _scrutinee({x}, {term.pos!r})[0] == 0)"
+            tests = [f"if {test}:", "else:"]
             payload = _Known(())
         else:
             index, payload_name = self.fresh("i"), self.fresh("v")
@@ -631,6 +692,119 @@ class _CodeGen:
         self.path = outer
         rhs = f"_where({scrut.expr}, {', '.join(self.code(o) for o in outs)})"
         return self.assign(depth, rhs, is_bool=all(map(_is_bool, outs)))
+
+
+class _PipeGen(_CodeGen):
+    """The generator in block mode: one entry of a fused stream pipeline.
+
+    A pipeline is a tree whose nodes are a leaf's number or (op, fn,
+    inputs), op being "map", "reweight" or "prod".  Leaf j's entry is the
+    local _xj, and its weight _yj, or the constant WEIGHT_ONE where
+    `weighted[j]` is false.  A map or reweight inlines its closure's body,
+    with the closure's environment as known values, or calls `fallback(fn)`
+    where the generator refuses the body; a product's value is a pair that
+    keeps its parts.  With `boundary` set, each leaf's entry is read where
+    engine order reaches it, from its column `_cj` at the index `_i`, and a
+    column that ends before `_i` raises that leaf's error `_errs[j]`.
+    """
+
+    def __init__(self, weighted, fallback: Callable, boundary: bool):
+        super().__init__({})
+        self.weighted = weighted
+        self.fallback = fallback
+        self.boundary = boundary
+        self.namespace["_negative"] = _negative_weight
+
+    def columns(self) -> list[tuple[str, str]]:
+        """(column, loop variable) for each leaf's entries, then for its
+        weights if it has them."""
+        names = []
+        for j, weighted in enumerate(self.weighted):
+            names.append((f"_c{j}", f"_x{j}"))
+            if weighted:
+                names.append((f"_w{j}", f"_y{j}"))
+        return names
+
+    def stage(self, node, depth: int) -> tuple:
+        """The (value, weight) operands of one entry of a pipeline node.
+        Engine order: a product's left input, then its right one, then the
+        layer itself."""
+        if isinstance(node, int):
+            return self.leaf(node, depth)
+        op, fn, inputs = node
+        if op == "prod":
+            lv, lw = self.stage(inputs[0], depth)
+            rv, rw = self.stage(inputs[1], depth)
+            return self.pair(lv, rv), self.times(lw, rw, depth)
+        value, weight = self.stage(inputs[0], depth)
+        out = self.layer(fn, value, depth)
+        if op == "map":
+            return out, weight
+        factor = self.local(out, depth)
+        self.emit(depth, f"if {self.code(factor)} < 0:")
+        self.emit(depth + 1, f"raise _negative({self.code(factor)})")
+        return value, self.times(factor, weight, depth)
+
+    def leaf(self, j: int, depth: int) -> tuple:
+        weighted = self.weighted[j]
+        if self.boundary:
+            self.emit(depth, f"if _i >= len(_c{j}):")
+            self.emit(depth + 1, f"raise _errs[{j}]")
+            self.emit(depth, f"_x{j} = _c{j}[_i]")
+            if weighted:
+                self.emit(depth, f"_y{j} = _w{j}[_i]")
+        return _Code(f"_x{j}"), _Code(f"_y{j}") if weighted else _Known(WEIGHT_ONE)
+
+    def times(self, left, right, depth: int):
+        """A weight product; never folded unless both factors are known,
+        so an integer factor still makes a float weight."""
+        if isinstance(left, _Known) and isinstance(right, _Known):
+            return _Known(left.value * right.value)
+        return self.assign(depth, f"{self.code(left)} * {self.code(right)}")
+
+    def layer(self, fn, value, depth: int):
+        """fn applied to the value: its closure body inline, or a call."""
+        if isinstance(fn, VClosure):
+            out = self.inline(fn, value, depth)
+            if out is not None:
+                return out
+        name = self.fresh("_g")
+        self.namespace[name] = self.fallback(fn)
+        return self.assign(depth, f"{name}({self.code(value)})")
+
+
+def _negative_weight(factor) -> EvalError:
+    return EvalError(f"negative weight {factor} from reweight")
+
+
+def compile_pipeline(tree, weighted, fallback: Callable, boundary: bool = False) -> Callable:
+    """The block function of a fused stream pipeline (see _PipeGen).
+
+    `_fn(vs, ws, *columns)` runs one loop over the entries that every leaf
+    column has and appends each entry's value to vs and its weight to ws; an
+    entry that fails raises its EvalError, and the entries before it are in
+    vs and ws.  With `boundary` set it is `_fn(i, errs, *columns)` instead,
+    which runs entry i alone in engine order and raises the error of the
+    innermost, then leftmost, failing layer or short leaf.
+    """
+    gen = _PipeGen(weighted, fallback, boundary)
+    columns, targets = (", ".join(names) for names in zip(*gen.columns()))
+    value, weight = gen.stage(tree, 1 if boundary else 2)
+    body, v, w = gen.lines, gen.code(value), gen.code(weight)
+    if boundary:
+        lines = [f"def _fn(_i, _errs, {columns}):", *body]
+    else:
+        source = f"zip({columns})" if "," in columns else columns
+        lines = [f"def _fn(_vs, _ws, {columns}):", "    _av = _vs.append", "    _aw = _ws.append"]
+        if gen.defs:
+            # a function made for one entry must not see the next entry's locals
+            lines += [f"    def _entry({targets}):", *body, f"        return {v}, {w}"]
+            lines += [f"    for {targets} in {source}:", f"        _v, _w = _entry({targets})"]
+            lines += ["        _av(_v)", "        _aw(_w)"]
+        else:
+            lines += [f"    for {targets} in {source}:", *body, f"        _av({v})", f"        _aw({w})"]
+    exec(compile("\n".join(lines) + "\n", "<samplerlang>", "exec"), gen.namespace)
+    return gen.namespace["_fn"]
 
 
 def _where(cond, if_true, if_false):

@@ -5,15 +5,32 @@ memoized core, so `tl` and `thin` are O(1) shifts sharing their parent's memo
 instead of recomputations.  `truncate` projects any result onto length-N
 weighted lists, which must agree bit-exactly with big-step evaluation.
 
-Cores are pulled a block at a time, as the big-step semantics reduces a
-sampler layer by layer: `entries(idx)` takes the core indices a view demands
-(a `range`, which an affine view maps to a `range`, or an increasing list)
-and each layer makes one pass over its parent's block.  Only demanded
-indices are computed, so `thin` still skips entries.  A block that hits an
-error returns the entries before it together with the error, and callers
-cut to their shorter input, so the error raised is the one entry-wise
-evaluation would raise: the lowest index's, and at that index the innermost
-and then leftmost failing layer's.
+Cores are pulled a block at a time: `entries(idx)` takes the core indices a
+view demands (a `range`, which an affine view maps to a `range`, or an
+increasing list), and only demanded indices are computed, so `thin` still
+skips entries.  A block that hits an error returns the entries before it
+together with the error.
+
+The leaves of the engine are extern streams (`ExternCore`) and `prng`
+iterations (`PrngCore`).  Every `map`, `reweight` and `<*>` is a `PipeCore`,
+and a chain of them runs as one pipeline: on its first pull a core absorbs
+each parent that is another such core, has never been pulled and that no
+other term reaches (a `let`-, parameter- or case-bound sampler is shared
+unless its name occurs once in the body and not under a `fun`), through
+that parent's view (`tl`, `thin`), which it composes into the views of the
+parent's own parents.  The rest are the pipeline's leaves, pulled through
+their memos, so that `tl`, `thin` and `let` sharing is kept.  The pipeline
+compiles to one generated loop over the demanded indices that runs every
+layer's body inline per entry, in engine order: a product's left side, then
+its right side, then the layers above (`runtime.compile_pipeline`); a
+product's pair is built only where its value escapes, and only the
+pipeline's top core keeps a memo.
+
+Errors are those entry-wise evaluation raises: the lowest index's, and at
+that index the innermost and then leftmost failing layer's.  The loop runs
+over the entries that every leaf has; where a leaf's block ended early,
+the next entry runs alone, reading each leaf where engine order reaches it,
+so a layer to the left of that leaf still raises first.
 """
 from __future__ import annotations
 
@@ -28,6 +45,7 @@ from .runtime import (
     VInj,
     WeightedList,
     compile_fn,
+    compile_pipeline,
     destructure,
     scrutinee,
 )
@@ -53,6 +71,8 @@ from .terms import (
     Tl,
     Var,
     Wt,
+    children,
+    free_vars,
 )
 
 #: a block: (values, weights, error) for a prefix of the demanded indices;
@@ -145,58 +165,102 @@ class PrngCore(StreamCore):
         return out, [WEIGHT_ONE] * len(out), err
 
 
-class MapCore(StreamCore):
-    def __init__(self, apply_fn: Callable, parent: "RStream"):
+class PipeCore(StreamCore):
+    """A map, reweight or product over its parents, and the fused pipeline
+    it heads.
+
+    On its first pull the core absorbs every parent that only it can
+    reach (`_absorbable`), recursively, and compiles the tree of layers
+    down to the other parents, its leaves, into one block function
+    (`runtime.compile_pipeline`).  A pull reads each leaf's block, runs
+    that function over the entries every leaf has, and runs the next entry
+    alone if some leaf ended early, so that its error is raised in engine
+    order.  Only this core keeps a memo; absorbed ones are never pulled.
+    """
+
+    def __init__(self, op: str, fn, parents: tuple, applier: Callable):
         super().__init__()
-        self.apply_fn = apply_fn
-        self.parent = parent
+        self.op = op  # "map", "reweight" or "prod"
+        self.fn = fn  # a map's or reweight's function
+        self.parents = parents  # RStreams: (parent,) or (left, right)
+        # a Python function for a function value whose body the generator
+        # cannot inline (StreamEvaluator._applier)
+        self.applier = applier
+        # set when more than one term may reach this core, so that it is
+        # pulled through its memo rather than absorbed
+        self.shared = False
+        # the pipeline, made on the first pull: its leaves, which of them
+        # carry weights, its layer tree and its compiled functions
+        self._leaves: list = []
+        self._weighted: list = []
+        self._tree = None
+        self._block: Optional[Callable] = None
+        self._boundary: Optional[Callable] = None
+
+    @property
+    def left(self) -> "RStream":
+        """A product's left factor."""
+        return self.parents[0]
+
+    @property
+    def right(self) -> "RStream":
+        """A product's right factor."""
+        return self.parents[-1]
+
+    def _plan(self, leaves: list, a: int = 1, b: int = 0):
+        """The layer tree for the generator of this core read through the
+        view i -> a*i + b: an absorbed parent is its own tree, read through
+        its view composed with this one, and any other parent is appended
+        to leaves, as that composed view, and named by its position."""
+        inputs = []
+        for parent in self.parents:
+            view = RStream(parent.core, parent.a * a, parent.a * b + parent.b)
+            if _absorbable(parent):
+                inputs.append(parent.core._plan(leaves, view.a, view.b))
+            else:
+                leaves.append(view)
+                inputs.append(len(leaves) - 1)
+        return (self.op, self.fn, tuple(inputs))
+
+    def _compile(self, boundary: bool = False) -> Callable:
+        return compile_pipeline(self._tree, self._weighted, self.applier, boundary)
 
     def _compute(self, idx) -> Block:
-        values, weights, err = self.parent.entries(idx)
-        fn = self.apply_fn
-        out: list = []
+        if self._block is None:
+            self._tree = self._plan(self._leaves)
+            self._weighted = [type(leaf.core) not in _UNWEIGHTED for leaf in self._leaves]
+            self._block = self._compile()
+        columns, errors, stop = [], [], len(idx)
+        for leaf, weighted in zip(self._leaves, self._weighted):
+            # a leaf is read only where the leaves left of it have entries
+            values, weights, err = leaf.entries(idx[:stop])
+            columns += [values, weights] if weighted else [values]
+            errors.append(err)
+            stop = min(stop, len(values))
+        values, weights = [], []
         try:
-            for v in values:
-                out.append(fn(v))
+            self._block(values, weights, *columns)
+            if stop < len(idx):
+                if self._boundary is None:
+                    self._boundary = self._compile(boundary=True)
+                self._boundary(stop, errors, *columns)
         except EvalError as e:
-            return out, weights[: len(out)], e
-        return out, weights, err
+            return values, weights, e
+        return values, weights, None
 
 
-class ReweightCore(StreamCore):
-    def __init__(self, apply_fn: Callable, parent: "RStream"):
-        super().__init__()
-        self.apply_fn = apply_fn
-        self.parent = parent
-
-    def _compute(self, idx) -> Block:
-        values, weights, err = self.parent.entries(idx)
-        fn = self.apply_fn
-        out: list = []
-        try:
-            for v, w in zip(values, weights):
-                factor = fn(v)
-                if factor < 0:
-                    raise EvalError(f"negative weight {factor} from reweight")
-                out.append(factor * w)
-        except EvalError as e:
-            return values[: len(out)], out, e
-        return values, out, err
+#: leaf cores whose weights are all WEIGHT_ONE
+_UNWEIGHTED = (ExternCore, PrngCore)
 
 
-class ProdCore(StreamCore):
-    def __init__(self, left: "RStream", right: "RStream"):
-        super().__init__()
-        self.left = left
-        self.right = right
-
-    def _compute(self, idx) -> Block:
-        lvalues, lweights, lerr = self.left.entries(idx)
-        # the right side is evaluated only where the left one succeeded
-        rvalues, rweights, rerr = self.right.entries(idx[: len(lvalues)])
-        values = list(zip(lvalues, rvalues))
-        weights = [lw * rw for lw, rw in zip(lweights, rweights)]
-        return values, weights, lerr if rerr is None else rerr
+def _absorbable(parent: "RStream") -> bool:
+    """Whether a pipeline may compute this parent inline: a map, reweight
+    or product that no other term reaches and that has never been pulled.
+    Its view, if it is not the identity, is composed into its leaves' views
+    (`tl` and `thin` of it, such as a self-product's `thin`); no one else
+    reads its entries, so no memo that anyone shares is bypassed."""
+    core = parent.core
+    return type(core) is PipeCore and not core.shared and not core._weights
 
 
 @dataclass(frozen=True)
@@ -275,7 +339,7 @@ class StreamEvaluator:
                 if binder == "_":
                     return self.eval(body, env)
                 env2 = dict(env)
-                env2[binder] = payload
+                env2[binder] = _bound(payload, binder, body)
                 return self.eval(body, env2)
 
             case Pair(left, right):
@@ -291,7 +355,7 @@ class StreamEvaluator:
 
             case Let(name, bound, body):
                 env2 = dict(env)
-                env2[name] = self.eval(bound, env)
+                env2[name] = _bound(self.eval(bound, env), name, body)
                 return self.eval(body, env2)
 
             case App(fn, arg):
@@ -314,17 +378,17 @@ class StreamEvaluator:
             case Prod(left, right):
                 ls = self._stream(left, env, term)
                 rs = self._stream(right, env, term)
-                return RStream(ProdCore(ls, rs))
+                return RStream(PipeCore("prod", None, (ls, rs), self._applier))
 
             case Map(fn, sampler):
                 fv = self.eval(fn, env)
                 parent = self._stream(sampler, env, term)
-                return RStream(MapCore(self._applier(fv), parent))
+                return RStream(PipeCore("map", fv, (parent,), self._applier))
 
             case Reweight(fn, sampler):
                 fv = self.eval(fn, env)
                 parent = self._stream(sampler, env, term)
-                return RStream(ReweightCore(self._applier(fv), parent))
+                return RStream(PipeCore("reweight", fv, (parent,), self._applier))
 
             case Prng(step, seed):
                 fv = self.eval(step, env)
@@ -342,7 +406,7 @@ class StreamEvaluator:
                 return fast(arg)
             env2 = dict(fn.env)
             for n, v in destructure(fn.params, arg):
-                env2[n] = v
+                env2[n] = _bound(v, n, fn.body)
             return self.eval(fn.body, env2)
         if callable(fn):
             return fn(arg)
@@ -364,21 +428,76 @@ class StreamEvaluator:
         return v
 
 
+def _bound(value, name: str, body: Term):
+    """value, bound to name in body: its pipeline cores become shared
+    unless the name occurs once in body, outside any function."""
+    cores = list(_pipes(value))
+    if cores and _uses(name, body) > 1:
+        for core in cores:
+            core.shared = True
+    return value
+
+
+def _pipes(value):
+    """The pipeline cores of the streams in a value."""
+    if isinstance(value, RStream):
+        if type(value.core) is PipeCore:
+            yield value.core
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _pipes(v)
+    elif isinstance(value, VInj):
+        yield from _pipes(value.value)
+
+
+def _uses(name: str, term: Term) -> int:
+    """The free occurrences of name in term, counting one under a lambda as
+    many (2): a function may run any number of times."""
+    if name not in free_vars(term):
+        return 0
+    match term:
+        case Var():
+            return 1
+        case Lam():
+            return 2
+        case Let(bound_name, bound, body):
+            return _uses(name, bound) + (0 if bound_name == name else _uses(name, body))
+        case Case(scrut, branches):
+            return _uses(name, scrut) + sum(
+                _uses(name, body) for binder, body in branches if binder != name
+            )
+    return sum(_uses(name, kid) for kid in children(term))
+
+
 def eval_stream(term: Term, externs: Externs):
     """Evaluate a closed term; sampler-typed results come back as RStream."""
     return StreamEvaluator(externs).eval(term)
 
 
-#: values that embed no stream, left as they are without a call
-_SCALARS = (float, int, bool)
+#: types of values that embed no stream
+_SCALARS = frozenset((float, int, bool))
+
+
+def _embeds_stream(value) -> bool:
+    kind = type(value)
+    if kind in _SCALARS:
+        return False
+    if kind is tuple:
+        return any(map(_embeds_stream, value))
+    if kind is VInj:
+        return _embeds_stream(value.value)
+    return isinstance(value, (RStream, WeightedList))
 
 
 def truncate(value, n: int):
-    """Replace every embedded stream by its length-n weighted list."""
+    """Replace every embedded stream by its length-n weighted list; a
+    stream's prefix is kept as it is unless one of its values embeds one."""
     if isinstance(value, RStream):
-        return WeightedList([
-            (v if type(v) in _SCALARS else truncate(v, n), w) for v, w in value.prefix(n)
-        ])
+        entries = value.prefix(n)
+        kinds = {type(v) for v, _ in entries}
+        if not kinds <= _SCALARS and any(_embeds_stream(v) for v, _ in entries):
+            entries = [(truncate(v, n), w) for v, w in entries]
+        return WeightedList(entries)
     if isinstance(value, WeightedList):
         return WeightedList([(truncate(v, n), w) for v, w in value.entries])
     if isinstance(value, tuple):

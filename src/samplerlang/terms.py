@@ -442,7 +442,9 @@ def rename_bound(t: Term, old: str, new: str) -> Term:
 
 
 def substitute(t: Term, x: str, s: Term) -> Term:
-    """Capture-avoiding substitution t[x <- s].  A subterm that comes out
+    """Capture-avoiding substitution t[x <- s].  A binder renamed because s
+    names it gets a fresh name that avoids x too, or the substitution would
+    then replace the renamed occurrences.  A subterm that comes out
     unchanged is returned itself, so the result shares it with t."""
     fv_s = free_vars(s)
 
@@ -462,7 +464,7 @@ def substitute(t: Term, x: str, s: Term) -> Term:
                 new_body = body
                 for i, (n, ty) in enumerate(params):
                     if n in fv_s and n in free_vars(body):
-                        avoid = fv_s | free_vars(new_body) | {p for p, _ in new_params}
+                        avoid = fv_s | free_vars(new_body) | {x} | {p for p, _ in new_params}
                         n2 = fresh_name(n, set(avoid))
                         new_body = rename_bound(new_body, n, n2)
                         new_params[i] = (n2, ty)
@@ -476,7 +478,7 @@ def substitute(t: Term, x: str, s: Term) -> Term:
                     out = body
                 else:
                     if name in fv_s and name in free_vars(body):
-                        n2 = fresh_name(name, set(fv_s | free_vars(body)))
+                        n2 = fresh_name(name, set(fv_s | free_vars(body) | {x}))
                         body = rename_bound(body, name, n2)
                         name = n2
                     out = go(body)
@@ -490,7 +492,7 @@ def substitute(t: Term, x: str, s: Term) -> Term:
                         new_branches.append((binder, body))
                         continue
                     if binder in fv_s and binder in free_vars(body):
-                        b2 = fresh_name(binder, set(fv_s | free_vars(body)))
+                        b2 = fresh_name(binder, set(fv_s | free_vars(body) | {x}))
                         body = rename_bound(body, binder, b2)
                         binder = b2
                     new_branches.append((binder, go(body)))

@@ -21,23 +21,27 @@ from .builtins import (
     is_numeric,
     signature,
 )
+from . import measures as M
 from .parser import Program
 from .pretty import pretty, pretty_type
 from .terms import (
     App,
     BOOL,
+    BOOL_AS_SUM,
     Builtin,
     Case,
     Cast,
     Const,
     FunT,
     Fst,
+    Ground,
     Hd,
     Inj,
     IntersectT,
     Lam,
     Let,
     Map,
+    NAT,
     POSREAL,
     Pair,
     PredInv,
@@ -837,9 +841,90 @@ def externs_of(prog: Program) -> dict[str, Type]:
     return {ext.name: ext.ty for ext in prog.externs}
 
 
+def _point_type(p) -> Type:
+    if isinstance(p, bool):
+        return BOOL
+    if isinstance(p, tuple):
+        return ProdT(_point_type(p[0]), _point_type(p[1]))
+    if p < 0:
+        return REAL
+    return NAT if isinstance(p, int) else POSREAL
+
+
+def _interval_type(lo: float) -> Type:
+    return POSREAL if lo >= 0 else REAL
+
+
+def measure_type(m: M.MeasureExpr) -> Type:
+    """The type of the points of a measure: the least type this checker
+    gives them (a nonnegative real is R+), so that whatever it fits also
+    holds every point."""
+    match m:
+        case M.Dirac(point):
+            return _point_type(point)
+        case M.Bernoulli():
+            return BOOL
+        case M.UniformM(a, _) | M.TriangularM(a, _):
+            return _interval_type(a)
+        case M.GaussianM():
+            return REAL
+        case M.GammaM():
+            return POSREAL
+        case M.FiniteDiscrete(atoms):
+            out = _point_type(atoms[0][0])
+            for point, _ in atoms[1:]:
+                ty = _point_type(point)
+                if is_numeric(out) and is_numeric(ty):
+                    out = numeric_join(out, ty)
+                elif not type_equal(out, ty):
+                    raise TypeCheckError(
+                        f"discrete atoms of types {pretty_type(out)} and {pretty_type(ty)}"
+                    )
+            return out
+        case M.ProductM(left, right):
+            return ProdT(measure_type(left), measure_type(right))
+        case M.PowerM():
+            return measure_type(M.expand_power(m))
+        case M.ReweightM(_, base):
+            return measure_type(base)
+        case M.PushforwardM(fn, base):
+            ft, _, _ = Checker({})._infer_fn_against(fn, measure_type(base))
+            return ft.cod
+    raise TypeCheckError(f"measure {m!r} has no point type")
+
+
+def _bool_as_sum(ty: Type) -> Type:
+    """ty with every B spelled as the sum Unit + Unit it is."""
+    match ty:
+        case Ground() if ty == BOOL:
+            return BOOL_AS_SUM
+        case ProdT(left, right):
+            return ProdT(_bool_as_sum(left), _bool_as_sum(right))
+        case SumT(summands):
+            return SumT(tuple(map(_bool_as_sum, summands)))
+    return ty
+
+
+def check_extern(decl) -> None:
+    """Reject an extern whose measure's points do not fit its declared
+    sampler type, by the checker's own compatibility and subtyping (B is
+    Unit + Unit here too)."""
+    if not isinstance(decl.ty, SamplerT):
+        raise TypeCheckError(f"extern '{decl.name}' is not declared a sampler")
+    actual = measure_type(decl.measure)
+    a, d = _bool_as_sum(actual), _bool_as_sum(decl.ty.payload)
+    if not (fits(a, d) or check_subtype(a, d)):
+        raise TypeCheckError(
+            f"extern '{decl.name}' is declared {pretty_type(decl.ty)}, but its measure "
+            f"has points of type {pretty_type(actual)}"
+        )
+
+
 def check_program(prog: Program) -> CheckResult:
     if prog.body is None:
         raise TypeCheckError("program has no body")
+    for decl in prog.externs:
+        check_extern(decl)
     checker = Checker(externs_of(prog))
     ty, deriv = checker.infer(prog.body)
     return CheckResult(ty, deriv, dict(checker.let_types))

@@ -289,6 +289,17 @@ def test_examples_with_proofs_leak_no_warning():
     assert "Warning" not in proc.stderr
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # a one-shot command pays for scipy only when it integrates on the
+    # scalar path or cuts off a gamma density
+    src = str(Path(samplerlang.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, samplerlang.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_run_rejects_sample_counts_below_one(count, capsys):
     with pytest.raises(SystemExit) as exc:

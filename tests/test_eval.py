@@ -200,6 +200,16 @@ def test_stated_marsaglia_accept_computes_its_cube_once():
     assert sum("= 0.22645540682891918 * " in line for line in gen.lines) == 1
 
 
+def test_marsaglia_produce_projects_and_computes_once():
+    # produce is d*(1+c*snd(z))^3: the power repeats snd(z) and 1 + c*snd(z)
+    # three times, and equal projections are numbered like builtins
+    produce = parse_term("fun z : R * R => d*(1+c*snd(z))^3", {"d", "c"})
+    gen = _CodeGen({"d": 2.1666666666666665, "c": 0.22645540682891918})
+    gen.function("_fn", produce.params, produce.body, {}, 0)
+    assert sum("[1]" in line for line in gen.lines) == 1
+    assert sum(" = 1 + " in line for line in gen.lines) == 1
+
+
 def _random_body(rng, scope, depth):
     """A random sampler-free term over the names in scope."""
     if depth == 0 or rng.random() < 0.2:
@@ -583,6 +593,95 @@ def test_negative_reweight_factor_raises():
     assert len(interp(src).stream().prefix(2)) == 2
     err = _errors(src, 3)
     assert "negative weight" in err.message
+
+
+# -- fused pipelines -----------------------------------------------------------
+
+
+def test_boundary_entry_raises_the_left_layer_before_the_short_leaf():
+    # at index 4 the left map's log fails, and the right leaf's step function
+    # fails computing its entry 4: the left layer's error is the one raised
+    body = ("map(fun p : R * R => fst(p), map(fun x : R => log(x - 0.125), H)"
+            " <*> prng(fun x : R => log(x), 2))")
+    src = body.replace("H", _HALVING)
+    err = _errors(src, 10)
+    assert err.pos == (1, 47)
+    assert len(interp(src).stream().prefix(3)) == 3
+
+
+def test_negative_factors_that_would_cancel_still_raise():
+    # (-1) * (-1) is 1, but the inner reweight's factor is checked on its own
+    src = "reweight(fun x : R => 0 - 1, reweight(fun x : R => 0 - 2, " + _HALVING + "))"
+    err = _errors(src, 3)
+    assert err.message == "negative weight -2 from reweight"
+
+
+def test_reweights_multiply_in_engine_order():
+    # an integer factor times a float weight is a float, layer by layer
+    src = "reweight(fun x : R => 3, reweight(fun x : R => x + 1, " + _HALVING + "))"
+    got = interp(src).stream().prefix(5)
+    assert all(type(w) is float for _, w in got)
+    assert _same_entries(got, interp(src).big_step(5).entries)
+
+
+def test_chain_through_a_closure_that_builds_a_sampler():
+    # the middle map's body builds a sampler, so the pipeline calls the
+    # evaluator for it, in the same loop as the layers around it
+    body = ("map(fun x : R => x * 2, map(fun x : R => hd(map(fun y : R => y + x, rand)),"
+            " reweight(fun x : R+ => x + 1, rand)))")
+    program = parse_program(_RAND + body)
+    check_program(program)
+    stream = Interpreter(program).stream()
+    got = stream.prefix(30)
+    assert [type(leaf.core).__name__ for leaf in stream.core._leaves] == ["ExternCore"]
+    assert _same_entries(got, Interpreter(program).big_step(30).entries)
+
+
+def test_let_bound_sampler_used_twice_computes_each_entry_once():
+    src = _RAND + "let s = map(fun x : R+ => x * 3, rand) in s <*> tl(s)"
+    stream = interp(src).stream()
+    shared = stream.core.left.core
+    assert shared is stream.core.right.core and shared.shared
+    computed = []
+    compute = shared._compute
+
+    def counted(idx):
+        computed.extend(idx)
+        return compute(idx)
+
+    shared._compute = counted
+    got = stream.prefix(20)
+    got += stream.prefix(30)[20:]
+    assert sorted(computed) == list(range(1, 32))
+    assert _same_entries(got, interp(src).big_step(30).entries)
+
+
+def test_let_bound_sampler_used_once_is_fused():
+    src = _RAND + "let s = map(fun x : R+ => x * 3, rand) in map(fun x : R+ => x + 1, s)"
+    stream = interp(src).stream()
+    got = stream.prefix(40)
+    inner = stream.core.parents[0].core
+    assert not inner.shared and inner._weights == []  # computed inline, never pulled
+    plain = _RAND + "map(fun x : R+ => x + 1, map(fun x : R+ => x * 3, rand))"
+    assert _same_entries(got, interp(plain).stream().prefix(40))
+    assert _same_entries(got, interp(src).big_step(40).entries)
+
+
+def test_self_product_is_fused_through_its_thin():
+    # rand^3 is thin(3, rand <*> tl(rand) <*> tl(tl(rand))): the product is
+    # read only through the thin, so the map reads the extern's columns
+    src = _RAND + "map(fun p : R+ * (R+ * R+) => fst(p) + fst(snd(p)), rand^3)"
+    stream = interp(src).stream()
+    got = stream.prefix(30)
+    assert [(leaf.a, leaf.b) for leaf in stream.core._leaves] == [(3, -2), (3, -1), (3, 0)]
+    assert _same_entries(got, interp(src).big_step(30).entries)
+
+
+def test_functions_made_per_entry_keep_their_own_entry():
+    src = _RAND + "map(fun x : R+ => fun y : R => x + y, rand)"
+    fns = [f for f, _ in interp(src).stream().prefix(5)]
+    xs = [x for x, _ in interp(_RAND + "rand").stream().prefix(5)]
+    assert [f(1.0) for f in fns] == [x + 1.0 for x in xs]
 
 
 # -- adequacy (the cross-engine oracle, small n; acceptance runs the ladder) --

@@ -18,7 +18,9 @@ from samplerlang.quadrature import (
     SideConditionError,
     TestFn,
     UnsupportedDimension,
+    GAMMA_TAIL,
     build_family,
+    gamma_cutoff,
     integrate,
     measure_equal,
     normalizer,
@@ -614,3 +616,13 @@ def test_bundled_normalizer_proofs_make_few_scalar_evaluations(monkeypatch, caps
         assert main(argv) == 0
     assert "accept:" in capsys.readouterr().out
     assert count[0] < 10_000
+
+
+def test_gamma_cutoff_equals_the_scipy_stats_quantile():
+    # scipy.stats serves as the oracle: gamma.ppf is gammaincinv times the scale
+    from scipy import stats
+
+    for shape in (0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.75, 10.0, 40.0):
+        for scale in (0.1, 0.5, 1.0, 2.0, 3.7):
+            want = float(stats.gamma.ppf(1.0 - GAMMA_TAIL, shape, scale=scale))
+            assert gamma_cutoff(shape, scale).hex() == want.hex(), (shape, scale)

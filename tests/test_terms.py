@@ -11,6 +11,7 @@ from samplerlang.terms import (
     Thin,
     Var,
     alpha_equal,
+    beta,
     free_vars,
     ite,
     positions,
@@ -34,6 +35,20 @@ def test_substitute_capture_avoiding():
     assert binder != "x"
     assert "x" in free_vars(out)
     assert alpha_equal(out, Lam((("z", out.params[0][1]),), parse_term("z + x")))
+
+
+def test_substitute_renames_a_binder_apart_from_the_replaced_name():
+    # renaming y (free in the substituted term) must not pick y_1, the name
+    # being replaced, or the next step would replace the bound occurrence
+    out = substitute(parse_term("fun y : R => y"), "y_1", Var("y"))
+    assert alpha_equal(out, parse_term("fun z : R => z"))
+    out = substitute(parse_term("let y = 1 in y"), "y_1", Var("y"))
+    assert alpha_equal(out, parse_term("let z = 1 in z"))
+
+
+def test_beta_does_not_capture_through_a_renamed_binder():
+    lam = parse_term("fun x_1 : R => fun x : R => x * 2")
+    assert alpha_equal(beta(lam, Var("x")), parse_term("fun z : R => z * 2"))
 
 
 def test_substitute_inlines_let_chain():

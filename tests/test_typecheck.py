@@ -3,7 +3,7 @@ import json
 import pytest
 
 from samplerlang.corpus import GOLDEN_TYPES, load_corpus
-from samplerlang.parser import parse_term
+from samplerlang.parser import parse_program, parse_term
 from samplerlang.pretty import pretty_type
 from samplerlang.terms import (
     BOOL,
@@ -226,3 +226,25 @@ def test_restrict_context_op():
     # degenerate one-member split returns the bare inverse image
     single = restrict_context([("x", REAL)], parse_term("(x, 0)"), (PredInv("eq", 1),), RR)
     assert isinstance(single, PullbackT)
+
+
+@pytest.mark.parametrize(
+    "decl", ["S (R + R) targets bernoulli(0.5)", "S (R + N) targets uniform(0, 1)"]
+)
+def test_extern_type_must_fit_its_measure(decl):
+    with pytest.raises(TypeCheckError) as exc:
+        check_program(parse_program(f"extern sampler coin : {decl}\ncoin"))
+    assert "extern 'coin'" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "decl",
+    [
+        "S R+ targets uniform(0, 1)",
+        "S R targets uniform(0, 1)",
+        "S (Unit + Unit) targets bernoulli(0.5)",
+        "S (R * R+) targets uniform(0, 1)^2",
+    ],
+)
+def test_extern_type_fits_by_promotion_and_subtyping(decl):
+    check_program(parse_program(f"extern sampler coin : {decl}\ncoin"))
