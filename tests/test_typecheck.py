@@ -229,7 +229,8 @@ def test_restrict_context_op():
 
 
 @pytest.mark.parametrize(
-    "decl", ["S (R + R) targets bernoulli(0.5)", "S (R + N) targets uniform(0, 1)"]
+    "decl",
+    ["S (R + R) targets bernoulli(0.5)", "S (R + N) targets uniform(0, 1)", "R targets uniform(0, 1)"],
 )
 def test_extern_type_must_fit_its_measure(decl):
     with pytest.raises(TypeCheckError) as exc:
