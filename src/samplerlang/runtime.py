@@ -21,13 +21,8 @@ branch or a nested function are forgotten when that block ends.  A `let`
 substituted into a stated target thus costs one evaluation, not one per
 occurrence.
 
-Without a call where the result is the same: an application of a closure
-known when the code is generated is its body, emitted in place (the
-argument is evaluated first, as the call would); `div`, `sqrt` and `log`
-apply their builtin's own domain test and call the builtin only where it
-fails, so that it raises its error; an `if` on a value not known to be a
-Boolean tests `is True`/`is False` before it falls back to `_scrutinee`;
-and a pair stays its parts until it is used whole.
+A pair bound to a name stays its parts, so its tuple is built only where
+it is used whole.
 
 The stream engine and quadrature reach these functions through
 `compile_fn` and `apply_value`.  `compile_pipeline` runs the generator in
@@ -106,6 +101,9 @@ class VClosure:
     # compile_fn's result: None before the first attempt, False if the body
     # is not compilable
     _compiled: object = field(default=None, repr=False)
+    # compile_pipeline's functions for the pipelines whose first layer
+    # function is this closure, by the rest of the pipeline
+    _pipelines: Optional[dict] = field(default=None, repr=False)
 
 
 @dataclass
@@ -231,14 +229,6 @@ def value_to_term(v) -> Term:
 # builtins._CMP_FN), so the generated code spells them inline.
 _INFIX = {"plus": "+", "minus": "-", "times": "*"}
 _CMP_INFIX = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}
-# Builtins that raise outside their domain: (the test under which the
-# builtin function raises, the value elsewhere, the math function that
-# computes it), spelled exactly as in builtins._f_div, _f_sqrt and _f_log.
-_GUARDED = {
-    "div": ("{1} == 0", "{0} / {1}", None),
-    "sqrt": ("{0} < 0", "_msqrt({0})", math.sqrt),
-    "log": ("{0} <= 0", "_mlog({0})", math.log),
-}
 # The other builtins in array mode: numpy functions that do not raise.
 _ARRAY_BUILTINS = {
     "div": np.divide,
@@ -512,12 +502,7 @@ class _CodeGen:
                 return self.term(body, self.bind(params, value, scope, depth), depth)
             case App(fn, arg):
                 fo = self.term(fn, scope, depth)
-                value = self.term(arg, scope, depth)
-                if not self.array and isinstance(fo, _Known) and isinstance(fo.value, VClosure):
-                    out = self.inline(fo.value, value, depth)
-                    if out is not None:
-                        return out
-                ao = self.code(value)
+                ao = self.code(self.term(arg, scope, depth))
                 direct = self.direct_callee(fo)
                 if direct is not None and self.faults:
                     out, mask = self.fresh("t"), self.fresh("b")
@@ -530,22 +515,6 @@ class _CodeGen:
                     raise _NotCompilable(term)
                 return self.assign(depth, f"_apply_value({self.code(fo)}, {ao})")
         raise _NotCompilable(term)
-
-    def inline(self, clo: VClosure, value, depth: int):
-        """The closure's body applied to the value, emitted here with the
-        closure's environment as known values, as its compiled function
-        would run it; None, with nothing emitted, where the generator
-        refuses the body."""
-        mark, calls, env, defs = len(self.lines), self.calls, self.env, self.defs
-        self.env, self.calls = clo.env, dict(calls)
-        try:
-            return self.term(clo.body, self.bind(clo.params, value, {}, depth), depth)
-        except _NotCompilable:
-            del self.lines[mark:]
-            self.calls, self.defs = calls, defs
-            return None
-        finally:
-            self.env = env
 
     def builtin(self, sig, ops: list, pos, depth: int):
         op = sig.name
@@ -577,13 +546,6 @@ class _CodeGen:
         else:
             self.namespace[f"_{op}"] = fn
             rhs = f"_{op}({', '.join(args)})"
-            if not self.array and op in _GUARDED:
-                # the builtin's own domain test, and the builtin itself only
-                # where it fails (to raise its error)
-                test, fast, math_fn = _GUARDED[op]
-                if math_fn is not None:
-                    self.namespace[f"_m{op}"] = math_fn
-                rhs = f"{rhs} if {test.format(*args)} else {fast.format(*args)}"
         if self.array:
             self.calls[key] = self.assign(depth, rhs)
             return self.check(self.calls[key], depth) if can_fail else self.calls[key]
@@ -652,12 +614,6 @@ class _CodeGen:
         bools = []
         if isinstance(scrut, _Code) and scrut.is_bool:
             tests = [f"if {scrut.expr}:", "else:"]
-            payload = _Known(())
-        elif isinstance(scrut, _Code) and len(branches) == 2 and all(b == "_" for b, _ in branches):
-            # an if: a Boolean is tested directly, anything else as a sum
-            x = self.local(scrut, depth).expr
-            test = f"{x} is True or ({x} is not False and _scrutinee({x}, {term.pos!r})[0] == 0)"
-            tests = [f"if {test}:", "else:"]
             payload = _Known(())
         else:
             index, payload_name = self.fresh("i"), self.fresh("v")
@@ -763,11 +719,17 @@ class _PipeGen(_CodeGen):
         return self.assign(depth, f"{self.code(left)} * {self.code(right)}")
 
     def layer(self, fn, value, depth: int):
-        """fn applied to the value: its closure body inline, or a call."""
+        """fn applied to the value: its closure's body inline, with the
+        closure's environment as known values, as its compiled function
+        would run it, or a call where the generator refuses the body."""
         if isinstance(fn, VClosure):
-            out = self.inline(fn, value, depth)
-            if out is not None:
-                return out
+            mark, calls, defs = len(self.lines), self.calls, self.defs
+            self.env, self.calls = fn.env, dict(calls)
+            try:
+                return self.term(fn.body, self.bind(fn.params, value, {}, depth), depth)
+            except _NotCompilable:
+                del self.lines[mark:]
+                self.calls, self.defs = calls, defs
         name = self.fresh("_g")
         self.namespace[name] = self.fallback(fn)
         return self.assign(depth, f"{name}({self.code(value)})")
@@ -775,6 +737,10 @@ class _PipeGen(_CodeGen):
 
 def _negative_weight(factor) -> EvalError:
     return EvalError(f"negative weight {factor} from reweight")
+
+
+#: compile_pipeline's functions for pipelines without layer functions
+_PIPELINES: dict = {}
 
 
 def compile_pipeline(tree, weighted, fallback: Callable, boundary: bool = False) -> Callable:
@@ -786,7 +752,42 @@ def compile_pipeline(tree, weighted, fallback: Callable, boundary: bool = False)
     vs and ws.  With `boundary` set it is `_fn(i, errs, *columns)` instead,
     which runs entry i alone in engine order and raises the error of the
     innermost, then leftmost, failing layer or short leaf.
+
+    A sampler built per entry of another builds the same pipeline again
+    each time, so the function is kept, as compile_fn keeps a closure's:
+    on the first layer function if it is a closure, keyed by the identity
+    of every layer function, the leaves' weights, the mode and the
+    fallback, or in _PIPELINES if no layer has a function.
     """
+    fns: list = []
+    key = (_shape(tree, fns), tuple(weighted), boundary)
+    if not fns:
+        cache = _PIPELINES
+    elif isinstance(fns[0], VClosure):
+        if fns[0]._pipelines is None:
+            fns[0]._pipelines = {}
+        cache, key = fns[0]._pipelines, (key, fallback)
+    else:
+        return _generate_pipeline(tree, weighted, fallback, boundary)
+    if key not in cache:
+        # the layer functions are kept with it, so that their ids in the key
+        # are not reused
+        cache[key] = fns, _generate_pipeline(tree, weighted, fallback, boundary)
+    return cache[key][1]
+
+
+def _shape(node, fns: list):
+    """The pipeline tree with each layer function replaced by its id, which
+    is appended to fns."""
+    if isinstance(node, int):
+        return node
+    op, fn, inputs = node
+    if fn is not None:
+        fns.append(fn)
+    return op, id(fn), tuple(_shape(i, fns) for i in inputs)
+
+
+def _generate_pipeline(tree, weighted, fallback: Callable, boundary: bool) -> Callable:
     gen = _PipeGen(weighted, fallback, boundary)
     columns, targets = (", ".join(names) for names in zip(*gen.columns()))
     value, weight = gen.stage(tree, 1 if boundary else 2)

@@ -199,13 +199,9 @@ class PipeCore(StreamCore):
 
     @property
     def left(self) -> "RStream":
-        """A product's left factor."""
+        """A product's left factor.  Kept for `test_tl_shares_parent_memo`,
+        which reads the product core's `left` as it did before pipelines."""
         return self.parents[0]
-
-    @property
-    def right(self) -> "RStream":
-        """A product's right factor."""
-        return self.parents[-1]
 
     def _plan(self, leaves: list, a: int = 1, b: int = 0):
         """The layer tree for the generator of this core read through the

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from samplerlang import runtime
 from samplerlang.builtins import EvalError, apply_builtin
 from samplerlang.corpus import load_corpus, proof_path
 from samplerlang.interpreter import Interpreter
@@ -637,11 +638,28 @@ def test_chain_through_a_closure_that_builds_a_sampler():
     assert _same_entries(got, Interpreter(program).big_step(30).entries)
 
 
+@pytest.mark.parametrize("body", [
+    "let f = fun y : R => y * 2 in map(fun x : R => hd(map(f, tl(rand))), rand)",
+    "map(fun x : R => hd(rand <*> tl(rand)), rand)",
+])
+def test_a_pipeline_built_per_entry_is_generated_once(body, monkeypatch):
+    # the inner sampler is a new pipeline at each entry of the outer one; with
+    # the same layer functions, its function is generated once, not per entry
+    made = []
+    generate = runtime._generate_pipeline
+    monkeypatch.setattr(runtime, "_generate_pipeline", lambda *args: made.append(args) or generate(*args))
+    program = parse_program(_RAND + body)
+    check_program(program)
+    got = Interpreter(program).stream().prefix(40)
+    assert len(made) <= 2  # the outer pipeline and the inner one
+    assert _same_entries(got, Interpreter(program).big_step(40).entries)
+
+
 def test_let_bound_sampler_used_twice_computes_each_entry_once():
     src = _RAND + "let s = map(fun x : R+ => x * 3, rand) in s <*> tl(s)"
     stream = interp(src).stream()
-    shared = stream.core.left.core
-    assert shared is stream.core.right.core and shared.shared
+    shared = stream.core.parents[0].core
+    assert shared is stream.core.parents[1].core and shared.shared
     computed = []
     compute = shared._compute
 

@@ -26,6 +26,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("proofs", "streams")
+#: every point of the trajectory is measured at the same seed and run length,
+#: so that points of different changes compare
+SEED = 1
+SECONDS = 20.0
 
 
 def host() -> dict:
@@ -54,10 +58,10 @@ def export(rev: str, into: Path) -> None:
         tar.extractall(into / "tree", filter="data")
 
 
-def bench(tree: Path, workload: str, trace: int, seed: int, seconds: float) -> dict:
+def bench(tree: Path, workload: str, trace: int) -> dict:
     """The result line of one benchmark run in tree."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -69,16 +73,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("name", help="file to write at the repository root, e.g. BENCH_16.json")
     ap.add_argument("--base", required=True, help="the parent revision to compare against")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
 
     point = {
         "base": git("rev-parse", args.base).strip(),
         "head": git("rev-parse", "HEAD").strip(),
         "head_dirty": bool(git("status", "--porcelain", "--", "src", "bench").strip()),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": SECONDS,
         "host": host(),
         "runs": {"base": {}, "head": {}},
     }
@@ -89,7 +91,7 @@ def main(argv=None) -> int:
             for trace in (0, 1):
                 for side, tree in trees.items():
                     print(f"{side} {workload} --trace {trace}", file=sys.stderr, flush=True)
-                    result = bench(tree, workload, trace, args.seed, args.seconds)
+                    result = bench(tree, workload, trace)
                     point["runs"][side][f"{workload}/trace{trace}"] = result
     (ROOT / args.name).write_text(json.dumps(point, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {args.name}")
