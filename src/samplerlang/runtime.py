@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 import struct
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -755,25 +756,29 @@ def compile_pipeline(tree, weighted, fallback: Callable, boundary: bool = False)
 
     A sampler built per entry of another builds the same pipeline again
     each time, so the function is kept, as compile_fn keeps a closure's:
-    on the first layer function if it is a closure, keyed by the identity
-    of every layer function, the leaves' weights, the mode and the
-    fallback, or in _PIPELINES if no layer has a function.
+    on the first layer function, if every layer function is a closure,
+    keyed by the identity of each, the leaves' weights and the mode; or in
+    _PIPELINES if no layer has a function.  A closure belongs to the one
+    evaluation that made it, so its evaluator's fallback is the same on
+    every use.
     """
     fns: list = []
     key = (_shape(tree, fns), tuple(weighted), boundary)
     if not fns:
         cache = _PIPELINES
-    elif isinstance(fns[0], VClosure):
+    elif all(type(fn) is VClosure for fn in fns):
         if fns[0]._pipelines is None:
             fns[0]._pipelines = {}
-        cache, key = fns[0]._pipelines, (key, fallback)
+        cache = fns[0]._pipelines
     else:
         return _generate_pipeline(tree, weighted, fallback, boundary)
-    if key not in cache:
-        # the layer functions are kept with it, so that their ids in the key
-        # are not reused
-        cache[key] = fns, _generate_pipeline(tree, weighted, fallback, boundary)
-    return cache[key][1]
+    kept = cache.get(key)
+    # the other closures are held weakly, since their environments may hold
+    # the first one, and an id in the key is only theirs while they live
+    if kept is None or any(ref() is not fn for ref, fn in zip(kept[0], fns[1:])):
+        kept = cache[key] = [weakref.ref(fn) for fn in fns[1:]], _generate_pipeline(
+            tree, weighted, fallback, boundary)
+    return kept[1]
 
 
 def _shape(node, fns: list):

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -653,6 +655,23 @@ def test_a_pipeline_built_per_entry_is_generated_once(body, monkeypatch):
     got = Interpreter(program).stream().prefix(40)
     assert len(made) <= 2  # the outer pipeline and the inner one
     assert _same_entries(got, Interpreter(program).big_step(40).entries)
+
+
+def test_kept_pipelines_free_their_evaluation_without_the_cycle_collector():
+    # the map's closure holds the reweight's closure in its environment, and
+    # the pipeline's function is kept on the reweight's closure: no cycle may
+    # keep the closures, the evaluator and its extern columns alive
+    src = _RAND + ("let phi = fun x : R => x + 1 in"
+                   " reweight(phi, map(fun u : R * R => fst(u) + snd(u), rand <*> tl(rand)))")
+    gc.disable()
+    try:
+        stream = interp(src).stream()
+        stream.prefix(10)
+        refs = [weakref.ref(stream.core.fn), weakref.ref(stream.core.applier.__self__)]
+        del stream
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_let_bound_sampler_used_twice_computes_each_entry_once():
