@@ -776,8 +776,8 @@ def compile_pipeline(tree, weighted, fallback: Callable, boundary: bool = False)
     # the other closures are held weakly, since their environments may hold
     # the first one, and an id in the key is only theirs while they live
     if kept is None or any(ref() is not fn for ref, fn in zip(kept[0], fns[1:])):
-        kept = cache[key] = [weakref.ref(fn) for fn in fns[1:]], _generate_pipeline(
-            tree, weighted, fallback, boundary)
+        refs = [weakref.ref(fn) for fn in fns[1:]]
+        kept = cache[key] = refs, _generate_pipeline(tree, weighted, fallback, boundary)
     return kept[1]
 
 
