@@ -658,7 +658,7 @@ class _PipeGen(_CodeGen):
     inputs), op being "map", "reweight" or "prod".  Leaf j's entry is the
     local _xj, and its weight _yj, or the constant WEIGHT_ONE where
     `weighted[j]` is false.  A map or reweight inlines its closure's body,
-    with the closure's environment as known values, or calls `fallback(fn)`
+    with the closure's environment as known values, or calls `fallback(fn, x)`
     where the generator refuses the body; a product's value is a pair that
     keeps its parts.  With `boundary` set, each leaf's entry is read where
     engine order reaches it, from its column `_cj` at the index `_i`, and a
@@ -732,8 +732,15 @@ class _PipeGen(_CodeGen):
                 del self.lines[mark:]
                 self.calls, self.defs = calls, defs
         name = self.fresh("_g")
-        self.namespace[name] = self.fallback(fn)
-        return self.assign(depth, f"{name}({self.code(value)})")
+        self.namespace["_fallback"] = self.fallback
+        if isinstance(fn, VClosure):
+            # weakly, as the function may be kept on a closure that this
+            # one's environment holds (see compile_pipeline)
+            self.namespace[name] = weakref.ref(fn)
+            name += "()"
+        else:
+            self.namespace[name] = fn
+        return self.assign(depth, f"_fallback({name}, {self.code(value)})")
 
 
 def _negative_weight(factor) -> EvalError:
@@ -810,7 +817,9 @@ def _generate_pipeline(tree, weighted, fallback: Callable, boundary: bool) -> Ca
         else:
             lines += [f"    for {targets} in {source}:", *body, f"        _av({v})", f"        _aw({w})"]
     exec(compile("\n".join(lines) + "\n", "<samplerlang>", "exec"), gen.namespace)
-    return gen.namespace["_fn"]
+    # taken out of its own globals, so that the two are not a cycle that
+    # keeps the evaluator of `fallback` alive until the cycle collector runs
+    return gen.namespace.pop("_fn")
 
 
 def _where(cond, if_true, if_false):

@@ -178,14 +178,14 @@ class PipeCore(StreamCore):
     order.  Only this core keeps a memo; absorbed ones are never pulled.
     """
 
-    def __init__(self, op: str, fn, parents: tuple, applier: Callable):
+    def __init__(self, op: str, fn, parents: tuple, apply: Callable):
         super().__init__()
         self.op = op  # "map", "reweight" or "prod"
         self.fn = fn  # a map's or reweight's function
         self.parents = parents  # RStreams: (parent,) or (left, right)
-        # a Python function for a function value whose body the generator
-        # cannot inline (StreamEvaluator._applier)
-        self.applier = applier
+        # the evaluator's application, for a function value whose body the
+        # generator cannot inline (StreamEvaluator.apply)
+        self.apply = apply
         # set when more than one term may reach this core, so that it is
         # pulled through its memo rather than absorbed
         self.shared = False
@@ -219,7 +219,7 @@ class PipeCore(StreamCore):
         return (self.op, self.fn, tuple(inputs))
 
     def _compile(self, boundary: bool = False) -> Callable:
-        return compile_pipeline(self._tree, self._weighted, self.applier, boundary)
+        return compile_pipeline(self._tree, self._weighted, self.apply, boundary)
 
     def _compute(self, idx) -> Block:
         if self._block is None:
@@ -374,17 +374,17 @@ class StreamEvaluator:
             case Prod(left, right):
                 ls = self._stream(left, env, term)
                 rs = self._stream(right, env, term)
-                return RStream(PipeCore("prod", None, (ls, rs), self._applier))
+                return RStream(PipeCore("prod", None, (ls, rs), self.apply))
 
             case Map(fn, sampler):
                 fv = self.eval(fn, env)
                 parent = self._stream(sampler, env, term)
-                return RStream(PipeCore("map", fv, (parent,), self._applier))
+                return RStream(PipeCore("map", fv, (parent,), self.apply))
 
             case Reweight(fn, sampler):
                 fv = self.eval(fn, env)
                 parent = self._stream(sampler, env, term)
-                return RStream(PipeCore("reweight", fv, (parent,), self._applier))
+                return RStream(PipeCore("reweight", fv, (parent,), self.apply))
 
             case Prng(step, seed):
                 fv = self.eval(step, env)

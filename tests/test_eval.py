@@ -657,17 +657,22 @@ def test_a_pipeline_built_per_entry_is_generated_once(body, monkeypatch):
     assert _same_entries(got, Interpreter(program).big_step(40).entries)
 
 
-def test_kept_pipelines_free_their_evaluation_without_the_cycle_collector():
-    # the map's closure holds the reweight's closure in its environment, and
-    # the pipeline's function is kept on the reweight's closure: no cycle may
-    # keep the closures, the evaluator and its extern columns alive
-    src = _RAND + ("let phi = fun x : R => x + 1 in"
-                   " reweight(phi, map(fun u : R * R => fst(u) + snd(u), rand <*> tl(rand)))")
+@pytest.mark.parametrize("body", [
+    # the map's closure holds the reweight's closure in its environment
+    "let phi = fun x : R => x + 1 in"
+    " reweight(phi, map(fun u : R * R => fst(u) + snd(u), rand <*> tl(rand)))",
+    # the map's closure is called through the evaluator
+    "let f = fun y : R => y * 2 in map(fun x : R => hd(map(f, tl(rand))), rand)",
+])
+def test_kept_pipelines_free_their_evaluation_without_the_cycle_collector(body):
+    # a pipeline's function is kept on its first closure: no cycle may keep
+    # the closures, the evaluator and its extern columns alive
+    src = _RAND + body
     gc.disable()
     try:
         stream = interp(src).stream()
         stream.prefix(10)
-        refs = [weakref.ref(stream.core.fn), weakref.ref(stream.core.applier.__self__)]
+        refs = [weakref.ref(stream.core.fn), weakref.ref(stream.core.apply.__self__)]
         del stream
         assert [ref() for ref in refs] == [None, None]
     finally:
