@@ -47,7 +47,7 @@ class BigStep:
         match term:
             case Var(name):
                 if name in self.externs:
-                    return WeightedList(self.externs.stream(name).prefix(n))
+                    return WeightedList(self.externs.stream(name).column(n)[:n], [WEIGHT_ONE] * n)
                 raise EvalError(f"unbound variable '{name}'", term.pos)
 
             case Const(value):
@@ -97,57 +97,54 @@ class BigStep:
 
             case Hd(body):
                 lst = self._sampler(body, max(n, 1), term)
-                return lst.entries[0][0]
+                return lst.values[0]
 
             case Wt(body):
                 lst = self._sampler(body, max(n, 1), term)
-                return lst.entries[0][1]
+                return lst.weights[0]
 
             case Tl(body):
                 lst = self._sampler(body, n + 1, term)
-                return WeightedList(lst.entries[1:])
+                return WeightedList(lst.values[1:], lst.weights[1:])
 
             case Thin(count, sampler):
                 lst = self._sampler(sampler, n * count, term)
-                return WeightedList(lst.entries[::count][:n])
+                return WeightedList(lst.values[::count][:n], lst.weights[::count][:n])
 
             case Prod(left, right):
                 ls = self._sampler(left, n, term)
                 rs = self._sampler(right, n, term)
-                entries = [
-                    ((lv, rv), lw * rw)
-                    for (lv, lw), (rv, rw) in zip(ls.entries, rs.entries)
-                ]
-                return WeightedList(entries)
+                return WeightedList(
+                    list(zip(ls.values, rs.values)),
+                    [lw * rw for lw, rw in zip(ls.weights, rs.weights)],
+                )
 
             case Map(fn, sampler):
                 fv = self.eval(fn, n)
                 lst = self._sampler(sampler, n, term)
-                return WeightedList(
-                    [(self.apply(fv, v, n), w) for v, w in lst.entries]
-                )
+                return WeightedList([self.apply(fv, v, n) for v in lst.values], lst.weights)
 
             case Reweight(fn, sampler):
                 fv = self.eval(fn, n)
                 lst = self._sampler(sampler, n, term)
-                entries = []
-                for v, w in lst.entries:
+                weights = []
+                for v, w in zip(lst.values, lst.weights):
                     factor = self.apply(fv, v, n)
                     if factor < 0:
                         raise EvalError(
                             f"negative weight {factor} from reweight", term.pos
                         )
-                    entries.append((v, factor * w))
-                return WeightedList(entries)
+                    weights.append(factor * w)
+                return WeightedList(lst.values, weights)
 
             case Prng(step, seed):
                 fv = self.eval(step, n)
                 cur = self.eval(seed, n)
-                entries = []
+                values = []
                 for _ in range(n):
-                    entries.append((cur, WEIGHT_ONE))
+                    values.append(cur)
                     cur = self.apply(fv, cur, n)
-                return WeightedList(entries)
+                return WeightedList(values, [WEIGHT_ONE] * n)
 
         raise EvalError(f"cannot evaluate {term!r}", getattr(term, "pos", None))
 

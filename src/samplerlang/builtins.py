@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .terms import (
     COMPARISONS,
@@ -55,6 +55,9 @@ class BuiltinSig:
     result: Callable  # arg types -> result type (raises TypeError on misuse)
     continuity: str  # 'continuous' | 'comparison'
     fn: Callable  # evaluation on Python numbers / bools
+    # where fn raises its domain error: a test on its arguments, which
+    # numpy applies elementwise to float64 columns as well
+    fails: Optional[Callable] = None
 
 
 def _num_args(name, tys):
@@ -90,20 +93,36 @@ def _fixed_result(name, out, arg_check=None):
     return result
 
 
+# The domain tests of the partial builtins, shared by their scalar functions
+# below and by the stream engine's columnar blocks (runtime._columnar).
+
+
+def _div_fails(a, b):
+    return b == 0
+
+
+def _sqrt_fails(a):
+    return a < 0
+
+
+def _log_fails(a):
+    return a <= 0
+
+
 def _f_div(a, b):
-    if b == 0:
+    if _div_fails(a, b):
         raise EvalError("division by zero")
     return a / b
 
 
 def _f_sqrt(a):
-    if a < 0:
+    if _sqrt_fails(a):
         raise EvalError(f"sqrt of negative number {a}")
     return math.sqrt(a)
 
 
 def _f_log(a):
-    if a <= 0:
+    if _log_fails(a):
         raise EvalError(f"log of non-positive number {a}")
     return math.log(a)
 
@@ -111,18 +130,18 @@ def _f_log(a):
 _TABLE: dict[str, BuiltinSig] = {}
 
 
-def _register(name, arity, result, continuity, fn):
-    _TABLE[name] = BuiltinSig(name, arity, result, continuity, fn)
+def _register(name, arity, result, continuity, fn, fails=None):
+    _TABLE[name] = BuiltinSig(name, arity, result, continuity, fn, fails)
 
 
 _register("plus", 2, _join_result("plus"), "continuous", lambda a, b: a + b)
 _register("times", 2, _join_result("times"), "continuous", lambda a, b: a * b)
 _register("minus", 2, _fixed_result("minus", REAL), "continuous", lambda a, b: a - b)
-_register("div", 2, _join_result("div"), "continuous", _f_div)
+_register("div", 2, _join_result("div"), "continuous", _f_div, _div_fails)
 _register("neg", 1, _fixed_result("neg", REAL), "continuous", lambda a: -a)
-_register("sqrt", 1, _fixed_result("sqrt", POSREAL), "continuous", _f_sqrt)
+_register("sqrt", 1, _fixed_result("sqrt", POSREAL), "continuous", _f_sqrt, _sqrt_fails)
 _register("exp", 1, _fixed_result("exp", POSREAL), "continuous", math.exp)
-_register("log", 1, _fixed_result("log", REAL), "continuous", _f_log)
+_register("log", 1, _fixed_result("log", REAL), "continuous", _f_log, _log_fails)
 _register("cos", 1, _fixed_result("cos", REAL), "continuous", math.cos)
 _register("sin", 1, _fixed_result("sin", REAL), "continuous", math.sin)
 _register("abs", 1, _join_result("abs"), "continuous", abs)

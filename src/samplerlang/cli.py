@@ -134,12 +134,11 @@ def cmd_run(args) -> int:
     if not isinstance(result, WeightedList):
         print(result)
         return 0
-    entries = result.entries
-    values = [e[0] for e in entries]
+    values = result.values
     tag = _sum_tagger(ty.payload) if isinstance(ty, SamplerT) else None
     if tag is not None:
         values = list(map(tag, values))
-    header, rows = _csv_rows(values, [e[1] for e in entries])
+    header, rows = _csv_rows(values, result.weights)
     text = "\n".join([header, *rows]) + "\n"
     if args.dump:
         Path(args.dump).write_text(text)

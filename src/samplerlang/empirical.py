@@ -23,7 +23,7 @@ from .quadrature import (
     _value_key,
 )
 from .runtime import value_columns, value_to_point
-from .streams import RStream
+from .streams import RStream, truncate
 from .terms import Term, self_product
 
 
@@ -43,18 +43,22 @@ class EmpiricalMeasure:
         return math.fsum(w * float(g(value_to_point(v))) for v, w in self.atoms)
 
 
-def _entries(stream, n: int) -> list[tuple]:
+def _prefix(stream, n: int) -> tuple[list, list]:
+    """The values and the weights of the first n entries of a stream, or of
+    a list of (value, weight) entries."""
     if isinstance(stream, RStream):
-        return stream.prefix(n)
-    return list(stream[:n])
+        sample = truncate(stream, n)
+        return sample.values, sample.weights
+    entries = list(stream[:n])
+    return [v for v, _ in entries], [w for _, w in entries]
 
 
 def empirical_measure(stream, n: int) -> EmpiricalMeasure:
     """Normalized atoms over the first n entries; coalesces equal values."""
     if n < 1:
         raise ValueError("empirical measure needs n >= 1")
-    entries = _entries(stream, n)
-    total = math.fsum(w for _, w in entries)
+    values, weights = _prefix(stream, n)
+    total = math.fsum(weights)
     if not total > 0.0:
         raise DegeneratePrefixError(
             f"first {n} entries carry zero total weight; the normalized "
@@ -62,7 +66,7 @@ def empirical_measure(stream, n: int) -> EmpiricalMeasure:
         )
     merged: dict = {}
     order: list = []
-    for v, w in entries:
+    for v, w in zip(values, weights):
         key = _value_key(value_to_point(v))
         if key not in merged:
             merged[key] = [v, 0.0]
@@ -72,18 +76,18 @@ def empirical_measure(stream, n: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(atoms, n)
 
 
-def columns_of(entries: Sequence[tuple]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Coordinate arrays plus the weight array for a list of entries.
+def columns_of(values: Sequence, weights: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
+    """Coordinate arrays plus the weight array for entries' values and
+    weights.
 
     Booleans become 1.0/0.0, as in `value_to_point`.  Values of one shape
     are converted column by column; values of different shapes, or with
     leaves that are not numbers, entry by entry, with the first value's
     coordinate count.
     """
-    if not entries:
+    if not len(values):
         return [], np.empty(0)
-    values = [e[0] for e in entries]
-    weights = np.array([e[1] for e in entries], dtype=float)
+    weights = np.array(weights, dtype=float)
     cols = value_columns(values)
     if cols is not None:
         try:
@@ -158,10 +162,10 @@ def weak_convergence_test(
         )
 
     try:
-        entries = _entries(stream, ladder[-1])
+        values, weights = _prefix(stream, ladder[-1])
     except DegeneratePrefixError as err:
         return ConvergenceReport(pretty_measure(target), [], False, str(err))
-    cols, weights = columns_of(entries)
+    cols, weights = columns_of(values, weights)
 
     points: list[LadderPoint] = []
     for n in ladder:
@@ -229,5 +233,5 @@ def k_equidistribution_test(
 
 def visit_count(stream, predicate: Callable, n: int) -> int:
     """Entries among the first n with positive weight satisfying the predicate."""
-    entries = _entries(stream, n)
-    return sum(1 for v, w in entries if w > 0 and predicate(v))
+    values, weights = _prefix(stream, n)
+    return sum(1 for v, w in zip(values, weights) if w > 0 and predicate(v))

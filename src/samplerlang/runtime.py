@@ -60,10 +60,12 @@ a lambda defined in the body.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -109,10 +111,22 @@ class VClosure:
 
 @dataclass
 class WeightedList:
-    entries: list[tuple[object, float]]
+    """A finite sampler evaluation, as its column of values and its column
+    of weights."""
+
+    values: list
+    weights: list
+
+    @property
+    def entries(self) -> list[tuple[object, float]]:
+        """The (value, weight) pairs."""
+        return list(zip(self.values, self.weights))
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.values)
+
+    def __repr__(self):
+        return f"WeightedList(entries={self.entries!r})"
 
 
 def destructure(params, value) -> list[tuple[str, object]]:
@@ -156,9 +170,10 @@ def value_equal(a, b) -> bool:
     if isinstance(a, VInj) and isinstance(b, VInj):
         return a.index == b.index and value_equal(a.value, b.value)
     if isinstance(a, WeightedList) and isinstance(b, WeightedList):
-        return len(a.entries) == len(b.entries) and all(
-            value_equal(x, y) and value_equal(u, w)
-            for (x, u), (y, w) in zip(a.entries, b.entries)
+        return (
+            len(a) == len(b)
+            and all(map(value_equal, a.values, b.values))
+            and all(map(value_equal, a.weights, b.weights))
         )
     return a is b
 
@@ -273,6 +288,17 @@ class _Code:
     is_fn: bool = False
 
 
+@dataclass(frozen=True)
+class _Lam:
+    """Columnar mode: a lambda of the body, inlined where it is applied;
+    one that escapes (is used as a value) is refused."""
+
+    params: tuple
+    body: Term
+    scope: dict
+    env: dict
+
+
 def _pair(v, op, pos):
     if not (isinstance(v, tuple) and len(v) == 2):
         raise EvalError(f"comparison '{op}' expects a pair", pos)
@@ -324,15 +350,18 @@ class _CodeGen:
     A builtin or comparison already computed from the same operand sources
     in the same or an enclosing block is not emitted again (`calls`).
     With `array` set it emits array mode, and with `faults` also its
-    fault masks (see the module docstring).
+    fault masks (see the module docstring); with `columns` set, columnar
+    mode (see _PipeGen).
     """
 
-    def __init__(self, env: dict, array: bool = False, faults: bool = False):
+    def __init__(self, env: dict, array: bool = False, faults: bool = False, columns: bool = False):
         self.env = env
         self.array = array
         self.faults = faults
+        self.columns = columns
         self.lines: list[str] = []
         self.namespace: dict = {
+            **(_COLUMN_NAMESPACE if columns else {}),
             "_VInj": VInj,
             "_apply_value": apply_value,
             "_located": located_error,
@@ -354,6 +383,14 @@ class _CodeGen:
         # whose failures the current function has recorded
         self.path: Optional[str] = None
         self.checked: set = set()
+        # columnar mode: the frame the code being emitted runs in, named by
+        # the local holding its length; each frame's (parent, selection),
+        # the selection being the parent's entries that it holds; the frame
+        # each local was made in; and the (local, frame) -> local gathers
+        self.frame = "_n"
+        self.frames: dict = {"_n": (None, None)}
+        self.made: dict = {}
+        self.gathered: dict = {}
 
     # -- output ---------------------------------------------------------------
 
@@ -376,13 +413,49 @@ class _CodeGen:
         return name
 
     def code(self, operand) -> str:
+        """Source for the operand's value; in columnar mode, its column in
+        the current frame."""
         if isinstance(operand, _Known):
             return self.literal(operand.value)
+        if not self.columns:
+            return operand.expr
+        if isinstance(operand, _Lam):
+            raise _NotCompilable(operand)
+        if operand.parts is not None:
+            left, right = (self.code(p) for p in operand.parts)
+            return self.assign(1, f"_zip({left}, {right}, {self.frame})").expr
+        return self.here(operand.expr)
+
+    def source(self, operand):
+        """The operand's identity for value numbering: in columnar mode the
+        local it was made as, in whichever frame."""
+        if not self.columns or isinstance(operand, _Known):
+            return self.code(operand)
+        if operand.parts is not None:
+            return tuple(map(self.source, operand.parts))
         return operand.expr
+
+    def here(self, name: str) -> str:
+        """Columnar mode: the local name, gathered into the current frame
+        through each frame between, if it was made in an enclosing one."""
+        made = self.made.get(name)
+        chain, frame = [], self.frame
+        while made is not None and frame != made:
+            chain.append(frame)
+            frame = self.frames[frame][0]
+        for frame in reversed(chain):
+            key = (name, frame)
+            if key not in self.gathered:
+                self.gathered[key] = self.fresh("g")
+                self.made[self.gathered[key]] = frame
+                self.emit(1, f"{self.gathered[key]} = _take({name}, {self.frames[frame][1]})")
+            name = self.gathered[key]
+        return name
 
     def assign(self, depth: int, rhs: str, **flags) -> _Code:
         name = self.fresh("t")
         self.emit(depth, f"{name} = {rhs}")
+        self.made[name] = self.frame
         return _Code(name, **flags)
 
     @contextmanager
@@ -399,7 +472,7 @@ class _CodeGen:
         """The operand as a known value or a local name (for reuse).  A pair
         built here stays its parts: the tuple is built only where it is
         used whole."""
-        if isinstance(operand, _Known) or operand.expr.isidentifier() or operand.parts:
+        if isinstance(operand, (_Known, _Lam)) or operand.expr.isidentifier() or operand.parts:
             return operand
         name = self.fresh("v")
         self.emit(depth, f"{name} = {operand.expr}")
@@ -445,6 +518,9 @@ class _CodeGen:
                 scope[name], cur = _Known(cur.value[0]), _Known(cur.value[1])
             elif isinstance(cur, _Code) and cur.parts is not None:
                 scope[name], cur = (self.local(p, depth) for p in cur.parts)
+            elif self.columns:
+                first, rest = self.unpair(cur, repr(name), depth)
+                scope[name], cur = first, rest
             else:
                 value = self.code(cur)
                 check = f"isinstance({value}, tuple) and len({value}) == 2"
@@ -488,12 +564,16 @@ class _CodeGen:
                 inner = self.term(body, scope, depth)
                 if isinstance(inner, _Known):
                     return _Known(VInj(index, inner.value))
+                if self.columns:
+                    return self.assign(depth, f"_inj({index}, {self.code(inner)}, {self.frame})")
                 return _Code(f"_VInj({index}, {inner.expr})")
             case Let(name, bound, body):
                 value = self.local(self.term(bound, scope, depth), depth)
                 return self.term(body, {**scope, name: value}, depth)
             case Case(scrut, branches):
                 return self.case(term, self.term(scrut, scope, depth), scope, depth)
+            case Lam(params, body) if self.columns:
+                return _Lam(params, body, scope, self.env)
             case Lam(params, body):
                 name = self.fresh("f")
                 self.function(name, params, body, scope, depth)
@@ -501,6 +581,15 @@ class _CodeGen:
             case App(Lam(params, body), arg):
                 value = self.term(arg, scope, depth)
                 return self.term(body, self.bind(params, value, scope, depth), depth)
+            case App(fn, arg) if self.columns:
+                fo = self.term(fn, scope, depth)
+                value = self.term(arg, scope, depth)
+                if isinstance(fo, _Lam):
+                    return self.inline(fo.params, fo.body, fo.scope, fo.env, value, depth)
+                if isinstance(fo, _Known) and isinstance(fo.value, VClosure):
+                    clo = fo.value
+                    return self.inline(clo.params, clo.body, {}, clo.env, value, depth)
+                raise _NotCompilable(term)
             case App(fn, arg):
                 fo = self.term(fn, scope, depth)
                 ao = self.code(self.term(arg, scope, depth))
@@ -516,6 +605,23 @@ class _CodeGen:
                     raise _NotCompilable(term)
                 return self.assign(depth, f"_apply_value({self.code(fo)}, {ao})")
         raise _NotCompilable(term)
+
+    def inline(self, params, body: Term, scope: dict, env: dict, value, depth: int):
+        """A function's body applied to the value, inline, with the
+        function's environment as known values."""
+        outer = self.env
+        self.env = env
+        try:
+            return self.term(body, self.bind(params, value, scope, depth), depth)
+        finally:
+            self.env = outer
+
+    def unpair(self, operand, name: str, depth: int) -> tuple:
+        """Columnar mode: the two components of a column of pairs."""
+        first, rest = self.fresh("v"), self.fresh("v")
+        self.emit(depth, f"{first}, {rest} = _unpair({self.code(operand)}, {name}, {self.frame})")
+        self.made[first] = self.made[rest] = self.frame
+        return _Code(first), _Code(rest)
 
     def builtin(self, sig, ops: list, pos, depth: int):
         op = sig.name
@@ -535,6 +641,12 @@ class _CodeGen:
                     return _Known(float(value))
             except (TypeError, *BUILTIN_ERRORS):
                 pass  # left in place: it raises when it is reached
+        if self.columns:
+            key = (op, *map(self.source, ops))
+            if key not in self.calls:
+                args = ", ".join(self.code(o) for o in ops)
+                self.calls[key] = self.assign(depth, f"_op(_op_{op}, {self.frame}, {args})")
+            return self.calls[key]
         args = [self.code(o) for o in ops]
         key = (op, *args)
         can_fail = self.faults and op not in _INFIX and op != "neg"
@@ -568,18 +680,26 @@ class _CodeGen:
                 pass
         elif isinstance(operand, _Code) and operand.parts is not None:
             left, right = operand.parts
+        elif self.columns:
+            left, right = self.unpair(operand, "None", depth)
         else:
             checked = self.assign(depth, f"_pair({self.code(operand)}, {op!r}, {pos!r})")
             left, right = _Code(f"{checked.expr}[0]"), _Code(f"{checked.expr}[1]")
-        key = (op, self.code(left), self.code(right))
+        key = (op, self.source(left), self.source(right))
         if key not in self.calls:
-            rhs = f"{key[1]} {_CMP_INFIX[op]} {key[2]}"
+            if self.columns:
+                args = f"{self.code(left)}, {self.code(right)}"
+                rhs = f"_compare(_cmp_{op}, {args}, {self.frame})"
+            else:
+                rhs = f"{key[1]} {_CMP_INFIX[op]} {key[2]}"
             self.calls[key] = self.assign(depth, rhs, is_bool=True)
         return self.calls[key]
 
     def pair(self, lo, ro):
         if isinstance(lo, _Known) and isinstance(ro, _Known):
             return _Known((lo.value, ro.value))
+        if self.columns:  # its column is made only where it is used whole
+            return _Code("", parts=(lo, ro))
         return _Code(f"({self.code(lo)}, {self.code(ro)})", parts=(lo, ro))
 
     def project(self, operand, index: int, depth: int):
@@ -587,9 +707,13 @@ class _CodeGen:
             return _Known(operand.value[index])
         if isinstance(operand, _Code) and operand.parts is not None:
             return operand.parts[index]
-        key = (("fst", "snd")[index], self.code(operand))
+        key = (("fst", "snd")[index], self.source(operand))
         if key not in self.calls:
-            self.calls[key] = self.assign(depth, f"{key[1]}[{index}]")
+            if self.columns:
+                rhs = f"_proj({self.code(operand)}, {index}, {self.frame})"
+            else:
+                rhs = f"{key[1]}[{index}]"
+            self.calls[key] = self.assign(depth, rhs)
         return self.calls[key]
 
     def direct_callee(self, operand) -> Optional[str]:
@@ -611,6 +735,8 @@ class _CodeGen:
             return self.term(body, _with(scope, binder, _Known(payload)), depth)
         if self.array:
             return self.where(scrut, branches, scope, depth)
+        if self.columns:
+            return self.column_case(term, scrut, scope, depth)
         result = self.fresh("r")
         bools = []
         if isinstance(scrut, _Code) and scrut.is_bool:
@@ -634,6 +760,25 @@ class _CodeGen:
             bools.append(_is_bool(out))
         return _Code(result, is_bool=all(bools))
 
+    def column_case(self, term: Case, scrut, scope: dict, depth: int):
+        """Columnar mode: each branch runs in a frame of its own, on the
+        entries that take it, and the branches' columns are merged."""
+        sels = [self.fresh("s") for _ in term.branches]
+        payload = self.fresh("p")
+        cases = f"_cases({self.code(scrut)}, {len(sels)}, {term.pos!r}, {self.frame})"
+        self.emit(depth, f"({', '.join(sels)},), {payload} = {cases}")
+        self.made.update(dict.fromkeys([*sels, payload], self.frame))
+        outer, parts = self.frame, []
+        for sel, (binder, body) in zip(sels, term.branches):
+            self.frame = self.fresh("m")
+            self.frames[self.frame] = (outer, sel)
+            self.emit(depth, f"{self.frame} = len({sel})")
+            with self.block():
+                out = self.term(body, _with(scope, binder, _Code(payload)), depth)
+                parts.append(f"({sel}, {self.code(out)})")
+            self.frame = outer
+        return self.assign(depth, f"_merge({outer}, ({', '.join(parts)},))")
+
     def where(self, scrut, branches, scope: dict, depth: int):
         """Array mode: a case on a comparison result computes both branches
         at every point and selects per point (`_where`).  Both branches run
@@ -652,40 +797,59 @@ class _CodeGen:
 
 
 class _PipeGen(_CodeGen):
-    """The generator in block mode: one entry of a fused stream pipeline.
+    """The generator for a fused stream pipeline, in one of two modes.
 
     A pipeline is a tree whose nodes are a leaf's number or (op, fn,
-    inputs), op being "map", "reweight" or "prod".  Leaf j's entry is the
-    local _xj, and its weight _yj, or the constant WEIGHT_ONE where
-    `weighted[j]` is false.  A map or reweight inlines its closure's body,
-    with the closure's environment as known values, or calls `fallback(fn, x)`
-    where the generator refuses the body; a product's value is a pair that
-    keeps its parts.  With `boundary` set, each leaf's entry is read where
-    engine order reaches it, from its column `_cj` at the index `_i`, and a
-    column that ends before `_i` raises that leaf's error `_errs[j]`.
+    inputs), op being "map", "reweight" or "prod".  A map or reweight
+    inlines its closure's body, with the closure's environment as known
+    values; a product's value is a pair that keeps its parts.
+
+    The single-entry function (`columns` unset) computes one entry, as
+    entry-wise evaluation does: each leaf's entry is read where engine order
+    reaches it, from its column `_cj` (and weights `_wj`) at the index `_i`,
+    and a column that ends before `_i` raises that leaf's error `_errs[j]`.
+    A layer whose body the generator refuses calls `fallback(fn, x)`.
+
+    The columnar function (`columns` set) computes a block of `_n` entries
+    from each leaf's block at once.  Every value is a column: a float64
+    array where each entry is a float, a bool array where each is a bool,
+    and an object array of the runtime values otherwise (ints among them,
+    since they are unbounded); a value that is the same in every entry
+    stays a Python value.  The operations numpy rounds as Python does
+    (plus, minus, times, neg, div, sqrt, abs and the comparisons) run as
+    numpy operations on float64 columns; every other builtin, and every
+    operation on an object column, calls the scalar code's function entry by
+    entry, so each value is bit-identical to the single-entry function's.
+    A case runs each branch in a frame of its own, on the entries that take
+    it: the columns it uses are gathered there (`here`), and the branches'
+    results are merged (`_merge`), so a branch is evaluated exactly where
+    entry-wise evaluation evaluates it.  A known closure that is applied is
+    inlined; a layer whose body columnar mode refuses (one that builds
+    samplers, or makes a function value per entry) is applied entry by
+    entry through its compile_fn function or `fallback`.  The function does
+    not locate errors: wherever the single-entry function would raise, it
+    raises, or, where a domain test (`builtins.BuiltinSig.fails`) or a
+    negative reweight factor fails, raises `_Fault`; the stream engine then
+    runs the block's entries through the single-entry function.
     """
 
-    def __init__(self, weighted, fallback: Callable, boundary: bool):
-        super().__init__({})
+    def __init__(self, weighted, fallback: Callable, columns: bool):
+        super().__init__({}, columns=columns)
         self.weighted = weighted
         self.fallback = fallback
-        self.boundary = boundary
         self.namespace["_negative"] = _negative_weight
 
-    def columns(self) -> list[tuple[str, str]]:
-        """(column, loop variable) for each leaf's entries, then for its
-        weights if it has them."""
+    def inputs(self) -> list[str]:
+        """The parameters for each leaf's entries, then its weights if it
+        has them."""
         names = []
         for j, weighted in enumerate(self.weighted):
-            names.append((f"_c{j}", f"_x{j}"))
-            if weighted:
-                names.append((f"_w{j}", f"_y{j}"))
+            names += [f"_c{j}", f"_w{j}"] if weighted else [f"_c{j}"]
         return names
 
     def stage(self, node, depth: int) -> tuple:
-        """The (value, weight) operands of one entry of a pipeline node.
-        Engine order: a product's left input, then its right one, then the
-        layer itself."""
+        """The (value, weight) operands of a pipeline node.  Engine order: a
+        product's left input, then its right one, then the layer itself."""
         if isinstance(node, int):
             return self.leaf(node, depth)
         op, fn, inputs = node
@@ -698,13 +862,21 @@ class _PipeGen(_CodeGen):
         if op == "map":
             return out, weight
         factor = self.local(out, depth)
-        self.emit(depth, f"if {self.code(factor)} < 0:")
-        self.emit(depth + 1, f"raise _negative({self.code(factor)})")
+        code = self.code(factor)
+        if self.columns:
+            return value, self.assign(depth, f"_reweigh({code}, {self.code(weight)}, _n)")
+        self.emit(depth, f"if {code} < 0:")
+        self.emit(depth + 1, f"raise _negative({code})")
         return value, self.times(factor, weight, depth)
 
     def leaf(self, j: int, depth: int) -> tuple:
         weighted = self.weighted[j]
-        if self.boundary:
+        if self.columns:
+            self.emit(depth, f"_x{j} = _column(_c{j})")
+            self.made[f"_x{j}"] = self.made[f"_y{j}"] = self.frame
+            if weighted:
+                self.emit(depth, f"_y{j} = _column(_w{j})")
+        else:
             self.emit(depth, f"if _i >= len(_c{j}):")
             self.emit(depth + 1, f"raise _errs[{j}]")
             self.emit(depth, f"_x{j} = _c{j}[_i]")
@@ -717,20 +889,31 @@ class _PipeGen(_CodeGen):
         so an integer factor still makes a float weight."""
         if isinstance(left, _Known) and isinstance(right, _Known):
             return _Known(left.value * right.value)
+        if self.columns:
+            return self.assign(depth, f"_op(_op_times, _n, {self.code(left)}, {self.code(right)})")
         return self.assign(depth, f"{self.code(left)} * {self.code(right)}")
 
+    def listed(self, operand) -> str:
+        """Columnar mode: source for the list of the operand's entries; a
+        pair's is zipped from its parts' lists."""
+        if isinstance(operand, _Code) and operand.parts is not None:
+            return f"list(zip({', '.join(map(self.listed, operand.parts))}))"
+        return f"_out({self.code(operand)}, _n)"
+
     def layer(self, fn, value, depth: int):
-        """fn applied to the value: its closure's body inline, with the
-        closure's environment as known values, as its compiled function
-        would run it, or a call where the generator refuses the body."""
+        """fn applied to the value: its closure's body inline, or a call
+        (entry by entry in columnar mode) where the generator refuses it."""
         if isinstance(fn, VClosure):
-            mark, calls, defs = len(self.lines), self.calls, self.defs
-            self.env, self.calls = fn.env, dict(calls)
+            mark, calls, gathered = len(self.lines), self.calls, dict(self.gathered)
+            self.calls = dict(calls)
             try:
-                return self.term(fn.body, self.bind(fn.params, value, {}, depth), depth)
+                out = self.inline(fn.params, fn.body, {}, fn.env, value, depth)
+                if self.columns and _makes_function(out):
+                    raise _NotCompilable(out)
+                return out
             except _NotCompilable:
                 del self.lines[mark:]
-                self.calls, self.defs = calls, defs
+                self.calls, self.gathered = calls, gathered
         name = self.fresh("_g")
         self.namespace["_fallback"] = self.fallback
         if isinstance(fn, VClosure):
@@ -740,7 +923,17 @@ class _PipeGen(_CodeGen):
             name += "()"
         else:
             self.namespace[name] = fn
+        if self.columns:
+            return self.assign(depth, f"_each(_fallback, _n, {name}, {self.code(value)})")
         return self.assign(depth, f"_fallback({name}, {self.code(value)})")
+
+
+def _makes_function(operand) -> bool:
+    """Whether a columnar operand holds a lambda of the body, which its
+    column cannot hold."""
+    if isinstance(operand, _Code) and operand.parts is not None:
+        return any(map(_makes_function, operand.parts))
+    return isinstance(operand, _Lam)
 
 
 def _negative_weight(factor) -> EvalError:
@@ -751,26 +944,27 @@ def _negative_weight(factor) -> EvalError:
 _PIPELINES: dict = {}
 
 
-def compile_pipeline(tree, weighted, fallback: Callable, boundary: bool = False) -> Callable:
-    """The block function of a fused stream pipeline (see _PipeGen).
+def compile_pipeline(shape, fns: list, weighted, fallback: Callable, columns: bool) -> Callable:
+    """A function of a fused stream pipeline (see _PipeGen).
 
-    `_fn(vs, ws, *columns)` runs one loop over the entries that every leaf
-    column has and appends each entry's value to vs and its weight to ws; an
-    entry that fails raises its EvalError, and the entries before it are in
-    vs and ws.  With `boundary` set it is `_fn(i, errs, *columns)` instead,
-    which runs entry i alone in engine order and raises the error of the
-    innermost, then leftmost, failing layer or short leaf.
+    The pipeline's tree is given as its shape, a tree whose nodes are a
+    leaf's number or (op, id(fn), inputs), and its layer functions fns, each
+    node's before its inputs'.  With `columns` set the function is the
+    columnar function `_fn(n, *leaves)`, which takes each leaf's block of n
+    entries (its values, then its weights if it has them) and returns the
+    lists of the n values and weights, or raises (see _PipeGen).  Otherwise
+    it is the single-entry function `_fn(i, errs, *leaves)`, which returns
+    the value and weight of entry i of the leaves' blocks, or raises the
+    error of the innermost, then leftmost, failing layer or short leaf.
 
     A sampler built per entry of another builds the same pipeline again
     each time, so the function is kept, as compile_fn keeps a closure's:
     on the first layer function, if every layer function is a closure,
-    keyed by the identity of each, the leaves' weights and the mode; or in
-    _PIPELINES if no layer has a function.  A closure belongs to the one
-    evaluation that made it, so its evaluator's fallback is the same on
-    every use.
+    keyed by the shape, the leaves' weights and the mode; or in _PIPELINES
+    if no layer has a function.  A closure belongs to the one evaluation
+    that made it, so its evaluator's fallback is the same on every use.
     """
-    fns: list = []
-    key = (_shape(tree, fns), tuple(weighted), boundary)
+    key = (shape, tuple(weighted), columns)
     if not fns:
         cache = _PIPELINES
     elif all(type(fn) is VClosure for fn in fns):
@@ -778,48 +972,267 @@ def compile_pipeline(tree, weighted, fallback: Callable, boundary: bool = False)
             fns[0]._pipelines = {}
         cache = fns[0]._pipelines
     else:
-        return _generate_pipeline(tree, weighted, fallback, boundary)
+        return _generate_pipeline(shape, fns, weighted, fallback, columns)
     kept = cache.get(key)
     # the other closures are held weakly, since their environments may hold
     # the first one, and an id in the key is only theirs while they live
     if kept is None or any(ref() is not fn for ref, fn in zip(kept[0], fns[1:])):
         refs = [weakref.ref(fn) for fn in fns[1:]]
-        kept = cache[key] = refs, _generate_pipeline(tree, weighted, fallback, boundary)
+        kept = cache[key] = refs, _generate_pipeline(shape, fns, weighted, fallback, columns)
     return kept[1]
 
 
-def _shape(node, fns: list):
-    """The pipeline tree with each layer function replaced by its id, which
-    is appended to fns."""
-    if isinstance(node, int):
-        return node
-    op, fn, inputs = node
-    if fn is not None:
-        fns.append(fn)
-    return op, id(fn), tuple(_shape(i, fns) for i in inputs)
+def _tree(shape, fns):
+    """The pipeline tree of a shape, with the layer functions from the
+    iterator fns in place of their ids."""
+    if isinstance(shape, int):
+        return shape
+    op, _, inputs = shape
+    fn = None if op == "prod" else next(fns)
+    return op, fn, tuple(_tree(i, fns) for i in inputs)
 
 
-def _generate_pipeline(tree, weighted, fallback: Callable, boundary: bool) -> Callable:
-    gen = _PipeGen(weighted, fallback, boundary)
-    columns, targets = (", ".join(names) for names in zip(*gen.columns()))
-    value, weight = gen.stage(tree, 1 if boundary else 2)
-    body, v, w = gen.lines, gen.code(value), gen.code(weight)
-    if boundary:
-        lines = [f"def _fn(_i, _errs, {columns}):", *body]
+def _generate_pipeline(shape, fns: list, weighted, fallback: Callable, columns: bool) -> Callable:
+    gen = _PipeGen(weighted, fallback, columns)
+    value, weight = gen.stage(_tree(shape, iter(fns)), 1)
+    leaves = ", ".join(gen.inputs())
+    if columns:
+        head = f"def _fn(_n, {leaves}):"
+        tail = f"return {gen.listed(value)}, {gen.listed(weight)}"
     else:
-        source = f"zip({columns})" if "," in columns else columns
-        lines = [f"def _fn(_vs, _ws, {columns}):", "    _av = _vs.append", "    _aw = _ws.append"]
-        if gen.defs:
-            # a function made for one entry must not see the next entry's locals
-            lines += [f"    def _entry({targets}):", *body, f"        return {v}, {w}"]
-            lines += [f"    for {targets} in {source}:", f"        _v, _w = _entry({targets})"]
-            lines += ["        _av(_v)", "        _aw(_w)"]
-        else:
-            lines += [f"    for {targets} in {source}:", *body, f"        _av({v})", f"        _aw({w})"]
-    exec(compile("\n".join(lines) + "\n", "<samplerlang>", "exec"), gen.namespace)
+        head, tail = f"def _fn(_i, _errs, {leaves}):", f"return {gen.code(value)}, {gen.code(weight)}"
+    source = "\n".join([head, *gen.lines, "    " + tail]) + "\n"
+    exec(compile(source, "<samplerlang>", "exec"), gen.namespace)
     # taken out of its own globals, so that the two are not a cycle that
     # keeps the evaluator of `fallback` alive until the cycle collector runs
     return gen.namespace.pop("_fn")
+
+
+# ---------------------------------------------------------------------------
+# Columns: the run-time helpers of columnar mode (see _PipeGen)
+# ---------------------------------------------------------------------------
+
+#: entries per call of a columnar function, which bounds its temporaries
+CHUNK = 8192
+
+
+class _Fault(Exception):
+    """A columnar block reached an entry that fails."""
+
+
+#: what a columnar function raises where some entry of its block fails
+COLUMN_FAULTS = (_Fault, *BUILTIN_ERRORS)
+
+
+def _column(values: list):
+    """The column of a list of runtime values."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return np.array(values, dtype=np.float64)
+    if kinds == {bool}:
+        return np.array(values, dtype=bool)
+    return np.fromiter(values, object, len(values))
+
+
+def _out(x, n: int) -> list:
+    """The list of a value's n entries."""
+    return x.tolist() if type(x) is np.ndarray else [x] * n
+
+
+def _seq(x, n: int):
+    """A value's n entries as a sequence of runtime values."""
+    return x.tolist() if type(x) is np.ndarray else repeat(x, n)
+
+
+def _each(fn, n: int, *args):
+    """fn applied entry by entry."""
+    if not any(type(a) is np.ndarray for a in args):
+        return fn(*args) if n else None
+    return _column(list(map(fn, *(_seq(a, n) for a in args))))
+
+
+def _as_float(x, compare: bool = False):
+    """x as a float64 operand that numpy rounds and compares as Python
+    does x, or None: a float64 column, a float, or ints, which Python
+    converts to floats for arithmetic with a float, and compares exactly
+    (so for a comparison only an int within 2**53, which converts exactly;
+    a column of ints converts only then)."""
+    kind = type(x)
+    if kind is np.ndarray:
+        if x.dtype == np.float64:
+            return x
+        return _small_ints(x) if x.dtype == object else None
+    if kind is float:
+        return x
+    if kind is int and (not compare or -(2**53) <= x <= 2**53):
+        return float(x)
+    return None
+
+
+def _small_ints(x: np.ndarray):
+    """An object column of ints, each within 2**53, as floats; else None."""
+    values = x.tolist()
+    if set(map(type, values)) != {int}:
+        return None
+    try:
+        floats = np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+    return floats if np.all(np.abs(floats) < 2**53) else None
+
+
+def _is_float(x) -> bool:
+    return type(x) is float or (type(x) is np.ndarray and x.dtype == np.float64)
+
+
+def _op(spec, n: int, *args):
+    """A builtin on columns: spec is (ufunc, fast, fn, fails), fn being
+    the builtin's function and fails its domain test.  On float64
+    arguments, a fault where fails holds, else ufunc, or fast entry by
+    entry; on any other column, fn entry by entry."""
+    ufunc, fast, fn, fails = spec
+    if not any(type(a) is np.ndarray for a in args):
+        return fn(*args) if n else None
+    floats = [_as_float(a) for a in args]
+    if any(f is None for f in floats) or not any(map(_is_float, args)):
+        return _column(list(map(fn, *(_seq(a, n) for a in args))))
+    if fails is not None and n and np.any(fails(*floats)):
+        raise _Fault(fn)
+    if ufunc is not None:
+        return ufunc(*floats)
+    (x,) = floats
+    return np.fromiter(map(fast, x.tolist()), np.float64, n)
+
+
+def _compare(spec, a, b, n: int):
+    """A comparison on columns: spec is (ufunc, fn)."""
+    ufunc, fn = spec
+    if type(a) is not np.ndarray and type(b) is not np.ndarray:
+        return fn(a, b) if n else None
+    x, y = _as_float(a, True), _as_float(b, True)
+    if x is None or y is None:
+        x, y = (v if _is_bools(v) else None for v in (a, b))
+    if x is None or y is None:
+        return _column(list(map(fn, _seq(a, n), _seq(b, n))))
+    return ufunc(x, y)
+
+
+def _is_bools(x) -> bool:
+    return type(x) is bool or (type(x) is np.ndarray and x.dtype == bool)
+
+
+def _take(x, sel):
+    """A value's entries at the positions sel."""
+    return x[sel] if type(x) is np.ndarray else x
+
+
+def _cases(x, count: int, pos, n: int):
+    """The positions that take each of a case's count branches, and the
+    payloads."""
+    if type(x) is np.ndarray and x.dtype == bool:
+        return (np.flatnonzero(x), np.flatnonzero(~x)), ()
+    if type(x) is not np.ndarray:
+        sels = [np.arange(0)] * count
+        if not n:
+            return sels, None
+        index, payload = scrutinee(x, pos)
+        sels[index] = np.arange(n)
+        return sels, payload
+    pairs = [scrutinee(v, pos) for v in x.tolist()]
+    index = np.fromiter((i for i, _ in pairs), np.intp, n)
+    payloads = _column([p for _, p in pairs])
+    return [np.flatnonzero(index == i) for i in range(count)], payloads
+
+
+def _merge(n: int, parts):
+    """The n entries that each (positions, value) part puts in place."""
+    parts = [(sel, v) for sel, v in parts if len(sel)]
+    kinds = {
+        float if _as_float(v) is not None and type(v) is not int else bool if _is_bools(v) else object
+        for _, v in parts
+    }
+    out = np.empty(n, kinds.pop() if len(kinds) == 1 else object)
+    for sel, v in parts:
+        if type(v) is np.ndarray or out.dtype != object:
+            out[sel] = v
+        else:  # a runtime value, which numpy would take for a sequence
+            out[sel] = np.fromiter(repeat(v, len(sel)), object, len(sel))
+    return out
+
+
+def _inj(index: int, x, n: int):
+    if type(x) is not np.ndarray:
+        return VInj(index, x)
+    return np.fromiter((VInj(index, v) for v in x.tolist()), object, n)
+
+
+def _zip(a, b, n: int):
+    if type(a) is not np.ndarray and type(b) is not np.ndarray:
+        return (a, b)
+    return np.fromiter(zip(_seq(a, n), _seq(b, n)), object, n)
+
+
+def _proj(x, index: int, n: int):
+    if type(x) is not np.ndarray:
+        return x[index] if n else None
+    return _column([v[index] for v in x.tolist()])
+
+
+def _unpair(x, name, n: int):
+    """The two components of pairs; name is the parameter being bound, or
+    None for a comparison's operand."""
+    values = x.tolist() if type(x) is np.ndarray else [x] if n else []
+    if not all(type(v) is tuple and len(v) == 2 for v in values):
+        raise _Fault(name)
+    if type(x) is not np.ndarray:
+        return x if n else (None, None)
+    return _column([v[0] for v in values]), _column([v[1] for v in values])
+
+
+def _reweigh(factor, weight, n: int):
+    """The weights that a reweight's factors make of the weights, or a
+    fault where a factor is negative."""
+    if type(factor) is not np.ndarray:
+        if n and factor < 0:
+            raise _Fault(factor)
+        return _op(_op_times, n, factor, weight)
+    floats = _as_float(factor, True)
+    if floats is None:
+        if any(f < 0 for f in factor.tolist()):
+            raise _Fault(factor)
+        return _op(_op_times, n, factor, weight)
+    if np.any(floats < 0):
+        raise _Fault(factor)
+    return _op(_op_times, n, floats, weight)
+
+
+def _specs() -> dict:
+    """The columnar functions' names for the builtins' and the
+    comparisons' specs (see _op and _compare)."""
+    ufuncs = {
+        "plus": np.add, "minus": np.subtract, "times": np.multiply, "neg": np.negative,
+        "div": np.divide, "sqrt": np.sqrt, "abs": np.abs,
+    }
+    space = {}
+    for op in ("plus", "minus", "times", "neg", "div", "sqrt", "abs", "exp", "log", "cos", "sin", "pi"):
+        sig = signature(op)
+        fast = {"log": math.log}.get(op, sig.fn)
+        space[f"_op_{op}"] = (ufuncs.get(op), fast, sig.fn, sig.fails)
+    cmp_ufuncs = {"lt": np.less, "le": np.less_equal, "gt": np.greater,
+                  "ge": np.greater_equal, "eq": np.equal, "ne": np.not_equal}
+    for op, ufunc in cmp_ufuncs.items():
+        space[f"_cmp_{op}"] = (ufunc, signature(op).fn)
+    return space
+
+
+_SPECS = _specs()
+_op_times = _SPECS["_op_times"]
+_COLUMN_NAMESPACE = {
+    **_SPECS,
+    "_column": _column, "_out": _out, "_each": _each, "_op": _op, "_compare": _compare,
+    "_take": _take, "_cases": _cases, "_merge": _merge, "_inj": _inj, "_zip": _zip,
+    "_proj": _proj, "_unpair": _unpair, "_reweigh": _reweigh,
+}
 
 
 def _where(cond, if_true, if_false):

@@ -37,9 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .builtins import EvalError, apply_builtin
 from .externs import Externs, ExternStream
 from .runtime import (
+    CHUNK,
+    COLUMN_FAULTS,
     WEIGHT_ONE,
     VClosure,
     VInj,
@@ -48,6 +52,7 @@ from .runtime import (
     compile_pipeline,
     destructure,
     scrutinee,
+    value_columns,
 )
 from .terms import (
     App,
@@ -190,12 +195,14 @@ class PipeCore(StreamCore):
         # pulled through its memo rather than absorbed
         self.shared = False
         # the pipeline, made on the first pull: its leaves, which of them
-        # carry weights, its layer tree and its compiled functions
+        # carry weights, its layer tree's shape and functions (see _plan),
+        # and its compiled functions
         self._leaves: list = []
         self._weighted: list = []
-        self._tree = None
+        self._shape = None
+        self._fns: list = []
         self._block: Optional[Callable] = None
-        self._boundary: Optional[Callable] = None
+        self._one: Optional[Callable] = None
 
     @property
     def left(self) -> "RStream":
@@ -203,29 +210,33 @@ class PipeCore(StreamCore):
         which reads the product core's `left` as it did before pipelines."""
         return self.parents[0]
 
-    def _plan(self, leaves: list, a: int = 1, b: int = 0):
-        """The layer tree for the generator of this core read through the
-        view i -> a*i + b: an absorbed parent is its own tree, read through
-        its view composed with this one, and any other parent is appended
-        to leaves, as that composed view, and named by its position."""
+    def _plan(self, leaves: list, fns: list, a: int = 1, b: int = 0):
+        """The shape of the layer tree of this core read through the view
+        i -> a*i + b (see runtime.compile_pipeline), whose layer functions
+        are appended to fns, this core's before its parents': an absorbed
+        parent is its own tree, read through its view composed with this
+        one, and any other parent is appended to leaves, as that composed
+        view, and named by its position."""
+        if self.fn is not None:
+            fns.append(self.fn)
         inputs = []
         for parent in self.parents:
-            view = RStream(parent.core, parent.a * a, parent.a * b + parent.b)
+            pa, pb = parent.a * a, parent.a * b + parent.b
             if _absorbable(parent):
-                inputs.append(parent.core._plan(leaves, view.a, view.b))
+                inputs.append(parent.core._plan(leaves, fns, pa, pb))
             else:
-                leaves.append(view)
+                leaves.append(parent if a == 1 and b == 0 else RStream(parent.core, pa, pb))
                 inputs.append(len(leaves) - 1)
-        return (self.op, self.fn, tuple(inputs))
+        return (self.op, id(self.fn), tuple(inputs))
 
-    def _compile(self, boundary: bool = False) -> Callable:
-        return compile_pipeline(self._tree, self._weighted, self.apply, boundary)
+    def _compile(self, columns: bool) -> Callable:
+        return compile_pipeline(self._shape, self._fns, self._weighted, self.apply, columns)
 
     def _compute(self, idx) -> Block:
-        if self._block is None:
-            self._tree = self._plan(self._leaves)
+        if self._one is None:
+            self._shape = self._plan(self._leaves, self._fns)
             self._weighted = [type(leaf.core) not in _UNWEIGHTED for leaf in self._leaves]
-            self._block = self._compile()
+            self._one = self._compile(False)
         columns, errors, stop = [], [], len(idx)
         for leaf, weighted in zip(self._leaves, self._weighted):
             # a leaf is read only where the leaves left of it have entries
@@ -235,14 +246,36 @@ class PipeCore(StreamCore):
             stop = min(stop, len(values))
         values, weights = [], []
         try:
-            self._block(values, weights, *columns)
+            for lo in range(0, stop, CHUNK):
+                hi = min(lo + CHUNK, stop)
+                if hi - lo > 1 and self._columns(columns, lo, hi, values, weights):
+                    continue
+                for i in range(lo, hi):
+                    value, weight = self._one(i, errors, *columns)
+                    values.append(value)
+                    weights.append(weight)
             if stop < len(idx):
-                if self._boundary is None:
-                    self._boundary = self._compile(boundary=True)
-                self._boundary(stop, errors, *columns)
+                self._one(stop, errors, *columns)  # raises
         except EvalError as e:
             return values, weights, e
         return values, weights, None
+
+    def _columns(self, columns: list, lo: int, hi: int, values: list, weights: list) -> bool:
+        """Whether the columnar function computed entries lo to hi - 1 of
+        the leaves' blocks, which it then appends to values and weights.  If
+        it did not, one of them fails (or, where a column's entries are
+        of kinds the block cannot take, may), and the caller runs each
+        alone."""
+        if self._block is None:
+            self._block = self._compile(True)
+        try:
+            with np.errstate(all="ignore"):
+                block = self._block(hi - lo, *(column[lo:hi] for column in columns))
+        except COLUMN_FAULTS:
+            return False
+        values += block[0]
+        weights += block[1]
+        return True
 
 
 #: leaf cores whose weights are all WEIGHT_ONE
@@ -291,10 +324,15 @@ class RStream:
         return RStream(self.core, self.a * k, self.b + self.a * (1 - k))
 
     def prefix(self, n: int) -> list[tuple]:
+        """The first n entries, as (value, weight) pairs."""
+        return list(zip(*self._columns(n)))
+
+    def _columns(self, n: int) -> tuple[list, list]:
+        """The values and the weights of the first n entries."""
         values, weights, err = self.entries(range(1, n + 1))
         if err is not None:
             raise err
-        return list(zip(values, weights))
+        return values, weights
 
 
 class StreamEvaluator:
@@ -474,14 +512,19 @@ def eval_stream(term: Term, externs: Externs):
 _SCALARS = frozenset((float, int, bool))
 
 
-def _embeds_stream(value) -> bool:
+def _embeds_stream(values: list) -> bool:
+    """Whether any of the values embeds a stream."""
+    return not set(map(type, values)) <= _SCALARS and any(map(_embeds, values))
+
+
+def _embeds(value) -> bool:
     kind = type(value)
     if kind in _SCALARS:
         return False
     if kind is tuple:
-        return any(map(_embeds_stream, value))
+        return any(map(_embeds, value))
     if kind is VInj:
-        return _embeds_stream(value.value)
+        return _embeds(value.value)
     return isinstance(value, (RStream, WeightedList))
 
 
@@ -489,13 +532,12 @@ def truncate(value, n: int):
     """Replace every embedded stream by its length-n weighted list; a
     stream's prefix is kept as it is unless one of its values embeds one."""
     if isinstance(value, RStream):
-        entries = value.prefix(n)
-        kinds = {type(v) for v, _ in entries}
-        if not kinds <= _SCALARS and any(_embeds_stream(v) for v, _ in entries):
-            entries = [(truncate(v, n), w) for v, w in entries]
-        return WeightedList(entries)
+        values, weights = value._columns(n)
+        if any(_embeds_stream(column) for column in value_columns(values) or [values]):
+            values = [truncate(v, n) for v in values]
+        return WeightedList(values, weights)
     if isinstance(value, WeightedList):
-        return WeightedList([(truncate(v, n), w) for v, w in value.entries])
+        return WeightedList([truncate(v, n) for v in value.values], value.weights)
     if isinstance(value, tuple):
         return tuple(truncate(v, n) for v in value)
     if isinstance(value, VInj):

@@ -212,8 +212,12 @@ def _oracle_columns(entries):
     return cols, weights
 
 
+def _columns_of(entries):
+    return columns_of([v for v, _ in entries], [w for _, w in entries])
+
+
 def _assert_same_columns(entries):
-    cols, weights = columns_of(entries)
+    cols, weights = _columns_of(entries)
     want_cols, want_weights = _oracle_columns(entries)
     assert len(cols) == len(want_cols)
     for got, want in zip(cols + [weights], want_cols + [want_weights]):
@@ -262,7 +266,7 @@ def test_columns_of_a_value_without_a_point_raises():
     clo = VClosure((("x", None),), Var("x"), {})
     for entries in ([(clo, 1.0), (clo, 1.0)], [((1.0, clo), 1.0)]):
         with pytest.raises(EvalError, match="no point representation"):
-            columns_of(entries)
+            _columns_of(entries)
 
 
 # the posterior that rejection.smpl and importance.smpl target

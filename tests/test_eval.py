@@ -7,12 +7,12 @@ import weakref
 import numpy as np
 import pytest
 
-from samplerlang import runtime
+from samplerlang import runtime, streams
 from samplerlang.builtins import EvalError, apply_builtin
 from samplerlang.corpus import load_corpus, proof_path
 from samplerlang.interpreter import Interpreter
 from samplerlang.parser import parse_measure, parse_program, parse_term
-from samplerlang.runtime import WeightedList, _CodeGen, compile_array_fn, value_equal
+from samplerlang.runtime import VInj, WeightedList, _CodeGen, compile_array_fn, value_equal
 from samplerlang.quadrature import term_fn
 from samplerlang.streams import StreamEvaluator, truncate
 from samplerlang.terms import (
@@ -26,7 +26,9 @@ from samplerlang.terms import (
     Inj,
     Lam,
     Let,
+    Map,
     Pair,
+    Reweight,
     Var,
     Wt,
     children,
@@ -653,7 +655,9 @@ def test_a_pipeline_built_per_entry_is_generated_once(body, monkeypatch):
     program = parse_program(_RAND + body)
     check_program(program)
     got = Interpreter(program).stream().prefix(40)
-    assert len(made) <= 2  # the outer pipeline and the inner one
+    # the outer pipeline and the inner one, each a single-entry and a
+    # columnar function at most
+    assert len(made) <= 4
     assert _same_entries(got, Interpreter(program).big_step(40).entries)
 
 
@@ -724,6 +728,128 @@ def test_functions_made_per_entry_keep_their_own_entry():
     fns = [f for f, _ in interp(src).stream().prefix(5)]
     xs = [x for x, _ in interp(_RAND + "rand").stream().prefix(5)]
     assert [f(1.0) for f in fns] == [x + 1.0 for x in xs]
+
+
+# -- columnar blocks against entry-wise reads ------------------------------------
+
+
+def _exact(value):
+    """A runtime value's Python types and float bits, for comparison."""
+    if type(value) is float:
+        return ("float", value.hex())
+    if type(value) is tuple:
+        return ("tuple", tuple(map(_exact, value)))
+    if type(value) is VInj:
+        return ("inj", value.index, _exact(value.value))
+    return (type(value).__name__, value)
+
+
+def _block_matches_entries(program, n, term=None):
+    """Compare a block of n entries with n entry-wise reads, each from a
+    fresh interpreter: every value and weight, then the error, its position
+    and its index.  Returns the index that fails, or None."""
+    values, weights, err = Interpreter(program).stream(term).entries(range(1, n + 1))
+    single = Interpreter(program).stream(term)
+    for i in range(1, n + 1):
+        try:
+            value, weight = single.entry(i)
+        except EvalError as want:
+            assert err is not None and len(values) == i - 1, (i, len(values), err)
+            assert (str(err), err.pos) == (str(want), want.pos)
+            return i
+        assert i <= len(values), (i, err)
+        assert _exact(values[i - 1]) == _exact(value), i
+        assert _exact(weights[i - 1]) == _exact(weight), i
+    assert err is None and len(values) == n
+    return None
+
+
+_EXTERNS = _RAND + "extern sampler flip : S B targets bernoulli(0.3) equidistributed 1\nrand\n"
+
+
+@pytest.mark.parametrize("chunk", [streams.CHUNK, 16])
+def test_columnar_blocks_of_random_bodies_match_entrywise_reads(chunk, monkeypatch):
+    # bodies whose constants include 0, 2 and -0.0, as map and reweight
+    # layers over a real and over a Boolean extern; with 16-entry chunks, a
+    # block is several calls of the columnar function
+    monkeypatch.setattr(streams, "CHUNK", chunk)
+    # the columnar function gives way to entry-wise evaluation only where an
+    # entry fails
+    gave_way = []
+    columns = streams.PipeCore._columns
+    monkeypatch.setattr(
+        streams.PipeCore, "_columns", lambda *args: columns(*args) or gave_way.append(1)
+    )
+    program = parse_program(_EXTERNS)
+    rng = random.Random(11)
+    failures = 0
+    for _ in range(40):
+        lam = Lam((("x", None),), _random_body(rng, ["x"], 4))
+        for layer in (Map, Reweight):
+            for extern in ("rand", "flip"):
+                failures += _block_matches_entries(program, 60, layer(lam, Var(extern))) is not None
+    assert 0 < failures < 160
+    assert len(gave_way) == failures
+
+
+@pytest.mark.parametrize("body, kinds", [
+    # an int and a float in one column
+    ("map(fun x : R => if x < 0.5 then 1 else 0.5, rand)", {int, float}),
+    # unbounded ints: 3^k passes 2^63 at k = 40, and compares exactly with
+    # 2^53 + 1 and with a float
+    ("map(fun k : N => (k * 2, (k < 9007199254740993, k < 1.5e30)),"
+     " prng(fun k : N => k * 3, 1))", {tuple}),
+    # a branch that would fail, never taken, and one taken where it succeeds
+    ("map(fun x : R => if x < 2 then x else log(0 - 1), rand)", {float}),
+    ("map(fun x : R => if x > 0.5 then log(x - 0.5) else sqrt(0.5 - x), rand)", {float}),
+    # inf, then nan, through maps, a reweight and comparisons
+    ("reweight(fun p : R * R => fst(p) - fst(p) + 1,"
+     " map(fun x : R => let y = x - x in (sqrt(y) + log(x), exp(y)),"
+     " prng(fun x : R => x * 1000, 1.5)))", {tuple}),
+])
+def test_columnar_blocks_keep_types_and_bits(body, kinds):
+    program = parse_program(_RAND + body)
+    assert _block_matches_entries(program, 200) is None
+    got = Interpreter(program).stream().prefix(200)
+    assert {type(v) for v, _ in got} == kinds
+    assert all(type(w) is float for _, w in got)
+
+
+def test_columnar_block_ints_pass_two_to_the_sixty_three():
+    program = parse_program("map(fun k : N => k * 2, prng(fun k : N => k * 3, 1))")
+    got = Interpreter(program).stream().prefix(100)
+    assert [v for v, _ in got] == [2 * 3**k for k in range(100)]
+    assert max(v for v, _ in got) > 2**63
+
+
+def test_columnar_block_fails_at_the_entry_where_a_layer_fails():
+    # log(0) at entry 50,000 of a 100,000-entry block: the entries before it
+    # come back, with the error at that entry
+    body = "map(fun x : R => sqrt(x) + log(x), prng(fun x : R => x - 1, 49999.0))"
+    program = parse_program(body)
+    assert _block_matches_entries(program, 100000) == 50000
+    values, _, err = Interpreter(program).stream().entries(range(1, 100001))
+    assert len(values) == 49999 and err.message == "log of non-positive number 0.0"
+    assert err.pos == (1, body.index("log(") + 1)
+
+
+def test_known_closures_run_as_columns():
+    # marsaglia's box and rejection's phi are inlined, not called per entry
+    calls = []
+    compile_fn = runtime.compile_fn
+
+    def counted(clo):
+        fn = compile_fn(clo)
+        return None if fn is None else (lambda v: calls.append(v) or fn(v))
+
+    corpus_programs = {it.name: it.program for it in load_corpus()}
+    for name in ("marsaglia", "rejection", "importance", "von_neumann"):
+        stream = Interpreter(corpus_programs[name]).stream()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runtime, "compile_fn", counted)
+            patch.setattr(streams, "compile_fn", counted)
+            stream.prefix(1000)
+        assert calls == [], name
 
 
 # -- adequacy (the cross-engine oracle, small n; acceptance runs the ladder) --
