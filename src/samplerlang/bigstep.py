@@ -1,13 +1,23 @@
 """Big-step evaluation: the reduction (t, N) -> v on closed terms.
 
-Faithful to the reduction rules: application and let substitute the argument
-term, a sampler evaluated at N yields a WeightedList of length N, prng
-weights are 1, products multiply weights, and thin(k, .) keeps entries
-1, k+1, ..., (N-1)k+1 of the k*N-entry premise.  The prng premise chain
-s^{n-1}(t) is evaluated by iterating on values, which by determinism gives
-the same result as re-evaluating the composed term.
+Faithful to the reduction rules: a sampler evaluated at N yields a
+WeightedList of length N, prng weights are 1, products multiply weights,
+and thin(k, .) keeps entries 1, k+1, ..., (N-1)k+1 of the k*N-entry
+premise.  The prng premise chain s^{n-1}(t) is evaluated by iterating on
+values, which by determinism gives the same result as re-evaluating the
+composed term.
+
+Application and let are call-by-value for data: an argument or bound term
+whose value holds no sampler and no function (`_is_data`) is evaluated
+first, and its value substituted (`value_to_term`), as `apply` does for
+map, reweight and prng.  So a failing builtin in an argument or a `let`
+raises there even if the body never uses it, as in the stream engine and
+the compiled functions.  A sampler or function argument is substituted as
+a term, since a sampler is evaluated at each budget its uses ask for.
 """
 from __future__ import annotations
+
+from typing import Optional
 
 from .builtins import EvalError, apply_builtin
 from .externs import Externs
@@ -93,6 +103,8 @@ class BigStep:
                 fv = self.eval(fn, n)
                 if not isinstance(fv, Lam):
                     raise EvalError(f"application of non-function {fv!r}", term.pos)
+                if _is_data(arg):
+                    return self.apply(fv, self.eval(arg, n), n)
                 return self.eval(beta(fv, arg), n)
 
             case Hd(body):
@@ -166,6 +178,52 @@ class BigStep:
     def _need_pair(self, v, site: Term) -> None:
         if not (isinstance(v, tuple) and len(v) == 2):
             raise EvalError(f"projection from non-pair {v!r}", site.pos)
+
+
+def _is_data(term: Term, env: Optional[dict] = None) -> bool:
+    """Whether the closed term's value surely holds no sampler and no
+    function; env says it of the names bound inside the term.  A term it
+    cannot tell about counts as not data, and is substituted as before."""
+    env = env or {}
+    match term:
+        case Const() | Builtin() | Wt():
+            return True
+        case Var(name):
+            return env.get(name, False)  # a free name is an extern sampler
+        case Cast(_, body) | Inj(_, body) | Fst(body) | Snd(body):
+            # a projection is data if the whole pair is
+            return _is_data(body, env)
+        case Pair(left, right):
+            return _is_data(left, env) and _is_data(right, env)
+        case Let(name, bound, body):
+            return _is_data(body, {**env, name: _is_data(bound, env)})
+        case App(Lam(params, body), arg):
+            data = _is_data(arg, env)
+            return _is_data(body, {**env, **{name: data for name, _ in params}})
+        case Case(scrut, branches):
+            data = _is_data(scrut, env)
+            return all(_is_data(body, {**env, binder: data}) for binder, body in branches)
+        case Hd(sampler):
+            return _payload_is_data(sampler, env)
+    return False
+
+
+def _payload_is_data(term: Term, env: dict) -> bool:
+    """Whether the entries of the closed sampler term surely hold no sampler
+    and no function."""
+    match term:
+        case Var(name):
+            return name not in env  # an extern: its values are numbers or Booleans
+        case Map(Lam(params, body), sampler):
+            data = _payload_is_data(sampler, env)
+            return _is_data(body, {**env, **{name: data for name, _ in params}})
+        case Reweight(_, sampler) | Tl(sampler) | Thin(_, sampler):
+            return _payload_is_data(sampler, env)
+        case Prod(left, right):
+            return _payload_is_data(left, env) and _payload_is_data(right, env)
+        case Prng(_, seed):
+            return _is_data(seed, env)
+    return False
 
 
 def eval_big(term: Term, n: int, externs: Externs):

@@ -319,14 +319,19 @@ def inline_lets(ctx: Context, term: Term) -> Term:
 
 @dataclass
 class Deriv:
+    """A derivation node.  Its term and type are kept as they are, a Term
+    and a Type (or text), and printed only by `to_json`."""
+
     rule: str
-    term: str
-    ty: str
+    term: object
+    ty: object
     children: tuple["Deriv", ...] = ()
     note: str = ""
 
     def to_json(self):
-        out = {"rule": self.rule, "term": self.term, "type": self.ty}
+        term = self.term if isinstance(self.term, str) else pretty(self.term)
+        ty = self.ty if isinstance(self.ty, str) else pretty_type(self.ty)
+        out = {"rule": self.rule, "term": term, "type": ty}
         if self.note:
             out["note"] = self.note
         out["children"] = [c.to_json() for c in self.children]
@@ -440,7 +445,7 @@ class Checker:
                     ty = UNIT
                 else:
                     ty = POSREAL if value >= 0 else REAL
-                return ty, Deriv("const", pretty(term), pretty_type(ty))
+                return ty, Deriv("const", term, ty)
 
             case Var(name):
                 kind, ty, frame = self.ctx.lookup(name)
@@ -452,7 +457,7 @@ class Checker:
                         "used where the parameter type is determined",
                         term.pos,
                     )
-                return ty, Deriv("var", name, pretty_type(ty))
+                return ty, Deriv("var", name, ty)
 
             case Builtin(op, args):
                 if is_comparison(op):
@@ -469,15 +474,13 @@ class Checker:
                     ty = sig.result(*[t for t, _ in kids])
                 except TypeError as err:
                     raise TypeCheckError(str(err), term.pos) from None
-                return ty, Deriv(
-                    "builtin", pretty(term), pretty_type(ty), tuple(d for _, d in kids)
-                )
+                return ty, Deriv("builtin", term, ty, tuple(d for _, d in kids))
 
             case Pair(left, right):
                 lt, ld = self.infer(left)
                 rt, rd = self.infer(right)
                 ty = ProdT(lt, rt)
-                return ty, Deriv("pair", pretty(term), pretty_type(ty), (ld, rd))
+                return ty, Deriv("pair", term, ty, (ld, rd))
 
             case Fst(body):
                 bt, bd = self.infer(body)
@@ -485,7 +488,7 @@ class Checker:
                     raise TypeCheckError(
                         f"fst of non-product {pretty_type(bt)}", term.pos
                     )
-                return bt.left, Deriv("fst", pretty(term), pretty_type(bt.left), (bd,))
+                return bt.left, Deriv("fst", term, bt.left, (bd,))
 
             case Snd(body):
                 bt, bd = self.infer(body)
@@ -493,7 +496,7 @@ class Checker:
                     raise TypeCheckError(
                         f"snd of non-product {pretty_type(bt)}", term.pos
                     )
-                return bt.right, Deriv("snd", pretty(term), pretty_type(bt.right), (bd,))
+                return bt.right, Deriv("snd", term, bt.right, (bd,))
 
             case Cast(ty, body):
                 bt, bd = self.infer(body)
@@ -505,7 +508,7 @@ class Checker:
                         term.pos,
                     )
                 note = witness.rule if witness else "numeric"
-                return ty, Deriv("cast", pretty(term), pretty_type(ty), (bd,), note)
+                return ty, Deriv("cast", term, ty, (bd,), note)
 
             case Inj(index, body):
                 raise TypeCheckError(
@@ -536,7 +539,7 @@ class Checker:
                         self.ctx.pop()
                     kids.append(bd)
                     out_ty = bt if out_ty is None else self._join(out_ty, bt, term.pos)
-                return out_ty, Deriv("case", pretty(term), pretty_type(out_ty), tuple(kids))
+                return out_ty, Deriv("case", term, out_ty, tuple(kids))
 
             case Lam(params, body):
                 resolved = []
@@ -557,7 +560,7 @@ class Checker:
                 dom = self._collapsed_domain(frame)
                 ty = FunT(dom, bt)
                 note = f"restricted x{len(frame.restrictions)}" if frame.restrictions else ""
-                return ty, Deriv("lambda", pretty(term), pretty_type(ty), (bd,), note)
+                return ty, Deriv("lambda", term, ty, (bd,), note)
 
             case App(fn, arg):
                 if isinstance(fn, Lam) and any(ty is None for _, ty in fn.params):
@@ -565,9 +568,7 @@ class Checker:
                     # the argument determines the parameter type
                     at, ad = self.infer(arg)
                     ft, fd = self._infer_lambda_with_dom(fn, at)
-                    return ft.cod, Deriv(
-                        "app", pretty(term), pretty_type(ft.cod), (fd, ad)
-                    )
+                    return ft.cod, Deriv("app", term, ft.cod, (fd, ad))
                 ft, fd = self.infer(fn)
                 if not isinstance(ft, FunT):
                     raise TypeCheckError(
@@ -580,12 +581,12 @@ class Checker:
                         f"{pretty_type(ft.dom)}",
                         term.pos,
                     )
-                return ft.cod, Deriv("app", pretty(term), pretty_type(ft.cod), (fd, ad))
+                return ft.cod, Deriv("app", term, ft.cod, (fd, ad))
 
             case Let(name, bound, body):
                 if isinstance(bound, Lam) and any(ty is None for _, ty in bound.params):
                     frame = LetFrame(name, None, bound, len(self.ctx.frames))
-                    bd = Deriv("let-pending", pretty(bound), "_")
+                    bd = Deriv("let-pending", bound, "_")
                 else:
                     bt, bd = self.infer(bound)
                     frame = LetFrame(name, bt, bound, len(self.ctx.frames))
@@ -597,7 +598,7 @@ class Checker:
                     self.ctx.pop()
                 if frame.ty is not None:
                     self.let_types[name] = frame.ty
-                return ot, Deriv("let", pretty(term), pretty_type(ot), (bd, od))
+                return ot, Deriv("let", term, ot, (bd, od))
 
             case Prng(step, seed):
                 st, sd = self.infer(seed)
@@ -622,7 +623,7 @@ class Checker:
                         term.pos,
                     )
                 ty = SamplerT(ft.dom)
-                return ty, Deriv("prng", pretty(term), pretty_type(ty), (fd, sd))
+                return ty, Deriv("prng", term, ty, (fd, sd))
 
             case Prod(left, right):
                 lt, ld = self.infer(left)
@@ -630,7 +631,7 @@ class Checker:
                 if not isinstance(lt, SamplerT) or not isinstance(rt, SamplerT):
                     raise TypeCheckError("product needs two samplers", term.pos)
                 ty = SamplerT(ProdT(lt.payload, rt.payload))
-                return ty, Deriv("product", pretty(term), pretty_type(ty), (ld, rd))
+                return ty, Deriv("product", term, ty, (ld, rd))
 
             case Map(fn, sampler):
                 return self._infer_transform(term, fn, sampler, kind="map")
@@ -641,24 +642,24 @@ class Checker:
             case Hd(body):
                 bt, bd = self.infer(body)
                 payload = self._payload(bt, term.pos)
-                return payload, Deriv("hd", pretty(term), pretty_type(payload), (bd,))
+                return payload, Deriv("hd", term, payload, (bd,))
 
             case Wt(body):
                 bt, bd = self.infer(body)
                 self._payload(bt, term.pos)
-                return POSREAL, Deriv("wt", pretty(term), "R+", (bd,))
+                return POSREAL, Deriv("wt", term, "R+", (bd,))
 
             case Tl(body):
                 bt, bd = self.infer(body)
                 self._payload(bt, term.pos)
-                return bt, Deriv("tl", pretty(term), pretty_type(bt), (bd,))
+                return bt, Deriv("tl", term, bt, (bd,))
 
             case Thin(count, sampler):
                 if count < 1:
                     raise TypeCheckError("thin count must be positive", term.pos)
                 bt, bd = self.infer(sampler)
                 self._payload(bt, term.pos)
-                return bt, Deriv("thin", pretty(term), pretty_type(bt), (bd,))
+                return bt, Deriv("thin", term, bt, (bd,))
 
         raise TypeCheckError(f"cannot type {term!r}", getattr(term, "pos", None))
 
@@ -682,7 +683,7 @@ class Checker:
         self._fire_restriction(arg, term.op, term.pos)
         after = len(before.restrictions) if before else 0
         note = "restricted" if after > count else ""
-        return BOOL, Deriv("comparison", pretty(term), "B", (ad,), note)
+        return BOOL, Deriv("comparison", term, "B", (ad,), note)
 
     def _resolve_pending(self, fn: Term, dom: Type) -> Optional[tuple[Term, LetFrame]]:
         """A let-bound '_'-lambda referenced from a transform position."""
@@ -741,7 +742,7 @@ class Checker:
                 "inferred-parameter lambda cannot fire context restriction", lam.pos
             )
         ty = FunT(dom, bt)
-        return ty, Deriv("lambda", pretty(lam), pretty_type(ty), (bd,))
+        return ty, Deriv("lambda", lam, ty, (bd,))
 
     def _infer_transform(self, term: Term, fn: Term, sampler: Term, kind: str):
         st, sd = self.infer(sampler)
@@ -799,14 +800,14 @@ class Checker:
             kids.append(
                 Deriv(
                     "payload-restriction",
-                    pretty(sampler),
-                    pretty_type(retype.left),
+                    sampler,
+                    retype.left,
                     (),
                     note=f"{pretty_type(retype.left)} <| {pretty_type(retype.right)}",
                 )
             )
             note = "retyped"
-        return out, Deriv(kind, pretty(term), pretty_type(out), tuple(kids), note)
+        return out, Deriv(kind, term, out, tuple(kids), note)
 
 
 # ---------------------------------------------------------------------------

@@ -905,3 +905,46 @@ def test_interpreted_stream_error_matches_big_step():
         truncate(Interpreter(program).stream(), 5)
     assert str(st.value) == str(big.value)
     assert big.value.pos == st.value.pos == (2, body.index("log(") + 1)
+
+
+# -- the engines agree where a builtin fails in an argument or a let ------------
+
+
+@pytest.mark.parametrize("body", [
+    # the failing let is never used
+    "map(fun x : R+ => let a = log(x - 2) in x, rand)",
+    # the let's value is used only inside a nested function
+    "map(fun x : R => let a = log(x - 1) in let g = fun y : R => log(x - 1) * y in g(a), rand)",
+    # an argument that fails, to a function that ignores it
+    "map(fun x : R => (fun y : R => x)(sqrt(x - 2)), rand)",
+])
+def test_engines_raise_the_same_error_in_an_unused_let_or_argument(body):
+    program = parse_program(_RAND + body)
+    check_program(program)
+    with pytest.raises(EvalError) as big:
+        Interpreter(program).big_step(2)
+    with pytest.raises(EvalError) as st:
+        truncate(Interpreter(program).stream(), 2)
+    assert (str(big.value), big.value.pos) == (str(st.value), st.value.pos)
+    assert big.value.pos[0] == 2
+
+
+def test_big_step_evaluates_a_failing_let_where_compiled_functions_do():
+    lam = parse_term("fun x : R => let a = log(x - 1) in let g = fun y : R => log(x - 1) * y in g(a)")
+    it = interp("prng(fun x : R => x, 0)")
+    with pytest.raises(EvalError) as big:
+        it.big_step(1, App(lam, Const(0.5)))
+    with pytest.raises(EvalError) as compiled:
+        term_fn(lam)(0.5)
+    assert big.value.pos == compiled.value.pos == (1, 22)
+    assert str(big.value) == str(compiled.value)
+
+
+def test_sampler_arguments_are_still_substituted():
+    # an unused sampler argument whose entries fail is never drawn, and a
+    # sampler argument is drawn at each budget its uses ask for
+    for body in ("let s = map(fun x : R => log(x - 2), rand) in hd(rand)",
+                 "(fun s : S R => hd(tl(s)))(map(fun x : R => x * 2, rand))"):
+        program = parse_program(_RAND + body)
+        check_program(program)
+        assert value_equal(Interpreter(program).big_step(3), Interpreter(program).stream())
