@@ -25,9 +25,22 @@ A pair bound to a name stays its parts, so its tuple is built only where
 it is used whole.
 
 The stream engine and quadrature reach these functions through
-`compile_fn` and `apply_value`.  `compile_pipeline` runs the generator in
-block mode for the stream engine: one loop over a block of entries with the
-bodies of a chain of map/reweight/product layers inline (see _PipeGen).
+`compile_fn` and `apply_value`.  `compile_pipeline` runs the generator for
+the stream engine's fused chains of map/reweight/product layers, with every
+layer's body inline (see _PipeGen): as a single-entry function, and in
+columnar mode, whose function computes a block of entries a column at a
+time.  Columnar mode keeps every value bit-identical to the single-entry
+function's: numpy runs only the operations it rounds as Python does (plus,
+minus, times, neg, div, sqrt, abs and the comparisons) and only on float64
+and bool columns; every other builtin is the same `math` or `builtins`
+function, called entry by entry, as is every operation on a column of ints
+(which are unbounded) or of other values, and no numpy scalar escapes.  A
+case runs each branch only on the entries that take it.  A block does not
+locate its errors: where some entry fails (a domain test of
+`builtins.BuiltinSig.fails`, a negative reweight factor, or a builtin or
+function that raises), the function raises, and the engine runs the
+block's entries one at a time through the single-entry function, which
+raises the error of the first one that fails.
 
 `compile_array_fn` runs the same generator in array mode, for quadrature's
 array paths, whose functions take nested tuples of numpy arrays and
@@ -60,7 +73,6 @@ a lambda defined in the body.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 import weakref
 from contextlib import contextmanager
@@ -429,7 +441,7 @@ class _CodeGen:
     def source(self, operand):
         """The operand's identity for value numbering: in columnar mode the
         local it was made as, in whichever frame."""
-        if not self.columns or isinstance(operand, _Known):
+        if not self.columns or isinstance(operand, (_Known, _Lam)):
             return self.code(operand)
         if operand.parts is not None:
             return tuple(map(self.source, operand.parts))
@@ -826,7 +838,8 @@ class _PipeGen(_CodeGen):
     entry-wise evaluation evaluates it.  A known closure that is applied is
     inlined; a layer whose body columnar mode refuses (one that builds
     samplers, or makes a function value per entry) is applied entry by
-    entry through its compile_fn function or `fallback`.  The function does
+    entry through `fallback`, the evaluator's application, which calls the
+    closure's compile_fn function where it has one.  The function does
     not locate errors: wherever the single-entry function would raise, it
     raises, or, where a domain test (`builtins.BuiltinSig.fails`) or a
     negative reweight factor fails, raises `_Fault`; the stream engine then
@@ -1144,16 +1157,16 @@ def _cases(x, count: int, pos, n: int):
     return [np.flatnonzero(index == i) for i in range(count)], payloads
 
 
+_SCALARS = (float, int, bool)
+
+
 def _merge(n: int, parts):
     """The n entries that each (positions, value) part puts in place."""
     parts = [(sel, v) for sel, v in parts if len(sel)]
-    kinds = {
-        float if _as_float(v) is not None and type(v) is not int else bool if _is_bools(v) else object
-        for _, v in parts
-    }
+    kinds = {float if _is_float(v) else bool if _is_bools(v) else object for _, v in parts}
     out = np.empty(n, kinds.pop() if len(kinds) == 1 else object)
     for sel, v in parts:
-        if type(v) is np.ndarray or out.dtype != object:
+        if type(v) in _SCALARS or type(v) is np.ndarray:
             out[sel] = v
         else:  # a runtime value, which numpy would take for a sequence
             out[sel] = np.fromiter(repeat(v, len(sel)), object, len(sel))

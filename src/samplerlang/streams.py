@@ -20,17 +20,24 @@ unless its name occurs once in the body and not under a `fun`), through
 that parent's view (`tl`, `thin`), which it composes into the views of the
 parent's own parents.  The rest are the pipeline's leaves, pulled through
 their memos, so that `tl`, `thin` and `let` sharing is kept.  The pipeline
-compiles to one generated loop over the demanded indices that runs every
-layer's body inline per entry, in engine order: a product's left side, then
-its right side, then the layers above (`runtime.compile_pipeline`); a
-product's pair is built only where its value escapes, and only the
-pipeline's top core keeps a memo.
+compiles to two functions with every layer's body inline
+(`runtime.compile_pipeline`): a columnar one, which computes the demanded
+entries a chunk of `CHUNK` at a time as exact columns (numpy only where it
+rounds as Python does, the `math` functions entry by entry elsewhere, each
+branch of a case only on the entries that take it), and a single-entry one,
+in engine order: a product's left side, then its right side, then the layers
+above.  A product's pair is built only where its value escapes, and only
+the pipeline's top core keeps a memo.  A block of one entry (`hd`, `wt`,
+`RStream.entry`) runs the single-entry function.
 
 Errors are those entry-wise evaluation raises: the lowest index's, and at
-that index the innermost and then leftmost failing layer's.  The loop runs
-over the entries that every leaf has; where a leaf's block ended early,
-the next entry runs alone, reading each leaf where engine order reaches it,
-so a layer to the left of that leaf still raises first.
+that index the innermost and then leftmost failing layer's.  The columnar
+function runs over the entries that every leaf has, and gives way where an
+entry of its chunk fails: that chunk's entries then run one at a time
+through the single-entry function, which raises the first one's error.
+Where a leaf's block ended early, the next entry runs alone, reading each
+leaf where engine order reaches it, so a layer to the left of that leaf
+still raises first.
 """
 from __future__ import annotations
 
@@ -176,11 +183,13 @@ class PipeCore(StreamCore):
 
     On its first pull the core absorbs every parent that only it can
     reach (`_absorbable`), recursively, and compiles the tree of layers
-    down to the other parents, its leaves, into one block function
-    (`runtime.compile_pipeline`).  A pull reads each leaf's block, runs
-    that function over the entries every leaf has, and runs the next entry
-    alone if some leaf ended early, so that its error is raised in engine
-    order.  Only this core keeps a memo; absorbed ones are never pulled.
+    down to the other parents, its leaves (`runtime.compile_pipeline`).  A
+    pull reads each leaf's block, runs the columnar function over the
+    entries every leaf has, a chunk at a time, and the single-entry function
+    over a chunk of one entry or one where the columnar function gave way,
+    and runs the next entry alone if some leaf ended early, so that its
+    error is raised in engine order.  Only this core keeps a memo; absorbed
+    ones are never pulled.
     """
 
     def __init__(self, op: str, fn, parents: tuple, apply: Callable):

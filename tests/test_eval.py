@@ -770,8 +770,8 @@ _EXTERNS = _RAND + "extern sampler flip : S B targets bernoulli(0.3) equidistrib
 @pytest.mark.parametrize("chunk", [streams.CHUNK, 16])
 def test_columnar_blocks_of_random_bodies_match_entrywise_reads(chunk, monkeypatch):
     # bodies whose constants include 0, 2 and -0.0, as map and reweight
-    # layers over a real and over a Boolean extern; with 16-entry chunks, a
-    # block is several calls of the columnar function
+    # layers over a real and over a Boolean extern, and over ints; with
+    # 16-entry chunks, a block is several calls of the columnar function
     monkeypatch.setattr(streams, "CHUNK", chunk)
     # the columnar function gives way to entry-wise evaluation only where an
     # entry fails
@@ -781,14 +781,15 @@ def test_columnar_blocks_of_random_bodies_match_entrywise_reads(chunk, monkeypat
         streams.PipeCore, "_columns", lambda *args: columns(*args) or gave_way.append(1)
     )
     program = parse_program(_EXTERNS)
+    counter = parse_term("prng(fun k : N => k + 1, 0)")
     rng = random.Random(11)
     failures = 0
     for _ in range(40):
         lam = Lam((("x", None),), _random_body(rng, ["x"], 4))
         for layer in (Map, Reweight):
-            for extern in ("rand", "flip"):
-                failures += _block_matches_entries(program, 60, layer(lam, Var(extern))) is not None
-    assert 0 < failures < 160
+            for leaf in (Var("rand"), Var("flip"), counter):
+                failures += _block_matches_entries(program, 60, layer(lam, leaf)) is not None
+    assert 0 < failures < 240
     assert len(gave_way) == failures
 
 
@@ -799,6 +800,12 @@ def test_columnar_blocks_of_random_bodies_match_entrywise_reads(chunk, monkeypat
     # 2^53 + 1 and with a float
     ("map(fun k : N => (k * 2, (k < 9007199254740993, k < 1.5e30)),"
      " prng(fun k : N => k * 3, 1))", {tuple}),
+    # ints past 2^53 against floats, which they equal only as rounded
+    ("map(fun p : N * R => (fst(p) > snd(p), (snd(p) < 9007199254740993, fst(p) * 0.5)),"
+     " prng(fun k : N => k + 1, 9007199254740990) <*> prng(fun x : R => x + 1.0, 9007199254740990.0))",
+     {tuple}),
+    # ints of both branches merged
+    ("map(fun k : N => if k < 5 then k * 2 else k + 1, prng(fun k : N => k + 1, 0))", {int}),
     # a branch that would fail, never taken, and one taken where it succeeds
     ("map(fun x : R => if x < 2 then x else log(0 - 1), rand)", {float}),
     ("map(fun x : R => if x > 0.5 then log(x - 0.5) else sqrt(0.5 - x), rand)", {float}),
