@@ -989,7 +989,7 @@ def compile_pipeline(shape, fns: list, weighted, fallback: Callable, columns: bo
     kept = cache.get(key)
     # the other closures are held weakly, since their environments may hold
     # the first one, and an id in the key is only theirs while they live
-    if kept is None or any(ref() is not fn for ref, fn in zip(kept[0], fns[1:])):
+    if kept is None or (len(fns) > 1 and any(ref() is not fn for ref, fn in zip(kept[0], fns[1:]))):
         refs = [weakref.ref(fn) for fn in fns[1:]]
         kept = cache[key] = refs, _generate_pipeline(shape, fns, weighted, fallback, columns)
     return kept[1]

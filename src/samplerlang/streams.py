@@ -112,6 +112,12 @@ class StreamCore:
 
     def entries(self, idx) -> Block:
         values, weights = self._values, self._weights
+        if not weights and type(idx) is range and idx.start == 1 and idx.step == 1:
+            # the first pull, of a prefix: the memo is a copy of the block
+            new_values, new_weights, err = self._compute(idx)
+            holes = [None] * (len(idx) - len(new_weights))
+            self._values, self._weights = new_values + holes, new_weights + holes
+            return new_values, new_weights, err
         grow = idx[-1] - len(weights)
         if grow > 0:
             values.extend([None] * grow)
@@ -255,14 +261,18 @@ class PipeCore(StreamCore):
             stop = min(stop, len(values))
         values, weights = [], []
         try:
-            for lo in range(0, stop, CHUNK):
-                hi = min(lo + CHUNK, stop)
-                if hi - lo > 1 and self._columns(columns, lo, hi, values, weights):
-                    continue
-                for i in range(lo, hi):
-                    value, weight = self._one(i, errors, *columns)
-                    values.append(value)
-                    weights.append(weight)
+            if stop == 1:
+                value, weight = self._one(0, errors, *columns)
+                values.append(value)
+                weights.append(weight)
+            else:
+                for lo in range(0, stop, CHUNK):
+                    hi = min(lo + CHUNK, stop)
+                    if not self._columns(columns, lo, hi, values, weights):
+                        for i in range(lo, hi):
+                            value, weight = self._one(i, errors, *columns)
+                            values.append(value)
+                            weights.append(weight)
             if stop < len(idx):
                 self._one(stop, errors, *columns)  # raises
         except EvalError as e:
@@ -272,9 +282,10 @@ class PipeCore(StreamCore):
     def _columns(self, columns: list, lo: int, hi: int, values: list, weights: list) -> bool:
         """Whether the columnar function computed entries lo to hi - 1 of
         the leaves' blocks, which it then appends to values and weights.  If
-        it did not, one of them fails (or, where a column's entries are
-        of kinds the block cannot take, may), and the caller runs each
-        alone."""
+        it did not, one of them fails, and the caller runs each alone; so
+        does a chunk of one entry."""
+        if hi - lo < 2:
+            return False
         if self._block is None:
             self._block = self._compile(True)
         try:
@@ -474,6 +485,8 @@ class StreamEvaluator:
 def _bound(value, name: str, body: Term):
     """value, bound to name in body: its pipeline cores become shared
     unless the name occurs once in body, outside any function."""
+    if type(value) in _SCALARS:
+        return value
     cores = list(_pipes(value))
     if cores and _uses(name, body) > 1:
         for core in cores:
