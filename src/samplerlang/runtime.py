@@ -73,6 +73,7 @@ a lambda defined in the body.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import weakref
 from contextlib import contextmanager
@@ -435,7 +436,7 @@ class _CodeGen:
             raise _NotCompilable(operand)
         if operand.parts is not None:
             left, right = (self.code(p) for p in operand.parts)
-            return self.assign(1, f"_zip({left}, {right}, {self.frame})").expr
+            return self.assign(1, f"_each(_tuple, {self.frame}, {left}, {right})").expr
         return self.here(operand.expr)
 
     def source(self, operand):
@@ -531,7 +532,7 @@ class _CodeGen:
             elif isinstance(cur, _Code) and cur.parts is not None:
                 scope[name], cur = (self.local(p, depth) for p in cur.parts)
             elif self.columns:
-                first, rest = self.unpair(cur, repr(name), depth)
+                first, rest = self.unpair(cur, depth)
                 scope[name], cur = first, rest
             else:
                 value = self.code(cur)
@@ -577,7 +578,7 @@ class _CodeGen:
                 if isinstance(inner, _Known):
                     return _Known(VInj(index, inner.value))
                 if self.columns:
-                    return self.assign(depth, f"_inj({index}, {self.code(inner)}, {self.frame})")
+                    return self.assign(depth, f"_each(_VInj, {self.frame}, {index}, {self.code(inner)})")
                 return _Code(f"_VInj({index}, {inner.expr})")
             case Let(name, bound, body):
                 value = self.local(self.term(bound, scope, depth), depth)
@@ -628,12 +629,10 @@ class _CodeGen:
         finally:
             self.env = outer
 
-    def unpair(self, operand, name: str, depth: int) -> tuple:
+    def unpair(self, operand, depth: int) -> tuple:
         """Columnar mode: the two components of a column of pairs."""
-        first, rest = self.fresh("v"), self.fresh("v")
-        self.emit(depth, f"{first}, {rest} = _unpair({self.code(operand)}, {name}, {self.frame})")
-        self.made[first] = self.made[rest] = self.frame
-        return _Code(first), _Code(rest)
+        pairs = self.assign(depth, f"_each(_pair_of, {self.frame}, {self.code(operand)})").expr
+        return tuple(self.assign(depth, f"_each({part}, {self.frame}, {pairs})") for part in ("_fst", "_snd"))
 
     def builtin(self, sig, ops: list, pos, depth: int):
         op = sig.name
@@ -693,7 +692,7 @@ class _CodeGen:
         elif isinstance(operand, _Code) and operand.parts is not None:
             left, right = operand.parts
         elif self.columns:
-            left, right = self.unpair(operand, "None", depth)
+            left, right = self.unpair(operand, depth)
         else:
             checked = self.assign(depth, f"_pair({self.code(operand)}, {op!r}, {pos!r})")
             left, right = _Code(f"{checked.expr}[0]"), _Code(f"{checked.expr}[1]")
@@ -722,7 +721,7 @@ class _CodeGen:
         key = (("fst", "snd")[index], self.source(operand))
         if key not in self.calls:
             if self.columns:
-                rhs = f"_proj({self.code(operand)}, {index}, {self.frame})"
+                rhs = f"_each({('_fst', '_snd')[index]}, {self.frame}, {self.code(operand)})"
             else:
                 rhs = f"{key[1]}[{index}]"
             self.calls[key] = self.assign(depth, rhs)
@@ -1078,7 +1077,10 @@ def _as_float(x, compare: bool = False):
     if kind is float:
         return x
     if kind is int and (not compare or -(2**53) <= x <= 2**53):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            return None
     return None
 
 
@@ -1104,11 +1106,10 @@ def _op(spec, n: int, *args):
     arguments, a fault where fails holds, else ufunc, or fast entry by
     entry; on any other column, fn entry by entry."""
     ufunc, fast, fn, fails = spec
-    if not any(type(a) is np.ndarray for a in args):
-        return fn(*args) if n else None
     floats = [_as_float(a) for a in args]
-    if any(f is None for f in floats) or not any(map(_is_float, args)):
-        return _column(list(map(fn, *(_seq(a, n) for a in args))))
+    columns = any(type(a) is np.ndarray for a in args)
+    if not columns or any(f is None for f in floats) or not any(map(_is_float, args)):
+        return _each(fn, n, *args)
     if fails is not None and n and np.any(fails(*floats)):
         raise _Fault(fn)
     if ufunc is not None:
@@ -1126,7 +1127,7 @@ def _compare(spec, a, b, n: int):
     if x is None or y is None:
         x, y = (v if _is_bools(v) else None for v in (a, b))
     if x is None or y is None:
-        return _column(list(map(fn, _seq(a, n), _seq(b, n))))
+        return _each(fn, n, a, b)
     return ufunc(x, y)
 
 
@@ -1173,50 +1174,22 @@ def _merge(n: int, parts):
     return out
 
 
-def _inj(index: int, x, n: int):
-    if type(x) is not np.ndarray:
-        return VInj(index, x)
-    return np.fromiter((VInj(index, v) for v in x.tolist()), object, n)
-
-
-def _zip(a, b, n: int):
-    if type(a) is not np.ndarray and type(b) is not np.ndarray:
-        return (a, b)
-    return np.fromiter(zip(_seq(a, n), _seq(b, n)), object, n)
-
-
-def _proj(x, index: int, n: int):
-    if type(x) is not np.ndarray:
-        return x[index] if n else None
-    return _column([v[index] for v in x.tolist()])
-
-
-def _unpair(x, name, n: int):
-    """The two components of pairs; name is the parameter being bound, or
-    None for a comparison's operand."""
-    values = x.tolist() if type(x) is np.ndarray else [x] if n else []
-    if not all(type(v) is tuple and len(v) == 2 for v in values):
-        raise _Fault(name)
-    if type(x) is not np.ndarray:
-        return x if n else (None, None)
-    return _column([v[0] for v in values]), _column([v[1] for v in values])
+def _pair_of(value):
+    """The value, if it is a pair."""
+    if type(value) is not tuple or len(value) != 2:
+        raise _Fault(value)
+    return value
 
 
 def _reweigh(factor, weight, n: int):
     """The weights that a reweight's factors make of the weights, or a
-    fault where a factor is negative."""
-    if type(factor) is not np.ndarray:
-        if n and factor < 0:
-            raise _Fault(factor)
-        return _op(_op_times, n, factor, weight)
+    fault where a factor is negative.  Weights are floats, so an int factor
+    may be a float first, as Python's product makes it."""
     floats = _as_float(factor, True)
-    if floats is None:
-        if any(f < 0 for f in factor.tolist()):
-            raise _Fault(factor)
-        return _op(_op_times, n, factor, weight)
-    if np.any(floats < 0):
+    factor = factor if floats is None else floats
+    if n and np.any(_compare(_SPECS["_cmp_lt"], factor, 0, n)):
         raise _Fault(factor)
-    return _op(_op_times, n, floats, weight)
+    return _op(_SPECS["_op_times"], n, factor, weight)
 
 
 def _specs() -> dict:
@@ -1239,12 +1212,12 @@ def _specs() -> dict:
 
 
 _SPECS = _specs()
-_op_times = _SPECS["_op_times"]
 _COLUMN_NAMESPACE = {
     **_SPECS,
     "_column": _column, "_out": _out, "_each": _each, "_op": _op, "_compare": _compare,
-    "_take": _take, "_cases": _cases, "_merge": _merge, "_inj": _inj, "_zip": _zip,
-    "_proj": _proj, "_unpair": _unpair, "_reweigh": _reweigh,
+    "_take": _take, "_cases": _cases, "_merge": _merge, "_reweigh": _reweigh,
+    "_pair_of": _pair_of, "_fst": operator.itemgetter(0), "_snd": operator.itemgetter(1),
+    "_tuple": lambda a, b: (a, b),
 }
 
 
