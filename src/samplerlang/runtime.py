@@ -404,6 +404,8 @@ class _CodeGen:
         self.frames: dict = {"_n": (None, None)}
         self.made: dict = {}
         self.gathered: dict = {}
+        # the leaves' columns not converted yet: local -> the list it holds
+        self.pending: dict = {}
 
     # -- output ---------------------------------------------------------------
 
@@ -451,6 +453,8 @@ class _CodeGen:
     def here(self, name: str) -> str:
         """Columnar mode: the local name, gathered into the current frame
         through each frame between, if it was made in an enclosing one."""
+        if name in self.pending:
+            self.emit(1, f"{name} = _column({self.pending.pop(name)})")
         made = self.made.get(name)
         chain, frame = [], self.frame
         while made is not None and frame != made:
@@ -883,11 +887,9 @@ class _PipeGen(_CodeGen):
 
     def leaf(self, j: int, depth: int) -> tuple:
         weighted = self.weighted[j]
-        if self.columns:
-            self.emit(depth, f"_x{j} = _column(_c{j})")
+        if self.columns:  # converted where they are first used (`here`)
+            self.pending.update({f"_x{j}": f"_c{j}", f"_y{j}": f"_w{j}"})
             self.made[f"_x{j}"] = self.made[f"_y{j}"] = self.frame
-            if weighted:
-                self.emit(depth, f"_y{j} = _column(_w{j})")
         else:
             self.emit(depth, f"if _i >= len(_c{j}):")
             self.emit(depth + 1, f"raise _errs[{j}]")
@@ -910,13 +912,16 @@ class _PipeGen(_CodeGen):
         pair's is zipped from its parts' lists."""
         if isinstance(operand, _Code) and operand.parts is not None:
             return f"list(zip({', '.join(map(self.listed, operand.parts))}))"
+        if isinstance(operand, _Code) and operand.expr in self.pending:
+            return self.pending[operand.expr]  # a leaf's list, as it came
         return f"_out({self.code(operand)}, _n)"
 
     def layer(self, fn, value, depth: int):
         """fn applied to the value: its closure's body inline, or a call
         (entry by entry in columnar mode) where the generator refuses it."""
         if isinstance(fn, VClosure):
-            mark, calls, gathered = len(self.lines), self.calls, dict(self.gathered)
+            mark, calls = len(self.lines), self.calls
+            gathered, pending = dict(self.gathered), dict(self.pending)
             self.calls = dict(calls)
             try:
                 out = self.inline(fn.params, fn.body, {}, fn.env, value, depth)
@@ -925,7 +930,7 @@ class _PipeGen(_CodeGen):
                 return out
             except _NotCompilable:
                 del self.lines[mark:]
-                self.calls, self.gathered = calls, gathered
+                self.calls, self.gathered, self.pending = calls, gathered, pending
         name = self.fresh("_g")
         self.namespace["_fallback"] = self.fallback
         if isinstance(fn, VClosure):

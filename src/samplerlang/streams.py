@@ -42,6 +42,7 @@ still raises first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,7 +60,6 @@ from .runtime import (
     compile_pipeline,
     destructure,
     scrutinee,
-    value_columns,
 )
 from .terms import (
     App,
@@ -536,7 +536,12 @@ _SCALARS = frozenset((float, int, bool))
 
 def _embeds_stream(values: list) -> bool:
     """Whether any of the values embeds a stream."""
-    return not set(map(type, values)) <= _SCALARS and any(map(_embeds, values))
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:
+        return False
+    if kinds == {tuple}:  # the tuples' components, all at once
+        return _embeds_stream(list(chain.from_iterable(values)))
+    return any(map(_embeds, values))
 
 
 def _embeds(value) -> bool:
@@ -555,7 +560,7 @@ def truncate(value, n: int):
     stream's prefix is kept as it is unless one of its values embeds one."""
     if isinstance(value, RStream):
         values, weights = value._columns(n)
-        if any(_embeds_stream(column) for column in value_columns(values) or [values]):
+        if _embeds_stream(values):
             values = [truncate(v, n) for v in values]
         return WeightedList(values, weights)
     if isinstance(value, WeightedList):
