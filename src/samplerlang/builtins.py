@@ -94,7 +94,7 @@ def _fixed_result(name, out, arg_check=None):
 
 
 # The domain tests of the partial builtins, shared by their scalar functions
-# below and by the stream engine's columnar blocks (runtime._columnar).
+# below and by the stream engine's columnar functions (runtime._PipeGen).
 
 
 def _div_fails(a, b):

@@ -14,7 +14,6 @@ from . import measures as M
 from .builtins import EvalError
 from .kernels import DEFAULT_SEED, derive_seed, lcg_uniforms_from
 from .parser import ExternDecl
-from .runtime import WEIGHT_ONE
 
 _BLOCK = 8192
 
@@ -53,10 +52,6 @@ class ExternStream:
         """The memoized values, value i at position i - 1, at least upto of them."""
         self._extend(upto)
         return self._values
-
-    def prefix(self, n: int) -> list:
-        self._extend(n)
-        return [(v, WEIGHT_ONE) for v in self._values[:n]]
 
 
 def _uniform_builder(a: float, b: float) -> tuple[int, Callable]:

@@ -55,12 +55,12 @@ def test_extern_values_across_blocks_match_one_generation():
         tri.value(i)
 
     want = kernels.lcg_uniforms(uni.seed, n)
-    got = [v for v, _ in uni.prefix(n)]
+    got = uni.column(n)[:n]
     assert len(got) == n
     for i in range(n):
         assert got[i] == want[i], i
 
     want = kernels.lcg_uniforms(tri.seed, 2 * n)
-    got = [v for v, _ in tri.prefix(n)]
+    got = tri.column(n)[:n]
     for i in range(n):
         assert got[i] == 0.0 + 1.0 * (float(want[2 * i]) + float(want[2 * i + 1])), i
