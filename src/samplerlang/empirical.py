@@ -47,7 +47,7 @@ def _prefix(stream, n: int) -> tuple[list, list]:
     """The values and the weights of the first n entries of a stream, or of
     a list of (value, weight) entries."""
     if isinstance(stream, RStream):
-        sample = truncate(stream, n)
+        sample = truncate(stream, n, inner=False)
         return sample.values, sample.weights
     entries = list(stream[:n])
     return [v for v, _ in entries], [w for _, w in entries]

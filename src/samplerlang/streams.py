@@ -555,12 +555,14 @@ def _embeds(value) -> bool:
     return isinstance(value, (RStream, WeightedList))
 
 
-def truncate(value, n: int):
+def truncate(value, n: int, inner: bool = True):
     """Replace every embedded stream by its length-n weighted list; a
-    stream's prefix is kept as it is unless one of its values embeds one."""
+    stream's prefix is kept as it is unless one of its values embeds one.
+    With `inner` unset, a stream's values are kept as they are, for the
+    empirical tests, which take only values that are points."""
     if isinstance(value, RStream):
         values, weights = value._columns(n)
-        if _embeds_stream(values):
+        if inner and _embeds_stream(values):
             values = [truncate(v, n) for v in values]
         return WeightedList(values, weights)
     if isinstance(value, WeightedList):

@@ -269,6 +269,18 @@ def test_columns_of_a_value_without_a_point_raises():
             _columns_of(entries)
 
 
+def test_a_sampler_of_samplers_fails_without_drawing_its_inner_streams():
+    # its values are streams, which are no points: the test says so without
+    # drawing 100,000 entries of each of them
+    program = parse_program(
+        "extern sampler rand : S R+ targets uniform(0, 1)\nmap(fun x : R => tl(rand), rand)"
+    )
+    with pytest.raises(EvalError, match="no point representation"):
+        weak_convergence_test(
+            Interpreter(program).stream(), parse_measure("uniform(0, 1)"), (100000,)
+        )
+
+
 # the posterior that rejection.smpl and importance.smpl target
 POSTERIOR = "reweight(fun x : R => 1/sqrt(2*pi) * exp(-1/2*(3-x)*(3-x)), triangular(0, 2))"
 
