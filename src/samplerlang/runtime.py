@@ -784,13 +784,15 @@ class _CodeGen:
         self.emit(depth, f"({', '.join(sels)},), {payload} = {cases}")
         self.made.update(dict.fromkeys([*sels, payload], self.frame))
         outer, parts = self.frame, []
-        for sel, (binder, body) in zip(sels, term.branches):
-            self.frame = self.fresh("m")
-            self.frames[self.frame] = (outer, sel)
-            self.emit(depth, f"{self.frame} = len({sel})")
-            with self.block():
-                out = self.term(body, _with(scope, binder, _Code(payload)), depth)
-                parts.append(f"({sel}, {self.code(out)})")
+        try:
+            for sel, (binder, body) in zip(sels, term.branches):
+                self.frame = self.fresh("m")
+                self.frames[self.frame] = (outer, sel)
+                self.emit(depth, f"{self.frame} = len({sel})")
+                with self.block():
+                    out = self.term(body, _with(scope, binder, _Code(payload)), depth)
+                    parts.append(f"({sel}, {self.code(out)})")
+        finally:
             self.frame = outer
         return self.assign(depth, f"_merge({outer}, ({', '.join(parts)},))")
 

@@ -192,8 +192,8 @@ class PipeCore(StreamCore):
     down to the other parents, its leaves (`runtime.compile_pipeline`).  A
     pull reads each leaf's block, runs the columnar function over the
     entries every leaf has, a chunk at a time, and the single-entry function
-    over a chunk of one entry or one where the columnar function gave way,
-    and runs the next entry alone if some leaf ended early, so that its
+    over a block of one entry or a chunk where the columnar function gave
+    way, and runs the next entry alone if some leaf ended early, so that its
     error is raised in engine order.  Only this core keeps a memo; absorbed
     ones are never pulled.
     """
@@ -282,10 +282,7 @@ class PipeCore(StreamCore):
     def _columns(self, columns: list, lo: int, hi: int, values: list, weights: list) -> bool:
         """Whether the columnar function computed entries lo to hi - 1 of
         the leaves' blocks, which it then appends to values and weights.  If
-        it did not, one of them fails, and the caller runs each alone; so
-        does a chunk of one entry."""
-        if hi - lo < 2:
-            return False
+        it did not, one of them fails, and the caller runs each alone."""
         if self._block is None:
             self._block = self._compile(True)
         try:

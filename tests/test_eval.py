@@ -806,6 +806,8 @@ def test_columnar_blocks_of_random_bodies_match_entrywise_reads(chunk, monkeypat
      {tuple}),
     # ints of both branches merged
     ("map(fun k : N => if k < 5 then k * 2 else k + 1, prng(fun k : N => k + 1, 0))", {int}),
+    # a layer refused for a sampler built in one of its branches
+    ("map(fun x : R => if x < 0.5 then hd(map(fun y : R => y + x, rand)) else x, rand)", {float}),
     # a branch that would fail, never taken, and one taken where it succeeds
     ("map(fun x : R => if x < 2 then x else log(0 - 1), rand)", {float}),
     ("map(fun x : R => if x > 0.5 then log(x - 0.5) else sqrt(0.5 - x), rand)", {float}),
