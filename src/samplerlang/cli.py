@@ -16,8 +16,10 @@ from .config import Config, ConfigError
 from .corpus import corpus_dir, load_corpus, proof_path
 from .empirical import weak_convergence_test, k_equidistribution_test
 from .interpreter import Interpreter
+from .measures import MeasureError
 from .parser import ParseError, parse_measure, parse_program
 from .pretty import pretty, pretty_type
+from .quadrature import IntegrationError
 from .rewrite import SearchStats, normalize, prove_equiv
 from .runtime import VInj
 from .streams import truncate
@@ -363,7 +365,7 @@ def main(argv=None) -> int:
             print(_config_from(args).dump())
             return 0
         return args.fn(args)
-    except (ParseError, TypeCheckError, EvalError) as err:
+    except (ParseError, TypeCheckError, EvalError, IntegrationError, MeasureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (ConfigError, FileNotFoundError) as err:

@@ -20,6 +20,7 @@ from .quadrature import (
     TestFunctionFamily,
     build_family,
     integrate,
+    support_box,
     _value_key,
 )
 from .runtime import value_columns, value_to_point
@@ -166,6 +167,12 @@ def weak_convergence_test(
     except DegeneratePrefixError as err:
         return ConvergenceReport(pretty_measure(target), [], False, str(err))
     cols, weights = columns_of(values, weights)
+    dims = len(support_box(target))
+    if len(cols) != dims:
+        raise M.MeasureError(
+            f"the sampler's values have {len(cols)} coordinate(s), "
+            f"the measure {pretty_measure(target)} has {dims}"
+        )
 
     points: list[LadderPoint] = []
     for n in ladder:

@@ -1,47 +1,49 @@
 """Numeric integration of measure expressions against test functions.
 
-Discrete parts are summed exactly.  A continuous measure that is a stack of
-pushforwards and reweights over a product of densities, every function of
-which `runtime.compile_array_fn` compiles, is integrated on an array path
-against a test function (`TestFn`) or a reweight's function term
-(`normalizer`).  Both array paths share one walk over the stack (`_walk`):
-each pushforward pushes the points through its array function, innermost
-first, and each reweight multiplies the weights by its array function and
-divides by its normalizer.
+A finitely supported measure is summed exactly.  Any other is integrated
+on one walk over its stack (`_stack`, `_walk`): its pushforwards and
+reweights over a base that is a product of densities, finitely supported
+factors and the stacks of pushed-forward or reweighted factors, each factor
+over its own coordinates.  Each pushforward pushes the points through its
+function, innermost first, and each reweight multiplies the weights by its
+function and divides by its normalizer.  A function is its array function
+(`runtime.compile_array_fn`), or, where array mode refuses it (an
+injection, a case on a Boolean), its scalar function run node by node in
+node order (`_per_node`).  The integrand is a test function (`TestFn`), a
+function term (`normalizer`) or a callable on runtime values, run the same
+way.
 
-- One and two dimensions: batched adaptive Gauss-Kronrod (`_gk21`,
-  QUADPACK's G10/K21 bisection with global error control per integral, abs
-  and rel tol 1e-9 by default), vectorized over every open interval.  In 2-D
+- One and two continuous dimensions: batched adaptive Gauss-Kronrod
+  (`_gk21`, QUADPACK's G10/K21 bisection with global error control per
+  integral, abs and rel tol 1e-9 by default), vectorized over every open
+  interval; a finitely supported factor is a sum over its atoms.  In 2-D
   the inner integrals at each batch of outer nodes are the rows of one
-  batched run, each converging on its own.  The functions carry fault
-  masks: where a scalar function would raise (a domain error on the branch
-  taken), where a value is not finite, or where a row needs more than
-  `QUAD_LIMIT` intervals, the integral is recomputed on the scalar path, which
-  raises the EvalError with its position, or warns, as it does.
-- Three dimensions: a tensorized Gauss-Legendre grid (`_grid`, documented
-  accuracy around 1e-4 on smooth-but-singular transforms, which is why the
-  numeric measure-equality checks run at looser tolerances), without fault
+  batched run, each converging on its own.  The array functions carry
+  fault masks: at the first node, in node order, where a scalar function
+  would raise (a domain error on the branch taken) or a value is not
+  finite, the scalar functions run at that node, and raise the EvalError
+  with its position, or IntegrationError names the point.  A row that
+  would need more than `QUAD_LIMIT` intervals raises IntegrationError.
+- Three continuous dimensions: a tensorized Gauss-Legendre grid (`_grid`,
+  documented accuracy around 1e-4 on smooth-but-singular transforms, which
+  is why the numeric measure-equality checks run at looser tolerances),
+  with each finitely supported factor as one more axis, and without fault
   masks: a domain error there gives nan or a masked value.
 
-Everything else is iterated scalar `scipy.quad` (`_integrate_iterated`),
-which walks the stack with scalar functions: a function that array mode
-refuses (an injection, a case on a Boolean parameter), a discrete factor in
-a continuous product, a product of stacks, and an integrand that is a plain
-callable.  More than three continuous dimensions is unsupported.  Only
-this path imports `scipy.integrate`, on first use, so that a command that
-never takes it does not pay for the import.
+More than three continuous dimensions is unsupported.  No integral uses
+scipy; a gamma density's cut-off imports `scipy.special` on first use.
 
-Scalar integrands call the functions that `runtime.compile_fn` generates
-directly, with no wrapper around each call.  One comparison integrates many
-test functions against the same measures, so `measure_equal` threads one
-cache dict through its integrals, and `integrate` opens one for its call
-tree when given none: each reweight normalizer is integrated once, each
-stack compiled once, and each 3-D grid built once per measure.
+One comparison integrates many test functions against the same measures,
+so `measure_equal` threads one cache dict through its integrals, and
+`integrate` opens one for its call tree when given none: each reweight
+normalizer is integrated once, each stack built once, and each 3-D grid
+built once per measure.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -81,7 +83,7 @@ GRID_NODES_3D = 96
 GAUSSIAN_CUT = 10.0
 #: a gamma is integrated up to the quantile that leaves this upper tail mass
 GAMMA_TAIL = 1e-12
-#: subintervals one adaptive integral may use (scipy's quad `limit`)
+#: subintervals one adaptive integral may use (QUADPACK's `limit`)
 QUAD_LIMIT = 400
 
 
@@ -180,10 +182,19 @@ def _reduce(m: M.MeasureExpr) -> Optional[list]:
 class _Density1D:
     lo: float
     hi: float
-    pdf: Callable[[float], float]
-    #: the same density on an array of points inside (lo, hi)
+    #: the density on an array of points inside (lo, hi)
     pdfs: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple[float, ...] = ()
+
+
+@dataclass
+class _Atoms:
+    """A finitely supported factor: its atoms' values as nested arrays
+    (`_node_arrays`) and their masses.  On an integration axis its
+    coordinate is the index of an atom."""
+
+    values: object
+    masses: np.ndarray
 
 
 def gamma_cutoff(shape: float, scale: float) -> float:
@@ -200,46 +211,30 @@ def _density_of(m: M.MeasureExpr) -> Optional[_Density1D]:
     match m:
         case M.UniformM(a, b):
             h = 1.0 / (b - a)
-            return _Density1D(a, b, lambda x: h, lambda x: np.full(np.shape(x), h))
+            return _Density1D(a, b, lambda x: np.full(np.shape(x), h))
         case M.TriangularM(a, b):
             mid = (a + b) / 2.0
             peak = 2.0 / (b - a)
 
-            def pdf(x, _a=a, _b=b, _mid=mid, _peak=peak):
-                if x < _a or x > _b:
-                    return 0.0
-                half = (_b - _a) / 2.0
-                return _peak * (1.0 - abs(x - _mid) / half)
-
             def pdfs(x):
                 return peak * (1.0 - np.abs(x - mid) / ((b - a) / 2.0))
 
-            return _Density1D(a, b, pdf, pdfs, (mid,))
+            return _Density1D(a, b, pdfs, (mid,))
         case M.GaussianM(mean, std):
             lo = mean - GAUSSIAN_CUT * std
             hi = mean + GAUSSIAN_CUT * std
             norm = 1.0 / (std * math.sqrt(2.0 * math.pi))
 
-            def pdf(x, _m=mean, _s=std, _n=norm):
-                z = (x - _m) / _s
-                return _n * math.exp(-0.5 * z * z)
-
             def pdfs(x):
                 z = (x - mean) / std
                 return norm * np.exp(-0.5 * z * z)
 
-            return _Density1D(lo, hi, pdf, pdfs)
+            return _Density1D(lo, hi, pdfs)
         case M.GammaM(shape, scale):
             hi = gamma_cutoff(shape, scale)
             lognorm = shape * math.log(scale) + math.lgamma(shape)
-
-            def pdf(x, _k=shape, _s=scale, _ln=lognorm):
-                if x <= 0.0:
-                    return 0.0
-                return math.exp((_k - 1.0) * math.log(x) - x / _s - _ln)
-
             return _Density1D(
-                0.0, hi, pdf, lambda x: np.exp((shape - 1.0) * np.log(x) - x / scale - lognorm)
+                0.0, hi, lambda x: np.exp((shape - 1.0) * np.log(x) - x / scale - lognorm)
             )
         case _:
             return None
@@ -282,49 +277,37 @@ def integrate(
     g_breakpoints: Sequence[float] = (),
     cache: Optional[dict] = None,
 ) -> float:
-    """The pairing of the measure with a test function on points.
+    """The pairing of the measure with g: a test function (`TestFn`), a
+    closed function term, or a callable on runtime values.
 
-    `g` takes a runtime value of the measure's payload: a float, a Boolean,
-    an injection or a nested pair of these, so a term function gets the
-    values it was typed for.  Test functions read a value as a point, with
-    Booleans as 1.0/0.0 (`_flatten_point`), and take an array path where m
-    has one (`_array_integral`).  Callers that integrate one measure against
-    many functions pass the same `cache` dict (empty at first) to each call,
-    so that each reweight normalizer is integrated once and each 3-D grid
-    built once; without one, the call opens one for its own call tree.
+    g gets runtime values of the measure's payload (floats, Booleans,
+    injections, pairs), which test functions read as points, with Booleans
+    as 1.0/0.0 (`_flatten_point`).  A finitely supported measure is summed
+    exactly, any other integrated on its stack (`_array_integral`).  Callers
+    that integrate one measure against many functions pass the same `cache`
+    dict (empty at first) to each call, so that each reweight normalizer is
+    integrated once and each 3-D grid built once; without one, the call
+    opens one for its own call tree.
     """
     disc = reduce_discrete(m)
     if disc is not None:
-        return math.fsum(mass * float(g(v)) for v, mass in disc.atoms)
-    dim = cont_dim(m)
-    if dim > 3:
-        raise UnsupportedDimension(f"continuous dimension {dim} exceeds 3")
-    if cache is None:
-        cache = {}
-    if isinstance(g, TestFn):
-        value = _array_integral(m, g, settings, g_breakpoints, cache)
-        if value is not None:
-            return value
-    return _integrate_iterated(m, g, settings, g_breakpoints, cache)
+        f = term_fn(g) if isinstance(g, Term) else g
+        return math.fsum(mass * float(f(v)) for v, mass in disc.atoms)
+    return _array_integral(m, g, settings, g_breakpoints, {} if cache is None else cache)
 
 
 def normalizer(
     fn: Term, base: M.MeasureExpr, settings: QuadSettings = DEFAULT_SETTINGS, cache=None
 ) -> float:
-    """The integral of fn over base, the normalizer of reweight(fn, base):
-    fn's array function on an array path where base has one
-    (`_array_integral`), and `integrate` of its scalar function otherwise.
-    Raises SideConditionError unless it is in (0, inf).  It is looked up in
-    and added to `cache` (`_normalized`).
+    """The integral of fn over base (`integrate`), the normalizer of
+    reweight(fn, base).  Raises SideConditionError unless it is in (0, inf).
+    It is looked up in and added to `cache` (`_normalized`).
     """
     if cache is None:
         cache = {}
-
-    def compute():
-        value = _array_integral(base, fn, settings, (), cache)
-        return integrate(base, term_fn(fn), settings, cache=cache) if value is None else value
-
-    return _normalized(fn, base, settings, cache, compute)
+    return _normalized(
+        fn, base, settings, cache, lambda: integrate(base, fn, settings, cache=cache)
+    )
 
 
 def _normalized(fn, base, settings, cache: dict, compute: Callable[[], float]) -> float:
@@ -342,98 +325,99 @@ def _normalized(fn, base, settings, cache: dict, compute: Callable[[], float]) -
     return value
 
 
-def _integrate_iterated(m, g, settings, g_breakpoints=(), cache=None) -> float:
-    """Iterated integration of g over m, walking m's whole stack: a
-    pushforward composes its function under g, and a reweight integrates
-    its function times g over its base and divides by its normalizer.  The
-    breakpoints of g reach only a density at the top of m.
-    """
-    density = _density_of(m)
-    if density is not None:
-        from scipy import integrate as sci  # only this path needs it
-
-        points = [p for p in (*density.breakpoints, *g_breakpoints) if density.lo < p < density.hi]
-        val, _err = sci.quad(
-            lambda x: float(g(x)) * density.pdf(x),
-            density.lo,
-            density.hi,
-            points=points or None,
-            epsabs=settings.abs_tol,
-            epsrel=settings.rel_tol,
-            limit=QUAD_LIMIT,
-        )
-        return val
-    match m:
-        case M.ProductM(left, right):
-            return _integrate_iterated(
-                left,
-                lambda x: _integrate_iterated(
-                    right, lambda y: g((x, y)), settings, cache=cache
-                ),
-                settings,
-                cache=cache,
-            )
-        case M.PowerM():
-            return _integrate_iterated(M.expand_power(m), g, settings, cache=cache)
-        case M.Dirac() | M.Bernoulli() | M.FiniteDiscrete():
-            disc = reduce_discrete(m)
-            return math.fsum(mass * float(g(v)) for v, mass in disc.atoms)
-        case M.PushforwardM(fn, base):
-            f = term_fn(fn)
-            return _integrate_iterated(base, lambda p: g(f(p)), settings, cache=cache)
-        case M.ReweightM(fn, base):
-            denom = normalizer(fn, base, settings, cache)
-            f = term_fn(fn)
-            num = integrate(
-                base, lambda p: float(f(p)) * float(g(p)), settings, cache=cache
-            )
-            return num / denom
-    raise IntegrationError(f"cannot integrate {m!r}")
-
-
 # ---------------------------------------------------------------------------
-# Array paths: the measure stack, the 3-D grid and batched Gauss-Kronrod
+# The measure stack, the 3-D grid and batched Gauss-Kronrod
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _Stack:
-    """A measure as a product of densities under its stack: each
-    pushforward and reweight, innermost first, with its array function."""
+    """Pushforwards and reweights, innermost first, each with its function
+    on nested arrays, over a base."""
 
-    densities: list[_Density1D]
+    base: object
     layers: list[tuple[Callable, M.MeasureExpr]]
 
 
-def _stack(m, cache: dict, faults: bool) -> Optional[_Stack]:
-    """m's stack, or None when a factor of its product is not a density or
-    a function of its stack does not compile in array mode (with fault
-    masks if `faults` is set).  Cached under the identity of m, which the
-    entry keeps alive."""
+def _stack(m, cache: dict, faults: Optional[bool]):
+    """m as a tree (`_tree`), with `_layer_fn(fn, faults)` for each
+    function.  Cached under the identity of m, which the entry keeps
+    alive."""
     key = ("stack", id(m), faults)
     if key not in cache:
-        top, layers, stack = m, [], None
-        while isinstance(m, (M.PushforwardM, M.ReweightM)):
-            f = compile_array_fn(m.fn, faults=faults)
-            if f is None:
-                break
-            layers.append((f, m))
-            m = m.base
-        else:
-            densities = [_density_of(f) for f in _factors(m)]
-            if all(d is not None for d in densities):
-                stack = _Stack(densities, layers[::-1])
-        cache[key] = (stack, top)
+        cache[key] = (_tree(m, faults), m)
     return cache[key][0]
 
 
-def _walk(stack: _Stack, point, weights, normalize: Callable):
-    """(point, weights) of a base point and its weights pushed through the
-    stack: each pushforward maps the point by its array function, and each
-    reweight multiplies the weights by its array function's values and
-    divides by `normalize(layer, weights, values)`.  Each function is
-    evaluated once."""
-    for f, layer in stack.layers:
+def _tree(m, faults: Optional[bool]):
+    """m as a density, a finitely supported measure (`_Atoms`), a pair of
+    trees for a product, or a `_Stack` over a tree."""
+    disc = reduce_discrete(m)
+    if disc is not None:
+        values = _node_arrays([v for v, _ in disc.atoms], (len(disc.atoms),))
+        return _Atoms(values, np.array([mass for _, mass in disc.atoms]))
+    match m:
+        case M.ProductM(left, right):
+            return (_tree(left, faults), _tree(right, faults))
+        case M.PowerM():
+            return _tree(M.expand_power(m), faults)
+        case M.PushforwardM() | M.ReweightM():
+            layers = []
+            while isinstance(m, (M.PushforwardM, M.ReweightM)):
+                layers.append((_layer_fn(m.fn, faults), m))
+                m = m.base
+            return _Stack(_tree(m, faults), layers[::-1])
+    density = _density_of(m)
+    if density is None:
+        raise IntegrationError(f"cannot integrate {m!r}")
+    return density
+
+
+def _axes(tree) -> list:
+    """The densities and finitely supported measures of a tree, in order:
+    one integration axis each."""
+    if isinstance(tree, tuple):
+        return [a for part in tree for a in _axes(part)]
+    if isinstance(tree, _Stack):
+        return _axes(tree.base)
+    return [tree]
+
+
+def _layer_fn(fn: Term, faults: Optional[bool]) -> Callable:
+    """fn's array function, with fault masks if `faults` is set; where array
+    mode refuses fn, or `faults` is None, its scalar function node by node
+    (`_per_node`)."""
+    f = None if faults is None else compile_array_fn(fn, faults=faults)
+    return _per_node(term_fn(fn)) if f is None else f
+
+
+def _array_values(g, faults: Optional[bool]) -> Callable:
+    """`values(point, shape)`: g, a test function, a function term
+    (`_layer_fn`) or a callable on runtime values (`_per_node`), on nested
+    arrays that broadcast to `shape`."""
+    if isinstance(g, TestFn):
+        return lambda point, shape: g.on_cols(_flatten_array_point(point, shape))
+    f = _layer_fn(g, faults) if isinstance(g, Term) else _per_node(g)
+    return lambda point, _shape: f(point)
+
+
+def _walk(node, coords, weights, normalize: Callable):
+    """(point, weights) of a tree (`_tree`) at the coordinates that the
+    iterator `coords` gives, one per axis (`_axes`), with the weights
+    pushed through it.  A finitely supported measure's coordinate indexes
+    its atoms, and a product pairs the points of its factors.  Each
+    pushforward maps the point by its function, and each reweight multiplies
+    the weights by its function's values and divides by `normalize(layer,
+    weights, values)`.  Each function is evaluated once."""
+    if isinstance(node, tuple):
+        left, weights = _walk(node[0], coords, weights, normalize)
+        right, weights = _walk(node[1], coords, weights, normalize)
+        return (left, right), weights
+    if not isinstance(node, _Stack):
+        c = next(coords)
+        return (_take(node.values, c) if isinstance(node, _Atoms) else c), weights
+    point, weights = _walk(node.base, coords, weights, normalize)
+    for f, layer in node.layers:
         values = f(point)
         if isinstance(layer, M.PushforwardM):
             point = values
@@ -442,131 +426,141 @@ def _walk(stack: _Stack, point, weights, normalize: Callable):
     return point, weights
 
 
-def _array_integral(m, g, settings, breakpoints, cache) -> Optional[float]:
-    """The integral over m of g, a test function or a function term, on an
-    array path, or None where m or g has none.
+def _array_integral(m, g, settings, breakpoints, cache: dict) -> float:
+    """The integral over m, which is not finitely supported, of g, a test
+    function, a function term or a callable on runtime values.
 
-    Three dimensions are the tensor grid (`_grid`), paired with a test
-    function by np.dot and with a term's array function by np.sum.  One and
-    two are batched adaptive Gauss-Kronrod (`_adaptive`), whose functions
-    carry fault masks; it gives None where the scalar functions would fail
-    or a row does not converge, so that the caller integrates on the scalar
-    path, which raises or warns as it does.
+    Three continuous dimensions are the tensor grid (`_grid`), paired with
+    a test function by np.dot and with any other g by np.sum.  One and two
+    are batched adaptive Gauss-Kronrod (`_adaptive`), whose array functions
+    carry fault masks; at a fault, m's and g's scalar functions run at the
+    failing node (`_raise_at`).  More than three are unsupported.
     """
-    grid = cont_dim(m) == 3
-    at = _grid(m, settings, cache) if grid else _stack(m, cache, faults=True)
-    values = None if at is None else _array_values(g, faults=not grid)
-    if values is None:
-        return None
+    dim = cont_dim(m)
+    if dim > 3:
+        raise UnsupportedDimension(f"continuous dimension {dim} exceeds 3")
+    grid = dim == 3
+    values = _array_values(g, faults=not grid)
     with np.errstate(all="ignore"):
         if not grid:
+            tree = _stack(m, cache, faults=True)
             # the breakpoints of g reach only a density at the top of m
-            if at.layers or len(at.densities) > 1:
+            if not isinstance(tree, _Density1D):
                 breakpoints = ()
-            return _adaptive(at, values, settings, breakpoints, cache)
-        point, weights = at
+            fault = lambda node: _raise_at(m, g, node, cache)  # noqa: E731
+            return _adaptive(tree, values, settings, breakpoints, cache, fault)
+        point, weights = _grid(m, settings, cache)
         v = values(point, weights.shape)
         if isinstance(g, TestFn):
             return float(np.dot(np.asarray(v).ravel(), weights.ravel()))
         return float(np.sum(weights * v))
 
 
-def _array_values(g, faults: bool) -> Optional[Callable]:
-    """`values(point, shape)`: g, a test function or a function term, on
-    nested coordinate arrays that broadcast to `shape`; None where array
-    mode refuses the term."""
-    if isinstance(g, TestFn):
-        return lambda point, shape: g.on_cols(
-            [np.broadcast_to(c, shape) for c in _flatten_array_point(point)]
-        )
-    f = compile_array_fn(g, faults=faults)
-    return None if f is None else lambda point, _shape: f(point)
+def _raise_at(m, g, node: list, cache: dict):
+    """Run m's and g's scalar functions at a node, one one-element array per
+    axis: an EvalError propagates, else IntegrationError names the point."""
+    point, _ = _walk(_stack(m, cache, faults=None), iter(node), np.ones(1), lambda *_: 1.0)
+    _array_values(g, faults=None)(point, (1,))
+    value = _node_values(point, (1,))[0]
+    raise IntegrationError(f"integrand or weight not finite at the point {value!r}")
 
 
-def _grid(m, settings, cache: dict) -> Optional[tuple]:
-    """(point, weights) of m's Gauss-Legendre tensor grid, with
-    `GRID_NODES_3D` nodes per axis, pushed through m's stack (`_walk`); a
-    reweight's normalizer is the sum of the weights times its values there.
-    None when m has no stack.
+def _grid(m, settings, cache: dict) -> tuple:
+    """(point, weights) of m's Gauss-Legendre tensor grid (`_tensor_grid`)
+    pushed through m's tree (`_walk`); a reweight's normalizer is the sum
+    of the weights times its values there.
 
-    The point is the three axes as broadcastable arrays (`np.ix_`), so a
-    coordinate computed from fewer axes takes fewer nodes; the weights are
-    one 3-D array.  numpy's warnings are off: an `if` computes both
-    branches, and a domain error in the one not taken is no fault.  The
-    result is cached under the identities of m and settings, which the
-    entry keeps alive.
+    The point's coordinates are broadcastable arrays, one axis each
+    (`np.ix_`), so a coordinate computed from fewer axes takes fewer nodes;
+    the weights are one array over all axes.  numpy's warnings are off: an
+    `if` computes both branches, and a domain error in the one not taken is
+    no fault.  The result is cached under the identities of m and settings,
+    which the entry keeps alive.
     """
     key = ("grid", id(m), id(settings))
     if key not in cache:
-        stack = _stack(m, cache, faults=False)
-        grid = None
-        if stack is not None:
-            axes, weights = _tensor_grid(stack.densities)
+        tree = _stack(m, cache, faults=False)
+        coords, weights = _tensor_grid(_axes(tree))
 
-            def normalize(layer, weights, values):
-                return _normalized(
-                    layer.fn, layer.base, settings, cache,
-                    lambda: float(np.sum(weights * values)),
-                )
+        def normalize(layer, weights, values):
+            return _normalized(
+                layer.fn, layer.base, settings, cache,
+                lambda: float(np.sum(weights * values)),
+            )
 
-            with np.errstate(all="ignore"):
-                grid = _walk(stack, _nest_arrays(np.ix_(*axes)), weights, normalize)
+        with np.errstate(all="ignore"):
+            grid = _walk(tree, iter(np.ix_(*coords)), weights, normalize)
         cache[key] = (grid, m, settings)
     return cache[key][0]
 
 
-def _tensor_grid(densities):
-    """The nodes on each axis and the weights, one 3-D array, of the
-    Gauss-Legendre tensor grid over three densities."""
+def _tensor_grid(axes):
+    """The coordinates on each axis and the weights, one array over all
+    axes, of the tensor grid with `GRID_NODES_3D` Gauss-Legendre nodes on
+    each density and one node per atom on each finitely supported measure."""
     nodes, weights = np.polynomial.legendre.leggauss(GRID_NODES_3D)
     u = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
-    axes, axis_weights = [], []
-    for d in densities:
-        xs = d.lo + (d.hi - d.lo) * u
-        axes.append(xs)
-        axis_weights.append(w * [(d.hi - d.lo) * d.pdf(x) for x in xs])
-    w0, w1, w2 = np.ix_(*axis_weights)
-    return axes, w0 * w1 * w2
+    coords, axis_weights = [], []
+    for d in axes:
+        if isinstance(d, _Atoms):
+            coords.append(np.arange(len(d.masses)))
+            axis_weights.append(d.masses)
+        else:
+            xs = d.lo + (d.hi - d.lo) * u
+            coords.append(xs)
+            axis_weights.append(w * ((d.hi - d.lo) * d.pdfs(xs)))
+    return coords, reduce(np.multiply, np.ix_(*axis_weights))
 
 
-def _adaptive(stack: _Stack, values, settings, breakpoints, cache) -> Optional[float]:
-    """The integral of `values` over the stack's measure, iterated over its
-    densities with batched adaptive Gauss-Kronrod (`_gk21`), or None.
+def _adaptive(tree, values, settings, breakpoints, cache, fault) -> float:
+    """The integral of `values` over the tree's measure, iterated over its
+    axes (`_axes`): a density by batched adaptive Gauss-Kronrod (`_gk21`),
+    a finitely supported measure by the sum over its atoms.
 
     The outer axis is one integral.  Each batch of its nodes is a batch of
-    rows of the next axis's run, one row per node, and the innermost axis
-    evaluates the stack (`_walk`) and the integrand once per batch for all
-    of its rows.  Its weights start as the innermost density; each outer
-    density multiplies the row integrals at its nodes.  A reweight divides
-    by its `normalizer`.  A point coordinate or integrand value that is not
-    finite gives None.
+    rows of the next axis, one row per node, and the innermost axis
+    evaluates the tree (`_walk`) and the integrand once per batch for all
+    of its rows.  Its weights start as its density or masses; each outer
+    axis multiplies the row integrals at its nodes by its own.  A reweight
+    divides by its `normalizer`.  At the first node, in node order, where a
+    point coordinate, a weight or an integrand value is not finite, `fault`
+    gets the node's coordinates.
     """
-    densities = stack.densities
-    last = len(densities) - 1
+    axes = _axes(tree)
+    last = len(axes) - 1
 
     def normalize(layer, _weights, _values):
         return normalizer(layer.fn, layer.base, settings, cache)
 
-    def axis(i: int, outer: list) -> Optional[np.ndarray]:
-        d = densities[i]
+    def axis(i: int, outer: list) -> np.ndarray:
+        d = axes[i]
         rows = len(outer[0]) if outer else 1
 
         def f(row, x):
             cols = [c[row][:, None] for c in outer] + [x]
+            w = d.masses[x] if isinstance(d, _Atoms) else d.pdfs(x)
             if i < last:
                 inner = axis(i + 1, [np.broadcast_to(c, x.shape).ravel() for c in cols])
-                return None if inner is None else d.pdfs(x) * inner.reshape(x.shape)
-            point, weights = _walk(stack, _nest_arrays(cols), d.pdfs(x), normalize)
-            if not all(np.isfinite(c).all() for c in _flatten_array_point(point)):
-                return None
-            return values(point, weights.shape) * weights
+                return w * inner.reshape(x.shape)
+            point, weights = _walk(tree, iter(cols), w, normalize)
+            bad = ~np.isfinite(weights)
+            for c in _flatten_array_point(point, x.shape):
+                bad |= ~np.isfinite(c)
+            if not bad.any():
+                fx = values(point, x.shape) * weights
+                bad = ~np.isfinite(fx)
+                if not bad.any():
+                    return fx
+            k = np.flatnonzero(bad)[0]
+            fault([np.broadcast_to(c, x.shape).ravel()[k:k + 1] for c in cols])
 
-        points = (*d.breakpoints, *breakpoints)
-        return _gk21(f, rows, d.lo, d.hi, points, settings)
+        if isinstance(d, _Atoms):
+            atoms = np.arange(len(d.masses))
+            return f(np.arange(rows), np.broadcast_to(atoms, (rows, len(atoms)))).sum(axis=1)
+        return _gk21(f, rows, d.lo, d.hi, (*d.breakpoints, *breakpoints), settings)
 
-    result = axis(0, [])
-    return None if result is None else float(result[0])
+    return float(axis(0, [])[0])
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21): the nonnegative Kronrod
@@ -602,19 +596,19 @@ _GK_GAUSS[19:10:-2] = _WG
 _EPS = np.finfo(float).eps
 
 
-def _gk21(f, rows: int, lo: float, hi: float, points, settings) -> Optional[np.ndarray]:
+def _gk21(f, rows: int, lo: float, hi: float, points, settings) -> np.ndarray:
     """The integrals over [lo, hi] of `rows` integrands, by QUADPACK's
     adaptive G10/K21 bisection vectorized over every open interval.
 
     `f(row, x)` gets the row of each interval and its 21 nodes, shape
-    (intervals, 21), and returns the values there, or None.  Each row
-    starts from [lo, hi] split at `points`, and converges on its own: its
-    error estimate (qk21's) summed over its intervals must reach
-    max(abs_tol, rel_tol * |integral|).  Until it does, each iteration
-    bisects every interval of the row whose error exceeds the row's
-    tolerance shared evenly among its intervals.  None when f gives None,
-    when a value or an interval's integral or error is not finite, or when
-    a row would need more than `QUAD_LIMIT` intervals.
+    (intervals, 21), and returns the values there.  Each row starts from
+    [lo, hi] split at `points`, and converges on its own: its error estimate
+    (qk21's) summed over its intervals must reach max(abs_tol, rel_tol *
+    |integral|).  Until it does, each iteration bisects every interval of
+    the row whose error exceeds the row's tolerance shared evenly among its
+    intervals.  Raises IntegrationError where an interval's integral or
+    error is not finite, or where a row would need more than `QUAD_LIMIT`
+    intervals.
     """
     edges = np.array([lo, *sorted({p for p in points if lo < p < hi}), hi], dtype=float)
     row = np.repeat(np.arange(rows), len(edges) - 1)
@@ -624,12 +618,9 @@ def _gk21(f, rows: int, lo: float, hi: float, points, settings) -> Optional[np.n
     while True:
         centre, half = 0.5 * (a + b), 0.5 * (b - a)
         fx = f(row, centre[:, None] + half[:, None] * _GK_NODES)
-        if fx is None:
-            return None
         val, err = _qk21_sums(fx, half)
-        # a value or a sum that is not finite would never converge
         if not (np.isfinite(val).all() and np.isfinite(err).all()):
-            return None
+            raise IntegrationError(f"an integral over [{lo:g}, {hi:g}] is not finite")
         row, a, b, val, err = (np.concatenate(p) for p in zip(old, (row, a, b, val, err)))
         total = np.bincount(row, val, rows)
         error = np.bincount(row, err, rows)
@@ -642,8 +633,13 @@ def _gk21(f, rows: int, lo: float, hi: float, points, settings) -> Optional[np.n
             return result
         row, a, b, val, err = row[open_], a[open_], b[open_], val[open_], err[open_]
         split = err > tol[row] / count[row]
-        if np.any(count + np.bincount(row[split], minlength=rows) > QUAD_LIMIT):
-            return None
+        over = count + np.bincount(row[split], minlength=rows) > QUAD_LIMIT
+        if over.any():
+            r = np.argmax(over)
+            raise IntegrationError(
+                f"the integral over [{lo:g}, {hi:g}] does not converge within {QUAD_LIMIT} "
+                f"subintervals: error estimate {error[r]:.3g}, tolerance {tol[r]:.3g}"
+            )
         keep = ~split
         old = (row[keep], a[keep], b[keep], val[keep], err[keep])
         mid = 0.5 * (a[split] + b[split])
@@ -664,19 +660,64 @@ def _qk21_sums(fx: np.ndarray, half: np.ndarray) -> tuple:
     return resk * half, np.maximum(50.0 * _EPS * resabs, err)
 
 
-def _flatten_array_point(point) -> list:
+def _flatten_array_point(point, shape) -> list[np.ndarray]:
+    """The coordinates of nested arrays as float arrays broadcast to
+    `shape`: pairs flatten, Booleans are 1.0/0.0, and an object array (of
+    injections) is read node by node, as `_flatten_point` reads a value."""
     if isinstance(point, tuple):
-        out = []
-        for part in point:
-            out.extend(_flatten_array_point(part))
-        return out
-    return [np.asarray(point, dtype=np.float64)]
+        return [c for part in point for c in _flatten_array_point(part, shape)]
+    if np.asarray(point).dtype != object:
+        return [np.broadcast_to(np.asarray(point, dtype=np.float64), shape)]
+    flats = [_flatten_point(v) for v in np.broadcast_to(point, shape).ravel().tolist()]
+    if len(set(map(len, flats))) > 1:
+        raise IntegrationError("the points of an integral differ in their number of coordinates")
+    return [np.array(col, dtype=np.float64).reshape(shape) for col in zip(*flats)]
 
 
-def _nest_arrays(cols):
-    if len(cols) == 1:
-        return cols[0]
-    return (cols[0], _nest_arrays(cols[1:]))
+def _per_node(f: Callable) -> Callable:
+    """f, a function on runtime values, on nested arrays: it runs at each
+    node of their broadcast shape in node order, so that the first node
+    where it raises raises, and its values come back as nested arrays."""
+
+    def on_nodes(point):
+        shape = np.broadcast_shapes(*map(np.shape, _leaves(point)))
+        return _node_arrays([f(v) for v in _node_values(point, shape)], shape)
+
+    return on_nodes
+
+
+def _leaves(point) -> list:
+    if isinstance(point, tuple):
+        return [leaf for part in point for leaf in _leaves(part)]
+    return [point]
+
+
+def _node_values(point, shape) -> list:
+    """The runtime value at each node of `shape`, in node order, of nested
+    arrays that broadcast to it: Python floats and Booleans, pairs, and the
+    objects an object array holds."""
+    if isinstance(point, tuple):
+        return list(zip(*(_node_values(part, shape) for part in point)))
+    return np.broadcast_to(point, shape).ravel().tolist()
+
+
+def _node_arrays(values: list, shape):
+    """Runtime values, one per node of `shape` in node order, as nested
+    arrays: pairs split into their parts, Booleans make a bool array, other
+    numbers a float array, and other values (injections) an object array."""
+    if values and all(type(v) is tuple and len(v) == 2 for v in values):
+        return tuple(_node_arrays([v[i] for v in values], shape) for i in (0, 1))
+    kinds = set(map(type, values))
+    numbers = all(issubclass(k, (int, float, np.number)) for k in kinds)
+    dtype = bool if kinds == {bool} else np.float64 if numbers else object
+    return np.fromiter(values, dtype=dtype, count=len(values)).reshape(shape)
+
+
+def _take(arrays, index):
+    """Nested arrays at an index array."""
+    if isinstance(arrays, tuple):
+        return tuple(_take(part, index) for part in arrays)
+    return arrays[index]
 
 
 # ---------------------------------------------------------------------------
@@ -775,9 +816,8 @@ def _probe_points(axes: list) -> list:
 class TestFn:
     """A test function with its stated bound and Lipschitz constant.
 
-    cols_fn maps a list of coordinate arrays to an array; point_fn, when
-    given, computes the same floats from a list of scalar coordinates without
-    numpy, for the scalar calls inside iterated quadrature.
+    cols_fn maps a list of coordinate arrays to an array; a call on one
+    point applies it to one-element arrays.
     """
 
     __test__ = False  # not a pytest class
@@ -787,11 +827,8 @@ class TestFn:
     bound: float
     lip: float
     breakpoints: tuple[float, ...] = ()
-    point_fn: Optional[Callable] = None  # list of floats -> float
 
     def __call__(self, point):
-        if self.point_fn is not None:
-            return float(self.point_fn(_flatten_point(point)))
         cols = [np.asarray([x]) for x in _flatten_point(point)]
         return float(self.cols_fn(cols)[0])
 
@@ -815,57 +852,27 @@ class TestFunctionFamily:
         return [m for m in self.members if m.bound <= bound and m.lip <= lip]
 
 
-def _cos(x: float) -> float:
-    """math.cos, with np.cos's nan at the infinities."""
-    return math.cos(x) if math.isfinite(x) else math.nan
-
-
 def _scalar_members(lo: float, hi: float) -> list[tuple]:
-    """(name, array form, scalar form, bound, Lipschitz constant, breakpoints).
-
-    The two forms give the same floats: np.clip(v, lo, hi) is
-    min(max(v, lo), hi) and np.minimum(1, |x|) is min(|x|, 1), nan included.
-    """
+    """(name, function of one coordinate array, bound, Lipschitz constant,
+    breakpoints)."""
     span = max(abs(lo), abs(hi), 1.0)
     out = [
-        ("one", lambda x: np.ones_like(x), lambda x: 1.0, 1.0, 0.0, ()),
-        ("x", lambda x: x, lambda x: x, span, 1.0, ()),
-        ("x2", lambda x: x * x, lambda x: x * x, span * span, 2 * span, ()),
+        ("one", lambda x: np.ones_like(x), 1.0, 0.0, ()),
+        ("x", lambda x: x, span, 1.0, ()),
+        ("x2", lambda x: x * x, span * span, 2 * span, ()),
     ]
     for k in (1, 2, 3):
-        out.append((
-            f"cos{k}x",
-            lambda x, _k=k: np.cos(_k * x),
-            lambda x, _k=k: _cos(_k * x),
-            1.0,
-            float(k),
-            (),
-        ))
+        out.append((f"cos{k}x", lambda x, _k=k: np.cos(_k * x), 1.0, float(k), ()))
     for i, c in enumerate(np.linspace(lo, hi, 9).tolist()):
         out.append((
             f"ramp{i}",
             lambda x, _c=c: np.clip(4.0 * (x - _c), 0.0, 1.0),
-            lambda x, _c=c: min(max(4.0 * (x - _c), 0.0), 1.0),
             1.0,
             4.0,
             (c, c + 0.25),
         ))
-    out.append((
-        "clamp",
-        lambda x: np.clip(x, -1.0, 1.0),
-        lambda x: min(max(x, -1.0), 1.0),
-        1.0,
-        1.0,
-        (-1.0, 1.0),
-    ))
-    out.append((
-        "vee",
-        lambda x: np.minimum(1.0, np.abs(x)),
-        lambda x: min(abs(x), 1.0),
-        1.0,
-        1.0,
-        (-1.0, 0.0, 1.0),
-    ))
+    out.append(("clamp", lambda x: np.clip(x, -1.0, 1.0), 1.0, 1.0, (-1.0, 1.0)))
+    out.append(("vee", lambda x: np.minimum(1.0, np.abs(x)), 1.0, 1.0, (-1.0, 0.0, 1.0)))
     return out
 
 
@@ -891,54 +898,35 @@ def build_family(m: M.MeasureExpr, slim: bool = False) -> TestFunctionFamily:
     members: list[TestFn] = []
     if dims == 1:
         lo, hi = box[0]
-        for name, fn, sfn, bound, lip, brk in mk_members(lo, hi):
-            members.append(TestFn(
-                name, lambda cols, _f=fn: _f(cols[0]), bound, lip, brk,
-                lambda xs, _f=sfn: _f(xs[0]),
-            ))
+        for name, fn, bound, lip, brk in mk_members(lo, hi):
+            members.append(TestFn(name, lambda cols, _f=fn: _f(cols[0]), bound, lip, brk))
         return TestFunctionFamily(members)
 
     lo = min(b[0] for b in box)
     hi = max(b[1] for b in box)
     scalars = mk_members(lo, hi)
-    for name, fn, sfn, bound, lip, brk in scalars:
+    for name, fn, bound, lip, brk in scalars:
         if name == "one" and dims > 1:
-            members.append(TestFn(
-                "one", lambda cols: np.ones_like(cols[0]), 1.0, 0.0, (), lambda xs: 1.0
-            ))
+            members.append(TestFn("one", lambda cols: np.ones_like(cols[0]), 1.0, 0.0))
             continue
         for j in range(dims):
             members.append(TestFn(
-                f"{name}[{j}]",
-                lambda cols, _f=fn, _j=j: _f(cols[_j]),
-                bound,
-                lip,
-                brk,
-                lambda xs, _f=sfn, _j=j: _f(xs[_j]),
+                f"{name}[{j}]", lambda cols, _f=fn, _j=j: _f(cols[_j]), bound, lip, brk
             ))
         if not slim:
             members.append(TestFn(
-                f"{name}[sum]",
-                lambda cols, _f=fn: sum(_f(c) for c in cols),
-                bound * dims,
-                lip,
-                brk,
-                lambda xs, _f=sfn: sum(_f(x) for x in xs),
+                f"{name}[sum]", lambda cols, _f=fn: sum(_f(c) for c in cols), bound * dims, lip, brk
             ))
     # bounded pairwise products catch dependence between coordinates
-    bounded = [
-        (n, f, sf) for n, f, sf, b, _, _ in scalars if b <= 1.0 and n.startswith(("cos", "clamp"))
-    ]
+    bounded = [(n, f) for n, f, b, _, _ in scalars if b <= 1.0 and n.startswith(("cos", "clamp"))]
     for i in range(dims):
         for j in range(i + 1, dims):
-            for (n1, f1, sf1), (n2, f2, sf2) in zip(bounded[:2], bounded[1:3]):
+            for (n1, f1), (n2, f2) in zip(bounded[:2], bounded[1:3]):
                 members.append(TestFn(
                     f"{n1}[{i}]*{n2}[{j}]",
                     lambda cols, _f1=f1, _f2=f2, _i=i, _j=j: _f1(cols[_i]) * _f2(cols[_j]),
                     1.0,
                     3.0,
-                    (),
-                    lambda xs, _f1=sf1, _f2=sf2, _i=i, _j=j: _f1(xs[_i]) * _f2(xs[_j]),
                 ))
     return TestFunctionFamily(members)
 

@@ -17,6 +17,7 @@ from . import measures as M
 from .parser import Program, parse_measure, parse_term
 from .pretty import pretty, pretty_measure
 from .quadrature import (
+    IntegrationError,
     QuadSettings,
     SideConditionError,
     build_family,
@@ -241,7 +242,7 @@ class DerivationChecker:
         family = build_family(stated, slim=True)
         try:
             report = measure_equal(computed, stated, family, tol, CHECK_SETTINGS)
-        except SideConditionError as err:
+        except IntegrationError as err:
             raise Rejection(path, f"measure comparison failed: {err}")
         if not report.equal:
             raise Rejection(
@@ -388,6 +389,8 @@ class DerivationChecker:
             value = normalizer(fn, premise.judgment.target, CHECK_SETTINGS)
         except SideConditionError as err:
             raise Rejection(path, f"∫ f dμ = {err.value:g} ∉ (0, ∞)")
+        except IntegrationError as err:
+            raise Rejection(path, f"∫ f dμ: {err}")
         computed = M.ReweightM(fn, premise.judgment.target)
         note = self._match_target(computed, node, path)
         return f"∫ f dμ = {value:.6g} ∈ (0, ∞); {note}"

@@ -8,6 +8,7 @@ import pytest
 
 import samplerlang
 
+from samplerlang import quadrature
 from samplerlang.cli import _csv_rows, _sum_tagger, main
 from samplerlang.config import Config
 from samplerlang.corpus import corpus_dir, load_corpus
@@ -196,6 +197,32 @@ def test_test_target_of_stacked_maps_against_the_nested_and_the_fused_measure(tm
     assert outs[0] == outs[1]
 
 
+RAND = "extern sampler rand : S R+ targets uniform(0, 1)\n\nrand\n"
+
+
+@pytest.mark.parametrize("measure, message", [
+    ("uniform(0, 1)^4", "error: continuous dimension 4 exceeds 3"),
+    ("uniform(2, 1)", "error: uniform needs a < b, got [2.0, 1.0]"),
+    # the family reads a second coordinate that the sampler's values lack
+    ("uniform(0, 1) * uniform(0, 1)",
+     "error: the sampler's values have 1 coordinate(s), the measure uniform(0, 1) * uniform(0, 1) has 2"),
+])
+def test_test_target_errors_are_one_line(measure, message, tmp_path, capsys):
+    prog = tmp_path / "rand.smpl"
+    prog.write_text(RAND)
+    assert main(["test-target", str(prog), "--measure", measure, "--n", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
+def test_verify_rejects_a_normalizer_that_does_not_converge(monkeypatch, capsys):
+    monkeypatch.setattr(quadrature, "QUAD_LIMIT", 3)
+    argv = ["verify", str(C / "proofs" / "rejection.json"), "--axioms", str(C / "rejection.smpl")]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "reject: root.0.0: ∫ f dμ: the integral over [0, 1] does not converge within 3" in out
+
+
 def test_print_config(capsys):
     assert main(["--print-config"]) == 0
     keys = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
@@ -276,28 +303,38 @@ def test_examples_report_byte_deterministic(tmp_path):
     assert data["passed"] == data["total"] == 8
 
 
-def test_examples_with_proofs_leak_no_warning():
-    # every warning is an error: a numpy RuntimeWarning or a scipy
-    # IntegrationWarning that reaches the user fails the command
+def _run_python(*args: str) -> str:
+    """The stdout of `python -W error` with these arguments, on this samplerlang."""
     src = str(Path(samplerlang.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "samplerlang.cli", "examples"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = subprocess.run([sys.executable, "-W", "error", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "Warning" not in proc.stderr
+    return proc.stdout
+
+
+def test_examples_with_proofs_leak_no_warning():
+    # every warning is an error: a numpy RuntimeWarning that reaches the
+    # user fails the command
+    _run_python("-m", "samplerlang.cli", "examples")
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # a one-shot command pays for scipy only when it integrates on the
-    # scalar path or cuts off a gamma density
-    src = str(Path(samplerlang.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # a one-shot command pays for scipy only when it cuts off a gamma
+    # density, and no command loads a second integrator
     script = "import sys, samplerlang.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    assert _run_python("-c", script).strip() == "[]"
+    marsaglia = str(C / "marsaglia.smpl")
+    script = (
+        "import sys, contextlib, io\n"
+        "from samplerlang.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['examples'])\n"
+        f"    main(['test-target', {marsaglia!r}, '--measure', 'gamma(2.5, 1)', '--n', '1000'])\n"
+        "print('scipy.special' in sys.modules, 'scipy.integrate' in sys.modules)"
+    )
+    assert _run_python("-c", script).strip() == "True False"
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from samplerlang.corpus import corpus_dir, proof_path
 from samplerlang.parser import parse_measure, parse_term
 from samplerlang.quadrature import (
     DEFAULT_SETTINGS,
+    IntegrationError,
     SideConditionError,
     TestFn,
     UnsupportedDimension,
@@ -195,7 +197,7 @@ def test_nan_discrepancy_makes_measures_unequal():
     assert math.isnan(report.max_discrepancy)
 
 
-# -- the 3-D grid: comparisons, reweights and the fallback to iterated quadrature
+# -- the 3-D grid: comparisons, reweights, refused functions and discrete factors
 
 U3 = "uniform(0, 1)^3"
 
@@ -285,39 +287,6 @@ def test_family_members_carry_bounds():
     assert all(m.bound > 0 or m.name == "one" for m in fam)
     one_lip = fam.lipschitz_bounded(1.0, 1.0)
     assert all(m.lip <= 1.0 and m.bound <= 1.0 for m in one_lip)
-
-
-def _same_float(a: float, b: float) -> bool:
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
-@pytest.mark.parametrize(
-    "measure",
-    [
-        M.UniformM(0, 1),
-        M.TriangularM(0, 2),
-        M.GaussianM(0, 1),
-        M.ProductM(M.UniformM(0, 1), M.GaussianM(0, 1)),
-        M.PowerM(M.UniformM(-1, 2), 3),
-    ],
-)
-@pytest.mark.parametrize("slim", [False, True])
-def test_family_scalar_form_matches_array_form(measure, slim):
-    rng = np.random.default_rng(3)
-    family = build_family(measure, slim=slim)
-    dims = len(support_box(measure))
-    edges = [0.0, -0.0, 1.0, -1.0, 0.25, 2.0, math.inf, -math.inf, math.nan]
-    edges += [b for m in family for b in m.breakpoints]
-    coords = [[x] * dims for x in edges] + rng.uniform(-3, 3, (200, dims)).tolist()
-    with np.errstate(invalid="ignore"):
-        for member in family:
-            assert member.point_fn is not None, member.name
-            for xs in coords:
-                point = xs[0] if dims == 1 else tuple(xs)
-                want = float(member.on_cols([np.asarray([x]) for x in xs])[0])
-                assert _same_float(member(point), want), (member.name, xs)
 
 
 def test_support_boxes():
@@ -447,43 +416,111 @@ def test_rejection_normalizer_matches_a_scalar_quad():
     assert abs(normalizer(m.fn, m.base, CHECK_SETTINGS) - want) <= 2e-6
 
 
-@pytest.mark.parametrize("measure", [
-    "uniform(0, 1) * gaussian(0, 1)",
-    "triangular(0, 2) * uniform(0, 1)",
-    "gamma(2.5, 1)",
-    "reweight(fun x : R => 1/sqrt(2*pi) * exp(-1/2*(3-x)*(3-x)), triangular(0, 2))",
-])
+def _quad(f, lo, hi, points=(), tol=1e-9) -> float:
+    """scipy's adaptive quadrature, the independent oracle."""
+    points = [p for p in points if lo < p < hi]
+    return quad(f, lo, hi, points=points or None, epsabs=tol, epsrel=tol, limit=400)[0]
+
+
+def _iterated_quad(g, densities, tol=1e-9, points=()) -> float:
+    """The integral of g, a function of a tuple of floats, against a product
+    of hand-written densities (pdf, lo, hi, breakpoints), iterated with
+    `_quad`; `points` are g's breakpoints on a single coordinate."""
+    (pdf, lo, hi, brk), *rest = densities
+    if not rest:
+        return _quad(lambda x: g((x,)) * pdf(x), lo, hi, (*brk, *points), tol)
+    return _quad(
+        lambda x: pdf(x) * _iterated_quad(lambda ys: g((x, *ys)), rest, tol), lo, hi, brk, tol
+    )
+
+
+def _math_member(member):
+    """A default-family member as a function of a tuple of floats, written
+    with `math` from its name, where the family writes it with numpy."""
+    c = member.breakpoints[0] if member.breakpoints else None
+    forms = {
+        "one": lambda x: 1.0, "x": lambda x: x, "x2": lambda x: x * x,
+        "cos1x": math.cos, "cos2x": lambda x: math.cos(2 * x), "cos3x": lambda x: math.cos(3 * x),
+        "clamp": lambda x: min(max(x, -1.0), 1.0), "vee": lambda x: min(abs(x), 1.0),
+    }
+    parts = []
+    for part in member.name.split("*"):
+        name, _, index = part.rstrip("]").partition("[")
+        f = forms.get(name) or (lambda x: min(max(4.0 * (x - c), 0.0), 1.0))  # ramp
+        if index == "sum":
+            parts.append(lambda xs, _f=f: sum(_f(x) for x in xs))
+        else:
+            parts.append(lambda xs, _f=f, _j=int(index or 0): _f(xs[_j]))
+    return lambda xs: math.prod(p(xs) for p in parts)
+
+
+def _gaussian_pdf(mean, std):
+    return lambda x: math.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
+
+
+_TRI = (lambda x: x if x < 1 else 2 - x, 0, 2, (1.0,))  # triangular(0, 2)
+_UNIT = (lambda x: 1.0, 0, 1, ())  # uniform(0, 1)
+_PHI = _gaussian_pdf(3.0, 1.0)
+_POSTERIOR_Z = _quad(lambda x: _TRI[0](x) * _PHI(x), 0, 2, (1.0,), 1e-13)
+#: each measure's densities, written by hand
+_DENSITIES = {
+    "uniform(0, 1) * gaussian(0, 1)": [_UNIT, (_gaussian_pdf(0.0, 1.0), -12, 12, ())],
+    "triangular(0, 2) * uniform(0, 1)": [_TRI, _UNIT],
+    "gamma(2.5, 1)": [(lambda x: x ** 1.5 * math.exp(-x) / math.gamma(2.5), 0, 60, ())],
+    "reweight(fun x : R => 1/sqrt(2*pi) * exp(-1/2*(3-x)*(3-x)), triangular(0, 2))": [
+        (lambda x: _TRI[0](x) * _PHI(x) / _POSTERIOR_Z, 0, 2, (1.0,))
+    ],
+}
+
+
+@pytest.mark.parametrize("measure", list(_DENSITIES))
 def test_default_family_agrees_with_the_scalar_path(measure):
-    # a plain callable takes iterated scipy.quad, a test function the batched rule
+    # the batched rule against scipy's quad on the hand-written densities
     m = parse_measure(measure)
+    densities = _DENSITIES[measure]
     for member in build_family(m):
         batched = integrate(m, member, g_breakpoints=member.breakpoints)
-        scalar = integrate(m, lambda v, _g=member: _g(v), g_breakpoints=member.breakpoints)
-        assert abs(batched - scalar) <= 1e-7, member.name
+        points = member.breakpoints if len(densities) == 1 else ()
+        want = _iterated_quad(_math_member(member), densities, points=points)
+        assert abs(batched - want) <= 1e-7, member.name
 
 
 def _outcome(compute):
-    """('value', v), ('error', message) or ('warning', class name)."""
+    """('value', v), ('error', (position, message with its numbers masked)),
+    ('warning', class name) or ('nonconvergence', message)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
             return "value", compute()
         except EvalError as err:
-            return "error", str(err)
+            return "error", (err.pos, re.sub(r"-?(\d[\d.e+-]*|nan|inf)", "#", err.message))
         except IntegrationWarning as w:
             return "warning", type(w).__name__
+        except IntegrationError as err:
+            assert "does not converge" in str(err)
+            return "nonconvergence", str(err)
 
 
 def test_random_terms_with_a_comparison_integrate_as_on_the_scalar_path():
-    # tests/test_eval.py's random bodies, as 1-D and 2-D pushforwards: where
-    # the scalar path returns, the batched rule agrees within the tolerance,
-    # and where it raises, the batched path raises the same error
+    # tests/test_eval.py's random bodies, as 1-D and 2-D pushforwards, against
+    # scipy's quad on the hand-written densities of their bases: where quad
+    # returns, the batched rule agrees within the tolerance or reports that
+    # it does not converge, and where a scalar function raises, the batched
+    # rule raises too.  The two may raise at different nodes, so that the
+    # error names another builtin or number: the batched rule raises at its
+    # first failing node in node order, quad at the first one it evaluates
     from test_eval import _random_body
 
     rng = random.Random(5)
     x, cos = (m for m in build_family(M.UniformM(0, 1)) if m.name in ("x", "cos1x"))
     diff = Builtin("minus", (Var("u"), Var("v")), pos=(9, 9))
+    bases = (
+        (M.UniformM(-1.0, 3.0), [(lambda x: 0.25, -1.0, 3.0, ())]),
+        (M.ProductM(M.UniformM(0, 1), M.GaussianM(0.5, 1.0)),
+         [_UNIT, (_gaussian_pdf(0.5, 1.0), -9.5, 10.5, ())]),
+    )
     kinds: dict = {}
+    nonconvergent = []
     terms = 0
     while terms < 60:
         body = _random_body(rng, ["x"], 4)
@@ -496,19 +533,31 @@ def test_random_terms_with_a_comparison_integrate_as_on_the_scalar_path():
                 continue
         terms += 1
         lam2 = Lam((("u", None), ("v", None)), Let("x", diff, body))
-        for fn, base in ((lam, M.UniformM(-1.0, 3.0)),
-                         (lam2, M.ProductM(M.UniformM(0, 1), M.GaussianM(0.5, 1.0)))):
+        for fn, (base, densities) in zip((lam, lam2), bases):
             m = M.PushforwardM(fn, base)
+            f = term_fn(fn)
+            point = (lambda xs: f(xs[0])) if len(densities) == 1 else (lambda xs: f(xs))
             for member in (x, cos):
+                g = _math_member(member)
                 batched = _outcome(lambda: integrate(m, member, CHECK_SETTINGS))
-                scalar = _outcome(lambda: integrate(m, lambda v: member(v), CHECK_SETTINGS))
-                kinds[batched[0], scalar[0]] = kinds.get((batched[0], scalar[0]), 0) + 1
-                if scalar[0] == "value":
+                oracle = _outcome(lambda: _iterated_quad(
+                    lambda xs: g((float(point(xs)),)), densities, CHECK_SETTINGS.abs_tol
+                ))
+                kinds[batched[0], oracle[0]] = kinds.get((batched[0], oracle[0]), 0) + 1
+                if batched[0] == "nonconvergence":
+                    assert oracle[0] != "error", (fn, member.name)
+                    nonconvergent.append((terms, len(densities), member.name))
+                elif oracle[0] == "value":
                     assert batched[0] == "value", (fn, member.name)
-                    assert abs(batched[1] - scalar[1]) <= 1e-4 * max(1.0, abs(scalar[1])), fn
-                else:
-                    assert batched == scalar, (fn, member.name)
+                    assert abs(batched[1] - oracle[1]) <= 1e-4 * max(1.0, abs(oracle[1])), fn
+                elif oracle[0] == "error":
+                    assert batched[0] == "error", (fn, member.name)
+                else:  # quad warns
+                    assert batched[0] == "value", (fn, member.name)
     assert kinds[("value", "value")] > 100 and kinds[("error", "error")] > 50
+    # the 52nd term's four integrals need more than QUAD_LIMIT intervals; quad
+    # warns on three and returns 0.1127429 on the fourth (converged: 0.1127524)
+    assert nonconvergent == [(52, 1, "x"), (52, 1, "cos1x"), (52, 2, "x"), (52, 2, "cos1x")]
 
 
 def test_domain_error_on_the_batched_path_raises_as_on_the_scalar_path():
@@ -531,8 +580,8 @@ def test_domain_error_on_the_batched_path_raises_as_on_the_scalar_path():
 
 
 def test_domain_error_that_does_not_reach_the_value_still_raises():
-    # log(x) < 0 is False where log fails in array mode; the fault mask
-    # sends the integral to the scalar path, which raises
+    # log(x) < 0 is False where log fails in array mode; at the first node
+    # its fault mask marks, the scalar function raises
     fn = parse_term("fun x : R => if log(x) < 0 then 1 else 2")
     base = parse_measure("uniform(-1, 2)")
     with pytest.raises(EvalError, match="log of non-positive") as batched:
@@ -543,10 +592,10 @@ def test_domain_error_that_does_not_reach_the_value_still_raises():
 
 
 def test_branch_not_taken_neither_warns_nor_falls_back(monkeypatch):
-    def scalar_path(*args):
-        raise AssertionError("fell back to the scalar path")
+    def per_node(*args):
+        raise AssertionError("ran a scalar function node by node")
 
-    monkeypatch.setattr(quadrature, "_integrate_iterated", scalar_path)
+    monkeypatch.setattr(quadrature, "_per_node", per_node)
     m = parse_measure(
         "pushforward(fun x : R => if x > 0.5 then sqrt(x - 0.5) else 0, uniform(0, 1))"
     )
@@ -560,12 +609,11 @@ def test_branch_not_taken_neither_warns_nor_falls_back(monkeypatch):
 
 
 def test_row_that_does_not_converge_is_not_silent(monkeypatch):
-    # with too few intervals allowed, the batched rule gives up and the
-    # scalar path warns
+    # with too few intervals allowed, the batched rule gives up and says so
     monkeypatch.setattr(quadrature, "QUAD_LIMIT", 3)
     m = parse_measure("pushforward(fun x : R => if x < 1/3 then 1 else 0, uniform(0, 1))")
     one = {member.name: member for member in build_family(m)}["x"]
-    with pytest.warns(IntegrationWarning):
+    with pytest.raises(IntegrationError, match=r"over \[0, 1\] does not converge within 3 .*tolerance 1e-09"):
         integrate(m, one)
 
 
