@@ -18,17 +18,19 @@ way.
   integral, abs and rel tol 1e-9 by default), vectorized over every open
   interval; a finitely supported factor is a sum over its atoms.  In 2-D
   the inner integrals at each batch of outer nodes are the rows of one
-  batched run, each converging on its own.  The array functions carry
-  fault masks: at the first node, in node order, where a scalar function
-  would raise (a domain error on the branch taken) or a value is not
-  finite, the scalar functions run at that node, and raise the EvalError
-  with its position, or IntegrationError names the point.  A row that
-  would need more than `QUAD_LIMIT` intervals raises IntegrationError.
+  batched run, each converging on its own.  A row that would need more
+  than `QUAD_LIMIT` intervals raises IntegrationError.
 - Three continuous dimensions: a tensorized Gauss-Legendre grid (`_grid`,
   documented accuracy around 1e-4 on smooth-but-singular transforms, which
   is why the numeric measure-equality checks run at looser tolerances),
-  with each finitely supported factor as one more axis, and without fault
-  masks: a domain error there gives nan or a masked value.
+  with each finitely supported factor as one more axis.
+
+In every dimension the array functions carry fault masks, and a reweight
+divides by its `normalizer`, the integral of its function over its own
+base.  At the first node, in node order, where a scalar function would
+raise (a domain error on the branch taken) or a coordinate, weight or value
+is not finite (`_check_finite`), the scalar functions run at that node, and
+raise the EvalError with its position, or IntegrationError names the point.
 
 More than three continuous dimensions is unsupported.  No integral uses
 scipy; a gamma density's cut-off imports `scipy.special` on first use.
@@ -301,24 +303,16 @@ def normalizer(
 ) -> float:
     """The integral of fn over base (`integrate`), the normalizer of
     reweight(fn, base).  Raises SideConditionError unless it is in (0, inf).
-    It is looked up in and added to `cache` (`_normalized`).
+    It is looked up in `cache`, or computed and added to it under the
+    identities of fn, base and settings, which the entry keeps alive so that
+    no other object can take their ids.
     """
     if cache is None:
         cache = {}
-    return _normalized(
-        fn, base, settings, cache, lambda: integrate(base, fn, settings, cache=cache)
-    )
-
-
-def _normalized(fn, base, settings, cache: dict, compute: Callable[[], float]) -> float:
-    """The normalizer of reweight(fn, base) from `cache`, or computed and
-    checked to be in (0, inf), then cached under the identities of fn, base
-    and settings, which the entry keeps alive so that no other object can
-    take their ids."""
     key = (id(fn), id(base), id(settings))
     if key in cache:
         return cache[key][0]
-    value = compute()
+    value = integrate(base, fn, settings, cache=cache)
     if not (value > 0.0 and math.isfinite(value)):
         raise SideConditionError(value)
     cache[key] = (value, fn, base, settings)
@@ -339,17 +333,17 @@ class _Stack:
     layers: list[tuple[Callable, M.MeasureExpr]]
 
 
-def _stack(m, cache: dict, faults: Optional[bool]):
-    """m as a tree (`_tree`), with `_layer_fn(fn, faults)` for each
+def _stack(m, cache: dict, scalar: bool = False):
+    """m as a tree (`_tree`), with `_layer_fn(fn, scalar)` for each
     function.  Cached under the identity of m, which the entry keeps
     alive."""
-    key = ("stack", id(m), faults)
+    key = ("stack", id(m), scalar)
     if key not in cache:
-        cache[key] = (_tree(m, faults), m)
+        cache[key] = (_tree(m, scalar), m)
     return cache[key][0]
 
 
-def _tree(m, faults: Optional[bool]):
+def _tree(m, scalar: bool):
     """m as a density, a finitely supported measure (`_Atoms`), a pair of
     trees for a product, or a `_Stack` over a tree."""
     disc = reduce_discrete(m)
@@ -358,15 +352,15 @@ def _tree(m, faults: Optional[bool]):
         return _Atoms(values, np.array([mass for _, mass in disc.atoms]))
     match m:
         case M.ProductM(left, right):
-            return (_tree(left, faults), _tree(right, faults))
+            return (_tree(left, scalar), _tree(right, scalar))
         case M.PowerM():
-            return _tree(M.expand_power(m), faults)
+            return _tree(M.expand_power(m), scalar)
         case M.PushforwardM() | M.ReweightM():
             layers = []
             while isinstance(m, (M.PushforwardM, M.ReweightM)):
-                layers.append((_layer_fn(m.fn, faults), m))
+                layers.append((_layer_fn(m.fn, scalar), m))
                 m = m.base
-            return _Stack(_tree(m, faults), layers[::-1])
+            return _Stack(_tree(m, scalar), layers[::-1])
     density = _density_of(m)
     if density is None:
         raise IntegrationError(f"cannot integrate {m!r}")
@@ -383,47 +377,58 @@ def _axes(tree) -> list:
     return [tree]
 
 
-def _layer_fn(fn: Term, faults: Optional[bool]) -> Callable:
-    """fn's array function, with fault masks if `faults` is set; where array
-    mode refuses fn, or `faults` is None, its scalar function node by node
-    (`_per_node`)."""
-    f = None if faults is None else compile_array_fn(fn, faults=faults)
+def _layer_fn(fn: Term, scalar: bool) -> Callable:
+    """fn's array function, with fault masks; where array mode refuses fn,
+    or `scalar` is set, its scalar function node by node (`_per_node`)."""
+    f = None if scalar else compile_array_fn(fn)
     return _per_node(term_fn(fn)) if f is None else f
 
 
-def _array_values(g, faults: Optional[bool]) -> Callable:
-    """`values(point, shape)`: g, a test function, a function term
-    (`_layer_fn`) or a callable on runtime values (`_per_node`), on nested
-    arrays that broadcast to `shape`."""
+def _array_values(g, scalar: bool) -> Callable:
+    """`values(point, cols)`: g, a test function (on `cols`, the point's
+    coordinates), a function term (`_layer_fn`) or a callable on runtime
+    values (`_per_node`), on the point's nested arrays."""
     if isinstance(g, TestFn):
-        return lambda point, shape: g.on_cols(_flatten_array_point(point, shape))
-    f = _layer_fn(g, faults) if isinstance(g, Term) else _per_node(g)
-    return lambda point, _shape: f(point)
+        return lambda _point, cols: g.on_cols(cols)
+    f = _layer_fn(g, scalar) if isinstance(g, Term) else _per_node(g)
+    return lambda point, _cols: f(point)
 
 
-def _walk(node, coords, weights, normalize: Callable):
+def _walk(node, coords, weights, settings, cache: dict):
     """(point, weights) of a tree (`_tree`) at the coordinates that the
     iterator `coords` gives, one per axis (`_axes`), with the weights
     pushed through it.  A finitely supported measure's coordinate indexes
     its atoms, and a product pairs the points of its factors.  Each
     pushforward maps the point by its function, and each reweight multiplies
-    the weights by its function's values and divides by `normalize(layer,
-    weights, values)`.  Each function is evaluated once."""
+    the weights by its function's values and divides by its `normalizer`.
+    Each function is evaluated once."""
     if isinstance(node, tuple):
-        left, weights = _walk(node[0], coords, weights, normalize)
-        right, weights = _walk(node[1], coords, weights, normalize)
+        left, weights = _walk(node[0], coords, weights, settings, cache)
+        right, weights = _walk(node[1], coords, weights, settings, cache)
         return (left, right), weights
     if not isinstance(node, _Stack):
         c = next(coords)
         return (_take(node.values, c) if isinstance(node, _Atoms) else c), weights
-    point, weights = _walk(node.base, coords, weights, normalize)
+    point, weights = _walk(node.base, coords, weights, settings, cache)
     for f, layer in node.layers:
         values = f(point)
         if isinstance(layer, M.PushforwardM):
             point = values
         else:
-            weights = weights * values / normalize(layer, weights, values)
+            weights = weights * values / normalizer(layer.fn, layer.base, settings, cache)
     return point, weights
+
+
+def _check_finite(arrays, coords, shape, fault: Callable) -> None:
+    """At the first node of `shape`, in node order, where one of the arrays
+    (each broadcast to `shape`) is not finite, call `fault` with that
+    node's coordinates, one one-element array per axis of `coords`."""
+    bad = np.zeros(shape, dtype=bool)
+    for a in arrays:
+        bad |= ~np.isfinite(a)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        fault([np.broadcast_to(c, shape).ravel()[k:k + 1] for c in coords])
 
 
 def _array_integral(m, g, settings, breakpoints, cache: dict) -> float:
@@ -432,65 +437,62 @@ def _array_integral(m, g, settings, breakpoints, cache: dict) -> float:
 
     Three continuous dimensions are the tensor grid (`_grid`), paired with
     a test function by np.dot and with any other g by np.sum.  One and two
-    are batched adaptive Gauss-Kronrod (`_adaptive`), whose array functions
-    carry fault masks; at a fault, m's and g's scalar functions run at the
-    failing node (`_raise_at`).  More than three are unsupported.
+    are batched adaptive Gauss-Kronrod (`_adaptive`).  More than three are
+    unsupported.  The array functions carry fault masks, and at the first
+    node where a coordinate, a weight or a value is not finite
+    (`_check_finite`), m's and g's scalar functions run there
+    (`_raise_at`).  numpy's warnings are off: an `if` computes both
+    branches, and a domain error in the one not taken is no fault.
     """
     dim = cont_dim(m)
     if dim > 3:
         raise UnsupportedDimension(f"continuous dimension {dim} exceeds 3")
-    grid = dim == 3
-    values = _array_values(g, faults=not grid)
+    values = _array_values(g, scalar=False)
+    fault = lambda node: _raise_at(m, g, node, settings, cache)  # noqa: E731
     with np.errstate(all="ignore"):
-        if not grid:
-            tree = _stack(m, cache, faults=True)
+        if dim < 3:
+            tree = _stack(m, cache)
             # the breakpoints of g reach only a density at the top of m
             if not isinstance(tree, _Density1D):
                 breakpoints = ()
-            fault = lambda node: _raise_at(m, g, node, cache)  # noqa: E731
             return _adaptive(tree, values, settings, breakpoints, cache, fault)
-        point, weights = _grid(m, settings, cache)
-        v = values(point, weights.shape)
+        coords, point, cols, weights = _grid(m, settings, cache, fault)
+        v = values(point, cols)
+        _check_finite([v], coords, weights.shape, fault)
         if isinstance(g, TestFn):
             return float(np.dot(np.asarray(v).ravel(), weights.ravel()))
         return float(np.sum(weights * v))
 
 
-def _raise_at(m, g, node: list, cache: dict):
+def _raise_at(m, g, node: list, settings, cache: dict):
     """Run m's and g's scalar functions at a node, one one-element array per
     axis: an EvalError propagates, else IntegrationError names the point."""
-    point, _ = _walk(_stack(m, cache, faults=None), iter(node), np.ones(1), lambda *_: 1.0)
-    _array_values(g, faults=None)(point, (1,))
+    point, _ = _walk(_stack(m, cache, scalar=True), iter(node), np.ones(1), settings, cache)
+    _array_values(g, scalar=True)(point, _flatten_array_point(point, (1,)))
     value = _node_values(point, (1,))[0]
     raise IntegrationError(f"integrand or weight not finite at the point {value!r}")
 
 
-def _grid(m, settings, cache: dict) -> tuple:
-    """(point, weights) of m's Gauss-Legendre tensor grid (`_tensor_grid`)
-    pushed through m's tree (`_walk`); a reweight's normalizer is the sum
-    of the weights times its values there.
+def _grid(m, settings, cache: dict, fault: Callable) -> tuple:
+    """(coordinates, point, its flattened coordinates, weights) of m's
+    Gauss-Legendre tensor grid (`_tensor_grid`) pushed through m's tree
+    (`_walk`), once `_check_finite` has found the point and the weights
+    finite.
 
-    The point's coordinates are broadcastable arrays, one axis each
+    The coordinates and the point's are broadcastable arrays, one axis each
     (`np.ix_`), so a coordinate computed from fewer axes takes fewer nodes;
-    the weights are one array over all axes.  numpy's warnings are off: an
-    `if` computes both branches, and a domain error in the one not taken is
-    no fault.  The result is cached under the identities of m and settings,
-    which the entry keeps alive.
+    the weights are one array over all axes.  The result is cached under
+    the identities of m and settings, which the entry keeps alive.
     """
     key = ("grid", id(m), id(settings))
     if key not in cache:
-        tree = _stack(m, cache, faults=False)
-        coords, weights = _tensor_grid(_axes(tree))
-
-        def normalize(layer, weights, values):
-            return _normalized(
-                layer.fn, layer.base, settings, cache,
-                lambda: float(np.sum(weights * values)),
-            )
-
-        with np.errstate(all="ignore"):
-            grid = _walk(tree, iter(np.ix_(*coords)), weights, normalize)
-        cache[key] = (grid, m, settings)
+        tree = _stack(m, cache)
+        axes, weights = _tensor_grid(_axes(tree))
+        coords = np.ix_(*axes)
+        point, weights = _walk(tree, iter(coords), weights, settings, cache)
+        cols = _flatten_array_point(point, weights.shape)
+        _check_finite([*cols, weights], coords, weights.shape, fault)
+        cache[key] = ((coords, point, cols, weights), m, settings)
     return cache[key][0]
 
 
@@ -522,38 +524,30 @@ def _adaptive(tree, values, settings, breakpoints, cache, fault) -> float:
     rows of the next axis, one row per node, and the innermost axis
     evaluates the tree (`_walk`) and the integrand once per batch for all
     of its rows.  Its weights start as its density or masses; each outer
-    axis multiplies the row integrals at its nodes by its own.  A reweight
-    divides by its `normalizer`.  At the first node, in node order, where a
-    point coordinate, a weight or an integrand value is not finite, `fault`
-    gets the node's coordinates.
+    axis multiplies the row integrals at its nodes by its own.  `fault`
+    gets the coordinates of the first node, in node order, where a point
+    coordinate or a weight is not finite, or else where an integrand value
+    times its weight is not (`_check_finite`).
     """
     axes = _axes(tree)
     last = len(axes) - 1
-
-    def normalize(layer, _weights, _values):
-        return normalizer(layer.fn, layer.base, settings, cache)
 
     def axis(i: int, outer: list) -> np.ndarray:
         d = axes[i]
         rows = len(outer[0]) if outer else 1
 
         def f(row, x):
-            cols = [c[row][:, None] for c in outer] + [x]
+            coords = [c[row][:, None] for c in outer] + [x]
             w = d.masses[x] if isinstance(d, _Atoms) else d.pdfs(x)
             if i < last:
-                inner = axis(i + 1, [np.broadcast_to(c, x.shape).ravel() for c in cols])
+                inner = axis(i + 1, [np.broadcast_to(c, x.shape).ravel() for c in coords])
                 return w * inner.reshape(x.shape)
-            point, weights = _walk(tree, iter(cols), w, normalize)
-            bad = ~np.isfinite(weights)
-            for c in _flatten_array_point(point, x.shape):
-                bad |= ~np.isfinite(c)
-            if not bad.any():
-                fx = values(point, x.shape) * weights
-                bad = ~np.isfinite(fx)
-                if not bad.any():
-                    return fx
-            k = np.flatnonzero(bad)[0]
-            fault([np.broadcast_to(c, x.shape).ravel()[k:k + 1] for c in cols])
+            point, weights = _walk(tree, iter(coords), w, settings, cache)
+            cols = _flatten_array_point(point, x.shape)
+            _check_finite([*cols, weights], coords, x.shape, fault)
+            fx = values(point, cols) * weights
+            _check_finite([fx], coords, x.shape, fault)
+            return fx
 
         if isinstance(d, _Atoms):
             atoms = np.arange(len(d.masses))

@@ -55,15 +55,15 @@ computes both branches at every point, so the calls in a branch stay
 reusable after it, and selects one with np.where, componentwise for pairs;
 a domain error in the branch not taken is masked.
 
-With fault masks (`faults`), each generated function also computes where
-it would fail: a builtin other than plus/minus/times/neg whose value is not
-finite counts at the points where the code that calls it runs (the
-conjunction of the enclosing branch conditions, in a nested function that
-of its call site), and the compiled function puts nan in every component
-there.  So a domain error that the scalar function raises shows as nan,
-even where its value is discarded or only compared, and one in a branch not
-taken does not.  A constant that folds to a non-finite value stays in the
-code then, so that it counts where it is reached.
+Each function in array mode also computes its fault mask, where it would
+fail: a builtin other than plus/minus/times/neg whose value is not finite
+counts at the points where the code that calls it runs (the conjunction of
+the enclosing branch conditions, in a nested function that of its call
+site), and `compile_array_fn`'s function puts nan in every component there.
+So a domain error that the scalar function raises shows as nan, even where
+its value is discarded or only compared, and one in a branch not taken does
+not.  A constant that folds to a non-finite value stays in the code, so
+that it counts where it is reached.
 
 Array mode refuses (returns None for) a body that reaches an injection, a
 case on any other scrutinee (an injection, a Boolean parameter), a unit
@@ -362,15 +362,13 @@ class _CodeGen:
     raises stays in the code, so it raises when (and only if) it is reached.
     A builtin or comparison already computed from the same operand sources
     in the same or an enclosing block is not emitted again (`calls`).
-    With `array` set it emits array mode, and with `faults` also its
-    fault masks (see the module docstring); with `columns` set, columnar
-    mode (see _PipeGen).
+    With `array` set it emits array mode, with its fault masks (see the
+    module docstring); with `columns` set, columnar mode (see _PipeGen).
     """
 
-    def __init__(self, env: dict, array: bool = False, faults: bool = False, columns: bool = False):
+    def __init__(self, env: dict, array: bool = False, columns: bool = False):
         self.env = env
         self.array = array
-        self.faults = faults
         self.columns = columns
         self.lines: list[str] = []
         self.namespace: dict = {
@@ -498,18 +496,18 @@ class _CodeGen:
     # -- terms ----------------------------------------------------------------
 
     def function(self, name: str, params, body: Term, scope: dict, depth: int) -> None:
-        """A def of the function; with fault masks it returns (value, mask)."""
+        """A def of the function; in array mode it returns (value, fault mask)."""
         arg = self.fresh("a")
         self.defs += 1
         self.emit(depth, f"def {name}({arg}):")
         outer = self.path, self.checked
         self.path, self.checked = None, set()
         with self.block():
-            if self.faults:
+            if self.array:
                 self.emit(depth + 1, "_bad = False")
             inner = self.bind(params, _Code(arg), scope, depth + 1)
             result = self.code(self.term(body, inner, depth + 1))
-            self.emit(depth + 1, f"return {result}, _bad" if self.faults else f"return {result}")
+            self.emit(depth + 1, f"return {result}, _bad" if self.array else f"return {result}")
         self.path, self.checked = outer
 
     def fault(self, mask: str, depth: int) -> None:
@@ -611,7 +609,7 @@ class _CodeGen:
                 fo = self.term(fn, scope, depth)
                 ao = self.code(self.term(arg, scope, depth))
                 direct = self.direct_callee(fo)
-                if direct is not None and self.faults:
+                if direct is not None and self.array:
                     out, mask = self.fresh("t"), self.fresh("b")
                     self.emit(depth, f"{out}, {mask} = {direct}({ao})")
                     self.fault(mask, depth)
@@ -651,8 +649,8 @@ class _CodeGen:
                     value = fn(*(o.value for o in ops))
                 if not self.array:
                     return _Known(value)
-                # with fault masks a failing constant stays in the code too
-                if not self.faults or math.isfinite(value):
+                # a failing constant stays in the code, so that it counts
+                if math.isfinite(value):
                     return _Known(float(value))
             except (TypeError, *BUILTIN_ERRORS):
                 pass  # left in place: it raises when it is reached
@@ -664,7 +662,7 @@ class _CodeGen:
             return self.calls[key]
         args = [self.code(o) for o in ops]
         key = (op, *args)
-        can_fail = self.faults and op not in _INFIX and op != "neg"
+        can_fail = self.array and op not in _INFIX and op != "neg"
         if key in self.calls:
             return self.check(self.calls[key], depth) if can_fail else self.calls[key]
         if op in _INFIX:
@@ -804,9 +802,8 @@ class _CodeGen:
             raise _NotCompilable(scrut)
         outer, outs = self.path, []
         for (binder, body), test in zip(branches, (scrut.expr, f"_not({scrut.expr})")):
-            if self.faults:
-                # a branch's failures count where it is taken
-                self.path = self.assign(depth, test if outer is None else f"{outer} & {test}").expr
+            # a branch's failures count where it is taken
+            self.path = self.assign(depth, test if outer is None else f"{outer} & {test}").expr
             outs.append(self.term(body, _with(scope, binder, _Known(())), depth))
         self.path = outer
         rhs = f"_where({scrut.expr}, {', '.join(self.code(o) for o in outs)})"
@@ -1248,20 +1245,19 @@ def compile_fn(clo: VClosure) -> Optional[Callable]:
     return clo._compiled or None
 
 
-def compile_array_fn(fn: Term, faults: bool = False) -> Optional[Callable]:
+def compile_array_fn(fn: Term) -> Optional[Callable]:
     """A numpy function for a closed lambda term, or None.
 
     The function maps nested tuples of arrays to nested tuples of arrays
     (or floats, for constant components); see the module docstring for what
-    array mode refuses.  With `faults` set, every component is nan at the
-    points where the scalar function would fail (`_poison`).
+    array mode refuses.  Every component is nan at the points where the
+    scalar function would fail (`_poison`).
     """
     if not isinstance(fn, Lam):
         return None
-    gen = _CodeGen({}, array=True, faults=faults)
-    f = _generate(gen, fn.params, fn.body)
-    if f is None or not faults:
-        return f
+    f = _generate(_CodeGen({}, array=True), fn.params, fn.body)
+    if f is None:
+        return None
     return lambda point: _poison(*f(point))
 
 

@@ -219,12 +219,6 @@ class PipeCore(StreamCore):
         self._block: Optional[Callable] = None
         self._one: Optional[Callable] = None
 
-    @property
-    def left(self) -> "RStream":
-        """A product's left factor.  Kept for `test_tl_shares_parent_memo`,
-        which reads the product core's `left` as it did before pipelines."""
-        return self.parents[0]
-
     def _plan(self, leaves: list, fns: list, a: int = 1, b: int = 0):
         """The shape of the layer tree of this core read through the view
         i -> a*i + b (see runtime.compile_pipeline), whose layer functions

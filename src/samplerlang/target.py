@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import measures as M
+from .builtins import EvalError
 from .parser import Program, parse_measure, parse_term
 from .pretty import pretty, pretty_measure
 from .quadrature import (
@@ -242,7 +243,7 @@ class DerivationChecker:
         family = build_family(stated, slim=True)
         try:
             report = measure_equal(computed, stated, family, tol, CHECK_SETTINGS)
-        except IntegrationError as err:
+        except (IntegrationError, EvalError) as err:
             raise Rejection(path, f"measure comparison failed: {err}")
         if not report.equal:
             raise Rejection(
@@ -389,7 +390,7 @@ class DerivationChecker:
             value = normalizer(fn, premise.judgment.target, CHECK_SETTINGS)
         except SideConditionError as err:
             raise Rejection(path, f"∫ f dμ = {err.value:g} ∉ (0, ∞)")
-        except IntegrationError as err:
+        except (IntegrationError, EvalError) as err:
             raise Rejection(path, f"∫ f dμ: {err}")
         computed = M.ReweightM(fn, premise.judgment.target)
         note = self._match_target(computed, node, path)

@@ -223,6 +223,47 @@ def test_verify_rejects_a_normalizer_that_does_not_converge(monkeypatch, capsys)
     assert "reject: root.0.0: ∫ f dμ: the integral over [0, 1] does not converge within 3" in out
 
 
+def _one_rule_proof(tmp_path, rule, subject, target, premise_subject, premise_target, axiom):
+    path = tmp_path / f"{rule}.json"
+    premise = {
+        "rule": "axiom",
+        "judgment": {"subject": premise_subject, "target": premise_target},
+        "premises": [],
+        "evidence": {"axiom": axiom},
+    }
+    node = {"rule": rule, "judgment": {"subject": subject, "target": target}, "premises": [premise]}
+    path.write_text(json.dumps(node))
+    return str(path)
+
+
+def test_verify_rejects_a_reweight_whose_normalizer_fails_its_domain_check(tmp_path, capsys):
+    # log(y - 0.5) fails wherever y < 0.5 on rejection's 2-D joint prior
+    fn = "fun (x : R, y : R) => if log(y - 0.5) < 0 then 1 else 0"
+    proof = _one_rule_proof(
+        tmp_path, "reweight", f"reweight(({fn}), tri <*> rand)",
+        f"reweight({fn}, triangular(0, 2) * uniform(0, 1))",
+        "tri <*> rand", "triangular(0, 2) * uniform(0, 1)", "joint_prior",
+    )
+    assert main(["verify", proof, "--axioms", str(C / "rejection.smpl")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "  [ok] root.0 (axiom) axiom 'joint_prior'"
+    assert out[1].startswith("reject: root: ∫ f dμ: 1:36: log of non-positive number ")
+
+
+def test_verify_rejects_a_3d_map_whose_function_fails_its_domain_check(tmp_path, capsys):
+    # log(u - 2) fails at every node of the 3-D grid
+    triple = "thin(3, rand <*> tl(rand) <*> tl(tl(rand)))"
+    proof = _one_rule_proof(
+        tmp_path, "map", f"map((fun w : R+ * R+ * R+ => (log(fst(w) - 2), snd(w))), {triple})",
+        "gaussian(5, 1) * uniform(0, 1)^2",
+        triple, "uniform(0, 1)^3", "rand_equidistributed_3",
+    )
+    assert main(["verify", proof, "--axioms", str(C / "marsaglia.smpl")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "  [ok] root.0 (axiom) axiom 'rand_equidistributed_3'"
+    assert out[1].startswith("reject: root: measure comparison failed: 1:31: log of non-positive")
+
+
 def test_print_config(capsys):
     assert main(["--print-config"]) == 0
     keys = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]

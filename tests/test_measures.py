@@ -183,18 +183,16 @@ def test_constant_coordinate_of_a_3d_pushforward():
     assert abs(values["cos1x[2]"] - math.cos(1)) <= 1e-12
 
 
-def test_nan_discrepancy_makes_measures_unequal():
-    # log(u - 2) is nan on the whole 3-D grid, so x[0] integrates to nan
+def test_3d_domain_error_raises_at_its_builtin():
+    # log(u - 2) fails at every node of the 3-D grid: the scalar function
+    # runs at the first one and raises the builtin's error, as in 1-D and 2-D
     computed = parse_measure(
         "pushforward(fun w : R * (R * R) => (log(fst(w) - 2), (fst(snd(w)), snd(snd(w)))),"
         " uniform(0, 1)^3)"
     )
     stated = parse_measure("gaussian(5, 1) * (uniform(0, 1) * uniform(0, 1))")
-    with np.errstate(invalid="ignore"):
-        report = measure_equal(computed, stated)
-    assert math.isnan(dict(report.details)["x[0]"])
-    assert not report.equal
-    assert math.isnan(report.max_discrepancy)
+    with pytest.raises(EvalError, match=r"^1:37: log of non-positive number "):
+        measure_equal(computed, stated)
 
 
 # -- the 3-D grid: comparisons, reweights, refused functions and discrete factors
@@ -202,25 +200,32 @@ def test_nan_discrepancy_makes_measures_unequal():
 U3 = "uniform(0, 1)^3"
 
 
-def test_3d_reweight_by_an_indicator_integrates_on_the_grid(monkeypatch):
+def test_3d_reweight_by_an_indicator_integrates_on_the_grid():
     m = parse_measure(f"reweight(fun w : R * (R * R) => if fst(w) < 0.5 then 1 else 0, {U3})")
     family = {member.name: member for member in build_family(m, slim=True)}
-    calls = []
-
-    def counting(fn, **kwargs):
-        f = compile_array_fn(fn, **kwargs)
-        return lambda point: calls.append(fn) or f(point)
-
-    monkeypatch.setattr(quadrature, "compile_array_fn", counting)
     cache: dict = {}
     assert abs(integrate(m, family["x[0]"], cache=cache) - 0.25) <= 1e-4
     assert abs(integrate(m, family["x[1]"], cache=cache) - 0.5) <= 1e-9
-    # the measure's stack, its grid and the normalizer, once each; the
-    # normalizer is the grid sum of the values that weight the grid
-    kinds = sorted(k[0] if isinstance(k[0], str) else "normalizer" for k in cache)
-    assert kinds == ["grid", "normalizer", "stack"]
-    assert len(calls) == 1
-    assert abs(normalizer(m.fn, m.base) - 0.5) <= 1e-4
+    # the grid divides by the reweight's normalizer, the integral over its base
+    [used] = [v[0] for k, v in cache.items() if not isinstance(k[0], str)]
+    assert used.hex() == normalizer(m.fn, m.base).hex()
+    assert abs(used - 0.5) <= 1e-4
+
+
+def test_3d_reweight_of_a_factor_divides_by_its_own_normalizer():
+    # the reweight covers only the first factor of the 3-D product, so its
+    # normalizer is the 1-D integral of 1 + x, 1.5, whatever the mass of the
+    # other factors' grid; the cache it leaves serves the factor alone too
+    m = parse_measure(
+        "reweight(fun x : R => 1 + x, uniform(0, 1)) * (gamma(0.5, 1) * uniform(0, 1))"
+    )
+    factor = m.left
+    family = {member.name: member for member in build_family(m, slim=True)}
+    cache: dict = {}
+    integrate(m, family["x[0]"], cache=cache)
+    assert [v[0] for k, v in cache.items() if not isinstance(k[0], str)] == [1.5]
+    x = {member.name: member for member in build_family(factor)}["x"]
+    assert integrate(factor, x, cache=cache).hex() == integrate(factor, x).hex()
 
 
 def test_3d_pushforward_with_an_if_integrates_on_the_grid():
