@@ -8,8 +8,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
+
+import numpy as np
 
 from .builtins import EvalError
 from .config import Config, ConfigError
@@ -55,39 +58,96 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _csv_rows(values: list, weights: list):
-    """The CSV header and rows of a run: index, flattened value, weight.
+#: rows of a run's CSV that are formatted and written at a time
+CSV_BLOCK_ROWS = 4096
 
-    Values are flattened with `value_columns`; booleans are written as 1/0
-    and every other field with repr.  Values of one shape are written column
-    by column; values of different shapes are flattened one by one, and the
-    header is as wide as the widest.
+
+def _csv_blocks(values: list, weights: list) -> Iterator[str]:
+    """The CSV of a run: its header line, then its rows (index, flattened
+    value, weight) `CSV_BLOCK_ROWS` at a time, each block one string.
+
+    Values are flattened with `value_columns` and booleans among the leaves
+    are written as 1/0; every field is written as its repr (`_csv_lines`).
+    Values of one shape are split column by column; values of different
+    shapes are flattened one by one into rows of different lengths, and
+    the header is as wide as the widest.
     """
     from .runtime import value_columns
 
     cols = value_columns(values)
+    by_repr = _repr_only(weights)
     if cols is None:
-        flats = [[c[0] for c in value_columns([v])] for v in values]
+        flats = [[int(x) if type(x) is bool else x for x, in value_columns([v])] for v in values]
         width = max(map(len, flats))
-        fields = ([repr(int(x) if type(x) is bool else x) for x in flat] for flat in flats)
-        rows = [
-            ",".join([str(i), *fs, repr(w)])
-            for i, fs, w in zip(range(1, len(values) + 1), fields, weights)
-        ]
+        ends = np.cumsum(list(map(len, flats)))
+        leaves = np.flatnonzero(_repr_only(list(chain.from_iterable(flats))))
+        by_repr[np.searchsorted(ends, leaves, side="right")] = True
+
+        def block(a: int, b: int) -> list:
+            return [(i, *flat, w) for i, flat, w in zip(range(a + 1, b + 1), flats[a:b], weights[a:b])]
     else:
         width = len(cols)
         cols = [
             [int(x) if type(x) is bool else x for x in col] if bool in set(map(type, col)) else col
             for col in cols
         ]
-        columns = [map(str, range(1, len(values) + 1))]
-        columns += [map(repr, col) for col in cols]
-        columns.append(map(repr, weights))
-        rows = list(map(",".join, zip(*columns)))
+        for col in cols:
+            by_repr |= _repr_only(col)
+
+        def block(a: int, b: int) -> list:
+            return list(zip(range(a + 1, b + 1), *(col[a:b] for col in cols), weights[a:b]))
+
     header = ["index"] + [f"value_{j}" for j in range(width)] + ["weight"]
     if width == 1:
         header = ["index", "value", "weight"]
-    return ",".join(header), rows
+    yield ",".join(header) + "\n"
+    for a in range(0, len(values), CSV_BLOCK_ROWS):
+        b = min(a + CSV_BLOCK_ROWS, len(values))
+        yield _csv_lines(block(a, b), np.flatnonzero(by_repr[a:b]).tolist())
+
+
+def _repr_only(fields: list) -> np.ndarray:
+    """A mask of the fields that orjson does not write as their repr: any
+    but an int or a float, and a number x with x != 0 and not
+    1e-4 <= |x| < 1e16, nan included.  An int is tested by its nearest
+    float, which may flag one near 1e16 for nothing, but flags every int
+    outside 64 bits."""
+    if set(map(type, fields)) <= {int, float}:
+        try:
+            x = np.abs(np.array(fields, dtype=np.float64))
+        except OverflowError:  # an int beyond the floats
+            pass
+        else:
+            return ~((x == 0) | ((x >= 1e-4) & (x < 1e16)))
+    return np.array(
+        [type(x) not in (int, float) or (x != 0 and not 1e-4 <= abs(x) < 1e16) for x in fields],
+        dtype=bool,
+    )
+
+
+def _csv_lines(rows: list, repr_rows: list) -> str:
+    """Rows, tuples of fields, as CSV lines, each field written as its repr.
+
+    orjson writes the rows in one call.  Its floats are the shortest digits
+    that round-trip, as repr's, and in the same form for 1e-4 <= |x| < 1e16
+    and for zeros, and its ints within 64 bits are repr's too; it writes
+    other floats in another form, nan and the infinities as null, and
+    refuses other leaves.  The rows at `repr_rows`, which have such a field
+    (`_repr_only`), are written field by field instead.
+    """
+    import orjson
+
+    dumped = rows.copy()
+    for i in repr_rows:
+        dumped[i] = ()
+    # one line a row, an emptied row an empty one
+    text = orjson.dumps(dumped)[2:-2].replace(b"],[", b"\n").decode()
+    if repr_rows:
+        lines = text.split("\n")
+        for i in repr_rows:
+            lines[i] = ",".join(map(repr, rows[i]))
+        text = "\n".join(lines)
+    return text + "\n"
 
 
 def _sum_tagger(ty: Type) -> Optional[Callable]:
@@ -140,13 +200,13 @@ def cmd_run(args) -> int:
     tag = _sum_tagger(ty.payload) if isinstance(ty, SamplerT) else None
     if tag is not None:
         values = list(map(tag, values))
-    header, rows = _csv_rows(values, result.weights)
-    text = "\n".join([header, *rows]) + "\n"
+    blocks = _csv_blocks(values, result.weights)
     if args.dump:
-        Path(args.dump).write_text(text)
-        print(f"wrote {len(rows)} samples to {args.dump}")
+        with open(args.dump, "w", encoding="utf-8") as out:
+            out.writelines(blocks)
+        print(f"wrote {len(values)} samples to {args.dump}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return 0
 
 

@@ -458,10 +458,14 @@ def _array_integral(m, g, settings, breakpoints, cache: dict) -> float:
             return _adaptive(tree, values, settings, breakpoints, cache, fault)
         coords, point, cols, weights = _grid(m, settings, cache, fault)
         v = values(point, cols)
-        _check_finite([v], coords, weights.shape, fault)
         if isinstance(g, TestFn):
-            return float(np.dot(np.asarray(v).ravel(), weights.ravel()))
-        return float(np.sum(weights * v))
+            total = float(np.dot(np.asarray(v).ravel(), weights.ravel()))
+        else:
+            total = float(np.sum(weights * v))
+        # the weights are finite, so a value that is not makes the total not
+        if not math.isfinite(total):
+            _check_finite([v], coords, weights.shape, fault)
+        return total
 
 
 def _raise_at(m, g, node: list, settings, cache: dict):

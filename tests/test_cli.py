@@ -4,12 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import samplerlang
 
 from samplerlang import quadrature
-from samplerlang.cli import _csv_rows, _sum_tagger, main
+from samplerlang.cli import CSV_BLOCK_ROWS, _csv_blocks, _sum_tagger, main
 from samplerlang.config import Config
 from samplerlang.corpus import corpus_dir, load_corpus
 from samplerlang.interpreter import Interpreter
@@ -378,6 +379,12 @@ def test_importing_the_cli_loads_no_scipy():
     assert _run_python("-c", script).strip() == "True False"
 
 
+def test_importing_the_cli_loads_no_orjson():
+    # only `run` writes a CSV, so only `run` pays for the float writer
+    script = "import sys, samplerlang.cli; print('orjson' in sys.modules)"
+    assert _run_python("-c", script).strip() == "False"
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_run_rejects_sample_counts_below_one(count, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -422,8 +429,12 @@ def _oracle_csv(entries) -> str:
 
 
 def _csv(entries) -> str:
-    header, rows = _csv_rows([v for v, _ in entries], [w for _, w in entries])
-    return "\n".join([header, *rows]) + "\n"
+    return "".join(_csv_blocks([v for v, _ in entries], [w for _, w in entries]))
+
+
+def _csv_rows(values, weights):
+    header, *rows = _csv(list(zip(values, weights))).splitlines()
+    return header, rows
 
 
 @pytest.mark.parametrize("engine,n", [("stream", 300), ("bigstep", 12)])
@@ -439,6 +450,7 @@ def test_run_csv_matches_entrywise_writer_on_corpus(engine, n, tmp_path):
 
 
 _SPECIALS = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-310, 0.1]
+_SWITCH_OVER = [1e-05, 9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e16, 5e-324, -0.0]
 
 SYNTHETIC = {
     "float": [(x, 1.0) for x in _SPECIALS],
@@ -453,6 +465,21 @@ SYNTHETIC = {
     "mixed nesting": [((1.0, 2.0), 1.0), ((1.0, (2.0, 3.0)), 1.0)],
     "mixed unit": [((), 1.0), (True, 1.0)],
     "unit and pairs": [((), 1.0), ((1.0, 2.0), 1.0)],
+    # where repr's float form leaves orjson's: below 1e-4 and from 1e16
+    "float switch-over points": [
+        (x, y) for x, y in zip(_SWITCH_OVER, [*_SWITCH_OVER[1:], _SWITCH_OVER[0]])
+    ],
+    "switch-over points in pairs": [((x, -x), 1.0) for x in _SWITCH_OVER],
+    "ints outside 64 bits": [(i, 1.0) for i in (2**64, -2**63 - 1, 2**63 - 1, -2**63, 2**64 - 1)],
+    "bool beside int": [((i % 2 == 0, i), 0.5) for i in range(5)],
+    "blocks of one shape": [
+        ((float(i) / 7, (i % 3 == 0, i)), _SWITCH_OVER[i % len(_SWITCH_OVER)] if i % 1000 == 0 else 1.0)
+        for i in range(CSV_BLOCK_ROWS * 7 // 2)
+    ],
+    "blocks of mixed shapes": [
+        (VInj(0, 1.0 / (i + 1)) if i % 3 else VInj(1, (i, 1e-5 * i)), 1.0)
+        for i in range(CSV_BLOCK_ROWS + 10)
+    ],
 }
 
 
@@ -460,6 +487,13 @@ SYNTHETIC = {
 def test_run_csv_matches_entrywise_writer_on_synthetic_values(name):
     entries = SYNTHETIC[name]
     assert _csv(entries) == _oracle_csv(entries)
+
+
+def test_run_csv_writes_random_floats_of_every_exponent_as_repr():
+    bits = np.random.default_rng(20).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    xs = bits.view(np.float64).tolist()
+    lines = _csv(list(zip(xs, reversed(xs)))).splitlines()[1:]
+    assert lines == [f"{i},{x!r},{w!r}" for i, (x, w) in enumerate(zip(xs, reversed(xs)), start=1)]
 
 
 def test_run_csv_tags_the_injections_at_sum_positions():
