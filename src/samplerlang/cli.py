@@ -84,7 +84,8 @@ def _csv_blocks(values: list, weights: list) -> Iterator[str]:
         by_repr[np.searchsorted(ends, leaves, side="right")] = True
 
         def block(a: int, b: int) -> list:
-            return [(i, *flat, w) for i, flat, w in zip(range(a + 1, b + 1), flats[a:b], weights[a:b])]
+            rows = zip(range(a + 1, b + 1), flats[a:b], weights[a:b])
+            return [(i, *flat, w) for i, flat, w in rows]
     else:
         width = len(cols)
         cols = [
@@ -109,9 +110,11 @@ def _csv_blocks(values: list, weights: list) -> Iterator[str]:
 def _repr_only(fields: list) -> np.ndarray:
     """A mask of the fields that orjson does not write as their repr: any
     but an int or a float, and a number x with x != 0 and not
-    1e-4 <= |x| < 1e16, nan included.  An int is tested by its nearest
-    float, which may flag one near 1e16 for nothing, but flags every int
-    outside 64 bits."""
+    1e-4 <= |x| < 1e16.  Those floats repr writes in exponent form (1e-05,
+    1e+16) and orjson does not (0.00001, 1e16); nan and the infinities
+    orjson writes as null, and it refuses an int outside 64 bits.  An int
+    is tested by its nearest float, which may flag one near 1e16 for
+    nothing, but flags every int outside 64 bits."""
     if set(map(type, fields)) <= {int, float}:
         try:
             x = np.abs(np.array(fields, dtype=np.float64))
@@ -128,12 +131,10 @@ def _repr_only(fields: list) -> np.ndarray:
 def _csv_lines(rows: list, repr_rows: list) -> str:
     """Rows, tuples of fields, as CSV lines, each field written as its repr.
 
-    orjson writes the rows in one call.  Its floats are the shortest digits
-    that round-trip, as repr's, and in the same form for 1e-4 <= |x| < 1e16
-    and for zeros, and its ints within 64 bits are repr's too; it writes
-    other floats in another form, nan and the infinities as null, and
-    refuses other leaves.  The rows at `repr_rows`, which have such a field
-    (`_repr_only`), are written field by field instead.
+    orjson writes the rows in one call: its floats are the shortest digits
+    that round-trip, as repr's, and its ints within 64 bits are repr's too.
+    The rows at `repr_rows`, which have a field that orjson writes in
+    another form or refuses (`_repr_only`), are written field by field.
     """
     import orjson
 

@@ -473,7 +473,7 @@ SYNTHETIC = {
     "ints outside 64 bits": [(i, 1.0) for i in (2**64, -2**63 - 1, 2**63 - 1, -2**63, 2**64 - 1)],
     "bool beside int": [((i % 2 == 0, i), 0.5) for i in range(5)],
     "blocks of one shape": [
-        ((float(i) / 7, (i % 3 == 0, i)), _SWITCH_OVER[i % len(_SWITCH_OVER)] if i % 1000 == 0 else 1.0)
+        ((float(i) / 7, (i % 3 == 0, i)), 1.0 if i % 1000 else _SWITCH_OVER[i // 1000 % 7])
         for i in range(CSV_BLOCK_ROWS * 7 // 2)
     ],
     "blocks of mixed shapes": [
