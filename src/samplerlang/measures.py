@@ -120,30 +120,6 @@ class ReweightM(MeasureExpr):
     base: MeasureExpr
 
 
-def measure_dim(m: MeasureExpr) -> int:
-    """Number of scalar coordinates of the measure's points."""
-    match m:
-        case Dirac(point):
-            return _point_dim(point)
-        case Bernoulli() | UniformM() | TriangularM() | GaussianM() | GammaM():
-            return 1
-        case FiniteDiscrete(atoms):
-            return _point_dim(atoms[0][0]) if atoms else 1
-        case ProductM(left, right):
-            return measure_dim(left) + measure_dim(right)
-        case PowerM(base, k):
-            return measure_dim(base) * k
-        case PushforwardM(_, base) | ReweightM(_, base):
-            return measure_dim(base)
-    raise MeasureError(f"unknown measure {m!r}")
-
-
-def _point_dim(p: Point) -> int:
-    if isinstance(p, tuple):
-        return sum(_point_dim(x) for x in p)
-    return 1
-
-
 def expand_power(m: MeasureExpr) -> MeasureExpr:
     """Rewrite mu^K as the right-nested K-fold product."""
     if not isinstance(m, PowerM):

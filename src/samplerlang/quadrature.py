@@ -13,39 +13,34 @@ node order (`_per_node`).  The integrand is a test function (`TestFn`), a
 function term (`normalizer`) or a callable on runtime values, run the same
 way.
 
-- One and two continuous dimensions: batched adaptive Gauss-Kronrod
-  (`_gk21`, QUADPACK's G10/K21 bisection with global error control per
-  integral, abs and rel tol 1e-9 by default), vectorized over every open
-  interval; a finitely supported factor is a sum over its atoms.  In 2-D
-  the inner integrals at each batch of outer nodes are the rows of one
-  batched run, each converging on its own.  A row that would need more
-  than `QUAD_LIMIT` intervals raises IntegrationError.
-- Three continuous dimensions: a tensorized Gauss-Legendre grid (`_grid`,
-  documented accuracy around 1e-4 on smooth-but-singular transforms, which
-  is why the numeric measure-equality checks run at looser tolerances),
-  with each finitely supported factor as one more axis.
+Every integral, in up to three continuous dimensions, is batched adaptive
+Gauss-Kronrod (`_gk21`, QUADPACK's G10/K21 bisection with global error
+control per integral, abs and rel tol 1e-9 by default), vectorized over
+every open interval and iterated over the axes (`_adaptive`): the inner
+integrals at each batch of outer nodes are the rows of one batched run,
+each converging on its own, and a finitely supported factor is a sum over
+its atoms.  A row that would need more than `QUAD_LIMIT` intervals raises
+IntegrationError.  A test function that is a product of one-coordinate
+functions (`TestFn.factors`) over a measure of independent parts
+(`_split`) is the product of the parts' integrals (Fubini).  No integral
+uses scipy; a gamma density's cut-off imports `scipy.special` on first use.
 
-In every dimension the array functions carry fault masks, and a reweight
-divides by its `normalizer`, the integral of its function over its own
-base.  At the first node, in node order, where a scalar function would
-raise (a domain error on the branch taken) or a coordinate, weight or value
-is not finite (`_check_finite`), the scalar functions run at that node, and
-raise the EvalError with its position, or IntegrationError names the point.
-
-More than three continuous dimensions is unsupported.  No integral uses
-scipy; a gamma density's cut-off imports `scipy.special` on first use.
+The array functions carry fault masks, and a reweight divides by its
+`normalizer`, the integral of its function over its own base.  At the
+first node, in node order, where a scalar function would raise (a domain
+error on the branch taken) or a coordinate, weight or value is not finite
+(`_check_finite`), the scalar functions run at that node, and raise the
+EvalError with its position, or IntegrationError names the point.
 
 One comparison integrates many test functions against the same measures,
 so `measure_equal` threads one cache dict through its integrals, and
 `integrate` opens one for its call tree when given none: each reweight
-normalizer is integrated once, each stack built once, and each 3-D grid
-built once per measure.
+normalizer is integrated once, and each stack and split built once.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -53,7 +48,7 @@ import numpy as np
 from . import measures as M
 from .builtins import EvalError
 from .runtime import apply_value, compile_array_fn, compile_fn, VClosure, VInj, value_to_point
-from .terms import Lam, Term
+from .terms import Case, Fst, Lam, Let, Pair, ProdT, Snd, Term, Var, children, free_vars, with_children
 
 
 class IntegrationError(Exception):
@@ -79,8 +74,6 @@ class QuadSettings:
 
 
 DEFAULT_SETTINGS = QuadSettings()
-#: Gauss-Legendre nodes per axis of the 3-D grid
-GRID_NODES_3D = 96
 #: a gaussian is integrated over its mean ± this many standard deviations
 GAUSSIAN_CUT = 10.0
 #: a gamma is integrated up to the quantile that leaves this upper tail mass
@@ -263,8 +256,8 @@ def cont_dim(m: M.MeasureExpr) -> int:
             return cont_dim(base) * k
         case M.PushforwardM(_, base) | M.ReweightM(_, base):
             return cont_dim(base)
-        case _:
-            return M.measure_dim(m)
+        case _:  # a density
+            return 1
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +278,27 @@ def integrate(
     g gets runtime values of the measure's payload (floats, Booleans,
     injections, pairs), which test functions read as points, with Booleans
     as 1.0/0.0 (`_flatten_point`).  A finitely supported measure is summed
-    exactly, any other integrated on its stack (`_array_integral`).  Callers
-    that integrate one measure against many functions pass the same `cache`
-    dict (empty at first) to each call, so that each reweight normalizer is
-    integrated once and each 3-D grid built once; without one, the call
-    opens one for its own call tree.
+    exactly.  A test function with factors over a measure of several parts
+    (`_parts`) is the product of the parts' integrals of its factors
+    (`_part_fn`); any other integral runs on m's stack (`_array_integral`).
+    Callers that integrate one measure against many functions pass the same
+    `cache` dict (empty at first) to each call, so that each reweight
+    normalizer is integrated once and each stack and split built once;
+    without one, the call opens one for its own call tree.
     """
     disc = reduce_discrete(m)
     if disc is not None:
         f = term_fn(g) if isinstance(g, Term) else g
         return math.fsum(mass * float(f(v)) for v, mass in disc.atoms)
-    return _array_integral(m, g, settings, g_breakpoints, {} if cache is None else cache)
+    dim = cont_dim(m)
+    if dim > 3:
+        raise UnsupportedDimension(f"continuous dimension {dim} exceeds 3")
+    cache = {} if cache is None else cache
+    parts = _parts(m, cache) if isinstance(g, TestFn) and g.factors is not None else None
+    if parts is not None and all(j < parts[-1][2] for j, _ in g.factors):
+        fns = [(part, _part_fn(g.factors, lo, hi)) for part, lo, hi in parts]
+        return math.prod(integrate(part, f, settings, f.breakpoints, cache) for part, f in fns)
+    return _array_integral(m, g, settings, g_breakpoints, cache)
 
 
 def normalizer(
@@ -319,8 +322,91 @@ def normalizer(
     return value
 
 
+def _parts(m, cache: dict) -> Optional[list]:
+    """(part, lo, hi) for each of m's parts (`_split`), which holds m's
+    coordinates lo to hi - 1, or None where m is one part or probing
+    (`support_box`) cannot count a part's coordinates.  Cached under the
+    identity of m, which the entry keeps alive, so that the other caches
+    see each part as one measure."""
+    key = ("parts", id(m))
+    if key not in cache:
+        parts, ranges = _split(m), None
+        try:
+            widths = [len(support_box(part)) for part in parts] if len(parts) > 1 else [0]
+        # TypeError: probe points are right-nested, whatever the nesting of the base
+        except (IntegrationError, EvalError, TypeError):
+            widths = [0]
+        if min(widths) > 0:
+            edges = np.cumsum([0, *widths]).tolist()
+            ranges = list(zip(parts, edges[:-1], edges[1:]))
+        cache[key] = (ranges, m)
+    return cache[key][0]
+
+
+def _split(m) -> list:
+    """m as independent measures whose points, in order, hold m's
+    coordinates: a product's factors, and a pushforward of left * right by
+    a function that splits (`_halves`) as the pushforwards of left and of
+    right by its halves, each split again."""
+    match m:
+        case M.ProductM(left, right):
+            return _split(left) + _split(right)
+        case M.PowerM():
+            return _split(M.expand_power(m))
+        case M.PushforwardM(fn, base):
+            base, halves = M.expand_power(base), _halves(fn)
+            if isinstance(base, M.ProductM) and halves is not None:
+                left, right = (M.PushforwardM(f, b) for f, b in zip(halves, (base.left, base.right)))
+                return _split(left) + _split(right)
+    return [m]
+
+
+def _halves(fn: Term) -> Optional[tuple[Lam, Lam]]:
+    """fun w => L and fun w => R for fn = fun w => (L, R), where L reads w
+    only as fst(w) and R only as snd(w), with those reads made w; else
+    None."""
+    if not (isinstance(fn, Lam) and len(fn.params) == 1 and isinstance(fn.body, Pair)):
+        return None
+    [(w, ty)] = fn.params
+    left, right = _unproject(fn.body.left, w, Fst), _unproject(fn.body.right, w, Snd)
+    if left is None or right is None:
+        return None
+    tys = (ty.left, ty.right) if isinstance(ty, ProdT) else (None, None)
+    return Lam(((w, tys[0]),), left, pos=fn.pos), Lam(((w, tys[1]),), right, pos=fn.pos)
+
+
+def _unproject(t: Term, w: str, proj: type) -> Optional[Term]:
+    """t with each proj(w) made w, or None where t reads w in another way,
+    or binds w again in a subterm where it is free."""
+    if w not in free_vars(t):
+        return t
+    match t:
+        case Fst(Var(name)) | Snd(Var(name)) if name == w:
+            return Var(w, pos=t.body.pos) if isinstance(t, proj) else None
+        case Var():
+            return None
+        case Let(name) if name == w:
+            return None
+        case Case(_, branches) if any(binder == w for binder, _ in branches):
+            return None
+    kids = [_unproject(kid, w, proj) for kid in children(t)]
+    return None if any(kid is None for kid in kids) else with_children(t, kids)
+
+
+def _part_fn(factors, lo: int, hi: int) -> "TestFn":
+    """The product of the factors on coordinates lo to hi - 1, as a test
+    function of those coordinates with no stated Lipschitz constant, or 1
+    (`_ONE`) where there are none."""
+    own = [(j - lo, f) for j, f in factors if lo <= j < hi]
+    if not own:
+        return _ONE
+    product = lambda cols: math.prod(f.cols_fn([cols[j]]) for j, f in own)  # noqa: E731
+    bound, breakpoints = math.prod(f.bound for _, f in own), sum((f.breakpoints for _, f in own), ())
+    return TestFn("*".join(f.name for _, f in own), product, bound, math.inf, breakpoints)
+
+
 # ---------------------------------------------------------------------------
-# The measure stack, the 3-D grid and batched Gauss-Kronrod
+# The measure stack and batched Gauss-Kronrod
 # ---------------------------------------------------------------------------
 
 
@@ -433,39 +519,18 @@ def _check_finite(arrays, coords, shape, fault: Callable) -> None:
 
 def _array_integral(m, g, settings, breakpoints, cache: dict) -> float:
     """The integral over m, which is not finitely supported, of g, a test
-    function, a function term or a callable on runtime values.
-
-    Three continuous dimensions are the tensor grid (`_grid`), paired with
-    a test function by np.dot and with any other g by np.sum.  One and two
-    are batched adaptive Gauss-Kronrod (`_adaptive`).  More than three are
-    unsupported.  The array functions carry fault masks, and at the first
-    node where a coordinate, a weight or a value is not finite
-    (`_check_finite`), m's and g's scalar functions run there
-    (`_raise_at`).  numpy's warnings are off: an `if` computes both
-    branches, and a domain error in the one not taken is no fault.
-    """
-    dim = cont_dim(m)
-    if dim > 3:
-        raise UnsupportedDimension(f"continuous dimension {dim} exceeds 3")
-    values = _array_values(g, scalar=False)
+    function, a function term or a callable on runtime values, on m's axes
+    (`_adaptive`).  At the first node where a coordinate, a weight or a
+    value is not finite, m's and g's scalar functions run (`_raise_at`).
+    numpy's warnings are off: an `if` computes both branches, and a domain
+    error in the one not taken is no fault."""
+    tree = _stack(m, cache)
+    # the breakpoints of g reach only a density at the top of m
+    if not isinstance(tree, _Density1D):
+        breakpoints = ()
     fault = lambda node: _raise_at(m, g, node, settings, cache)  # noqa: E731
     with np.errstate(all="ignore"):
-        if dim < 3:
-            tree = _stack(m, cache)
-            # the breakpoints of g reach only a density at the top of m
-            if not isinstance(tree, _Density1D):
-                breakpoints = ()
-            return _adaptive(tree, values, settings, breakpoints, cache, fault)
-        coords, point, cols, weights = _grid(m, settings, cache, fault)
-        v = values(point, cols)
-        if isinstance(g, TestFn):
-            total = float(np.dot(np.asarray(v).ravel(), weights.ravel()))
-        else:
-            total = float(np.sum(weights * v))
-        # the weights are finite, so a value that is not makes the total not
-        if not math.isfinite(total):
-            _check_finite([v], coords, weights.shape, fault)
-        return total
+        return _adaptive(tree, _array_values(g, scalar=False), settings, breakpoints, cache, fault)
 
 
 def _raise_at(m, g, node: list, settings, cache: dict):
@@ -475,48 +540,6 @@ def _raise_at(m, g, node: list, settings, cache: dict):
     _array_values(g, scalar=True)(point, _flatten_array_point(point, (1,)))
     value = _node_values(point, (1,))[0]
     raise IntegrationError(f"integrand or weight not finite at the point {value!r}")
-
-
-def _grid(m, settings, cache: dict, fault: Callable) -> tuple:
-    """(coordinates, point, its flattened coordinates, weights) of m's
-    Gauss-Legendre tensor grid (`_tensor_grid`) pushed through m's tree
-    (`_walk`), once `_check_finite` has found the point and the weights
-    finite.
-
-    The coordinates and the point's are broadcastable arrays, one axis each
-    (`np.ix_`), so a coordinate computed from fewer axes takes fewer nodes;
-    the weights are one array over all axes.  The result is cached under
-    the identities of m and settings, which the entry keeps alive.
-    """
-    key = ("grid", id(m), id(settings))
-    if key not in cache:
-        tree = _stack(m, cache)
-        axes, weights = _tensor_grid(_axes(tree))
-        coords = np.ix_(*axes)
-        point, weights = _walk(tree, iter(coords), weights, settings, cache)
-        cols = _flatten_array_point(point, weights.shape)
-        _check_finite([*cols, weights], coords, weights.shape, fault)
-        cache[key] = ((coords, point, cols, weights), m, settings)
-    return cache[key][0]
-
-
-def _tensor_grid(axes):
-    """The coordinates on each axis and the weights, one array over all
-    axes, of the tensor grid with `GRID_NODES_3D` Gauss-Legendre nodes on
-    each density and one node per atom on each finitely supported measure."""
-    nodes, weights = np.polynomial.legendre.leggauss(GRID_NODES_3D)
-    u = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    coords, axis_weights = [], []
-    for d in axes:
-        if isinstance(d, _Atoms):
-            coords.append(np.arange(len(d.masses)))
-            axis_weights.append(d.masses)
-        else:
-            xs = d.lo + (d.hi - d.lo) * u
-            coords.append(xs)
-            axis_weights.append(w * ((d.hi - d.lo) * d.pdfs(xs)))
-    return coords, reduce(np.multiply, np.ix_(*axis_weights))
 
 
 def _adaptive(tree, values, settings, breakpoints, cache, fault) -> float:
@@ -727,9 +750,7 @@ def support_box(m: M.MeasureExpr) -> list[tuple[float, float]]:
     """Approximate per-coordinate supports, used to place test functions."""
     match m:
         case M.Dirac(point):
-            pt = value_to_point(point)
-            flat = _flatten_point(pt)
-            return [(x - 1.0, x + 1.0) for x in flat]
+            return [(x - 1.0, x + 1.0) for x in _flatten_point(value_to_point(point))]
         case M.Bernoulli():
             return [(0.0, 1.0)]
         case M.UniformM(a, b) | M.TriangularM(a, b):
@@ -815,7 +836,9 @@ class TestFn:
     """A test function with its stated bound and Lipschitz constant.
 
     cols_fn maps a list of coordinate arrays to an array; a call on one
-    point applies it to one-element arrays.
+    point applies it to one-element arrays.  `factors`, the (coordinate,
+    one-coordinate test function) pairs it is the product of, are () for 1
+    and None where not stated.
     """
 
     __test__ = False  # not a pytest class
@@ -825,6 +848,7 @@ class TestFn:
     bound: float
     lip: float
     breakpoints: tuple[float, ...] = ()
+    factors: Optional[tuple[tuple[int, "TestFn"], ...]] = None
 
     def __call__(self, point):
         cols = [np.asarray([x]) for x in _flatten_point(point)]
@@ -832,6 +856,10 @@ class TestFn:
 
     def on_cols(self, cols):
         return self.cols_fn(cols)
+
+
+#: what a part that a test function does not read is integrated against
+_ONE = TestFn("one", lambda cols: np.ones_like(cols[0]), 1.0, 0.0)
 
 
 @dataclass
@@ -877,10 +905,6 @@ def _scalar_members(lo: float, hi: float) -> list[tuple]:
 _SLIM = ("one", "x", "x2", "cos1x", "cos2x", "clamp")
 
 
-def _slim_members(lo: float, hi: float):
-    return [m for m in _scalar_members(lo, hi) if m[0] in _SLIM]
-
-
 def build_family(m: M.MeasureExpr, slim: bool = False) -> TestFunctionFamily:
     """The default family over the measure's support.
 
@@ -888,43 +912,41 @@ def build_family(m: M.MeasureExpr, slim: bool = False) -> TestFunctionFamily:
     additionally get coordinate sums and bounded pairwise products so that
     dependence between coordinates is visible.  The slim variant keeps the
     smooth members only, for the looser numeric equality checks inside proof
-    verification.
+    verification.  Every member but a coordinate sum states its factors.
     """
     box = support_box(m)
     dims = len(box)
-    mk_members = _slim_members if slim else _scalar_members
-    members: list[TestFn] = []
-    if dims == 1:
-        lo, hi = box[0]
-        for name, fn, bound, lip, brk in mk_members(lo, hi):
-            members.append(TestFn(name, lambda cols, _f=fn: _f(cols[0]), bound, lip, brk))
-        return TestFunctionFamily(members)
-
     lo = min(b[0] for b in box)
     hi = max(b[1] for b in box)
-    scalars = mk_members(lo, hi)
-    for name, fn, bound, lip, brk in scalars:
-        if name == "one" and dims > 1:
-            members.append(TestFn("one", lambda cols: np.ones_like(cols[0]), 1.0, 0.0))
+    members: list[TestFn] = []
+    bounded = []  # the factors of the pairwise products
+    for name, fn, bound, lip, brk in _scalar_members(lo, hi):
+        if slim and name not in _SLIM:
+            continue
+        unit = TestFn(name, lambda cols, _f=fn: _f(cols[0]), bound, lip, brk)
+        if name == "one" or dims == 1:
+            members.append(replace(unit, factors=() if name == "one" else ((0, unit),)))
             continue
         for j in range(dims):
             members.append(TestFn(
-                f"{name}[{j}]", lambda cols, _f=fn, _j=j: _f(cols[_j]), bound, lip, brk
+                f"{name}[{j}]", lambda cols, _f=fn, _j=j: _f(cols[_j]), bound, lip, brk, ((j, unit),)
             ))
         if not slim:
             members.append(TestFn(
                 f"{name}[sum]", lambda cols, _f=fn: sum(_f(c) for c in cols), bound * dims, lip, brk
             ))
+        if bound <= 1.0 and name.startswith(("cos", "clamp")):
+            bounded.append((unit, fn))
     # bounded pairwise products catch dependence between coordinates
-    bounded = [(n, f) for n, f, b, _, _ in scalars if b <= 1.0 and n.startswith(("cos", "clamp"))]
     for i in range(dims):
         for j in range(i + 1, dims):
-            for (n1, f1), (n2, f2) in zip(bounded[:2], bounded[1:3]):
+            for (u1, f1), (u2, f2) in zip(bounded[:2], bounded[1:3]):
                 members.append(TestFn(
-                    f"{n1}[{i}]*{n2}[{j}]",
+                    f"{u1.name}[{i}]*{u2.name}[{j}]",
                     lambda cols, _f1=f1, _f2=f2, _i=i, _j=j: _f1(cols[_i]) * _f2(cols[_j]),
                     1.0,
                     3.0,
+                    factors=((i, u1), (j, u2)),
                 ))
     return TestFunctionFamily(members)
 

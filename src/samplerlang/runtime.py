@@ -42,11 +42,10 @@ function that raises), the function raises, and the engine runs the
 block's entries one at a time through the single-entry function, which
 raises the error of the first one that fails.
 
-`compile_array_fn` runs the same generator in array mode, for quadrature's
-array paths, whose functions take nested tuples of numpy arrays and
-compute a whole grid, or a batch of quadrature nodes, per call.  Value
-numbering and constant folding are the same; numeric constants enter as
-floats (folded with numpy's warnings off), and the builtins other than
+`compile_array_fn` runs the same generator in array mode, for quadrature,
+whose functions take nested tuples of numpy arrays and compute a batch of
+quadrature nodes per call.  Value numbering and constant folding are the
+same; numeric constants enter as floats (folded with numpy's warnings off), and the builtins other than
 plus/minus/times/neg are the numpy functions of `_ARRAY_BUILTINS`, which
 both fold constants and run in the code, so a domain error gives nan or inf
 instead of raising, and no statement is wrapped to locate a failure.

@@ -194,8 +194,8 @@ class Rejection(Exception):
         self.reason = reason
 
 
-#: numeric "=" checks inside proofs run at loose tolerance; the quadrature
-#: behind them does not need the tight defaults
+#: the quadrature tolerance of the numeric "=" checks inside proofs, looser
+#: than the defaults; it and NUMERIC_TOL stay until integrals report error bounds
 CHECK_SETTINGS = QuadSettings(abs_tol=1e-5, rel_tol=1e-5)
 #: the discrepancy a stated "=" may show, unless its evidence gives a `tol`
 NUMERIC_TOL = 5e-3

@@ -291,9 +291,10 @@ def test_reweight_normalizer_integrated_once_per_test(corpus, monkeypatch):
     uncached = [integrate(target, m, DEFAULT_SETTINGS, m.breakpoints) for m in family]
     shared: dict = {}
     cached = [integrate(target, m, DEFAULT_SETTINGS, m.breakpoints, shared) for m in family]
-    # one normalizer, and the stacks of the target and of its base
+    # one normalizer, the stacks of the target and of its base, and the
+    # target's split into parts (one part: a reweight does not split)
     assert sorted(k[0] if isinstance(k[0], str) else "normalizer" for k in shared) == [
-        "normalizer", "stack", "stack"
+        "normalizer", "parts", "stack", "stack"
     ]
     assert [float.hex(v) for v in cached] == [float.hex(v) for v in uncached]
 
