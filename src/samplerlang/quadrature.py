@@ -235,16 +235,6 @@ def _density_of(m: M.MeasureExpr) -> Optional[_Density1D]:
             return None
 
 
-def _factors(m: M.MeasureExpr) -> list[M.MeasureExpr]:
-    match m:
-        case M.ProductM(left, right):
-            return _factors(left) + _factors(right)
-        case M.PowerM():
-            return _factors(M.expand_power(m))
-        case _:
-            return [m]
-
-
 def cont_dim(m: M.MeasureExpr) -> int:
     """Continuous coordinates to be integrated numerically."""
     match m:
@@ -333,8 +323,7 @@ def _parts(m, cache: dict) -> Optional[list]:
         parts, ranges = _split(m), None
         try:
             widths = [len(support_box(part)) for part in parts] if len(parts) > 1 else [0]
-        # TypeError: probe points are right-nested, whatever the nesting of the base
-        except (IntegrationError, EvalError, TypeError):
+        except (IntegrationError, EvalError):
             widths = [0]
         if min(widths) > 0:
             edges = np.cumsum([0, *widths]).tolist()
@@ -793,22 +782,11 @@ def _flatten_point(p) -> list[float]:
 
 
 def _probe_box(fn: Term, base: M.MeasureExpr) -> list[tuple[float, float]]:
-    """The box around the images of probe points of base under fn.
-
-    A discrete factor of base is probed with its runtime values, as
-    `integrate` passes them; each coordinate of a continuous factor with 5
-    evenly spaced floats across its support box.
-    """
-    axes = []
-    for factor in _factors(base):
-        disc = reduce_discrete(factor)
-        if disc is not None:
-            axes.append([v for v, _ in disc.atoms])
-        else:
-            axes.extend(np.linspace(lo, hi, 5).tolist() for lo, hi in support_box(factor))
+    """The box around the images of probe points of base under fn (see
+    _probe_points)."""
     f = term_fn(fn)
     images = []
-    for point in _probe_points(axes):
+    for point in _probe_points(base):
         try:
             images.append(_flatten_point(value_to_point(f(point))))
         except (EvalError, IntegrationError, ValueError, OverflowError):
@@ -823,11 +801,30 @@ def _probe_box(fn: Term, base: M.MeasureExpr) -> list[tuple[float, float]]:
     return out
 
 
-def _probe_points(axes: list) -> list:
+def _probe_points(m: M.MeasureExpr) -> list:
+    """Probe points of m, nested as its points are: a product's are the
+    pairs of its factors' points, a discrete measure's are its runtime
+    values, as `integrate` passes them, and any other measure's take each
+    coordinate from 5 evenly spaced floats across its support box,
+    right-nested."""
+    match m:
+        case M.ProductM(left, right):
+            rights = _probe_points(right)
+            return [(v, w) for v in _probe_points(left) for w in rights]
+        case M.PowerM():
+            return _probe_points(M.expand_power(m))
+    disc = reduce_discrete(m)
+    if disc is not None:
+        return [v for v, _ in disc.atoms]
+    axes = [np.linspace(lo, hi, 5).tolist() for lo, hi in support_box(m)]
+    return _grid_points(axes)
+
+
+def _grid_points(axes: list) -> list:
     """Every right-nested tuple that takes one value from each axis."""
     if len(axes) == 1:
         return list(axes[0])
-    rests = _probe_points(axes[1:])
+    rests = _grid_points(axes[1:])
     return [(v, rest) for v in axes[0] for rest in rests]
 
 

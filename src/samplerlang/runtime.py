@@ -25,12 +25,12 @@ A pair bound to a name stays its parts, so its tuple is built only where
 it is used whole.
 
 The stream engine and quadrature reach these functions through
-`compile_fn` and `apply_value`.  `compile_pipeline` runs the generator for
-the stream engine's fused chains of map/reweight/product layers, with every
-layer's body inline (see _PipeGen): as a single-entry function, and in
-columnar mode, whose function computes a block of entries a column at a
-time.  Columnar mode keeps every value bit-identical to the single-entry
-function's: numpy runs only the operations it rounds as Python does (plus,
+`compile_fn` and `apply_value`.  `compile_pipeline` runs the generator in
+columnar mode for the stream engine's fused chains of map/reweight/product
+layers, with every layer's body inline (see _PipeGen): its function
+computes a block of entries a column at a time.  Columnar mode keeps every
+value bit-identical to the layers' compile_fn functions applied entry by
+entry: numpy runs only the operations it rounds as Python does (plus,
 minus, times, neg, div, sqrt, abs and the comparisons) and only on float64
 and bool columns; every other builtin is the same `math` or `builtins`
 function, called entry by entry, as is every operation on a column of ints
@@ -39,7 +39,7 @@ case runs each branch only on the entries that take it.  A block does not
 locate its errors: where some entry fails (a domain test of
 `builtins.BuiltinSig.fails`, a negative reweight factor, or a builtin or
 function that raises), the function raises, and the engine runs the
-block's entries one at a time through the single-entry function, which
+block's entries one at a time, applying each layer on its own, which
 raises the error of the first one that fails.
 
 `compile_array_fn` runs the same generator in array mode, for quadrature,
@@ -57,8 +57,9 @@ a domain error in the branch not taken is masked.
 Each function in array mode also computes its fault mask, where it would
 fail: a builtin other than plus/minus/times/neg whose value is not finite
 counts at the points where the code that calls it runs (the conjunction of
-the enclosing branch conditions, in a nested function that of its call
-site), and `compile_array_fn`'s function puts nan in every component there.
+the enclosing branch conditions; a lambda of the body is inlined where it
+is applied, as in columnar mode, so its builtins count where its call site
+runs), and `compile_array_fn`'s function puts nan in every component there.
 So a domain error that the scalar function raises shows as nan, even where
 its value is discarded or only compared, and one in a branch not taken does
 not.  A constant that folds to a non-finite value stays in the code, so
@@ -66,8 +67,9 @@ that it counts where it is reached.
 
 Array mode refuses (returns None for) a body that reaches an injection, a
 case on any other scrutinee (an injection, a Boolean parameter), a unit
-constant, a builtin outside that table, or an application of anything but
-a lambda defined in the body.
+constant, a builtin outside that table, an application of anything but
+a lambda defined in the body, or such a lambda used as a value (in a pair,
+say) rather than applied.
 """
 from __future__ import annotations
 
@@ -290,8 +292,8 @@ class _Code:
     two operands of a pair built in this function, so projections need no
     indexing; `is_bool` marks values known to be Booleans (comparison
     results: Python bools, or bool arrays in array mode), which case
-    analysis may test directly; `is_fn` marks functions
-    defined in the generated code, which are called directly.
+    analysis may test directly; `is_fn` marks functions defined in the
+    scalar code, which are called directly.
     """
 
     expr: str
@@ -302,8 +304,8 @@ class _Code:
 
 @dataclass(frozen=True)
 class _Lam:
-    """Columnar mode: a lambda of the body, inlined where it is applied;
-    one that escapes (is used as a value) is refused."""
+    """Columnar and array mode: a lambda of the body, inlined where it is
+    applied; one that escapes (is used as a value) is refused."""
 
     params: tuple
     body: Term
@@ -384,7 +386,6 @@ class _CodeGen:
             "_not": np.logical_not,
         }
         self.count = 0
-        self.defs = 0  # nested functions emitted
         # (op, operand sources) -> the local holding that call's value, for
         # the calls emitted in the current block and the blocks around it
         self.calls: dict = {}
@@ -429,10 +430,10 @@ class _CodeGen:
         the current frame."""
         if isinstance(operand, _Known):
             return self.literal(operand.value)
-        if not self.columns:
-            return operand.expr
         if isinstance(operand, _Lam):
             raise _NotCompilable(operand)
+        if not self.columns:
+            return operand.expr
         if operand.parts is not None:
             left, right = (self.code(p) for p in operand.parts)
             return self.assign(1, f"_each(_tuple, {self.frame}, {left}, {right})").expr
@@ -497,17 +498,13 @@ class _CodeGen:
     def function(self, name: str, params, body: Term, scope: dict, depth: int) -> None:
         """A def of the function; in array mode it returns (value, fault mask)."""
         arg = self.fresh("a")
-        self.defs += 1
         self.emit(depth, f"def {name}({arg}):")
-        outer = self.path, self.checked
-        self.path, self.checked = None, set()
         with self.block():
             if self.array:
                 self.emit(depth + 1, "_bad = False")
             inner = self.bind(params, _Code(arg), scope, depth + 1)
             result = self.code(self.term(body, inner, depth + 1))
             self.emit(depth + 1, f"return {result}, _bad" if self.array else f"return {result}")
-        self.path, self.checked = outer
 
     def fault(self, mask: str, depth: int) -> None:
         """Record that the points in `mask` fail, where the current code runs."""
@@ -586,7 +583,7 @@ class _CodeGen:
                 return self.term(body, {**scope, name: value}, depth)
             case Case(scrut, branches):
                 return self.case(term, self.term(scrut, scope, depth), scope, depth)
-            case Lam(params, body) if self.columns:
+            case Lam(params, body) if self.columns or self.array:
                 return _Lam(params, body, scope, self.env)
             case Lam(params, body):
                 name = self.fresh("f")
@@ -595,7 +592,7 @@ class _CodeGen:
             case App(Lam(params, body), arg):
                 value = self.term(arg, scope, depth)
                 return self.term(body, self.bind(params, value, scope, depth), depth)
-            case App(fn, arg) if self.columns:
+            case App(fn, arg) if self.columns or self.array:
                 fo = self.term(fn, scope, depth)
                 value = self.term(arg, scope, depth)
                 if isinstance(fo, _Lam):
@@ -608,15 +605,8 @@ class _CodeGen:
                 fo = self.term(fn, scope, depth)
                 ao = self.code(self.term(arg, scope, depth))
                 direct = self.direct_callee(fo)
-                if direct is not None and self.array:
-                    out, mask = self.fresh("t"), self.fresh("b")
-                    self.emit(depth, f"{out}, {mask} = {direct}({ao})")
-                    self.fault(mask, depth)
-                    return _Code(out)
                 if direct is not None:
                     return self.assign(depth, f"{direct}({ao})")
-                if self.array:
-                    raise _NotCompilable(term)
                 return self.assign(depth, f"_apply_value({self.code(fo)}, {ao})")
         raise _NotCompilable(term)
 
@@ -732,8 +722,6 @@ class _CodeGen:
         """Source naming a Python function for the operand, if it has one."""
         if isinstance(operand, _Code):
             return operand.expr if operand.is_fn else None
-        if self.array:
-            return None
         fn = operand.value
         if isinstance(fn, VClosure):
             fn = compile_fn(fn)
@@ -810,21 +798,15 @@ class _CodeGen:
 
 
 class _PipeGen(_CodeGen):
-    """The generator for a fused stream pipeline, in one of two modes.
+    """The columnar generator for a fused stream pipeline.
 
     A pipeline is a tree whose nodes are a leaf's number or (op, fn,
     inputs), op being "map", "reweight" or "prod".  A map or reweight
     inlines its closure's body, with the closure's environment as known
     values; a product's value is a pair that keeps its parts.
 
-    The single-entry function (`columns` unset) computes one entry, as
-    entry-wise evaluation does: each leaf's entry is read where engine order
-    reaches it, from its column `_cj` (and weights `_wj`) at the index `_i`,
-    and a column that ends before `_i` raises that leaf's error `_errs[j]`.
-    A layer whose body the generator refuses calls `fallback(fn, x)`.
-
-    The columnar function (`columns` set) computes a block of `_n` entries
-    from each leaf's block at once.  Every value is a column: a float64
+    The function computes a block of `_n` entries from each leaf's block,
+    `_cj` (and weights `_wj`), at once.  Every value is a column: a float64
     array where each entry is a float, a bool array where each is a bool,
     and an object array of the runtime values otherwise (ints among them,
     since they are unbounded); a value that is the same in every entry
@@ -832,7 +814,8 @@ class _PipeGen(_CodeGen):
     (plus, minus, times, neg, div, sqrt, abs and the comparisons) run as
     numpy operations on float64 columns; every other builtin, and every
     operation on an object column, calls the scalar code's function entry by
-    entry, so each value is bit-identical to the single-entry function's.
+    entry, so each value is bit-identical to the layers' compile_fn
+    functions applied entry by entry.
     A case runs each branch in a frame of its own, on the entries that take
     it: the columns it uses are gathered there (`here`), and the branches'
     results are merged (`_merge`), so a branch is evaluated exactly where
@@ -841,17 +824,16 @@ class _PipeGen(_CodeGen):
     samplers, or makes a function value per entry) is applied entry by
     entry through `fallback`, the evaluator's application, which calls the
     closure's compile_fn function where it has one.  The function does
-    not locate errors: wherever the single-entry function would raise, it
+    not locate errors: wherever entry-wise evaluation would raise, it
     raises, or, where a domain test (`builtins.BuiltinSig.fails`) or a
     negative reweight factor fails, raises `_Fault`; the stream engine then
-    runs the block's entries through the single-entry function.
+    runs the block's entries one at a time, layer by layer.
     """
 
-    def __init__(self, weighted, fallback: Callable, columns: bool):
-        super().__init__({}, columns=columns)
+    def __init__(self, weighted, fallback: Callable):
+        super().__init__({}, columns=True)
         self.weighted = weighted
         self.fallback = fallback
-        self.namespace["_negative"] = _negative_weight
 
     def inputs(self) -> list[str]:
         """The parameters for each leaf's entries, then its weights if it
@@ -865,7 +847,7 @@ class _PipeGen(_CodeGen):
         """The (value, weight) operands of a pipeline node.  Engine order: a
         product's left input, then its right one, then the layer itself."""
         if isinstance(node, int):
-            return self.leaf(node, depth)
+            return self.leaf(node)
         op, fn, inputs = node
         if op == "prod":
             lv, lw = self.stage(inputs[0], depth)
@@ -875,39 +857,24 @@ class _PipeGen(_CodeGen):
         out = self.layer(fn, value, depth)
         if op == "map":
             return out, weight
-        factor = self.local(out, depth)
-        code = self.code(factor)
-        if self.columns:
-            return value, self.assign(depth, f"_reweigh({code}, {self.code(weight)}, _n)")
-        self.emit(depth, f"if {code} < 0:")
-        self.emit(depth + 1, f"raise _negative({code})")
-        return value, self.times(factor, weight, depth)
+        return value, self.assign(depth, f"_reweigh({self.code(out)}, {self.code(weight)}, _n)")
 
-    def leaf(self, j: int, depth: int) -> tuple:
-        weighted = self.weighted[j]
-        if self.columns:  # converted where they are first used (`here`)
-            self.pending.update({f"_x{j}": f"_c{j}", f"_y{j}": f"_w{j}"})
-            self.made[f"_x{j}"] = self.made[f"_y{j}"] = self.frame
-        else:
-            self.emit(depth, f"if _i >= len(_c{j}):")
-            self.emit(depth + 1, f"raise _errs[{j}]")
-            self.emit(depth, f"_x{j} = _c{j}[_i]")
-            if weighted:
-                self.emit(depth, f"_y{j} = _w{j}[_i]")
-        return _Code(f"_x{j}"), _Code(f"_y{j}") if weighted else _Known(WEIGHT_ONE)
+    def leaf(self, j: int) -> tuple:
+        # converted where they are first used (`here`)
+        self.pending.update({f"_x{j}": f"_c{j}", f"_y{j}": f"_w{j}"})
+        self.made[f"_x{j}"] = self.made[f"_y{j}"] = self.frame
+        return _Code(f"_x{j}"), _Code(f"_y{j}") if self.weighted[j] else _Known(WEIGHT_ONE)
 
     def times(self, left, right, depth: int):
         """A weight product; never folded unless both factors are known,
         so an integer factor still makes a float weight."""
         if isinstance(left, _Known) and isinstance(right, _Known):
             return _Known(left.value * right.value)
-        if self.columns:
-            return self.assign(depth, f"_op(_op_times, _n, {self.code(left)}, {self.code(right)})")
-        return self.assign(depth, f"{self.code(left)} * {self.code(right)}")
+        return self.assign(depth, f"_op(_op_times, _n, {self.code(left)}, {self.code(right)})")
 
     def listed(self, operand) -> str:
-        """Columnar mode: source for the list of the operand's entries; a
-        pair's is zipped from its parts' lists."""
+        """Source for the list of the operand's entries; a pair's is
+        zipped from its parts' lists."""
         if isinstance(operand, _Code) and operand.parts is not None:
             return f"list(zip({', '.join(map(self.listed, operand.parts))}))"
         if isinstance(operand, _Code) and operand.expr in self.pending:
@@ -916,14 +883,14 @@ class _PipeGen(_CodeGen):
 
     def layer(self, fn, value, depth: int):
         """fn applied to the value: its closure's body inline, or a call
-        (entry by entry in columnar mode) where the generator refuses it."""
+        entry by entry where the generator refuses it."""
         if isinstance(fn, VClosure):
             mark, calls = len(self.lines), self.calls
             gathered, pending = dict(self.gathered), dict(self.pending)
             self.calls = dict(calls)
             try:
                 out = self.inline(fn.params, fn.body, {}, fn.env, value, depth)
-                if self.columns and _makes_function(out):
+                if _makes_function(out):
                     raise _NotCompilable(out)
                 return out
             except _NotCompilable:
@@ -938,9 +905,7 @@ class _PipeGen(_CodeGen):
             name += "()"
         else:
             self.namespace[name] = fn
-        if self.columns:
-            return self.assign(depth, f"_each(_fallback, _n, {name}, {self.code(value)})")
-        return self.assign(depth, f"_fallback({name}, {self.code(value)})")
+        return self.assign(depth, f"_each(_fallback, _n, {name}, {self.code(value)})")
 
 
 def _makes_function(operand) -> bool:
@@ -951,35 +916,28 @@ def _makes_function(operand) -> bool:
     return isinstance(operand, _Lam)
 
 
-def _negative_weight(factor) -> EvalError:
-    return EvalError(f"negative weight {factor} from reweight")
-
-
 #: compile_pipeline's functions for pipelines without layer functions
 _PIPELINES: dict = {}
 
 
-def compile_pipeline(shape, fns: list, weighted, fallback: Callable, columns: bool) -> Callable:
+def compile_pipeline(shape, fns: list, weighted, fallback: Callable) -> Callable:
     """A function of a fused stream pipeline (see _PipeGen).
 
     The pipeline's tree is given as its shape, a tree whose nodes are a
     leaf's number or (op, id(fn), inputs), and its layer functions fns, each
-    node's before its inputs'.  With `columns` set the function is the
-    columnar function `_fn(n, *leaves)`, which takes each leaf's block of n
-    entries (its values, then its weights if it has them) and returns the
-    lists of the n values and weights, or raises (see _PipeGen).  Otherwise
-    it is the single-entry function `_fn(i, errs, *leaves)`, which returns
-    the value and weight of entry i of the leaves' blocks, or raises the
-    error of the innermost, then leftmost, failing layer or short leaf.
+    node's before its inputs'.  The function is the columnar function
+    `_fn(n, *leaves)`, which takes each leaf's block of n entries (its
+    values, then its weights if it has them) and returns the lists of the n
+    values and weights, or raises (see _PipeGen).
 
     A sampler built per entry of another builds the same pipeline again
     each time, so the function is kept, as compile_fn keeps a closure's:
     on the first layer function, if every layer function is a closure,
-    keyed by the shape, the leaves' weights and the mode; or in _PIPELINES
+    keyed by the shape and the leaves' weights; or in _PIPELINES
     if no layer has a function.  A closure belongs to the one evaluation
     that made it, so its evaluator's fallback is the same on every use.
     """
-    key = (shape, tuple(weighted), columns)
+    key = (shape, tuple(weighted))
     if not fns:
         cache = _PIPELINES
     elif all(type(fn) is VClosure for fn in fns):
@@ -987,13 +945,13 @@ def compile_pipeline(shape, fns: list, weighted, fallback: Callable, columns: bo
             fns[0]._pipelines = {}
         cache = fns[0]._pipelines
     else:
-        return _generate_pipeline(shape, fns, weighted, fallback, columns)
+        return _generate_pipeline(shape, fns, weighted, fallback)
     kept = cache.get(key)
     # the other closures are held weakly, since their environments may hold
     # the first one, and an id in the key is only theirs while they live
     if kept is None or (len(fns) > 1 and any(ref() is not fn for ref, fn in zip(kept[0], fns[1:]))):
         refs = [weakref.ref(fn) for fn in fns[1:]]
-        kept = cache[key] = refs, _generate_pipeline(shape, fns, weighted, fallback, columns)
+        kept = cache[key] = refs, _generate_pipeline(shape, fns, weighted, fallback)
     return kept[1]
 
 
@@ -1007,15 +965,11 @@ def _tree(shape, fns):
     return op, fn, tuple(_tree(i, fns) for i in inputs)
 
 
-def _generate_pipeline(shape, fns: list, weighted, fallback: Callable, columns: bool) -> Callable:
-    gen = _PipeGen(weighted, fallback, columns)
+def _generate_pipeline(shape, fns: list, weighted, fallback: Callable) -> Callable:
+    gen = _PipeGen(weighted, fallback)
     value, weight = gen.stage(_tree(shape, iter(fns)), 1)
-    leaves = ", ".join(gen.inputs())
-    if columns:
-        head = f"def _fn(_n, {leaves}):"
-        tail = f"return {gen.listed(value)}, {gen.listed(weight)}"
-    else:
-        head, tail = f"def _fn(_i, _errs, {leaves}):", f"return {gen.code(value)}, {gen.code(weight)}"
+    head = f"def _fn(_n, {', '.join(gen.inputs())}):"
+    tail = f"return {gen.listed(value)}, {gen.listed(weight)}"
     source = "\n".join([head, *gen.lines, "    " + tail]) + "\n"
     exec(compile(source, "<samplerlang>", "exec"), gen.namespace)
     # taken out of its own globals, so that the two are not a cycle that

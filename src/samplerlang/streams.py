@@ -20,24 +20,24 @@ unless its name occurs once in the body and not under a `fun`), through
 that parent's view (`tl`, `thin`), which it composes into the views of the
 parent's own parents.  The rest are the pipeline's leaves, pulled through
 their memos, so that `tl`, `thin` and `let` sharing is kept.  The pipeline
-compiles to two functions with every layer's body inline
-(`runtime.compile_pipeline`): a columnar one, which computes the demanded
-entries a chunk of `CHUNK` at a time as exact columns (numpy only where it
-rounds as Python does, the `math` functions entry by entry elsewhere, each
-branch of a case only on the entries that take it), and a single-entry one,
-in engine order: a product's left side, then its right side, then the layers
-above.  A product's pair is built only where its value escapes, and only
-the pipeline's top core keeps a memo.  A block of one entry (`hd`, `wt`,
-`RStream.entry`) runs the single-entry function.
+compiles to one columnar function with every layer's body inline
+(`runtime.compile_pipeline`), which computes the demanded entries a chunk
+of `CHUNK` at a time as exact columns (numpy only where it rounds as Python
+does, the `math` functions entry by entry elsewhere, each branch of a case
+only on the entries that take it).  A product's pair is built only where
+its value escapes, and only the pipeline's top core keeps a memo.  A block
+of one entry (`hd`, `wt`, `RStream.entry`) walks the layer tree instead
+(`PipeCore._entry`), in engine order: a product's left side, then its
+right side, then the layer above, each layer applied through its closure's
+compile_fn function.
 
 Errors are those entry-wise evaluation raises: the lowest index's, and at
 that index the innermost and then leftmost failing layer's.  The columnar
 function runs over the entries that every leaf has, and gives way where an
 entry of its chunk fails: that chunk's entries then run one at a time
-through the single-entry function, which raises the first one's error.
-Where a leaf's block ended early, the next entry runs alone, reading each
-leaf where engine order reaches it, so a layer to the left of that leaf
-still raises first.
+through the walk, which raises the first one's error.  Where a leaf's block
+ended early, the walk runs the next entry, reading each leaf where engine
+order reaches it, so a layer to the left of that leaf still raises first.
 """
 from __future__ import annotations
 
@@ -56,6 +56,7 @@ from .runtime import (
     VClosure,
     VInj,
     WeightedList,
+    _tree,
     compile_fn,
     compile_pipeline,
     destructure,
@@ -191,11 +192,11 @@ class PipeCore(StreamCore):
     reach (`_absorbable`), recursively, and compiles the tree of layers
     down to the other parents, its leaves (`runtime.compile_pipeline`).  A
     pull reads each leaf's block, runs the columnar function over the
-    entries every leaf has, a chunk at a time, and the single-entry function
-    over a block of one entry or a chunk where the columnar function gave
-    way, and runs the next entry alone if some leaf ended early, so that its
-    error is raised in engine order.  Only this core keeps a memo; absorbed
-    ones are never pulled.
+    entries every leaf has, a chunk at a time, and walks the layer tree
+    (`_entry`) for a block of one entry, for each entry of a chunk where the
+    columnar function gave way, and for the next entry if some leaf ended
+    early, so that its error is raised in engine order.  Only this core
+    keeps a memo; absorbed ones are never pulled.
     """
 
     def __init__(self, op: str, fn, parents: tuple, apply: Callable):
@@ -210,14 +211,14 @@ class PipeCore(StreamCore):
         # pulled through its memo rather than absorbed
         self.shared = False
         # the pipeline, made on the first pull: its leaves, which of them
-        # carry weights, its layer tree's shape and functions (see _plan),
-        # and its compiled functions
+        # carry weights, its layer tree's shape and functions (see _plan)
+        # and the tree they make; and its columnar function, made on first use
         self._leaves: list = []
         self._weighted: list = []
         self._shape = None
         self._fns: list = []
+        self._layers = None
         self._block: Optional[Callable] = None
-        self._one: Optional[Callable] = None
 
     def _plan(self, leaves: list, fns: list, a: int = 1, b: int = 0):
         """The shape of the layer tree of this core read through the view
@@ -238,47 +239,63 @@ class PipeCore(StreamCore):
                 inputs.append(len(leaves) - 1)
         return (self.op, id(self.fn), tuple(inputs))
 
-    def _compile(self, columns: bool) -> Callable:
-        return compile_pipeline(self._shape, self._fns, self._weighted, self.apply, columns)
-
     def _compute(self, idx) -> Block:
-        if self._one is None:
+        if self._shape is None:
             self._shape = self._plan(self._leaves, self._fns)
             self._weighted = [type(leaf.core) not in _UNWEIGHTED for leaf in self._leaves]
-            self._one = self._compile(False)
-        columns, errors, stop = [], [], len(idx)
+            self._layers = _tree(self._shape, iter(self._fns))
+        columns, reads, stop = [], [], len(idx)
         for leaf, weighted in zip(self._leaves, self._weighted):
             # a leaf is read only where the leaves left of it have entries
             values, weights, err = leaf.entries(idx[:stop])
             columns += [values, weights] if weighted else [values]
-            errors.append(err)
+            reads.append((values, weights if weighted else None, err))
             stop = min(stop, len(values))
         values, weights = [], []
         try:
-            if stop == 1:
-                value, weight = self._one(0, errors, *columns)
-                values.append(value)
-                weights.append(weight)
-            else:
-                for lo in range(0, stop, CHUNK):
-                    hi = min(lo + CHUNK, stop)
-                    if not self._columns(columns, lo, hi, values, weights):
-                        for i in range(lo, hi):
-                            value, weight = self._one(i, errors, *columns)
-                            values.append(value)
-                            weights.append(weight)
+            for lo in range(0, stop, CHUNK):
+                hi = min(lo + CHUNK, stop)
+                if stop == 1 or not self._columns(columns, lo, hi, values, weights):
+                    for i in range(lo, hi):
+                        value, weight = self._entry(self._layers, reads, i)
+                        values.append(value)
+                        weights.append(weight)
             if stop < len(idx):
-                self._one(stop, errors, *columns)  # raises
+                self._entry(self._layers, reads, stop)  # raises
         except EvalError as e:
             return values, weights, e
         return values, weights, None
+
+    def _entry(self, node, reads: list, i: int) -> tuple:
+        """The value and weight of entry i of the leaves' blocks (`reads`:
+        each leaf's values, weights or None, and error) through a node of
+        the layer tree, in engine order: a product's left input, then its
+        right one, then the layer, each layer applied on its own.  A leaf
+        whose block ends before i raises its error."""
+        if type(node) is int:
+            values, weights, err = reads[node]
+            if i >= len(values):
+                raise err
+            return values[i], WEIGHT_ONE if weights is None else weights[i]
+        op, fn, inputs = node
+        if op == "prod":
+            left, lw = self._entry(inputs[0], reads, i)
+            right, rw = self._entry(inputs[1], reads, i)
+            return (left, right), lw * rw
+        value, weight = self._entry(inputs[0], reads, i)
+        out = self.apply(fn, value)
+        if op == "map":
+            return out, weight
+        if out < 0:
+            raise EvalError(f"negative weight {out} from reweight")
+        return value, out * weight
 
     def _columns(self, columns: list, lo: int, hi: int, values: list, weights: list) -> bool:
         """Whether the columnar function computed entries lo to hi - 1 of
         the leaves' blocks, which it then appends to values and weights.  If
         it did not, one of them fails, and the caller runs each alone."""
         if self._block is None:
-            self._block = self._compile(True)
+            self._block = compile_pipeline(self._shape, self._fns, self._weighted, self.apply)
         try:
             with np.errstate(all="ignore"):
                 block = self._block(hi - lo, *(column[lo:hi] for column in columns))

@@ -216,6 +216,15 @@ def test_test_target_errors_are_one_line(measure, message, tmp_path, capsys):
     assert captured.err == message + "\n" and captured.out == ""
 
 
+def test_test_target_probes_a_left_nested_product_as_it_nests(tmp_path, capsys):
+    prog = tmp_path / "rand.smpl"
+    prog.write_text(RAND)
+    measure = ("pushforward(fun w : (R * R) * R => fst(fst(w)),"
+               " (uniform(0, 1) * uniform(0, 1)) * uniform(0, 1))")
+    assert main(["test-target", str(prog), "--measure", measure, "--n", "1000"]) == 0
+    assert capsys.readouterr().out.startswith("pass:")
+
+
 def test_verify_rejects_a_normalizer_that_does_not_converge(monkeypatch, capsys):
     monkeypatch.setattr(quadrature, "QUAD_LIMIT", 3)
     argv = ["verify", str(C / "proofs" / "rejection.json"), "--axioms", str(C / "rejection.smpl")]

@@ -334,6 +334,25 @@ def test_array_backend_matches_the_scalar_backend():
             assert value == want or (math.isnan(value) and math.isnan(want)), (lam, x)
             compared += 1
     assert compared > 4000
+    # a let-bound lambda is inlined where it is applied: nan exactly where
+    # the scalar function raises, whichever branch applies it
+    for src, points in [
+        ("fun x : R => let g = fun y : R => log(y) in if g(x) < 0 then 1 else 2", [-1.0]),
+        ("fun x : R => let g = fun y : R => log(y) in if x > 0 then g(x) else 0", [-1.0, 2.0]),
+        ("fun x : R => let g = fun y : R => sqrt(y) in g(x) + g(x + 1)", [-0.5, 3.0]),
+    ]:
+        lam = parse_term(src)
+        with np.errstate(all="ignore"):
+            array_fn = compile_array_fn(lam)
+            assert array_fn is not None, src
+            got = np.broadcast_to(array_fn(np.array(points)), (len(points),)).tolist()
+        for x, value in zip(points, got):
+            try:
+                term_fn(lam)(x)
+            except EvalError:
+                assert math.isnan(value), (src, x)
+            else:
+                assert math.isfinite(value), (src, x)
 
 
 def test_array_backend_matches_the_scalar_backend_across_comparisons():
@@ -654,9 +673,8 @@ def test_a_pipeline_built_per_entry_is_generated_once(body, monkeypatch):
     program = parse_program(_RAND + body)
     check_program(program)
     got = Interpreter(program).stream().prefix(40)
-    # the outer pipeline and the inner one, each a single-entry and a
-    # columnar function at most
-    assert len(made) <= 4
+    # the outer pipeline and the inner one, one columnar function each
+    assert len(made) <= 2
     assert _same_entries(got, Interpreter(program).big_step(40).entries)
 
 
@@ -766,11 +784,12 @@ def _block_matches_entries(program, n, term=None):
 _EXTERNS = _RAND + "extern sampler flip : S B targets bernoulli(0.3) equidistributed 1\nrand\n"
 
 
-@pytest.mark.parametrize("chunk", [streams.CHUNK, 16])
+@pytest.mark.parametrize("chunk", [streams.CHUNK, 16, 59])
 def test_columnar_blocks_of_random_bodies_match_entrywise_reads(chunk, monkeypatch):
     # bodies whose constants include 0, 2 and -0.0, as map and reweight
     # layers over a real and over a Boolean extern, and over ints; with
-    # 16-entry chunks, a block is several calls of the columnar function
+    # 16-entry chunks, a block is several calls of the columnar function,
+    # and with 59-entry chunks it ends in a call on one entry
     monkeypatch.setattr(streams, "CHUNK", chunk)
     # the columnar function gives way to entry-wise evaluation only where an
     # entry fails

@@ -237,14 +237,19 @@ def test_3d_pushforwards_that_do_not_split_integrate_whole(fn, moments):
         assert abs(integrate(m, family[name]) - want) <= 1e-8, name
 
 
-def test_a_part_that_probing_cannot_count_keeps_the_measure_whole():
-    # the probe points of a left-nested base are right-nested, so fst(fst(w))
-    # meets a float and raises TypeError; the measure is integrated whole
+def test_a_pushforward_over_a_left_nested_product_is_probed_as_it_nests():
+    # the probe points of a left-nested base are left-nested, so the part's
+    # coordinates are counted and the measure splits
     m = parse_measure(
         "uniform(0, 1) * pushforward(fun w : (R * R) * R => fst(fst(w)) + snd(w),"
         " (uniform(0, 1) * uniform(0, 1)) * bernoulli(0.5))"
     )
-    assert quadrature._parts(m, {}) is None
+    assert [(lo, hi) for _, lo, hi in quadrature._parts(m, {})] == [(0, 1), (1, 2)]
+    box = support_box(parse_measure(
+        "pushforward(fun w : (R * R) * R => (fst(fst(w)) + snd(w), snd(fst(w))),"
+        " (uniform(0, 1) * uniform(0, 1)) * uniform(0, 1))"
+    ))
+    assert box == [(0.0, 2.0), (0.0, 1.0)]
     family = {member.name: member for member in build_family(U2, slim=True)}
     assert abs(integrate(m, family["x[1]"]) - 1.0) <= 1e-9
 
