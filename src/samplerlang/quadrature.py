@@ -25,6 +25,16 @@ functions (`TestFn.factors`) over a measure of independent parts
 (`_split`) is the product of the parts' integrals (Fubini).  No integral
 uses scipy; a gamma density's cut-off imports `scipy.special` on first use.
 
+The jumps of an integrand that is a function term with a comparison in its
+body, over a product of densities, come from the type checker (`_jumps`):
+the inverse-image types of the function's domain name each comparison's
+pair of sides.  Their crossings on the innermost axis (`_crossings`),
+probed for every row of a batch at once and bisected to the spacing of
+floats, split each row at its own breakpoints (`_gk21`'s `row_points`); a
+pair that reads only the innermost coordinate is solved once and splits
+every row.  A jump the probes miss is found by the adaptive bisection, as
+it is where the checker refuses the function or a parameter's type is `_`.
+
 The array functions carry fault masks, and a reweight divides by its
 `normalizer`, the integral of its function over its own base.  At the
 first node, in node order, where a scalar function would raise (a domain
@@ -39,6 +49,7 @@ normalizer is integrated once, and each stack and split built once.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -48,7 +59,26 @@ import numpy as np
 from . import measures as M
 from .builtins import EvalError
 from .runtime import apply_value, compile_array_fn, compile_fn, VClosure, VInj, value_to_point
-from .terms import Case, Fst, Lam, Let, Pair, ProdT, Snd, Term, Var, children, free_vars, with_children
+from .terms import (
+    Case,
+    Fst,
+    IntersectT,
+    Lam,
+    Let,
+    Pair,
+    ProdT,
+    PullbackT,
+    Snd,
+    SumT,
+    Term,
+    Var,
+    alpha_equal,
+    children,
+    contains_comparison,
+    free_vars,
+    with_children,
+)
+from .typecheck import Checker, TypeCheckError
 
 
 class IntegrationError(Exception):
@@ -509,17 +539,35 @@ def _check_finite(arrays, coords, shape, fault: Callable) -> None:
 def _array_integral(m, g, settings, breakpoints, cache: dict) -> float:
     """The integral over m, which is not finitely supported, of g, a test
     function, a function term or a callable on runtime values, on m's axes
-    (`_adaptive`).  At the first node where a coordinate, a weight or a
-    value is not finite, m's and g's scalar functions run (`_raise_at`).
-    numpy's warnings are off: an `if` computes both branches, and a domain
-    error in the one not taken is no fault."""
+    (`_adaptive`), with the jumps of a function term placed by its type
+    (`_jumps`).  At the first node where a coordinate, a weight or a value
+    is not finite, m's and g's scalar functions run (`_raise_at`).  numpy's
+    warnings are off: an `if` computes both branches, and a domain error in
+    the one not taken is no fault.  An integral split at jumps that meets a
+    fault runs again without them, and faults as it would have."""
     tree = _stack(m, cache)
     # the breakpoints of g reach only a density at the top of m
     if not isinstance(tree, _Density1D):
         breakpoints = ()
+    jumps = _jumps(g, tree) if isinstance(g, Term) else ([], [])
     fault = lambda node: _raise_at(m, g, node, settings, cache)  # noqa: E731
     with np.errstate(all="ignore"):
-        return _adaptive(tree, _array_values(g, scalar=False), settings, breakpoints, cache, fault)
+        values = _array_values(g, scalar=False)
+        if any(jumps):
+            try:
+                return _adaptive(tree, values, settings, breakpoints, cache, _jump_fault, jumps)
+            except _JumpFault:
+                pass  # raised below where the rule without the jumps meets it first
+        return _adaptive(tree, values, settings, breakpoints, cache, fault)
+
+
+class _JumpFault(Exception):
+    """A fault in an integral split at its jumps, which runs again without
+    them, so that the node it names does not depend on the jumps."""
+
+
+def _jump_fault(_node):
+    raise _JumpFault
 
 
 def _raise_at(m, g, node: list, settings, cache: dict):
@@ -531,7 +579,7 @@ def _raise_at(m, g, node: list, settings, cache: dict):
     raise IntegrationError(f"integrand or weight not finite at the point {value!r}")
 
 
-def _adaptive(tree, values, settings, breakpoints, cache, fault) -> float:
+def _adaptive(tree, values, settings, breakpoints, cache, fault, jumps=([], [])) -> float:
     """The integral of `values` over the tree's measure, iterated over its
     axes (`_axes`): a density by batched adaptive Gauss-Kronrod (`_gk21`),
     a finitely supported measure by the sum over its atoms.
@@ -544,9 +592,21 @@ def _adaptive(tree, values, settings, breakpoints, cache, fault) -> float:
     gets the coordinates of the first node, in node order, where a point
     coordinate or a weight is not finite, or else where an integrand value
     times its weight is not (`_check_finite`).
+
+    `jumps` are the integrand's comparisons over a product of densities
+    (`_jumps`): those that read only the innermost axis, whose crossings
+    (`_crossings`) are found once and split every row there, and the
+    others, whose crossings are found for each batch of rows at once and
+    split each row at its own.
     """
     axes = _axes(tree)
     last = len(axes) - 1
+    shared, per_row = jumps
+    point_at = lambda coords: _walk(tree, iter(coords), None, settings, cache)[0]  # noqa: E731
+    if shared:
+        # the outer coordinates are not read: any inside their axes will do
+        outer = [np.array([0.5 * (d.lo + d.hi)]) for d in axes[:-1]]
+        shared = tuple(_crossings(shared, point_at, outer, axes[-1])[1].tolist())
 
     def axis(i: int, outer: list) -> np.ndarray:
         d = axes[i]
@@ -568,9 +628,135 @@ def _adaptive(tree, values, settings, breakpoints, cache, fault) -> float:
         if isinstance(d, _Atoms):
             atoms = np.arange(len(d.masses))
             return f(np.arange(rows), np.broadcast_to(atoms, (rows, len(atoms)))).sum(axis=1)
-        return _gk21(f, rows, d.lo, d.hi, (*d.breakpoints, *breakpoints), settings)
+        points, row_points = (*d.breakpoints, *breakpoints), None
+        if i == last:
+            points = (*points, *shared)
+            row_points = _crossings(per_row, point_at, outer, d) if per_row else None
+        return _gk21(f, rows, d.lo, d.hi, points, settings, row_points)
 
     return float(axis(0, [])[0])
+
+
+#: cells across an axis in which an integrand's comparisons are probed for a
+#: change of sign (`_crossings`)
+_JUMP_PROBES = 64
+#: the most halvings of a probe cell: 64 leave a bracket narrower than the
+#: spacing of floats at any crossing farther than 2^-12 cells from zero
+_BISECTIONS = 64
+
+
+def _jumps(fn, tree) -> tuple[list, list]:
+    """The comparisons at which fn, a function term whose body has one
+    (`contains_comparison`), may jump over a tree that is a product of
+    densities, as the checker places them: each pair of sides of the
+    inverse-image types of fn's domain (`typecheck.Checker`), once, as an
+    array function of fn's point to the pair.  They come as (those whose
+    sides read only the innermost axis, the others).  There are none where
+    the tree has a stack or atoms, a parameter's type is `_`, the checker
+    refuses fn, or a pair reads a name that is not a parameter; array mode
+    may refuse a pair, which is then left out."""
+    if not (isinstance(fn, Lam) and contains_comparison(fn.body)):
+        return [], []
+    if any(ty is None for _, ty in fn.params):
+        return [], []
+    reads = _param_reads(fn.params, _nest(tree, itertools.count()))
+    if reads is None:
+        return [], []
+    try:
+        ty, _ = Checker({}).infer(fn)
+    except TypeCheckError:
+        return [], []
+    last = len(_axes(tree)) - 1
+    shared, per_row, seen = [], [], []
+    for t in _pullback_pairs(ty.dom):
+        names = free_vars(t)
+        if not names <= reads.keys() or any(alpha_equal(t, s) for s in seen):
+            continue
+        seen.append(t)
+        pair = compile_array_fn(Lam(fn.params, t, pos=fn.pos))
+        if pair is not None:
+            inner = all(reads[name] == {last} for name in names)
+            (shared if inner else per_row).append(pair)
+    return shared, per_row
+
+
+def _nest(tree, index):
+    """The axis numbers of a product of densities, nested as its points
+    are, taken from the iterator `index`; None where the tree has a stack
+    or atoms."""
+    if isinstance(tree, tuple):
+        parts = tuple(_nest(part, index) for part in tree)
+        return None if None in parts else parts
+    return next(index) if isinstance(tree, _Density1D) else None
+
+
+def _param_reads(params, nest) -> Optional[dict]:
+    """The set of axes each parameter of a lambda reads, where its point
+    has the nested axes `nest`: a group of several takes the right-nested
+    parts of the point in turn; None where they do not fit it."""
+    if nest is None:
+        return None
+    reads = {}
+    for k, (name, _) in enumerate(params):
+        part = nest
+        if k < len(params) - 1:
+            if not isinstance(nest, tuple):
+                return None
+            part, nest = nest
+        reads[name] = set(_leaves(part))
+    return reads
+
+
+def _pullback_pairs(ty) -> list:
+    """The pair terms of the inverse-image types in a domain type."""
+    match ty:
+        case PullbackT(_, t):
+            return [t]
+        case SumT(summands):
+            return [t for s in summands for t in _pullback_pairs(s)]
+        case IntersectT(left, right):
+            return _pullback_pairs(left) + _pullback_pairs(right)
+    return []
+
+
+def _crossings(pairs, point_at, outer: list, d: _Density1D) -> tuple[np.ndarray, np.ndarray]:
+    """(row, x): where the two sides a and b of each pair cross on d's axis,
+    at each row's outer coordinates (`outer`, one array per outer axis).
+
+    a - b is probed at `_JUMP_PROBES` + 1 evenly spaced points across the
+    axis, for every row at once; each change of sign between two finite
+    values is a bracket, and all brackets of a pair are bisected together
+    until each midpoint equals an end, which places the crossing to the
+    spacing of floats there (or for at most `_BISECTIONS` halvings, next to
+    zero, where floats are denser).  G10/K21 never evaluates an interval's ends,
+    so a breakpoint off its jump would hide the jump from the error
+    estimate.  A crossing the probes miss (two in one cell, or next to a
+    side that is not finite) is left to the adaptive bisection."""
+    rows = len(outer[0]) if outer else 1
+    xs = np.linspace(d.lo, d.hi, _JUMP_PROBES + 1)
+    found_rows, found_xs = [np.empty(0, dtype=int)], [np.empty(0)]
+    for pair in pairs:
+        diff = _side_difference(pair, point_at, [c[:, None] for c in outer] + [xs])
+        diff = np.broadcast_to(diff, (rows, len(xs)))
+        above, finite = diff > 0, np.isfinite(diff)
+        r, k = np.nonzero(finite[:, :-1] & finite[:, 1:] & (above[:, :-1] != above[:, 1:]))
+        lo, hi, left, cols = xs[k], xs[k + 1], above[r, k], [c[r] for c in outer]
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            open_ = (lo < mid) & (mid < hi)
+            if not open_.any():
+                break
+            same = (_side_difference(pair, point_at, cols + [mid]) > 0) == left
+            lo, hi = np.where(open_ & same, mid, lo), np.where(open_ & ~same, mid, hi)
+        found_rows.append(r)
+        found_xs.append(lo)
+    return np.concatenate(found_rows), np.concatenate(found_xs)
+
+
+def _side_difference(pair, point_at, coords) -> np.ndarray:
+    """a - b for the pair (a, b) of sides at the point of the coordinates."""
+    a, b = pair(point_at(coords))
+    return np.subtract(a, b, dtype=np.float64)
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21): the nonnegative Kronrod
@@ -606,23 +792,32 @@ _GK_GAUSS[19:10:-2] = _WG
 _EPS = np.finfo(float).eps
 
 
-def _gk21(f, rows: int, lo: float, hi: float, points, settings) -> np.ndarray:
+def _gk21(f, rows: int, lo: float, hi: float, points, settings, row_points=None) -> np.ndarray:
     """The integrals over [lo, hi] of `rows` integrands, by QUADPACK's
     adaptive G10/K21 bisection vectorized over every open interval.
 
     `f(row, x)` gets the row of each interval and its 21 nodes, shape
     (intervals, 21), and returns the values there.  Each row starts from
-    [lo, hi] split at `points`, and converges on its own: its error estimate
-    (qk21's) summed over its intervals must reach max(abs_tol, rel_tol *
-    |integral|).  Until it does, each iteration bisects every interval of
-    the row whose error exceeds the row's tolerance shared evenly among its
-    intervals.  Raises IntegrationError where an interval's integral or
-    error is not finite, or where a row would need more than `QUAD_LIMIT`
-    intervals.
+    [lo, hi] split at `points`, shared by every row, and at its own
+    breakpoints among `row_points`, a pair of arrays (row, x).  Each row
+    converges on its own: its error estimate (qk21's) summed over its
+    intervals must reach max(abs_tol, rel_tol * |integral|).  Until it
+    does, each iteration bisects every interval of the row whose error
+    exceeds the row's tolerance shared evenly among its intervals.  Raises
+    IntegrationError where an interval's integral or error is not finite,
+    or where a row would need more than `QUAD_LIMIT` intervals.
     """
     edges = np.array([lo, *sorted({p for p in points if lo < p < hi}), hi], dtype=float)
-    row = np.repeat(np.arange(rows), len(edges) - 1)
-    a, b = np.tile(edges[:-1], rows), np.tile(edges[1:], rows)
+    row, x = np.repeat(np.arange(rows), len(edges)), np.tile(edges, rows)
+    if row_points is not None:
+        r, p = row_points
+        inside = (lo < p) & (p < hi)
+        row, x = np.concatenate((row, r[inside])), np.concatenate((x, p[inside]))
+        order = np.lexsort((x, row))
+        row, x = row[order], x[order]
+    # consecutive edges of a row bound an interval, unless they are equal
+    edge = (row[1:] == row[:-1]) & (x[1:] > x[:-1])
+    row, a, b = row[:-1][edge], x[:-1][edge], x[1:][edge]
     result = np.zeros(rows)
     old = (np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0), np.empty(0))
     while True:
@@ -803,16 +998,18 @@ def _probe_box(fn: Term, base: M.MeasureExpr) -> list[tuple[float, float]]:
 
 def _probe_points(m: M.MeasureExpr) -> list:
     """Probe points of m, nested as its points are: a product's are the
-    pairs of its factors' points, a discrete measure's are its runtime
-    values, as `integrate` passes them, and any other measure's take each
-    coordinate from 5 evenly spaced floats across its support box,
-    right-nested."""
+    pairs of its factors' points, a reweight's are its base's, a discrete
+    measure's are its runtime values, as `integrate` passes them, and any
+    other measure's take each coordinate from 5 evenly spaced floats across
+    its support box, right-nested."""
     match m:
         case M.ProductM(left, right):
             rights = _probe_points(right)
             return [(v, w) for v in _probe_points(left) for w in rights]
         case M.PowerM():
             return _probe_points(M.expand_power(m))
+        case M.ReweightM(_, base):
+            return _probe_points(base)
     disc = reduce_discrete(m)
     if disc is not None:
         return [v for v, _ in disc.atoms]

@@ -41,6 +41,7 @@ from .terms import (
     Type,
     Var,
     alpha_equal,
+    contains_comparison,
 )
 from .typecheck import Checker, check_subtype
 
@@ -325,16 +326,6 @@ class DerivationChecker:
             raise Rejection(path, "transform evidence is not a function")
         return ty
 
-    @staticmethod
-    def _contains_comparison(fn: Term) -> bool:
-        from .builtins import is_comparison
-        from .terms import Builtin, positions
-
-        for _, sub in positions(fn):
-            if isinstance(sub, Builtin) and is_comparison(sub.op):
-                return True
-        return False
-
     def _is_split_domain(self, ty: Type) -> bool:
         match ty:
             case PullbackT() | IntersectT():
@@ -354,7 +345,7 @@ class DerivationChecker:
         ty = self._typed_transform_fn(fn, path)
         notes = []
         piecewise = (
-            self._is_split_domain(ty.dom) if ty is not None else self._contains_comparison(fn)
+            self._is_split_domain(ty.dom) if ty is not None else contains_comparison(fn)
         )
         if piecewise:
             boundary = self.axioms.find_boundary(fn)

@@ -370,6 +370,12 @@ def positions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
             stack.append((path + (i,), kid))
 
 
+def contains_comparison(t: Term) -> bool:
+    """Whether some subterm of t is a comparison: a syntactic scan, with no
+    type inference, for where a function may jump."""
+    return any(isinstance(sub, Builtin) and sub.op in COMPARISONS for _, sub in positions(t))
+
+
 class Memo(NamedTuple):
     """What a node caches about itself, in its one spare attribute: its size
     and free variables, which never change, and the alpha-key that the

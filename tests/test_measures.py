@@ -254,6 +254,14 @@ def test_a_pushforward_over_a_left_nested_product_is_probed_as_it_nests():
     assert abs(integrate(m, family["x[1]"]) - 1.0) <= 1e-9
 
 
+def test_a_reweight_over_a_left_nested_product_is_probed_as_its_base():
+    box = support_box(parse_measure(
+        "pushforward(fun w : (R * R) * R => fst(fst(w)),"
+        " reweight(fun w : (R * R) * R => 1, (uniform(0, 1) * uniform(0, 1)) * uniform(0, 1)))"
+    ))
+    assert box == [(0.0, 1.0)]
+
+
 # -- 3-D integrals: comparisons, reweights, refused functions and discrete factors
 
 U3 = "uniform(0, 1)^3"
@@ -469,21 +477,75 @@ def _stated_reweight(name: str) -> M.ReweightM:
 
 
 def test_marsaglia_normalizer_matches_its_closed_form():
-    # P(accept) of the squeeze test: e^d Γ(α) / (√(2π) d^(α - 1/2)), d = α - 1/3
-    alpha = 2.5
-    d = alpha - 1 / 3
-    want = math.exp(d) * math.gamma(alpha) / (math.sqrt(2 * math.pi) * d ** (alpha - 0.5))
     m = _stated_reweight("marsaglia")
-    assert abs(normalizer(m.fn, m.base, CHECK_SETTINGS) - want) <= 2e-6
+    assert abs(normalizer(m.fn, m.base, CHECK_SETTINGS) - _marsaglia_acceptance()) <= 2e-6
 
 
 def test_rejection_normalizer_matches_a_scalar_quad():
     # triangular(0, 2) times the acceptance probability φ(x)·√(2π) of y ~ uniform(0, 1)
+    want = _rejection_acceptance()
+    m = _stated_reweight("rejection")
+    assert abs(normalizer(m.fn, m.base, CHECK_SETTINGS) - want) <= 2e-6
+
+
+def _marsaglia_acceptance() -> float:
+    # P(accept) of the squeeze test: e^d Γ(α) / (√(2π) d^(α - 1/2)), d = α - 1/3
+    alpha = 2.5
+    d = alpha - 1 / 3
+    return math.exp(d) * math.gamma(alpha) / (math.sqrt(2 * math.pi) * d ** (alpha - 0.5))
+
+
+def _rejection_acceptance() -> float:
     tri = lambda x: x if x < 1 else 2 - x  # noqa: E731
     want, _ = quad(lambda x: tri(x) * math.exp(-0.5 * (3 - x) ** 2), 0, 2, points=[1.0],
                    epsabs=1e-13, epsrel=1e-13)
+    return want
+
+
+def test_marsaglia_normalizer_converges_at_the_default_tolerance():
+    # the checker's types place the acceptance boundary in each row
+    m = _stated_reweight("marsaglia")
+    assert abs(normalizer(m.fn, m.base) - _marsaglia_acceptance()) <= 1e-9
+
+
+def test_rejection_normalizer_places_its_jump_exactly():
+    # a breakpoint off the jump would hide it from the error estimate
     m = _stated_reweight("rejection")
-    assert abs(normalizer(m.fn, m.base, CHECK_SETTINGS) - want) <= 2e-6
+    assert abs(normalizer(m.fn, m.base) - _rejection_acceptance()) <= 1e-9
+
+
+def test_two_jumps_in_one_probe_cell_are_left_to_bisection():
+    # the window (0.001, 0.009) lies inside the first probe cell, so no probe
+    # sees a change of sign; near the end of the axis, where the Kronrod nodes
+    # of every bisection cluster, the rule finds it on its own
+    assert 0.009 < 1 / quadrature._JUMP_PROBES
+    fn = parse_term("fun (y : R, x : R) => if (x - 0.005) * (x - 0.005) < 0.000016 then 1 else 0")
+    assert abs(normalizer(fn, parse_measure("uniform(0, 1) * uniform(0, 1)")) - 0.008) <= 1e-9
+
+
+def test_a_jump_the_checker_cannot_place_integrates_as_without_types():
+    # a '_' parameter gives no breakpoints: the rule bisects as it always has
+    fn = parse_term("fun (x : _, y : _) => if y < exp(-1 / 2 * (3 - x) * (3 - x)) then 1 else 0")
+    value = normalizer(fn, parse_measure("triangular(0, 2) * uniform(0, 1)"))
+    assert value.hex() == "0x1.567e21ccee627p-3"
+
+
+def test_marsaglia_normalizer_takes_few_integrand_nodes(monkeypatch):
+    nodes = [0]
+    gk21 = quadrature._gk21
+
+    def counting(f, *args):
+        def counted(row, x):
+            nodes[0] += x.size
+            return f(row, x)
+
+        return gk21(counted, *args)
+
+    monkeypatch.setattr(quadrature, "_gk21", counting)
+    m = _stated_reweight("marsaglia")
+    normalizer(m.fn, m.base, CHECK_SETTINGS)
+    # about 1.9M nodes when the rule finds the jumps by bisection
+    assert nodes[0] < 100_000
 
 
 def _quad(f, lo, hi, points=(), tol=1e-9) -> float:
