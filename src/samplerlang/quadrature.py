@@ -603,10 +603,11 @@ def _adaptive(tree, values, settings, breakpoints, cache, fault, jumps=([], []))
     last = len(axes) - 1
     shared, per_row = jumps
     point_at = lambda coords: _walk(tree, iter(coords), None, settings, cache)[0]  # noqa: E731
+    inner_points = ()
     if shared:
         # the outer coordinates are not read: any inside their axes will do
         outer = [np.array([0.5 * (d.lo + d.hi)]) for d in axes[:-1]]
-        shared = tuple(_crossings(shared, point_at, outer, axes[-1])[1].tolist())
+        inner_points = tuple(_crossings(shared, point_at, outer, axes[-1])[1].tolist())
 
     def axis(i: int, outer: list) -> np.ndarray:
         d = axes[i]
@@ -630,7 +631,7 @@ def _adaptive(tree, values, settings, breakpoints, cache, fault, jumps=([], []))
             return f(np.arange(rows), np.broadcast_to(atoms, (rows, len(atoms)))).sum(axis=1)
         points, row_points = (*d.breakpoints, *breakpoints), None
         if i == last:
-            points = (*points, *shared)
+            points = (*points, *inner_points)
             row_points = _crossings(per_row, point_at, outer, d) if per_row else None
         return _gk21(f, rows, d.lo, d.hi, points, settings, row_points)
 
