@@ -23,7 +23,7 @@ from .quadrature import (
     support_box,
     _value_key,
 )
-from .runtime import value_columns, value_to_point
+from .runtime import value_columns, value_coords, value_to_point
 from .streams import RStream, truncate
 from .terms import Term, self_product
 
@@ -83,8 +83,8 @@ def columns_of(values: Sequence, weights: Sequence) -> tuple[list[np.ndarray], n
 
     Booleans become 1.0/0.0, as in `value_to_point`.  Values of one shape
     are converted column by column; values of different shapes, or with
-    leaves that are not numbers, entry by entry, with the first value's
-    coordinate count.
+    leaves that are not numbers, entry by entry (`value_coords`), with the
+    first value's coordinate count.
     """
     if not len(values):
         return [], np.empty(0)
@@ -94,8 +94,8 @@ def columns_of(values: Sequence, weights: Sequence) -> tuple[list[np.ndarray], n
         try:
             return [np.array(col, dtype=float) for col in cols], weights
         except TypeError:
-            pass  # value_to_point below raises the error that names the value
-    flats = [[c[0] for c in value_columns([value_to_point(v)])] for v in values]
+            pass  # value_coords below raises the error that names the value
+    flats = [value_coords(v) for v in values]
     dims = len(flats[0])
     return [np.array([flat[j] for flat in flats]) for j in range(dims)], weights
 
@@ -158,9 +158,7 @@ def weak_convergence_test(
     expected = {}
     cache: dict = {}
     for member in family:
-        expected[member.name] = integrate(
-            target, member, g_breakpoints=member.breakpoints, cache=cache
-        )
+        expected[member.name] = integrate(target, member, cache=cache)
 
     try:
         values, weights = _prefix(stream, ladder[-1])
@@ -188,7 +186,7 @@ def weak_convergence_test(
         discrepancies = {}
         prefix_cols = [c[:n] for c in cols]
         for member in family:
-            vals = member.on_cols(prefix_cols)
+            vals = member.cols_fn(prefix_cols)
             emp = float(np.dot(np.asarray(vals), wn)) / total
             discrepancies[member.name] = abs(emp - expected[member.name])
         points.append(LadderPoint(n, tol_schedule(n), discrepancies))

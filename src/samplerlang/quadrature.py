@@ -31,16 +31,21 @@ the inverse-image types of the function's domain name each comparison's
 pair of sides.  Their crossings on the innermost axis (`_crossings`),
 probed for every row of a batch at once and bisected to the spacing of
 floats, split each row at its own breakpoints (`_gk21`'s `row_points`); a
-pair that reads only the innermost coordinate is solved once and splits
-every row.  A jump the probes miss is found by the adaptive bisection, as
-it is where the checker refuses the function or a parameter's type is `_`.
+pair that reads only the innermost axis (`_pair_reads`) is solved once and
+splits every row, and one that does not read it is not probed.  A jump the
+probes miss is found by the adaptive bisection, as it is where the checker
+refuses the function or a parameter's type is `_`.
 
 The array functions carry fault masks, and a reweight divides by its
 `normalizer`, the integral of its function over its own base.  At the
 first node, in node order, where a scalar function would raise (a domain
 error on the branch taken) or a coordinate, weight or value is not finite
-(`_check_finite`), the scalar functions run at that node, and raise the
-EvalError with its position, or IntegrationError names the point.
+(`_check_finite`), the scalar functions run at that node (`_raise_at`),
+and raise the EvalError with its position, or IntegrationError names it.
+
+Test functions are placed over a measure's support box (`support_box`); a
+pushforward's is the box around its probe points, the images of its base's
+under its scalar function, which nest as its values do (`_probe_points`).
 
 One comparison integrates many test functions against the same measures,
 so `measure_equal` threads one cache dict through its integrals, and
@@ -52,13 +57,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import measures as M
 from .builtins import EvalError
-from .runtime import apply_value, compile_array_fn, compile_fn, VClosure, VInj, value_to_point
+from .runtime import apply_value, compile_array_fn, compile_fn, VClosure, VInj, value_coords
 from .terms import (
     Case,
     Fst,
@@ -289,15 +294,14 @@ def integrate(
     m: M.MeasureExpr,
     g: Callable,
     settings: QuadSettings = DEFAULT_SETTINGS,
-    g_breakpoints: Sequence[float] = (),
     cache: Optional[dict] = None,
 ) -> float:
     """The pairing of the measure with g: a test function (`TestFn`), a
     closed function term, or a callable on runtime values.
 
     g gets runtime values of the measure's payload (floats, Booleans,
-    injections, pairs), which test functions read as points, with Booleans
-    as 1.0/0.0 (`_flatten_point`).  A finitely supported measure is summed
+    injections, pairs), which test functions read as their coordinates
+    (`runtime.value_coords`).  A finitely supported measure is summed
     exactly.  A test function with factors over a measure of several parts
     (`_parts`) is the product of the parts' integrals of its factors
     (`_part_fn`); any other integral runs on m's stack (`_array_integral`).
@@ -317,8 +321,8 @@ def integrate(
     parts = _parts(m, cache) if isinstance(g, TestFn) and g.factors is not None else None
     if parts is not None and all(j < parts[-1][2] for j, _ in g.factors):
         fns = [(part, _part_fn(g.factors, lo, hi)) for part, lo, hi in parts]
-        return math.prod(integrate(part, f, settings, f.breakpoints, cache) for part, f in fns)
-    return _array_integral(m, g, settings, g_breakpoints, cache)
+        return math.prod(integrate(part, f, settings, cache) for part, f in fns)
+    return _array_integral(m, g, settings, cache)
 
 
 def normalizer(
@@ -438,17 +442,16 @@ class _Stack:
     layers: list[tuple[Callable, M.MeasureExpr]]
 
 
-def _stack(m, cache: dict, scalar: bool = False):
-    """m as a tree (`_tree`), with `_layer_fn(fn, scalar)` for each
-    function.  Cached under the identity of m, which the entry keeps
-    alive."""
-    key = ("stack", id(m), scalar)
+def _stack(m, cache: dict):
+    """m as a tree (`_tree`).  Cached under the identity of m, which the
+    entry keeps alive."""
+    key = ("stack", id(m))
     if key not in cache:
-        cache[key] = (_tree(m, scalar), m)
+        cache[key] = (_tree(m), m)
     return cache[key][0]
 
 
-def _tree(m, scalar: bool):
+def _tree(m):
     """m as a density, a finitely supported measure (`_Atoms`), a pair of
     trees for a product, or a `_Stack` over a tree."""
     disc = reduce_discrete(m)
@@ -457,15 +460,15 @@ def _tree(m, scalar: bool):
         return _Atoms(values, np.array([mass for _, mass in disc.atoms]))
     match m:
         case M.ProductM(left, right):
-            return (_tree(left, scalar), _tree(right, scalar))
+            return (_tree(left), _tree(right))
         case M.PowerM():
-            return _tree(M.expand_power(m), scalar)
+            return _tree(M.expand_power(m))
         case M.PushforwardM() | M.ReweightM():
             layers = []
             while isinstance(m, (M.PushforwardM, M.ReweightM)):
-                layers.append((_layer_fn(m.fn, scalar), m))
+                layers.append((_layer_fn(m.fn), m))
                 m = m.base
-            return _Stack(_tree(m, scalar), layers[::-1])
+            return _Stack(_tree(m), layers[::-1])
     density = _density_of(m)
     if density is None:
         raise IntegrationError(f"cannot integrate {m!r}")
@@ -482,41 +485,41 @@ def _axes(tree) -> list:
     return [tree]
 
 
-def _layer_fn(fn: Term, scalar: bool) -> Callable:
+def _layer_fn(fn: Term) -> Callable:
     """fn's array function, with fault masks; where array mode refuses fn,
-    or `scalar` is set, its scalar function node by node (`_per_node`)."""
-    f = None if scalar else compile_array_fn(fn)
-    return _per_node(term_fn(fn)) if f is None else f
+    its scalar function node by node (`_per_node`)."""
+    return compile_array_fn(fn) or _per_node(term_fn(fn))
 
 
-def _array_values(g, scalar: bool) -> Callable:
+def _array_values(g) -> Callable:
     """`values(point, cols)`: g, a test function (on `cols`, the point's
     coordinates), a function term (`_layer_fn`) or a callable on runtime
     values (`_per_node`), on the point's nested arrays."""
     if isinstance(g, TestFn):
-        return lambda _point, cols: g.on_cols(cols)
-    f = _layer_fn(g, scalar) if isinstance(g, Term) else _per_node(g)
+        return lambda _point, cols: g.cols_fn(cols)
+    f = _layer_fn(g) if isinstance(g, Term) else _per_node(g)
     return lambda point, _cols: f(point)
 
 
-def _walk(node, coords, weights, settings, cache: dict):
+def _walk(node, coords, weights, settings, cache: dict, scalar: bool = False):
     """(point, weights) of a tree (`_tree`) at the coordinates that the
     iterator `coords` gives, one per axis (`_axes`), with the weights
     pushed through it.  A finitely supported measure's coordinate indexes
     its atoms, and a product pairs the points of its factors.  Each
     pushforward maps the point by its function, and each reweight multiplies
     the weights by its function's values and divides by its `normalizer`.
-    Each function is evaluated once."""
+    Each function is evaluated once: its array function, or with `scalar`
+    its scalar function node by node."""
     if isinstance(node, tuple):
-        left, weights = _walk(node[0], coords, weights, settings, cache)
-        right, weights = _walk(node[1], coords, weights, settings, cache)
+        left, weights = _walk(node[0], coords, weights, settings, cache, scalar)
+        right, weights = _walk(node[1], coords, weights, settings, cache, scalar)
         return (left, right), weights
     if not isinstance(node, _Stack):
         c = next(coords)
         return (_take(node.values, c) if isinstance(node, _Atoms) else c), weights
-    point, weights = _walk(node.base, coords, weights, settings, cache)
+    point, weights = _walk(node.base, coords, weights, settings, cache, scalar)
     for f, layer in node.layers:
-        values = f(point)
+        values = _per_node(term_fn(layer.fn))(point) if scalar else f(point)
         if isinstance(layer, M.PushforwardM):
             point = values
         else:
@@ -536,23 +539,23 @@ def _check_finite(arrays, coords, shape, fault: Callable) -> None:
         fault([np.broadcast_to(c, shape).ravel()[k:k + 1] for c in coords])
 
 
-def _array_integral(m, g, settings, breakpoints, cache: dict) -> float:
+def _array_integral(m, g, settings, cache: dict) -> float:
     """The integral over m, which is not finitely supported, of g, a test
     function, a function term or a callable on runtime values, on m's axes
-    (`_adaptive`), with the jumps of a function term placed by its type
-    (`_jumps`).  At the first node where a coordinate, a weight or a value
-    is not finite, m's and g's scalar functions run (`_raise_at`).  numpy's
-    warnings are off: an `if` computes both branches, and a domain error in
-    the one not taken is no fault.  An integral split at jumps that meets a
-    fault runs again without them, and faults as it would have."""
+    (`_adaptive`), split at a test function's breakpoints and at the jumps
+    of a function term placed by its type (`_jumps`).  At the first node
+    where a coordinate, a weight or a value is not finite, m's and g's
+    scalar functions run (`_raise_at`).  numpy's warnings are off: an `if`
+    computes both branches, and a domain error in the one not taken is no
+    fault.  An integral split at jumps that meets a fault runs again without
+    them, and faults as it would have."""
     tree = _stack(m, cache)
     # the breakpoints of g reach only a density at the top of m
-    if not isinstance(tree, _Density1D):
-        breakpoints = ()
+    breakpoints = g.breakpoints if isinstance(g, TestFn) and isinstance(tree, _Density1D) else ()
     jumps = _jumps(g, tree) if isinstance(g, Term) else ([], [])
     fault = lambda node: _raise_at(m, g, node, settings, cache)  # noqa: E731
     with np.errstate(all="ignore"):
-        values = _array_values(g, scalar=False)
+        values = _array_values(g)
         if any(jumps):
             try:
                 return _adaptive(tree, values, settings, breakpoints, cache, _jump_fault, jumps)
@@ -573,8 +576,8 @@ def _jump_fault(_node):
 def _raise_at(m, g, node: list, settings, cache: dict):
     """Run m's and g's scalar functions at a node, one one-element array per
     axis: an EvalError propagates, else IntegrationError names the point."""
-    point, _ = _walk(_stack(m, cache, scalar=True), iter(node), np.ones(1), settings, cache)
-    _array_values(g, scalar=True)(point, _flatten_array_point(point, (1,)))
+    point, _ = _walk(_stack(m, cache), iter(node), np.ones(1), settings, cache, scalar=True)
+    _per_node(term_fn(g) if isinstance(g, Term) else g)(point)
     value = _node_values(point, (1,))[0]
     raise IntegrationError(f"integrand or weight not finite at the point {value!r}")
 
@@ -651,17 +654,18 @@ def _jumps(fn, tree) -> tuple[list, list]:
     (`contains_comparison`), may jump over a tree that is a product of
     densities, as the checker places them: each pair of sides of the
     inverse-image types of fn's domain (`typecheck.Checker`), once, as an
-    array function of fn's point to the pair.  They come as (those whose
-    sides read only the innermost axis, the others).  There are none where
-    the tree has a stack or atoms, a parameter's type is `_`, the checker
-    refuses fn, or a pair reads a name that is not a parameter; array mode
-    may refuse a pair, which is then left out."""
+    array function of fn's point to the pair.  They come as (those that read
+    only the innermost axis, the others; `_pair_reads`); a pair that does
+    not read it cannot change sign along it and is left out.  There are none
+    where the tree has a stack or atoms, a parameter's type is `_`, the
+    checker refuses fn, or a pair reads a name that is not a parameter;
+    array mode may refuse a pair, which is then left out."""
     if not (isinstance(fn, Lam) and contains_comparison(fn.body)):
         return [], []
     if any(ty is None for _, ty in fn.params):
         return [], []
-    reads = _param_reads(fn.params, _nest(tree, itertools.count()))
-    if reads is None:
+    nests = _param_nests(fn.params, _nest(tree, itertools.count()))
+    if nests is None:
         return [], []
     try:
         ty, _ = Checker({}).infer(fn)
@@ -670,14 +674,13 @@ def _jumps(fn, tree) -> tuple[list, list]:
     last = len(_axes(tree)) - 1
     shared, per_row, seen = [], [], []
     for t in _pullback_pairs(ty.dom):
-        names = free_vars(t)
-        if not names <= reads.keys() or any(alpha_equal(t, s) for s in seen):
+        if not free_vars(t) <= nests.keys() or any(alpha_equal(t, s) for s in seen):
             continue
         seen.append(t)
-        pair = compile_array_fn(Lam(fn.params, t, pos=fn.pos))
+        reads = _pair_reads(t, nests)
+        pair = compile_array_fn(Lam(fn.params, t, pos=fn.pos)) if last in reads else None
         if pair is not None:
-            inner = all(reads[name] == {last} for name in names)
-            (shared if inner else per_row).append(pair)
+            (shared if reads == {last} else per_row).append(pair)
     return shared, per_row
 
 
@@ -691,21 +694,40 @@ def _nest(tree, index):
     return next(index) if isinstance(tree, _Density1D) else None
 
 
-def _param_reads(params, nest) -> Optional[dict]:
-    """The set of axes each parameter of a lambda reads, where its point
-    has the nested axes `nest`: a group of several takes the right-nested
-    parts of the point in turn; None where they do not fit it."""
+def _param_nests(params, nest) -> Optional[dict]:
+    """The nested axes of each parameter of a lambda, where its point has
+    the nested axes `nest`: a group of several takes the right-nested parts
+    of the point in turn; None where they do not fit it."""
     if nest is None:
         return None
-    reads = {}
+    nests = {}
     for k, (name, _) in enumerate(params):
         part = nest
         if k < len(params) - 1:
             if not isinstance(nest, tuple):
                 return None
             part, nest = nest
-        reads[name] = set(_leaves(part))
-    return reads
+        nests[name] = part
+    return nests
+
+
+def _pair_reads(t: Term, nests: dict) -> set:
+    """The axes t reads of the parameters with the nested axes `nests`: fst
+    or snd of a parameter, or of its projection, reads that part, and any
+    other use all of it.  A name bound again in t counts as the parameter,
+    which can only add axes."""
+    projections, inner = [], t
+    while isinstance(inner, (Fst, Snd)):
+        projections.append(inner)
+        inner = inner.body
+    if isinstance(inner, Var) and inner.name in nests:
+        part = nests[inner.name]
+        for proj in reversed(projections):
+            if not isinstance(part, tuple):
+                break
+            part = part[0] if isinstance(proj, Fst) else part[1]
+        return set(_leaves(part))
+    return set().union(*(_pair_reads(kid, nests) for kid in children(t)))
 
 
 def _pullback_pairs(ty) -> list:
@@ -869,12 +891,12 @@ def _qk21_sums(fx: np.ndarray, half: np.ndarray) -> tuple:
 def _flatten_array_point(point, shape) -> list[np.ndarray]:
     """The coordinates of nested arrays as float arrays broadcast to
     `shape`: pairs flatten, Booleans are 1.0/0.0, and an object array (of
-    injections) is read node by node, as `_flatten_point` reads a value."""
+    injections) is read node by node (`runtime.value_coords`)."""
     if isinstance(point, tuple):
         return [c for part in point for c in _flatten_array_point(part, shape)]
     if np.asarray(point).dtype != object:
         return [np.broadcast_to(np.asarray(point, dtype=np.float64), shape)]
-    flats = [_flatten_point(v) for v in np.broadcast_to(point, shape).ravel().tolist()]
+    flats = [value_coords(v) for v in np.broadcast_to(point, shape).ravel().tolist()]
     if len(set(map(len, flats))) > 1:
         raise IntegrationError("the points of an integral differ in their number of coordinates")
     return [np.array(col, dtype=np.float64).reshape(shape) for col in zip(*flats)]
@@ -932,10 +954,11 @@ def _take(arrays, index):
 
 
 def support_box(m: M.MeasureExpr) -> list[tuple[float, float]]:
-    """Approximate per-coordinate supports, used to place test functions."""
+    """Approximate per-coordinate supports, used to place test functions.
+    A pushforward's is the box around its probe points (`_probe_points`)."""
     match m:
         case M.Dirac(point):
-            return [(x - 1.0, x + 1.0) for x in _flatten_point(value_to_point(point))]
+            return [(x - 1.0, x + 1.0) for x in value_coords(point)]
         case M.Bernoulli():
             return [(0.0, 1.0)]
         case M.UniformM(a, b) | M.TriangularM(a, b):
@@ -946,63 +969,33 @@ def support_box(m: M.MeasureExpr) -> list[tuple[float, float]]:
             hi = shape * scale + 10.0 * math.sqrt(shape) * scale
             return [(0.0, hi)]
         case M.FiniteDiscrete(atoms):
-            flats = [_flatten_point(value_to_point(v)) for v, _ in atoms]
-            dims = len(flats[0])
-            out = []
-            for j in range(dims):
-                xs = [f[j] for f in flats]
-                out.append((min(xs) - 0.5, max(xs) + 0.5))
-            return out
+            return [(lo - 0.5, hi + 0.5) for lo, hi in _hull([v for v, _ in atoms])]
         case M.ProductM(left, right):
             return support_box(left) + support_box(right)
         case M.PowerM(base, k):
             return support_box(base) * k
         case M.ReweightM(_, base):
             return support_box(base)
-        case M.PushforwardM(fn, base):
-            return _probe_box(fn, base)
+        case M.PushforwardM():
+            points = _probe_points(m)
+            if not points:
+                raise IntegrationError("pushforward support probe produced no points")
+            return _hull(points)
     raise IntegrationError(f"no support box for {m!r}")
 
 
-def _flatten_point(p) -> list[float]:
-    """The coordinates of a point or runtime value: pairs flatten, an
-    injection is its payload, and Booleans are 1.0/0.0."""
-    if isinstance(p, tuple):
-        out = []
-        for x in p:
-            out.extend(_flatten_point(x))
-        return out
-    if isinstance(p, VInj):
-        return _flatten_point(p.value)
-    return [float(p)]
-
-
-def _probe_box(fn: Term, base: M.MeasureExpr) -> list[tuple[float, float]]:
-    """The box around the images of probe points of base under fn (see
-    _probe_points)."""
-    f = term_fn(fn)
-    images = []
-    for point in _probe_points(base):
-        try:
-            images.append(_flatten_point(value_to_point(f(point))))
-        except (EvalError, IntegrationError, ValueError, OverflowError):
-            continue
-    if not images:
-        raise IntegrationError("pushforward support probe produced no points")
-    dims = len(images[0])
-    out = []
-    for j in range(dims):
-        xs = [img[j] for img in images]
-        out.append((min(xs), max(xs)))
-    return out
+def _hull(values: list) -> list[tuple[float, float]]:
+    """The smallest box that holds the coordinates of each runtime value."""
+    coords = [value_coords(v) for v in values]
+    return [(min(xs), max(xs)) for xs in zip(*coords)]
 
 
 def _probe_points(m: M.MeasureExpr) -> list:
-    """Probe points of m, nested as its points are: a product's are the
-    pairs of its factors' points, a reweight's are its base's, a discrete
-    measure's are its runtime values, as `integrate` passes them, and any
-    other measure's take each coordinate from 5 evenly spaced floats across
-    its support box, right-nested."""
+    """Probe points of m, nested as its values are, as `integrate` passes
+    them: a product's are the pairs of its factors' points, a reweight's its
+    base's, a pushforward's the images of its base's under its scalar
+    function (less those where it raises), a discrete measure's its values,
+    and a density's 5 evenly spaced floats across its support."""
     match m:
         case M.ProductM(left, right):
             rights = _probe_points(right)
@@ -1011,19 +1004,19 @@ def _probe_points(m: M.MeasureExpr) -> list:
             return _probe_points(M.expand_power(m))
         case M.ReweightM(_, base):
             return _probe_points(base)
+        case M.PushforwardM(fn, base):
+            f, images = term_fn(fn), []
+            for point in _probe_points(base):
+                try:
+                    images.append(f(point))
+                except (EvalError, IntegrationError, ValueError, OverflowError):
+                    continue
+            return images
     disc = reduce_discrete(m)
     if disc is not None:
         return [v for v, _ in disc.atoms]
-    axes = [np.linspace(lo, hi, 5).tolist() for lo, hi in support_box(m)]
-    return _grid_points(axes)
-
-
-def _grid_points(axes: list) -> list:
-    """Every right-nested tuple that takes one value from each axis."""
-    if len(axes) == 1:
-        return list(axes[0])
-    rests = _grid_points(axes[1:])
-    return [(v, rest) for v in axes[0] for rest in rests]
+    [(lo, hi)] = support_box(m)
+    return np.linspace(lo, hi, 5).tolist()
 
 
 @dataclass(frozen=True)
@@ -1046,11 +1039,8 @@ class TestFn:
     factors: Optional[tuple[tuple[int, "TestFn"], ...]] = None
 
     def __call__(self, point):
-        cols = [np.asarray([x]) for x in _flatten_point(point)]
+        cols = [np.asarray([x]) for x in value_coords(point)]
         return float(self.cols_fn(cols)[0])
-
-    def on_cols(self, cols):
-        return self.cols_fn(cols)
 
 
 #: what a part that a test function does not read is integrated against
@@ -1187,8 +1177,8 @@ def measure_equal(
     details = []
     cache: dict = {}
     for member in family:
-        va = integrate(mu, member, settings, member.breakpoints, cache)
-        vb = integrate(nu, member, settings, member.breakpoints, cache)
+        va = integrate(mu, member, settings, cache)
+        vb = integrate(nu, member, settings, cache)
         details.append((member.name, abs(va - vb)))
     # a nan discrepancy fails the comparison and is the worst one shown
     ds = [d for _, d in details]

@@ -209,6 +209,14 @@ def value_to_point(v):
     raise EvalError(f"value {v!r} has no point representation")
 
 
+def value_coords(v) -> list[float]:
+    """The coordinates of a runtime value's point (`value_to_point`), in
+    order: pairs concatenate, an injection is its payload's, and a Boolean
+    is 1.0/0.0."""
+    p = value_to_point(v)
+    return [x for part in p for x in value_coords(part)] if isinstance(p, tuple) else [p]
+
+
 def value_columns(values: list) -> Optional[list[list]]:
     """Split non-empty, uniformly shaped values into one list per leaf.
 

@@ -225,6 +225,16 @@ def test_test_target_probes_a_left_nested_product_as_it_nests(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("pass:")
 
 
+def test_test_target_probes_a_pushforward_through_its_base(tmp_path, capsys):
+    prog = tmp_path / "rand.smpl"
+    prog.write_text(RAND)
+    measure = ("pushforward(fun w : (R * R) * R => fst(fst(w)),"
+               " pushforward(fun v : (R * R) * R => v,"
+               " (uniform(0, 1) * uniform(0, 1)) * uniform(0, 1)))")
+    assert main(["test-target", str(prog), "--measure", measure, "--n", "1000"]) == 0
+    assert capsys.readouterr().out.startswith("pass:")
+
+
 def test_verify_rejects_a_normalizer_that_does_not_converge(monkeypatch, tmp_path, capsys):
     # rejection's acceptance test with '_' parameters: the checker does not
     # place its jump, so each row must find it by bisection

@@ -288,9 +288,9 @@ POSTERIOR = "reweight(fun x : R => 1/sqrt(2*pi) * exp(-1/2*(3-x)*(3-x)), triangu
 def test_reweight_normalizer_integrated_once_per_test(corpus, monkeypatch):
     target = parse_measure(POSTERIOR)
     family = build_family(target)
-    uncached = [integrate(target, m, DEFAULT_SETTINGS, m.breakpoints) for m in family]
+    uncached = [integrate(target, m, DEFAULT_SETTINGS) for m in family]
     shared: dict = {}
-    cached = [integrate(target, m, DEFAULT_SETTINGS, m.breakpoints, shared) for m in family]
+    cached = [integrate(target, m, DEFAULT_SETTINGS, shared) for m in family]
     # one normalizer, the stacks of the target and of its base, and the
     # target's split into parts (one part: a reweight does not split)
     assert sorted(k[0] if isinstance(k[0], str) else "normalizer" for k in shared) == [

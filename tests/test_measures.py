@@ -118,8 +118,8 @@ def test_triangular_identity_within_1e6():
     fam = build_family(M.TriangularM(0, 2))
     worst = 0.0
     for member in fam:
-        a = integrate(TRI_PUSH, member, g_breakpoints=member.breakpoints)
-        b = integrate(M.TriangularM(0, 2), member, g_breakpoints=member.breakpoints)
+        a = integrate(TRI_PUSH, member)
+        b = integrate(M.TriangularM(0, 2), member)
         worst = max(worst, abs(a - b))
     assert worst <= 1e-6
 
@@ -176,8 +176,8 @@ def test_shared_grid_gives_the_same_integrals():
     moments["cos2x[0]*clamp[1]"] = moments["cos2x[0]"] * moments["clamp[1]"]
     shared: dict = {}
     for member in family:
-        alone = integrate(computed, member, CHECK_SETTINGS, member.breakpoints, {})
-        cached = integrate(computed, member, CHECK_SETTINGS, member.breakpoints, shared)
+        alone = integrate(computed, member, CHECK_SETTINGS, {})
+        cached = integrate(computed, member, CHECK_SETTINGS, shared)
         assert cached.hex() == alone.hex(), member.name
         assert abs(cached - moments[member.name]) <= 1e-6, member.name
     # the transform splits into the identity on the first coordinate and
@@ -258,6 +258,16 @@ def test_a_reweight_over_a_left_nested_product_is_probed_as_its_base():
     box = support_box(parse_measure(
         "pushforward(fun w : (R * R) * R => fst(fst(w)),"
         " reweight(fun w : (R * R) * R => 1, (uniform(0, 1) * uniform(0, 1)) * uniform(0, 1)))"
+    ))
+    assert box == [(0.0, 1.0)]
+
+
+def test_a_pushforward_over_a_pushforward_is_probed_through_its_base():
+    # the inner pushforward's probe points are the images of its base's
+    # left-nested ones, so they nest as its values do
+    box = support_box(parse_measure(
+        "pushforward(fun w : (R * R) * R => fst(fst(w)), pushforward(fun v : (R * R) * R => v,"
+        " (uniform(0, 1) * uniform(0, 1)) * uniform(0, 1)))"
     ))
     assert box == [(0.0, 1.0)]
 
@@ -530,6 +540,29 @@ def test_a_jump_the_checker_cannot_place_integrates_as_without_types():
     assert value.hex() == "0x1.567e21ccee627p-3"
 
 
+@pytest.mark.parametrize("fn, counts, mass", [
+    # snd(w) reads only the innermost coordinate: solved once for every row
+    ("fun w : R * R => if snd(w) > 0.5 then 1 else 0", (1, 0), 0.5),
+    ("fun (u : R, x : R) => if x > 0.5 then 1 else 0", (1, 0), 0.5),
+    # fst(w) cannot change sign along the innermost axis, so it is not probed
+    ("fun w : R * R => if fst(w) > 0.5 then 1 else 0", (0, 0), 0.5),
+    ("fun w : R * R => if fst(w) + snd(w) > 0.5 then 1 else 0", (0, 1), 0.875),
+])
+def test_a_pair_reads_the_axes_of_its_projections(fn, counts, mass):
+    # (shared, per-row) pairs over uniform(0, 1)^2
+    fn = parse_term(fn)
+    shared, per_row = quadrature._jumps(fn, quadrature._stack(U2, {}))
+    assert (len(shared), len(per_row)) == counts
+    assert abs(normalizer(fn, U2) - mass) <= 1e-12
+
+
+def test_bundled_normalizers_keep_their_pair_classes():
+    for name, counts in (("marsaglia", (1, 1)), ("rejection", (0, 1))):
+        m = _stated_reweight(name)
+        shared, per_row = quadrature._jumps(m.fn, quadrature._stack(m.base, {}))
+        assert (len(shared), len(per_row)) == counts, name
+
+
 def test_marsaglia_normalizer_takes_few_integrand_nodes(monkeypatch):
     nodes = [0]
     gk21 = quadrature._gk21
@@ -611,7 +644,7 @@ def test_default_family_agrees_with_the_scalar_path(measure):
     m = parse_measure(measure)
     densities = _DENSITIES[measure]
     for member in build_family(m):
-        batched = integrate(m, member, g_breakpoints=member.breakpoints)
+        batched = integrate(m, member)
         points = member.breakpoints if len(densities) == 1 else ()
         want = _iterated_quad(_math_member(member), densities, points=points)
         assert abs(batched - want) <= 1e-7, member.name
