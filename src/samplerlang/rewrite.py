@@ -35,12 +35,22 @@ its memo (`terms.Memo`) with the search's tag and the binding of its free
 variables, each one's binder distance and slot or free; the key is reused
 only under the same tag and binding.  So a closed subterm keeps its key in
 every context of a search, no search reads another's keys, and the cache
-dies with the node.  A rewrite shares every subterm off its spine with its
-source, so a neighbour's key costs work for the nodes the rewrite built.
+dies with the node.  A search's redex index (`_Redexes`) lists, for each node
+it has met, the redexes of the node's subtree with their replacements, so
+each rule runs once on each node and a state's list costs work only for the
+nodes its rewrite built.  A neighbour's key is computed along its path,
+without building it: the replacement's key under the binders above the
+path, then each ancestor's shape from its other children's cached keys; an
+expanded state keeps a table of its path prefixes, so shared prefixes are
+walked once.  A neighbour is built (`replace_at`) only when its key is new,
+or when the other side reached that key and `alpha_equal` must confirm that
+the sides meet.
+
 Normalization pulls map/reweight outward into the alternating spine over a
-core free of them; termination is by the documented measure (checked in
-tests): (destructors above map/reweight, map+reweight count, thin+product
-count, term size) decreasing lexicographically.
+core free of them, each step at the first redex in lexicographic path order;
+termination is by the documented measure (checked in tests): (destructors
+above map/reweight, map+reweight count, thin+product count, term size)
+decreasing lexicographically.
 """
 from __future__ import annotations
 
@@ -545,6 +555,38 @@ class EquivProof:
         )
 
 
+def _scope(t: Term, i: int, env: dict[str, tuple[int, int]], depth: int):
+    """The binder environment and depth of t's i-th child, given t's (see
+    _AlphaKeys._key)."""
+    cls = type(t)
+    if cls is Lam:
+        inner = dict(env)
+        for slot, (name, _) in enumerate(t.params):
+            inner[name] = (depth + 1, slot)
+        return inner, depth + 1
+    if cls is Let and i == 1:
+        return {**env, t.name: (depth + 1, 0)}, depth + 1
+    if cls is Case and i > 0:
+        return {**env, t.branches[i - 1][0]: (depth + 1, 0)}, depth + 1
+    return env, depth
+
+
+def _head(t: Term) -> tuple:
+    """A node's own part of the shape its key interns, which goes on with
+    its children's keys: its kind and its own data.  An injection's index
+    and a cast's type are not part of it."""
+    cls = type(t)
+    if cls is Const:
+        return (Const, repr(t.value))
+    if cls is Lam:
+        return (Lam, len(t.params))
+    if cls is Builtin:
+        return (Builtin, t.op)
+    if cls is Thin:
+        return (Thin, t.count)
+    return (cls,)
+
+
 class _AlphaKeys:
     """The interned alpha-keys of one search: two terms have the same key
     exactly when they are alpha-equal up to binder annotations, with
@@ -556,6 +598,38 @@ class _AlphaKeys:
 
     def key(self, t: Term) -> int:
         return self._key(t, {}, 0)
+
+    def key_at(self, t: Term, path: tuple[int, ...], new: Term, frames: dict) -> int:
+        """The key of replace_at(t, path, new), computed without building it:
+        new's key under the binders above path, then each ancestor's shape
+        with that one child's key replaced.  frames holds, for each prefix of
+        a path into t walked so far, its node, binders and depth, its parent's
+        frame, and its head and children's keys once an ancestor needs them."""
+        frame = self._frame(t, path, frames)
+        key = self._key(new, frame[1], frame[2])
+        for i in reversed(path):
+            frame = frame[3]
+            if frame[4] is None:
+                node, env, depth = frame[0], frame[1], frame[2]
+                frame[4] = _head(node), tuple([
+                    self._key(kid, *_scope(node, j, env, depth))
+                    for j, kid in enumerate(children(node))
+                ])
+            head, kids = frame[4]
+            key = self._intern(head + kids[:i] + (key,) + kids[i + 1:])
+        return key
+
+    def _frame(self, t: Term, path: tuple[int, ...], frames: dict) -> list:
+        frame = frames.get(path)
+        if frame is None:
+            if path:
+                parent = self._frame(t, path[:-1], frames)
+                env, depth = _scope(parent[0], path[-1], parent[1], parent[2])
+                frame = [children(parent[0])[path[-1]], env, depth, parent, None]
+            else:
+                frame = [t, {}, 0, None, None]
+            frames[path] = frame
+        return frame
 
     def _intern(self, shape: tuple) -> int:
         key = self._table.get(shape)
@@ -577,44 +651,61 @@ class _AlphaKeys:
         ])
         if m.tag is self._tag and m.binding == binding:
             return m.key
-        if cls is Const:
-            shape: tuple = (Const, repr(t.value))
-        elif cls is Lam:
-            inner = dict(env)
-            for i, (name, _) in enumerate(t.params):
-                inner[name] = (depth + 1, i)
-            shape = (Lam, len(t.params), self._key(t.body, inner, depth + 1))
-        elif cls is Let:
-            shape = (Let, self._key(t.bound, env, depth),
-                     self._key(t.body, {**env, t.name: (depth + 1, 0)}, depth + 1))
-        elif cls is Case:
-            shape = (Case, self._key(t.scrutinee, env, depth), *[
-                self._key(body, {**env, binder: (depth + 1, 0)}, depth + 1)
-                for binder, body in t.branches
-            ])
-        elif cls is Builtin:
-            shape = (Builtin, t.op, *[self._key(a, env, depth) for a in t.args])
-        elif cls is Thin:
-            shape = (Thin, t.count, self._key(t.sampler, env, depth))
-        else:  # an injection's index and a cast's type are not part of the key
-            shape = (cls, *[self._key(kid, env, depth) for kid in children(t)])
-        key = self._intern(shape)
+        key = self._intern(_head(t) + tuple([
+            self._key(kid, *_scope(t, i, env, depth)) for i, kid in enumerate(children(t))
+        ]))
         store_memo(t, Memo(m.size, free, self._tag, binding, key))
         return key
 
 
+_NO_REDEXES: list = []
+
+
+class _Redexes:
+    """A search's redex index.  For each node it has met, keyed by identity
+    (the index keeps the node alive), it lists the redexes of the node's
+    subtree as (path from the node, (rule, forward, replacement, growth in
+    size)), in the search's order: the node's own in _BY_HEAD order, each
+    rule forward before backward, then each child's, right to left, which is
+    `positions` order.  A term's list is thus made only from the nodes the
+    index has not met, and each rule runs once on each node."""
+
+    def __init__(self):
+        self._table: dict[int, tuple[Term, list]] = {}
+
+    def of(self, t: Term) -> list:
+        cls = type(t)
+        if cls is Var or cls is Const:
+            return _NO_REDEXES
+        got = self._table.get(id(t))
+        if got is not None:
+            return got[1]
+        size = term_size(t)
+        out = [
+            ((), (name, forward, new, term_size(new) - size))
+            for name, forward, fn in _BY_HEAD.get(cls, ())
+            if (new := fn(t)) is not None
+        ]
+        kids = children(t)
+        for i in range(len(kids) - 1, -1, -1):
+            head = (i,)
+            out += [(head + path, redex) for path, redex in self.of(kids[i])]
+        self._table[id(t)] = (t, out)
+        return out
+
+
+def _rewrites(term: Term, size_cap: int, index: _Redexes) -> list:
+    """The one-step rewrites of term within the size cap, unbuilt: (path,
+    (rule, forward, replacement, growth)) in positions x RULES order, each
+    rule forward before backward."""
+    room = size_cap - term_size(term)
+    return [(path, redex) for path, redex in index.of(term) if redex[3] <= room]
+
+
 def _neighbors(term: Term, size_cap: int):
-    """One-step rewrites within the size cap: positions x RULES order, each
-    rule forward before backward.  Node memos price a rewrite without
-    building it."""
-    size = term_size(term)
-    for path, sub in positions(term):
-        for name, forward, fn in _BY_HEAD.get(type(sub), ()):
-            replacement = fn(sub)
-            if replacement is None:
-                continue
-            if size - term_size(sub) + term_size(replacement) <= size_cap:
-                yield Step(name, path, forward), replace_at(term, path, replacement)
+    """One-step rewrites within the size cap, built, in the search's order."""
+    for path, (name, forward, new, _) in _rewrites(term, size_cap, _Redexes()):
+        yield Step(name, path, forward), replace_at(term, path, new)
 
 
 _SIZE_FACTOR = 4  # the search visits terms up to this multiple of the larger side
@@ -642,7 +733,7 @@ def prove_equiv(
     # states are deduplicated modulo alpha but not binder annotations, which
     # alpha_equal (and so replay) compares: the sides meet only where their
     # terms are alpha-equal
-    keys = _AlphaKeys()
+    keys, index = _AlphaKeys(), _Redexes()
     seen: dict[int, tuple[str, list[Step], Term]] = {}
     frontier = deque([(s, [], "L", 0), (t, [], "R", 0)])
     seen[keys.key(s)] = ("L", [], s)
@@ -651,17 +742,21 @@ def prove_equiv(
         term, steps, side, d = frontier.popleft()
         if d >= depth:
             continue
-        for step, nxt in _neighbors(term, size_cap):
-            key = keys.key(nxt)
-            if key in seen:
-                other_side, other_steps, other = seen[key]
-                if other_side != side and alpha_equal(nxt, other):
-                    left = steps + [step] if side == "L" else other_steps
-                    right = other_steps if side == "L" else steps + [step]
-                    return EquivProof(s, t, list(left), list(right))
+        frames: dict = {}
+        for path, (name, forward, new, _) in _rewrites(term, size_cap, index):
+            key = keys.key_at(term, path, new, frames)
+            hit = seen.get(key)
+            if hit is not None and hit[0] == side:
                 continue
-            seen[key] = (side, steps + [step], nxt)
-            frontier.append((nxt, steps + [step], side, d + 1))
+            # a new state, or one the other side reached: only these are built
+            nxt = replace_at(term, path, new)
+            mine = steps + [Step(name, path, forward)]
+            if hit is None:
+                seen[key] = (side, mine, nxt)
+                frontier.append((nxt, mine, side, d + 1))
+            elif alpha_equal(nxt, hit[2]):
+                left, right = (mine, hit[1]) if side == "L" else (hit[1], mine)
+                return EquivProof(s, t, list(left), list(right))
     if stats is not None:
         stats.left = sum(1 for side, _, _ in seen.values() if side == "L")
         stats.right = len(seen) - stats.left
@@ -686,12 +781,22 @@ _PULL_RULES = (
 _MAX_STEPS = 10000
 
 
-def _first_redex(term: Term, rule_names) -> Optional[Step]:
-    for path, sub in sorted(positions(term), key=lambda pair: pair[0]):
-        for name in rule_names:
-            rule = RULES[name]
-            if type(sub) is rule.fwd_head and rule.fwd(sub) is not None:
-                return Step(name, path, True)
+def _first_redex(term: Term, rule_names) -> Optional[tuple[Step, Term]]:
+    """The first forward redex of the rules, in lexicographic order of the
+    paths and then in the order of rule_names, with its replacement.  The
+    walk is pre-order with children left to right, which is that order, and
+    it stops at the first redex."""
+    rules = [RULES[name] for name in rule_names]
+    stack = [((), term)]
+    while stack:
+        path, sub = stack.pop()
+        cls = type(sub)
+        for rule in rules:
+            if cls is rule.fwd_head and (new := rule.fwd(sub)) is not None:
+                return Step(rule.name, path, True), new
+        kids = children(sub)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), kids[i]))
     return None
 
 
@@ -728,12 +833,11 @@ def normalize(t: Term) -> tuple[Term, list[Step]]:
     steps: list[Step] = []
     cur = t
     for _ in range(_MAX_STEPS):
-        step = _first_redex(cur, _INLINE_RULES)
-        if step is None:
-            step = _first_redex(cur, _PULL_RULES)
-        if step is None:
+        found = _first_redex(cur, _INLINE_RULES) or _first_redex(cur, _PULL_RULES)
+        if found is None:
             return cur, steps
-        cur = apply_rule(step.rule, cur, step.path, True)
+        step, new = found
+        cur = replace_at(cur, step.path, new)
         steps.append(step)
     raise RewriteError("normalization exceeded the step budget")
 
@@ -766,10 +870,11 @@ def normal_form_spine(t: Term) -> Optional[list[str]]:
 def _fixpoint_with(term: Term, rule_names, steps: list[Step]) -> Term:
     cur = term
     for _ in range(_MAX_STEPS):
-        step = _first_redex(cur, rule_names)
-        if step is None:
+        found = _first_redex(cur, rule_names)
+        if found is None:
             return cur
-        cur = apply_rule(step.rule, cur, step.path, True)
+        step, new = found
+        cur = replace_at(cur, step.path, new)
         steps.append(step)
     raise RewriteError("lemma construction exceeded the step budget")
 

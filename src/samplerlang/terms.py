@@ -358,9 +358,9 @@ def positions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
     """All (path, subterm) pairs, each node before its subterms.
 
     The stack visits the rightmost child first, so this is not the
-    lexicographic order of the paths: `rewrite._first_redex` sorts the
-    paths, and the order in which `rewrite.prove_equiv` tries its
-    neighbours depends on this one.
+    lexicographic order of the paths, which `rewrite._first_redex` walks.
+    A search's redex index (`rewrite._Redexes`) lists its redexes in this
+    order, so `rewrite.prove_equiv` tries its neighbours in it.
     """
     stack = [((), t)]
     while stack:

@@ -4,6 +4,7 @@ Every rule instance is evaluated on both sides under concrete externs and
 must agree bit-exactly; rule outputs must typecheck at the original type.
 """
 import itertools
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -18,10 +19,16 @@ from samplerlang.rewrite import (
     RULES,
     TABLE_RULES,
     RewriteError,
+    SearchStats,
     Step,
     _AlphaKeys,
+    _INLINE_RULES,
+    _PULL_RULES,
+    _Redexes,
     _SIZE_FACTOR,
+    _first_redex,
     _neighbors,
+    _rewrites,
     apply_rule,
     measure,
     normal_form_spine,
@@ -282,6 +289,31 @@ def test_normalize_pull_steps_decrease_measure(corpus):
             cur = nxt
 
 
+def _sorted_first_redex(term, rule_names):
+    """The normalizer's redex by its definition: the first path in sorted
+    order, then the first of rule_names, that matches forward."""
+    for path, sub in sorted(positions(term), key=lambda pair: pair[0]):
+        for name in rule_names:
+            rule = RULES[name]
+            if type(sub) is rule.fwd_head and rule.fwd(sub) is not None:
+                return Step(name, path, True)
+    return None
+
+
+def test_first_redex_is_the_first_in_sorted_path_order(corpus):
+    found = 0
+    for term in _search_terms(corpus):
+        for rule_names in (_INLINE_RULES, _PULL_RULES):
+            got = _first_redex(term, rule_names)
+            want = _sorted_first_redex(term, rule_names)
+            assert (got[0] if got is not None else None) == want
+            if got is not None:
+                step, new = got
+                assert replace_at(term, step.path, new) == apply_rule(step.rule, term, step.path)
+                found += 1
+    assert found > 100
+
+
 def test_table_rule_count():
     # the full inventory: standard, coinductive triples, compositions, products
     assert len(TABLE_RULES) == 34
@@ -451,37 +483,72 @@ def test_docs_list_every_rule():
 
 CORPUS = corpus_dir()
 
-# the benchmark's equiv pairs: depth, proof (None: inconclusive), replace_at calls
+# the benchmark's equiv pairs: depth, proof (None: inconclusive), the
+# states built, and an inconclusive search's extent (states from each side)
 BENCH_EQUIV = [
     (BENCH_INPUTS / "thin_thin.smpl", BENCH_INPUTS / "thin_four.smpl", 8,
-     {"left": [["thin_thin", [], "fwd"]], "right": []}, 1),
+     {"left": [["thin_thin", [], "fwd"]], "right": []}, 1, None),
     (BENCH_INPUTS / "thin_tl_map.smpl", BENCH_INPUTS / "map_thin_tl.smpl", 8,
-     {"left": [["tl_map", [0], "fwd"]], "right": [["thin_map", [], "bwd"]]}, 2),
+     {"left": [["tl_map", [0], "fwd"]], "right": [["thin_map", [], "bwd"]]}, 2, None),
     (BENCH_INPUTS / "map_map_tl.smpl", BENCH_INPUTS / "tl_map_fused.smpl", 8,
      {"left": [["tl_map", [1], "bwd"], ["tl_map", [], "bwd"]], "right": [["map_map", [0], "bwd"]]},
-     15),
-    (BENCH_INPUTS / "thin_map_tl.smpl", BENCH_INPUTS / "map_tl_thin_tl.smpl", 8, None, 4714),
-    (CORPUS / "marsaglia.smpl", BENCH_INPUTS / "marsaglia_alpha3.smpl", 3, None, 2286),
+     14, None),
+    (BENCH_INPUTS / "thin_map_tl.smpl", BENCH_INPUTS / "map_tl_thin_tl.smpl", 8, None, 912, (36, 878)),
+    (CORPUS / "marsaglia.smpl", BENCH_INPUTS / "marsaglia_alpha3.smpl", 3, None, 814, (408, 408)),
 ]
 
 
-@pytest.mark.parametrize("left,right,depth,proof,built", BENCH_EQUIV,
+def _reference_search(s, t, depth):
+    """The search written plainly: every neighbour built by _neighbors and
+    keyed whole.  Returns its proof, its stats and the neighbours it had to
+    build: each one with a new key or with a key the other side reached."""
+    stats = SearchStats(depth=depth, size_cap=_SIZE_FACTOR * max(term_size(s), term_size(t)))
+    keys, built = _AlphaKeys(), []
+    seen = {keys.key(s): ("L", [], s), keys.key(t): ("R", [], t)}
+    frontier = deque([(s, [], "L", 0), (t, [], "R", 0)])
+    while frontier:
+        term, steps, side, d = frontier.popleft()
+        for step, nxt in _neighbors(term, stats.size_cap) if d < depth else ():
+            other_side, other_steps, other = seen.get(keys.key(nxt), (None, None, None))
+            if other_side == side:
+                continue
+            built.append(nxt)
+            if other_side is None:
+                seen[keys.key(nxt)] = (side, steps + [step], nxt)
+                frontier.append((nxt, steps + [step], side, d + 1))
+            elif alpha_equal(nxt, other):
+                left, right = (steps + [step], other_steps) if side == "L" else (other_steps, steps + [step])
+                return EquivProof(s, t, left, right), SearchStats(), built
+    stats.left = sum(1 for side, _, _ in seen.values() if side == "L")
+    stats.right = len(seen) - stats.left
+    return None, stats, built
+
+
+@pytest.mark.parametrize("left,right,depth,proof,built,extent", BENCH_EQUIV,
                          ids=[f"{a.stem}-{b.stem}" for a, b, *_ in BENCH_EQUIV])
-def test_bench_searches_are_pinned(left, right, depth, proof, built, monkeypatch):
-    # the search visits the same states in the same order: it builds the
-    # same number of neighbours and returns the same proof
+def test_bench_searches_are_pinned(left, right, depth, proof, built, extent, monkeypatch):
+    # the search visits the same states in the same order as the plain one,
+    # and builds only the neighbours that it must compare
     import samplerlang.rewrite as rewrite
 
+    s, t = _program(left).body, _program(right).body
+    want_proof, want_stats, want_built = _reference_search(s, t, depth)
     calls = []
 
     def counted(*args):
-        calls.append(args[1])
-        return replace_at(*args)
+        calls.append(replace_at(*args))
+        return calls[-1]
 
     monkeypatch.setattr(rewrite, "replace_at", counted)
-    got = prove_equiv(_program(left).body, _program(right).body, depth=depth)
+    stats = SearchStats()
+    got = prove_equiv(s, t, depth=depth, stats=stats)
     assert (got.to_json() if got is not None else None) == proof
+    assert (want_proof.to_json() if want_proof is not None else None) == proof
     assert len(calls) == built
+    assert calls == want_built
+    assert stats == want_stats
+    if extent is not None:
+        assert (stats.left, stats.right, stats.depth) == (*extent, depth)
 
 
 def _canon(t) -> str:
@@ -563,17 +630,23 @@ KEY_PAIRS = [
 ]
 
 
-def _key_terms(corpus):
-    terms = _search_terms(corpus)
-    terms += [out for t in terms for _, out in _neighbors(t, 4 * term_size(t))]
+def _binder_terms():
+    """The key pairs' terms and one node under different binders, whose key
+    follows its context."""
+    terms = []
     for a, b, _ in KEY_PAIRS:
         terms += [parse_term(a, {"rand", "x"}), parse_term(b, {"rand", "x"})]
     terms += [Const(float("nan")), Const(float("nan")), Const(-float("nan"))]
-    # one node under different binders: its key follows its context
     n = Builtin("plus", (Var("x"), Const(1)))
     x, y = (("x", None),), (("y", None),)
     terms += [Lam(x, Lam(y, n)), Lam(y, Lam(x, n)), Lam(x, n), n, Let("x", n, n), Lam(y, n)]
     return terms
+
+
+def _key_terms(corpus):
+    terms = _search_terms(corpus)
+    terms += [out for t in terms for _, out in _neighbors(t, 4 * term_size(t))]
+    return terms + _binder_terms()
 
 
 def test_alpha_keys_are_equal_exactly_where_the_canonical_strings_are(corpus):
@@ -590,6 +663,27 @@ def test_alpha_keys_are_equal_exactly_where_the_canonical_strings_are(corpus):
         assert (_canon(ta) == _canon(tb)) == equal, (a, b)
         assert (keys.key(ta) == keys.key(tb)) == equal, (a, b)
     assert keys.key(Const(float("nan"))) == keys.key(Const(float("nan")))
+
+
+def test_a_key_computed_along_a_path_is_the_built_terms_key(corpus):
+    # every redex of the search terms, and every position of the key pairs'
+    # terms (nested funs, lets, cases, shadowing) replaced by terms whose key
+    # depends on the binders above them
+    keys, index = _AlphaKeys(), _Redexes()
+    n = Builtin("plus", (Var("x"), Const(1)))
+    redexes = placed = 0
+    for term in _search_terms(corpus):
+        frames: dict = {}
+        for path, (_, _, new, _) in _rewrites(term, 4 * term_size(term), index):
+            assert keys.key_at(term, path, new, frames) == keys.key(replace_at(term, path, new))
+            redexes += 1
+    for term in _binder_terms():
+        frames = {}
+        for path, sub in positions(term):
+            for new in (sub, Var("x"), Var("a"), n):
+                assert keys.key_at(term, path, new, frames) == keys.key(replace_at(term, path, new))
+                placed += 1
+    assert redexes > 600 and placed > 500
 
 
 def test_searches_over_shared_subterms_ignore_each_others_keys():
