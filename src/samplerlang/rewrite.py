@@ -658,9 +658,6 @@ class _AlphaKeys:
         return key
 
 
-_NO_REDEXES: list = []
-
-
 class _Redexes:
     """A search's redex index.  For each node it has met, keyed by identity
     (the index keeps the node alive), it lists the redexes of the node's
@@ -676,7 +673,7 @@ class _Redexes:
     def of(self, t: Term) -> list:
         cls = type(t)
         if cls is Var or cls is Const:
-            return _NO_REDEXES
+            return []
         got = self._table.get(id(t))
         if got is not None:
             return got[1]
