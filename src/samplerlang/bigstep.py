@@ -57,7 +57,8 @@ class BigStep:
         match term:
             case Var(name):
                 if name in self.externs:
-                    return WeightedList(self.externs.stream(name).column(n)[:n], [WEIGHT_ONE] * n)
+                    values = self.externs.stream(name).column(n)[:n].tolist()
+                    return WeightedList(values, [WEIGHT_ONE] * n)
                 raise EvalError(f"unbound variable '{name}'", term.pos)
 
             case Const(value):

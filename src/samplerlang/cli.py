@@ -62,22 +62,27 @@ def cmd_check(args) -> int:
 CSV_BLOCK_ROWS = 4096
 
 
-def _csv_blocks(values: list, weights: list) -> Iterator[str]:
+def _csv_blocks(values, weights) -> Iterator[str]:
     """The CSV of a run: its header line, then its rows (index, flattened
     value, weight) `CSV_BLOCK_ROWS` at a time, each block one string.
 
-    Values are flattened with `value_columns` and booleans among the leaves
-    are written as 1/0; every field is written as its repr (`_csv_lines`).
-    Values of one shape are split column by column; values of different
-    shapes are flattened one by one into rows of different lengths, and
-    the header is as wide as the widest.
+    values and weights are columns (`runtime.column`) or lists of runtime
+    values.  Values are flattened with `value_columns` and booleans among
+    the leaves are written as 1/0; every field is written as its repr
+    (`_csv_lines`).  Values of one shape are split column by column; values
+    of different shapes are flattened one by one into rows of different
+    lengths, and the header is as wide as the widest.
     """
-    from .runtime import value_columns
+    from .runtime import column_values, value_columns
 
     cols = value_columns(values)
     by_repr = _repr_only(weights)
     if cols is None:
-        flats = [[int(x) if type(x) is bool else x for x, in value_columns([v])] for v in values]
+        flats = [
+            [int(x) if type(x) is bool else x for x, in value_columns([v])]
+            for v in column_values(values)
+        ]
+        weights = column_values(weights)
         width = max(map(len, flats))
         ends = np.cumsum(list(map(len, flats)))
         leaves = np.flatnonzero(_repr_only(list(chain.from_iterable(flats))))
@@ -88,15 +93,12 @@ def _csv_blocks(values: list, weights: list) -> Iterator[str]:
             return [(i, *flat, w) for i, flat, w in rows]
     else:
         width = len(cols)
-        cols = [
-            [int(x) if type(x) is bool else x for x in col] if bool in set(map(type, col)) else col
-            for col in cols
-        ]
-        for col in cols:
+        cols = [_csv_column(col) for col in cols] + [weights]
+        for col in cols[:-1]:
             by_repr |= _repr_only(col)
 
         def block(a: int, b: int) -> list:
-            return list(zip(range(a + 1, b + 1), *(col[a:b] for col in cols), weights[a:b]))
+            return list(zip(range(a + 1, b + 1), *(column_values(col[a:b]) for col in cols)))
 
     header = ["index"] + [f"value_{j}" for j in range(width)] + ["weight"]
     if width == 1:
@@ -107,17 +109,27 @@ def _csv_blocks(values: list, weights: list) -> Iterator[str]:
         yield _csv_lines(block(a, b), np.flatnonzero(by_repr[a:b]).tolist())
 
 
-def _repr_only(fields: list) -> np.ndarray:
+def _csv_column(col):
+    """A leaf column with its Booleans as the ints 1 and 0."""
+    if type(col) is np.ndarray:
+        return col.astype(np.int8) if col.dtype == bool else col
+    if bool in set(map(type, col)):
+        return [int(x) if type(x) is bool else x for x in col]
+    return col
+
+
+def _repr_only(fields) -> np.ndarray:
     """A mask of the fields that orjson does not write as their repr: any
     but an int or a float, and a number x with x != 0 and not
     1e-4 <= |x| < 1e16.  Those floats repr writes in exponent form (1e-05,
     1e+16) and orjson does not (0.00001, 1e16); nan and the infinities
     orjson writes as null, and it refuses an int outside 64 bits.  An int
     is tested by its nearest float, which may flag one near 1e16 for
-    nothing, but flags every int outside 64 bits."""
-    if set(map(type, fields)) <= {int, float}:
+    nothing, but flags every int outside 64 bits.  fields is a list or a
+    numeric array."""
+    if type(fields) is np.ndarray or set(map(type, fields)) <= {int, float}:
         try:
-            x = np.abs(np.array(fields, dtype=np.float64))
+            x = np.abs(np.asarray(fields, dtype=np.float64))
         except OverflowError:  # an int beyond the floats
             pass
         else:
@@ -200,7 +212,9 @@ def cmd_run(args) -> int:
     values = result.values
     tag = _sum_tagger(ty.payload) if isinstance(ty, SamplerT) else None
     if tag is not None:
-        values = list(map(tag, values))
+        from .runtime import column_values
+
+        values = list(map(tag, column_values(values)))
     blocks = _csv_blocks(values, result.weights)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as out:
@@ -284,9 +298,10 @@ def cmd_test_target(args) -> int:
         )
     if args.report:
         Path(args.report).write_text(json.dumps(report.to_json(), indent=2) + "\n")
-    worst = report.ladder[-1].worst() if report.ladder else float("nan")
+    # the verdict's tolerance is the last rung's, max(tol, 3/sqrt(n))
+    worst, used = (report.ladder[-1].worst(), report.ladder[-1].tol) if report.ladder else (float("nan"), tol)
     status = "pass" if report.passed else "fail"
-    print(f"{status}: n={args.n} K={args.K} worst discrepancy {worst:.4g} vs tol {tol:g}")
+    print(f"{status}: n={args.n} K={args.K} worst discrepancy {worst:.4g} vs tol {used:g}")
     if not report.passed:
         print(f"  {report.reason}")
     return 0 if report.passed else 1
@@ -403,8 +418,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("test-target", help="empirical weak-convergence test")
     p.add_argument("file")
     p.add_argument("--measure", required=True)
-    p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--K", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=100000)
+    p.add_argument("--K", type=_positive_int, default=1)
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", default=argparse.SUPPRESS, help="as the global --seed")
     p.add_argument("--report", metavar="OUT.json")

@@ -23,7 +23,7 @@ from .quadrature import (
     support_box,
     _value_key,
 )
-from .runtime import value_columns, value_coords, value_to_point
+from .runtime import column_values, value_columns, value_coords, value_to_point
 from .streams import RStream, truncate
 from .terms import Term, self_product
 
@@ -44,9 +44,10 @@ class EmpiricalMeasure:
         return math.fsum(w * float(g(value_to_point(v))) for v, w in self.atoms)
 
 
-def _prefix(stream, n: int) -> tuple[list, list]:
-    """The values and the weights of the first n entries of a stream, or of
-    a list of (value, weight) entries."""
+def _prefix(stream, n: int) -> tuple:
+    """The columns of the values and the weights of the first n entries of
+    a stream (`runtime.column`), or lists of those of a list of
+    (value, weight) entries."""
     if isinstance(stream, RStream):
         sample = truncate(stream, n, inner=False)
         return sample.values, sample.weights
@@ -58,7 +59,7 @@ def empirical_measure(stream, n: int) -> EmpiricalMeasure:
     """Normalized atoms over the first n entries; coalesces equal values."""
     if n < 1:
         raise ValueError("empirical measure needs n >= 1")
-    values, weights = _prefix(stream, n)
+    values, weights = map(column_values, _prefix(stream, n))
     total = math.fsum(weights)
     if not total > 0.0:
         raise DegeneratePrefixError(
@@ -77,25 +78,25 @@ def empirical_measure(stream, n: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(atoms, n)
 
 
-def columns_of(values: Sequence, weights: Sequence) -> tuple[list[np.ndarray], np.ndarray]:
+def columns_of(values, weights) -> tuple[list[np.ndarray], np.ndarray]:
     """Coordinate arrays plus the weight array for entries' values and
-    weights.
+    weights, given as columns (`runtime.column`) or lists of runtime values.
 
     Booleans become 1.0/0.0, as in `value_to_point`.  Values of one shape
-    are converted column by column; values of different shapes, or with
-    leaves that are not numbers, entry by entry (`value_coords`), with the
-    first value's coordinate count.
+    are converted column by column, a float64 column not at all; values of
+    different shapes, or with leaves that are not numbers, entry by entry
+    (`value_coords`), with the first value's coordinate count.
     """
     if not len(values):
         return [], np.empty(0)
-    weights = np.array(weights, dtype=float)
+    weights = np.asarray(weights, dtype=float)
     cols = value_columns(values)
     if cols is not None:
         try:
-            return [np.array(col, dtype=float) for col in cols], weights
+            return [np.asarray(col, dtype=float) for col in cols], weights
         except TypeError:
             pass  # value_coords below raises the error that names the value
-    flats = [value_coords(v) for v in values]
+    flats = [value_coords(v) for v in column_values(values)]
     dims = len(flats[0])
     return [np.array([flat[j] for flat in flats]) for j in range(dims)], weights
 
@@ -238,5 +239,5 @@ def k_equidistribution_test(
 
 def visit_count(stream, predicate: Callable, n: int) -> int:
     """Entries among the first n with positive weight satisfying the predicate."""
-    values, weights = _prefix(stream, n)
+    values, weights = map(column_values, _prefix(stream, n))
     return sum(1 for v, w in zip(values, weights) if w > 0 and predicate(v))

@@ -8,7 +8,9 @@ module can gather evidence for it.
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
+
+import numpy as np
 
 from . import measures as M
 from .builtins import EvalError
@@ -22,8 +24,9 @@ class ExternStream:
     """Deterministic memoized value source for one extern sampler.
 
     `make` turns a (count, uniforms_per_value) array of uniforms into the
-    list of count values, with elementwise float64 arithmetic that rounds as
-    the same Python float expression would.
+    typed column (`runtime.column`) of count values, a float64 or a bool
+    array, with elementwise float64 arithmetic that rounds as the same
+    Python float expression would.
     """
 
     def __init__(self, name: str, seed: int, uniforms_per_value: int, make: Callable):
@@ -31,43 +34,38 @@ class ExternStream:
         self.seed = seed
         self.per = uniforms_per_value
         self.make = make
-        self._values: list = []
+        self._values: Optional[np.ndarray] = None
         self._state = seed  # the last LCG state consumed
 
-    def _extend(self, upto: int) -> None:
-        need = upto - len(self._values)
-        if need <= 0:
-            return
-        count = max(need, _BLOCK)
-        u, self._state = lcg_uniforms_from(self._state, count * self.per)
-        self._values.extend(self.make(u.reshape(count, self.per)))
+    def column(self, upto: int) -> np.ndarray:
+        """The memoized values, value i at position i - 1, at least upto of them."""
+        have = 0 if self._values is None else len(self._values)
+        if upto > have:
+            count = max(upto - have, _BLOCK)
+            u, self._state = lcg_uniforms_from(self._state, count * self.per)
+            new = self.make(u.reshape(count, self.per))
+            self._values = new if self._values is None else np.concatenate((self._values, new))
+        return self._values
 
     def value(self, i: int):
-        """1-based access."""
-        if i > len(self._values):
-            self._extend(i)
-        return self._values[i - 1]
-
-    def column(self, upto: int) -> list:
-        """The memoized values, value i at position i - 1, at least upto of them."""
-        self._extend(upto)
-        return self._values
+        """1-based access, as a runtime value."""
+        return self.column(i).item(i - 1)
 
 
 def _uniform_builder(a: float, b: float) -> tuple[int, Callable]:
     if a == 0.0 and b == 1.0:
-        return 1, lambda u: u[:, 0].tolist()
+        return 1, lambda u: u[:, 0]
     width = b - a
-    return 1, lambda u: (a + width * u[:, 0]).tolist()
+    return 1, lambda u: a + width * u[:, 0]
 
 
 def _bernoulli_builder(p: float) -> tuple[int, Callable]:
-    return 1, lambda u: (u[:, 0] < p).tolist()
+    return 1, lambda u: u[:, 0] < p
 
 
 def _triangular_builder(a: float, b: float) -> tuple[int, Callable]:
     half = (b - a) / 2.0
-    return 2, lambda u: (a + half * (u[:, 0] + u[:, 1])).tolist()
+    return 2, lambda u: a + half * (u[:, 0] + u[:, 1])
 
 
 def build_extern_stream(decl: ExternDecl, global_seed: int = DEFAULT_SEED) -> ExternStream:

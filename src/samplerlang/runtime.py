@@ -2,7 +2,9 @@
 
 Grounds are Python bools/ints/floats, pairs are 2-tuples, unit is (),
 injections and closures are small wrapper classes, and a finite sampler
-evaluation is a WeightedList.
+evaluation is a WeightedList.  The stream engine keeps a run of entries as
+a typed column (`column`, `Pairs`), from which `column_values` and
+`column_entry` make runtime values.
 
 `compile_fn` turns a sampler-free closure into a plain Python function by
 generating flat Python source for its body and executing it once: let-bound
@@ -121,20 +123,72 @@ class VClosure:
     # compile_pipeline's functions for the pipelines whose first layer
     # function is this closure, by the rest of the pipeline
     _pipelines: Optional[dict] = field(default=None, repr=False)
+    # compile_iteration's result, as _compiled is compile_fn's
+    _iteration: object = field(default=None, repr=False)
+
+
+class Pairs:
+    """A column of pairs, kept as the column of their left parts and the
+    column of their right parts (see `column`), so that a product's pairs
+    are built only where its entries leave the engine.  Slicing slices both
+    parts."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+    def __len__(self):
+        return len(self.left)
+
+    def __getitem__(self, cells: slice) -> "Pairs":
+        return Pairs(self.left[cells], self.right[cells])
+
+
+def column(values: list):
+    """The typed column of a list of runtime values: a float64 array if
+    every value is a float, a bool array if every value is a Boolean, and
+    the list itself otherwise."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return np.array(values, dtype=np.float64)
+    if kinds == {bool}:
+        return np.array(values, dtype=bool)
+    return values
+
+
+def column_values(col) -> list:
+    """The runtime values of a column, as a list."""
+    if type(col) is np.ndarray:
+        return col.tolist()
+    if type(col) is Pairs:
+        return list(zip(column_values(col.left), column_values(col.right)))
+    return col
+
+
+def column_entry(col, i: int):
+    """The runtime value at position i of a column."""
+    if type(col) is np.ndarray:
+        return col.item(i)
+    if type(col) is Pairs:
+        return column_entry(col.left, i), column_entry(col.right, i)
+    return col[i]
 
 
 @dataclass
 class WeightedList:
     """A finite sampler evaluation, as its column of values and its column
-    of weights."""
+    of weights (see `column`; the stream engine's weights are a float64
+    array, big-step's a list)."""
 
-    values: list
-    weights: list
+    values: object
+    weights: object
 
     @property
     def entries(self) -> list[tuple[object, float]]:
-        """The (value, weight) pairs."""
-        return list(zip(self.values, self.weights))
+        """The (value, weight) pairs, as runtime values."""
+        return list(zip(column_values(self.values), column_values(self.weights)))
 
     def __len__(self):
         return len(self.values)
@@ -186,8 +240,8 @@ def value_equal(a, b) -> bool:
     if isinstance(a, WeightedList) and isinstance(b, WeightedList):
         return (
             len(a) == len(b)
-            and all(map(value_equal, a.values, b.values))
-            and all(map(value_equal, a.weights, b.weights))
+            and all(map(value_equal, column_values(a.values), column_values(b.values)))
+            and all(map(value_equal, column_values(a.weights), column_values(b.weights)))
         )
     return a is b
 
@@ -217,14 +271,22 @@ def value_coords(v) -> list[float]:
     return [x for part in p for x in value_coords(part)] if isinstance(p, tuple) else [p]
 
 
-def value_columns(values: list) -> Optional[list[list]]:
-    """Split non-empty, uniformly shaped values into one list per leaf.
+def value_columns(values) -> Optional[list]:
+    """Split a non-empty column of uniformly shaped values (see `column`)
+    into one column per leaf.
 
-    Tuples split componentwise and injections into their payloads, as in
-    `value_to_point`; anything else is a leaf, kept as it is.  Returns None
-    when the values do not all have the first one's shape; one value alone
-    always has it, so `value_columns([v])` lists v's leaves.
+    A typed array is one leaf column and `Pairs` are their parts' leaf
+    columns.  In a list, tuples split componentwise and injections into
+    their payloads, as in `value_to_point`; anything else is a leaf, kept as
+    it is.  Returns None when the values do not all have the first one's
+    shape; one value alone always has it, so `value_columns([v])` lists v's
+    leaves.
     """
+    if type(values) is np.ndarray:
+        return [values]
+    if type(values) is Pairs:
+        left, right = value_columns(values.left), value_columns(values.right)
+        return None if left is None or right is None else left + right
     kinds = set(map(type, values))
     if kinds == {tuple}:
         width = len(values[0])
@@ -513,6 +575,19 @@ class _CodeGen:
             inner = self.bind(params, _Code(arg), scope, depth + 1)
             result = self.code(self.term(body, inner, depth + 1))
             self.emit(depth + 1, f"return {result}, _bad" if self.array else f"return {result}")
+
+    def iteration(self, params, body: Term) -> None:
+        """A def of `_fn(a, count, append)`, which applies the function to
+        a, then to its value, count times, with the body inline, and passes
+        each value to append: a failing application raises as the
+        function's, after the values before it were appended."""
+        arg = self.fresh("a")
+        self.emit(0, f"def _fn({arg}, _count, _append):")
+        self.emit(1, "for _ in range(_count):")
+        with self.block():
+            scope = self.bind(params, _Code(arg), {}, 2)
+            self.emit(2, f"{arg} = {self.code(self.term(body, scope, 2))}")
+            self.emit(2, f"_append({arg})")
 
     def fault(self, mask: str, depth: int) -> None:
         """Record that the points in `mask` fail, where the current code runs."""
@@ -868,10 +943,11 @@ class _PipeGen(_CodeGen):
         return value, self.assign(depth, f"_reweigh({self.code(out)}, {self.code(weight)}, _n)")
 
     def leaf(self, j: int) -> tuple:
-        # converted where they are first used (`here`)
-        self.pending.update({f"_x{j}": f"_c{j}", f"_y{j}": f"_w{j}"})
-        self.made[f"_x{j}"] = self.made[f"_y{j}"] = self.frame
-        return _Code(f"_x{j}"), _Code(f"_y{j}") if self.weighted[j] else _Known(WEIGHT_ONE)
+        # a leaf's values are made a column where they are first used
+        # (`here`); its weights are a float64 array already
+        self.pending[f"_x{j}"] = f"_c{j}"
+        self.made[f"_x{j}"] = self.made[f"_w{j}"] = self.frame
+        return _Code(f"_x{j}"), _Code(f"_w{j}") if self.weighted[j] else _Known(WEIGHT_ONE)
 
     def times(self, left, right, depth: int):
         """A weight product; never folded unless both factors are known,
@@ -881,12 +957,12 @@ class _PipeGen(_CodeGen):
         return self.assign(depth, f"_op(_op_times, _n, {self.code(left)}, {self.code(right)})")
 
     def listed(self, operand) -> str:
-        """Source for the list of the operand's entries; a pair's is
-        zipped from its parts' lists."""
+        """Source for the typed column of the operand's entries (see
+        `column`); a pair's is the `Pairs` of its parts' columns."""
         if isinstance(operand, _Code) and operand.parts is not None:
-            return f"list(zip({', '.join(map(self.listed, operand.parts))}))"
+            return f"_pairs({', '.join(map(self.listed, operand.parts))})"
         if isinstance(operand, _Code) and operand.expr in self.pending:
-            return self.pending[operand.expr]  # a leaf's list, as it came
+            return self.pending[operand.expr]  # a leaf's column, as it came
         return f"_out({self.code(operand)}, _n)"
 
     def layer(self, fn, value, depth: int):
@@ -935,8 +1011,9 @@ def compile_pipeline(shape, fns: list, weighted, fallback: Callable) -> Callable
     leaf's number or (op, id(fn), inputs), and its layer functions fns, each
     node's before its inputs'.  The function is the columnar function
     `_fn(n, *leaves)`, which takes each leaf's block of n entries (its
-    values, then its weights if it has them) and returns the lists of the n
-    values and weights, or raises (see _PipeGen).
+    column of values, then its float64 weights if it has them) and returns
+    the typed columns of the n values and weights (see `column`), or raises
+    (see _PipeGen).
 
     A sampler built per entry of another builds the same pipeline again
     each time, so the function is kept, as compile_fn keeps a closure's:
@@ -1001,19 +1078,22 @@ class _Fault(Exception):
 COLUMN_FAULTS = (_Fault, *BUILTIN_ERRORS)
 
 
-def _column(values: list):
-    """The column of a list of runtime values."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return np.array(values, dtype=np.float64)
-    if kinds == {bool}:
-        return np.array(values, dtype=bool)
-    return np.fromiter(values, object, len(values))
+def _column(values):
+    """A leaf's or an entry-wise result's column as a numpy array: a typed
+    array as it is, and an object array of the runtime values otherwise."""
+    if type(values) is np.ndarray:
+        return values
+    values = column(column_values(values))
+    return values if type(values) is np.ndarray else np.fromiter(values, object, len(values))
 
 
-def _out(x, n: int) -> list:
-    """The list of a value's n entries."""
-    return x.tolist() if type(x) is np.ndarray else [x] * n
+def _out(x, n: int):
+    """The typed column (see `column`) of a value's n entries."""
+    if type(x) is np.ndarray:
+        return x.tolist() if x.dtype == object else x
+    if type(x) in (float, bool):
+        return np.full(n, x)
+    return [x] * n
 
 
 def _seq(x, n: int):
@@ -1179,7 +1259,7 @@ def _specs() -> dict:
 _SPECS = _specs()
 _COLUMN_NAMESPACE = {
     **_SPECS,
-    "_column": _column, "_out": _out, "_each": _each, "_op": _op, "_compare": _compare,
+    "_column": _column, "_out": _out, "_pairs": Pairs, "_each": _each, "_op": _op, "_compare": _compare,
     "_take": _take, "_cases": _cases, "_merge": _merge, "_reweigh": _reweigh,
     "_pair_of": _pair_of, "_fst": operator.itemgetter(0), "_snd": operator.itemgetter(1),
     "_tuple": lambda a, b: (a, b),
@@ -1204,6 +1284,15 @@ def compile_fn(clo: VClosure) -> Optional[Callable]:
     if clo._compiled is None:
         clo._compiled = _generate(_CodeGen(clo.env), clo.params, clo.body) or False
     return clo._compiled or None
+
+
+def compile_iteration(clo: VClosure) -> Optional[Callable]:
+    """The function that iterates a sampler-free closure (`_CodeGen.iteration`),
+    or None where compile_fn refuses its body: a prng's entries computed
+    in one loop, without a call per step."""
+    if clo._iteration is None:
+        clo._iteration = _generate(_CodeGen(clo.env), clo.params, clo.body, loop=True) or False
+    return clo._iteration or None
 
 
 def compile_array_fn(fn: Term) -> Optional[Callable]:
@@ -1232,10 +1321,14 @@ def _poison(value, bad):
     return np.where(bad, np.nan, value)
 
 
-def _generate(gen: _CodeGen, params, body: Term) -> Optional[Callable]:
-    """The function gen generates for the body, or None if it refuses."""
+def _generate(gen: _CodeGen, params, body: Term, loop: bool = False) -> Optional[Callable]:
+    """The function gen generates for the body, or with loop set the
+    function that iterates it (`_CodeGen.iteration`); None if it refuses."""
     try:
-        gen.function("_fn", params, body, {}, 0)
+        if loop:
+            gen.iteration(params, body)
+        else:
+            gen.function("_fn", params, body, {}, 0)
     except _NotCompilable:
         return None
     source = "\n".join(gen.lines) + "\n"

@@ -5,14 +5,26 @@ memoized core, so `tl` and `thin` are O(1) shifts sharing their parent's memo
 instead of recomputations.  `truncate` projects any result onto length-N
 weighted lists, which must agree bit-exactly with big-step evaluation.
 
-Cores are pulled a block at a time: `entries(idx)` takes the core indices a
+Cores are pulled a block at a time: `block(idx)` takes the core indices a
 view demands (a `range`, which an affine view maps to a `range`, or an
 increasing list), and only demanded indices are computed, so `thin` still
 skips entries.  A block that hits an error returns the entries before it
 together with the error.
 
+A block's values are a typed column (`runtime.column`): a float64 array
+where every entry is a float, a bool array where every entry is a Boolean,
+`runtime.Pairs` (one column per side) where a product's pairs were never
+built, and a list of runtime values otherwise; its weights are a float64
+array.  Columns are made at the extern kernel and stay typed through the
+memos, the pipelines and `truncate`, to the CSV writer and the empirical
+tests.  Runtime values are made only where entries leave the engine one by
+one: `hd`, `wt`, `RStream.entry`, `RStream.entries`, `RStream.prefix` and
+`WeightedList.entries`.
+
 The leaves of the engine are extern streams (`ExternCore`) and `prng`
-iterations (`PrngCore`).  Every `map`, `reweight` and `<*>` is a `PipeCore`,
+iterations (`PrngCore`, whose longer pulls run the step's body inline in one
+generated loop, `runtime.compile_iteration`).  Every `map`, `reweight` and
+`<*>` is a `PipeCore`,
 and a chain of them runs as one pipeline: on its first pull a core absorbs
 each parent that is another such core, has never been pulled and that no
 other term reaches (a `let`-, parameter- or case-bound sampler is shared
@@ -25,7 +37,8 @@ compiles to one columnar function with every layer's body inline
 of `CHUNK` at a time as exact columns (numpy only where it rounds as Python
 does, the `math` functions entry by entry elsewhere, each branch of a case
 only on the entries that take it).  A product's pair is built only where
-its value escapes, and only the pipeline's top core keeps a memo.  A block
+a layer uses it whole; a block of pairs leaves as `Pairs`.  Only the
+pipeline's top core keeps a memo.  A block
 of one entry (`hd`, `wt`, `RStream.entry`) walks the layer tree instead
 (`PipeCore._entry`), in engine order: a product's left side, then its
 right side, then the layer above, each layer applied through its closure's
@@ -53,11 +66,16 @@ from .runtime import (
     CHUNK,
     COLUMN_FAULTS,
     WEIGHT_ONE,
+    Pairs,
     VClosure,
     VInj,
     WeightedList,
     _tree,
+    column,
+    column_entry,
+    column_values,
     compile_fn,
+    compile_iteration,
     compile_pipeline,
     destructure,
     scrutinee,
@@ -88,65 +106,117 @@ from .terms import (
     free_vars,
 )
 
-#: a block: (values, weights, error) for a prefix of the demanded indices;
-#: the prefix is all of them unless error is not None
-Block = tuple[list, list, Optional[EvalError]]
+#: a block: (values, weights, error) for a prefix of the demanded indices,
+#: the prefix being all of them unless error is not None; values are a typed
+#: column (`runtime.column`) and weights a float64 array
+Block = tuple[object, np.ndarray, Optional[EvalError]]
 
 
-def _gather(column: list, idx) -> list:
-    """column's entries at the 1-based indices idx."""
+def _gather(col, idx):
+    """A column's entries at the 1-based indices idx."""
     if type(idx) is range:
-        return column[idx.start - 1 : idx.stop - 1 : idx.step]
-    return [column[i - 1] for i in idx]
+        return col[idx.start - 1 : idx.stop - 1 : idx.step]
+    if type(col) is np.ndarray:
+        return col[np.subtract(idx, 1)]
+    if type(col) is Pairs:
+        return Pairs(_gather(col.left, idx), _gather(col.right, idx))
+    return [col[i - 1] for i in idx]
+
+
+def _concat(cols: list):
+    """The column of the columns' entries, one after another."""
+    if len(cols) == 1:
+        return cols[0]
+    kinds = {c.dtype if type(c) is np.ndarray else type(c) for c in cols}
+    if len(kinds) == 1 and type(cols[0]) is np.ndarray:
+        return np.concatenate(cols)
+    if kinds == {Pairs}:
+        return Pairs(_concat([c.left for c in cols]), _concat([c.right for c in cols]))
+    return list(chain.from_iterable(map(column_values, cols)))
+
+
+def _put(col, cells, new):
+    """col with new's entries at cells (a slice or an index array): col
+    itself, set in place, where it can hold them, else a list."""
+    if type(col) is np.ndarray and type(new) is np.ndarray and col.dtype == new.dtype:
+        col[cells] = new
+        return col
+    if type(col) is Pairs and type(new) is Pairs:
+        return Pairs(_put(col.left, cells, new.left), _put(col.right, cells, new.right))
+    out = col if type(col) is list else column_values(col)
+    if type(cells) is slice:
+        out[cells] = column_values(new)
+    else:
+        for i, v in zip(cells.tolist(), column_values(new)):
+            out[i] = v
+    return out
+
+
+def _unset(like, count: int):
+    """A new column of count unset entries that can hold like's."""
+    if type(like) is np.ndarray:
+        return np.zeros(count, like.dtype)
+    if type(like) is Pairs:
+        return Pairs(_unset(like.left, count), _unset(like.right, count))
+    return [None] * count
 
 
 class StreamCore:
     """Memoized entry source over 1-based indices, stable across calls.
 
-    The memo is a pair of columns indexed by i - 1; a weight of None marks
-    an entry not computed yet (weights are always floats).
+    The memo is a typed column of values (`runtime.column`; None until one
+    is computed), a float64 column of weights, and a mask of the entries
+    computed so far, all indexed by i - 1; an entry not computed yet has
+    some value and weight, which the mask says to ignore.  A column that
+    the memo returns is never written again: the memo writes only entries
+    not computed yet, and grows into new columns.  `_known` is None until
+    the first pull.
     """
 
     def __init__(self):
-        self._values: list = []
-        self._weights: list = []
+        self._values = None
+        self._weights = np.empty(0)
+        self._known: Optional[np.ndarray] = None
 
-    def entries(self, idx) -> Block:
-        values, weights = self._values, self._weights
-        if not weights and type(idx) is range and idx.start == 1 and idx.step == 1:
-            # the first pull, of a prefix: the memo is a copy of the block
-            new_values, new_weights, err = self._compute(idx)
-            holes = [None] * (len(idx) - len(new_weights))
-            self._values, self._weights = new_values + holes, new_weights + holes
-            return new_values, new_weights, err
-        grow = idx[-1] - len(weights)
-        if grow > 0:
-            values.extend([None] * grow)
-            weights.extend([None] * grow)
-        known = _gather(weights, idx)
-        holes = known.count(None)
-        if not holes:
-            return _gather(values, idx), known, None
-        if holes == len(known):
+    def block(self, idx) -> Block:
+        if self._known is None and type(idx) is range and idx.start == 1 and idx.step == 1:
+            # the first pull, of a prefix: the memo is the block
+            values, weights, err = self._compute(idx)
+            self._values, self._weights = values, weights
+            self._known = np.ones(len(weights), bool)
+            return values, weights, err
+        if self._known is None:
+            self._known = np.zeros(0, bool)
+        grow = idx[-1] - len(self._known)
+        if grow > 0:  # into new columns
+            if self._values is not None:
+                self._values = _concat([self._values, _unset(self._values, grow)])
+            self._weights = np.concatenate((self._weights, np.zeros(grow)))
+            self._known = np.concatenate((self._known, np.zeros(grow, bool)))
+        known = _gather(self._known, idx)
+        if known.all():
+            return _gather(self._values, idx), _gather(self._weights, idx), None
+        if not known.any():
             missing = idx  # keeps a range a range for the parents
         else:
-            missing = [i for i, w in zip(idx, known) if w is None]
+            missing = [i for i, k in zip(idx, known.tolist()) if not k]
         new_values, new_weights, err = self._compute(missing)
         done = missing[: len(new_weights)]
         if type(done) is range:
             cells = slice(done.start - 1, done.stop - 1, done.step)
-            values[cells] = new_values
-            weights[cells] = new_weights
         else:
-            for i, v, w in zip(done, new_values, new_weights):
-                values[i - 1] = v
-                weights[i - 1] = w
+            cells = np.subtract(done, 1)
+        if self._values is None:
+            self._values = _unset(new_values, len(self._known))
+        self._values = _put(self._values, cells, new_values)
+        self._weights[cells] = new_weights
+        self._known[cells] = True
         if missing is idx:
             return new_values, new_weights, err
         if err is not None:
             # memo hits cannot fail: the block ends at the first failed index
             idx = idx[: idx.index(missing[len(done)])]
-        return _gather(values, idx), _gather(weights, idx), err
+        return _gather(self._values, idx), _gather(self._weights, idx), err
 
     def _compute(self, idx) -> Block:
         raise NotImplementedError
@@ -157,31 +227,45 @@ class ExternCore(StreamCore):
         super().__init__()
         self.stream = stream
 
-    def entries(self, idx) -> Block:  # extern memoizes internally
+    def block(self, idx) -> Block:  # extern memoizes internally
         values = _gather(self.stream.column(idx[-1]), idx)
-        return values, [WEIGHT_ONE] * len(values), None
+        return values, np.ones(len(values)), None
+
+
+#: the fewest steps that a prng pull takes in a generated loop
+#: (`runtime.compile_iteration`); fewer are taken one call each, since
+#: generating the loop costs about what it saves over 2,000 steps
+LOOP_STEPS = 2048
 
 
 class PrngCore(StreamCore):
     """Iterates the step function; values are memoized as a growing list."""
 
-    def __init__(self, apply_fn: Callable, seed_value):
+    def __init__(self, step, apply_fn: Callable, seed_value):
         super().__init__()
-        self.apply_fn = apply_fn
+        self.step = step  # the step function value
+        self.apply_fn = apply_fn  # its application
         self.values = [seed_value]
 
-    def entries(self, idx) -> Block:
+    def block(self, idx) -> Block:
         values, err = self.values, None
-        if idx[-1] > len(values):
-            step = self.apply_fn
+        count = idx[-1] - len(values)
+        if count > 0:
+            loop = None
+            if count >= LOOP_STEPS and type(self.step) is VClosure:
+                loop = compile_iteration(self.step)
             try:
-                for _ in range(idx[-1] - len(values)):
-                    values.append(step(values[-1]))
+                if loop is not None:
+                    loop(values[-1], count, values.append)
+                else:
+                    step = self.apply_fn
+                    for _ in range(count):
+                        values.append(step(values[-1]))
             except EvalError as e:
                 err = e
                 idx = [i for i in idx if i <= len(values)]
         out = _gather(values, idx)
-        return out, [WEIGHT_ONE] * len(out), err
+        return out, np.ones(len(out)), err
 
 
 class PipeCore(StreamCore):
@@ -193,10 +277,11 @@ class PipeCore(StreamCore):
     down to the other parents, its leaves (`runtime.compile_pipeline`).  A
     pull reads each leaf's block, runs the columnar function over the
     entries every leaf has, a chunk at a time, and walks the layer tree
-    (`_entry`) for a block of one entry, for each entry of a chunk where the
+    (`_walk`) for a block of one entry, for each entry of a chunk where the
     columnar function gave way, and for the next entry if some leaf ended
-    early, so that its error is raised in engine order.  Only this core
-    keeps a memo; absorbed ones are never pulled.
+    early, so that its error is raised in engine order.  The chunks' typed
+    columns are joined into the block's.  Only this core keeps a memo;
+    absorbed ones are never pulled.
     """
 
     def __init__(self, op: str, fn, parents: tuple, apply: Callable):
@@ -247,24 +332,38 @@ class PipeCore(StreamCore):
         columns, reads, stop = [], [], len(idx)
         for leaf, weighted in zip(self._leaves, self._weighted):
             # a leaf is read only where the leaves left of it have entries
-            values, weights, err = leaf.entries(idx[:stop])
+            values, weights, err = leaf.block(idx[:stop])
             columns += [values, weights] if weighted else [values]
             reads.append((values, weights if weighted else None, err))
             stop = min(stop, len(values))
-        values, weights = [], []
-        try:
-            for lo in range(0, stop, CHUNK):
-                hi = min(lo + CHUNK, stop)
-                if stop == 1 or not self._columns(columns, lo, hi, values, weights):
-                    for i in range(lo, hi):
-                        value, weight = self._entry(self._layers, reads, i)
-                        values.append(value)
-                        weights.append(weight)
+        parts, err = [], None
+        for lo in range(0, stop, CHUNK):
+            hi = min(lo + CHUNK, stop)
+            block = None if stop == 1 else self._columns(columns, lo, hi)
+            if block is None:
+                *block, err = self._walk(reads, lo, hi)
+            parts.append(block)
+            if err is not None:
+                break
+        else:
             if stop < len(idx):
-                self._entry(self._layers, reads, stop)  # raises
+                err = self._walk(reads, stop, stop + 1)[2]
+        if not parts:
+            return [], np.empty(0), err
+        return _concat([v for v, _ in parts]), _concat([w for _, w in parts]), err
+
+    def _walk(self, reads: list, lo: int, hi: int) -> Block:
+        """Entries lo to hi - 1 of the leaves' blocks, each through the
+        layer tree on its own (`_entry`), up to the first that fails."""
+        values, weights, err = [], [], None
+        try:
+            for i in range(lo, hi):
+                value, weight = self._entry(self._layers, reads, i)
+                values.append(value)
+                weights.append(weight)
         except EvalError as e:
-            return values, weights, e
-        return values, weights, None
+            err = e
+        return column(values), np.array(weights, dtype=np.float64), err
 
     def _entry(self, node, reads: list, i: int) -> tuple:
         """The value and weight of entry i of the leaves' blocks (`reads`:
@@ -276,7 +375,7 @@ class PipeCore(StreamCore):
             values, weights, err = reads[node]
             if i >= len(values):
                 raise err
-            return values[i], WEIGHT_ONE if weights is None else weights[i]
+            return column_entry(values, i), WEIGHT_ONE if weights is None else weights.item(i)
         op, fn, inputs = node
         if op == "prod":
             left, lw = self._entry(inputs[0], reads, i)
@@ -290,20 +389,18 @@ class PipeCore(StreamCore):
             raise EvalError(f"negative weight {out} from reweight")
         return value, out * weight
 
-    def _columns(self, columns: list, lo: int, hi: int, values: list, weights: list) -> bool:
-        """Whether the columnar function computed entries lo to hi - 1 of
-        the leaves' blocks, which it then appends to values and weights.  If
-        it did not, one of them fails, and the caller runs each alone."""
+    def _columns(self, columns: list, lo: int, hi: int) -> Optional[tuple]:
+        """The columns of the values and the weights that the columnar
+        function computes for entries lo to hi - 1 of the leaves' blocks, or
+        None where it gives way: one of them fails, and the caller runs each
+        alone."""
         if self._block is None:
             self._block = compile_pipeline(self._shape, self._fns, self._weighted, self.apply)
         try:
             with np.errstate(all="ignore"):
-                block = self._block(hi - lo, *(column[lo:hi] for column in columns))
+                return self._block(hi - lo, *(column[lo:hi] for column in columns))
         except COLUMN_FAULTS:
-            return False
-        values += block[0]
-        weights += block[1]
-        return True
+            return None
 
 
 #: leaf cores whose weights are all WEIGHT_ONE
@@ -317,7 +414,7 @@ def _absorbable(parent: "RStream") -> bool:
     (`tl` and `thin` of it, such as a self-product's `thin`); no one else
     reads its entries, so no memo that anyone shares is bypassed."""
     core = parent.core
-    return type(core) is PipeCore and not core.shared and not core._weights
+    return type(core) is PipeCore and not core.shared and core._known is None
 
 
 @dataclass(frozen=True)
@@ -328,22 +425,27 @@ class RStream:
     a: int = 1
     b: int = 0
 
-    def entries(self, idx) -> Block:
+    def block(self, idx) -> Block:
         """The block at the view indices idx (a range or an increasing list)."""
         if not idx:
-            return [], [], None
+            return [], np.empty(0), None
         a, b = self.a, self.b
         if type(idx) is range:
-            return self.core.entries(range(a * idx.start + b, a * idx.stop + b, a * idx.step))
-        return self.core.entries([a * i + b for i in idx])
+            return self.core.block(range(a * idx.start + b, a * idx.stop + b, a * idx.step))
+        return self.core.block([a * i + b for i in idx])
+
+    def entries(self, idx) -> tuple[list, list, Optional[EvalError]]:
+        """The block at the view indices idx, as lists of runtime values."""
+        values, weights, err = self.block(idx)
+        return column_values(values), weights.tolist(), err
 
     def entry(self, i: int) -> tuple:
         if i < 1:
             raise EvalError(f"stream index {i} out of range (1-based)")
-        values, weights, err = self.entries(range(i, i + 1))
+        values, weights, err = self.block(range(i, i + 1))
         if err is not None:
             raise err
-        return values[0], weights[0]
+        return column_entry(values, 0), weights.item(0)
 
     def tail(self) -> "RStream":
         return RStream(self.core, self.a, self.b + self.a)
@@ -352,12 +454,14 @@ class RStream:
         return RStream(self.core, self.a * k, self.b + self.a * (1 - k))
 
     def prefix(self, n: int) -> list[tuple]:
-        """The first n entries, as (value, weight) pairs."""
-        return list(zip(*self._columns(n)))
+        """The first n entries, as (value, weight) pairs of runtime values."""
+        values, weights = self._columns(n)
+        return list(zip(column_values(values), weights.tolist()))
 
-    def _columns(self, n: int) -> tuple[list, list]:
-        """The values and the weights of the first n entries."""
-        values, weights, err = self.entries(range(1, n + 1))
+    def _columns(self, n: int) -> tuple:
+        """The typed columns of the values and the weights of the first n
+        entries."""
+        values, weights, err = self.block(range(1, n + 1))
         if err is not None:
             raise err
         return values, weights
@@ -455,7 +559,7 @@ class StreamEvaluator:
             case Prng(step, seed):
                 fv = self.eval(step, env)
                 seed_v = self.eval(seed, env)
-                return RStream(PrngCore(self._applier(fv), seed_v))
+                return RStream(PrngCore(fv, self._applier(fv), seed_v))
 
         raise EvalError(f"cannot evaluate {term!r}", getattr(term, "pos", None))
 
@@ -542,8 +646,12 @@ def eval_stream(term: Term, externs: Externs):
 _SCALARS = frozenset((float, int, bool))
 
 
-def _embeds_stream(values: list) -> bool:
-    """Whether any of the values embeds a stream."""
+def _embeds_stream(values) -> bool:
+    """Whether any value of the column embeds a stream."""
+    if type(values) is np.ndarray:
+        return False
+    if type(values) is Pairs:
+        return _embeds_stream(values.left) or _embeds_stream(values.right)
     kinds = set(map(type, values))
     if kinds <= _SCALARS:
         return False
@@ -565,16 +673,17 @@ def _embeds(value) -> bool:
 
 def truncate(value, n: int, inner: bool = True):
     """Replace every embedded stream by its length-n weighted list; a
-    stream's prefix is kept as it is unless one of its values embeds one.
-    With `inner` unset, a stream's values are kept as they are, for the
-    empirical tests, which take only values that are points."""
+    stream's prefix is kept as its typed columns unless one of its values
+    embeds one.  With `inner` unset, a stream's values are kept as they
+    are, for the empirical tests, which take only values that are points."""
     if isinstance(value, RStream):
         values, weights = value._columns(n)
         if inner and _embeds_stream(values):
-            values = [truncate(v, n) for v in values]
+            values = [truncate(v, n) for v in column_values(values)]
         return WeightedList(values, weights)
     if isinstance(value, WeightedList):
-        return WeightedList([truncate(v, n) for v in value.values], value.weights)
+        values = [truncate(v, n) for v in column_values(value.values)]
+        return WeightedList(values, value.weights)
     if isinstance(value, tuple):
         return tuple(truncate(v, n) for v in value)
     if isinstance(value, VInj):

@@ -419,6 +419,29 @@ def test_run_rejects_sample_counts_below_one(count, capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, count", [("--n", "0"), ("--n", "-5"), ("--K", "0"), ("--K", "-1")])
+def test_test_target_rejects_counts_below_one(flag, count, capsys):
+    argv = ["test-target", str(C / "importance.smpl"), "--measure", "uniform(0, 1)", flag, count]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, K, tol", [(1, 1, "3"), (100, 1, "0.3"), (400, 2, "0.15")])
+def test_test_target_prints_the_tolerance_its_verdict_used(n, K, tol, tmp_path, capsys):
+    # the last rung's tolerance is max(--tol, 3/sqrt(n)), not --tol
+    rand = tmp_path / "rand.smpl"
+    rand.write_text("extern sampler rand : S R+ targets uniform(0, 1) equidistributed 2\nrand\n")
+    report = tmp_path / "report.json"
+    argv = ["test-target", str(rand), "--measure", "uniform(0, 1)", "--n", str(n), "--K", str(K),
+            "--tol", "0.02", "--report", str(report)]
+    main(argv)
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.endswith(f"vs tol {tol}"), line
+    assert json.loads(report.read_text())["ladder"][-1]["tol"] == float(tol)
+
+
 # ---------------------------------------------------------------------------
 # The CSV of `run`, against the entry-by-entry writer it replaced
 # ---------------------------------------------------------------------------

@@ -724,7 +724,7 @@ def test_let_bound_sampler_used_once_is_fused():
     stream = interp(src).stream()
     got = stream.prefix(40)
     inner = stream.core.parents[0].core
-    assert not inner.shared and inner._weights == []  # computed inline, never pulled
+    assert not inner.shared and inner._known is None  # computed inline, never pulled
     plain = _RAND + "map(fun x : R+ => x + 1, map(fun x : R+ => x * 3, rand))"
     assert _same_entries(got, interp(plain).stream().prefix(40))
     assert _same_entries(got, interp(src).big_step(40).entries)
@@ -975,3 +975,79 @@ def test_sampler_arguments_are_still_substituted():
         program = parse_program(_RAND + body)
         check_program(program)
         assert value_equal(Interpreter(program).big_step(3), Interpreter(program).stream())
+
+
+# -- no numpy scalar or array reaches a runtime value ----------------------------
+
+_STREAMS = {
+    "float": "rand",
+    "bool": "flip",
+    "int then float": "prng(fun x : R => x / 2, 1)",
+    "pair": "rand^2",
+    "bool pair": "flip <*> map(fun x : R => x < 0.5, rand)",
+    "reweighted": "reweight(fun x : R => x * 2, map(fun x : R => x + 1, rand))",
+    "sum": "map(fun x : R => if x < 0.5 then inj(0, x) else inj(1, x < 0.7), rand)",
+    "pair of sum": "map(fun x : R => (x, if x < 0.5 then inj(0, x) else inj(1, 1)), rand) <*> flip",
+}
+
+
+def _runtime_only(value) -> bool:
+    """Whether a value is made of runtime values only, with no numpy
+    scalar or array anywhere in it."""
+    if type(value) is tuple:
+        return all(map(_runtime_only, value))
+    if type(value) is VInj:
+        return _runtime_only(value.value)
+    return type(value) in (float, int, bool)
+
+
+@pytest.mark.parametrize("name", list(_STREAMS))
+def test_no_numpy_value_leaves_the_engines(name):
+    program = parse_program(_EXTERNS.removesuffix("rand\n") + _STREAMS[name])
+    n = streams.LOOP_STEPS + 1  # so that a prng's steps run in its loop
+    stream = Interpreter(program).stream()
+    reads = [
+        *stream.prefix(n),
+        *(stream.entry(i) for i in (1, 7, n)),
+        *truncate(Interpreter(program).stream(), n).entries,
+        *Interpreter(program).big_step(n).entries,
+    ]
+    for op in (Hd, Wt):
+        reads.append(Interpreter(program).stream(op(program.body)))
+        reads.append(Interpreter(program).big_step(3, op(program.body)))
+    assert len(reads) == 3 * n + 7
+    assert all(map(_runtime_only, reads)), name
+
+
+# -- a prng's steps in one generated loop ----------------------------------------
+
+
+@pytest.mark.parametrize("step, seed", [
+    ("fun x : R => x / 2", "1"),  # ints, then floats
+    ("fun k : N => k * 3", "1"),  # past 2^63
+    ("fun p : R * R => (snd(p), fst(p) + snd(p))", "(0.5, 1.5)"),  # pairs
+    ("fun x : R => if x < 0.5 then x * 3 else x - 0.25", "0.1"),  # branches
+])
+def test_a_prng_loop_matches_its_steps_one_call_each(step, seed, monkeypatch):
+    program = parse_program(f"prng({step}, {seed})")
+    n = streams.LOOP_STEPS + 100
+    looped = Interpreter(program).stream().prefix(n)
+    monkeypatch.setattr(streams, "LOOP_STEPS", n + 1)
+    called = Interpreter(program).stream().prefix(n)
+    assert all(_exact(a) == _exact(b) for a, b in zip(looped, called))
+    assert _same_entries(looped[:200], Interpreter(program).big_step(200).entries)
+
+
+def test_a_prng_loop_that_fails_keeps_the_values_before_it():
+    # log(x) fails at x = 0.0, the step from entry 3001: the entries before
+    # it come back, with big-step's error, which big-step raises at a budget
+    # of 3001 since it also takes the step after its last entry
+    body = "prng(fun x : R => x - 1 + 0 * log(x), 3000.0)"
+    program = parse_program(body)
+    values, weights, err = Interpreter(program).stream().entries(range(1, 5001))
+    assert values == [float(3000 - i) for i in range(3001)] and weights == [1.0] * 3001
+    with pytest.raises(EvalError) as want:
+        Interpreter(program).big_step(3001)
+    assert (err.message, err.pos) == (want.value.message, want.value.pos)
+    assert err.pos == (1, body.index("log(") + 1)
+    assert Interpreter(program).stream().prefix(3001) == [(v, 1.0) for v in values]

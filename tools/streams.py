@@ -1,0 +1,131 @@
+"""Record the outputs of the stream engine's bench operations, and list
+those that differ between two records.
+
+    PYTHONPATH=src python3 tools/streams.py record OUT.json
+    python3 tools/streams.py diff OLD.json NEW.json
+
+`record` runs, in this process through `samplerlang.cli.main`:
+
+- `run --samples 100000 --dump` of the five sampled corpus programs
+  (marsaglia, rejection, importance, von_neumann, geometric) at seeds 1-3;
+- `run --engine bigstep --samples 100` of the same programs and seeds;
+- `test-target --n 100000 --report` of the five test-target cases of the
+  `streams` benchmark, at seed 1 where the benchmark passes a seed.
+
+It writes, for each operation, its exit code and the sha256 of its standard
+output, of its standard error and of the file it wrote (the CSV or the
+report).  The files go to a temporary directory; the tool reads
+`bench/inputs` and writes nothing under `bench/`.  The `samplerlang` it runs
+is the one Python imports, so `PYTHONPATH=<tree>/src`, run from `<tree>`,
+records that tree.
+
+`diff` prints each operation whose record differs between the two files,
+or that only one of them has, and exits 1 if there is one.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "src" / "samplerlang" / "corpus"
+INPUTS = ROOT / "bench" / "inputs"
+
+SAMPLED = ("marsaglia", "rejection", "importance", "von_neumann", "geometric")
+SEEDS = (1, 2, 3)
+POSTERIOR = "reweight(fun x : R => 1/sqrt(2*pi) * exp(-1/2*(3-x)*(3-x)), triangular(0, 2))"
+#: (label, program, arguments): the `streams` benchmark's test-target cases
+TARGETS = (
+    ("rand K=2", INPUTS / "rand.smpl", ["--measure", "uniform(0, 1)", "--K", "2", "--seed", "1"]),
+    ("rejection", CORPUS / "rejection.smpl", ["--measure", POSTERIOR, "--seed", "1"]),
+    ("marsaglia gamma(2.5, 1)", CORPUS / "marsaglia.smpl", ["--measure", "gamma(2.5, 1)"]),
+    ("thinned_alternating", CORPUS / "thinned_alternating.smpl",
+     ["--measure", "bernoulli(0.5)", "--seed", "1"]),
+    ("marsaglia gamma(2.0, 1)", CORPUS / "marsaglia.smpl", ["--measure", "gamma(2.0, 1)", "--seed", "1"]),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def operations(out: Path) -> list[tuple[str, list[str], Path | None]]:
+    """(name, argv, file it writes) of every recorded operation."""
+    ops = []
+    for name in SAMPLED:
+        program = str(CORPUS / f"{name}.smpl")
+        for seed in SEEDS:
+            dump = out / f"{name}-{seed}.csv"
+            ops.append((f"run {name} seed {seed}",
+                        ["run", program, "--samples", "100000", "--seed", str(seed), "--dump", str(dump)],
+                        dump))
+            ops.append((f"run --engine bigstep {name} seed {seed}",
+                        ["run", program, "--samples", "100", "--engine", "bigstep", "--seed", str(seed)],
+                        None))
+    for k, (label, program, extra) in enumerate(TARGETS):
+        report = out / f"target-{k}.json"
+        ops.append((f"test-target {label}",
+                    ["test-target", str(program), "--n", "100000", *extra, "--report", str(report)],
+                    report))
+    return ops
+
+
+def record(path: str) -> int:
+    from samplerlang.cli import main
+
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, written in operations(Path(tmp)):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main(argv)
+            # a dump's path is in its output line; the record names the file only
+            text = stdout.getvalue().replace(tmp, "<out>")
+            results[name] = {
+                "rc": rc,
+                "stdout": _sha(text.encode()),
+                "stderr": _sha(stderr.getvalue().encode()),
+                "file": _sha(written.read_bytes()) if written and written.exists() else None,
+            }
+    with open(path, "w") as f:
+        json.dump(results, f, indent=1, sort_keys=True)
+    print(f"{len(results)} operations recorded to {path}")
+    return 0
+
+
+def diff(old_path: str, new_path: str) -> int:
+    with open(old_path) as f:
+        old = json.load(f)
+    with open(new_path) as f:
+        new = json.load(f)
+    differ = 0
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            differ += 1
+            print(f"{name}:\n  old {json.dumps(old.get(name))}\n  new {json.dumps(new.get(name))}")
+    print(f"{differ} of {len(old.keys() | new.keys())} operations differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    rec = sub.add_parser("record", help="run the operations and write their hashes")
+    rec.add_argument("out")
+    dif = sub.add_parser("diff", help="list the operations that differ between two records")
+    dif.add_argument("old")
+    dif.add_argument("new")
+    args = parser.parse_args(argv)
+    if args.mode == "record":
+        return record(args.out)
+    return diff(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
