@@ -161,32 +161,44 @@ def _unset(like, count: int):
     return [None] * count
 
 
+def _ones(n: int, dtype=np.float64) -> np.ndarray:
+    """n ones: an unweighted block's weights, or a memo's mask after its
+    first pull.  Where n is at most CHUNK they are a read-only view of one
+    shared array, so that the one-entry blocks of `hd` and `wt` allocate
+    none."""
+    ones = _ONES[dtype]
+    return ones[:n] if n <= len(ones) else np.ones(n, dtype)
+
+
+_ONES = {dtype: np.ones(CHUNK, dtype) for dtype in (np.float64, bool)}
+for _shared in _ONES.values():
+    _shared.flags.writeable = False
+
+
 class StreamCore:
     """Memoized entry source over 1-based indices, stable across calls.
 
-    The memo is a typed column of values (`runtime.column`; None until one
-    is computed), a float64 column of weights, and a mask of the entries
-    computed so far, all indexed by i - 1; an entry not computed yet has
-    some value and weight, which the mask says to ignore.  A column that
-    the memo returns is never written again: the memo writes only entries
-    not computed yet, and grows into new columns.  `_known` is None until
-    the first pull.
+    The memo is a typed column of values (`runtime.column`), a float64
+    column of weights, and a mask of the entries computed so far, all
+    indexed by i - 1, and all None until the first pull (the values until
+    an entry is computed).  An entry not computed yet has some value and
+    weight, which the mask says to ignore.  A column that the memo returns
+    is never written again: the memo writes only entries not computed yet,
+    and grows into new columns.
     """
 
     def __init__(self):
-        self._values = None
-        self._weights = np.empty(0)
-        self._known: Optional[np.ndarray] = None
+        self._values = self._weights = self._known = None
 
     def block(self, idx) -> Block:
         if self._known is None and type(idx) is range and idx.start == 1 and idx.step == 1:
             # the first pull, of a prefix: the memo is the block
             values, weights, err = self._compute(idx)
             self._values, self._weights = values, weights
-            self._known = np.ones(len(weights), bool)
+            self._known = _ones(len(weights), bool)
             return values, weights, err
         if self._known is None:
-            self._known = np.zeros(0, bool)
+            self._weights, self._known = np.empty(0), np.zeros(0, bool)
         grow = idx[-1] - len(self._known)
         if grow > 0:  # into new columns
             if self._values is not None:
@@ -229,7 +241,7 @@ class ExternCore(StreamCore):
 
     def block(self, idx) -> Block:  # extern memoizes internally
         values = _gather(self.stream.column(idx[-1]), idx)
-        return values, np.ones(len(values)), None
+        return values, _ones(len(values)), None
 
 
 #: the fewest steps that a prng pull takes in a generated loop
@@ -265,7 +277,7 @@ class PrngCore(StreamCore):
                 err = e
                 idx = [i for i in idx if i <= len(values)]
         out = _gather(values, idx)
-        return out, np.ones(len(out)), err
+        return out, _ones(len(out)), err
 
 
 class PipeCore(StreamCore):

@@ -1019,6 +1019,19 @@ def test_no_numpy_value_leaves_the_engines(name):
     assert all(map(_runtime_only, reads)), name
 
 
+def test_a_shared_product_keeps_its_columns_through_memos_and_pipelines():
+    # the let-bound product's memo holds one column per side, which a map
+    # reads as its leaf and thin reads through a view, after scattered reads
+    body = "let s = rand <*> tl(rand) in map(fun p : R+ * R+ => fst(p) - snd(p), s) <*> thin(2, s)"
+    program = parse_program(_RAND + body)
+    stream = Interpreter(program).stream()
+    scattered = [stream.entry(i) for i in (17, 3, 30)]
+    want = Interpreter(program).big_step(40).entries
+    assert _same_entries(stream.prefix(40), want)
+    assert _same_entries(scattered, [want[i - 1] for i in (17, 3, 30)])
+    assert type(truncate(Interpreter(program).stream(), 40).values) is runtime.Pairs
+
+
 # -- a prng's steps in one generated loop ----------------------------------------
 
 
