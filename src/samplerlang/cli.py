@@ -93,12 +93,13 @@ def _csv_blocks(values, weights) -> Iterator[str]:
             return [(i, *flat, w) for i, flat, w in rows]
     else:
         width = len(cols)
-        cols = [_csv_column(col) for col in cols] + [weights]
-        for col in cols[:-1]:
+        cols = [_csv_column(col) for col in cols]
+        for col in cols:
             by_repr |= _repr_only(col)
 
         def block(a: int, b: int) -> list:
-            return list(zip(range(a + 1, b + 1), *(column_values(col[a:b]) for col in cols)))
+            fields = [column_values(col[a:b]) for col in cols] + [column_values(weights[a:b])]
+            return list(zip(range(a + 1, b + 1), *fields))
 
     header = ["index"] + [f"value_{j}" for j in range(width)] + ["weight"]
     if width == 1:
@@ -299,7 +300,8 @@ def cmd_test_target(args) -> int:
     if args.report:
         Path(args.report).write_text(json.dumps(report.to_json(), indent=2) + "\n")
     # the verdict's tolerance is the last rung's, max(tol, 3/sqrt(n))
-    worst, used = (report.ladder[-1].worst(), report.ladder[-1].tol) if report.ladder else (float("nan"), tol)
+    last = report.ladder[-1] if report.ladder else None
+    worst, used = (last.worst(), last.tol) if last else (float("nan"), tol)
     status = "pass" if report.passed else "fail"
     print(f"{status}: n={args.n} K={args.K} worst discrepancy {worst:.4g} vs tol {used:g}")
     if not report.passed:

@@ -1259,8 +1259,8 @@ def _specs() -> dict:
 _SPECS = _specs()
 _COLUMN_NAMESPACE = {
     **_SPECS,
-    "_column": _column, "_out": _out, "_pairs": Pairs, "_each": _each, "_op": _op, "_compare": _compare,
-    "_take": _take, "_cases": _cases, "_merge": _merge, "_reweigh": _reweigh,
+    "_column": _column, "_out": _out, "_pairs": Pairs, "_each": _each, "_op": _op,
+    "_compare": _compare, "_take": _take, "_cases": _cases, "_merge": _merge, "_reweigh": _reweigh,
     "_pair_of": _pair_of, "_fst": operator.itemgetter(0), "_snd": operator.itemgetter(1),
     "_tuple": lambda a, b: (a, b),
 }
