@@ -472,7 +472,7 @@ class _CodeGen:
         self.frames: dict = {"_n": (None, None)}
         self.made: dict = {}
         self.gathered: dict = {}
-        # the leaves' columns not converted yet: local -> the list it holds
+        # the leaves' columns not converted yet: local -> the column it holds
         self.pending: dict = {}
 
     # -- output ---------------------------------------------------------------

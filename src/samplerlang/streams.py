@@ -117,7 +117,7 @@ def _gather(col, idx):
     if type(idx) is range:
         return col[idx.start - 1 : idx.stop - 1 : idx.step]
     if type(col) is np.ndarray:
-        return col[np.subtract(idx, 1)]
+        return col[np.asarray(idx, dtype=np.intp) - 1]
     if type(col) is Pairs:
         return Pairs(_gather(col.left, idx), _gather(col.right, idx))
     return [col[i - 1] for i in idx]
@@ -161,20 +161,6 @@ def _unset(like, count: int):
     return [None] * count
 
 
-def _ones(n: int, dtype=np.float64) -> np.ndarray:
-    """n ones: an unweighted block's weights, or a memo's mask after its
-    first pull.  Where n is at most CHUNK they are a read-only view of one
-    shared array, so that the one-entry blocks of `hd` and `wt` allocate
-    none."""
-    ones = _ONES[dtype]
-    return ones[:n] if n <= len(ones) else np.ones(n, dtype)
-
-
-_ONES = {dtype: np.ones(CHUNK, dtype) for dtype in (np.float64, bool)}
-for _shared in _ONES.values():
-    _shared.flags.writeable = False
-
-
 class StreamCore:
     """Memoized entry source over 1-based indices, stable across calls.
 
@@ -195,7 +181,7 @@ class StreamCore:
             # the first pull, of a prefix: the memo is the block
             values, weights, err = self._compute(idx)
             self._values, self._weights = values, weights
-            self._known = _ones(len(weights), bool)
+            self._known = np.ones(len(weights), bool)
             return values, weights, err
         if self._known is None:
             self._weights, self._known = np.empty(0), np.zeros(0, bool)
@@ -217,7 +203,7 @@ class StreamCore:
         if type(done) is range:
             cells = slice(done.start - 1, done.stop - 1, done.step)
         else:
-            cells = np.subtract(done, 1)
+            cells = np.asarray(done, dtype=np.intp) - 1
         if self._values is None:
             self._values = _unset(new_values, len(self._known))
         self._values = _put(self._values, cells, new_values)
@@ -241,7 +227,7 @@ class ExternCore(StreamCore):
 
     def block(self, idx) -> Block:  # extern memoizes internally
         values = _gather(self.stream.column(idx[-1]), idx)
-        return values, _ones(len(values)), None
+        return values, np.ones(len(values)), None
 
 
 #: the fewest steps that a prng pull takes in a generated loop
@@ -277,7 +263,7 @@ class PrngCore(StreamCore):
                 err = e
                 idx = [i for i in idx if i <= len(values)]
         out = _gather(values, idx)
-        return out, _ones(len(out)), err
+        return out, np.ones(len(out)), err
 
 
 class PipeCore(StreamCore):

@@ -611,6 +611,31 @@ def test_prefix_raises_the_lowest_index_error(body, failing):
     assert err.message.startswith(("log of", "sqrt of")[failing.startswith("sqrt")])
 
 
+@pytest.mark.parametrize("body", [
+    "thin(2, s) <*> s",
+    "let t = map(fun x : R => x + 1, s) in thin(2, t) <*> (t <*> s)",
+])
+def test_a_shared_memo_that_fails_at_its_first_missing_entry(body):
+    # thin(2, s) fills s's odd entries; the full read then computes the
+    # missing even ones, and the first of them, entry 2, fails
+    src = "let s = map(fun x : R => log(x), prng(fun x : R => 0 - x, 1.0)) in " + body
+    program = parse_program(src)
+    check_program(program)
+    with pytest.raises(EvalError) as big:
+        Interpreter(program).big_step(10)
+    with pytest.raises(EvalError) as st:
+        truncate(Interpreter(program).stream(), 10)
+    assert (st.value.message, st.value.pos) == (big.value.message, big.value.pos)
+    assert big.value.pos == (1, src.index("log(") + 1)
+    values, weights, err = Interpreter(program).stream().entries(range(1, 5))
+    assert len(values) == len(weights) == 1 and err.pos == big.value.pos
+
+
+def test_gather_at_no_index_gives_an_empty_column():
+    assert streams._gather(np.arange(3.0), []).shape == (0,)
+    assert streams._gather(np.ones(3, bool), range(1, 1)).shape == (0,)
+
+
 def test_negative_reweight_factor_raises():
     src = "reweight(fun x : R => x - 0.3, " + _HALVING + ")"
     assert len(interp(src).stream().prefix(2)) == 2
