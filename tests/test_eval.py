@@ -616,8 +616,9 @@ def test_prefix_raises_the_lowest_index_error(body, failing):
     "let t = map(fun x : R => x + 1, s) in thin(2, t) <*> (t <*> s)",
 ])
 def test_a_shared_memo_that_fails_at_its_first_missing_entry(body):
-    # thin(2, s) fills s's odd entries; the full read then computes the
-    # missing even ones, and the first of them, entry 2, fails
+    # thin(2, s) fills s's odd entries (thin(2, t), t's); the full read then
+    # computes the missing even ones, and the first of them, entry 2, fails;
+    # t pulls s at the list of its missing entries
     src = "let s = map(fun x : R => log(x), prng(fun x : R => 0 - x, 1.0)) in " + body
     program = parse_program(src)
     check_program(program)
