@@ -152,12 +152,11 @@ class BigStep:
 
             case Prng(step, seed):
                 fv = self.eval(step, n)
-                cur = self.eval(seed, n)
-                values = []
-                for _ in range(n):
-                    values.append(cur)
-                    cur = self.apply(fv, cur, n)
-                return WeightedList(values, [WEIGHT_ONE] * n)
+                values = [self.eval(seed, n)]
+                # entry n is s^{n-1}(t): n - 1 steps, none past the last entry
+                for _ in range(n - 1):
+                    values.append(self.apply(fv, values[-1], n))
+                return WeightedList(values[:n], [WEIGHT_ONE] * n)
 
         raise EvalError(f"cannot evaluate {term!r}", getattr(term, "pos", None))
 

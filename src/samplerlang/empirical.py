@@ -236,8 +236,3 @@ def k_equidistribution_test(
         schedule = lambda m: max(tol, 3.0 / math.sqrt(m))
     return weak_convergence_test(stream, powered, ladder, family, schedule)
 
-
-def visit_count(stream, predicate: Callable, n: int) -> int:
-    """Entries among the first n with positive weight satisfying the predicate."""
-    values, weights = map(column_values, _prefix(stream, n))
-    return sum(1 for v, w in zip(values, weights) if w > 0 and predicate(v))

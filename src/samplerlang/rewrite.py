@@ -479,12 +479,6 @@ def _orientations_by_head() -> dict[type, list[tuple[str, bool, Callable]]]:
 
 _BY_HEAD = _orientations_by_head()
 
-TABLE_RULES = [
-    name
-    for name in RULES
-    if name not in ("prod_map_both", "prod_reweight_both", "thin_reweight")
-]
-
 
 # ---------------------------------------------------------------------------
 # Rule application and proofs

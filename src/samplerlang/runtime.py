@@ -123,8 +123,6 @@ class VClosure:
     # compile_pipeline's functions for the pipelines whose first layer
     # function is this closure, by the rest of the pipeline
     _pipelines: Optional[dict] = field(default=None, repr=False)
-    # compile_iteration's result, as _compiled is compile_fn's
-    _iteration: object = field(default=None, repr=False)
 
 
 class Pairs:
@@ -575,19 +573,6 @@ class _CodeGen:
             inner = self.bind(params, _Code(arg), scope, depth + 1)
             result = self.code(self.term(body, inner, depth + 1))
             self.emit(depth + 1, f"return {result}, _bad" if self.array else f"return {result}")
-
-    def iteration(self, params, body: Term) -> None:
-        """A def of `_fn(a, count, append)`, which applies the function to
-        a, then to its value, count times, with the body inline, and passes
-        each value to append: a failing application raises as the
-        function's, after the values before it were appended."""
-        arg = self.fresh("a")
-        self.emit(0, f"def _fn({arg}, _count, _append):")
-        self.emit(1, "for _ in range(_count):")
-        with self.block():
-            scope = self.bind(params, _Code(arg), {}, 2)
-            self.emit(2, f"{arg} = {self.code(self.term(body, scope, 2))}")
-            self.emit(2, f"_append({arg})")
 
     def fault(self, mask: str, depth: int) -> None:
         """Record that the points in `mask` fail, where the current code runs."""
@@ -1286,15 +1271,6 @@ def compile_fn(clo: VClosure) -> Optional[Callable]:
     return clo._compiled or None
 
 
-def compile_iteration(clo: VClosure) -> Optional[Callable]:
-    """The function that iterates a sampler-free closure (`_CodeGen.iteration`),
-    or None where compile_fn refuses its body: a prng's entries computed
-    in one loop, without a call per step."""
-    if clo._iteration is None:
-        clo._iteration = _generate(_CodeGen(clo.env), clo.params, clo.body, loop=True) or False
-    return clo._iteration or None
-
-
 def compile_array_fn(fn: Term) -> Optional[Callable]:
     """A numpy function for a closed lambda term, or None.
 
@@ -1321,14 +1297,10 @@ def _poison(value, bad):
     return np.where(bad, np.nan, value)
 
 
-def _generate(gen: _CodeGen, params, body: Term, loop: bool = False) -> Optional[Callable]:
-    """The function gen generates for the body, or with loop set the
-    function that iterates it (`_CodeGen.iteration`); None if it refuses."""
+def _generate(gen: _CodeGen, params, body: Term) -> Optional[Callable]:
+    """The function gen generates for the body, or None if it refuses."""
     try:
-        if loop:
-            gen.iteration(params, body)
-        else:
-            gen.function("_fn", params, body, {}, 0)
+        gen.function("_fn", params, body, {}, 0)
     except _NotCompilable:
         return None
     source = "\n".join(gen.lines) + "\n"

@@ -22,12 +22,11 @@ one: `hd`, `wt`, `RStream.entry`, `RStream.entries`, `RStream.prefix` and
 `WeightedList.entries`.
 
 The leaves of the engine are extern streams (`ExternCore`) and `prng`
-iterations (`PrngCore`, whose longer pulls run the step's body inline in one
-generated loop, `runtime.compile_iteration`).  Every `map`, `reweight` and
-`<*>` is a `PipeCore`,
-and a chain of them runs as one pipeline: on its first pull a core absorbs
-each parent that is another such core, has never been pulled and that no
-other term reaches (a `let`-, parameter- or case-bound sampler is shared
+iterations (`PrngCore`, which calls the step's compile_fn function once a
+step).  Every `map`, `reweight` and `<*>` is a `PipeCore`, and a chain of
+them runs as one pipeline: on its first pull a core absorbs each parent
+that is another such core, has never been pulled and that no other term
+reaches (a `let`-, parameter- or case-bound sampler is shared
 unless its name occurs once in the body and not under a `fun`), through
 that parent's view (`tl`, `thin`), which it composes into the views of the
 parent's own parents.  The rest are the pipeline's leaves, pulled through
@@ -75,7 +74,6 @@ from .runtime import (
     column_entry,
     column_values,
     compile_fn,
-    compile_iteration,
     compile_pipeline,
     destructure,
     scrutinee,
@@ -230,35 +228,24 @@ class ExternCore(StreamCore):
         return values, np.ones(len(values)), None
 
 
-#: the fewest steps that a prng pull takes in a generated loop
-#: (`runtime.compile_iteration`); fewer are taken one call each, since
-#: generating the loop costs about what it saves over 2,000 steps
-LOOP_STEPS = 2048
-
-
 class PrngCore(StreamCore):
-    """Iterates the step function; values are memoized as a growing list."""
+    """Iterates the step function, one call of its application (the
+    closure's compile_fn function) a step; values are memoized as a
+    growing list."""
 
-    def __init__(self, step, apply_fn: Callable, seed_value):
+    def __init__(self, apply_fn: Callable, seed_value):
         super().__init__()
-        self.step = step  # the step function value
-        self.apply_fn = apply_fn  # its application
+        self.apply_fn = apply_fn
         self.values = [seed_value]
 
     def block(self, idx) -> Block:
         values, err = self.values, None
-        count = idx[-1] - len(values)
-        if count > 0:
-            loop = None
-            if count >= LOOP_STEPS and type(self.step) is VClosure:
-                loop = compile_iteration(self.step)
+        if idx[-1] > len(values):
+            step, append, cur = self.apply_fn, values.append, values[-1]
             try:
-                if loop is not None:
-                    loop(values[-1], count, values.append)
-                else:
-                    step = self.apply_fn
-                    for _ in range(count):
-                        values.append(step(values[-1]))
+                for _ in range(idx[-1] - len(values)):
+                    cur = step(cur)
+                    append(cur)
             except EvalError as e:
                 err = e
                 idx = [i for i in idx if i <= len(values)]
@@ -557,7 +544,7 @@ class StreamEvaluator:
             case Prng(step, seed):
                 fv = self.eval(step, env)
                 seed_v = self.eval(seed, env)
-                return RStream(PrngCore(fv, self._applier(fv), seed_v))
+                return RStream(PrngCore(self._applier(fv), seed_v))
 
         raise EvalError(f"cannot evaluate {term!r}", getattr(term, "pos", None))
 

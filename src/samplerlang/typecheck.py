@@ -815,29 +815,6 @@ class Checker:
 # ---------------------------------------------------------------------------
 
 
-def restrict_context(
-    bindings: list[tuple[str, Type]], t: Term, members: tuple[Type, ...], over: Type
-) -> Type:
-    """The collapsed context type sum_i t^-1(members_i) over the bindings.
-
-    Degenerate single-member splits return the bare inverse image.
-    """
-    if not members:
-        raise TypeCheckError("restriction needs at least one summand")
-    if len(members) > 1 and check_subtype(SumT(members), over) is None:
-        raise TypeCheckError("restriction target is not a subtype of the carrier")
-    tys = [ty for _, ty in bindings]
-    carrier = tys[-1]
-    for ty in reversed(tys[:-1]):
-        carrier = ProdT(ty, carrier)
-    pulls = tuple(
-        pullback_member(t, over, carrier, m, i) for i, m in enumerate(members)
-    )
-    if len(pulls) == 1:
-        return pulls[0]
-    return SumT(pulls)
-
-
 def externs_of(prog: Program) -> dict[str, Type]:
     return {ext.name: ext.ty for ext in prog.externs}
 

@@ -66,6 +66,23 @@ def test_run_engines_agree(tmp_path, capsys):
     assert halves[1].strip() == halves[2].strip()
 
 
+@pytest.mark.parametrize("samples, code", [(4, 0), (5, 1)])
+def test_engines_agree_where_a_prng_step_fails_after_the_last_entry(samples, code, tmp_path, capsys):
+    # the step from entry 4, 0.0, fails; entry N is N - 1 steps from the
+    # seed, so neither engine takes that step at 4 samples, and both do at 5
+    src = tmp_path / "countdown.smpl"
+    src.write_text("prng(fun x : R => x - 1 + 0 * log(x), 3.0)")
+    outs = []
+    for engine in ("stream", "bigstep"):
+        assert main(["run", str(src), "--samples", str(samples), "--engine", engine]) == code
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    if code:
+        assert "1:31: log of non-positive number 0.0" in outs[0].err
+    else:
+        assert outs[0].out.splitlines()[1:] == ["1,3.0,1.0", "2,2.0,1.0", "3,1.0,1.0", "4,0.0,1.0"]
+
+
 def test_normalize(capsys):
     assert main(["normalize", str(C / "importance.smpl")]) == 0
     text = capsys.readouterr().out

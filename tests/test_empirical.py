@@ -10,7 +10,6 @@ from samplerlang.empirical import (
     columns_of,
     empirical_measure,
     k_equidistribution_test,
-    visit_count,
     weak_convergence_test,
 )
 from samplerlang.interpreter import Interpreter
@@ -159,17 +158,6 @@ def test_lcg_pair_equidistribution_evidence():
         Var("rand"), parse_measure("uniform(0, 1)"), 2, it, n=100000, tol=0.02
     )
     assert report.passed, report.reason
-
-
-def test_visit_counts(corpus):
-    alt = Interpreter(corpus["alternating"].program)
-    assert visit_count(alt.stream(), lambda v: v == 0, 100) == 50
-    geo = Interpreter(corpus["geometric"].program)
-    assert visit_count(geo.stream(), lambda v: v == 0, 1000) == 0
-    rej = Interpreter(corpus["rejection"].program)
-    counts = [visit_count(rej.stream(), lambda v: True, n) for n in (100, 1000, 10000)]
-    # accepted proposals (positive weight) keep arriving
-    assert counts[0] > 0 and counts[0] < counts[1] < counts[2]
 
 
 def test_report_json_shape(corpus):

@@ -1030,7 +1030,7 @@ def _runtime_only(value) -> bool:
 @pytest.mark.parametrize("name", list(_STREAMS))
 def test_no_numpy_value_leaves_the_engines(name):
     program = parse_program(_EXTERNS.removesuffix("rand\n") + _STREAMS[name])
-    n = streams.LOOP_STEPS + 1  # so that a prng's steps run in its loop
+    n = 2049
     stream = Interpreter(program).stream()
     reads = [
         *stream.prefix(n),
@@ -1058,7 +1058,30 @@ def test_a_shared_product_keeps_its_columns_through_memos_and_pipelines():
     assert type(truncate(Interpreter(program).stream(), 40).values) is runtime.Pairs
 
 
-# -- a prng's steps in one generated loop ----------------------------------------
+# -- a prng's steps, one call of the step's compiled function each ------------
+
+
+def _counted_steps(monkeypatch) -> list:
+    """A one-element list that counts the calls of every function that
+    compile_fn hands out from now on, which are wrapped for it wherever
+    compile_fn was imported, as the bench tracer wraps them."""
+    calls = [0]
+    compile_fn = runtime.compile_fn
+
+    def counted(clo):
+        fn = compile_fn(clo)
+        if fn is None:
+            return None
+
+        def step(arg):
+            calls[0] += 1
+            return fn(arg)
+
+        return step
+
+    for module in (runtime, streams):
+        monkeypatch.setattr(module, "compile_fn", counted)
+    return calls
 
 
 @pytest.mark.parametrize("step, seed", [
@@ -1068,25 +1091,34 @@ def test_a_shared_product_keeps_its_columns_through_memos_and_pipelines():
     ("fun x : R => if x < 0.5 then x * 3 else x - 0.25", "0.1"),  # branches
 ])
 def test_a_prng_loop_matches_its_steps_one_call_each(step, seed, monkeypatch):
+    # the stream engine's entries are big-step's premise chain, bit for bit,
+    # each computed by one call of the step's compiled function
     program = parse_program(f"prng({step}, {seed})")
-    n = streams.LOOP_STEPS + 100
-    looped = Interpreter(program).stream().prefix(n)
-    monkeypatch.setattr(streams, "LOOP_STEPS", n + 1)
-    called = Interpreter(program).stream().prefix(n)
-    assert all(_exact(a) == _exact(b) for a, b in zip(looped, called))
-    assert _same_entries(looped[:200], Interpreter(program).big_step(200).entries)
+    calls = _counted_steps(monkeypatch)
+    got = Interpreter(program).stream().prefix(200)
+    assert calls[0] == 199
+    assert _same_entries(got, Interpreter(program).big_step(200).entries)
+
+
+def test_a_prng_pull_calls_its_step_once_per_new_entry(monkeypatch):
+    calls = _counted_steps(monkeypatch)
+    stream = Interpreter(parse_program("prng(fun x : R => x / 2, 1)")).stream()
+    assert len(stream.prefix(5000)) == 5000
+    assert calls[0] == 4999
+    stream.prefix(5000)  # read from the memo
+    assert calls[0] == 4999
 
 
 def test_a_prng_loop_that_fails_keeps_the_values_before_it():
     # log(x) fails at x = 0.0, the step from entry 3001: the entries before
     # it come back, with big-step's error, which big-step raises at a budget
-    # of 3001 since it also takes the step after its last entry
+    # of 3002, whose premise chain takes that step
     body = "prng(fun x : R => x - 1 + 0 * log(x), 3000.0)"
     program = parse_program(body)
     values, weights, err = Interpreter(program).stream().entries(range(1, 5001))
     assert values == [float(3000 - i) for i in range(3001)] and weights == [1.0] * 3001
     with pytest.raises(EvalError) as want:
-        Interpreter(program).big_step(3001)
+        Interpreter(program).big_step(3002)
     assert (err.message, err.pos) == (want.value.message, want.value.pos)
     assert err.pos == (1, body.index("log(") + 1)
     assert Interpreter(program).stream().prefix(3001) == [(v, 1.0) for v in values]

@@ -17,7 +17,6 @@ from samplerlang.rewrite import (
     EQUATIONS,
     EquivProof,
     RULES,
-    TABLE_RULES,
     RewriteError,
     SearchStats,
     Step,
@@ -312,12 +311,6 @@ def test_first_redex_is_the_first_in_sorted_path_order(corpus):
                 assert replace_at(term, step.path, new) == apply_rule(step.rule, term, step.path)
                 found += 1
     assert found > 100
-
-
-def test_table_rule_count():
-    # the full inventory: standard, coinductive triples, compositions, products
-    assert len(TABLE_RULES) == 34
-    assert "prod_map_both" in RULES and "prod_map_both" not in TABLE_RULES
 
 
 # -- the search's neighbour generator --------------------------------------------

@@ -27,7 +27,6 @@ from samplerlang.typecheck import (
     check_program,
     check_subtype,
     check_term,
-    restrict_context,
 )
 
 RR = ProdT(REAL, REAL)
@@ -216,16 +215,6 @@ def test_witness_carrier_preservation(corpus):
         w = check_subtype(accept.dom, RR)
         for lhs, rhs in _witness_pairs(w):
             assert type_equal(erase_carrier(lhs), erase_carrier(rhs))
-
-
-def test_restrict_context_op():
-    t = parse_term("(x, y)")
-    members = (PredInv("lt", 0), PredInv("lt", 1))
-    collapsed = restrict_context([("x", REAL), ("y", REAL)], t, members, RR)
-    assert isinstance(collapsed, SumT) and len(collapsed.summands) == 2
-    # degenerate one-member split returns the bare inverse image
-    single = restrict_context([("x", REAL)], parse_term("(x, 0)"), (PredInv("eq", 1),), RR)
-    assert isinstance(single, PullbackT)
 
 
 @pytest.mark.parametrize(
