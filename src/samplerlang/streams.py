@@ -22,8 +22,8 @@ one: `hd`, `wt`, `RStream.entry`, `RStream.entries`, `RStream.prefix` and
 `WeightedList.entries`.
 
 The leaves of the engine are extern streams (`ExternCore`) and `prng`
-iterations (`PrngCore`, which calls the step's compile_fn function once a
-step).  Every `map`, `reweight` and `<*>` is a `PipeCore`, and a chain of
+iterations (`PrngCore`, which applies the step once per entry, through
+its compile_fn function).  Every `map`, `reweight` and `<*>` is a `PipeCore`, and a chain of
 them runs as one pipeline: on its first pull a core absorbs each parent
 that is another such core, has never been pulled and that no other term
 reaches (a `let`-, parameter- or case-bound sampler is shared
@@ -229,9 +229,9 @@ class ExternCore(StreamCore):
 
 
 class PrngCore(StreamCore):
-    """Iterates the step function, one call of its application (the
-    closure's compile_fn function) a step; values are memoized as a
-    growing list."""
+    """Iterates the step function, one call of its application a step
+    (`StreamEvaluator._applier`: the closure's compile_fn function where
+    its body compiles); values are memoized as a growing list."""
 
     def __init__(self, apply_fn: Callable, seed_value):
         super().__init__()
