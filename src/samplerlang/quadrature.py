@@ -19,11 +19,14 @@ control per integral, abs and rel tol 1e-9 by default), vectorized over
 every open interval and iterated over the axes (`_adaptive`): the inner
 integrals at each batch of outer nodes are the rows of one batched run,
 each converging on its own, and a finitely supported factor is a sum over
-its atoms.  A row that would need more than `QUAD_LIMIT` intervals raises
-IntegrationError.  A test function that is a product of one-coordinate
-functions (`TestFn.factors`) over a measure of independent parts
-(`_split`) is the product of the parts' integrals (Fubini).  No integral
-uses scipy; a gamma density's cut-off imports `scipy.special` on first use.
+its atoms.  A row that would need more than `QUAD_LIMIT` intervals, or an
+integral more than `NODE_BUDGET` integrand nodes over all of its rows and
+axes, raises IntegrationError.  A test function that is a product of
+one-coordinate functions (`TestFn.factors`) over a measure of independent
+parts (`_split`) is the product of the parts' integrals (Fubini).  Nothing
+here uses scipy: a gamma density's cut-off, its upper quantile, is solved
+for by Newton's method on the log of the regularized upper incomplete gamma
+function (`gamma_cutoff`).
 
 The jumps of an integrand that is a function term with a comparison in its
 body, over a product of densities, come from the type checker (`_jumps`):
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -115,6 +119,8 @@ GAUSSIAN_CUT = 10.0
 GAMMA_TAIL = 1e-12
 #: subintervals one adaptive integral may use (QUADPACK's `limit`)
 QUAD_LIMIT = 400
+#: integrand nodes one integral may evaluate, over all of its rows and axes
+NODE_BUDGET = 50_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +235,86 @@ class _Atoms:
 
 def gamma_cutoff(shape: float, scale: float) -> float:
     """The upper end of a gamma density's integration range: its quantile
-    1 - GAMMA_TAIL, computed as scipy.stats.gamma.ppf computes it (the
-    inverse regularized incomplete gamma, times the scale), without
-    importing scipy.stats."""
-    from scipy import special
+    p = 1 - GAMMA_TAIL, the x where Q(shape, x) = 1 - p, times the scale, as
+    scipy.stats.gamma.ppf(p, shape, scale=scale) defines it.
 
-    return float(special.gammaincinv(shape, 1.0 - GAMMA_TAIL)) * scale
+    Newton's method on log Q (`_log_upper_gamma`) from a bracket found by
+    doubling, kept inside the bracket by bisection, until a step no longer
+    moves x or the bracket is two adjacent floats."""
+    log_tail = math.log(1.0 - (1.0 - GAMMA_TAIL))
+    lo, hi = 0.0, shape + 1.0
+    while _log_upper_gamma(shape, hi)[0] > log_tail:
+        lo, hi = hi, 2.0 * hi
+    x = hi
+    while True:
+        log_q, front = _log_upper_gamma(shape, x)
+        f = log_q - log_tail
+        if f == 0.0:
+            break
+        if f > 0.0:
+            lo = x
+        else:
+            hi = x
+        # d log Q / dx = -x^(a-1) e^-x / (Gamma(a) Q)
+        step = x + f * x * math.exp(log_q - front)
+        if step == x:
+            break
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                break
+        x = step
+    return x * scale
+
+
+#: Stirling's series for log Gamma(a) - ((a - 1/2) log a - a + log sqrt(2 pi)),
+#: in powers of 1/a^2; seven terms reach double precision from a = 10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _log_gamma_front(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a)).  From a = 10 on, it is taken in terms of
+    t = x / a - 1 and Stirling's series, whose terms are small: the plain
+    a log x - x - log Gamma(a) cancels terms near a log a, and moved the
+    cut-off by up to 21 ulp at a = 1e4."""
+    if a < 10.0:
+        return a * math.log(x) - x - math.lgamma(a)
+    t = (x - a) / a
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series / (a * a) + c
+    return -a * (t - math.log1p(t)) + 0.5 * math.log(a / (2.0 * math.pi)) - series / a
+
+
+def _log_upper_gamma(a: float, x: float) -> tuple[float, float]:
+    """(log Q(a, x), `_log_gamma_front(a, x)`), where Q is the regularized
+    upper incomplete gamma function: below x = a + 1 by the series of
+    P = 1 - Q, above it by Q's continued fraction, evaluated by the modified
+    Lentz method (Numerical Recipes, 3rd ed., section 6.2)."""
+    front = _log_gamma_front(a, x)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * sys.float_info.epsilon:
+            n += 1.0
+            term *= x / n
+            total += term
+        return math.log1p(-math.exp(front) * total), front
+    tiny = sys.float_info.min
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h, i = d, 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) <= sys.float_info.epsilon:
+            return front + math.log(h), front
 
 
 def _density_of(m: M.MeasureExpr) -> Optional[_Density1D]:
@@ -591,7 +671,9 @@ def _adaptive(tree, values, settings, breakpoints, cache, fault, jumps=([], []))
     rows of the next axis, one row per node, and the innermost axis
     evaluates the tree (`_walk`) and the integrand once per batch for all
     of its rows.  Its weights start as its density or masses; each outer
-    axis multiplies the row integrals at its nodes by its own.  `fault`
+    axis multiplies the row integrals at its nodes by its own.  The
+    innermost axis counts the nodes it evaluates, and past `NODE_BUDGET` of
+    them raises IntegrationError, naming the ranges of the axes.  `fault`
     gets the coordinates of the first node, in node order, where a point
     coordinate or a weight is not finite, or else where an integrand value
     times its weight is not (`_check_finite`).
@@ -604,6 +686,7 @@ def _adaptive(tree, values, settings, breakpoints, cache, fault, jumps=([], []))
     """
     axes = _axes(tree)
     last = len(axes) - 1
+    nodes = 0
     shared, per_row = jumps
     point_at = lambda coords: _walk(tree, iter(coords), None, settings, cache)[0]  # noqa: E731
     inner_points = ()
@@ -617,11 +700,21 @@ def _adaptive(tree, values, settings, breakpoints, cache, fault, jumps=([], []))
         rows = len(outer[0]) if outer else 1
 
         def f(row, x):
+            nonlocal nodes
             coords = [c[row][:, None] for c in outer] + [x]
             w = d.masses[x] if isinstance(d, _Atoms) else d.pdfs(x)
             if i < last:
                 inner = axis(i + 1, [np.broadcast_to(c, x.shape).ravel() for c in coords])
                 return w * inner.reshape(x.shape)
+            nodes += x.size
+            if nodes > NODE_BUDGET:
+                box = " x ".join(
+                    f"[{a.lo:g}, {a.hi:g}]" if isinstance(a, _Density1D) else f"{len(a.masses)} atoms"
+                    for a in axes
+                )
+                raise IntegrationError(
+                    f"the integral over {box} needs more than {NODE_BUDGET:,} integrand nodes"
+                )
             point, weights = _walk(tree, iter(coords), w, settings, cache)
             cols = _flatten_array_point(point, x.shape)
             _check_finite([*cols, weights], coords, x.shape, fault)

@@ -12,7 +12,7 @@ import samplerlang
 from samplerlang import quadrature
 from samplerlang.cli import CSV_BLOCK_ROWS, _csv_blocks, _sum_tagger, main
 from samplerlang.config import Config
-from samplerlang.corpus import corpus_dir, load_corpus
+from samplerlang.corpus import corpus_dir, load_corpus, proof_path
 from samplerlang.interpreter import Interpreter
 from samplerlang.runtime import VInj
 from samplerlang.streams import truncate
@@ -406,10 +406,8 @@ def test_examples_with_proofs_leak_no_warning():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # a one-shot command pays for scipy only when it cuts off a gamma
-    # density, and no command loads a second integrator
-    script = "import sys, samplerlang.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert _run_python("-c", script).strip() == "[]"
+    # scipy is the tests' oracle only: no command loads it, not even one that
+    # cuts off a gamma density
     marsaglia = str(C / "marsaglia.smpl")
     script = (
         "import sys, contextlib, io\n"
@@ -417,9 +415,31 @@ def test_importing_the_cli_loads_no_scipy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    main(['examples'])\n"
         f"    main(['test-target', {marsaglia!r}, '--measure', 'gamma(2.5, 1)', '--n', '1000'])\n"
-        "print('scipy.special' in sys.modules, 'scipy.integrate' in sys.modules)"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert _run_python("-c", script).strip() == "True False"
+    assert _run_python("-c", script).strip() == "[]"
+
+
+def test_commands_run_where_scipy_cannot_be_imported():
+    # an import finder that refuses scipy stands in for an install without it
+    marsaglia = str(C / "marsaglia.smpl")
+    proof = str(proof_path("marsaglia"))
+    script = (
+        "import sys, contextlib, io\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is not installed')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from samplerlang.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['examples']),\n"
+        f"             main(['verify', {proof!r}, '--axioms', {marsaglia!r}]),\n"
+        f"             main(['test-target', {marsaglia!r}, '--measure', 'gamma(2.5, 1)', '--n', '1000'])]\n"
+        "print(codes)"
+    )
+    # test-target rejects marsaglia by the unbounded `x2` member (ROADMAP item 5)
+    assert _run_python("-c", script).strip() == "[0, 0, 1]"
 
 
 def test_importing_the_cli_loads_no_orjson():

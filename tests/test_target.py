@@ -2,10 +2,12 @@ import copy
 import json
 import random
 import re
+import time
 
 import pytest
 
 from samplerlang import measures as M
+from samplerlang import quadrature
 from samplerlang.corpus import load_corpus, load_proof
 from samplerlang.parser import parse_measure, parse_program, parse_term
 from samplerlang.target import (
@@ -105,6 +107,20 @@ def test_reweight_rule_over_a_3d_indicator():
     assert out.accepted, out.failure
     note = out.reports[-1].note
     assert abs(float(re.search(r"∫ f dμ = (\S+) ∈", note).group(1)) - 0.5) <= 1e-4
+
+
+def test_the_unhinted_marsaglia_derivation_is_rejected_by_the_node_budget(corpus):
+    # without the Box-Muller hint, the reweight normalizer is a 3-D integral
+    # over pushforward(idbox, uniform(0, 1)^3) with no jumps placed, which ran
+    # for minutes before each integral had a node budget
+    item = corpus["marsaglia"]
+    axioms = AxiomSet.from_program(item.program)
+    t0 = time.perf_counter()
+    deriv = elaborate_goal(item.program.body, parse_measure("gamma(2.5, 1)"), axioms)
+    out = DerivationChecker(axioms).check(deriv)
+    assert time.perf_counter() - t0 < 10.0
+    assert not out.accepted
+    assert f"needs more than {quadrature.NODE_BUDGET:,} integrand nodes" in out.failure
 
 
 def test_tl_rule(corpus):

@@ -10,7 +10,7 @@ a temporary directory, whose `bench/run.py` imports that revision's `src/`.
 The file, written at the repository root, holds every run's result line
 (`correct`, `attempted`, `failed`, `metrics`) for the parent ("base") and
 this checkout ("head"), and the host: processor count and the Python, numpy
-and scipy versions.
+and scipy versions (scipy's is null where it is not installed).
 """
 from __future__ import annotations
 
@@ -34,14 +34,19 @@ SECONDS = 20.0
 
 def host() -> dict:
     import numpy
-    import scipy
 
+    try:
+        import scipy
+
+        scipy_version = scipy.__version__
+    except ImportError:  # scipy is a test dependency only
+        scipy_version = None
     return {
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version,
     }
 
 
