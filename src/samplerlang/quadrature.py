@@ -241,6 +241,7 @@ def gamma_cutoff(shape: float, scale: float) -> float:
     Newton's method on log Q (`_log_upper_gamma`) from a bracket found by
     doubling, kept inside the bracket by bisection, until a step no longer
     moves x or the bracket is two adjacent floats."""
+    # the tail of the float p = 1 - GAMMA_TAIL, which gamma.ppf(p) solves for
     log_tail = math.log(1.0 - (1.0 - GAMMA_TAIL))
     lo, hi = 0.0, shape + 1.0
     while _log_upper_gamma(shape, hi)[0] > log_tail:
