@@ -196,7 +196,7 @@ def _matcher(p, binders) -> Callable[[object, dict], bool]:
 
         def term_meta(t, env):
             seen = env.setdefault(name, t)
-            return seen is t or alpha_equal(seen, t)
+            return alpha_equal(seen, t)
 
         return term_meta
     if _is_meta(p):  # a binder's name or a count

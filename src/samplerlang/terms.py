@@ -552,7 +552,14 @@ def _consts_equal(a, b) -> bool:
 
 
 def alpha_equal(s: Term, t: Term) -> bool:
-    """Syntactic equality up to consistent renaming of bound variables."""
+    """Syntactic equality up to consistent renaming of bound variables.
+
+    A term is alpha-equal to itself (a NaN literal too), so two operands
+    that are the same object are equal without a walk.  The walk below does
+    not test identity: under binders, the same subterm is read in the two
+    sides' own scopes."""
+    if s is t:
+        return True
 
     def go(a: Term, b: Term, env_a: dict, env_b: dict, depth: int) -> bool:
         match a, b:
@@ -623,7 +630,13 @@ def type_equal_opt(a: Optional[Type], b: Optional[Type]) -> bool:
 
 
 def type_equal(a: Type, b: Type) -> bool:
-    """Structural type equality; embedded pullback terms compare by alpha."""
+    """Structural type equality; embedded pullback terms compare by alpha.
+
+    Every type is equal to itself, so two operands that are the same object
+    are equal without a walk; as the relation recurses through itself, this
+    holds at every level of a type."""
+    if a is b:
+        return True
     match a, b:
         case Ground(na), Ground(nb):
             return na == nb

@@ -66,6 +66,7 @@ from .terms import (
     children,
     erase_carrier,
     free_vars,
+    fresh_name,
     intersect_sums,
     pullback_member,
     substitute,
@@ -251,9 +252,11 @@ class Context:
     def pop(self):
         return self.frames.pop()
 
-    def lookup(self, name: str):
-        """Returns (kind, type-or-None, frame) for the binding of `name`."""
-        for frame in reversed(self.frames):
+    def lookup(self, name: str, depth: Optional[int] = None):
+        """Returns (kind, type-or-None, frame) for the binding of `name`, in
+        the scope of the first `depth` frames (all of them by default)."""
+        frames = self.frames if depth is None else self.frames[:depth]
+        for frame in reversed(frames):
             if isinstance(frame, LambdaFrame):
                 for n, ty in frame.params:
                     if n == name:
@@ -271,6 +274,16 @@ class Context:
             if isinstance(frame, LambdaFrame):
                 return frame
         return None
+
+    def bound_names(self) -> set[str]:
+        """Every name a frame or an extern binds."""
+        names = set(self.externs)
+        for frame in self.frames:
+            if isinstance(frame, LambdaFrame):
+                names.update(n for n, _ in frame.params)
+            else:
+                names.add(frame.name)
+        return names
 
     def lambda_bound_names(self) -> set[str]:
         names = set()
@@ -293,23 +306,50 @@ def _is_data_type(ty: Type) -> bool:
             return True
 
 
-def inline_lets(ctx: Context, term: Term) -> Term:
-    """Substitute data-typed let definitions into `term`, transitively.
+def inline_lets(ctx: Context, term: Term) -> tuple[Term, dict[str, tuple]]:
+    """Substitute data-typed let definitions into `term`, transitively, each
+    definition read in its own let's scope.
 
     Function-typed lets stay symbolic so inverse-image types keep their
-    readable shape.
+    readable shape.  Returns the term and, for each of its free variables,
+    the binding it stands for: (name as written, kind, type, frame).  A
+    variable keeps its name unless another binding in the result has that
+    name too and `term`'s own scope does not bind the name to it; then it
+    gets a fresh name, so that no binder captures it.
     """
-    out = term
-    for _ in range(64):
-        changed = False
-        for name in sorted(free_vars(out)):
-            kind, ty, frame = ctx.lookup(name)
+    found: list[tuple] = []  # the bindings read, in order; the k-th is named f"{name}#{k}"
+    inlined = False
+
+    def resolve(t: Term, depth: Optional[int], fuel: int) -> Term:
+        nonlocal inlined
+        if fuel == 0:
+            raise TypeCheckError("let inlining did not terminate")
+        for name in sorted(free_vars(t)):
+            kind, ty, frame = ctx.lookup(name, depth)
             if kind == "let" and ty is not None and _is_data_type(ty):
-                out = substitute(out, name, frame.definition)
-                changed = True
-        if not changed:
-            return out
-    raise TypeCheckError("let inlining did not terminate")
+                new = resolve(frame.definition, frame.ctx_depth, fuel - 1)
+                inlined = True
+            else:
+                k = next((k for k, b in enumerate(found) if b[0] == name and b[3] is frame), len(found))
+                if k == len(found):
+                    found.append((name, kind, ty, frame))
+                new = Var(f"{name}#{k}")
+            # no identifier has a '#', so no later name of t is one of new's
+            t = substitute(t, name, new)
+        return t
+
+    out = resolve(term, None, 64)
+    written = [name for name, *_ in found]
+    finals: list[str] = []
+    for name, _, _, frame in found:
+        if written.count(name) > 1 and ctx.lookup(name)[2] is not frame:
+            name = fresh_name(name, set(written) | set(finals) | ctx.bound_names())
+        finals.append(name)
+    if not inlined and finals == written:
+        return term, dict(zip(finals, found))
+    for k, name in enumerate(finals):
+        out = substitute(out, f"{written[k]}#{k}", Var(name))
+    return out, dict(zip(finals, found))
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +359,23 @@ def inline_lets(ctx: Context, term: Term) -> Term:
 
 @dataclass
 class Deriv:
-    """A derivation node.  Its term and type are kept as they are, a Term
-    and a Type (or text), and printed only by `to_json`."""
+    """A derivation node.  Its term, type and note are kept as they are, a
+    Term, a Type and a SubtypeWitness (or text), and printed only by
+    `to_json`: a witness note reads `left <| right`."""
 
     rule: str
     term: object
     ty: object
     children: tuple["Deriv", ...] = ()
-    note: str = ""
+    note: object = ""
 
     def to_json(self):
         term = self.term if isinstance(self.term, str) else pretty(self.term)
         ty = self.ty if isinstance(self.ty, str) else pretty_type(self.ty)
         out = {"rule": self.rule, "term": term, "type": ty}
-        if self.note:
+        if isinstance(self.note, SubtypeWitness):
+            out["note"] = f"{pretty_type(self.note.left)} <| {pretty_type(self.note.right)}"
+        elif self.note:
             out["note"] = self.note
         out["children"] = [c.to_json() for c in self.children]
         return out
@@ -390,13 +433,12 @@ class Checker:
         return out
 
     def _fire_restriction(self, pair_term: Term, cmp: str, pos) -> None:
-        t_star = inline_lets(self.ctx, pair_term)
-        lam_vars = self.ctx.lambda_bound_names()
+        t_star, bindings = inline_lets(self.ctx, pair_term)
         data_vars = []
         for name in free_vars(t_star):
-            kind, ty, frame = self.ctx.lookup(name)
+            written, kind, ty, frame = bindings[name]
             if kind in ("lambda", "case") and ty is not None and _is_data_type(ty):
-                data_vars.append((name, kind, frame))
+                data_vars.append((written, kind, frame))
         if not data_vars:
             return  # closed comparison; nothing to restrict
         inner = self.ctx.innermost_lambda()
@@ -797,15 +839,7 @@ class Checker:
         kids = [fd, sd]
         note = ""
         if retype is not None:
-            kids.append(
-                Deriv(
-                    "payload-restriction",
-                    sampler,
-                    retype.left,
-                    (),
-                    note=f"{pretty_type(retype.left)} <| {pretty_type(retype.right)}",
-                )
-            )
+            kids.append(Deriv("payload-restriction", sampler, retype.left, (), note=retype))
             note = "retyped"
         return out, Deriv(kind, term, out, tuple(kids), note)
 

@@ -1,6 +1,10 @@
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
+from samplerlang import terms
+from samplerlang.corpus import load_corpus
 from samplerlang.parser import parse_term
 from samplerlang.terms import (
     Builtin,
@@ -17,6 +21,7 @@ from samplerlang.terms import (
     positions,
     self_product,
     substitute,
+    type_equal,
 )
 
 
@@ -137,3 +142,28 @@ def _binders(t):
         if isinstance(sub, Lam):
             out.extend(sub.params)
     return out
+
+
+@given(small_terms())
+def test_alpha_equal_on_the_same_object_agrees_with_the_walk(t):
+    # the copy shares no node with t, so it takes the full walk
+    assert alpha_equal(t, t) == alpha_equal(t, copy.deepcopy(t))
+
+
+def test_equality_on_the_same_object_does_not_walk(monkeypatch):
+    marsaglia = next(it for it in load_corpus() if it.name == "marsaglia")
+    accept = next(
+        sub.bound for _, sub in positions(marsaglia.program.body)
+        if isinstance(sub, terms.Let) and sub.name == "accept"
+    )
+    ty = marsaglia.check.let_types["accept"]
+    nan = Const(float("nan"))
+    # the full walks agree with the identity rule
+    assert type_equal(ty, copy.deepcopy(ty)) and alpha_equal(accept, copy.deepcopy(accept))
+    assert alpha_equal(nan, copy.deepcopy(nan))
+    calls = []
+    real_children = terms.children
+    monkeypatch.setattr(terms, "children", lambda t: calls.append(t) or real_children(t))
+    assert type_equal(ty, ty) and alpha_equal(accept, accept) and alpha_equal(accept.body, accept.body)
+    assert alpha_equal(nan, nan)
+    assert calls == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -238,3 +239,85 @@ def test_extern_type_must_fit_its_measure(decl):
 )
 def test_extern_type_fits_by_promotion_and_subtyping(decl):
     check_program(parse_program(f"extern sampler coin : {decl}\ncoin"))
+
+
+def _payload_restrictions(node):
+    if node["rule"] == "payload-restriction":
+        yield node
+    for child in node["children"]:
+        yield from _payload_restrictions(child)
+
+
+def test_payload_restriction_note_is_printed_as_before(corpus):
+    (node,) = _payload_restrictions(corpus["marsaglia"].check.derivation.to_json())
+    note = node["note"]
+    assert note.startswith("S (((") and note.endswith(") <| S (R * R)")
+    assert note == f"{node['type']} <| S (R * R)"
+    # the text the note had when it was formatted eagerly
+    assert hashlib.sha256(note.encode()).hexdigest() == (
+        "7f743d6adb71d8ae1c371737b5516e124b787900cea43ddfd84c3cf0b16d0b24"
+    )
+
+
+_RAND = "extern sampler rand : S R+ targets uniform(0, 1)\n"
+
+
+def _outcome(source):
+    """(verdict, message without its position, inverse images of the
+    restricted lambdas) of checking the program."""
+    try:
+        result = check_program(parse_program(_RAND + source))
+    except TypeCheckError as err:
+        return "rejected", err.message, []
+    images = []
+
+    def walk(d):
+        if d.rule == "lambda" and d.note:
+            images.append(pretty_type(d.ty))
+        for child in d.children:
+            walk(child)
+
+    walk(result.derivation)
+    return "accepted", None, images
+
+
+@pytest.mark.parametrize(
+    "shadowed, renamed, expected",
+    [
+        # the inner lambda's y shadows the y that t is defined by
+        (
+            "let f = fun y : R => let t = y in map(fun y : R => if y < t then 1 else 0, rand) in f(0.5)",
+            "let f = fun y : R => let t = y in map(fun z : R => if z < t then 1 else 0, rand) in f(0.5)",
+            ("rejected", "context restriction for 'y' would cross a lambda", []),
+        ),
+        # a second let c shadows the c that t is defined by
+        (
+            "let c = 0.25 in let t = c + 0 in let c = 0.75 in "
+            "map(fun x : R => if x < t then 1 else 0, rand)",
+            "let c = 0.25 in let t = c + 0 in let d = 0.75 in "
+            "map(fun x : R => if x < t then 1 else 0, rand)",
+            ("accepted", None, ["(x, 0.25 + 0)"]),
+        ),
+        # a lambda parameter shadows the let that t is defined by
+        (
+            "let a = 0.5 in let t = a in map(fun a : R => if a < t then 1 else 0, rand)",
+            "let b = 0.5 in let t = b in map(fun a : R => if a < t then 1 else 0, rand)",
+            ("accepted", None, ["(a, 0.5)"]),
+        ),
+        # a let shadows the lambda parameter that t is defined by
+        (
+            "map(fun y : R => let t = y in let y = 0.3 in if y < t then 1 else 0, rand)",
+            "map(fun y : R => let t = y in let w = 0.3 in if w < t then 1 else 0, rand)",
+            ("accepted", None, ["(0.3, y)"]),
+        ),
+    ],
+)
+def test_checking_is_invariant_under_renaming_a_shadowing_binder(shadowed, renamed, expected):
+    verdict, message, images = _outcome(shadowed)
+    assert (verdict, message, images) == _outcome(renamed)
+    want_verdict, want_message, want_pairs = expected
+    assert verdict == want_verdict
+    assert (message or "").startswith(want_message or "")
+    assert len(images) == len(want_pairs)
+    for image, pair in zip(images, want_pairs):
+        assert f"({pair})^-1(lt^-1(0))" in image

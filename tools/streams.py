@@ -1,5 +1,5 @@
-"""Record the outputs of the stream engine's bench operations, and list
-those that differ between two records.
+"""Record the outputs of the bench operations, and list those that differ
+between two records.
 
     PYTHONPATH=src python3 tools/streams.py record OUT.json
     python3 tools/streams.py diff OLD.json NEW.json
@@ -10,11 +10,16 @@ those that differ between two records.
   (marsaglia, rejection, importance, von_neumann, geometric) at seeds 1-3;
 - `run --engine bigstep --samples 100` of the same programs and seeds;
 - `test-target --n 100000 --report` of the five test-target cases of the
-  `streams` benchmark, at seed 1 where the benchmark passes a seed.
+  `streams` benchmark, at seed 1 where the benchmark passes a seed;
+- the operations of the `proofs` benchmark: `verify` of the five bundled
+  proofs and of the tampered one, the five `equiv` searches (whose standard
+  error gives the extent of an inconclusive search) and `normalize` of
+  every corpus program;
+- `check --emit-derivation` of every corpus program.
 
 It writes, for each operation, its exit code and the sha256 of its standard
-output, of its standard error and of the file it wrote (the CSV or the
-report).  The files go to a temporary directory; the tool reads
+output, of its standard error and of the file it wrote (the CSV, the report
+or the derivation).  The files go to a temporary directory; the tool reads
 `bench/inputs` and writes nothing under `bench/`.  The `samplerlang` it runs
 is the one Python imports, so `PYTHONPATH=<tree>/src`, run from `<tree>`,
 records that tree.
@@ -50,6 +55,17 @@ TARGETS = (
     ("marsaglia gamma(2.0, 1)", CORPUS / "marsaglia.smpl", ["--measure", "gamma(2.0, 1)", "--seed", "1"]),
 )
 
+#: the `proofs` benchmark's verified proofs, and its equiv searches (left,
+#: right, --depth or None)
+PROVED = ("von_neumann", "importance", "rejection", "marsaglia", "piecewise")
+EQUIVS = (
+    (INPUTS / "thin_thin.smpl", INPUTS / "thin_four.smpl", None),
+    (INPUTS / "thin_tl_map.smpl", INPUTS / "map_thin_tl.smpl", None),
+    (INPUTS / "map_map_tl.smpl", INPUTS / "tl_map_fused.smpl", None),
+    (INPUTS / "thin_map_tl.smpl", INPUTS / "map_tl_thin_tl.smpl", "8"),
+    (CORPUS / "marsaglia.smpl", INPUTS / "marsaglia_alpha3.smpl", "3"),
+)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -73,6 +89,23 @@ def operations(out: Path) -> list[tuple[str, list[str], Path | None]]:
         ops.append((f"test-target {label}",
                     ["test-target", str(program), "--n", "100000", *extra, "--report", str(report)],
                     report))
+    for name in PROVED:
+        ops.append((f"verify {name}",
+                    ["verify", str(CORPUS / "proofs" / f"{name}.json"), "--axioms", str(CORPUS / f"{name}.smpl")],
+                    None))
+    ops.append(("verify von_neumann_tampered",
+                ["verify", str(INPUTS / "von_neumann_tampered.json"), "--axioms", str(CORPUS / "von_neumann.smpl")],
+                None))
+    for left, right, depth in EQUIVS:
+        ops.append((f"equiv {left.stem} {right.stem}" + (f" --depth {depth}" if depth else ""),
+                    ["equiv", str(left), str(right), *(["--depth", depth] if depth else [])],
+                    None))
+    for program in sorted(CORPUS.glob("*.smpl")):
+        ops.append((f"normalize {program.stem}", ["normalize", str(program)], None))
+        derivation = out / f"{program.stem}-derivation.json"
+        ops.append((f"check --emit-derivation {program.stem}",
+                    ["check", str(program), "--emit-derivation", str(derivation)],
+                    derivation))
     return ops
 
 
