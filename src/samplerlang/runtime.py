@@ -304,21 +304,6 @@ def value_columns(values) -> Optional[list]:
     return [values]
 
 
-def value_to_term(v) -> Term:
-    if isinstance(v, (bool, int, float)):
-        return Const(v)
-    if isinstance(v, tuple):
-        if v == ():
-            return Const(())
-        left, right = v
-        return Pair(value_to_term(left), value_to_term(right))
-    if isinstance(v, VInj):
-        return Inj(v.index, value_to_term(v.value))
-    if isinstance(v, Term):
-        return v
-    raise EvalError(f"value {v!r} cannot be embedded as a term")
-
-
 # ---------------------------------------------------------------------------
 # Code generation for sampler-free closures
 # ---------------------------------------------------------------------------

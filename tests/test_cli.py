@@ -83,6 +83,18 @@ def test_engines_agree_where_a_prng_step_fails_after_the_last_entry(samples, cod
         assert outs[0].out.splitlines()[1:] == ["1,3.0,1.0", "2,2.0,1.0", "3,1.0,1.0", "4,0.0,1.0"]
 
 
+def test_a_function_valued_program_prints_the_same_closure_under_both_engines(tmp_path, capsys):
+    src = tmp_path / "scale.smpl"
+    src.write_text("let c = 2 in fun x : R => x * c")
+    outs = []
+    for engine in ("stream", "bigstep"):
+        assert main(["run", str(src), "--samples", "1", "--engine", engine]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("VClosure(params=(('x', ")
+    assert outs[0].rstrip().endswith("env={'c': 2})")
+
+
 def test_normalize(capsys):
     assert main(["normalize", str(C / "importance.smpl")]) == 0
     text = capsys.readouterr().out

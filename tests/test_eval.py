@@ -124,7 +124,7 @@ _RAND = "extern sampler rand : S R+ targets uniform(0, 1) equidistributed 1\n"
     ],
 )
 def test_compiled_domain_error_matches_big_step(body):
-    # the stream engine runs the function compiled; big-step substitutes
+    # the stream engine runs the function compiled; big-step interprets it
     src = _RAND + body
     check_program(parse_program(src))
     with pytest.raises(EvalError) as big:
@@ -1001,6 +1001,63 @@ def test_sampler_arguments_are_still_substituted():
         program = parse_program(_RAND + body)
         check_program(program)
         assert value_equal(Interpreter(program).big_step(3), Interpreter(program).stream())
+
+
+# -- big-step over environments: names read what substitution gave -------------
+
+
+def _engines_agree(body, n=16):
+    """The outcome of big-step at n entries, after checking that the stream
+    engine's is the same: values bit for bit, errors by message and
+    position."""
+    program = parse_program(_RAND + body)
+    big = _outcome(lambda: Interpreter(program).big_step(n))
+    stream = _outcome(lambda: truncate(Interpreter(program).stream(), n))
+    assert big[0] == stream[0]
+    if big[0] == "value":
+        assert value_equal(big[1], stream[1]) and len(big[1]) == n
+    else:
+        assert big == stream
+    return big
+
+
+def test_a_closure_keeps_its_binding_after_the_name_is_shadowed():
+    got = _engines_agree("let x = 0.25 in let f = fun y : R => y + x in let x = 0.75 in map(f, rand)")
+    uniforms = interp(_RAND + "rand").big_step(16).values
+    assert got[1].values == [u + 0.25 for u in uniforms]
+
+
+@pytest.mark.parametrize("body", [
+    # a parameter group bound to a data pair
+    "let g = fun (a : R, b : R) => a * 10 + b in map(fun x : R => g((x, x + 1)), rand)",
+    # bound to a pair of samplers, each component read at its own use's budget
+    "(fun (s : S R+, t : S R+) => s <*> tl(t))((rand, map(fun x : R+ => x * 2, rand)))",
+    "(fun (s : S R+, t : S R+) => thin(2, s) <*> t)((rand, map(fun x : R+ => x * 2, rand)))",
+    # a case binder that shadows a let, which the other branch reads
+    "let a = 100 in map(fun x : R => case (if x < 0.5 then inj(0, x) else inj(1, x * 2))"
+    " of { a => a + 1 | b => b * a }, rand)",
+    # a sampler argument used at two budgets
+    "(fun s : S R+ => s <*> tl(s))(map(fun x : R+ => x + 1, rand))",
+])
+def test_big_step_binds_names_as_the_stream_engine_does(body):
+    assert _engines_agree(body)[0] == "value"
+
+
+@pytest.mark.parametrize("body, failing", [
+    # an unused argument that reads a let-bound sampler's entry is data
+    ("let s = rand in (fun y : R => rand)(hd(map(fun x : R => log(0 - x), s)))", "log(0 - x)"),
+    ("let s = map(fun x : R => log(0 - x), rand) in (fun y : R => rand)(hd(map(fun x : R => x, s)))",
+     "log(0 - x)"),
+    # an unused pair argument that reads an entry
+    ("map(fun x : R => (fun p : R * R => x)((x, log(0 - x))), rand)", "log(0 - x)"),
+    # an unused let that applies a let-bound function, or a function entry
+    ("let f = fun y : R => log(y) in map(fun x : R => let z = f(0 - x) in x, rand)", "log(y)"),
+    ("map(fun f : R -> R => let y = f(0 - 1) in 1, map(fun x : R => fun y : R => log(y), rand))",
+     "log(y)"),
+])
+def test_a_data_argument_that_reads_a_bound_name_is_evaluated_first(body, failing):
+    check_program(parse_program(_RAND + body))
+    assert _engines_agree(body)[::2] == ("error", (2, body.index(failing) + 1))
 
 
 # -- no numpy scalar or array reaches a runtime value ----------------------------

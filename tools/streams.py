@@ -15,12 +15,16 @@ between two records.
   proofs and of the tampered one, the five `equiv` searches (whose standard
   error gives the extent of an inconclusive search) and `normalize` of
   every corpus program;
-- `check --emit-derivation` of every corpus program.
+- `check --emit-derivation` of every corpus program;
+- `run` and `run --engine bigstep` of the programs in `FAULTS`, whose
+  evaluation raises under one engine or both, and the same evaluations of
+  `UNTYPED_FAULTS`, without the type check that would reject them.
 
 It writes, for each operation, its exit code and the sha256 of its standard
 output, of its standard error and of the file it wrote (the CSV, the report
 or the derivation).  The files go to a temporary directory; the tool reads
-`bench/inputs` and writes nothing under `bench/`.  The `samplerlang` it runs
+`bench/inputs` and writes nothing under `bench/` (the `FAULTS` programs
+are written to the temporary directory too).  The `samplerlang` it runs
 is the one Python imports, so `PYTHONPATH=<tree>/src`, run from `<tree>`,
 records that tree.
 
@@ -66,6 +70,27 @@ EQUIVS = (
     (CORPUS / "marsaglia.smpl", INPUTS / "marsaglia_alpha3.smpl", "3"),
 )
 
+_RAND = "extern sampler rand : S R+ targets uniform(0, 1)\n"
+#: (label, program body, --samples): where an entry that `thin`, `tl` or
+#: `hd` discards fails (big-step raises, the stream engine does not); a
+#: failing data argument and a failing let-bound term that the body ignores
+FAULTS = (
+    ("thin of a failing entry",
+     "thin(2, map(fun x : R => if x = 0.027533139816609986 then log(0 - x) else x, rand))", 1),
+    ("tl of a failing entry",
+     "tl(map(fun x : R => if x = 0.48806830282906133 then log(0 - x) else x, rand))", 1),
+    ("hd of a failing entry",
+     "map(fun x : R => x + hd(map(fun y : R => if y = 0.42545704225622993 then log(0 - y) else y,"
+     " rand)), rand)", 3),
+    ("unused failing argument", "map(fun x : R => (fun y : R => x)(log(0 - x)), rand)", 5),
+    ("unused failing let", "map(fun x : R => let y = log(0 - x) in x, rand)", 5),
+)
+#: programs that no type-checked program stands for: a reweight weight is R+,
+#: and no builtin or cast makes an R+ term negative
+UNTYPED_FAULTS = (
+    ("negative reweight weight", "reweight(fun x : R => x - 0.5, rand)", 5),
+)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -106,7 +131,37 @@ def operations(out: Path) -> list[tuple[str, list[str], Path | None]]:
         ops.append((f"check --emit-derivation {program.stem}",
                     ["check", str(program), "--emit-derivation", str(derivation)],
                     derivation))
+    for k, (label, body, samples) in enumerate(FAULTS + UNTYPED_FAULTS):
+        program = out / f"fault-{k}.smpl"
+        program.write_text(_RAND + body + "\n")
+        untyped = "untyped " if k >= len(FAULTS) else ""
+        for engine in ("stream", "bigstep"):
+            ops.append((f"{untyped}run --engine {engine} {label}",
+                        ["run", str(program), "--samples", str(samples), "--engine", engine],
+                        None))
     return ops
+
+
+def _untyped_run(argv: list[str]) -> int:
+    """`run` of argv without its type check: print the entries, or the
+    error as `run` does."""
+    from samplerlang.builtins import EvalError
+    from samplerlang.interpreter import Interpreter
+    from samplerlang.parser import parse_program
+    from samplerlang.streams import truncate
+
+    _, program, _, samples, _, engine = argv
+    it = Interpreter(parse_program(Path(program).read_text()))
+    try:
+        if engine == "bigstep":
+            result = it.big_step(int(samples))
+        else:
+            result = truncate(it.stream(), int(samples))
+    except EvalError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    print(result.entries)
+    return 0
 
 
 def record(path: str) -> int:
@@ -117,7 +172,7 @@ def record(path: str) -> int:
         for name, argv, written in operations(Path(tmp)):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                rc = main(argv)
+                rc = _untyped_run(argv) if name.startswith("untyped ") else main(argv)
             # a dump's path is in its output line; the record names the file only
             text = stdout.getvalue().replace(tmp, "<out>")
             results[name] = {
