@@ -244,8 +244,9 @@ def _random_body(rng, scope, depth):
 
 
 def test_compiled_functions_match_big_step():
-    # call-by-value evaluates every subterm that substitution does, so a
-    # compiled result implies the same big-step result, bit for bit
+    # big-step evaluates every argument and let-bound term first, as the
+    # compiled function does, so a compiled result implies the same
+    # big-step result, bit for bit
     rng = random.Random(7)
     it = interp("prng(fun x : R => x, 0)")
     compared = 0
@@ -994,8 +995,8 @@ def test_big_step_evaluates_a_failing_let_where_compiled_functions_do():
 
 
 def test_sampler_arguments_are_still_substituted():
-    # an unused sampler argument whose entries fail is never drawn, and a
-    # sampler argument is drawn at each budget its uses ask for
+    # an unused sampler argument whose entries fail is never read, and a
+    # sampler argument is read at the entries its uses ask for
     for body in ("let s = map(fun x : R => log(x - 2), rand) in hd(rand)",
                  "(fun s : S R => hd(tl(s)))(map(fun x : R => x * 2, rand))"):
         program = parse_program(_RAND + body)
@@ -1003,7 +1004,7 @@ def test_sampler_arguments_are_still_substituted():
         assert value_equal(Interpreter(program).big_step(3), Interpreter(program).stream())
 
 
-# -- big-step over environments: names read what substitution gave -------------
+# -- big-step over environments: every name is bound to a value ---------------
 
 
 def _engines_agree(body, n=16):
@@ -1030,13 +1031,13 @@ def test_a_closure_keeps_its_binding_after_the_name_is_shadowed():
 @pytest.mark.parametrize("body", [
     # a parameter group bound to a data pair
     "let g = fun (a : R, b : R) => a * 10 + b in map(fun x : R => g((x, x + 1)), rand)",
-    # bound to a pair of samplers, each component read at its own use's budget
+    # bound to a pair of samplers, each component read at its own use's entries
     "(fun (s : S R+, t : S R+) => s <*> tl(t))((rand, map(fun x : R+ => x * 2, rand)))",
     "(fun (s : S R+, t : S R+) => thin(2, s) <*> t)((rand, map(fun x : R+ => x * 2, rand)))",
     # a case binder that shadows a let, which the other branch reads
     "let a = 100 in map(fun x : R => case (if x < 0.5 then inj(0, x) else inj(1, x * 2))"
     " of { a => a + 1 | b => b * a }, rand)",
-    # a sampler argument used at two budgets
+    # a sampler argument read at entry i and at entry i + 1
     "(fun s : S R+ => s <*> tl(s))(map(fun x : R+ => x + 1, rand))",
 ])
 def test_big_step_binds_names_as_the_stream_engine_does(body):
@@ -1044,7 +1045,7 @@ def test_big_step_binds_names_as_the_stream_engine_does(body):
 
 
 @pytest.mark.parametrize("body, failing", [
-    # an unused argument that reads a let-bound sampler's entry is data
+    # an unused argument that reads a let-bound sampler's entry is evaluated first
     ("let s = rand in (fun y : R => rand)(hd(map(fun x : R => log(0 - x), s)))", "log(0 - x)"),
     ("let s = map(fun x : R => log(0 - x), rand) in (fun y : R => rand)(hd(map(fun x : R => x, s)))",
      "log(0 - x)"),
@@ -1058,6 +1059,25 @@ def test_big_step_binds_names_as_the_stream_engine_does(body):
 def test_a_data_argument_that_reads_a_bound_name_is_evaluated_first(body, failing):
     check_program(parse_program(_RAND + body))
     assert _engines_agree(body)[::2] == ("error", (2, body.index(failing) + 1))
+
+
+def test_both_engines_give_the_same_outcome_on_the_recorded_fault_programs(streams_tool):
+    # the `run` and `run --engine bigstep` operations that tools/streams.py
+    # records: neither engine computes an entry that tl, thin or hd
+    # discards, both evaluate an unused argument or let first, and both
+    # apply a function to sampler-valued entries
+    outcomes = {}
+    for label, body, n in streams_tool.FAULTS:
+        check_program(parse_program(streams_tool._RAND + body))
+        outcomes[label] = _engines_agree(body, n)[0]
+    assert outcomes == {
+        "thin of a failing entry": "value",
+        "tl of a failing entry": "value",
+        "hd of a failing entry": "value",
+        "unused failing argument": "error",
+        "unused failing let": "error",
+        "sampler-valued entries": "value",
+    }
 
 
 # -- no numpy scalar or array reaches a runtime value ----------------------------
@@ -1168,8 +1188,8 @@ def test_a_prng_pull_calls_its_step_once_per_new_entry(monkeypatch):
 
 def test_a_prng_loop_that_fails_keeps_the_values_before_it():
     # log(x) fails at x = 0.0, the step from entry 3001: the entries before
-    # it come back, with big-step's error, which big-step raises at a budget
-    # of 3002, whose premise chain takes that step
+    # it come back, with big-step's error, which big-step raises when it
+    # reads entry 3002, whose premise chain takes that step
     body = "prng(fun x : R => x - 1 + 0 * log(x), 3000.0)"
     program = parse_program(body)
     values, weights, err = Interpreter(program).stream().entries(range(1, 5001))

@@ -718,3 +718,18 @@ def test_one_step_rewrites_keep_big_step_prefixes(corpus):
             assert value_equal(Interpreter(prog).big_step(16, out), want), (name, step)
             checked += 1
     assert checked == 53
+
+
+def test_one_step_rewrites_keep_the_big_step_outcome_past_a_discarded_failing_entry(streams_tool):
+    # tl_map, thin_map and hd_map move a function across a layer that
+    # discards an entry the function fails on: each one-step rewrite of
+    # these programs keeps their 16-entry big-step outcome, which reads
+    # only the entries kept
+    checked = 0
+    for label, body, _ in streams_tool.FAULTS[:3]:
+        prog = parse_program(streams_tool._RAND + body)
+        want = Interpreter(prog).big_step(16)
+        for step, out in _neighbors(prog.body, _SIZE_FACTOR * term_size(prog.body)):
+            assert value_equal(Interpreter(prog).big_step(16, out), want), (label, step)
+            checked += 1
+    assert checked == 3  # one rule per program

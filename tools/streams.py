@@ -17,8 +17,9 @@ between two records.
   every corpus program;
 - `check --emit-derivation` of every corpus program;
 - `run` and `run --engine bigstep` of the programs in `FAULTS`, whose
-  evaluation raises under one engine or both, and the same evaluations of
-  `UNTYPED_FAULTS`, without the type check that would reject them.
+  evaluation fails in an entry or an argument, or reads a sampler-valued
+  entry, and the same evaluations of `UNTYPED_FAULTS`, without the type
+  check that would reject them.
 
 It writes, for each operation, its exit code and the sha256 of its standard
 output, of its standard error and of the file it wrote (the CSV, the report
@@ -72,8 +73,10 @@ EQUIVS = (
 
 _RAND = "extern sampler rand : S R+ targets uniform(0, 1)\n"
 #: (label, program body, --samples): where an entry that `thin`, `tl` or
-#: `hd` discards fails (big-step raises, the stream engine does not); a
-#: failing data argument and a failing let-bound term that the body ignores
+#: `hd` discards fails, which neither engine computes; a failing data
+#: argument and a failing let-bound term that the body ignores, which both
+#: engines evaluate first and raise; and a function applied to
+#: sampler-valued entries
 FAULTS = (
     ("thin of a failing entry",
      "thin(2, map(fun x : R => if x = 0.027533139816609986 then log(0 - x) else x, rand))", 1),
@@ -84,6 +87,7 @@ FAULTS = (
      " rand)), rand)", 3),
     ("unused failing argument", "map(fun x : R => (fun y : R => x)(log(0 - x)), rand)", 5),
     ("unused failing let", "map(fun x : R => let y = log(0 - x) in x, rand)", 5),
+    ("sampler-valued entries", "map(fun s : S R+ => hd(tl(s)), map(fun x : R+ => rand, rand))", 2),
 )
 #: programs that no type-checked program stands for: a reweight weight is R+,
 #: and no builtin or cast makes an R+ term negative

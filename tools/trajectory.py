@@ -3,14 +3,17 @@
     python3 tools/trajectory.py BENCH_16.json --base 9ba4876
 
 Runs `bench/run.py` on every workload, at `--trace 0` (end-to-end metrics)
-and at `--trace 1` (per-layer metrics), once on this checkout and once on
-the base revision, alternating between the two so that both see the same
-spells of the host.  The base revision is exported with `git archive` into
-a temporary directory, whose `bench/run.py` imports that revision's `src/`.
+and at `--trace 1` (per-layer metrics), once on `HEAD` and once on the base
+revision, alternating between the two so that both see the same spells of
+the host.  Each revision is exported with `git archive` into a temporary
+directory, whose `bench/run.py` imports that revision's `src/`, so that
+nothing else in the checkout (`__pycache__`, say) enters either side's
+numbers.  The tool refuses to run while `src/` or `bench/` holds changes
+that are not committed, which the archive of `HEAD` would leave out.
 The file, written at the repository root, holds every run's result line
 (`correct`, `attempted`, `failed`, `metrics`) for the parent ("base") and
-this checkout ("head"), and the host: processor count and the Python, numpy
-and scipy versions (scipy's is null where it is not installed).
+`HEAD` ("head"), and the host: processor count and the Python, numpy and
+scipy versions (scipy's is null where it is not installed).
 """
 from __future__ import annotations
 
@@ -54,13 +57,15 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
 
 
-def export(rev: str, into: Path) -> None:
-    """The files of rev, as git archive writes them, under into."""
-    archive = into / "base.tar"
+def export(rev: str, into: Path) -> Path:
+    """The files of rev, as git archive writes them, extracted to into/tree."""
+    into.mkdir()
+    archive = into / "rev.tar"
     with open(archive, "wb") as out:
         subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=out)
     with tarfile.open(archive) as tar:
         tar.extractall(into / "tree", filter="data")
+    return into / "tree"
 
 
 def bench(tree: Path, workload: str, trace: int) -> dict:
@@ -80,18 +85,18 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="the parent revision to compare against")
     args = ap.parse_args(argv)
 
+    if git("status", "--porcelain", "--", "src", "bench").strip():
+        sys.exit("src/ or bench/ has uncommitted changes, which the archive of HEAD would leave out")
     point = {
         "base": git("rev-parse", args.base).strip(),
         "head": git("rev-parse", "HEAD").strip(),
-        "head_dirty": bool(git("status", "--porcelain", "--", "src", "bench").strip()),
         "seed": SEED,
         "seconds": SECONDS,
         "host": host(),
         "runs": {"base": {}, "head": {}},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        export(args.base, Path(tmp))
-        trees = {"base": Path(tmp) / "tree", "head": ROOT}
+        trees = {"base": export(args.base, Path(tmp) / "base"), "head": export("HEAD", Path(tmp) / "head")}
         for workload in WORKLOADS:
             for trace in (0, 1):
                 for side, tree in trees.items():
