@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from .builtins import EvalError, apply_builtin
 from .externs import Externs
-from .runtime import WEIGHT_ONE, VClosure, VInj, WeightedList, destructure, scrutinee
+from .runtime import WEIGHT_ONE, SamplerValue, VClosure, VInj, WeightedList, destructure, scrutinee
 from .terms import App, Builtin, Case, Cast, Const, Fst, Hd, Inj, Lam, Let, Map, Pair, Prng, Prod
 from .terms import Reweight, Snd, Term, Thin, Tl, Var, Wt
 
 
-class Sampler:
+class Sampler(SamplerValue):
     """A sampler's value: entry(i) is its i-th (value, weight) pair,
     computed by read(i) when it is first asked for."""
 

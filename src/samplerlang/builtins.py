@@ -109,6 +109,14 @@ def _log_fails(a):
     return a <= 0
 
 
+def _exp_fails(a):  # past the largest float whose exp is finite
+    return (a > 709.782712893384) & (a < math.inf)
+
+
+def _trig_fails(a):
+    return abs(a) == math.inf
+
+
 def _f_div(a, b):
     if _div_fails(a, b):
         raise EvalError("division by zero")
@@ -121,10 +129,37 @@ def _f_sqrt(a):
     return math.sqrt(a)
 
 
+def _ufunc(name: str, fails=None, error: type = ValueError, message: str = ""):
+    """The builtin `name` on one value: numpy's ufunc at its float (an int
+    beyond the floats raises OverflowError, as in math), as a float, so that
+    a value is the same bits as in the stream engine's columns and in
+    quadrature's array mode.  Where fails holds it raises error(message)
+    before the call, so numpy warns of nothing.  numpy is imported on first
+    use, so that the front end, which reads the signatures, loads none."""
+    ufunc = None
+
+    def fn(a):
+        nonlocal ufunc
+        a = float(a)
+        if fails is not None and fails(a):
+            raise error(message)
+        if ufunc is None:
+            ufunc = getattr(__import__("numpy"), name)
+        return float(ufunc(a))
+
+    return fn
+
+
+_log = _ufunc("log")
+
+
 def _f_log(a):
     if _log_fails(a):
         raise EvalError(f"log of non-positive number {a}")
-    return math.log(a)
+    try:
+        return _log(a)
+    except OverflowError:  # an int beyond the floats, which no column holds
+        return math.log(a)
 
 
 _TABLE: dict[str, BuiltinSig] = {}
@@ -140,10 +175,12 @@ _register("minus", 2, _fixed_result("minus", REAL), "continuous", lambda a, b: a
 _register("div", 2, _join_result("div"), "continuous", _f_div, _div_fails)
 _register("neg", 1, _fixed_result("neg", REAL), "continuous", lambda a: -a)
 _register("sqrt", 1, _fixed_result("sqrt", POSREAL), "continuous", _f_sqrt, _sqrt_fails)
-_register("exp", 1, _fixed_result("exp", POSREAL), "continuous", math.exp)
+_exp = _ufunc("exp", _exp_fails, OverflowError, "math range error")
+_register("exp", 1, _fixed_result("exp", POSREAL), "continuous", _exp, _exp_fails)
 _register("log", 1, _fixed_result("log", REAL), "continuous", _f_log, _log_fails)
-_register("cos", 1, _fixed_result("cos", REAL), "continuous", math.cos)
-_register("sin", 1, _fixed_result("sin", REAL), "continuous", math.sin)
+for _trig in ("cos", "sin"):
+    _fn = _ufunc(_trig, _trig_fails, ValueError, "math domain error")
+    _register(_trig, 1, _fixed_result(_trig, REAL), "continuous", _fn, _trig_fails)
 _register("abs", 1, _join_result("abs"), "continuous", abs)
 _register("pi", 0, lambda: POSREAL, "continuous", lambda: math.pi)
 

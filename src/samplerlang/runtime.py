@@ -32,12 +32,12 @@ columnar mode for the stream engine's fused chains of map/reweight/product
 layers, with every layer's body inline (see _PipeGen): its function
 computes a block of entries a column at a time.  Columnar mode keeps every
 value bit-identical to the layers' compile_fn functions applied entry by
-entry: numpy runs only the operations it rounds as Python does (plus,
-minus, times, neg, div, sqrt, abs and the comparisons) and only on float64
-and bool columns; every other builtin is the same `math` or `builtins`
-function, called entry by entry, as is every operation on a column of ints
-(which are unbounded) or of other values, and no numpy scalar escapes.  A
-case runs each branch only on the entries that take it.  A block does not
+entry: on float64 and bool columns every builtin but pi is a numpy ufunc on
+whole columns, one that rounds as Python does or the one that the
+`builtins` function calls (exp, log, cos and sin); every operation on a
+column of ints (which are unbounded) or of other values is the `builtins`
+function, called entry by entry, and no numpy scalar escapes.  A case runs
+each branch only on the entries that take it.  A block does not
 locate its errors: where some entry fails (a domain test of
 `builtins.BuiltinSig.fails`, a negative reweight factor, or a builtin or
 function that raises), the function raises, and the engine runs the
@@ -123,6 +123,16 @@ class VClosure:
     # compile_pipeline's functions for the pipelines whose first layer
     # function is this closure, by the rest of the pipeline
     _pipelines: Optional[dict] = field(default=None, repr=False)
+
+
+class SamplerValue:
+    """A sampler as a runtime value (streams.RStream, bigstep.Sampler); both
+    engines print it alike."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "<sampler>"
 
 
 class Pairs:
@@ -863,12 +873,9 @@ class _PipeGen(_CodeGen):
     array where each entry is a float, a bool array where each is a bool,
     and an object array of the runtime values otherwise (ints among them,
     since they are unbounded); a value that is the same in every entry
-    stays a Python value.  The operations numpy rounds as Python does
-    (plus, minus, times, neg, div, sqrt, abs and the comparisons) run as
-    numpy operations on float64 columns; every other builtin, and every
-    operation on an object column, calls the scalar code's function entry by
-    entry, so each value is bit-identical to the layers' compile_fn
-    functions applied entry by entry.
+    stays a Python value.  A builtin runs as `_op` or `_compare` runs it,
+    so each value is bit-identical to the layers' compile_fn functions
+    applied entry by entry.
     A case runs each branch in a frame of its own, on the entries that take
     it: the columns it uses are gathered there (`here`), and the branches'
     results are merged (`_merge`), so a branch is evaluated exactly where
@@ -1116,21 +1123,18 @@ def _is_float(x) -> bool:
 
 
 def _op(spec, n: int, *args):
-    """A builtin on columns: spec is (ufunc, fast, fn, fails), fn being
-    the builtin's function and fails its domain test.  On float64
-    arguments, a fault where fails holds, else ufunc, or fast entry by
-    entry; on any other column, fn entry by entry."""
-    ufunc, fast, fn, fails = spec
+    """A builtin on columns: spec is (ufunc, fn, fails), fn being the
+    builtin's function and fails its domain test.  On float64 arguments, a
+    fault where fails holds, else ufunc on the whole columns; on any other
+    column, fn entry by entry."""
+    ufunc, fn, fails = spec
     floats = [_as_float(a) for a in args]
     columns = any(type(a) is np.ndarray for a in args)
     if not columns or any(f is None for f in floats) or not any(map(_is_float, args)):
         return _each(fn, n, *args)
     if fails is not None and n and np.any(fails(*floats)):
         raise _Fault(fn)
-    if ufunc is not None:
-        return ufunc(*floats)
-    (x,) = floats
-    return np.fromiter(map(fast, x.tolist()), np.float64, n)
+    return ufunc(*floats)
 
 
 def _compare(spec, a, b, n: int):
@@ -1208,22 +1212,14 @@ def _reweigh(factor, weight, n: int):
 
 
 def _specs() -> dict:
-    """The columnar functions' names for the builtins' and the
-    comparisons' specs (see _op and _compare)."""
-    ufuncs = {
-        "plus": np.add, "minus": np.subtract, "times": np.multiply, "neg": np.negative,
-        "div": np.divide, "sqrt": np.sqrt, "abs": np.abs,
-    }
-    space = {}
-    for op in ("plus", "minus", "times", "neg", "div", "sqrt", "abs", "exp", "log", "cos", "sin", "pi"):
-        sig = signature(op)
-        fast = {"log": math.log}.get(op, sig.fn)
-        space[f"_op_{op}"] = (ufuncs.get(op), fast, sig.fn, sig.fails)
+    """The columnar functions' names for the builtins' specs (see _op) and
+    the comparisons' (see _compare)."""
+    ufuncs = {"plus": np.add, "minus": np.subtract, "times": np.multiply, "neg": np.negative,
+              **_ARRAY_BUILTINS}
     cmp_ufuncs = {"lt": np.less, "le": np.less_equal, "gt": np.greater,
                   "ge": np.greater_equal, "eq": np.equal, "ne": np.not_equal}
-    for op, ufunc in cmp_ufuncs.items():
-        space[f"_cmp_{op}"] = (ufunc, signature(op).fn)
-    return space
+    return {**{f"_op_{op}": (u, signature(op).fn, signature(op).fails) for op, u in ufuncs.items()},
+            **{f"_cmp_{op}": (u, signature(op).fn) for op, u in cmp_ufuncs.items()}}
 
 
 _SPECS = _specs()

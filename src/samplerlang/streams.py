@@ -33,8 +33,8 @@ parent's own parents.  The rest are the pipeline's leaves, pulled through
 their memos, so that `tl`, `thin` and `let` sharing is kept.  The pipeline
 compiles to one columnar function with every layer's body inline
 (`runtime.compile_pipeline`), which computes the demanded entries a chunk
-of `CHUNK` at a time as exact columns (numpy only where it rounds as Python
-does, the `math` functions entry by entry elsewhere, each branch of a case
+of `CHUNK` at a time as exact columns (numpy ufuncs on float64 columns,
+the scalar functions entry by entry on other columns, each branch of a case
 only on the entries that take it).  A product's pair is built only where
 a layer uses it whole; a block of pairs leaves as `Pairs`.  Only the
 pipeline's top core keeps a memo.  A block
@@ -66,6 +66,7 @@ from .runtime import (
     COLUMN_FAULTS,
     WEIGHT_ONE,
     Pairs,
+    SamplerValue,
     VClosure,
     VInj,
     WeightedList,
@@ -402,8 +403,8 @@ def _absorbable(parent: "RStream") -> bool:
     return type(core) is PipeCore and not core.shared and core._known is None
 
 
-@dataclass(frozen=True)
-class RStream:
+@dataclass(frozen=True, repr=False)
+class RStream(SamplerValue):
     """Affine view over a core: entry(i) = core.entry(a*i + b)."""
 
     core: StreamCore

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -93,6 +94,61 @@ def test_a_function_valued_program_prints_the_same_closure_under_both_engines(tm
     assert outs[0] == outs[1]
     assert outs[0].startswith("VClosure(params=(('x', ")
     assert outs[0].rstrip().endswith("env={'c': 2})")
+
+
+_RAND = "extern sampler rand : S R+ targets uniform(0, 1)\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("map(fun x : R+ => exp(x + 709.782712893384), rand)", "builtin 'exp' failed: math range error"),
+    ("map(fun x : R+ => cos(x * 1e308 * 10), rand)", "builtin 'cos' failed: math domain error"),
+    ("map(fun x : R+ => sin(0 - x * 1e308 * 10), rand)", "builtin 'sin' failed: math domain error"),
+    ("map(fun x : R+ => log(0 - x), rand)", "log of non-positive number -0.48806830282906133"),
+    ("map(fun x : R+ => exp(709.782712893384 + 0 * x), rand)", None),
+    ("map(fun x : R+ => x + log(1" + "0" * 400 + "), rand)", None),
+])
+def test_engines_agree_on_transcendentals_at_their_edges(body, message, tmp_path, capsys):
+    # where the scalar function raises, both engines raise its error at the
+    # same position, the call's; where it returns, both print the same row
+    src = tmp_path / "edge.smpl"
+    src.write_text(_RAND + body + "\n")
+    outs = []
+    for engine in ("stream", "bigstep"):
+        code = main(["run", str(src), "--samples", "1", "--engine", engine])
+        outs.append((code, *capsys.readouterr()))
+    assert outs[0] == outs[1]
+    code, out, err = outs[0]
+    if message is None:
+        assert code == 0 and out.startswith("index,value,weight\n1,"), err
+    else:
+        assert code == 1 and err.strip().endswith(f"2:{body.index(' => ') + 5}: {message}"), err
+
+
+def test_a_closure_that_captures_a_sampler_prints_one_line_under_both_engines(tmp_path):
+    # a sampler value prints as `<sampler>`, not as an object at an address,
+    # so each engine, each in a process of its own, prints the same line
+    src = tmp_path / "captured.smpl"
+    src.write_text(_RAND + "let s = rand in fun x : R => x + hd(s)\n")
+    outs = [_run_python("-m", "samplerlang.cli", "run", str(src), "--samples", "1", "--engine", engine)
+            for engine in ("stream", "bigstep")]
+    assert outs[0] == outs[1]
+    assert outs[0].rstrip().endswith("env={'s': <sampler>})")
+
+
+def test_ulps_compares_two_csvs_field_by_field(ulps_tool, tmp_path, capsys):
+    old, new, short = tmp_path / "old.csv", tmp_path / "new.csv", tmp_path / "short.csv"
+    old.write_text("index,value,weight\n1,1.0,0.5\n2,-0.0,x\n3,1e-05,2.0\n")
+    new.write_text(f"index,value,weight\n1,{1.0 + math.ulp(1.0)!r},0.5\n2,0.0,y\n3,0.00001,{2.0 + 3 * math.ulp(2.0)!r}\n")
+    short.write_text("index,value,weight\n1,1.0,0.5\n")
+    assert ulps_tool.main([str(old), str(new)]) == 1
+    assert ulps_tool.main([str(old), str(old)]) == 0
+    assert ulps_tool.main([str(old), str(short)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    # 1e-05 and 0.00001 are one float; -0.0 and 0.0 are adjacent floats
+    assert lines[0] == "9 fields compared, 4 differ (1 not two finite floats); largest distance 3 ulps (row 3, weight)"
+    assert lines[1] == "9 fields compared, 0 differ"
+    assert "do not have the same header, rows and fields" in lines[2]
+    assert ulps_tool.ulps(-5e-324, 5e-324) == 3 and ulps_tool.ulps(1.0, 1.0) == 0
 
 
 def test_normalize(capsys):
@@ -452,6 +508,21 @@ def test_commands_run_where_scipy_cannot_be_imported():
     )
     # test-target rejects marsaglia by the unbounded `x2` member (ROADMAP item 5)
     assert _run_python("-c", script).strip() == "[0, 0, 1]"
+
+
+def test_the_front_end_loads_no_numpy():
+    # parsing, type checking, rewriting and printing need no numpy, though
+    # the type checker reads the builtins' table
+    importance = C / "importance.smpl"
+    script = (
+        "import sys\n"
+        "from samplerlang import parser, pretty, rewrite, typecheck\n"
+        f"program = parser.parse_program({importance.read_text()!r})\n"
+        "typecheck.check_program(program)\n"
+        "pretty.pretty(rewrite.normalize(program.body)[0])\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert _run_python("-c", script).strip() == "False"
 
 
 def test_importing_the_cli_loads_no_orjson():
