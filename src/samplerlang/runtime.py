@@ -34,11 +34,12 @@ computes a block of entries a column at a time.  Columnar mode keeps every
 value bit-identical to the layers' compile_fn functions applied entry by
 entry: on float64 and bool columns every builtin but pi is a numpy ufunc on
 whole columns, one that rounds as Python does or the one that the
-`builtins` function calls (exp, log, cos and sin); every operation on a
-column of ints (which are unbounded) or of other values is the `builtins`
-function, called entry by entry, and no numpy scalar escapes.  A case runs
-each branch only on the entries that take it.  A block does not
-locate its errors: where some entry fails (a domain test of
+`builtins` function calls (exp, log, cos and sin); an int64 column (ints
+within INT_BOUND) that meets a float is the floats it converts to exactly;
+every operation on ints alone (which are unbounded) or on other values is
+the `builtins` function, called entry by entry, and no numpy scalar
+escapes.  A case runs each branch only on the entries that take it.  A
+block does not locate its errors: where some entry fails (a domain test of
 `builtins.BuiltinSig.fails`, a negative reweight factor, or a builtin or
 function that raises), the function raises, and the engine runs the
 block's entries one at a time, applying each layer on its own, which
@@ -154,15 +155,23 @@ class Pairs:
         return Pairs(self.left[cells], self.right[cells])
 
 
+#: the largest |x| of an int that a column holds in an int64 array: every
+#: int within it converts to a float64 exactly
+INT_BOUND = 2**53
+
+
 def column(values: list):
     """The typed column of a list of runtime values: a float64 array if
-    every value is a float, a bool array if every value is a Boolean, and
-    the list itself otherwise."""
+    every value is a float, a bool array if every value is a Boolean, an
+    int64 array if every value is an int within INT_BOUND, and the list
+    itself otherwise."""
     kinds = set(map(type, values))
     if kinds == {float}:
         return np.array(values, dtype=np.float64)
     if kinds == {bool}:
         return np.array(values, dtype=bool)
+    if kinds == {int} and -INT_BOUND <= min(values) and max(values) <= INT_BOUND:
+        return np.array(values, dtype=np.int64)
     return values
 
 
@@ -871,11 +880,11 @@ class _PipeGen(_CodeGen):
     The function computes a block of `_n` entries from each leaf's block,
     `_cj` (and weights `_wj`), at once.  Every value is a column: a float64
     array where each entry is a float, a bool array where each is a bool,
-    and an object array of the runtime values otherwise (ints among them,
-    since they are unbounded); a value that is the same in every entry
-    stays a Python value.  A builtin runs as `_op` or `_compare` runs it,
-    so each value is bit-identical to the layers' compile_fn functions
-    applied entry by entry.
+    an int64 array where each is an int within INT_BOUND, and an object
+    array of the runtime values otherwise; a value that is the same in
+    every entry stays a Python value.  A builtin runs as `_op` or
+    `_compare` runs it, so each value is bit-identical to the layers'
+    compile_fn functions applied entry by entry.
     A case runs each branch in a frame of its own, on the entries that take
     it: the columns it uses are gathered there (`here`), and the branches'
     results are merged (`_merge`), so a branch is evaluated exactly where
@@ -1068,7 +1077,7 @@ def _out(x, n: int):
     """The typed column (see `column`) of a value's n entries."""
     if type(x) is np.ndarray:
         return x.tolist() if x.dtype == object else x
-    if type(x) in (float, bool):
+    if type(x) in (float, bool) or _is_ints(x):
         return np.full(n, x)
     return [x] * n
 
@@ -1089,16 +1098,16 @@ def _as_float(x, compare: bool = False):
     """x as a float64 operand that numpy rounds and compares as Python
     does x, or None: a float64 column, a float, or ints, which Python
     converts to floats for arithmetic with a float, and compares exactly
-    (so for a comparison only an int within 2**53, which converts exactly;
-    a column of ints converts only then)."""
+    (so for a comparison only an int within INT_BOUND, which converts
+    exactly; an int64 column holds only those)."""
     kind = type(x)
     if kind is np.ndarray:
         if x.dtype == np.float64:
             return x
-        return _small_ints(x) if x.dtype == object else None
+        return x.astype(np.float64) if x.dtype == np.int64 else None
     if kind is float:
         return x
-    if kind is int and (not compare or -(2**53) <= x <= 2**53):
+    if kind is int and (not compare or -INT_BOUND <= x <= INT_BOUND):
         try:
             return float(x)
         except OverflowError:
@@ -1106,25 +1115,21 @@ def _as_float(x, compare: bool = False):
     return None
 
 
-def _small_ints(x: np.ndarray):
-    """An object column of ints, each within 2**53, as floats; else None."""
-    values = x.tolist()
-    if set(map(type, values)) != {int}:
-        return None
-    try:
-        floats = np.array(values, dtype=np.float64)
-    except OverflowError:
-        return None
-    return floats if np.all(np.abs(floats) < 2**53) else None
-
-
 def _is_float(x) -> bool:
     return type(x) is float or (type(x) is np.ndarray and x.dtype == np.float64)
 
 
+def _is_ints(x) -> bool:
+    """Whether x is an int64 column or an int it can hold."""
+    if type(x) is np.ndarray:
+        return x.dtype == np.int64
+    return type(x) is int and -INT_BOUND <= x <= INT_BOUND
+
+
 def _op(spec, n: int, *args):
     """A builtin on columns: spec is (ufunc, fn, fails), fn being the
-    builtin's function and fails its domain test.  On float64 arguments, a
+    builtin's function and fails its domain test.  On float64 arguments
+    (ints among them, as `_as_float` makes them, where one is a float), a
     fault where fails holds, else ufunc on the whole columns; on any other
     column, fn entry by entry."""
     ufunc, fn, fails = spec
@@ -1183,7 +1188,8 @@ _SCALARS = (float, int, bool)
 def _merge(n: int, parts):
     """The n entries that each (positions, value) part puts in place."""
     parts = [(sel, v) for sel, v in parts if len(sel)]
-    kinds = {float if _is_float(v) else bool if _is_bools(v) else object for _, v in parts}
+    kinds = {float if _is_float(v) else bool if _is_bools(v) else np.int64 if _is_ints(v) else object
+             for _, v in parts}
     out = np.empty(n, kinds.pop() if len(kinds) == 1 else object)
     for sel, v in parts:
         if type(v) in _SCALARS or type(v) is np.ndarray:

@@ -13,6 +13,7 @@ together with the error.
 
 A block's values are a typed column (`runtime.column`): a float64 array
 where every entry is a float, a bool array where every entry is a Boolean,
+an int64 array where every entry is an int within `runtime.INT_BOUND`,
 `runtime.Pairs` (one column per side) where a product's pairs were never
 built, and a list of runtime values otherwise; its weights are a float64
 array.  Columns are made at the extern kernel and stay typed through the

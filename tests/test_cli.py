@@ -124,6 +124,24 @@ def test_engines_agree_on_transcendentals_at_their_edges(body, message, tmp_path
         assert code == 1 and err.strip().endswith(f"2:{body.index(' => ') + 5}: {message}"), err
 
 
+@pytest.mark.parametrize("body, values", [
+    ("map(fun x : R+ => if x < 0.5 then 1 else 0, rand)", {"0", "1"}),
+    ("map(fun x : R+ => 1, rand)", {"1"}),
+])
+def test_a_map_to_ints_writes_ints_in_the_csv(body, values, tmp_path, capsys):
+    # the stream engine's int64 column is written as ints, as big-step's ints
+    src = tmp_path / "ints.smpl"
+    src.write_text(_RAND + body + "\n")
+    outs = []
+    for engine in ("stream", "bigstep"):
+        assert main(["run", str(src), "--samples", "20", "--engine", engine]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    rows = [line.split(",") for line in outs[0].splitlines()[1:]]
+    assert {value for _, value, _ in rows} == values
+    assert {weight for _, _, weight in rows} == {"1.0"}
+
+
 def test_a_closure_that_captures_a_sampler_prints_one_line_under_both_engines(tmp_path):
     # a sampler value prints as `<sampler>`, not as an object at an address,
     # so each engine, each in a process of its own, prints the same line

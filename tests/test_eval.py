@@ -921,6 +921,56 @@ def test_columnar_block_ints_pass_two_to_the_sixty_three():
     assert max(v for v, _ in got) > 2**63
 
 
+def test_int_columns_hold_only_ints_that_convert_to_floats_exactly():
+    bound = runtime.INT_BOUND
+    assert float(bound) == bound and float(bound + 1) != bound + 1
+    assert runtime.column([0, 1, -bound, bound]).dtype == np.int64
+    for values in ([bound + 1], [-bound - 1], [0, 2**63], [1, True], [1, 0.5]):
+        assert type(runtime.column(values)) is list, values
+    assert runtime.column([True, False]).dtype == bool
+
+
+def _kinds(col):
+    """A column's kind: its dtype's name, `list`, or a pair of kinds."""
+    if type(col) is runtime.Pairs:
+        return _kinds(col.left), _kinds(col.right)
+    return str(col.dtype) if type(col) is np.ndarray else type(col).__name__
+
+
+@pytest.mark.parametrize("chunk", [streams.CHUNK, 16])
+@pytest.mark.parametrize("body, kinds", [
+    # a 0/1 acceptance test as a value and as a weight, and an int constant
+    ("map(fun x : R => if x < 0.5 then 1 else 0, rand)", "int64"),
+    ("reweight(fun x : R => if x < 0.5 then 0 else 1, rand)", "float64"),
+    ("map(fun x : R => 1, rand)", "int64"),
+    # ±2^53, which compare exactly with the floats beside them, and which
+    # meet floats in arithmetic and as weights
+    ("map(fun x : R => let k = if x < 0.5 then 9007199254740992 else 0 - 9007199254740992 in"
+     " (k, (k < 9007199254740991.0, k * 0.5 + x)), rand)", ("int64", ("bool", "float64"))),
+    ("reweight(fun x : R => if x < 0.5 then 9007199254740992 else 1, rand)", "float64"),
+    # 2^53 + 1, which an int64 column would compare with 2.0^53 as equal
+    ("map(fun x : R => let k = if x < 0.5 then 9007199254740993 else 0 in"
+     " (k, k > 9007199254740992.0), rand)", ("list", "bool")),
+    # two int operands stay Python ints, past 2^63
+    ("map(fun x : R => let k = if x < 0.5 then 9007199254740992 else 3 in k * k - k, rand)", "list"),
+    # ints and floats in one column, as values and as weights
+    ("map(fun x : R => if x < 0.5 then 1 else 0.5, rand)", "list"),
+    ("reweight(fun x : R => if x < 0.5 then 1 else 0.5, rand)", "float64"),
+    # a Boolean branch stays Boolean
+    ("map(fun x : R => if x < 0.5 then x < 0.25 else 0.75 < x, rand)", "bool"),
+])
+def test_engines_agree_bit_for_bit_on_int_branches(body, kinds, chunk, monkeypatch):
+    # with 16-entry chunks, chunks of one kind meet chunks of another
+    monkeypatch.setattr(streams, "CHUNK", chunk)
+    program = parse_program(_RAND + body)
+    check_program(program)
+    got = truncate(Interpreter(program).stream(), 600)
+    want = Interpreter(program).big_step(600)
+    assert list(map(_exact, got.entries)) == list(map(_exact, want.entries))
+    assert _kinds(got.values) == kinds
+    assert got.weights.dtype == np.float64
+
+
 def test_columnar_block_fails_at_the_entry_where_a_layer_fails():
     # log(0) at entry 50,000 of a 100,000-entry block: the entries before it
     # come back, with the error at that entry
@@ -1136,6 +1186,12 @@ _STREAMS = {
     "reweighted": "reweight(fun x : R => x * 2, map(fun x : R => x + 1, rand))",
     "sum": "map(fun x : R => if x < 0.5 then inj(0, x) else inj(1, x < 0.7), rand)",
     "pair of sum": "map(fun x : R => (x, if x < 0.5 then inj(0, x) else inj(1, 1)), rand) <*> flip",
+    "int": "map(fun x : R => if x < 0.5 then 1 else 0, rand)",
+    "int constant": "map(fun x : R => 1, rand)",
+    "reweighted by ints": "reweight(fun x : R => if x < 0.5 then 0 else 1, rand)",
+    "int pair": "map(fun x : R => (if x < 0.5 then 1 else 0, 0 - 9007199254740992), rand)"
+                " <*> prng(fun k : N => k + 1, 0)",
+    "int payload": "map(fun x : R => if x < 0.5 then inj(0, 1) else inj(1, 2), rand)",
 }
 
 

@@ -19,13 +19,17 @@ between two records.
 - `run` and `run --engine bigstep` of the programs in `FAULTS`, whose
   evaluation fails in an entry or an argument, or reads a sampler-valued
   entry, and the same evaluations of `UNTYPED_FAULTS`, without the type
-  check that would reject them.
+  check that would reject them;
+- `run` and `run --engine bigstep` of the programs in `INTS`, whose values
+  are ints: an int64 column in the stream engine within 2**53, a list of
+  runtime values past it or mixed with floats.
 
 It writes, for each operation, its exit code and the sha256 of its standard
 output, of its standard error and of the file it wrote (the CSV, the report
 or the derivation).  The files go to a temporary directory; the tool reads
-`bench/inputs` and writes nothing under `bench/` (the `FAULTS` programs
-are written to the temporary directory too).  The `samplerlang` it runs
+`bench/inputs` and writes nothing under `bench/` (the `FAULTS`,
+`UNTYPED_FAULTS` and `INTS` programs are written to the temporary directory
+too).  The `samplerlang` it runs
 is the one Python imports, so `PYTHONPATH=<tree>/src`, run from `<tree>`,
 records that tree.
 
@@ -95,6 +99,14 @@ UNTYPED_FAULTS = (
     ("negative reweight weight", "reweight(fun x : R => x - 0.5, rand)", 5),
 )
 
+#: (label, program body, --samples): int-valued branches, over more than one
+#: of the stream engine's chunks
+INTS = (
+    ("0/1 map", "map(fun x : R => if x < 0.5 then 1 else 0, rand)", 10000),
+    ("2^53 + 1 branch", "map(fun x : R => if x < 0.5 then 9007199254740993 else 0, rand)", 10000),
+    ("int and float branch", "map(fun x : R => if x < 0.5 then 1 else 0.5, rand)", 10000),
+)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -135,10 +147,12 @@ def operations(out: Path) -> list[tuple[str, list[str], Path | None]]:
         ops.append((f"check --emit-derivation {program.stem}",
                     ["check", str(program), "--emit-derivation", str(derivation)],
                     derivation))
-    for k, (label, body, samples) in enumerate(FAULTS + UNTYPED_FAULTS):
-        program = out / f"fault-{k}.smpl"
+    programs = ([("", *fault) for fault in FAULTS]
+                + [("untyped ", *fault) for fault in UNTYPED_FAULTS]
+                + [("", f"ints: {label}", body, samples) for label, body, samples in INTS])
+    for k, (untyped, label, body, samples) in enumerate(programs):
+        program = out / f"program-{k}.smpl"
         program.write_text(_RAND + body + "\n")
-        untyped = "untyped " if k >= len(FAULTS) else ""
         for engine in ("stream", "bigstep"):
             ops.append((f"{untyped}run --engine {engine} {label}",
                         ["run", str(program), "--samples", str(samples), "--engine", engine],
