@@ -29,9 +29,8 @@ output, of its standard error and of the file it wrote (the CSV, the report
 or the derivation).  The files go to a temporary directory; the tool reads
 `bench/inputs` and writes nothing under `bench/` (the `FAULTS`,
 `UNTYPED_FAULTS` and `INTS` programs are written to the temporary directory
-too).  The `samplerlang` it runs
-is the one Python imports, so `PYTHONPATH=<tree>/src`, run from `<tree>`,
-records that tree.
+too).  The `samplerlang` it runs is the one Python imports, so
+`PYTHONPATH=<tree>/src`, run from `<tree>`, records that tree.
 
 `diff` prints each operation whose record differs between the two files,
 or that only one of them has, and exits 1 if there is one.
