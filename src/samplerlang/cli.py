@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
@@ -69,37 +69,42 @@ def _csv_blocks(values, weights) -> Iterator[str]:
     values and weights are columns (`runtime.column`) or lists of runtime
     values.  Values are flattened with `value_columns` and booleans among
     the leaves are written as 1/0; every field is written as its repr
-    (`_csv_lines`).  Values of one shape are split column by column; values
-    of different shapes are flattened one by one into rows of different
+    (`_csv_lines`).  Values of one shape are split column by column, and a
+    block's fields are interleaved from the columns' slices; values of
+    different shapes are flattened one by one into rows of different
     lengths, and the header is as wide as the widest.
     """
     from .runtime import column_values, value_columns
 
     cols = value_columns(values)
-    by_repr = _repr_only(weights)
     if cols is None:
-        flats = [
-            [int(x) if type(x) is bool else x for x, in value_columns([v])]
-            for v in column_values(values)
+        rows = [
+            [i, *(int(x) if type(x) is bool else x for x, in value_columns([v])), w]
+            for i, v, w in zip(count(1), column_values(values), column_values(weights))
         ]
-        weights = column_values(weights)
-        width = max(map(len, flats))
-        ends = np.cumsum(list(map(len, flats)))
-        leaves = np.flatnonzero(_repr_only(list(chain.from_iterable(flats))))
-        by_repr[np.searchsorted(ends, leaves, side="right")] = True
+        widths = np.fromiter(map(len, rows), np.intp, len(rows))
+        width = int(widths.max()) - 2
+        leaves = np.flatnonzero(_repr_only(list(chain.from_iterable(rows))))
+        by_repr = np.zeros(len(rows), bool)
+        by_repr[np.searchsorted(np.cumsum(widths), leaves, side="right")] = True
 
-        def block(a: int, b: int) -> list:
-            rows = zip(range(a + 1, b + 1), flats[a:b], weights[a:b])
-            return [(i, *flat, w) for i, flat, w in rows]
+        def block(a: int, b: int) -> tuple:
+            return list(chain.from_iterable(rows[a:b])), widths[a:b]
     else:
         width = len(cols)
         cols = [_csv_column(col) for col in cols]
+        by_repr = _repr_only(weights)
         for col in cols:
             by_repr |= _repr_only(col)
+        k = width + 2
 
-        def block(a: int, b: int) -> list:
-            fields = [column_values(col[a:b]) for col in cols] + [column_values(weights[a:b])]
-            return list(zip(range(a + 1, b + 1), *fields))
+        def block(a: int, b: int) -> tuple:
+            fields = [0] * ((b - a) * k)
+            fields[0::k] = range(a + 1, b + 1)
+            for j, col in enumerate(cols, start=1):
+                fields[j::k] = column_values(col[a:b])
+            fields[k - 1::k] = column_values(weights[a:b])
+            return fields, np.full(b - a, k)
 
     header = ["index"] + [f"value_{j}" for j in range(width)] + ["weight"]
     if width == 1:
@@ -107,7 +112,7 @@ def _csv_blocks(values, weights) -> Iterator[str]:
     yield ",".join(header) + "\n"
     for a in range(0, len(values), CSV_BLOCK_ROWS):
         b = min(a + CSV_BLOCK_ROWS, len(values))
-        yield _csv_lines(block(a, b), np.flatnonzero(by_repr[a:b]).tolist())
+        yield _csv_lines(*block(a, b), np.flatnonzero(by_repr[a:b]).tolist())
 
 
 def _csv_column(col):
@@ -141,27 +146,37 @@ def _repr_only(fields) -> np.ndarray:
     )
 
 
-def _csv_lines(rows: list, repr_rows: list) -> str:
-    """Rows, tuples of fields, as CSV lines, each field written as its repr.
+def _csv_lines(fields: list, widths: np.ndarray, repr_rows: list) -> str:
+    """Rows as CSV lines, each field written as its repr: fields holds the
+    rows' fields in order, widths[i] of them for row i.
 
-    orjson writes the rows in one call: its floats are the shortest digits
+    orjson writes the fields in one call: its floats are the shortest digits
     that round-trip, as repr's, and its ints within 64 bits are repr's too.
+    Every field is a number, so every comma in its output parts two fields,
+    and the comma after each row's last field becomes the row's newline.
     The rows at `repr_rows`, which have a field that orjson writes in
-    another form or refuses (`_repr_only`), are written field by field.
+    another form or refuses (`_repr_only`), are zeroed for orjson and then
+    written field by field.
     """
     import orjson
 
-    dumped = rows.copy()
+    ends = np.cumsum(widths)
+    lines = {}
     for i in repr_rows:
-        dumped[i] = ()
-    # one line a row, an emptied row an empty one
-    text = orjson.dumps(dumped)[2:-2].replace(b"],[", b"\n").decode()
-    if repr_rows:
-        lines = text.split("\n")
-        for i in repr_rows:
-            lines[i] = ",".join(map(repr, rows[i]))
-        text = "\n".join(lines)
-    return text + "\n"
+        row = slice(ends[i] - widths[i], ends[i])
+        lines[i] = ",".join(map(repr, fields[row]))
+        fields[row] = [0] * widths[i]
+    text = bytearray(orjson.dumps(fields))
+    buf = np.frombuffer(text, np.uint8)
+    buf[np.flatnonzero(buf == ord(","))[ends[:-1] - 1]] = ord("\n")
+    buf[-1] = ord("\n")
+    text = str(memoryview(text)[1:], "ascii")
+    if lines:
+        split = text.split("\n")
+        for i, line in lines.items():
+            split[i] = line
+        text = "\n".join(split)
+    return text
 
 
 def _sum_tagger(ty: Type) -> Optional[Callable]:

@@ -35,8 +35,8 @@ value bit-identical to the layers' compile_fn functions applied entry by
 entry: on float64 and bool columns every builtin but pi is a numpy ufunc on
 whole columns, one that rounds as Python does or the one that the
 `builtins` function calls (exp, log, cos and sin); an int64 column (ints
-within INT_BOUND) that meets a float is the floats it converts to exactly;
-every operation on ints alone (which are unbounded) or on other values is
+within INT_BOUND), or an object column of floats and such ints, that meets
+a float is the floats it converts to exactly; every operation on ints alone (which are unbounded) or on other values is
 the `builtins` function, called entry by entry, and no numpy scalar
 escapes.  A case runs each branch only on the entries that take it.  A
 block does not locate its errors: where some entry fails (a domain test of
@@ -1099,12 +1099,15 @@ def _as_float(x, compare: bool = False):
     does x, or None: a float64 column, a float, or ints, which Python
     converts to floats for arithmetic with a float, and compares exactly
     (so for a comparison only an int within INT_BOUND, which converts
-    exactly; an int64 column holds only those)."""
+    exactly; an int64 column holds only those).  An object column of
+    floats and such ints (a branch that mixes them) converts too."""
     kind = type(x)
     if kind is np.ndarray:
         if x.dtype == np.float64:
             return x
-        return x.astype(np.float64) if x.dtype == np.int64 else None
+        if x.dtype == np.int64:
+            return x.astype(np.float64)
+        return _mixed_floats(x) if x.dtype == object else None
     if kind is float:
         return x
     if kind is int and (not compare or -INT_BOUND <= x <= INT_BOUND):
@@ -1113,6 +1116,23 @@ def _as_float(x, compare: bool = False):
         except OverflowError:
             return None
     return None
+
+
+def _mixed_floats(x: np.ndarray):
+    """An object column as floats, where every entry is a float or an int
+    within INT_BOUND (not a bool), or None."""
+    values = x.tolist()
+    if not set(map(type, values)) <= {float, int}:
+        return None
+    try:
+        floats = x.astype(np.float64)
+    except OverflowError:  # an int beyond the floats
+        return None
+    # an int past INT_BOUND converts to a float of at least INT_BOUND
+    edge = np.flatnonzero(np.abs(floats) >= INT_BOUND).tolist()
+    if any(type(values[i]) is int and abs(values[i]) > INT_BOUND for i in edge):
+        return None
+    return floats
 
 
 def _is_float(x) -> bool:

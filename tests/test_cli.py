@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -667,6 +669,23 @@ SYNTHETIC = {
         (VInj(0, 1.0 / (i + 1)) if i % 3 else VInj(1, (i, 1e-5 * i)), 1.0)
         for i in range(CSV_BLOCK_ROWS + 10)
     ],
+    "one full block": [(float(i) / 3, 1.0) for i in range(CSV_BLOCK_ROWS)],
+    "a full block and one row": [((i, float(i) / 7), 0.5) for i in range(CSV_BLOCK_ROWS + 1)],
+    # every row of the first block has a field written by repr
+    "a block of repr-only rows": [
+        ((1e-5 / (i + 1) if i < CSV_BLOCK_ROWS else float(i), i), 1.0)
+        for i in range(CSV_BLOCK_ROWS + 3)
+    ],
+    "repr-only weights alone": [
+        ((i, float(i) / 3), w) for i, w in enumerate([1e-5, 1.0, float("nan"), 0.5, 1e16, 1.0, 5e-324])
+    ],
+    # the rows widen where the second block starts, and narrow again
+    "widths that change at a block boundary": [
+        (VInj(0, float(i)) if i < CSV_BLOCK_ROWS or i > CSV_BLOCK_ROWS + 1 else VInj(1, (float(i), i)),
+         1.0)
+        for i in range(CSV_BLOCK_ROWS + 4)
+    ],
+    "one row": [((1.5, True), 0.25)],
 }
 
 
@@ -674,6 +693,35 @@ SYNTHETIC = {
 def test_run_csv_matches_entrywise_writer_on_synthetic_values(name):
     entries = SYNTHETIC[name]
     assert _csv(entries) == _oracle_csv(entries)
+
+
+#: a sum-typed program: B is 1 + 1, so its Booleans are injections
+_SUM = (
+    "extern sampler coin : S (Unit + Unit) targets bernoulli(0.5)\n"
+    "extern sampler rand : S R+ targets uniform(0, 1)\n"
+    "coin <*> rand\n"
+)
+
+
+@pytest.mark.parametrize("name", ["geometric", "sum"])
+def test_run_prints_to_stdout_the_csv_it_dumps(name, tmp_path, capsys):
+    # several blocks; a text stream may have no binary buffer, as a
+    # StringIO has none
+    program = C / "geometric.smpl"
+    if name == "sum":
+        program = tmp_path / "sum.smpl"
+        program.write_text(_SUM)
+    argv = ["run", str(program), "--samples", str(2 * CSV_BLOCK_ROWS + 3)]
+    dump = tmp_path / "out.csv"
+    assert main(argv + ["--dump", str(dump)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        assert main(argv) == 0
+    assert printed == captured.getvalue() == dump.read_text()
+    assert len(printed.splitlines()) == 2 * CSV_BLOCK_ROWS + 4
 
 
 def test_run_csv_writes_random_floats_of_every_exponent_as_repr():

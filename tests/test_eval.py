@@ -971,6 +971,39 @@ def test_engines_agree_bit_for_bit_on_int_branches(body, kinds, chunk, monkeypat
     assert got.weights.dtype == np.float64
 
 
+def test_an_object_column_of_floats_and_ints_within_the_bound_converts_to_floats():
+    bound = runtime.INT_BOUND
+    for values in ([1, 0.5], [bound, -bound, 0.5], [1e300, 1], [-0.0, 0]):
+        floats = runtime._as_float(np.array(values, dtype=object), True)
+        assert floats.dtype == np.float64
+        assert list(map(_exact, floats.tolist())) == [_exact(float(v)) for v in values]
+    # a bool, an int past the bound (even one that rounds to it), or one
+    # past the floats stays entry by entry
+    for values in ([True, 0.5], [bound + 1, 0.5], [-bound - 1, 0.5], [2**1100, 0.5], [(), 0.5]):
+        assert runtime._as_float(np.array(values + [None], dtype=object)[:-1], True) is None, values
+
+
+@pytest.mark.parametrize("body, entrywise", [
+    # the branches of ints and floats meet floats on whole columns
+    ("reweight(fun x : R => if x < 0.5 then 1 else 0.5, rand)", False),
+    ("map(fun x : R => (if x < 0.5 then 1 else 0.5) * x, rand)", False),
+    ("map(fun x : R => let k = if x < 0.5 then 2 else 0.25 in (k < 1.5, k - x), rand)", False),
+    # an int past INT_BOUND still runs entry by entry
+    ("map(fun x : R => (if x < 0.5 then 9007199254740993 else 0.5) * x, rand)", True),
+])
+def test_a_branch_of_ints_and_floats_runs_as_its_entries_do(body, entrywise, monkeypatch):
+    program = parse_program(_RAND + body)
+    check_program(program)
+    want = Interpreter(program).big_step(600)
+    calls = []
+    each = runtime._each
+    monkeypatch.setattr(runtime, "_each", lambda *args: calls.append(args) or each(*args))
+    got = truncate(Interpreter(program).stream(), 600)
+    assert list(map(_exact, got.entries)) == list(map(_exact, want.entries))
+    assert bool(calls) == entrywise
+    assert _block_matches_entries(program, 600) is None
+
+
 def test_columnar_block_fails_at_the_entry_where_a_layer_fails():
     # log(0) at entry 50,000 of a 100,000-entry block: the entries before it
     # come back, with the error at that entry

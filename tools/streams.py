@@ -9,6 +9,8 @@ between two records.
 - `run --samples 100000 --dump` of the five sampled corpus programs
   (marsaglia, rejection, importance, von_neumann, geometric) at seeds 1-3;
 - `run --engine bigstep --samples 100` of the same programs and seeds;
+- `run --samples 5000` of importance at seed 1, without `--dump`, so that
+  its CSV goes to standard output;
 - `test-target --n 100000 --report` of the five test-target cases of the
   `streams` benchmark, at seed 1 where the benchmark passes a seed;
 - the operations of the `proofs` benchmark: `verify` of the five bundled
@@ -124,6 +126,9 @@ def operations(out: Path) -> list[tuple[str, list[str], Path | None]]:
             ops.append((f"run --engine bigstep {name} seed {seed}",
                         ["run", program, "--samples", "100", "--engine", "bigstep", "--seed", str(seed)],
                         None))
+    ops.append(("run importance seed 1 to stdout",
+                ["run", str(CORPUS / "importance.smpl"), "--samples", "5000", "--seed", "1"],
+                None))
     for k, (label, program, extra) in enumerate(TARGETS):
         report = out / f"target-{k}.json"
         ops.append((f"test-target {label}",
