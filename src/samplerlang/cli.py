@@ -166,11 +166,11 @@ def _csv_lines(fields: list, widths: np.ndarray, repr_rows: list) -> str:
         row = slice(ends[i] - widths[i], ends[i])
         lines[i] = ",".join(map(repr, fields[row]))
         fields[row] = [0] * widths[i]
-    text = bytearray(orjson.dumps(fields))
-    buf = np.frombuffer(text, np.uint8)
+    dumped = bytearray(orjson.dumps(fields))
+    buf = np.frombuffer(dumped, np.uint8)
     buf[np.flatnonzero(buf == ord(","))[ends[:-1] - 1]] = ord("\n")
-    buf[-1] = ord("\n")
-    text = str(memoryview(text)[1:], "ascii")
+    buf[-1] = ord("\n")  # the closing bracket; the opening one is cut
+    text = str(memoryview(dumped)[1:], "ascii")
     if lines:
         split = text.split("\n")
         for i, line in lines.items():

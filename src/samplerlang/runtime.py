@@ -36,10 +36,11 @@ entry: on float64 and bool columns every builtin but pi is a numpy ufunc on
 whole columns, one that rounds as Python does or the one that the
 `builtins` function calls (exp, log, cos and sin); an int64 column (ints
 within INT_BOUND), or an object column of floats and such ints, that meets
-a float is the floats it converts to exactly; every operation on ints alone (which are unbounded) or on other values is
-the `builtins` function, called entry by entry, and no numpy scalar
-escapes.  A case runs each branch only on the entries that take it.  A
-block does not locate its errors: where some entry fails (a domain test of
+a float is the floats it converts to exactly; every operation on ints
+alone (which are unbounded) or on other values is the `builtins`
+function, called entry by entry, and no numpy scalar escapes.  A case
+runs each branch only on the entries that take it.  A block does not
+locate its errors: where some entry fails (a domain test of
 `builtins.BuiltinSig.fails`, a negative reweight factor, or a builtin or
 function that raises), the function raises, and the engine runs the
 block's entries one at a time, applying each layer on its own, which
