@@ -16,7 +16,7 @@ import numpy as np
 
 from .builtins import EvalError
 from .config import Config, ConfigError
-from .corpus import corpus_dir, load_corpus, proof_path
+from .corpus import corpus_dir, load_corpus, load_proof, proof_path
 from .empirical import weak_convergence_test, k_equidistribution_test
 from .interpreter import Interpreter
 from .measures import MeasureError
@@ -342,11 +342,10 @@ def cmd_examples(args) -> int:
                 if not value_equal(big, stream):
                     raise AssertionError(f"engines disagree at N={n}")
             notes.append("adequacy@1,7")
-            ppath = proof_path(item.name)
-            if args.proofs and ppath.exists():
+            if args.proofs and proof_path(item.name).exists():
                 axioms = AxiomSet.from_program(item.program)
                 deriv = derivation_from_json(
-                    json.loads(ppath.read_text()), {e.name for e in item.program.externs}
+                    load_proof(item.name), {e.name for e in item.program.externs}
                 )
                 outcome = DerivationChecker(axioms).check(deriv)
                 if not outcome.accepted:
@@ -444,7 +443,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("examples", help="run the bundled corpus")
     p.add_argument("--dir")
-    p.add_argument("--proofs", action="store_true", default=True)
     p.add_argument("--no-proofs", dest="proofs", action="store_false")
     p.add_argument("--report", metavar="OUT.json")
     p.set_defaults(fn=cmd_examples)

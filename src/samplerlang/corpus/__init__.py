@@ -76,14 +76,6 @@ def load_corpus(directory: Optional[Path] = None) -> list[CorpusItem]:
     return items
 
 
-def load_item(name: str) -> CorpusItem:
-    path = corpus_dir() / f"{name}.smpl"
-    if not path.exists():
-        raise CorpusError(f"no corpus program named '{name}'")
-    program = parse_program(path.read_text(encoding="utf-8"), str(path))
-    return CorpusItem(name, path, program, check_program(program))
-
-
 def proof_path(name: str) -> Path:
     return corpus_dir() / "proofs" / f"{name}.json"
 

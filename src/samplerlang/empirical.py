@@ -21,71 +21,20 @@ from .quadrature import (
     build_family,
     integrate,
     support_box,
-    _value_key,
 )
-from .runtime import column_values, value_columns, value_coords, value_to_point
-from .streams import RStream, truncate
+from .runtime import column_values, value_columns, value_coords
+from .streams import truncate
 from .terms import Term, self_product
-
-
-class DegeneratePrefixError(Exception):
-    """All weights in the prefix are zero; the empirical measure is undefined."""
-
-
-@dataclass
-class EmpiricalMeasure:
-    atoms: list[tuple[object, float]]  # (value, normalized weight)
-    n: int
-
-    def total_mass(self) -> float:
-        return math.fsum(w for _, w in self.atoms)
-
-    def integrate(self, g: Callable) -> float:
-        return math.fsum(w * float(g(value_to_point(v))) for v, w in self.atoms)
-
-
-def _prefix(stream, n: int) -> tuple:
-    """The columns of the values and the weights of the first n entries of
-    a stream (`runtime.column`), or lists of those of a list of
-    (value, weight) entries."""
-    if isinstance(stream, RStream):
-        sample = truncate(stream, n, inner=False)
-        return sample.values, sample.weights
-    entries = list(stream[:n])
-    return [v for v, _ in entries], [w for _, w in entries]
-
-
-def empirical_measure(stream, n: int) -> EmpiricalMeasure:
-    """Normalized atoms over the first n entries; coalesces equal values."""
-    if n < 1:
-        raise ValueError("empirical measure needs n >= 1")
-    values, weights = map(column_values, _prefix(stream, n))
-    total = math.fsum(weights)
-    if not total > 0.0:
-        raise DegeneratePrefixError(
-            f"first {n} entries carry zero total weight; the normalized "
-            "empirical measure is undefined on this prefix"
-        )
-    merged: dict = {}
-    order: list = []
-    for v, w in zip(values, weights):
-        key = _value_key(value_to_point(v))
-        if key not in merged:
-            merged[key] = [v, 0.0]
-            order.append(key)
-        merged[key][1] += w
-    atoms = [(merged[k][0], merged[k][1] / total) for k in order]
-    return EmpiricalMeasure(atoms, n)
 
 
 def columns_of(values, weights) -> tuple[list[np.ndarray], np.ndarray]:
     """Coordinate arrays plus the weight array for entries' values and
     weights, given as columns (`runtime.column`) or lists of runtime values.
 
-    Booleans become 1.0/0.0, as in `value_to_point`.  Values of one shape
-    are converted column by column, a float64 column not at all; values of
-    different shapes, or with leaves that are not numbers, entry by entry
-    (`value_coords`), with the first value's coordinate count.
+    Booleans become 1.0/0.0.  Values of one shape are converted column by
+    column, a float64 column not at all; values of different shapes, or
+    with leaves that are not numbers, entry by entry (`value_coords`), with
+    the first value's coordinate count.
     """
     if not len(values):
         return [], np.empty(0)
@@ -161,11 +110,8 @@ def weak_convergence_test(
     for member in family:
         expected[member.name] = integrate(target, member, cache=cache)
 
-    try:
-        values, weights = _prefix(stream, ladder[-1])
-    except DegeneratePrefixError as err:
-        return ConvergenceReport(pretty_measure(target), [], False, str(err))
-    cols, weights = columns_of(values, weights)
+    sample = truncate(stream, ladder[-1], inner=False)
+    cols, weights = columns_of(sample.values, sample.weights)
     dims = len(support_box(target))
     if len(cols) != dims:
         raise M.MeasureError(

@@ -23,9 +23,5 @@ class Interpreter:
     def stream(self, term: Optional[Term] = None):
         return eval_stream(term if term is not None else self.program.body, self.externs)
 
-    def fresh(self) -> "Interpreter":
-        """A new context with fresh extern streams (same seed, same entries)."""
-        return Interpreter(self.program, self.config)
-
 
 __all__ = ["Interpreter", "RStream", "truncate"]

@@ -59,17 +59,14 @@ def lcg_states(seed: int, n: int) -> np.ndarray:
     return out
 
 
-def lcg_uniforms(seed: int, n: int) -> np.ndarray:
-    """The first n uniforms in [0, 1): top 53 bits of each 64-bit state."""
-    return lcg_uniforms_from(seed, n)[0]
-
-
 def lcg_uniforms_from(state: int, n: int) -> tuple[np.ndarray, int]:
-    """The n uniforms following `state`, and the last state generated.
+    """The n uniforms in [0, 1) following `state` (the top 53 bits of each
+    64-bit state), and the last state generated.
 
-    Passing the returned state back in continues the same sequence, so
-    lcg_uniforms(seed, m + n) is lcg_uniforms_from(seed, m) followed by the
-    n uniforms from its returned state.
+    Passing the returned state back in continues the same sequence, so the
+    uniforms of lcg_uniforms_from(seed, m + n) are those of
+    lcg_uniforms_from(seed, m) followed by the n uniforms from its returned
+    state.
     """
     states = lcg_states(state, n)
     last = int(states[-1]) if n > 0 else state & _MASK

@@ -1150,9 +1150,6 @@ class TestFunctionFamily:
     def __iter__(self):
         return iter(self.members)
 
-    def __len__(self):
-        return len(self.members)
-
     def lipschitz_bounded(self, bound: float = 1.0, lip: float = 1.0):
         return [m for m in self.members if m.bound <= bound and m.lip <= lip]
 
@@ -1241,14 +1238,6 @@ class MeasureEqualReport:
     mode: str  # 'exact' | 'numeric'
     max_discrepancy: float
     details: list[tuple[str, float]] = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "equal": self.equal,
-            "mode": self.mode,
-            "max_discrepancy": self.max_discrepancy,
-            "details": [{"member": n, "discrepancy": d} for n, d in self.details],
-        }
 
 
 def measure_equal(

@@ -86,7 +86,6 @@ from .terms import (
     ite,
     Memo,
     memo,
-    positions,
     replace_at,
     store_memo,
     subterm_at,
@@ -693,12 +692,6 @@ def _rewrites(term: Term, size_cap: int, index: _Redexes) -> list:
     return [(path, redex) for path, redex in index.of(term) if redex[3] <= room]
 
 
-def _neighbors(term: Term, size_cap: int):
-    """One-step rewrites within the size cap, built, in the search's order."""
-    for path, (name, forward, new, _) in _rewrites(term, size_cap, _Redexes()):
-        yield Step(name, path, forward), replace_at(term, path, new)
-
-
 _SIZE_FACTOR = 4  # the search visits terms up to this multiple of the larger side
 
 
@@ -791,29 +784,6 @@ def _first_redex(term: Term, rule_names) -> Optional[tuple[Step, Term]]:
     return None
 
 
-def measure(t: Term) -> tuple[int, int, int, int]:
-    """The termination measure for the pull phase (see module docstring)."""
-    above = 0
-    mr = 0
-    thin_prod = 0
-
-    def go(term: Term, destructors: int):
-        nonlocal above, mr, thin_prod
-        here = destructors
-        if isinstance(term, (Map, Reweight)):
-            mr += 1
-            above += destructors
-        if isinstance(term, (Thin, Prod)):
-            thin_prod += 1
-        if isinstance(term, (Tl, Hd, Wt, Thin, Prod)):
-            here += 1
-        for kid in children(term):
-            go(kid, here)
-
-    go(t, 0)
-    return (above, mr, thin_prod, term_size(t))
-
-
 def normalize(t: Term) -> tuple[Term, list[Step]]:
     """Pull tl/hd/wt/thin/<*> inward past map and reweight, to fixpoint.
 
@@ -822,35 +792,22 @@ def normalize(t: Term) -> tuple[Term, list[Step]]:
     orientable Table rules fire.
     """
     steps: list[Step] = []
-    cur = t
+    return _fixpoint(t, steps, "normalization", _INLINE_RULES, _PULL_RULES), steps
+
+
+def _fixpoint(term: Term, steps: list[Step], what: str, *rule_sets) -> Term:
+    """Rewrite term at the first redex of the first rule set that has one,
+    appending each step to steps, until no rule applies; past _MAX_STEPS
+    steps, a RewriteError says that `what` exceeded the step budget."""
+    cur = term
     for _ in range(_MAX_STEPS):
-        found = _first_redex(cur, _INLINE_RULES) or _first_redex(cur, _PULL_RULES)
+        found = next(filter(None, (_first_redex(cur, rules) for rules in rule_sets)), None)
         if found is None:
-            return cur, steps
+            return cur
         step, new = found
         cur = replace_at(cur, step.path, new)
         steps.append(step)
-    raise RewriteError("normalization exceeded the step budget")
-
-
-def normal_form_spine(t: Term) -> Optional[list[str]]:
-    """The map/reweight spine of a normal form, or None if ill-shaped."""
-    spine = []
-    cur = t
-    while True:
-        match cur:
-            case Map(_, inner):
-                spine.append("map")
-                cur = inner
-            case Reweight(_, inner):
-                spine.append("reweight")
-                cur = inner
-            case _:
-                break
-    for _, sub in positions(cur):
-        if isinstance(sub, (Map, Reweight)):
-            return None
-    return spine
+    raise RewriteError(f"{what} exceeded the step budget")
 
 
 # ---------------------------------------------------------------------------
@@ -858,16 +815,12 @@ def normal_form_spine(t: Term) -> Optional[list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _fixpoint_with(term: Term, rule_names, steps: list[Step]) -> Term:
-    cur = term
-    for _ in range(_MAX_STEPS):
-        found = _first_redex(cur, rule_names)
-        if found is None:
-            return cur
-        step, new = found
-        cur = replace_at(cur, step.path, new)
-        steps.append(step)
-    raise RewriteError("lemma construction exceeded the step budget")
+def _chain(term: Term, rule_names) -> tuple[Term, list[Step]]:
+    """Rewrite term by each rule in turn, to its fixpoint, and the steps."""
+    steps: list[Step] = []
+    for name in rule_names:
+        term = _fixpoint(term, steps, "lemma construction", (name,))
+    return term, steps
 
 
 def _tl_shift(s: Term, k: int) -> Term:
@@ -912,11 +865,7 @@ def self_product_power_proof(s: Term, m: int, n: int) -> EquivProof:
         if (m == 1 or n == 1)
         else grouped_self_product(s, m, n)
     )
-    steps: list[Step] = []
-    cur = _fixpoint_with(start, ("tl_thin",), steps)
-    cur = _fixpoint_with(cur, ("tl_prod",), steps)
-    cur = _fixpoint_with(cur, ("prod_thin",), steps)
-    cur = _fixpoint_with(cur, ("thin_thin",), steps)
+    cur, steps = _chain(start, ("tl_thin", "tl_prod", "prod_thin", "thin_thin"))
     if not alpha_equal(cur, end):
         raise RewriteError(f"self-product lemma failed for m={m}, n={n}")
     return EquivProof(start, end, steps, [])
@@ -945,10 +894,7 @@ def self_product_transform_proof(kind: str, f: Term, s: Term, n: int) -> EquivPr
         combined = combiner(f, combined)
     end = node(combined, self_product(s, n))
 
-    steps: list[Step] = []
-    cur = _fixpoint_with(start, (tl_rule,), steps)
-    cur = _fixpoint_with(cur, (both_rule,), steps)
-    cur = _fixpoint_with(cur, (pull_rule,), steps)
+    cur, steps = _chain(start, (tl_rule, both_rule, pull_rule))
     if not alpha_equal(cur, end):
         raise RewriteError(f"{kind} self-product lemma failed for n={n}")
     return EquivProof(start, end, steps, [])

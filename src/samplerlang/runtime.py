@@ -264,29 +264,19 @@ def value_equal(a, b) -> bool:
     return a is b
 
 
-def value_to_point(v):
-    """Flatten a runtime value to a point: floats and nested 2-tuples.
-
-    Booleans embed as 1.0/0.0 for integration; identity-level atom merging
-    keeps the original values instead.
-    """
-    if isinstance(v, bool):
-        return 1.0 if v else 0.0
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, tuple):
-        return tuple(value_to_point(x) for x in v)
-    if isinstance(v, VInj):
-        return value_to_point(v.value)
-    raise EvalError(f"value {v!r} has no point representation")
-
-
 def value_coords(v) -> list[float]:
-    """The coordinates of a runtime value's point (`value_to_point`), in
-    order: pairs concatenate, an injection is its payload's, and a Boolean
-    is 1.0/0.0."""
-    p = value_to_point(v)
-    return [x for part in p for x in value_coords(part)] if isinstance(p, tuple) else [p]
+    """The coordinates of a runtime value as a point, in order: a number is
+    its float and a Boolean 1.0/0.0, pairs concatenate, and an injection is
+    its payload's."""
+    if isinstance(v, bool):
+        return [1.0 if v else 0.0]
+    if isinstance(v, (int, float)):
+        return [float(v)]
+    if isinstance(v, tuple):
+        return [x for part in v for x in value_coords(part)]
+    if isinstance(v, VInj):
+        return value_coords(v.value)
+    raise EvalError(f"value {v!r} has no point representation")
 
 
 def value_columns(values) -> Optional[list]:
@@ -295,7 +285,7 @@ def value_columns(values) -> Optional[list]:
 
     A typed array is one leaf column and `Pairs` are their parts' leaf
     columns.  In a list, tuples split componentwise and injections into
-    their payloads, as in `value_to_point`; anything else is a leaf, kept as
+    their payloads, as in `value_coords`; anything else is a leaf, kept as
     it is.  Returns None when the values do not all have the first one's
     shape; one value alone always has it, so `value_columns([v])` lists v's
     leaves.

@@ -161,22 +161,106 @@ def _unset(like, count: int):
     return [None] * count
 
 
-class StreamCore:
-    """Memoized entry source over 1-based indices, stable across calls.
+class ExternCore:
+    def __init__(self, stream: ExternStream):
+        self.stream = stream
 
-    The memo is a typed column of values (`runtime.column`), a float64
-    column of weights, and a mask of the entries computed so far, all
-    indexed by i - 1, and all None until the first pull (the values until
-    an entry is computed).  An entry not computed yet has some value and
-    weight, which the mask says to ignore.  A column that the memo returns
-    is never written again: the memo writes only entries not computed yet,
-    and grows into new columns.
-    """
+    def block(self, idx) -> Block:  # extern memoizes internally
+        values = _gather(self.stream.column(idx[-1]), idx)
+        return values, np.ones(len(values)), None
 
-    def __init__(self):
-        self._values = self._weights = self._known = None
+
+class PrngCore:
+    """Iterates the step function, one call of its application a step
+    (`StreamEvaluator._applier`: the closure's compile_fn function where
+    its body compiles); values are memoized as a growing list."""
+
+    def __init__(self, apply_fn: Callable, seed_value):
+        self.apply_fn = apply_fn
+        self.values = [seed_value]
 
     def block(self, idx) -> Block:
+        values, err = self.values, None
+        if idx[-1] > len(values):
+            step, append, cur = self.apply_fn, values.append, values[-1]
+            try:
+                for _ in range(idx[-1] - len(values)):
+                    cur = step(cur)
+                    append(cur)
+            except EvalError as e:
+                err = e
+                idx = [i for i in idx if i <= len(values)]
+        out = _gather(values, idx)
+        return out, np.ones(len(out)), err
+
+
+class PipeCore:
+    """A map, reweight or product over its parents, and the fused pipeline
+    it heads.
+
+    On its first pull the core absorbs every parent that only it can
+    reach (`_absorbable`), recursively, and compiles the tree of layers
+    down to the other parents, its leaves (`runtime.compile_pipeline`).  A
+    pull reads each leaf's block, runs the columnar function over the
+    entries every leaf has, a chunk at a time, and walks the layer tree
+    (`_walk`) for a block of one entry, for each entry of a chunk where the
+    columnar function gave way, and for the next entry if some leaf ended
+    early, so that its error is raised in engine order.  The chunks' typed
+    columns are joined into the block's.  Only this core keeps a memo;
+    absorbed ones are never pulled.
+
+    The memo is over 1-based indices and stable across calls: a typed
+    column of values (`runtime.column`), a float64 column of weights, and a
+    mask of the entries computed so far, all indexed by i - 1, and all None
+    until the first pull (the values until an entry is computed).  An entry
+    not computed yet has some value and weight, which the mask says to
+    ignore.  A column that the memo returns is never written again: the
+    memo writes only entries not computed yet, and grows into new columns.
+    """
+
+    def __init__(self, op: str, fn, parents: tuple, apply: Callable):
+        self._values = self._weights = self._known = None  # the memo
+        self.op = op  # "map", "reweight" or "prod"
+        self.fn = fn  # a map's or reweight's function
+        self.parents = parents  # RStreams: (parent,) or (left, right)
+        # the evaluator's application, for a function value whose body the
+        # generator cannot inline (StreamEvaluator.apply)
+        self.apply = apply
+        # set when more than one term may reach this core, so that it is
+        # pulled through its memo rather than absorbed
+        self.shared = False
+        # the pipeline, made on the first pull: its leaves, which of them
+        # carry weights, its layer tree's shape and functions (see _plan)
+        # and the tree they make; and its columnar function, made on first use
+        self._leaves: list = []
+        self._weighted: list = []
+        self._shape = None
+        self._fns: list = []
+        self._layers = None
+        self._block: Optional[Callable] = None
+
+    def _plan(self, leaves: list, fns: list, a: int = 1, b: int = 0):
+        """The shape of the layer tree of this core read through the view
+        i -> a*i + b (see runtime.compile_pipeline), whose layer functions
+        are appended to fns, this core's before its parents': an absorbed
+        parent is its own tree, read through its view composed with this
+        one, and any other parent is appended to leaves, as that composed
+        view, and named by its position."""
+        if self.fn is not None:
+            fns.append(self.fn)
+        inputs = []
+        for parent in self.parents:
+            pa, pb = parent.a * a, parent.a * b + parent.b
+            if _absorbable(parent):
+                inputs.append(parent.core._plan(leaves, fns, pa, pb))
+            else:
+                leaves.append(parent if a == 1 and b == 0 else RStream(parent.core, pa, pb))
+                inputs.append(len(leaves) - 1)
+        return (self.op, id(self.fn), tuple(inputs))
+
+    def block(self, idx) -> Block:
+        """The block at the core indices idx (a range or an increasing
+        list): the memo's entries, and the others computed (`_compute`)."""
         if self._known is None and type(idx) is range and idx.start == 1 and idx.step == 1:
             # the first pull, of a prefix: the memo is the block
             values, weights, err = self._compute(idx)
@@ -215,101 +299,6 @@ class StreamCore:
             # memo hits cannot fail: the block ends at the first failed index
             idx = idx[: idx.index(missing[len(done)])]
         return _gather(self._values, idx), _gather(self._weights, idx), err
-
-    def _compute(self, idx) -> Block:
-        raise NotImplementedError
-
-
-class ExternCore(StreamCore):
-    def __init__(self, stream: ExternStream):
-        super().__init__()
-        self.stream = stream
-
-    def block(self, idx) -> Block:  # extern memoizes internally
-        values = _gather(self.stream.column(idx[-1]), idx)
-        return values, np.ones(len(values)), None
-
-
-class PrngCore(StreamCore):
-    """Iterates the step function, one call of its application a step
-    (`StreamEvaluator._applier`: the closure's compile_fn function where
-    its body compiles); values are memoized as a growing list."""
-
-    def __init__(self, apply_fn: Callable, seed_value):
-        super().__init__()
-        self.apply_fn = apply_fn
-        self.values = [seed_value]
-
-    def block(self, idx) -> Block:
-        values, err = self.values, None
-        if idx[-1] > len(values):
-            step, append, cur = self.apply_fn, values.append, values[-1]
-            try:
-                for _ in range(idx[-1] - len(values)):
-                    cur = step(cur)
-                    append(cur)
-            except EvalError as e:
-                err = e
-                idx = [i for i in idx if i <= len(values)]
-        out = _gather(values, idx)
-        return out, np.ones(len(out)), err
-
-
-class PipeCore(StreamCore):
-    """A map, reweight or product over its parents, and the fused pipeline
-    it heads.
-
-    On its first pull the core absorbs every parent that only it can
-    reach (`_absorbable`), recursively, and compiles the tree of layers
-    down to the other parents, its leaves (`runtime.compile_pipeline`).  A
-    pull reads each leaf's block, runs the columnar function over the
-    entries every leaf has, a chunk at a time, and walks the layer tree
-    (`_walk`) for a block of one entry, for each entry of a chunk where the
-    columnar function gave way, and for the next entry if some leaf ended
-    early, so that its error is raised in engine order.  The chunks' typed
-    columns are joined into the block's.  Only this core keeps a memo;
-    absorbed ones are never pulled.
-    """
-
-    def __init__(self, op: str, fn, parents: tuple, apply: Callable):
-        super().__init__()
-        self.op = op  # "map", "reweight" or "prod"
-        self.fn = fn  # a map's or reweight's function
-        self.parents = parents  # RStreams: (parent,) or (left, right)
-        # the evaluator's application, for a function value whose body the
-        # generator cannot inline (StreamEvaluator.apply)
-        self.apply = apply
-        # set when more than one term may reach this core, so that it is
-        # pulled through its memo rather than absorbed
-        self.shared = False
-        # the pipeline, made on the first pull: its leaves, which of them
-        # carry weights, its layer tree's shape and functions (see _plan)
-        # and the tree they make; and its columnar function, made on first use
-        self._leaves: list = []
-        self._weighted: list = []
-        self._shape = None
-        self._fns: list = []
-        self._layers = None
-        self._block: Optional[Callable] = None
-
-    def _plan(self, leaves: list, fns: list, a: int = 1, b: int = 0):
-        """The shape of the layer tree of this core read through the view
-        i -> a*i + b (see runtime.compile_pipeline), whose layer functions
-        are appended to fns, this core's before its parents': an absorbed
-        parent is its own tree, read through its view composed with this
-        one, and any other parent is appended to leaves, as that composed
-        view, and named by its position."""
-        if self.fn is not None:
-            fns.append(self.fn)
-        inputs = []
-        for parent in self.parents:
-            pa, pb = parent.a * a, parent.a * b + parent.b
-            if _absorbable(parent):
-                inputs.append(parent.core._plan(leaves, fns, pa, pb))
-            else:
-                leaves.append(parent if a == 1 and b == 0 else RStream(parent.core, pa, pb))
-                inputs.append(len(leaves) - 1)
-        return (self.op, id(self.fn), tuple(inputs))
 
     def _compute(self, idx) -> Block:
         if self._shape is None:
@@ -408,7 +397,7 @@ def _absorbable(parent: "RStream") -> bool:
 class RStream(SamplerValue):
     """Affine view over a core: entry(i) = core.entry(a*i + b)."""
 
-    core: StreamCore
+    core: "ExternCore | PrngCore | PipeCore"
     a: int = 1
     b: int = 0
 
@@ -420,11 +409,6 @@ class RStream(SamplerValue):
         if type(idx) is range:
             return self.core.block(range(a * idx.start + b, a * idx.stop + b, a * idx.step))
         return self.core.block([a * i + b for i in idx])
-
-    def entries(self, idx) -> tuple[list, list, Optional[EvalError]]:
-        """The block at the view indices idx, as lists of runtime values."""
-        values, weights, err = self.block(idx)
-        return column_values(values), weights.tolist(), err
 
     def entry(self, i: int) -> tuple:
         if i < 1:

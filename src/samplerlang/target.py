@@ -167,9 +167,6 @@ class NodeReport:
     status: str  # 'ok' | 'rejected'
     note: str = ""
 
-    def to_json(self):
-        return {"path": self.path, "rule": self.rule, "status": self.status, "note": self.note}
-
 
 @dataclass
 class CheckOutcome:
@@ -177,15 +174,6 @@ class CheckOutcome:
     conclusion: Optional[Judgment]
     reports: list[NodeReport]
     failure: str = ""
-
-    def to_json(self):
-        return {
-            "schema_version": 1,
-            "accepted": self.accepted,
-            "conclusion": self.conclusion.to_json() if self.conclusion else None,
-            "failure": self.failure,
-            "nodes": [r.to_json() for r in self.reports],
-        }
 
 
 class Rejection(Exception):

@@ -93,14 +93,6 @@ class SubtypeWitness:
     right: Type
     children: tuple["SubtypeWitness", ...] = ()
 
-    def to_json(self):
-        return {
-            "rule": self.rule,
-            "left": pretty_type(self.left),
-            "right": pretty_type(self.right),
-            "children": [c.to_json() for c in self.children],
-        }
-
 
 def _pullback_split_target(ty: Type) -> Optional[Type]:
     """If ty is a sum of inverse images along one term, its carrier."""
@@ -379,10 +371,6 @@ class Deriv:
             out["note"] = self.note
         out["children"] = [c.to_json() for c in self.children]
         return out
-
-    def rule_tree(self):
-        """The rule skeleton, for golden structural comparisons."""
-        return (self.rule, tuple(c.rule_tree() for c in self.children))
 
 
 @dataclass

@@ -25,3 +25,10 @@ def streams_tool():
 def ulps_tool():
     """tools/ulps.py, which compares two CSV outputs of `run`."""
     return _tool("ulps")
+
+
+@pytest.fixture(scope="session")
+def census_tool():
+    """tools/census.py, which tells which functions of the package what
+    reaches."""
+    return _tool("census")

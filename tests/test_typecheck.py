@@ -30,6 +30,8 @@ from samplerlang.typecheck import (
     check_term,
 )
 
+from reference import rule_tree
+
 RR = ProdT(REAL, REAL)
 
 
@@ -113,7 +115,7 @@ def test_derivation_deterministic(corpus):
 
 
 def test_derivation_golden_structure(corpus):
-    tree = corpus["von_neumann"].check.derivation.rule_tree()
+    tree = rule_tree(corpus["von_neumann"].check.derivation)
     # root is the outer let; spot-check the spine
     assert tree[0] == "let"
     flat = json.dumps(tree)
@@ -220,7 +222,13 @@ def test_witness_carrier_preservation(corpus):
 
 @pytest.mark.parametrize(
     "decl",
-    ["S (R + R) targets bernoulli(0.5)", "S (R + N) targets uniform(0, 1)", "R targets uniform(0, 1)"],
+    [
+        "S (R + R) targets bernoulli(0.5)",
+        "S (R + N) targets uniform(0, 1)",
+        "R targets uniform(0, 1)",
+        "S B targets dirac(1)",
+        "S R+ targets discrete{1: 0.5, -2: 0.5}",
+    ],
 )
 def test_extern_type_must_fit_its_measure(decl):
     with pytest.raises(TypeCheckError) as exc:
@@ -235,6 +243,8 @@ def test_extern_type_must_fit_its_measure(decl):
         "S R targets uniform(0, 1)",
         "S (Unit + Unit) targets bernoulli(0.5)",
         "S (R * R+) targets uniform(0, 1)^2",
+        "S (R * B) targets dirac((-1, True))",
+        "S R targets discrete{1: 0.5, -2: 0.5}",
     ],
 )
 def test_extern_type_fits_by_promotion_and_subtyping(decl):
