@@ -19,7 +19,7 @@ built, and a list of runtime values otherwise; its weights are a float64
 array.  Columns are made at the extern kernel and stay typed through the
 memos, the pipelines and `truncate`, to the CSV writer and the empirical
 tests.  Runtime values are made only where entries leave the engine one by
-one: `hd`, `wt`, `RStream.entry`, `RStream.entries`, `RStream.prefix` and
+one: `hd`, `wt`, `RStream.entry`, `RStream.prefix` and
 `WeightedList.entries`.
 
 The leaves of the engine are extern streams (`ExternCore`) and `prng`

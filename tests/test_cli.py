@@ -149,16 +149,22 @@ def test_a_map_to_ints_writes_ints_in_the_csv(body, values, tmp_path, capsys):
     assert {weight for _, _, weight in rows} == {"1.0"}
 
 
-@pytest.mark.parametrize("body, samples", [
+def _zero_and_positive_values(out):
+    values = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    return 0.0 in values and any(v > 0.0 for v in values)
+
+
+@pytest.mark.parametrize("body, samples, expected", [
     # pairs bound by a pair parameter, from a branch of pairs: a column of
     # pairs split into its components, with both branches taken
-    ("map(fun (a : R, b : R) => a - b, map(fun x : R => if x < 0.5 then (x, x) else (x, 0 - x), rand))", 20),
+    ("map(fun (a : R, b : R) => a - b, map(fun x : R => if x < 0.5 then (x, x) else (x, 0 - x), rand))",
+     20, _zero_and_positive_values),
     # a comparison spelled as a prefix function of a pair, on one entry
-    ("hd(map(fun p : R * R => lt(p), rand <*> rand))", 1),
-    # a pair of samplers, which prints as a pair of weighted lists
-    ("(rand, rand)", 2),
+    ("hd(map(fun p : R * R => lt(p), rand <*> rand))", 1, lambda out: out in ("True\n", "False\n")),
+    # a pair of samplers, which prints as one line
+    ("(rand, rand)", 2, lambda out: out.count("\n") == 1),
 ])
-def test_engines_agree_on_pair_values(body, samples, tmp_path, capsys):
+def test_engines_agree_on_pair_values(body, samples, expected, tmp_path, capsys):
     src = tmp_path / "pairs.smpl"
     src.write_text(_RAND + body + "\n")
     outs = []
@@ -166,13 +172,7 @@ def test_engines_agree_on_pair_values(body, samples, tmp_path, capsys):
         assert main(["run", str(src), "--samples", str(samples), "--engine", engine]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
-    if body.startswith("map"):
-        values = [float(line.split(",")[1]) for line in outs[0].splitlines()[1:]]
-        assert 0.0 in values and any(v > 0.0 for v in values)
-    elif body.startswith("hd"):
-        assert outs[0] in ("True\n", "False\n")
-    else:
-        assert outs[0].startswith("(WeightedList(entries=[(0.488")
+    assert expected(outs[0]), outs[0]
 
 
 def test_a_closure_that_captures_a_sampler_prints_one_line_under_both_engines(tmp_path):

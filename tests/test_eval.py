@@ -512,8 +512,11 @@ reweight(fun x : R => x, rand) <*> reweight(fun x : R => x + 1, rand)
 """
     it = Interpreter(parse_program(src))
     pairs = it.big_step(20)
-    left = it.big_step(20, parse_term("reweight(fun x : R => x, rand)", {"rand"}))
-    right = it.big_step(
+    # each factor on a new interpreter, so neither reads a memo the other filled
+    left = Interpreter(it.program).big_step(
+        20, parse_term("reweight(fun x : R => x, rand)", {"rand"})
+    )
+    right = Interpreter(it.program).big_step(
         20, parse_term("reweight(fun x : R => x + 1, rand)", {"rand"})
     )
     for (pv, pw), (lv, lw), (rv, rw) in zip(pairs.entries, left.entries, right.entries):
