@@ -8,9 +8,11 @@ their discontinuities.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .pretty import pretty_type
 from .terms import (
     COMPARISONS,
     NAT,
@@ -50,6 +52,8 @@ def numeric_fits(a: Type, b: Type) -> bool:
 
 @dataclass(frozen=True)
 class BuiltinSig:
+    """One row of the builtin table, which every evaluator reads."""
+
     name: str
     arity: int
     result: Callable  # arg types -> result type (raises TypeError on misuse)
@@ -58,6 +62,10 @@ class BuiltinSig:
     # where fn raises its domain error: a test on its arguments, which
     # numpy applies elementwise to float64 columns as well
     fails: Optional[Callable] = None
+    # the numpy ufunc that computes fn on float64 arrays, by name, so that
+    # this module imports no numpy; and the Python operator fn is, if any
+    ufunc: Optional[str] = None
+    symbol: Optional[str] = None
 
 
 def _num_args(name, tys):
@@ -68,7 +76,7 @@ def _num_args(name, tys):
 
 
 def _sig_error(name, tys):
-    shown = ", ".join(map(repr, tys))
+    shown = ", ".join(map(pretty_type, tys))
     return TypeError(f"builtin '{name}' does not accept arguments of type ({shown})")
 
 
@@ -165,36 +173,33 @@ def _f_log(a):
 _TABLE: dict[str, BuiltinSig] = {}
 
 
-def _register(name, arity, result, continuity, fn, fails=None):
-    _TABLE[name] = BuiltinSig(name, arity, result, continuity, fn, fails)
+def _register(name, arity, result, continuity, fn, fails=None, ufunc=None, symbol=None):
+    _TABLE[name] = BuiltinSig(name, arity, result, continuity, fn, fails, ufunc, symbol)
 
 
-_register("plus", 2, _join_result("plus"), "continuous", lambda a, b: a + b)
-_register("times", 2, _join_result("times"), "continuous", lambda a, b: a * b)
-_register("minus", 2, _fixed_result("minus", REAL), "continuous", lambda a, b: a - b)
-_register("div", 2, _join_result("div"), "continuous", _f_div, _div_fails)
-_register("neg", 1, _fixed_result("neg", REAL), "continuous", lambda a: -a)
-_register("sqrt", 1, _fixed_result("sqrt", POSREAL), "continuous", _f_sqrt, _sqrt_fails)
+_register("plus", 2, _join_result("plus"), "continuous", operator.add, None, "add", "+")
+_register("times", 2, _join_result("times"), "continuous", operator.mul, None, "multiply", "*")
+_register("minus", 2, _fixed_result("minus", REAL), "continuous", operator.sub, None, "subtract", "-")
+_register("div", 2, _join_result("div"), "continuous", _f_div, _div_fails, "divide")
+_register("neg", 1, _fixed_result("neg", REAL), "continuous", operator.neg, None, "negative", "-")
+_register("sqrt", 1, _fixed_result("sqrt", POSREAL), "continuous", _f_sqrt, _sqrt_fails, "sqrt")
 _exp = _ufunc("exp", _exp_fails, OverflowError, "math range error")
-_register("exp", 1, _fixed_result("exp", POSREAL), "continuous", _exp, _exp_fails)
-_register("log", 1, _fixed_result("log", REAL), "continuous", _f_log, _log_fails)
+_register("exp", 1, _fixed_result("exp", POSREAL), "continuous", _exp, _exp_fails, "exp")
+_register("log", 1, _fixed_result("log", REAL), "continuous", _f_log, _log_fails, "log")
 for _trig in ("cos", "sin"):
     _fn = _ufunc(_trig, _trig_fails, ValueError, "math domain error")
-    _register(_trig, 1, _fixed_result(_trig, REAL), "continuous", _fn, _trig_fails)
-_register("abs", 1, _join_result("abs"), "continuous", abs)
+    _register(_trig, 1, _fixed_result(_trig, REAL), "continuous", _fn, _trig_fails, _trig)
+_register("abs", 1, _join_result("abs"), "continuous", abs, None, "absolute")
 _register("pi", 0, lambda: POSREAL, "continuous", lambda: math.pi)
 
-_CMP_FN = {
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-}
-
+# each comparison's ufunc and symbol; its function is `operator`'s of its name
+_CMP_ROWS = {"lt": ("less", "<"), "le": ("less_equal", "<="), "gt": ("greater", ">"),
+             "ge": ("greater_equal", ">="), "eq": ("equal", "=="), "ne": ("not_equal", "!=")}
 for _cmp in COMPARISONS:
-    _register(_cmp, 1, None, "comparison", _CMP_FN[_cmp])
+    _register(_cmp, 1, None, "comparison", getattr(operator, _cmp), None, *_CMP_ROWS[_cmp])
+
+#: every row of the table
+SIGNATURES = tuple(_TABLE.values())
 
 
 def signature(name: str) -> BuiltinSig:

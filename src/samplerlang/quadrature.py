@@ -39,12 +39,14 @@ splits every row, and one that does not read it is not probed.  A jump the
 probes miss is found by the adaptive bisection, as it is where the checker
 refuses the function or a parameter's type is `_`.
 
-The array functions carry fault masks, and a reweight divides by its
-`normalizer`, the integral of its function over its own base.  At the
-first node, in node order, where a scalar function would raise (a domain
-error on the branch taken) or a coordinate, weight or value is not finite
-(`_check_finite`), the scalar functions run at that node (`_raise_at`),
-and raise the EvalError with its position, or IntegrationError names it.
+The array functions carry fault masks, each builtin's domain test where
+its code runs, which is where the scalar function raises (see `runtime`),
+and a reweight divides by its `normalizer`, the integral of its function
+over its own base.  At the first node, in node order, where a scalar
+function would raise (a domain error on the branch taken) or a
+coordinate, weight or value is not finite (`_check_finite`), the scalar
+functions run at that node (`_raise_at`), and raise the EvalError with its
+position, or IntegrationError names it.
 
 Test functions are placed over a measure's support box (`support_box`); a
 pushforward's is the box around its probe points, the images of its base's

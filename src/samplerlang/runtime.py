@@ -9,9 +9,10 @@ a typed column (`column`, `Pairs`), from which `column_values` and
 `compile_fn` turns a sampler-free closure into a plain Python function by
 generating flat Python source for its body and executing it once: let-bound
 names become locals, subterms whose operands are all known are folded to
-constants, case and if become if/else, and plus/minus/times/neg and the
-comparisons are spelled as the Python operators they are.  The other
-builtins are called through the same `builtins` functions, in call-by-value
+constants, case and if become if/else.  Every mode reads each builtin's
+row of the `builtins` table (`BuiltinSig`): a builtin that is a Python
+operator (+, -, *, unary -, the comparisons) is spelled as that operator,
+and the others are called through the row's function, in call-by-value
 order, so a value computed this way is bit-identical to big-step's, and a
 domain error is an EvalError at the failing builtin's position.
 
@@ -32,9 +33,9 @@ columnar mode for the stream engine's fused chains of map/reweight/product
 layers, with every layer's body inline (see _PipeGen): its function
 computes a block of entries a column at a time.  Columnar mode keeps every
 value bit-identical to the layers' compile_fn functions applied entry by
-entry: on float64 and bool columns every builtin but pi is a numpy ufunc on
-whole columns, one that rounds as Python does or the one that the
-`builtins` function calls (exp, log, cos and sin); an int64 column (ints
+entry: on float64 and bool columns every builtin but pi is its row's numpy
+ufunc on whole columns, one that rounds as Python does or the one that the
+row's function calls (exp, log, cos and sin); an int64 column (ints
 within INT_BOUND), or an object column of floats and such ints, that meets
 a float is the floats it converts to exactly; every operation on ints
 alone (which are unbounded) or on other values is the `builtins`
@@ -49,29 +50,30 @@ raises the error of the first one that fails.
 `compile_array_fn` runs the same generator in array mode, for quadrature,
 whose functions take nested tuples of numpy arrays and compute a batch of
 quadrature nodes per call.  Value numbering and constant folding are the
-same; numeric constants enter as floats (folded with numpy's warnings off), and the builtins other than
-plus/minus/times/neg are the numpy functions of `_ARRAY_BUILTINS`, which
-both fold constants and run in the code, so a domain error gives nan or inf
-instead of raising, and no statement is wrapped to locate a failure.
+same (numeric constants enter as floats); a builtin that is no operator is
+its row's ufunc, so a domain error gives nan or inf instead of raising, and
+no statement is wrapped to locate a failure.
 Comparisons are numpy comparisons, and a case (if) on a comparison result
 computes both branches at every point, so the calls in a branch stay
 reusable after it, and selects one with np.where, componentwise for pairs;
 a domain error in the branch not taken is masked.
 
 Each function in array mode also computes its fault mask, where it would
-fail: a builtin other than plus/minus/times/neg whose value is not finite
-counts at the points where the code that calls it runs (the conjunction of
-the enclosing branch conditions; a lambda of the body is inlined where it
-is applied, as in columnar mode, so its builtins count where its call site
-runs), and `compile_array_fn`'s function puts nan in every component there.
-So a domain error that the scalar function raises shows as nan, even where
-its value is discarded or only compared, and one in a branch not taken does
-not.  A constant that folds to a non-finite value stays in the code, so
-that it counts where it is reached.
+fail, by the rule of the other modes: a builtin's domain test
+(`BuiltinSig.fails`) on its arguments counts at the points where the code
+that calls it runs (the conjunction of the enclosing branch conditions; a
+lambda of the body is inlined where it is applied, as in columnar mode, so
+its builtins count where its call site runs), and `compile_array_fn`'s
+function puts nan in every component there.  So a domain error that the
+scalar function raises shows as nan, even where its value is discarded or
+only compared, and one in a branch not taken does not; a value past the
+floats that no domain test marks (1 / 1e-320 is inf) is no fault, as the
+scalar function returns it too.  A constant whose folding raises stays in
+the code, so that it counts where it is reached.
 
 Array mode refuses (returns None for) a body that reaches an injection, a
 case on any other scrutinee (an injection, a Boolean parameter), a unit
-constant, a builtin outside that table, an application of anything but
+constant, a builtin whose row names no ufunc, an application of anything but
 a lambda defined in the body, or such a lambda used as a value (in a pair,
 say) rather than applied.
 """
@@ -88,7 +90,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .builtins import BUILTIN_ERRORS, EvalError, located_error, signature
+from .builtins import BUILTIN_ERRORS, SIGNATURES, EvalError, located_error, signature
 from .terms import (
     App,
     Builtin,
@@ -318,23 +320,6 @@ def value_columns(values) -> Optional[list]:
 # Code generation for sampler-free closures
 # ---------------------------------------------------------------------------
 
-# Builtins that are exactly one Python operator (see builtins._register and
-# builtins._CMP_FN), so the generated code spells them inline.
-_INFIX = {"plus": "+", "minus": "-", "times": "*"}
-_CMP_INFIX = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}
-# The other builtins in array mode: numpy functions that do not raise.
-_ARRAY_BUILTINS = {
-    "div": np.divide,
-    "sqrt": np.sqrt,
-    "exp": np.exp,
-    "log": np.log,
-    "cos": np.cos,
-    "sin": np.sin,
-    "abs": np.abs,
-    "pi": lambda: np.pi,
-}
-
-
 class _NotCompilable(Exception):
     pass
 
@@ -445,7 +430,6 @@ class _CodeGen:
             "_where": _where,
             "_need_pair": _need_pair,
             "_ERRORS": BUILTIN_ERRORS,
-            "_isfinite": np.isfinite,
             "_not": np.logical_not,
         }
         self.count = 0
@@ -569,18 +553,15 @@ class _CodeGen:
             result = self.code(self.term(body, inner, depth + 1))
             self.emit(depth + 1, f"return {result}, _bad" if self.array else f"return {result}")
 
-    def fault(self, mask: str, depth: int) -> None:
-        """Record that the points in `mask` fail, where the current code runs."""
-        where = mask if self.path is None else f"{mask} & {self.path}"
-        self.emit(depth, f"_bad = _bad | {where}")
-
-    def check(self, operand: _Code, depth: int) -> _Code:
-        """Record a builtin's non-finite values as failures where the
-        current code runs (once per path)."""
-        if (operand.expr, self.path) not in self.checked:
-            self.checked.add((operand.expr, self.path))
-            self.fault(f"_not(_isfinite({operand.expr}))", depth)
-        return operand
+    def check(self, sig, args: list, value: _Code, depth: int) -> None:
+        """Array mode: record that the points where the builtin's domain
+        test holds on its arguments fail, where the current code runs (once
+        per path)."""
+        if (value.expr, self.path) not in self.checked:
+            self.checked.add((value.expr, self.path))
+            self.namespace[f"_fails_{sig.name}"] = sig.fails
+            mask = f"_fails_{sig.name}({', '.join(args)})"
+            self.emit(depth, f"_bad = _bad | {mask}" + ("" if self.path is None else f" & {self.path}"))
 
     def bind(self, params, operand, scope: dict, depth: int) -> dict:
         """Scope extended by a parameter group bound to a right-nested tuple."""
@@ -690,22 +671,11 @@ class _CodeGen:
 
     def builtin(self, sig, ops: list, pos, depth: int):
         op = sig.name
-        fn = sig.fn
-        if self.array and op not in _INFIX and op != "neg":
-            fn = _ARRAY_BUILTINS.get(op)
-            if fn is None:
-                raise _NotCompilable(op)
         if all(isinstance(o, _Known) for o in ops):
             try:
-                with np.errstate(all="ignore"):
-                    value = fn(*(o.value for o in ops))
-                if not self.array:
-                    return _Known(value)
-                # a failing constant stays in the code, so that it counts
-                if math.isfinite(value):
-                    return _Known(float(value))
+                return _Known(sig.fn(*(o.value for o in ops)))
             except (TypeError, *BUILTIN_ERRORS):
-                pass  # left in place: it raises when it is reached
+                pass  # left in place: it raises, or faults, where it is reached
         if self.columns:
             key = (op, *map(self.source, ops))
             if key not in self.calls:
@@ -714,25 +684,25 @@ class _CodeGen:
             return self.calls[key]
         args = [self.code(o) for o in ops]
         key = (op, *args)
-        can_fail = self.array and op not in _INFIX and op != "neg"
-        if key in self.calls:
-            return self.check(self.calls[key], depth) if can_fail else self.calls[key]
-        if op in _INFIX:
-            rhs = f"{args[0]} {_INFIX[op]} {args[1]}"
-        elif op == "neg":
-            rhs = f"-{args[0]}"
-        else:
-            self.namespace[f"_{op}"] = fn
-            rhs = f"_{op}({', '.join(args)})"
-        if self.array:
-            self.calls[key] = self.assign(depth, rhs)
-            return self.check(self.calls[key], depth) if can_fail else self.calls[key]
-        name = self.fresh("t")
-        self.emit(depth, "try:")
-        self.emit(depth + 1, f"{name} = {rhs}")
-        self.emit(depth, "except _ERRORS as err:")
-        self.emit(depth + 1, f"raise _located(err, {op!r}, {pos!r}) from None")
-        self.calls[key] = _Code(name)
+        if key not in self.calls:
+            if sig.symbol is not None:
+                rhs = f"{sig.symbol}{args[0]}" if sig.arity == 1 else f"{args[0]} {sig.symbol} {args[1]}"
+            elif self.array and sig.ufunc is None:
+                raise _NotCompilable(op)
+            else:
+                self.namespace[f"_{op}"] = getattr(np, sig.ufunc) if self.array else sig.fn
+                rhs = f"_{op}({', '.join(args)})"
+            if self.array:
+                self.calls[key] = self.assign(depth, rhs)
+            else:
+                name = self.fresh("t")
+                self.emit(depth, "try:")
+                self.emit(depth + 1, f"{name} = {rhs}")
+                self.emit(depth, "except _ERRORS as err:")
+                self.emit(depth + 1, f"raise _located(err, {op!r}, {pos!r}) from None")
+                self.calls[key] = _Code(name)
+        if self.array and sig.fails is not None:
+            self.check(sig, args, self.calls[key], depth)
         return self.calls[key]
 
     def comparison(self, sig, operand, pos, depth: int):
@@ -756,7 +726,7 @@ class _CodeGen:
                 args = f"{self.code(left)}, {self.code(right)}"
                 rhs = f"_compare(_cmp_{op}, {args}, {self.frame})"
             else:
-                rhs = f"{key[1]} {_CMP_INFIX[op]} {key[2]}"
+                rhs = f"{key[1]} {sig.symbol} {key[2]}"
             self.calls[key] = self.assign(depth, rhs, is_bool=True)
         return self.calls[key]
 
@@ -1154,8 +1124,8 @@ def _op(spec, n: int, *args):
 
 
 def _compare(spec, a, b, n: int):
-    """A comparison on columns: spec is (ufunc, fn)."""
-    ufunc, fn = spec
+    """A comparison on columns: spec is (ufunc, fn, None)."""
+    ufunc, fn, _ = spec
     if type(a) is not np.ndarray and type(b) is not np.ndarray:
         return fn(a, b) if n else None
     x, y = _as_float(a, True), _as_float(b, True)
@@ -1229,14 +1199,11 @@ def _reweigh(factor, weight, n: int):
 
 
 def _specs() -> dict:
-    """The columnar functions' names for the builtins' specs (see _op) and
-    the comparisons' (see _compare)."""
-    ufuncs = {"plus": np.add, "minus": np.subtract, "times": np.multiply, "neg": np.negative,
-              **_ARRAY_BUILTINS}
-    cmp_ufuncs = {"lt": np.less, "le": np.less_equal, "gt": np.greater,
-                  "ge": np.greater_equal, "eq": np.equal, "ne": np.not_equal}
-    return {**{f"_op_{op}": (u, signature(op).fn, signature(op).fails) for op, u in ufuncs.items()},
-            **{f"_cmp_{op}": (u, signature(op).fn) for op, u in cmp_ufuncs.items()}}
+    """The columnar functions' names for each builtin row's (ufunc, fn,
+    fails): `_cmp_name` for a comparison (see _compare), else `_op_name`
+    (see _op)."""
+    return {f"_{'cmp' if sig.continuity == 'comparison' else 'op'}_{sig.name}":
+            (getattr(np, sig.ufunc), sig.fn, sig.fails) for sig in SIGNATURES if sig.ufunc}
 
 
 _SPECS = _specs()

@@ -851,6 +851,17 @@ def _point_type(p) -> Type:
     return NAT if isinstance(p, int) else POSREAL
 
 
+def _point_join(a: Type, b: Type) -> Optional[Type]:
+    """The least type of points of types a and b, whose numeric leaves
+    join through products, or None."""
+    if is_numeric(a) and is_numeric(b):
+        return numeric_join(a, b)
+    if isinstance(a, ProdT) and isinstance(b, ProdT):
+        left, right = _point_join(a.left, b.left), _point_join(a.right, b.right)
+        return None if left is None or right is None else ProdT(left, right)
+    return a if type_equal(a, b) else None
+
+
 def _interval_type(lo: float) -> Type:
     return POSREAL if lo >= 0 else REAL
 
@@ -874,12 +885,12 @@ def measure_type(m: M.MeasureExpr) -> Type:
             out = _point_type(atoms[0][0])
             for point, _ in atoms[1:]:
                 ty = _point_type(point)
-                if is_numeric(out) and is_numeric(ty):
-                    out = numeric_join(out, ty)
-                elif not type_equal(out, ty):
+                joined = _point_join(out, ty)
+                if joined is None:
                     raise TypeCheckError(
                         f"discrete atoms of types {pretty_type(out)} and {pretty_type(ty)}"
                     )
+                out = joined
             return out
         case M.ProductM(left, right):
             return ProdT(measure_type(left), measure_type(right))

@@ -32,8 +32,9 @@ def test_check_prints_type(capsys):
 
 @pytest.mark.parametrize("program, message", [
     ("fun x : R => fun y : R => x < y", "cross"),
-    # a predicate type is named as it is written
+    # a predicate type and a product type are named as they are written
     ("fun p : lt^-1(1) => sqrt(p)", "builtin 'sqrt' does not accept arguments of type (lt^-1(1))"),
+    ("fun p : R * R => sqrt(p)", "builtin 'sqrt' does not accept arguments of type (R * R)"),
 ])
 def test_check_reports_error(program, message, tmp_path, capsys):
     bad = tmp_path / "bad.smpl"
@@ -101,6 +102,13 @@ def test_a_function_valued_program_prints_the_same_closure_under_both_engines(tm
     assert outs[0] == outs[1]
     assert outs[0].startswith("VClosure(params=(('x', ")
     assert outs[0].rstrip().endswith("env={'c': 2})")
+
+
+def test_a_printed_closure_names_its_parameter_types_as_they_are_written(tmp_path, capsys):
+    src = tmp_path / "pred.smpl"
+    src.write_text("fun p : lt^-1(1) => 1")
+    assert main(["run", str(src), "--samples", "1"]) == 0
+    assert capsys.readouterr().out.startswith("VClosure(params=(('p', lt^-1(1)),)")
 
 
 _RAND = "extern sampler rand : S R+ targets uniform(0, 1)\n"

@@ -2,13 +2,14 @@ import gc
 import json
 import math
 import random
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from samplerlang import runtime, streams
-from samplerlang.builtins import EvalError, apply_builtin
+from samplerlang.builtins import SIGNATURES, EvalError, apply_builtin, signature
 from samplerlang.corpus import load_corpus, proof_path
 from samplerlang.interpreter import Interpreter
 from samplerlang.parser import parse_measure, parse_program, parse_term
@@ -383,29 +384,43 @@ def test_array_backend_matches_the_scalar_backend_across_comparisons():
 def test_array_fault_masks_mark_the_points_where_the_scalar_function_fails():
     # with fault masks, array mode gives nan wherever the scalar function
     # raises, taken branches and values that never reach the result included,
-    # and the scalar function's value wherever it returns a finite one
+    # and the scalar function's value wherever it returns one, inf and nan
+    # included: a builtin fails where its domain test holds, in every mode
     xs = np.array([0.5, -1.0, 3.0, 0.0, 2.0, -0.0, 0.25, 800.0])
     rng = random.Random(13)
-    failed = returned = 0
-    for _ in range(3000):
-        lam = Lam((("x", None),), _random_body(rng, ["x"], 4))
-        array_fn = compile_array_fn(lam)
-        if array_fn is None:
-            continue
+    counts = {"failed": 0, "returned": 0, "non-finite": 0}
+
+    def compare(lam):
         with np.errstate(all="ignore"):
-            got = np.broadcast_to(array_fn(xs), xs.shape)
+            got = np.broadcast_to(compile_array_fn(lam)(xs), xs.shape)
         scalar_fn = term_fn(lam)
         for x, value in zip(xs.tolist(), got.tolist()):
             try:
                 want = scalar_fn(x)
             except EvalError:
                 assert math.isnan(value), (lam, x)
-                failed += 1
+                counts["failed"] += 1
                 continue
-            if math.isfinite(want):
-                assert value == want, (lam, x)
-                returned += 1
-    assert failed > 800 and returned > 4000
+            assert value == want or (math.isnan(value) and math.isnan(want)), (lam, x)
+            counts["returned"] += 1
+            counts["non-finite"] += not math.isfinite(want)
+
+    for _ in range(3000):
+        lam = Lam((("x", None),), _random_body(rng, ["x"], 4))
+        if compile_array_fn(lam) is not None:
+            compare(lam)
+    assert counts["failed"] > 800 and counts["returned"] > 4000
+    # values past the floats, which no domain test marks: 1 / (x * 1e-310)
+    # is inf where x * 1e-310 is not 0, and 0 * inf is nan
+    for src in (
+        "fun x : R => let y = 1 / (x * 1e-310) in 1",
+        "fun x : R => if abs(1 / (x * 1e-310)) > 0 then 1 else 0",
+        "fun x : R => 1 / (x * 1e-310)",
+        "fun x : R => 0 * (x * 1e308 * 10)",
+        "fun x : R => log(exp(x)) - x * 1e308 * 10",
+    ):
+        compare(parse_term(src))
+    assert counts["non-finite"] > 10
     # failures that do not reach the value: a log only compared, and one
     # first computed in a branch, then reused after it
     for src in (
@@ -419,9 +434,9 @@ def test_array_fault_masks_mark_the_points_where_the_scalar_function_fails():
             assert np.isnan(compile_array_fn(hidden)(np.array([-1.0]))).all()
 
 
-# the edges of exp, log, cos and sin: signed zeros, subnormals, 1 ± 1 ulp,
-# the largest float whose exp is finite and the float after it, ±1e22,
-# where cos and sin need a full argument reduction, and the non-finite floats
+# the edges of the builtins: signed zeros, subnormals, 1 ± 1 ulp, the
+# largest float whose exp is finite and the float after it, ±1e22, where cos
+# and sin need a full argument reduction, and the non-finite floats
 _EXP_MAX = 709.782712893384
 _EDGES = [
     0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
@@ -429,37 +444,63 @@ _EDGES = [
     _EXP_MAX, math.nextafter(_EXP_MAX, math.inf), -_EXP_MAX, 1e22, -1e22,
     math.inf, -math.inf, math.nan,
 ]
-#: where each function raises, and what
+#: where each partial builtin raises, and what
 _FAILS = {
     "exp": (lambda x: math.isfinite(x) and x > _EXP_MAX, "builtin 'exp' failed: math range error"),
     "log": (lambda x: x <= 0, "log of non-positive number"),
     "cos": (math.isinf, "builtin 'cos' failed: math domain error"),
     "sin": (math.isinf, "builtin 'sin' failed: math domain error"),
+    "div": (lambda a, b: b == 0, "division by zero"),
+    "sqrt": (lambda x: x < 0, "sqrt of negative number"),
 }
 
 
-@pytest.mark.parametrize("op", ["exp", "log", "cos", "sin"])
+@pytest.mark.parametrize("op", [sig.name for sig in SIGNATURES if sig.ufunc])
 def test_scalar_and_columnar_transcendentals_agree_bit_for_bit(op):
-    # one implementation: the scalar function on each value and columnar
-    # mode's ufunc on the whole column give the same bits, and the column
-    # faults wherever the scalar function raises
+    # one implementation per row of the builtin table: where its domain test
+    # is false, the scalar function on each value, the row's ufunc and
+    # columnar mode on the whole columns give the same bits; where it is
+    # true, the scalar function raises and the column faults.  A binary
+    # builtin takes every pair of edges and the spread against itself,
+    # shuffled; a comparison takes its pair as one argument
+    sig = signature(op)
+    comparison = sig.continuity == "comparison"
+
+    def scalar(*args):
+        return apply_builtin(op, [args] if comparison else list(args))
+
+    def column(n, *args):
+        if comparison:
+            return runtime._compare(runtime._SPECS[f"_cmp_{op}"], *args, n)
+        return runtime._op(runtime._SPECS[f"_op_{op}"], n, *args)
+
     rng = np.random.default_rng(34)
     spread = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-3, 3, 100_000)
-    xs = np.concatenate([np.abs(spread) if op == "log" else spread, _EDGES])
-    fails, message = _FAILS[op]
-    bad = np.array([fails(x) for x in xs.tolist()])
-    assert bad[-len(_EDGES):].any() and not bad[-len(_EDGES):].all()
-    for x in xs[bad].tolist():
+    if sig.arity == 1 and not comparison:
+        cols = [np.concatenate([np.abs(spread) if op == "log" else spread, _EDGES])]
+    else:
+        grid = np.meshgrid(_EDGES, _EDGES)
+        cols = [np.concatenate([s, g.ravel()]) for s, g in zip((spread, rng.permutation(spread)), grid)]
+    fails, message = _FAILS.get(op, (lambda *args: False, None))
+    rows = list(zip(*(c.tolist() for c in cols)))
+    bad = np.array([fails(*row) for row in rows])
+    if sig.fails is not None:
+        assert np.array_equal(bad, sig.fails(*cols))
+    edges = bad[len(spread):]
+    assert not edges.all() and edges.any() == (sig.fails is not None)
+    for row in (row for row, b in zip(rows, bad.tolist()) if b):
         with pytest.raises(EvalError) as err:
-            apply_builtin(op, [x])
-        assert err.value.message.startswith(message), (op, x)
+            scalar(*row)
+        assert err.value.message.startswith(message), (op, row)
         with pytest.raises(runtime._Fault):
-            runtime._op(runtime._SPECS[f"_op_{op}"], 2, np.array([1.0, x]))
-    ok = xs[~bad]
-    want = np.array([apply_builtin(op, [x]) for x in ok.tolist()])
-    got = runtime._op(runtime._SPECS[f"_op_{op}"], len(ok), ok)
-    assert got.dtype == want.dtype == np.float64
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            column(2, *(np.array([1.0, x]) for x in row))
+    ok = [c[~bad] for c in cols]
+    want = np.array([scalar(*row) for row in zip(*(c.tolist() for c in ok))])
+    with np.errstate(all="ignore"):  # inf - inf and the like, which Python makes nan
+        direct = getattr(np, sig.ufunc)(*ok)
+        got = column(len(want), *ok)
+    assert got.dtype == direct.dtype == want.dtype == (bool if comparison else np.float64)
+    assert got.tobytes() == direct.tobytes() == want.tobytes()
 
 
 def test_log_of_an_int_beyond_the_floats_is_maths():
@@ -483,7 +524,9 @@ def test_box_muller_compiles_to_one_call_per_builtin_without_try():
     gen.function("_fn", box.params, box.body, {}, 0)
     source = "\n".join(gen.lines)
     assert "try:" not in source
-    assert [source.count(f"_{op}(") for op in ("log", "sqrt", "cos")] == [1, 1, 1]
+    # one ufunc call and one domain test per builtin
+    calls = [len(re.findall(rf"\b{stem}{op}\(", source)) for stem in ("_", "_fails_") for op in ("log", "sqrt", "cos")]
+    assert calls == [1] * 6
 
 
 # -- invariants ---------------------------------------------------------------

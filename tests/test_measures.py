@@ -746,14 +746,31 @@ def test_domain_error_on_the_batched_path_raises_as_on_the_scalar_path():
 
 def test_domain_error_that_does_not_reach_the_value_still_raises():
     # log(x) < 0 is False where log fails in array mode; at the first node
-    # its fault mask marks, the scalar function raises
-    fn = parse_term("fun x : R => if log(x) < 0 then 1 else 2")
-    base = parse_measure("uniform(-1, 2)")
-    with pytest.raises(EvalError, match="log of non-positive") as batched:
-        normalizer(fn, base)
-    with pytest.raises(EvalError) as scalar:
-        integrate(base, term_fn(fn))
-    assert str(batched.value) == str(scalar.value)
+    # its fault mask marks, the scalar function raises, at the log
+    for src, base in [
+        ("fun x : R => if log(x) < 0 then 1 else 2", "uniform(-1, 2)"),
+        ("fun x : R => if log(x - 0.5) < 0 then 1 else 2", "uniform(0, 1)"),
+    ]:
+        fn, base = parse_term(src), parse_measure(base)
+        with pytest.raises(EvalError, match="log of non-positive") as batched:
+            normalizer(fn, base)
+        with pytest.raises(EvalError) as scalar:
+            integrate(base, term_fn(fn))
+        assert str(batched.value) == str(scalar.value)
+        assert batched.value.pos == (1, 17)
+
+
+@pytest.mark.parametrize("src", [
+    "fun x : R => let y = 1 / (x * 1e-310) in 1",
+    "fun x : R => if abs(1 / (x * 1e-310)) > 0 then 1 else 0",
+])
+def test_a_value_past_the_floats_that_no_builtin_fails_on_is_no_fault(src):
+    # 1 / (x * 1e-310) is inf off x = 0, but div fails only where its
+    # divisor is 0, in array mode as in the scalar function, so the integrand
+    # is 1 at every node
+    fn = parse_term(src)
+    assert term_fn(fn)(0.002171418487095955) == 1
+    assert normalizer(fn, parse_measure("uniform(0, 1)")) == 1.0
 
 
 def test_branch_not_taken_neither_warns_nor_falls_back(monkeypatch):

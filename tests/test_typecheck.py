@@ -228,6 +228,7 @@ def test_witness_carrier_preservation(corpus):
         "R targets uniform(0, 1)",
         "S B targets dirac(1)",
         "S R+ targets discrete{1: 0.5, -2: 0.5}",
+        "S (B * R+) targets discrete{(True, 1): 0.5, (False, -2): 0.5}",
     ],
 )
 def test_extern_type_must_fit_its_measure(decl):
@@ -245,6 +246,8 @@ def test_extern_type_must_fit_its_measure(decl):
         "S (R * R+) targets uniform(0, 1)^2",
         "S (R * B) targets dirac((-1, True))",
         "S R targets discrete{1: 0.5, -2: 0.5}",
+        # atoms' numeric leaves join through products
+        "S (B * R) targets discrete{(True, 1): 0.5, (False, -2): 0.5}",
     ],
 )
 def test_extern_type_fits_by_promotion_and_subtyping(decl):

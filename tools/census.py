@@ -49,7 +49,7 @@ _SELF_PRODUCT = "the paper's self-product lemmas, which the acceptance tests che
 _PER_NODE = ("integration node by node, of a function that array mode refuses "
              "(an injection, a case on a Boolean); no bench integrand is one")
 _SYNTAX_ERROR = "a syntax error; every bench input parses"
-_TYPE_NAME = "names a type in a builtin's type error, as the type is written"
+_TYPE_NAME = "names a type as it is written in a printed closure, as `run` of a function prints one"
 
 #: function -> why it stays although no benchmark operation reaches it
 ALLOWED = {
@@ -118,6 +118,8 @@ ALLOWED = {
     "typecheck.Deriv.to_json": "`check --emit-derivation`",
     "typecheck._point_type":
         "the type of the points of a dirac or discrete measure that an extern targets",
+    "typecheck._point_join":
+        "joins the point types of a discrete measure's atoms that an extern targets",
     "typecheck.check_term": "type-checks a term without a program, as parse_term parses one",
 }
 
